@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test check bench lint sarif fuzz
+.PHONY: build test check bench lint sarif fuzz loc
 
 build:
 	go build ./...
@@ -36,3 +36,9 @@ check:
 
 bench:
 	go test -bench=. -benchmem ./...
+
+# Per-package Go line counts (code / non-test / test) for internal/* and
+# cmd/*: run at the parent commit and at the change to report a PR's net
+# line count.
+loc:
+	./scripts/loc.sh

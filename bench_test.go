@@ -9,6 +9,7 @@
 package eth_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -493,19 +494,15 @@ func BenchmarkAblationRasterTiling(b *testing.B) {
 }
 
 // BenchmarkAblationCompression compares the in-situ interface with and
-// without DEFLATE framing over a real loopback socket pair — the
+// without the flate codec over a real loopback socket pair — the
 // time-vs-bytes trade-off of the introduction's compression lever.
 func BenchmarkAblationCompression(b *testing.B) {
 	step := benchCloud.Slice(0, 50_000)
-	for _, compress := range []bool{false, true} {
-		name := "raw"
-		if compress {
-			name = "flate"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, codec := range []string{"raw", "flate"} {
+		b.Run(codec, func(b *testing.B) {
 			var bytesMoved int64
 			for i := 0; i < b.N; i++ {
-				sim, err := proxy.NewSimProxy(proxy.SimConfig{Compress: compress},
+				sim, err := proxy.NewSimProxy(proxy.SimConfig{Codec: codec},
 					&proxy.MemSource{Data: []data.Dataset{step}})
 				if err != nil {
 					b.Fatal(err)
@@ -516,7 +513,8 @@ func BenchmarkAblationCompression(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rep, err := coupling.RunSocketPair(sim, viz, filepath.Join(b.TempDir(), "layout"), 0)
+				rep, err := coupling.RunSocketPair(context.Background(), sim, viz,
+					filepath.Join(b.TempDir(), "layout"), 0, coupling.Policy{}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

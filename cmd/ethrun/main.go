@@ -14,6 +14,11 @@
 //	ethrun -modeled -algorithm raycast -nodes 400 -elements 1e9 -images 500
 //	ethrun -steps 50 -trace run.jsonl -watchdog 30s -max-restarts 3
 //	ethrun -steps 50 -trace run.jsonl -resume   # continue a crashed run
+//	ethrun -spec job.json -retries 2 -watchdog 30s -trace run.jsonl
+//
+// A measured experiment is one layout.Spec, loaded from -spec or filled
+// from the experiment flags; the journal, observability, robustness and
+// supervision flags apply to it the same way in both cases.
 //
 // Supervised runs (-watchdog, -max-restarts, -resume) drain on the first
 // SIGINT/SIGTERM and exit 3; a second signal hard-aborts with exit 4; an
@@ -26,7 +31,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
@@ -39,7 +43,6 @@ import (
 	"github.com/ascr-ecx/eth/internal/layout"
 	"github.com/ascr-ecx/eth/internal/obs"
 	"github.com/ascr-ecx/eth/internal/render"
-	"github.com/ascr-ecx/eth/internal/sampling"
 	"github.com/ascr-ecx/eth/internal/supervise"
 	"github.com/ascr-ecx/eth/internal/transport"
 )
@@ -88,7 +91,7 @@ func main() {
 	resume := flag.Bool("resume", false, "measured: resume a crashed run from its step cursors (requires -trace; implies supervision)")
 
 	// Job-layout file (paper §VII).
-	specFile := flag.String("spec", "", "run a JSON job-layout file instead of flag configuration")
+	specFile := flag.String("spec", "", "run a JSON job-layout file in place of the measured experiment flags (run flags still apply)")
 
 	// Modeled-mode flags.
 	modeled := flag.Bool("modeled", false, "run the cluster model instead of real pipelines")
@@ -102,23 +105,46 @@ func main() {
 	flag.Parse()
 
 	stopProfiles := startProfiles(*cpuprofile, *memprofile)
+	run := runArgs{
+		trace: *trace, obsAddr: *obsAddr,
+		faultsFile: *faultsFile, faultSeed: *faultSeed,
+		retries: *retries, skips: *skips, ioTimeout: *ioTimeout,
+		watchdog: *watchdog, maxRestarts: *maxRestarts, resume: *resume,
+	}
 	switch {
 	case *specFile != "":
-		runSpec(*specFile, *trace, *obsAddr)
+		spec, err := layout.Load(*specFile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		runMeasured(spec, run)
 	case *modeled:
 		runModeled(*algorithm, *nodes, *elements, *ratio, *pixels, *imagesPerStep, *timeSteps, *calibrated)
 	default:
-		runMeasured(measuredArgs{
-			workload: *workload, dataGlob: *dataGlob,
-			particles: *particles, grid: *grid, steps: *steps,
-			algorithm: *algorithm, ranks: *ranks,
-			width: *width, height: *height, images: *imagesM,
-			mode: *mode, codec: *codec, ratio: *ratio, method: *method, out: *out,
-			trace: *trace, obsAddr: *obsAddr,
-			faultsFile: *faultsFile, faultSeed: *faultSeed,
-			retries: *retries, skips: *skips, ioTimeout: *ioTimeout,
-			watchdog: *watchdog, maxRestarts: *maxRestarts, resume: *resume,
-		})
+		// The experiment flags describe the same document a job-layout
+		// file holds, so they fill one and take the -spec path from there.
+		spec := &layout.Spec{
+			Name: *workload,
+			Workload: layout.WorkloadSpec{
+				Kind: *workload, Particles: *particles, Grid: *grid,
+				Steps: *steps, Seed: 1,
+			},
+			Pairs:     *ranks,
+			Coupling:  *mode,
+			Algorithm: *algorithm,
+			Image:     layout.ImageSpec{Width: *width, Height: *height, ImagesPerStep: *imagesM},
+			Sampling:  layout.SamplingSpec{Ratio: *ratio, Method: *method},
+			Codec:     *codec,
+			OutDir:    *out,
+		}
+		if *dataGlob != "" {
+			spec.Name = "replay"
+			spec.Workload = layout.WorkloadSpec{Kind: "disk", Glob: *dataGlob}
+		}
+		if err := spec.Validate(); err != nil {
+			log.Fatal(err)
+		}
+		runMeasured(spec, run)
 	}
 	stopProfiles()
 }
@@ -153,34 +179,6 @@ func startProfiles(cpu, mem string) func() {
 	}
 }
 
-// openTrace creates the journal trace file when requested (nil otherwise,
-// which keeps the run's journal in memory only).
-func openTrace(path string) *journal.Writer {
-	if path == "" {
-		return nil
-	}
-	jw, err := journal.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return jw
-}
-
-// reportMeasured prints the measured result's phase table and closes the
-// trace file.
-func reportMeasured(res core.MeasuredResult, jw *journal.Writer, tracePath string) {
-	fmt.Println()
-	if err := res.PhaseTable().Fprint(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	if jw != nil {
-		if err := jw.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\n  journal      %s (%d events)\n", tracePath, len(res.Events))
-	}
-}
-
 // startObs boots the live observability server when -obs was given and
 // returns it (nil otherwise). run labels the exposed metrics; jw feeds
 // /events and /trace.
@@ -196,72 +194,30 @@ func startObs(addr, role, run string, jw *journal.Writer) *obs.Server {
 	return srv
 }
 
-// runSpec executes a job-layout file (§VII: "the user simply changes the
-// job layout file").
-func runSpec(path, tracePath, obsAddr string) {
-	spec, err := layout.Load(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dir, err := os.MkdirTemp("", "eth-rendezvous-*")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	mspec, err := spec.ToMeasuredSpec(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	jw := openTrace(tracePath)
-	mspec.Journal = jw
-	if srv := startObs(obsAddr, "run", spec.Name, jw); srv != nil {
-		defer srv.Close()
-		if mspec.Supervise != nil {
-			mspec.Supervise.Observer = srv.Health()
-		}
-	}
-	res, err := core.RunMeasured(mspec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("layout %q: %s on %s, %d pairs, %s coupling\n",
-		spec.Name, spec.Algorithm, spec.Workload.Kind, maxInt(spec.Pairs, 1), mspec.Mode)
-	fmt.Printf("  wall         %.3f s\n", res.Wall.Seconds())
-	fmt.Printf("  render       %.3f s\n", res.RenderTime.Seconds())
-	fmt.Printf("  elements     %d\n", res.Elements)
-	fmt.Printf("  interface    %.2f MB moved\n", float64(res.BytesMoved)/1e6)
-	reportMeasured(res, jw, tracePath)
-}
-
-type measuredArgs struct {
-	workload, dataGlob     string
-	particles, grid, steps int
-	algorithm              string
-	ranks                  int
-	width, height, images  int
-	mode, codec            string
-	ratio                  float64
-	method, out            string
-	trace                  string
-	obsAddr                string
-	faultsFile             string
-	faultSeed              int64
-	retries, skips         int
-	ioTimeout              time.Duration
-	watchdog               time.Duration
-	maxRestarts            int
-	resume                 bool
+// runArgs carries the flags that shape how a measured run executes —
+// journal, live telemetry, degradation policy, supervision — as opposed
+// to what it computes, which is the layout.Spec.
+type runArgs struct {
+	trace          string
+	obsAddr        string
+	faultsFile     string
+	faultSeed      int64
+	retries, skips int
+	ioTimeout      time.Duration
+	watchdog       time.Duration
+	maxRestarts    int
+	resume         bool
 }
 
 // supervised reports whether any supervision flag was given.
-func (a measuredArgs) supervised() bool {
+func (a runArgs) supervised() bool {
 	return a.watchdog > 0 || a.maxRestarts > 0 || a.resume
 }
 
 // buildPolicy assembles the socket-mode degradation policy from the
 // robustness flags, loading and parsing the fault schedule if one was
 // requested.
-func buildPolicy(a measuredArgs) coupling.Policy {
+func buildPolicy(a runArgs, socket bool) coupling.Policy {
 	pol := coupling.Policy{
 		MaxRetries: a.retries,
 		MaxSkips:   a.skips,
@@ -269,8 +225,8 @@ func buildPolicy(a measuredArgs) coupling.Policy {
 		Seed:       a.faultSeed,
 	}
 	if a.faultsFile != "" {
-		if a.mode != "socket" {
-			log.Fatal("-faults requires -mode socket (faults are injected into the transport layer)")
+		if !socket {
+			log.Fatal("-faults requires socket coupling (faults are injected into the transport layer)")
 		}
 		text, err := os.ReadFile(a.faultsFile)
 		if err != nil {
@@ -285,113 +241,75 @@ func buildPolicy(a measuredArgs) coupling.Policy {
 	return pol
 }
 
-func runMeasured(a measuredArgs) {
-	var (
-		wl  core.Workload
-		err error
-	)
-	switch {
-	case a.dataGlob != "":
-		paths, gerr := filepath.Glob(a.dataGlob)
-		if gerr != nil || len(paths) == 0 {
-			log.Fatalf("no files match %q", a.dataGlob)
-		}
-		wl, err = core.DiskWorkload("replay", paths...)
-	case a.workload == "hacc":
-		wl = core.HACCWorkload(a.particles, a.steps, 1)
-	case a.workload == "xrage":
-		wl = core.XRAGEWorkload(a.grid, a.grid*112/184, a.grid*96/184, a.steps, 1)
-	default:
-		log.Fatalf("unknown workload %q", a.workload)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	var m coupling.Mode
-	layout := ""
-	switch a.mode {
-	case "unified":
-		m = coupling.Unified
-	case "socket":
-		m = coupling.Socket
-		f, err := os.CreateTemp("", "eth-layout-*")
-		if err != nil {
-			log.Fatal(err)
-		}
-		layout = f.Name()
-		f.Close()
-		defer os.Remove(layout)
-	default:
-		log.Fatalf("unknown mode %q (want unified or socket)", a.mode)
-	}
-
-	sm, err := parseMethod(a.method)
-	if err != nil {
-		log.Fatal(err)
-	}
+// runMeasured executes one job layout (§VII: "the user simply changes the
+// job layout file") — loaded from -spec or filled from the experiment
+// flags — under the run flags, and prints the report.
+func runMeasured(spec *layout.Spec, a runArgs) {
 	if a.resume && a.trace == "" {
 		log.Fatal("-resume needs -trace: the step cursors live next to the trace file")
 	}
-	var jw *journal.Writer
-	if a.resume {
-		// Reopen the crashed run's journal (a torn final line from kill -9
-		// is repaired on open) so the resumed events extend the same file.
+	pol := buildPolicy(a, spec.Coupling == "socket")
+	// A nil journal keeps the run's events in memory only. On -resume,
+	// reopen the crashed run's journal (a torn final line from kill -9 is
+	// repaired on open) so the resumed events extend the same file.
+	var (
+		jw  *journal.Writer
+		err error
+	)
+	switch {
+	case a.resume:
 		jw, err = journal.Append(a.trace)
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		jw = openTrace(a.trace)
+	case a.trace != "":
+		jw, err = journal.Create(a.trace)
 	}
-	spec := core.MeasuredSpec{
-		Workload:       wl,
-		Algorithm:      a.algorithm,
-		Width:          a.width,
-		Height:         a.height,
-		ImagesPerStep:  a.images,
-		Ranks:          a.ranks,
-		Mode:           m,
-		LayoutPath:     layout,
-		SamplingRatio:  a.ratio,
-		SamplingMethod: sm,
-		Codec:          a.codec,
-		OutDir:         a.out,
-		Journal:        jw,
-		Policy:         buildPolicy(a),
+	if err != nil {
+		log.Fatal(err)
 	}
+	dir, err := os.MkdirTemp("", "eth-rendezvous-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	mspec, err := spec.ToMeasuredSpec(dir)
+	if err != nil {
+		os.RemoveAll(dir)
+		log.Fatal(err)
+	}
+	mspec.Journal = jw
+	mspec.Policy = pol
 	if a.supervised() {
-		spec.Supervise = &supervise.Config{
+		mspec.Supervise = &supervise.Config{
 			MaxRestarts: a.maxRestarts,
 			Stall:       a.watchdog,
 		}
 		if a.trace != "" {
-			spec.CursorDir = a.trace + ".cursors"
+			mspec.CursorDir = a.trace + ".cursors"
 		}
 		// First SIGINT/SIGTERM drains the in-flight step and exits with
 		// the shutdown code; a second hard-aborts.
 		ctx, stop := supervise.SignalContext(context.Background(), jw)
 		defer stop()
-		spec.Ctx = ctx
+		mspec.Ctx = ctx
 	}
-	if srv := startObs(a.obsAddr, "run", wl.Name, jw); srv != nil {
+	if srv := startObs(a.obsAddr, "run", spec.Name, jw); srv != nil {
 		defer srv.Close()
-		if spec.Supervise != nil {
+		if mspec.Supervise != nil {
 			// The obs health tracker observes every pair's watchdog, which is
 			// what makes /healthz and /readyz report live supervision state.
-			spec.Supervise.Observer = srv.Health()
+			mspec.Supervise.Observer = srv.Health()
 		}
 	}
-	res, err := core.RunMeasured(spec)
+	res, err := core.RunMeasured(mspec)
 	if err != nil {
 		log.Print(err)
 		if jw != nil {
 			jw.Close()
 		}
+		os.RemoveAll(dir)
 		os.Exit(supervise.ExitCode(err))
 	}
 	fmt.Printf("measured run: %s on %s, %d ranks, %s coupling\n",
-		a.algorithm, wl.Name, maxInt(a.ranks, 1), a.mode)
+		spec.Algorithm, mspec.Workload.Name, maxInt(spec.Pairs, 1), mspec.Mode)
 	fmt.Printf("  wall         %.3f s\n", res.Wall.Seconds())
 	fmt.Printf("  render       %.3f s (summed across ranks)\n", res.RenderTime.Seconds())
 	fmt.Printf("  elements     %d (last step, after sampling)\n", res.Elements)
@@ -400,10 +318,19 @@ func runMeasured(a measuredArgs) {
 		fmt.Printf("  composite    %.2f MB over %d rounds\n",
 			float64(res.CompositeStats.BytesMoved)/1e6, res.CompositeStats.Rounds)
 	}
-	if a.out != "" {
-		fmt.Printf("  artifacts    %s\n", a.out)
+	if spec.OutDir != "" {
+		fmt.Printf("  artifacts    %s\n", spec.OutDir)
 	}
-	reportMeasured(res, jw, a.trace)
+	fmt.Println()
+	if err := res.PhaseTable().Fprint(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+	if jw != nil {
+		if err := jw.Close(); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("\n  journal      %s (%d events)\n", a.trace, len(res.Events))
+	}
 }
 
 func runModeled(alg string, nodes int, elements, ratio float64, pixels, images, steps int, calibrated bool) {
@@ -431,19 +358,6 @@ func runModeled(alg string, nodes int, elements, ratio float64, pixels, images, 
 	fmt.Printf("  power        %.1f kW avg (%.1f kW dynamic), utilization %.2f\n",
 		res.AvgWatts/1000, res.DynWatts/1000, res.Utilization)
 	fmt.Printf("  energy       %.2f MJ\n", res.EnergyJ/1e6)
-}
-
-func parseMethod(s string) (sampling.Method, error) {
-	switch s {
-	case "random":
-		return sampling.Random, nil
-	case "stride":
-		return sampling.Stride, nil
-	case "stratified":
-		return sampling.Stratified, nil
-	default:
-		return 0, fmt.Errorf("unknown sampling method %q", s)
-	}
 }
 
 func orOne(v float64) float64 {

@@ -42,9 +42,8 @@ func main() {
 	ratio := flag.Float64("sampling", 1.0, "spatial sampling ratio in (0, 1]")
 	method := flag.String("method", "random", "sampling method: random, stride, stratified")
 	seed := flag.Int64("seed", 1, "sampling seed")
-	compress := flag.Bool("compress", false, "DEFLATE-compress datasets on the wire (legacy; same as -codec flate)")
-	codec := flag.String("codec", "",
-		fmt.Sprintf("wire codec, one of %v (empty defers to -compress)", transport.Codecs()))
+	codec := flag.String("codec", "raw",
+		fmt.Sprintf("wire codec, one of %v", transport.Codecs()))
 	maxRestarts := flag.Int("max-restarts", 0, "visualization-peer reconnections to survive, resuming each at the first unacknowledged step")
 	obsAddr := flag.String("obs", "", "serve live observability (/metrics /healthz /events /trace) on this address")
 	flag.Parse()
@@ -79,7 +78,6 @@ func main() {
 		SamplingRatio:  *ratio,
 		SamplingMethod: m,
 		Seed:           *seed,
-		Compress:       *compress,
 		Codec:          *codec,
 		Journal:        jw,
 	}, src)

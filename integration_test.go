@@ -43,7 +43,7 @@ func TestTwoProcessWorkflow(t *testing.T) {
 			"-data", filepath.Join(dataDir, "*.ethd"),
 			"-rank", itoa(r), "-ranks", itoa(ranks),
 			"-layout", layoutPath,
-			"-compress",
+			"-codec", "flate",
 			"-sampling", "0.8")
 		if err := sims[r].Start(); err != nil {
 			t.Fatal(err)
@@ -127,6 +127,51 @@ func TestEthrunSpecFile(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "MB moved") {
 		t.Errorf("output missing interface traffic: %s", out)
+	}
+}
+
+// TestEthrunSpecHonoursRunFlags proves the robustness and supervision
+// flags mean the same thing with -spec as without: the layout file says
+// what runs, the flags say how. An injected checksum fault makes the
+// degradation policy visible in the journal.
+func TestEthrunSpecHonoursRunFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	dir := t.TempDir()
+	bin := buildTools(t, dir, "ethrun")
+	spec := filepath.Join(dir, "spec.json")
+	if err := os.WriteFile(spec, []byte(`{
+		"name": "it",
+		"workload": {"kind": "hacc", "particles": 5000, "steps": 3, "seed": 1},
+		"pairs": 1,
+		"coupling": "socket",
+		"algorithm": "points",
+		"image": {"width": 32, "height": 32, "imagesPerStep": 1}
+	}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sched := filepath.Join(dir, "sched.txt")
+	if err := os.WriteFile(sched, []byte("sim:0:write[1]:corrupt\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	trace := filepath.Join(dir, "run.jsonl")
+	out, err := exec.Command(bin["ethrun"], "-spec", spec,
+		"-retries", "2", "-watchdog", "5s", "-faults", sched, "-trace", trace).CombinedOutput()
+	if err != nil {
+		t.Fatalf("ethrun -spec: %v\n%s", err, out)
+	}
+	journal, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"pair_start mode=socket supervised", // -watchdog supervises the pair
+		"cause=checksum attempt=1/2",        // -faults fired, -retries is the budget
+	} {
+		if !strings.Contains(string(journal), want) {
+			t.Errorf("journal lacks %q:\n%s", want, journal)
+		}
 	}
 }
 

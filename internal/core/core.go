@@ -122,12 +122,9 @@ type MeasuredSpec struct {
 	SamplingRatio float64
 	// SamplingMethod selects the point-sampling strategy.
 	SamplingMethod sampling.Method
-	// Compress enables wire compression in socket mode (legacy sugar for
-	// Codec: "flate"; ignored when Codec is set).
-	Compress bool
 	// Codec names the socket-mode wire codec ("raw", "flate", "delta",
-	// "delta+flate"; "" defers to Compress) — the transport axis of the
-	// design space, sweepable like sampling or the algorithm.
+	// "delta+flate"; "" is raw) — the transport axis of the design space,
+	// sweepable like sampling or the algorithm.
 	Codec string
 	// Operations are in-situ analysis steps run by every viz proxy.
 	Operations []proxy.Operation
@@ -298,7 +295,6 @@ func RunMeasured(spec MeasuredSpec) (MeasuredResult, error) {
 			SamplingRatio:  spec.SamplingRatio,
 			SamplingMethod: spec.SamplingMethod,
 			Seed:           int64(r) + 1,
-			Compress:       spec.Compress,
 			Codec:          spec.Codec,
 			Journal:        jw,
 		}, &proxy.MemSource{Data: datasets})

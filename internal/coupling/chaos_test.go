@@ -9,6 +9,7 @@ package coupling
 // list — proving the whole failure path replays from its seed.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -110,7 +111,7 @@ func runChaos(t *testing.T, sc chaosScenario) []string {
 		Faults:     sched,
 	}
 	layout := filepath.Join(t.TempDir(), "layout")
-	rep, err := RunSocketPairPolicy(pair.Sim, pair.Viz, layout, 0, pol, jw)
+	rep, err := RunSocketPair(context.Background(), pair.Sim, pair.Viz, layout, 0, pol, jw)
 
 	if sc.wantErr == nil {
 		if err != nil {
@@ -295,7 +296,7 @@ func TestChaosDuplicateNotRerendered(t *testing.T) {
 		}),
 	}
 	layout := filepath.Join(t.TempDir(), "layout")
-	rep, err := RunSocketPairPolicy(pair.Sim, pair.Viz, layout, 0, pol, jw)
+	rep, err := RunSocketPair(context.Background(), pair.Sim, pair.Viz, layout, 0, pol, jw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestChaosCodecRecoveryBitExact(t *testing.T) {
 			}),
 		}
 		layout := filepath.Join(t.TempDir(), "layout")
-		rep, err := RunSocketPairPolicy(pair.Sim, pair.Viz, layout, 0, pol, jw)
+		rep, err := RunSocketPair(context.Background(), pair.Sim, pair.Viz, layout, 0, pol, jw)
 		if err != nil {
 			t.Fatalf("%s run failed: %v", codec, err)
 		}
@@ -397,7 +398,7 @@ func TestChaosMultiPairFlaky(t *testing.T) {
 	}
 	jw := journal.New()
 	layout := filepath.Join(t.TempDir(), "layout")
-	reports, err := RunPairsPolicy(pairs, Socket, layout, pol, jw)
+	reports, err := RunPairsSupervised(context.Background(), pairs, Socket, layout, pol, nil, jw)
 	if err != nil {
 		t.Fatal(err)
 	}

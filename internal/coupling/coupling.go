@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"github.com/ascr-ecx/eth/internal/faults"
@@ -71,17 +70,12 @@ type Report struct {
 }
 
 // RunUnified executes sim and viz in-process: each step's dataset is
-// handed to the renderer directly, no serialization.
-func RunUnified(sim *proxy.SimProxy, viz *proxy.VizProxy) (Report, error) {
-	return RunUnifiedCtx(context.Background(), sim, viz)
-}
-
-// RunUnifiedCtx is RunUnified under a context: cancellation drains at
-// the next step boundary with an ErrShutdown-wrapped error. The loop
-// starts at the visualization proxy's step cursor, so a proxy restarted
-// after a contained panic (or re-created over a persistent CursorPath)
-// resumes instead of replaying completed steps.
-func RunUnifiedCtx(ctx context.Context, sim *proxy.SimProxy, viz *proxy.VizProxy) (Report, error) {
+// handed to the renderer directly, no serialization. Cancelling ctx
+// drains at the next step boundary with an ErrShutdown-wrapped error.
+// The loop starts at the visualization proxy's step cursor, so a proxy
+// restarted after a contained panic (or re-created over a persistent
+// CursorPath) resumes instead of replaying completed steps.
+func RunUnified(ctx context.Context, sim *proxy.SimProxy, viz *proxy.VizProxy) (Report, error) {
 	if err := viz.EnsureOutDir(); err != nil {
 		return Report{}, err
 	}
@@ -178,33 +172,29 @@ type deadliner interface {
 
 // RunSocketPair executes the pair over a real TCP loopback connection
 // using the layout-file rendezvous (§III-C), in one process for
-// testability, with the zero degradation policy: any failure fails the
-// pair. The payload crosses the full serialize/socket/deserialize path.
-func RunSocketPair(sim *proxy.SimProxy, viz *proxy.VizProxy, layoutPath string, rank int) (Report, error) {
-	return RunSocketPairPolicy(sim, viz, layoutPath, rank, Policy{}, nil)
+// testability; the payload crosses the full serialize/socket/deserialize
+// path. pol is the degradation policy: on a transport failure the pair
+// reconnects through the layout file with backoff and resumes at the
+// first unacknowledged step (up to MaxRetries times per step), then
+// abandons the stuck step (up to MaxSkips times), then fails — so the
+// zero Policy fails on the first error. Every decision is journaled: a
+// retry event per reconnect, a skip event per abandoned step, with a
+// classified cause. jw may be nil.
+//
+// Cancelling ctx drains at the next reconnect boundary (the simulation
+// proxy's stop channel drains mid-stream at the next step boundary) with
+// an ErrShutdown-wrapped error. The resume point is the visualization
+// proxy's step cursor, so a freshly restarted attempt over the same
+// proxies — or over a CursorPath-backed proxy in a new process — picks up
+// where the last one stopped.
+func RunSocketPair(ctx context.Context, sim *proxy.SimProxy, viz *proxy.VizProxy, layoutPath string, rank int, pol Policy, jw *journal.Writer) (Report, error) {
+	return runSocketPair(ctx, sim, viz, layoutPath, rank, pol, jw, nil)
 }
 
-// RunSocketPairPolicy is RunSocketPair under a degradation policy: on a
-// transport failure it reconnects through the layout file with backoff
-// and resumes at the first unacknowledged step (up to MaxRetries times
-// per step), then abandons the stuck step (up to MaxSkips times), then
-// fails. Every decision is journaled: a retry event per reconnect, a
-// skip event per abandoned step, with a classified cause. jw may be nil.
-func RunSocketPairPolicy(sim *proxy.SimProxy, viz *proxy.VizProxy, layoutPath string, rank int, pol Policy, jw *journal.Writer) (Report, error) {
-	return runSocketPairPolicyCtx(context.Background(), sim, viz, layoutPath, rank, pol, jw, nil)
-}
-
-// runSocketPairPolicyCtx is the context-aware core of
-// RunSocketPairPolicy. Cancellation drains at the next reconnect
-// boundary (the simulation proxy's stop channel drains mid-stream at
-// the next step boundary) with an ErrShutdown-wrapped error. The resume
-// point is the visualization proxy's step cursor, so a freshly
-// restarted attempt over the same proxies — or over a CursorPath-backed
-// proxy in a new process — picks up where the last one stopped. When
-// reg is non-nil, the listener and every live connection register in it
-// so a supervisor's Interrupt can tear the attempt's I/O down from
-// outside.
-func runSocketPairPolicyCtx(ctx context.Context, sim *proxy.SimProxy, viz *proxy.VizProxy, layoutPath string, rank int, pol Policy, jw *journal.Writer, reg *connRegistry) (Report, error) {
+// runSocketPair is RunSocketPair with a connection registry: when reg is
+// non-nil, the listener and every live connection register in it so a
+// supervisor's Interrupt can tear the attempt's I/O down from outside.
+func runSocketPair(ctx context.Context, sim *proxy.SimProxy, viz *proxy.VizProxy, layoutPath string, rank int, pol Policy, jw *journal.Writer, reg *connRegistry) (Report, error) {
 	if err := viz.EnsureOutDir(); err != nil {
 		return Report{}, err
 	}
@@ -360,65 +350,8 @@ type PairSpec struct {
 }
 
 // RunPairs executes several pairs concurrently under the given mode —
-// the multi-rank configuration of Figure 2. Socket mode shares one
-// layout file; rank i registers under i. It returns per-pair reports in
-// rank order. jw (may be nil) receives one phase-transition event per
-// pair start/end plus an error event for any failed pair; per-step
-// generate/sample/transfer/render events come from the proxies
-// themselves, which carry their own journal references.
+// the multi-rank configuration of Figure 2 — with the zero degradation
+// policy and no supervisor; see RunPairsSupervised for what is journaled.
 func RunPairs(pairs []PairSpec, mode Mode, layoutPath string, jw *journal.Writer) ([]Report, error) {
-	return RunPairsPolicy(pairs, mode, layoutPath, Policy{}, jw)
-}
-
-// RunPairsPolicy is RunPairs with a degradation policy applied to every
-// socket-mode pair. The fault schedule (if any) is cloned per rank with
-// a rank-offset seed, so each pair sees independent operation counters
-// and its own deterministic fault stream — one flaky pair degrades under
-// its own budget without poisoning the sweep.
-func RunPairsPolicy(pairs []PairSpec, mode Mode, layoutPath string, pol Policy, jw *journal.Writer) ([]Report, error) {
-	if len(pairs) == 0 {
-		return nil, fmt.Errorf("coupling: no pairs")
-	}
-	if mode == Socket && layoutPath == "" {
-		return nil, fmt.Errorf("coupling: socket mode needs a layout path")
-	}
-	telemetry.Default.Gauge("coupling.active_pairs").Set(int64(len(pairs)))
-	reports := make([]Report, len(pairs))
-	errs := make([]error, len(pairs))
-	var wg sync.WaitGroup
-	wg.Add(len(pairs))
-	for i, p := range pairs {
-		go func(i int, p PairSpec) {
-			defer wg.Done()
-			jw.Emit(journal.Event{
-				Type: journal.TypePhase, Rank: i, Step: -1,
-				Detail: fmt.Sprintf("pair_start mode=%s", mode),
-			})
-			switch mode {
-			case Socket:
-				rankPol := pol
-				rankPol.Seed = pol.Seed + int64(i)
-				rankPol.Faults = pol.Faults.Clone(rankPol.Seed)
-				reports[i], errs[i] = RunSocketPairPolicy(p.Sim, p.Viz, layoutPath, i, rankPol, jw)
-			default:
-				reports[i], errs[i] = RunUnified(p.Sim, p.Viz)
-			}
-			if errs[i] != nil {
-				jw.Error(i, -1, errs[i])
-			}
-			jw.Emit(journal.Event{
-				Type: journal.TypePhase, Rank: i, Step: -1,
-				DurNS: int64(reports[i].Wall), Bytes: reports[i].BytesMoved,
-				Detail: fmt.Sprintf("pair_end mode=%s steps=%d", mode, reports[i].Steps),
-			})
-		}(i, p)
-	}
-	wg.Wait()
-	telemetry.Default.Gauge("coupling.active_pairs").Set(0)
-	for _, err := range errs {
-		if err != nil {
-			return reports, err
-		}
-	}
-	return reports, nil
+	return RunPairsSupervised(context.Background(), pairs, mode, layoutPath, Policy{}, nil, jw)
 }

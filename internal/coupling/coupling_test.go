@@ -1,6 +1,7 @@
 package coupling
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -51,7 +52,7 @@ func TestModeString(t *testing.T) {
 
 func TestRunUnified(t *testing.T) {
 	pair := makePair(t, 1, 0, 3)
-	rep, err := RunUnified(pair.Sim, pair.Viz)
+	rep, err := RunUnified(context.Background(), pair.Sim, pair.Viz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestRunUnified(t *testing.T) {
 func TestRunSocketPair(t *testing.T) {
 	pair := makePair(t, 1, 0, 2)
 	layout := filepath.Join(t.TempDir(), "layout")
-	rep, err := RunSocketPair(pair.Sim, pair.Viz, layout, 0)
+	rep, err := RunSocketPair(context.Background(), pair.Sim, pair.Viz, layout, 0, Policy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +90,12 @@ func TestRunSocketPair(t *testing.T) {
 func TestModesProduceIdenticalImages(t *testing.T) {
 	a := makePair(t, 1, 0, 1)
 	b := makePair(t, 1, 0, 1)
-	ra, err := RunUnified(a.Sim, a.Viz)
+	ra, err := RunUnified(context.Background(), a.Sim, a.Viz)
 	if err != nil {
 		t.Fatal(err)
 	}
 	layout := filepath.Join(t.TempDir(), "layout")
-	rb, err := RunSocketPair(b.Sim, b.Viz, layout, 0)
+	rb, err := RunSocketPair(context.Background(), b.Sim, b.Viz, layout, 0, Policy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

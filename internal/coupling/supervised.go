@@ -86,29 +86,22 @@ func asSupervised(err error) error {
 	}
 }
 
-// RunSocketPairSupervised runs one socket-mode pair under a supervisor:
-// a stalled, panicked, or failed attempt is torn down (listener and
-// connections closed) and restarted under cfg's budget, resuming from
-// the visualization proxy's step cursor. Progress for the stall
-// watchdog is derived from the cursor and the journal length. The
-// returned report aggregates retries, skips, and bytes across all
-// attempts. cfg.Probe and cfg.Interrupt are derived here and must not
-// be set by the caller.
-func RunSocketPairSupervised(ctx context.Context, sim *proxy.SimProxy, viz *proxy.VizProxy, layoutPath string, rank int, pol Policy, cfg supervise.Config, jw *journal.Writer) (Report, error) {
-	reg := &connRegistry{}
-	if cfg.Role == "" {
-		cfg.Role = fmt.Sprintf("pair%d", rank)
-	}
+// supervisePair runs attempt under a supervisor until it succeeds or
+// cfg's budget is spent; attempts resume from the visualization proxy's
+// step cursor. Progress for the stall watchdog is derived from the cursor
+// and the journal length. The returned report aggregates retries, skips,
+// and bytes across all attempts.
+func supervisePair(ctx context.Context, sim *proxy.SimProxy, viz *proxy.VizProxy, cfg supervise.Config, jw *journal.Writer,
+	attempt func(context.Context) (Report, error)) (Report, error) {
 	if cfg.Journal == nil {
 		cfg.Journal = jw
 	}
 	cfg.Probe = func() int64 { return int64(viz.NextStep()) + int64(jw.Len()) }
-	cfg.Interrupt = reg.closeAll
 	registerCursor(cfg, viz)
 	t0 := time.Now()
 	agg := Report{Viz: viz}
 	err := supervise.New(cfg).Run(ctx, func(actx context.Context) error {
-		rep, rerr := runSocketPairPolicyCtx(actx, sim, viz, layoutPath, rank, pol, jw, reg)
+		rep, rerr := attempt(actx)
 		agg.BytesMoved += rep.BytesMoved
 		agg.Retries += rep.Retries
 		agg.Skipped += rep.Skipped
@@ -123,45 +116,48 @@ func RunSocketPairSupervised(ctx context.Context, sim *proxy.SimProxy, viz *prox
 	return agg, nil
 }
 
-// RunUnifiedSupervised is RunUnifiedCtx under a supervisor: a contained
-// proxy panic restarts the pair, which resumes at the step cursor.
-func RunUnifiedSupervised(ctx context.Context, sim *proxy.SimProxy, viz *proxy.VizProxy, cfg supervise.Config, jw *journal.Writer) (Report, error) {
-	if cfg.Journal == nil {
-		cfg.Journal = jw
+// RunSocketPairSupervised runs one socket-mode pair under a supervisor:
+// a stalled, panicked, or failed attempt is torn down (listener and
+// connections closed) and restarted under cfg's budget. cfg.Probe and
+// cfg.Interrupt are derived here and must not be set by the caller.
+func RunSocketPairSupervised(ctx context.Context, sim *proxy.SimProxy, viz *proxy.VizProxy, layoutPath string, rank int, pol Policy, cfg supervise.Config, jw *journal.Writer) (Report, error) {
+	reg := &connRegistry{}
+	if cfg.Role == "" {
+		cfg.Role = fmt.Sprintf("pair%d", rank)
 	}
-	cfg.Probe = func() int64 { return int64(viz.NextStep()) + int64(jw.Len()) }
-	registerCursor(cfg, viz)
-	t0 := time.Now()
-	agg := Report{Viz: viz}
-	err := supervise.New(cfg).Run(ctx, func(actx context.Context) error {
-		rep, rerr := RunUnifiedCtx(actx, sim, viz)
-		agg.Steps = rep.Steps
-		return asSupervised(rerr)
+	cfg.Interrupt = reg.closeAll
+	return supervisePair(ctx, sim, viz, cfg, jw, func(actx context.Context) (Report, error) {
+		return runSocketPair(actx, sim, viz, layoutPath, rank, pol, jw, reg)
 	})
-	agg.Wall = time.Since(t0)
-	if err != nil {
-		return agg, err
-	}
-	agg.Steps = sim.Steps()
-	return agg, nil
 }
 
-// RunPairsSupervised is RunPairsPolicy with every pair under its own
-// supervisor (role "pair<rank>"). sup carries the shared supervision
-// policy — budget, backoff, stall timeout; per-pair probes and
-// interrupts are derived per rank. A nil sup falls back to the
-// unsupervised driver.
+// RunPairsSupervised executes several pairs concurrently under the given
+// mode. Socket mode shares one layout file; rank i registers under i.
+// It returns per-pair reports in rank order. pol applies to every
+// socket-mode pair; its fault schedule (if any) is cloned per rank with a
+// rank-offset seed, so each pair sees independent operation counters and
+// its own deterministic fault stream — one flaky pair degrades under its
+// own budget without poisoning the sweep. With a non-nil sup every pair
+// runs under its own supervisor (role "pair<rank>"): sup carries the
+// shared supervision policy — budget, backoff, stall timeout — and a
+// contained proxy panic, a stall or a failure restarts that pair, which
+// resumes at its step cursor. jw (may be nil) receives one
+// phase-transition event per pair start/end plus an error event for any
+// failed pair; per-step generate/sample/transfer/render events come from
+// the proxies themselves, which carry their own journal references.
 func RunPairsSupervised(ctx context.Context, pairs []PairSpec, mode Mode, layoutPath string, pol Policy, sup *supervise.Config, jw *journal.Writer) ([]Report, error) {
-	if sup == nil {
-		return RunPairsPolicy(pairs, mode, layoutPath, pol, jw)
-	}
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("coupling: no pairs")
 	}
 	if mode == Socket && layoutPath == "" {
 		return nil, fmt.Errorf("coupling: socket mode needs a layout path")
 	}
-	telemetry.Default.Gauge("coupling.active_pairs").Set(int64(len(pairs)))
+	start := fmt.Sprintf("pair_start mode=%s", mode)
+	if sup != nil {
+		start += " supervised"
+	}
+	active := telemetry.Default.Gauge("coupling.active_pairs")
+	active.Set(int64(len(pairs)))
 	reports := make([]Report, len(pairs))
 	errs := make([]error, len(pairs))
 	var wg sync.WaitGroup
@@ -169,20 +165,25 @@ func RunPairsSupervised(ctx context.Context, pairs []PairSpec, mode Mode, layout
 	for i, p := range pairs {
 		go func(i int, p PairSpec) {
 			defer wg.Done()
-			jw.Emit(journal.Event{
-				Type: journal.TypePhase, Rank: i, Step: -1,
-				Detail: fmt.Sprintf("pair_start mode=%s supervised", mode),
-			})
-			scfg := *sup
-			scfg.Role = fmt.Sprintf("pair%d", i)
-			switch mode {
-			case Socket:
-				rankPol := pol
-				rankPol.Seed = pol.Seed + int64(i)
-				rankPol.Faults = pol.Faults.Clone(rankPol.Seed)
-				reports[i], errs[i] = RunSocketPairSupervised(ctx, p.Sim, p.Viz, layoutPath, i, rankPol, scfg, jw)
+			jw.Emit(journal.Event{Type: journal.TypePhase, Rank: i, Step: -1, Detail: start})
+			rankPol := pol
+			rankPol.Seed = pol.Seed + int64(i)
+			rankPol.Faults = pol.Faults.Clone(rankPol.Seed)
+			switch {
+			case sup == nil && mode == Socket:
+				reports[i], errs[i] = RunSocketPair(ctx, p.Sim, p.Viz, layoutPath, i, rankPol, jw)
+			case sup == nil:
+				reports[i], errs[i] = RunUnified(ctx, p.Sim, p.Viz)
 			default:
-				reports[i], errs[i] = RunUnifiedSupervised(ctx, p.Sim, p.Viz, scfg, jw)
+				scfg := *sup
+				scfg.Role = fmt.Sprintf("pair%d", i)
+				if mode == Socket {
+					reports[i], errs[i] = RunSocketPairSupervised(ctx, p.Sim, p.Viz, layoutPath, i, rankPol, scfg, jw)
+				} else {
+					reports[i], errs[i] = supervisePair(ctx, p.Sim, p.Viz, scfg, jw, func(actx context.Context) (Report, error) {
+						return RunUnified(actx, p.Sim, p.Viz)
+					})
+				}
 			}
 			if errs[i] != nil {
 				jw.Error(i, -1, errs[i])
@@ -195,7 +196,7 @@ func RunPairsSupervised(ctx context.Context, pairs []PairSpec, mode Mode, layout
 		}(i, p)
 	}
 	wg.Wait()
-	telemetry.Default.Gauge("coupling.active_pairs").Set(0)
+	active.Set(0)
 	for _, err := range errs {
 		if err != nil {
 			return reports, err

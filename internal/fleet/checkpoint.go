@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"github.com/ascr-ecx/eth/internal/journal"
 )
 
 // CheckpointFile is the fleet checkpoint's name under the fleet dir.
@@ -23,8 +25,8 @@ type Quarantine struct {
 }
 
 // Checkpoint is the fleet's crash-safe state: every submitted spec,
-// the completed set, and the quarantined set. It is written with the
-// same write-temp/fsync/rename protocol as journal checkpoints on
+// the completed set, and the quarantined set. It is written with
+// journal.WriteAtomic's write-temp/fsync/rename protocol on
 // every submit/complete/quarantine transition, so a scheduler killed
 // at any instant — SIGKILL included — resumes with an exact picture of
 // what remains: specs minus done minus quarantined is the queue. The
@@ -49,24 +51,8 @@ func WriteCheckpoint(dir string, cp Checkpoint) error {
 	if err != nil {
 		return fmt.Errorf("fleet: encoding checkpoint: %w", err)
 	}
-	raw = append(raw, '\n')
 	path := filepath.Join(dir, CheckpointFile)
-	f, err := os.CreateTemp(dir, CheckpointFile+".tmp*")
-	if err != nil {
-		return fmt.Errorf("fleet: checkpoint temp: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(raw); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := journal.WriteAtomic(path, append(raw, '\n')); err != nil {
 		return fmt.Errorf("fleet: writing checkpoint %s: %w", path, err)
 	}
 	return nil
@@ -86,12 +72,6 @@ func ReadCheckpoint(dir string) (Checkpoint, error) {
 		return Checkpoint{}, fmt.Errorf("fleet: decoding checkpoint %s: %w", path, err)
 	}
 	return cp, nil
-}
-
-// HasCheckpoint reports whether dir holds a fleet checkpoint.
-func HasCheckpoint(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, CheckpointFile))
-	return err == nil
 }
 
 // errIsNotExist reports a missing-checkpoint read.

@@ -91,8 +91,9 @@ type Config struct {
 	// Grace is the SIGTERM→SIGKILL drain window per worker. Default 2s
 	// (supervise.Proc's default).
 	Grace time.Duration
-	// BackoffBase and BackoffMax shape the requeue backoff: attempt n
-	// waits Base<<(n-1), capped at Max. Defaults 100ms and 5s.
+	// BackoffBase and BackoffMax shape the requeue backoff
+	// (supervise.Backoff): attempt n waits Base doubled n-1 times, capped
+	// at Max. Defaults 100ms and 5s.
 	BackoffBase, BackoffMax time.Duration
 	// RunBin and BenchBin are the worker binaries for KindRun and
 	// KindBench specs. Defaults "ethrun" and "ethbench" (from PATH).
@@ -126,20 +127,6 @@ func (c Config) retries() int {
 		return 2
 	}
 	return c.Retries
-}
-
-func (c Config) backoffBase() time.Duration {
-	if c.BackoffBase <= 0 {
-		return 100 * time.Millisecond
-	}
-	return c.BackoffBase
-}
-
-func (c Config) backoffMax() time.Duration {
-	if c.BackoffMax <= 0 {
-		return 5 * time.Second
-	}
-	return c.BackoffMax
 }
 
 func (c Config) runBin() string {
@@ -660,10 +647,7 @@ func (s *Scheduler) finish(ctx context.Context, st *specState, jpath string, err
 			})
 			s.checkpoint(cp)
 		} else {
-			backoff := s.cfg.backoffBase() << (attempts - 1)
-			if backoff > s.cfg.backoffMax() {
-				backoff = s.cfg.backoffMax()
-			}
+			backoff := supervise.Backoff(s.cfg.BackoffBase, s.cfg.BackoffMax, attempts)
 			s.mu.Lock()
 			st.status = StatusQueued
 			st.notBefore = time.Now().Add(backoff)

@@ -280,6 +280,35 @@ func TestHubBroadcastOrder(t *testing.T) {
 	}
 }
 
+// TestHubSilentSubscriberOutlivesHelloTimeout is the regression test for
+// the stale hello deadline: HelloTimeout bounds only the wait for the
+// hello, so a registered viewer that never sends another byte must still
+// be connected — and receive frames — long after it has lapsed.
+func TestHubSilentSubscriberOutlivesHelloTimeout(t *testing.T) {
+	h, _ := startHub(t, Config{HelloTimeout: 50 * time.Millisecond})
+	c := dialSub(t, h.Addr(), "silent", -1)
+	defer c.Close()
+	waitFor(t, "subscriber to register", func() bool { return h.Subscribers() == 1 })
+
+	time.Sleep(200 * time.Millisecond) // four hello timeouts of silence
+	f := testFrame(0, 20, 10)
+	h.PublishFrame(0, f)
+	typ, ds, step, err := c.Recv()
+	if err != nil || typ != transport.MsgDataset || step != 0 {
+		t.Fatalf("recv after the hello timeout lapsed: typ %v step %d err %v", typ, step, err)
+	}
+	got, err := GridFrame(ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if FrameSig(got) != FrameSig(f) {
+		t.Error("frame delivered after the hello timeout differs from the one published")
+	}
+	if h.Subscribers() != 1 {
+		t.Fatalf("subscribers = %d, want the silent viewer still registered", h.Subscribers())
+	}
+}
+
 // TestHubRejectsBeyondMaxSubs proves the subscriber bound: the slot
 // holder streams untouched while the excess connection is refused and
 // journaled.

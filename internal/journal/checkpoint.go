@@ -12,7 +12,7 @@ import (
 // journal. It records how far a run or sweep actually got — the first
 // step not yet completed, the experiment IDs already finished — so a
 // restarted harness resumes instead of replaying. Checkpoints are
-// written with WriteCheckpoint's write-temp/fsync/rename protocol, so a
+// written with WriteAtomic's write-temp/fsync/rename protocol, so a
 // crash at any instant leaves either the previous checkpoint or the new
 // one, never a torn file.
 type Checkpoint struct {
@@ -38,26 +38,17 @@ func (c Checkpoint) Has(id string) bool {
 	return false
 }
 
-// WriteCheckpoint atomically replaces the checkpoint at path: the record
-// is written to a temporary file in the same directory, fsynced, and
-// renamed over path. Readers (and crashes) therefore always observe a
-// complete checkpoint.
-func WriteCheckpoint(path string, cp Checkpoint) error {
-	if cp.T.IsZero() {
-		cp.T = time.Now()
-	}
-	raw, err := json.Marshal(cp)
+// WriteAtomic atomically replaces the file at path with raw: the bytes
+// are written to a temporary file in the same directory, fsynced, and
+// renamed over path. Readers (and crashes) therefore always observe
+// either the previous contents or the new ones, never a torn file.
+func WriteAtomic(path string, raw []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("journal: encoding checkpoint: %w", err)
-	}
-	raw = append(raw, '\n')
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("journal: checkpoint temp: %w", err)
+		return err
 	}
 	tmp := f.Name()
-	if _, err := f.Write(raw); err == nil {
+	if _, err = f.Write(raw); err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -68,6 +59,21 @@ func WriteCheckpoint(path string, cp Checkpoint) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
+	}
+	return err
+}
+
+// WriteCheckpoint atomically replaces the checkpoint at path (see
+// WriteAtomic).
+func WriteCheckpoint(path string, cp Checkpoint) error {
+	if cp.T.IsZero() {
+		cp.T = time.Now()
+	}
+	raw, err := json.Marshal(cp)
+	if err != nil {
+		return fmt.Errorf("journal: encoding checkpoint: %w", err)
+	}
+	if err := WriteAtomic(path, append(raw, '\n')); err != nil {
 		return fmt.Errorf("journal: writing checkpoint %s: %w", path, err)
 	}
 	return nil

@@ -39,11 +39,8 @@ type Spec struct {
 	Image ImageSpec `json:"image"`
 	// Sampling configures spatial sampling (optional).
 	Sampling SamplingSpec `json:"sampling"`
-	// Compress enables wire compression in socket coupling (legacy sugar
-	// for Codec "flate"; ignored when Codec is set).
-	Compress bool `json:"compress"`
 	// Codec names the socket-coupling wire codec: "raw", "flate", "delta",
-	// or "delta+flate" (empty defers to Compress).
+	// or "delta+flate" (empty means raw).
 	Codec string `json:"codec"`
 	// Operations lists in-situ analysis steps ("halos", "stats", "save").
 	Operations []string `json:"operations"`
@@ -231,7 +228,6 @@ func (s *Spec) ToMeasuredSpec(layoutDir string) (core.MeasuredSpec, error) {
 		LayoutPath:     layoutPath,
 		SamplingRatio:  s.Sampling.Ratio,
 		SamplingMethod: method,
-		Compress:       s.Compress,
 		Codec:          s.Codec,
 		OutDir:         s.OutDir,
 	}, nil

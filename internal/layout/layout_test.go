@@ -34,9 +34,14 @@ func TestParseGoodSpec(t *testing.T) {
 }
 
 func TestParseRejectsUnknownFields(t *testing.T) {
-	bad := strings.Replace(goodSpec, `"pairs"`, `"paris"`, 1)
-	if _, err := Parse([]byte(bad)); err == nil {
-		t.Error("typo field accepted")
+	for name, to := range map[string]string{
+		"typo":          `"paris"`,
+		"retired field": `"compress": true, "pairs"`, // now "codec": "flate"
+	} {
+		bad := strings.Replace(goodSpec, `"pairs"`, to, 1)
+		if _, err := Parse([]byte(bad)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

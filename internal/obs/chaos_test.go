@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -136,7 +137,7 @@ func runObservedChaos(t *testing.T, observe bool) []string {
 		}),
 	}
 	layout := filepath.Join(t.TempDir(), "layout")
-	rep, err := coupling.RunSocketPairPolicy(sim, viz, layout, 0, pol, jw)
+	rep, err := coupling.RunSocketPair(context.Background(), sim, viz, layout, 0, pol, jw)
 	if err != nil {
 		t.Fatalf("chaos run failed (observe=%v): %v", observe, err)
 	}

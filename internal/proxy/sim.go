@@ -118,14 +118,11 @@ type SimConfig struct {
 	SamplingMethod sampling.Method
 	// Seed drives sampling determinism.
 	Seed int64
-	// Compress enables DEFLATE framing on the in-situ interface — the
-	// compression lever of the paper's introduction, traded against CPU.
-	// Legacy sugar for Codec: "flate"; ignored when Codec is set.
-	Compress bool
 	// Codec names the wire codec for the in-situ interface ("raw",
-	// "flate", "delta", "delta+flate"; "" defers to Compress). The
-	// temporal codecs key frames against the previous step and are
-	// resynchronized with a keyframe on every fresh connection.
+	// "flate", "delta", "delta+flate"; "" is raw) — the compression lever
+	// of the paper's introduction, traded against CPU. The temporal
+	// codecs key frames against the previous step and are resynchronized
+	// with a keyframe on every fresh connection.
 	Codec string
 	// Journal, when set, receives one event per dataset fetch, sampling
 	// decision, wire transfer, and error.
@@ -178,9 +175,6 @@ func NewSimProxy(cfg SimConfig, src StepSource) (*SimProxy, error) {
 	codec, err := transport.ParseCodec(cfg.Codec)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Codec == "" && cfg.Compress {
-		codec = transport.CodecFlate
 	}
 	return &SimProxy{cfg: cfg, codec: codec, src: src}, nil
 }

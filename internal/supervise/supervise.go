@@ -132,18 +132,29 @@ func (c Config) role() string {
 	return c.Role
 }
 
-func (c Config) backoffBase() time.Duration {
-	if c.BackoffBase <= 0 {
-		return 100 * time.Millisecond
+// Backoff is the capped-doubling delay before retry number attempt
+// (1-based): base doubled attempt-1 times, never above max. Non-positive
+// base and max select the defaults, 100ms and 5s. The doubling stops at
+// the cap, so no attempt count can overflow it into a zero or negative
+// delay.
+func Backoff(base, max time.Duration, attempt int) time.Duration {
+	if base <= 0 {
+		base = 100 * time.Millisecond
 	}
-	return c.BackoffBase
-}
-
-func (c Config) backoffMax() time.Duration {
-	if c.BackoffMax <= 0 {
-		return 5 * time.Second
+	if max <= 0 {
+		max = 5 * time.Second
 	}
-	return c.BackoffMax
+	d := base
+	for i := 1; i < attempt; i++ {
+		if d > max/2 {
+			return max
+		}
+		d *= 2
+	}
+	if d > max {
+		return max
+	}
+	return d
 }
 
 // Task is one in-process attempt of the supervised role. It must honor
@@ -173,7 +184,6 @@ func (s *Supervisor) Run(ctx context.Context, task Task) (rerr error) {
 	if s.cfg.Observer != nil {
 		defer func() { s.cfg.Observer.RoleDone(s.cfg.role(), rerr) }()
 	}
-	backoff := s.cfg.backoffBase()
 	for attempt := 0; ; attempt++ {
 		err := s.attempt(ctx, task)
 		if err == nil {
@@ -201,6 +211,7 @@ func (s *Supervisor) Run(ctx context.Context, task Task) (rerr error) {
 		}
 		s.restarts.Add(1)
 		ctrRestarts.Inc()
+		backoff := Backoff(s.cfg.BackoffBase, s.cfg.BackoffMax, attempt+1)
 		if s.cfg.Observer != nil {
 			s.cfg.Observer.RoleRestarted(s.cfg.role(), attempt+1, s.cfg.MaxRestarts, causeOf(err))
 		}
@@ -213,9 +224,6 @@ func (s *Supervisor) Run(ctx context.Context, task Task) (rerr error) {
 		s.cfg.Journal.Sync()
 		if !sleepCtx(ctx, backoff) {
 			return fmt.Errorf("supervise: %s shutdown during restart backoff: %w", s.cfg.role(), ErrShutdown)
-		}
-		if backoff *= 2; backoff > s.cfg.backoffMax() {
-			backoff = s.cfg.backoffMax()
 		}
 	}
 }

@@ -270,3 +270,34 @@ func TestShutdownDrainIsNotStalled(t *testing.T) {
 		t.Fatalf("restarts = %d, want 0", s.Restarts())
 	}
 }
+
+// TestBackoff pins the shared capped-doubling schedule (supervisor
+// restarts and fleet requeues): it doubles from the base, stops at the
+// cap, and no attempt count — a fleet spec may carry any Retries —
+// overflows it into a zero or negative delay, which would requeue with
+// no backoff at all.
+func TestBackoff(t *testing.T) {
+	const base, max = 100 * time.Millisecond, 5 * time.Second
+	for _, tc := range []struct {
+		base, max time.Duration
+		attempt   int
+		want      time.Duration
+	}{
+		{base, max, 1, base},
+		{base, max, 2, 2 * base},
+		{base, max, 6, 32 * base},
+		{base, max, 7, max}, // 6.4s capped
+		{base, max, 64, max},
+		{base, max, 1 << 30, max},
+		{0, 0, 1, base}, // defaults
+		{0, 0, 64, max},
+		{time.Second, 4 * time.Second, 3, 4 * time.Second}, // lands exactly on the cap
+		{10 * time.Second, time.Second, 1, time.Second},    // base above the cap
+		{time.Nanosecond, 1<<63 - 1, 64, 1<<63 - 1},        // widest cap: saturates, never wraps
+	} {
+		got := Backoff(tc.base, tc.max, tc.attempt)
+		if got != tc.want {
+			t.Errorf("Backoff(%v, %v, %d) = %v, want %v", tc.base, tc.max, tc.attempt, got, tc.want)
+		}
+	}
+}

@@ -55,8 +55,10 @@ var ErrDeltaState = errors.New("transport: delta frame without reference state")
 
 // ErrCodecFrame is returned when a compressed frame's container is
 // structurally malformed — truncated header, bitmap, or packed blocks
-// that disagree with the bitmap. It indicates corruption the CRC did not
-// catch (or a buggy peer), never a recoverable state-loss condition.
+// that disagree with the bitmap — or when a dataset frame arrives under
+// the retired codec-less v2 framing. It indicates corruption the CRC did
+// not catch (or a buggy or outdated peer), never a recoverable
+// state-loss condition.
 var ErrCodecFrame = errors.New("transport: malformed codec frame")
 
 var codecNames = [numCodecs]string{"raw", "flate", "delta", "delta+flate"}

@@ -10,7 +10,10 @@ package transport
 // ever return a dataset that differs from what was sent. CRC32C covers
 // the header (codec byte included) and payload, so a flipped codec byte
 // surfaces as ErrChecksum rather than a frame decoded under the wrong
-// codec; a survivor here is a real hole in the framing.
+// codec; a survivor here is a real hole in the framing. Two more streams
+// carry the same steps under the retired v2 framing (type bytes 1 and 4):
+// Recv must refuse them with ErrCodecFrame from the 9-byte preamble
+// alone — no payload byte buffered, never a panic — flipped or not.
 //
 // FuzzDeltaRoundTrip attacks the temporal codecs from the other side:
 // random shape-stable step pairs (same particle count, arbitrary values)
@@ -19,6 +22,9 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
 	"net"
 	"reflect"
@@ -103,32 +109,52 @@ func fuzzCloud(n int, rng *rand.Rand) *data.PointCloud {
 	return c
 }
 
-// flipStream is one codec's precomputed two-frame fuzz stream.
+// flipStream is one precomputed two-frame fuzz stream: a codec's v3
+// frames and the datasets they must decode to, or (wants == nil) frames
+// under the retired v2 framing that must be refused.
 type flipStream struct {
 	frames [][]byte
 	wants  []*data.PointCloud
 }
 
-// buildFlipStreams encodes the per-codec streams the flip fuzzer
-// mutates: two shape-stable steps with different values, so temporal
-// codecs emit one keyframe and one genuine delta frame.
-func buildFlipStreams() [numCodecs]flipStream {
+// asV2 reframes a v3 raw or flate frame the way a pre-v3 sender put it
+// on the wire: type byte 1 (raw) or 4 (flate), no codec byte, CRC32C over
+// the 17-byte header and the payload.
+func asV2(frame []byte) []byte {
+	typ := MsgDataset
+	if CodecID(frame[17]) == CodecFlate {
+		typ = msgDatasetFlateV2
+	}
+	out := append([]byte{byte(typ)}, frame[1:17]...)
+	out = append(out, frame[18:len(frame)-4]...)
+	return binary.BigEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
+}
+
+// buildFlipStreams encodes the streams the flip fuzzer mutates: per
+// codec (indexed by CodecID), two shape-stable steps with different
+// values, so temporal codecs emit one keyframe and one genuine delta
+// frame; then the raw and flate streams again under v2 framing.
+func buildFlipStreams() []flipStream {
 	rng := rand.New(rand.NewSource(42))
 	s1, s2 := fuzzCloud(200, rng), fuzzCloud(200, rng)
-	var out [numCodecs]flipStream
+	var out []flipStream
 	for id := CodecID(0); id < numCodecs; id++ {
-		out[id] = flipStream{
+		out = append(out, flipStream{
 			frames: encodeStream(id, 5, s1, s2),
 			wants:  []*data.PointCloud{s1, s2},
-		}
+		})
+	}
+	for _, id := range []CodecID{CodecRaw, CodecFlate} {
+		v3 := out[id].frames
+		out = append(out, flipStream{frames: [][]byte{asV2(v3[0]), asV2(v3[1])}})
 	}
 	return out
 }
 
 func FuzzFrameFlip(f *testing.F) {
 	streams := buildFlipStreams()
-	for id := CodecID(0); id < numCodecs; id++ {
-		b := uint8(id)
+	for i := range streams {
+		b := uint8(i)
 		f.Add(b, uint32(0), byte(0))    // clean stream
 		f.Add(b, uint32(0), byte(0xff)) // type byte, frame 1
 		f.Add(b, uint32(3), byte(0x80)) // length field
@@ -137,14 +163,17 @@ func FuzzFrameFlip(f *testing.F) {
 		f.Add(b, uint32(40), byte(0xa5))
 		// Same offsets inside frame 2 — for temporal codecs that is the
 		// delta frame, including its codec ID byte at offset 17.
-		off := uint32(len(streams[id].frames[0]))
+		off := uint32(len(streams[i].frames[0]))
 		f.Add(b, off, byte(0xff))
 		f.Add(b, off+17, byte(2))
 		f.Add(b, off+40, byte(0xa5))
 		f.Add(b, uint32(1<<31), byte(2))
 	}
-	f.Fuzz(func(t *testing.T, codecByte uint8, pos uint32, mask byte) {
-		id := CodecID(codecByte) % numCodecs
+	// v2 type bytes flipped into the v3 type: parsed as v3, caught by CRC.
+	f.Add(uint8(numCodecs), uint32(0), byte(MsgDataset^MsgDatasetV3))
+	f.Add(uint8(numCodecs+1), uint32(0), byte(msgDatasetFlateV2^MsgDatasetV3))
+	f.Fuzz(func(t *testing.T, streamByte uint8, pos uint32, mask byte) {
+		id := int(streamByte) % len(streams)
 		st := streams[id]
 		stream := bytes.Join(st.frames, nil)
 		if mask != 0 {
@@ -153,6 +182,25 @@ func FuzzFrameFlip(f *testing.F) {
 			stream = flipped
 		}
 		c := NewConn(&memConn{r: bytes.NewReader(stream)})
+		if st.wants == nil {
+			typ, _, _, err := c.Recv()
+			if err == nil && typ == MsgDataset {
+				t.Fatalf("stream %d: a v2-framed stream decoded a dataset (mask %#x at %d)",
+					id, mask, int(pos)%len(stream))
+			}
+			// With the preamble intact the refusal is typed and reads
+			// nothing past it; a flipped preamble may surface as another
+			// error (bad length, v3 checksum), never as a dataset.
+			if mask == 0 || int(pos)%len(stream) >= 9 {
+				if !errors.Is(err, ErrCodecFrame) {
+					t.Fatalf("stream %d: v2 type byte %d: err = %v, want ErrCodecFrame", id, stream[0], err)
+				}
+				if cap(c.rwire) != 0 {
+					t.Fatalf("stream %d: receive buffer grew to %d bytes for a refused v2 frame", id, cap(c.rwire))
+				}
+			}
+			return
+		}
 		clean := 0
 		for i, want := range st.wants {
 			typ, ds, step, err := c.Recv()
@@ -167,19 +215,19 @@ func FuzzFrameFlip(f *testing.F) {
 			}
 			got, ok := ds.(*data.PointCloud)
 			if !ok || !cloudEqual(got, want) {
-				t.Fatalf("codec %v frame %d: Recv succeeded with a corrupted dataset (mask %#x at %d)",
+				t.Fatalf("stream %d frame %d: Recv succeeded with a corrupted dataset (mask %#x at %d)",
 					id, i, mask, int(pos)%len(stream))
 			}
 			if step != int64(5+i) {
-				t.Fatalf("codec %v frame %d: step = %d, want %d", id, i, step, 5+i)
+				t.Fatalf("stream %d frame %d: step = %d, want %d", id, i, step, 5+i)
 			}
 			clean++
 		}
 		if mask == 0 && clean != len(st.wants) {
-			t.Fatalf("codec %v: clean stream decoded %d/%d frames", id, clean, len(st.wants))
+			t.Fatalf("stream %d: clean stream decoded %d/%d frames", id, clean, len(st.wants))
 		}
 		if mask != 0 && clean == len(st.wants) {
-			t.Fatalf("codec %v: byte %d flipped with %#x and the whole stream still decoded",
+			t.Fatalf("stream %d: byte %d flipped with %#x and the whole stream still decoded",
 				id, int(pos)%len(stream), mask)
 		}
 	})

@@ -67,7 +67,9 @@ func TestCorruptedFrameDetected(t *testing.T) {
 			})
 			cw, sw := rawPipe(t)
 			a, b := NewConn(sched.WrapAccepted(cw)), NewConn(sw)
-			a.SetCompression(compress)
+			if compress {
+				a.SetCodec(CodecFlate)
+			}
 			go a.SendDataset(sampleCloud(500))
 			_, _, _, err := b.Recv()
 			if !errors.Is(err, ErrChecksum) {

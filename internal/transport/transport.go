@@ -17,17 +17,17 @@
 // can open with a keyframe and switch to temporal encoding once both
 // sides hold reference state. The wire layout is
 //
-//	MsgDatasetV3:               [1B type][8B payload len][8B step][1B codec][payload][4B CRC32C]
-//	MsgDataset/MsgDatasetFlate: [1B type][8B payload len][8B step][payload][4B CRC32C]  (legacy v2)
-//	MsgAck:                     [1B type][8B len=8][8B step]
-//	MsgDone:                    [1B type][8B len=0]
-//	MsgControl:                 [1B type][8B payload len][payload][4B CRC32C]
+//	MsgDatasetV3: [1B type][8B payload len][8B step][1B codec][payload][4B CRC32C]
+//	MsgAck:       [1B type][8B len=8][8B step]
+//	MsgDone:      [1B type][8B len=0]
+//	MsgControl:   [1B type][8B payload len][payload][4B CRC32C]
 //
-// with all integers big-endian. Receivers accept both framings; senders
-// always emit v3. Connections optionally arm per-operation read/write
-// deadlines (SetTimeouts) so a stalled peer surfaces as ErrTimeout, and
-// DialBackoff rebuilds a connection through the layout file with capped
-// exponential backoff and seeded jitter.
+// with all integers big-endian. v3 is the only dataset framing: the
+// codec-less v2 frames (type bytes 1 and 4) are rejected with
+// ErrCodecFrame before any payload byte is read. Connections optionally
+// arm per-operation read/write deadlines (SetTimeouts) so a stalled peer
+// surfaces as ErrTimeout, and DialBackoff rebuilds a connection through
+// the layout file with capped exponential backoff and seeded jitter.
 package transport
 
 import (
@@ -72,21 +72,23 @@ var (
 type MsgType uint8
 
 const (
-	// MsgDataset carries a vtkio-encoded dataset (one time step).
+	// MsgDataset is what Recv reports for a received dataset (one time
+	// step). On the wire its value is the retired v2 raw framing, which
+	// Recv rejects with ErrCodecFrame; datasets travel as MsgDatasetV3.
 	MsgDataset MsgType = iota + 1
 	// MsgAck acknowledges processing of the previous dataset and carries
 	// an 8-byte big-endian step counter.
 	MsgAck
 	// MsgDone signals the end of the run; no payload.
 	MsgDone
-	// MsgDatasetFlate carries a DEFLATE-compressed vtkio dataset — the
-	// data-compression lever of the paper's introduction ("data
-	// sampling, and compression"), applied on the in-situ interface.
-	MsgDatasetFlate
+	// msgDatasetFlateV2 reserves wire value 4, the retired v2 DEFLATE
+	// framing, so the surviving types keep their values; Recv rejects it
+	// with ErrCodecFrame like the v2 raw framing.
+	msgDatasetFlateV2
 	// MsgDatasetV3 carries a vtkio dataset under wire format v3: the
-	// header gains a codec ID byte (see CodecID), so the payload encoding
-	// is self-describing per frame. Senders always emit this framing;
-	// Recv still reports every dataset framing as MsgDataset.
+	// header carries a codec ID byte (see CodecID), so the payload
+	// encoding is self-describing per frame. It is the only dataset
+	// framing; Recv reports it as MsgDataset.
 	MsgDatasetV3
 	// MsgControl carries a small out-of-band control payload (steering
 	// messages) upstream, against the dataset flow:
@@ -111,13 +113,9 @@ const MaxControlFrame = 1 << 16
 // in one step.
 const DefaultMaxFrame = 1 << 30
 
-// datasetHeaderLen is the on-wire header of a legacy (v2) dataset frame:
-// type (1) + payload length (8) + step (8). datasetHeaderLenV3 adds the
-// codec ID byte of wire format v3.
-const (
-	datasetHeaderLen   = 17
-	datasetHeaderLenV3 = 18
-)
+// datasetHeaderLenV3 is the on-wire header of a dataset frame: type (1)
+// + payload length (8) + step (8) + codec ID (1).
+const datasetHeaderLenV3 = 18
 
 // castagnoli is the CRC32C polynomial table used for frame trailers
 // (hardware-accelerated on amd64/arm64).
@@ -219,18 +217,8 @@ func NewConn(c net.Conn) *Conn {
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.c.Close() }
 
-// SetCompression toggles DEFLATE compression for outgoing datasets —
-// legacy sugar for SetCodec(CodecFlate) / SetCodec(CodecRaw). Either side
-// may pick its codec independently; frames are self-describing.
-func (c *Conn) SetCompression(on bool) {
-	if on {
-		c.codec = CodecFlate
-	} else {
-		c.codec = CodecRaw
-	}
-}
-
-// SetCodec selects the payload codec for outgoing datasets. Temporal
+// SetCodec selects the payload codec for outgoing datasets. Either side
+// may pick its codec independently; frames are self-describing. Temporal
 // codecs (delta, delta+flate) automatically send a keyframe first — and
 // after any send error — so the receiver always has reference state.
 // Invalid IDs are rejected at send time.
@@ -282,8 +270,14 @@ func (c *Conn) SetMaxFrame(n int64) { c.maxFrame = n }
 // A deadline of 0 disables that direction. An expired deadline surfaces
 // as an error wrapping ErrTimeout. The read deadline bounds the whole
 // wait for the next frame, so size it for the peer's think time between
-// steps, not just wire latency.
+// steps, not just wire latency. Dropping the read timeout to 0 also
+// clears a deadline already armed under the old value — otherwise a peer
+// allowed to idle from now on (a hub subscriber after its hello) would
+// still be cut off when the stale deadline fires.
 func (c *Conn) SetTimeouts(read, write time.Duration) {
+	if read <= 0 && c.readTimeout > 0 {
+		c.c.SetReadDeadline(time.Time{})
+	}
 	c.readTimeout = read
 	c.writeTimeout = write
 }
@@ -549,8 +543,8 @@ func (c *Conn) writeHeader(t MsgType, n int64) error {
 	return err
 }
 
-// Recv reads the next frame. For dataset frames (any framing) the decoded
-// dataset is returned as MsgDataset along with the sender's step counter
+// Recv reads the next frame. For a dataset frame the decoded dataset is
+// returned as MsgDataset along with the sender's step counter
 // from the frame header; for MsgAck the acknowledged step is in step;
 // MsgDone has neither. A frame whose CRC32C trailer does not match yields
 // an error wrapping ErrChecksum, never a silently wrong dataset — the
@@ -571,8 +565,10 @@ func (c *Conn) Recv() (t MsgType, ds data.Dataset, step int64, err error) {
 				n, c.frameBound(), ErrFrameTooLarge)
 		}
 		switch t {
-		case MsgDataset, MsgDatasetFlate, MsgDatasetV3:
-			ds, step, err = c.recvDataset(t, n)
+		case MsgDataset, msgDatasetFlateV2:
+			return 0, nil, 0, fmt.Errorf("transport: retired v2 dataset framing (type %d): %w", t, ErrCodecFrame)
+		case MsgDatasetV3:
+			ds, step, err = c.recvDataset(n)
 			if err != nil {
 				// Whatever reference state we held may no longer match the
 				// sender's; the next temporal frame must not decode against it.
@@ -611,22 +607,12 @@ func (c *Conn) Recv() (t MsgType, ds data.Dataset, step int64, err error) {
 // and the vtkio decode. All scratch lives on the Conn, so a shape-stable
 // stream of raw or delta frames decodes with zero steady-state
 // allocation.
-func (c *Conn) recvDataset(t MsgType, n int64) (ds data.Dataset, step int64, err error) {
-	hdrLen := datasetHeaderLen
-	if t == MsgDatasetV3 {
-		hdrLen = datasetHeaderLenV3
-	}
-	if _, err = io.ReadFull(c.br, c.rscratch[9:hdrLen]); err != nil {
+func (c *Conn) recvDataset(n int64) (ds data.Dataset, step int64, err error) {
+	if _, err = io.ReadFull(c.br, c.rscratch[9:datasetHeaderLenV3]); err != nil {
 		return nil, 0, c.readErr(err)
 	}
 	step = int64(binary.BigEndian.Uint64(c.rscratch[9:17]))
-	id := CodecRaw
-	switch t {
-	case MsgDatasetFlate:
-		id = CodecFlate
-	case MsgDatasetV3:
-		id = CodecID(c.rscratch[17])
-	}
+	id := CodecID(c.rscratch[17])
 	// Time the payload leg only: the header read above blocks on the
 	// peer producing data, so including it would charge think-time to
 	// the transport phase.
@@ -655,7 +641,7 @@ func (c *Conn) recvDataset(t MsgType, n int64) (ds data.Dataset, step int64, err
 	if _, err = io.ReadFull(c.br, c.rscratch[18:22]); err != nil {
 		return nil, 0, c.readErr(err)
 	}
-	crc := crc32.Update(0, castagnoli, c.rscratch[:hdrLen])
+	crc := crc32.Update(0, castagnoli, c.rscratch[:datasetHeaderLenV3])
 	crc = crc32.Update(crc, castagnoli, c.rwire)
 	if want := binary.BigEndian.Uint32(c.rscratch[18:22]); crc != want {
 		ctrCRCErrors.Inc()

@@ -223,7 +223,7 @@ func TestDialUnknownRank(t *testing.T) {
 
 func TestCompressedDatasetRoundTrip(t *testing.T) {
 	a, b := pipePair(t)
-	a.SetCompression(true)
+	a.SetCodec(CodecFlate)
 	want := sampleCloud(2000)
 	errc := make(chan error, 1)
 	go func() { errc <- a.SendDataset(want) }()
@@ -254,9 +254,9 @@ func TestCompressionSavesBytesOnCompressibleData(t *testing.T) {
 		}
 		return p
 	}
-	send := func(compress bool) int64 {
+	send := func(codec CodecID) int64 {
 		a, b := pipePair(t)
-		a.SetCompression(compress)
+		a.SetCodec(codec)
 		done := make(chan error, 1)
 		go func() { done <- a.SendDataset(mkCloud()) }()
 		if _, _, _, err := b.Recv(); err != nil {
@@ -267,21 +267,22 @@ func TestCompressionSavesBytesOnCompressibleData(t *testing.T) {
 		}
 		return a.BytesSent
 	}
-	raw := send(false)
-	packed := send(true)
+	raw := send(CodecRaw)
+	packed := send(CodecFlate)
 	if packed >= raw/10 {
 		t.Errorf("compression saved too little: %d vs %d bytes", packed, raw)
 	}
 }
 
 func TestMixedCompressionStream(t *testing.T) {
-	// Toggling compression between frames must not confuse the receiver.
+	// Switching between raw and flate between frames must not confuse the
+	// receiver.
 	a, b := pipePair(t)
 	go func() {
 		a.SendDataset(sampleCloud(50))
-		a.SetCompression(true)
+		a.SetCodec(CodecFlate)
 		a.SendDataset(sampleCloud(60))
-		a.SetCompression(false)
+		a.SetCodec(CodecRaw)
 		a.SendDataset(sampleCloud(70))
 		a.SendDone()
 	}()

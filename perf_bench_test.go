@@ -103,17 +103,13 @@ func BenchmarkComposite16(b *testing.B) {
 // isolate serialization and framing from TCP.
 func BenchmarkTransportRoundTrip(b *testing.B) {
 	step := benchCloud.Slice(0, 50_000)
-	for _, compress := range []bool{false, true} {
-		name := "raw"
-		if compress {
-			name = "flate"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, codec := range []transport.CodecID{transport.CodecRaw, transport.CodecFlate} {
+		b.Run(codec.String(), func(b *testing.B) {
 			cl, sr := net.Pipe()
 			send, recv := transport.NewConn(cl), transport.NewConn(sr)
 			defer send.Close()
 			defer recv.Close()
-			send.SetCompression(compress)
+			send.SetCodec(codec)
 			recv.SetDatasetReuse(true)
 			errc := make(chan error, 1)
 			go func() {

@@ -112,4 +112,9 @@ echo "== scripts/fleet_smoke.sh"
 echo "== go test -bench=. -benchtime=1x -benchmem -run='^\$' ."
 go test -bench=. -benchtime=1x -benchmem -run='^$' .
 
+# Informational: the per-package line table a PR reports its net line
+# count from. Never fails the gate.
+echo "== scripts/loc.sh"
+./scripts/loc.sh || true
+
 echo "ok"
