@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test check bench lint sarif fuzz loc
+.PHONY: build test check bench perf perf-quick lint sarif fuzz loc
 
 build:
 	go build ./...
@@ -36,6 +36,16 @@ check:
 
 bench:
 	go test -bench=. -benchmem ./...
+
+# The end-to-end pipeline benchmark BENCHMARK.json names (bench/README.md):
+# four closed-loop workloads, ten bounded metrics each, output checks.
+# "Is it slower?" is `make perf` at the parent and at the change;
+# perf-quick is the same at smoke sizes (seconds, not minutes).
+perf:
+	bash bench/run.sh
+
+perf-quick:
+	bash bench/run.sh -quick
 
 # Per-package Go line counts (code / non-test / test) for internal/* and
 # cmd/*: run at the parent commit and at the change to report a PR's net

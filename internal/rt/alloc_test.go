@@ -1,0 +1,85 @@
+package rt
+
+import (
+	"math"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"github.com/ascr-ecx/eth/internal/camera"
+	"github.com/ascr-ecx/eth/internal/fb"
+	"github.com/ascr-ecx/eth/internal/raceflag"
+	"github.com/ascr-ecx/eth/internal/vec"
+)
+
+// TestBuildAllocsIndependentOfN gates the build's allocation count: the
+// header, the primitive slice and the node slice, for either strategy and
+// whatever the particle count — no per-node or per-range scratch.
+func TestBuildAllocsIndependentOfN(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
+	}
+	// AllocsPerRun counts mallocs process-wide, and a collection that
+	// starts inside a run allocates its own bookkeeping.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const want = 3
+	for _, s := range []BuildStrategy{MedianSplit, BinnedSAH} {
+		for _, n := range []int{1_000, 50_000} {
+			p := randomCloud(n, 6)
+			if allocs := testing.AllocsPerRun(3, func() { BuildSphereBVH(p, 0.1, s) }); allocs != want {
+				t.Errorf("%v n=%d: build allocates %.0f times, want exactly %d", s, n, allocs, want)
+			}
+		}
+	}
+}
+
+// TestRaycastWarmAllocs gates the per-frame allocations of the sphere
+// path at GOMAXPROCS 1, where par runs its loops inline. Traversal itself
+// allocates nothing. A warm frame allocates exactly six small objects,
+// none of which scales with pixels, particles or nodes — all are the price
+// of calling par: for each of the two loops (colour table, scanline
+// bands) the body closure and the grain par.ForGrained moves to the heap
+// for its workers, plus par.For's index adapter and the RayGen the band
+// closure captures by reference.
+func TestRaycastWarmAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := randomCloud(5_000, 8)
+	p.SpeedField()
+	cam := camera.ForBounds(p.Bounds())
+	bvh := BuildSphereBVH(p, 0.3, MedianSplit)
+
+	gen := cam.NewRayGen(32, 32)
+	hits := 0
+	trace := func() {
+		for y := 0; y < 32; y++ {
+			for x := 0; x < 32; x++ {
+				ray := gen.Ray(x, y)
+				if _, ok := bvh.Intersect(ray.Origin, ray.Dir, cam.Near, math.Inf(1)); ok {
+					hits++
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, trace); allocs != 0 {
+		t.Errorf("Intersect allocates %.1f times per 1024 rays, want 0", allocs)
+	}
+	if hits == 0 {
+		t.Fatal("no ray hit: the traversal gate measured nothing")
+	}
+
+	const want = 6
+	frame := fb.New(96, 96)
+	render := func() {
+		frame.Clear(vec.V3{})
+		if err := RaycastSpheresWithBVH(frame, p, bvh, &cam, SphereOptions{ColorField: "speed"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	render() // warm the colour-table pool
+	if allocs := testing.AllocsPerRun(10, render); allocs != want {
+		t.Errorf("warm RaycastSpheresWithBVH allocates %.1f times per frame, want exactly %d", allocs, want)
+	}
+}

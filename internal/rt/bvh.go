@@ -9,10 +9,9 @@ package rt
 
 import (
 	"math"
-	"sort"
+	"strconv"
 
 	"github.com/ascr-ecx/eth/internal/data"
-	"github.com/ascr-ecx/eth/internal/par"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
 
@@ -37,156 +36,197 @@ func (s BuildStrategy) String() string {
 	return "median-split"
 }
 
-// leafSize is the maximum primitives per leaf.
-const leafSize = 8
+// leafSize is the maximum primitives per leaf; maxDepth cuts a branch
+// that degenerate input keeps splitting unevenly into one oversized leaf,
+// which bounds the traversal stack.
+const (
+	leafSize = 8
+	maxDepth = 60
+)
 
-// node is a BVH node. Leaves have count > 0 and left as the first
-// primitive index; internal nodes have count == 0 and left as the index
-// of the first child (children are adjacent).
+// node is the one BVH node layout: 32 bytes, two to a cache line. Leaves
+// have count > 0 and left as the first primitive index; internal nodes
+// have count == 0 and left as the index of the first child (children are
+// adjacent). bounds holds min x, y, z then max x, y, z as float32,
+// rounded outward from the float64 box (centroid range ± radius), so the
+// stored box contains every sphere under it exactly and a traversal that
+// tests it is conservative: it may enter a node a float64 box would have
+// skipped, never the reverse.
 type node struct {
-	bounds vec.AABB
+	bounds [6]float32
 	left   int32
 	count  int32
 }
 
+// sphere is one primitive in BVH order: the float32 centre the dataset
+// stores and the particle it came from.
+type sphere struct {
+	c  [3]float32
+	id int32
+}
+
 // SphereBVH is a bounding volume hierarchy over a set of spheres with a
 // common radius, built from a particle dataset. Primitive order is
-// shuffled during construction; prim[i] maps BVH order back to particle
-// index.
+// shuffled during construction; prims[i].id maps BVH order back to
+// particle index.
 type SphereBVH struct {
 	nodes  []node
-	prim   []int32
-	cx     []float32 // particle centers in BVH primitive order
-	cy     []float32
-	cz     []float32
+	prims  []sphere
 	radius float64
-	// NodesBuilt and LeavesBuilt are build statistics exposed for the
-	// instrumentation experiments.
-	NodesBuilt  int
-	LeavesBuilt int
+	// NodesBuilt is a build statistic exposed for the instrumentation
+	// experiments.
+	NodesBuilt int
 }
 
 // BuildSphereBVH constructs the hierarchy over all particles of p, each a
 // sphere of the given radius. Build cost is O(N log N) — the "additional
 // setup phase" the paper attributes raycasting's extra computation to.
+// It allocates the two slices and the header, whatever N is, unless a
+// binned-SAH tree outgrows the node estimate.
 func BuildSphereBVH(p *data.PointCloud, radius float64, strategy BuildStrategy) *SphereBVH {
 	n := p.Count()
-	b := &SphereBVH{
-		prim:   make([]int32, n),
-		cx:     make([]float32, n),
-		cy:     make([]float32, n),
-		cz:     make([]float32, n),
-		radius: radius,
-	}
-	for i := 0; i < n; i++ {
-		b.prim[i] = int32(i)
-	}
-	// Work on copies of the coordinates in primitive order.
-	copy(b.cx, p.X)
-	copy(b.cy, p.Y)
-	copy(b.cz, p.Z)
+	b := &SphereBVH{prims: make([]sphere, n), radius: radius}
 	if n == 0 {
-		b.nodes = []node{{bounds: vec.EmptyAABB()}}
 		return b
 	}
-	b.nodes = make([]node, 0, 2*n/leafSize+2)
-	b.nodes = append(b.nodes, node{})
+	for i := range b.prims {
+		b.prims[i] = sphere{c: [3]float32{p.X[i], p.Y[i], p.Z[i]}, id: int32(i)}
+	}
+	// A median split never leaves a leaf under four primitives, so its tree
+	// has fewer than n/2 nodes; binned SAH stays under that on anything but
+	// adversarial input, where append grows the slice.
+	b.nodes = make([]node, 1, n/2+2)
 	b.build(0, 0, n, strategy, 0)
 	b.NodesBuilt = len(b.nodes)
 	return b
 }
 
-// centroid returns the center of primitive i (in primitive order).
-func (b *SphereBVH) centroid(i int) vec.V3 {
-	return vec.V3{X: float64(b.cx[i]), Y: float64(b.cy[i]), Z: float64(b.cz[i])}
-}
-
-// primBounds returns the bounds of primitives [lo, hi) expanded by the
-// sphere radius.
-func (b *SphereBVH) primBounds(lo, hi int) vec.AABB {
-	box := vec.EmptyAABB()
-	for i := lo; i < hi; i++ {
-		box = box.Extend(b.centroid(i))
-	}
-	return box.Expand(b.radius)
-}
-
 // build recursively constructs the subtree for primitives [lo, hi) at
-// node index ni.
+// node index ni. One pass over the range yields the centroid range, from
+// which both the node's bounds and the split axis follow.
 func (b *SphereBVH) build(ni, lo, hi int, strategy BuildStrategy, depth int) {
-	b.nodes[ni].bounds = b.primBounds(lo, hi)
-	count := hi - lo
-	if count <= leafSize || depth > 60 {
-		b.nodes[ni].left = int32(lo)
-		b.nodes[ni].count = int32(count)
-		b.LeavesBuilt++
+	s := b.prims[lo:hi]
+	e := centroidRange(s)
+	nd := &b.nodes[ni]
+	for a := 0; a < 3; a++ {
+		nd.bounds[a] = roundDown(float64(e.mn[a]) - b.radius)
+		nd.bounds[3+a] = roundUp(float64(e.mx[a]) + b.radius)
+	}
+	if len(s) <= leafSize || depth > maxDepth {
+		nd.left = int32(lo)
+		nd.count = int32(len(s))
 		return
 	}
-	var mid int
-	switch strategy {
-	case BinnedSAH:
-		mid = b.sahSplit(lo, hi)
-	default:
-		mid = b.medianSplit(lo, hi)
-	}
-	if mid <= lo || mid >= hi {
-		mid = (lo + hi) / 2
+	axis := e.aabb().LongestAxis()
+	mid := len(s) / 2
+	if strategy == BinnedSAH {
+		mid = sahSplit(s, axis, e.mn[axis], e.mx[axis])
+		if mid <= 0 || mid >= len(s) {
+			mid = len(s) / 2
+		}
+	} else {
+		nthElement(s, mid, axis)
 	}
 	left := len(b.nodes)
-	b.nodes = append(b.nodes, node{}, node{})
+	b.nodes = append(b.nodes, node{}, node{}) // may move the slice: nd is dead from here
 	b.nodes[ni].left = int32(left)
-	b.nodes[ni].count = 0
-	b.build(left, lo, mid, strategy, depth+1)
-	b.build(left+1, mid, hi, strategy, depth+1)
+	b.build(left, lo, lo+mid, strategy, depth+1)
+	b.build(left+1, lo+mid, hi, strategy, depth+1)
 }
 
-// medianSplit partitions [lo, hi) at the median of the longest centroid
-// axis and returns the split point.
-func (b *SphereBVH) medianSplit(lo, hi int) int {
-	box := vec.EmptyAABB()
-	for i := lo; i < hi; i++ {
-		box = box.Extend(b.centroid(i))
+// extent is the float32 range of a set of centres. Minimum and maximum
+// of float32 values are exact, so it is the range a float64 accumulation
+// would find.
+type extent struct {
+	mn, mx [3]float32
+}
+
+func emptyExtent() extent {
+	inf := float32(math.Inf(1))
+	return extent{mn: [3]float32{inf, inf, inf}, mx: [3]float32{-inf, -inf, -inf}}
+}
+
+func (e *extent) add(c *[3]float32) {
+	for a := range c {
+		e.mn[a] = min(e.mn[a], c[a])
+		e.mx[a] = max(e.mx[a], c[a])
 	}
-	axis := box.LongestAxis()
-	mid := (lo + hi) / 2
-	b.nthElement(lo, hi, mid, axis)
-	return mid
 }
 
-// sahSplit evaluates a 16-bin surface-area heuristic on the longest axis
-// and partitions at the cheapest bin boundary.
-func (b *SphereBVH) sahSplit(lo, hi int) int {
+// centroidRange returns the extent of the centres in s. It is add over s
+// with the six bounds held in registers, which the per-node pass of the
+// build is worth.
+func centroidRange(s []sphere) extent {
+	inf := float32(math.Inf(1))
+	x0, y0, z0 := inf, inf, inf
+	x1, y1, z1 := -inf, -inf, -inf
+	for i := range s {
+		c := &s[i].c
+		x0, x1 = min(x0, c[0]), max(x1, c[0])
+		y0, y1 = min(y0, c[1]), max(y1, c[1])
+		z0, z1 = min(z0, c[2]), max(z1, c[2])
+	}
+	return extent{mn: [3]float32{x0, y0, z0}, mx: [3]float32{x1, y1, z1}}
+}
+
+// aabb widens the extent to float64, for the vec.AABB arithmetic the
+// split rules are defined in.
+func (e *extent) aabb() vec.AABB {
+	return vec.AABB{Min: v3(e.mn), Max: v3(e.mx)}
+}
+
+func v3(c [3]float32) vec.V3 {
+	return vec.V3{X: float64(c[0]), Y: float64(c[1]), Z: float64(c[2])}
+}
+
+// roundDown returns the largest float32 not above x.
+func roundDown(x float64) float32 {
+	f := float32(x)
+	if float64(f) > x {
+		f = math.Nextafter32(f, float32(math.Inf(-1)))
+	}
+	return f
+}
+
+// roundUp returns the smallest float32 not below x.
+func roundUp(x float64) float32 {
+	f := float32(x)
+	if float64(f) < x {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
+}
+
+// sahSplit evaluates a 16-bin surface-area heuristic over the centroid
+// range [minC, maxC] of s on the given axis, partitions s at the cheapest
+// bin boundary and returns the split point.
+func sahSplit(s []sphere, axis int, minC32, maxC32 float32) int {
 	const bins = 16
-	cb := vec.EmptyAABB()
-	for i := lo; i < hi; i++ {
-		cb = cb.Extend(b.centroid(i))
-	}
-	axis := cb.LongestAxis()
-	minC := cb.Min.Axis(axis)
-	extent := cb.Max.Axis(axis) - minC
-	if extent <= 0 {
-		return (lo + hi) / 2
-	}
-	type bin struct {
-		bounds vec.AABB
-		count  int
-	}
-	var bs [bins]bin
-	for i := range bs {
-		bs[i].bounds = vec.EmptyAABB()
+	minC := float64(minC32)
+	width := float64(maxC32) - minC
+	if width <= 0 {
+		return len(s) / 2
 	}
 	binOf := func(i int) int {
-		f := (b.centroid(i).Axis(axis) - minC) / extent * bins
+		f := (float64(s[i].c[axis]) - minC) / width * bins
 		k := int(f)
 		if k >= bins {
 			k = bins - 1
 		}
 		return k
 	}
-	for i := lo; i < hi; i++ {
-		k := binOf(i)
-		bs[k].bounds = bs[k].bounds.Extend(b.centroid(i))
-		bs[k].count++
+	type bin struct {
+		extent
+		count int
+	}
+	var bs [bins]bin
+	for i := range bs {
+		bs[i].extent = emptyExtent()
+	}
+	for i := range s {
+		k := &bs[binOf(i)]
+		k.add(&s[i].c)
+		k.count++
 	}
 	// Sweep to find the cheapest split plane.
 	var leftArea, rightArea [bins]float64
@@ -194,7 +234,7 @@ func (b *SphereBVH) sahSplit(lo, hi int) int {
 	acc := vec.EmptyAABB()
 	cnt := 0
 	for i := 0; i < bins-1; i++ {
-		acc = acc.Union(bs[i].bounds)
+		acc = acc.Union(bs[i].aabb())
 		cnt += bs[i].count
 		leftArea[i] = acc.SurfaceArea()
 		leftCount[i] = cnt
@@ -202,7 +242,7 @@ func (b *SphereBVH) sahSplit(lo, hi int) int {
 	acc = vec.EmptyAABB()
 	cnt = 0
 	for i := bins - 1; i > 0; i-- {
-		acc = acc.Union(bs[i].bounds)
+		acc = acc.Union(bs[i].aabb())
 		cnt += bs[i].count
 		rightArea[i-1] = acc.SurfaceArea()
 		rightCount[i-1] = cnt
@@ -220,43 +260,44 @@ func (b *SphereBVH) sahSplit(lo, hi int) int {
 		}
 	}
 	// Partition primitives by bin.
-	mid := lo
-	for i := lo; i < hi; i++ {
+	mid := 0
+	for i := range s {
 		if binOf(i) <= bestBin {
-			b.swap(mid, i)
+			s[mid], s[i] = s[i], s[mid]
 			mid++
 		}
 	}
 	return mid
 }
 
-// nthElement partially sorts [lo, hi) so that index n holds the value it
-// would after a full sort by the given centroid axis (quickselect).
-func (b *SphereBVH) nthElement(lo, hi, n, axis int) {
-	coord := [3][]float32{b.cx, b.cy, b.cz}[axis]
+// nthElement partially sorts s so that index n holds the value it would
+// after a full sort by the given centre axis (quickselect, finishing
+// ranges of at most eight with a stable insertion sort).
+func nthElement(s []sphere, n, axis int) {
+	lo, hi := 0, len(s)
 	for hi-lo > 8 {
 		// Median-of-three pivot.
 		mid := (lo + hi) / 2
-		if coord[mid] < coord[lo] {
-			b.swap(mid, lo)
+		if s[mid].c[axis] < s[lo].c[axis] {
+			s[mid], s[lo] = s[lo], s[mid]
 		}
-		if coord[hi-1] < coord[lo] {
-			b.swap(hi-1, lo)
+		if s[hi-1].c[axis] < s[lo].c[axis] {
+			s[hi-1], s[lo] = s[lo], s[hi-1]
 		}
-		if coord[hi-1] < coord[mid] {
-			b.swap(hi-1, mid)
+		if s[hi-1].c[axis] < s[mid].c[axis] {
+			s[hi-1], s[mid] = s[mid], s[hi-1]
 		}
-		pivot := coord[mid]
+		pivot := s[mid].c[axis]
 		i, j := lo, hi-1
 		for i <= j {
-			for coord[i] < pivot {
+			for s[i].c[axis] < pivot {
 				i++
 			}
-			for coord[j] > pivot {
+			for s[j].c[axis] > pivot {
 				j--
 			}
 			if i <= j {
-				b.swap(i, j)
+				s[i], s[j] = s[j], s[i]
 				i++
 				j--
 			}
@@ -269,34 +310,11 @@ func (b *SphereBVH) nthElement(lo, hi, n, axis int) {
 			return
 		}
 	}
-	// Small range: insertion sort.
-	sub := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		sub = append(sub, i)
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && s[j].c[axis] < s[j-1].c[axis]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
 	}
-	sort.Slice(sub, func(a, c int) bool { return coord[sub[a]] < coord[sub[c]] })
-	// Apply permutation via a scratch copy.
-	tmpPrim := make([]int32, hi-lo)
-	tmpX := make([]float32, hi-lo)
-	tmpY := make([]float32, hi-lo)
-	tmpZ := make([]float32, hi-lo)
-	for k, src := range sub {
-		tmpPrim[k] = b.prim[src]
-		tmpX[k] = b.cx[src]
-		tmpY[k] = b.cy[src]
-		tmpZ[k] = b.cz[src]
-	}
-	copy(b.prim[lo:hi], tmpPrim)
-	copy(b.cx[lo:hi], tmpX)
-	copy(b.cy[lo:hi], tmpY)
-	copy(b.cz[lo:hi], tmpZ)
-}
-
-func (b *SphereBVH) swap(i, j int) {
-	b.prim[i], b.prim[j] = b.prim[j], b.prim[i]
-	b.cx[i], b.cx[j] = b.cx[j], b.cx[i]
-	b.cy[i], b.cy[j] = b.cy[j], b.cy[i]
-	b.cz[i], b.cz[j] = b.cz[j], b.cz[i]
 }
 
 // Hit describes a ray-sphere intersection.
@@ -310,46 +328,83 @@ type Hit struct {
 // t in (tMin, tMax). It returns ok=false on a miss. dir need not be
 // normalized but T is in units of |dir|.
 func (b *SphereBVH) Intersect(origin, dir vec.V3, tMin, tMax float64) (Hit, bool) {
-	if len(b.nodes) == 0 || b.nodes[0].bounds.IsEmpty() {
+	nodes := b.nodes
+	if len(nodes) == 0 {
 		return Hit{}, false
 	}
-	invDir := vec.V3{X: safeInv(dir.X), Y: safeInv(dir.Y), Z: safeInv(dir.Z)}
-	// Stack entries carry the node's entry distance so popped nodes are
-	// pruned against the current best hit without re-intersecting their
-	// bounds; children are pushed nearer-first.
+	ix, iy, iz := safeInv(dir.X), safeInv(dir.Y), safeInv(dir.Z)
+	// A ray enters each slab through the plane its direction points away
+	// from: n* index that plane in node.bounds, f* the opposite one.
+	nx, fx := 0, 3
+	if dir.X < 0 {
+		nx, fx = 3, 0
+	}
+	ny, fy := 1, 4
+	if dir.Y < 0 {
+		ny, fy = 4, 1
+	}
+	nz, fz := 2, 5
+	if dir.Z < 0 {
+		nz, fz = 5, 2
+	}
+	// The farther child of a two-child hit waits here with its entry
+	// distance, so a popped node is pruned against the current best hit
+	// without re-intersecting its bounds. At most one waits per internal
+	// node on the path from the root, and those have depth 0..maxDepth.
 	type entry struct {
 		node int32
 		t    float64
 	}
-	var stack [64]entry
+	var stack [maxDepth + 1]entry
 	sp := 0
 
-	best := Hit{T: tMax}
-	found := false
+	bestT, bestI := tMax, -1
+	a := dir.Dot(dir)
 	r2 := b.radius * b.radius
 
-	rootT, _, ok := b.nodes[0].bounds.IntersectRay(origin, invDir, tMin, best.T)
-	if !ok {
-		return Hit{}, false
-	}
-	stack[sp] = entry{0, rootT}
-	sp++
-
-	for sp > 0 {
-		sp--
-		e := stack[sp]
-		if e.t >= best.T {
-			continue
-		}
-		nd := &b.nodes[e.node]
-		if nd.count > 0 {
-			lo := int(nd.left)
-			hi := lo + int(nd.count)
-			for i := lo; i < hi; i++ {
-				c := b.centroid(i)
-				oc := origin.Sub(c)
+	// The root's own box is not tested: a ray that misses it fails both
+	// child tests one step later.
+	ni := int32(0)
+walk:
+	for {
+		nd := &nodes[ni]
+		if nd.count == 0 {
+			// Internal: clip the ray to both children's boxes, walk into the
+			// nearer one hit and leave the farther on the stack, so best
+			// tightens first.
+			li := nd.left
+			lb, rb := &nodes[li].bounds, &nodes[li+1].bounds
+			lt0, lt1 := clip(lb[nx], lb[fx], origin.X, ix, tMin, bestT)
+			lt0, lt1 = clip(lb[ny], lb[fy], origin.Y, iy, lt0, lt1)
+			lt0, lt1 = clip(lb[nz], lb[fz], origin.Z, iz, lt0, lt1)
+			rt0, rt1 := clip(rb[nx], rb[fx], origin.X, ix, tMin, bestT)
+			rt0, rt1 = clip(rb[ny], rb[fy], origin.Y, iy, rt0, rt1)
+			rt0, rt1 = clip(rb[nz], rb[fz], origin.Z, iz, rt0, rt1)
+			lok, rok := lt0 <= lt1, rt0 <= rt1
+			switch {
+			case lok && rok:
+				if lt0 <= rt0 {
+					stack[sp] = entry{li + 1, rt0}
+					ni = li
+				} else {
+					stack[sp] = entry{li, lt0}
+					ni = li + 1
+				}
+				sp++
+				continue
+			case lok:
+				ni = li
+				continue
+			case rok:
+				ni = li + 1
+				continue
+			}
+			// Neither: this subtree is done.
+		} else {
+			s := b.prims[nd.left : nd.left+nd.count]
+			for i := range s {
+				oc := origin.Sub(v3(s[i].c))
 				// Solve |oc + t*dir|^2 = r^2.
-				a := dir.Dot(dir)
 				half := oc.Dot(dir)
 				cc := oc.Dot(oc) - r2
 				disc := half*half - a*cc
@@ -361,70 +416,66 @@ func (b *SphereBVH) Intersect(origin, dir vec.V3, tMin, tMax float64) (Hit, bool
 				if t <= tMin {
 					t = (-half + sq) / a
 				}
-				if t <= tMin || t >= best.T {
+				if t <= tMin || t >= bestT {
 					continue
 				}
-				hitP := origin.Add(dir.Scale(t))
-				best = Hit{
-					T:        t,
-					Particle: int(b.prim[i]),
-					Normal:   hitP.Sub(c).Norm(),
-				}
-				found = true
+				bestT, bestI = t, int(nd.left)+i
 			}
-			continue
 		}
-		// Internal: intersect both children once, push nearer last so it
-		// pops first and tightens best.T before the farther child.
-		left := nd.left
-		right := nd.left + 1
-		lt, _, lok := b.nodes[left].bounds.IntersectRay(origin, invDir, tMin, best.T)
-		rt0, _, rok := b.nodes[right].bounds.IntersectRay(origin, invDir, tMin, best.T)
-		switch {
-		case lok && rok:
-			if lt <= rt0 {
-				stack[sp] = entry{right, rt0}
-				stack[sp+1] = entry{left, lt}
-			} else {
-				stack[sp] = entry{left, lt}
-				stack[sp+1] = entry{right, rt0}
+		// Pop the nearest waiting node that can still beat best.
+		for {
+			if sp == 0 {
+				break walk
 			}
-			sp += 2
-		case lok:
-			stack[sp] = entry{left, lt}
-			sp++
-		case rok:
-			stack[sp] = entry{right, rt0}
-			sp++
+			sp--
+			if stack[sp].t < bestT {
+				ni = stack[sp].node
+				break
+			}
 		}
 	}
-	if !found {
+	if bestI < 0 {
 		return Hit{}, false
 	}
-	return best, true
+	p := &b.prims[bestI]
+	hitP := origin.Add(dir.Scale(bestT))
+	return Hit{T: bestT, Particle: int(p.id), Normal: hitP.Sub(v3(p.c)).Norm()}, true
 }
 
-// Bounds returns the world bounds of the hierarchy.
-func (b *SphereBVH) Bounds() vec.AABB { return b.nodes[0].bounds }
-
-// Radius returns the common sphere radius.
-func (b *SphereBVH) Radius() float64 { return b.radius }
+// clip narrows the ray interval (t0, t1) to one slab: near and far are the
+// planes the ray enters and leaves it through, o and inv the ray's origin
+// and inverse direction on that axis. Every comparison is false on NaN
+// (0 × Inf: an axis-parallel ray whose origin lies on a bound plane),
+// which leaves that plane out of the test — the conservative reading;
+// min and max would propagate the NaN into a miss. It is small enough to
+// inline, so the traversal loop makes no calls.
+func clip(near, far float32, o, inv, t0, t1 float64) (float64, float64) {
+	if t := (float64(near) - o) * inv; t > t0 {
+		t0 = t
+	}
+	if t := (float64(far) - o) * inv; t < t1 {
+		t1 = t
+	}
+	return t0, t1
+}
 
 // Count returns the number of spheres.
-func (b *SphereBVH) Count() int { return len(b.prim) }
+func (b *SphereBVH) Count() int { return len(b.prims) }
 
-// Validate checks structural invariants: every leaf's primitives are
-// inside its bounds, children bounds are inside parents, and every
-// primitive appears exactly once. It is used by property tests and
-// returns the first violation found.
+// Validate checks structural invariants: children bounds are inside
+// parents, every primitive appears exactly once, and every sphere —
+// centre ± radius, in float64 — is inside its leaf's float32 bounds. It
+// is used by property tests and returns the first violation found.
 func (b *SphereBVH) Validate() error {
-	seen := make([]bool, len(b.prim))
-	var walk func(ni int32, parent vec.AABB) error
-	walk = func(ni int32, parent vec.AABB) error {
+	if len(b.prims) == 0 {
+		return nil
+	}
+	seen := make([]bool, len(b.prims))
+	var walk func(ni int32, parent *[6]float32) error
+	walk = func(ni int32, parent *[6]float32) error {
 		nd := &b.nodes[ni]
-		if !parent.IsEmpty() {
-			u := parent.Union(nd.bounds)
-			if u != parent {
+		for a := 0; a < 3; a++ {
+			if parent != nil && (nd.bounds[a] < parent[a] || nd.bounds[3+a] > parent[3+a]) {
 				return errBVH("child bounds escape parent")
 			}
 		}
@@ -434,26 +485,26 @@ func (b *SphereBVH) Validate() error {
 					return errBVH("primitive referenced twice")
 				}
 				seen[i] = true
-				if !nd.bounds.Expand(1e-9).Contains(b.centroid(int(i))) {
-					return errBVH("primitive centroid outside leaf bounds")
+				for a := 0; a < 3; a++ {
+					c := float64(b.prims[i].c[a])
+					if c-b.radius < float64(nd.bounds[a]) || c+b.radius > float64(nd.bounds[3+a]) {
+						return errBVH("sphere outside leaf bounds")
+					}
 				}
 			}
 			return nil
 		}
-		if err := walk(nd.left, nd.bounds); err != nil {
+		if err := walk(nd.left, &nd.bounds); err != nil {
 			return err
 		}
-		return walk(nd.left+1, nd.bounds)
+		return walk(nd.left+1, &nd.bounds)
 	}
-	if len(b.prim) == 0 {
-		return nil
-	}
-	if err := walk(0, vec.EmptyAABB()); err != nil {
+	if err := walk(0, nil); err != nil {
 		return err
 	}
 	for i, s := range seen {
 		if !s {
-			return errBVH("primitive missing from tree: " + itoa(i))
+			return errBVH("primitive missing from tree: " + strconv.Itoa(i))
 		}
 	}
 	return nil
@@ -463,39 +514,10 @@ type errBVH string
 
 func (e errBVH) Error() string { return "rt: " + string(e) }
 
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	pos := len(buf)
-	for i > 0 {
-		pos--
-		buf[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[pos:])
-}
-
 func safeInv(x float64) float64 {
 	//lint:ignore floateq exact IEEE special case: only x == 0 needs the explicit +Inf (avoiding -0 sign surprises); any nonzero x divides fine
 	if x == 0 {
 		return math.Inf(1)
 	}
 	return 1 / x
-}
-
-// ParallelBuildSphereBVH builds per-chunk BVHs concurrently and joins
-// them under a single root, trading tree quality for build speed. Used
-// by the ablation bench; rendering results are identical.
-func ParallelBuildSphereBVH(p *data.PointCloud, radius float64, chunks int) []*SphereBVH {
-	if chunks < 1 {
-		chunks = 1
-	}
-	pieces := p.Partition(chunks)
-	out := make([]*SphereBVH, len(pieces))
-	par.For(len(pieces), 0, func(i int) {
-		out[i] = BuildSphereBVH(pieces[i].(*data.PointCloud), radius, MedianSplit)
-	})
-	return out
 }

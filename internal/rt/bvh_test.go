@@ -3,10 +3,15 @@ package rt
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"github.com/ascr-ecx/eth/internal/camera"
+	"github.com/ascr-ecx/eth/internal/cosmo"
 	"github.com/ascr-ecx/eth/internal/data"
+	"github.com/ascr-ecx/eth/internal/fb"
+	"github.com/ascr-ecx/eth/internal/geom"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
 
@@ -31,6 +36,43 @@ func TestBVHValidateBothStrategies(t *testing.T) {
 			if b.Count() != n {
 				t.Errorf("%v n=%d: count %d", s, n, b.Count())
 			}
+		}
+	}
+}
+
+// TestValidateCatchesViolations corrupts a valid tree one invariant at a
+// time: Validate is the differential tests' structural oracle, so it must
+// see each of the three things it claims to check.
+func TestValidateCatchesViolations(t *testing.T) {
+	build := func() *SphereBVH { return BuildSphereBVH(randomCloud(100, 4), 0.3, MedianSplit) }
+	leaf := func(b *SphereBVH) *node {
+		for i := range b.nodes {
+			if b.nodes[i].count > 0 {
+				return &b.nodes[i]
+			}
+		}
+		t.Fatal("tree has no leaf")
+		return nil
+	}
+	cases := map[string]func(b *SphereBVH){
+		"sphere outside its float32 leaf box": func(b *SphereBVH) {
+			nd := leaf(b)
+			nd.bounds[3] = math.Nextafter32(nd.bounds[3], float32(math.Inf(-1)))
+		},
+		"child box escapes parent": func(b *SphereBVH) {
+			nd := leaf(b)
+			nd.bounds[0] = math.Nextafter32(b.nodes[0].bounds[0], float32(math.Inf(-1)))
+		},
+		"primitive referenced twice": func(b *SphereBVH) { leaf(b).left++ },
+	}
+	for name, corrupt := range cases {
+		b := build()
+		if err := b.Validate(); err != nil {
+			t.Fatalf("%s: valid tree rejected: %v", name, err)
+		}
+		corrupt(b)
+		if err := b.Validate(); err == nil {
+			t.Errorf("%s: not detected", name)
 		}
 	}
 }
@@ -180,6 +222,161 @@ func mod20(x float64) float64 {
 	return math.Mod(math.Abs(x), 20)
 }
 
+// latticeCloud places n particles on a quarter-unit lattice in [0, 16)^3.
+// With radius 0.5 every centre ± radius is a float32, so node bounds do
+// not round and the extreme sphere of a node touches its bound plane.
+func latticeCloud(n int, seed int64) *data.PointCloud {
+	rng := rand.New(rand.NewSource(seed))
+	p := data.NewPointCloud(n)
+	for i := 0; i < n; i++ {
+		p.IDs[i] = int64(i)
+		p.SetPos(i, vec.New(float64(rng.Intn(64))/4, float64(rng.Intn(64))/4, float64(rng.Intn(64))/4))
+	}
+	return p
+}
+
+// TestIntersectAxisParallelOnBoundPlane pins the slab test's NaN
+// semantics. A ray parallel to an axis has a zero direction component
+// there, safeInv makes that +Inf, and when the origin lies exactly on a
+// node's bound plane the slab distance is 0 × Inf = NaN. The traversal
+// must ignore that plane (every comparison with NaN is false), not
+// propagate the NaN into a miss: such a ray is tangent to the node's
+// extreme sphere, which the brute-force oracle reports as a hit.
+func TestIntersectAxisParallelOnBoundPlane(t *testing.T) {
+	const radius = 0.5
+	p := latticeCloud(400, 11)
+	for _, s := range []BuildStrategy{MedianSplit, BinnedSAH} {
+		b := BuildSphereBVH(p, radius, s)
+		if err := b.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		rays, hits, tangent := 0, 0, 0
+		// cast checks one ray along axis d (direction sign) that lies in the
+		// plane x[u] = plane and passes x[w] = through.
+		cast := func(ni int32, d, u int, sign float64, plane, through float32) {
+			var o, dir [3]float64
+			o[d], dir[d] = 8-sign*40, sign
+			o[u], o[3-d-u] = float64(plane), float64(through)
+			origin, dv := vec.New(o[0], o[1], o[2]), vec.New(dir[0], dir[1], dir[2])
+			want, wantOK := bruteForce(p, radius, origin, dv, 0, math.Inf(1))
+			got, ok := b.Intersect(origin, dv, 0, math.Inf(1))
+			// On a lattice distinct spheres tie in T exactly, and which of
+			// them wins depends on visiting order, so T is what must agree.
+			if ok != wantOK || ok && got.T != want.T {
+				t.Fatalf("%v node %d: ray %v -> %v: got %+v %v, want %+v %v", s, ni, origin, dv, got, ok, want, wantOK)
+			}
+			rays++
+			if ok {
+				hits++
+				// A tangent hit is exactly one radius off the ray on axis u.
+				if math.Abs(float64(p.Pos(got.Particle).Axis(u))-o[u]) == radius {
+					tangent++
+				}
+			}
+		}
+		// span returns the primitive range under node ni, casting the rays
+		// of every node on the way: for each sphere under the node, rays
+		// along each axis d, in each of the node's bound planes on another
+		// axis u, through the sphere's centre on the remaining axis.
+		var span func(ni int32) (lo, hi int32)
+		span = func(ni int32) (lo, hi int32) {
+			nd := &b.nodes[ni]
+			lo, hi = nd.left, nd.left+nd.count
+			if nd.count == 0 {
+				lo, _ = span(nd.left)
+				_, hi = span(nd.left + 1)
+			}
+			for i := lo; i < hi; i++ {
+				c := b.prims[i].c
+				for d := 0; d < 3; d++ {
+					for _, u := range []int{(d + 1) % 3, (d + 2) % 3} {
+						for _, sign := range []float64{1, -1} {
+							cast(ni, d, u, sign, nd.bounds[u], c[3-d-u])
+							cast(ni, d, u, sign, nd.bounds[3+u], c[3-d-u])
+						}
+					}
+				}
+			}
+			return lo, hi
+		}
+		span(0)
+		t.Logf("%v: %d rays, %d hits, %d of them tangent", s, rays, hits, tangent)
+		if tangent == 0 {
+			t.Errorf("%v: no ray grazed a sphere on a bound plane: the test no longer exercises the NaN case", s)
+		}
+	}
+}
+
+// orbitCamera frames b from image k of a total-image orbit, as the
+// visualization proxy does for many-images-per-step runs.
+func orbitCamera(b vec.AABB, k, total int) camera.Camera {
+	angle := 2 * math.Pi * float64(k) / float64(total)
+	dir := vec.New(math.Cos(angle), 0.5, math.Sin(angle)).Norm()
+	cam := camera.LookAt(b.Center().Add(dir.Scale(b.Diagonal()*1.2)), b.Center(), vec.New(0, 1, 0))
+	cam.FitClip(b)
+	return cam
+}
+
+// TestStrategiesAgreeExactly is the differential test for the two things
+// rt does two ways: on a clustered cloud with the benchmark's overlapping
+// spheres, median-split, binned-SAH and brute force return the same Hit —
+// every field, to the bit — for every primary ray of a full orbit, and the
+// two strategies render byte-equal frames.
+func TestStrategiesAgreeExactly(t *testing.T) {
+	params := cosmo.DefaultParams()
+	params.Particles, params.Halos, params.Seed = 6000, 24, 5
+	p, err := cosmo.Generate(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	radius := geom.DefaultSplatRadius(p)
+	med := BuildSphereBVH(p, radius, MedianSplit)
+	sah := BuildSphereBVH(p, radius, BinnedSAH)
+	for _, b := range []*SphereBVH{med, sah} {
+		if err := b.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const views, raySize, frameSize = 6, 40, 96
+	opt := SphereOptions{Radius: radius, ColorField: "speed"}
+	hits := 0
+	for k := 0; k < views; k++ {
+		cam := orbitCamera(p.Bounds(), k, views)
+		gen := cam.NewRayGen(raySize, raySize)
+		for y := 0; y < raySize; y++ {
+			for x := 0; x < raySize; x++ {
+				ray := gen.Ray(x, y)
+				want, wantOK := bruteForce(p, radius, ray.Origin, ray.Dir, cam.Near, cam.Far)
+				for _, b := range []*SphereBVH{med, sah} {
+					got, ok := b.Intersect(ray.Origin, ray.Dir, cam.Near, cam.Far)
+					if ok != wantOK || ok && got != want {
+						t.Fatalf("view %d pixel (%d,%d): got %+v %v, brute force %+v %v", k, x, y, got, ok, want, wantOK)
+					}
+				}
+				if wantOK {
+					hits++
+				}
+			}
+		}
+		fm, fs := fb.New(frameSize, frameSize), fb.New(frameSize, frameSize)
+		if err := RaycastSpheresWithBVH(fm, p, med, &cam, opt); err != nil {
+			t.Fatal(err)
+		}
+		if err := RaycastSpheresWithBVH(fs, p, sah, &cam, opt); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(fm.Color, fs.Color) || !slices.Equal(fm.Depth, fs.Depth) {
+			t.Fatalf("view %d: median-split and binned-SAH frames differ", k)
+		}
+		if fm.CoveredPixels() == 0 {
+			t.Fatalf("view %d: empty frame", k)
+		}
+	}
+	if hits < views*raySize*raySize/4 {
+		t.Errorf("only %d of %d rays hit: spheres no longer overlap as in the benchmark", hits, views*raySize*raySize)
+	}
+}
+
 func TestSAHBuildsFewerOrEqualCostTrees(t *testing.T) {
 	// Not a strict guarantee, but on a clustered distribution SAH should
 	// produce a tree whose total leaf surface area is no larger than
@@ -204,21 +401,6 @@ func TestSAHBuildsFewerOrEqualCostTrees(t *testing.T) {
 	}
 	if med.NodesBuilt == 0 || sah.NodesBuilt == 0 {
 		t.Error("no nodes built")
-	}
-}
-
-func TestParallelBuildCoversAllParticles(t *testing.T) {
-	p := randomCloud(1000, 3)
-	chunks := ParallelBuildSphereBVH(p, 0.2, 4)
-	total := 0
-	for _, c := range chunks {
-		if err := c.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		total += c.Count()
-	}
-	if total != p.Count() {
-		t.Errorf("chunked BVHs cover %d particles, want %d", total, p.Count())
 	}
 }
 

@@ -25,6 +25,10 @@ var (
 	ctrMarchated = telemetry.Default.Counter("rt.march_steps")
 )
 
+// tileW is the width in pixels of the column tiles a scanline band is
+// walked in.
+const tileW = 8
+
 // SphereOptions configures sphere raycasting.
 type SphereOptions struct {
 	// Radius is the world-space sphere radius; <= 0 derives one from the
@@ -80,21 +84,26 @@ func RaycastSpheresWithBVH(frame *fb.Frame, p *data.PointCloud, bvh *SphereBVH, 
 	gen := cam.NewRayGen(w, h)
 	par.ForGrained(h, 0, 4, func(y0, y1 int) {
 		hits := 0
-		for y := y0; y < y1; y++ {
-			for x := 0; x < w; x++ {
-				ray := gen.Ray(x, y)
-				hit, ok := bvh.Intersect(ray.Origin, ray.Dir, cam.Near, cam.Far)
-				if !ok {
-					continue
+		// Walk the band in narrow tiles: neighbouring rays visit the same
+		// nodes, so a tile's working set stays in cache.
+		for x0 := 0; x0 < w; x0 += tileW {
+			x1 := min(x0+tileW, w)
+			for y := y0; y < y1; y++ {
+				for x := x0; x < x1; x++ {
+					ray := gen.Ray(x, y)
+					hit, ok := bvh.Intersect(ray.Origin, ray.Dir, cam.Near, cam.Far)
+					if !ok {
+						continue
+					}
+					hits++
+					lambert := hit.Normal.Dot(light)
+					if lambert < 0 {
+						lambert = 0
+					}
+					shade := ambient + (1-ambient)*lambert
+					c := colors[hit.Particle].Scale(shade)
+					frame.DepthSet(x, y, hit.T, c)
 				}
-				hits++
-				lambert := hit.Normal.Dot(light)
-				if lambert < 0 {
-					lambert = 0
-				}
-				shade := ambient + (1-ambient)*lambert
-				c := colors[hit.Particle].Scale(shade)
-				frame.DepthSet(x, y, hit.T, c)
 			}
 		}
 		ctrRays.Add(int64((y1 - y0) * w))
