@@ -23,7 +23,6 @@ import (
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/domain"
 	"github.com/ascr-ecx/eth/internal/fb"
-	"github.com/ascr-ecx/eth/internal/geom"
 	"github.com/ascr-ecx/eth/internal/proxy"
 	"github.com/ascr-ecx/eth/internal/raster"
 	"github.com/ascr-ecx/eth/internal/render"
@@ -460,28 +459,7 @@ func BenchmarkAblationSampling(b *testing.B) {
 // parallel rasterizer (load balance vs binning overhead).
 func BenchmarkAblationRasterTiling(b *testing.B) {
 	// A realistic triangle load: the extracted blast isosurface.
-	mesh, err := geom.Isosurface(benchGrid, "temperature", 0.45)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cam := camera.ForBounds(benchGrid.Bounds())
-	tris := make([]raster.Triangle, 0, mesh.TriangleCount())
-	for ti := 0; ti < mesh.TriangleCount(); ti++ {
-		var out raster.Triangle
-		visible := true
-		for c := 0; c < 3; c++ {
-			p := mesh.Verts[mesh.Tris[ti][c]]
-			x, y, depth, ok := cam.Project(p, benchImage, benchImage)
-			if !ok {
-				visible = false
-				break
-			}
-			out.V[c] = raster.Vertex{X: x, Y: y, Depth: depth, Color: vec.New(1, 0.5, 0.2)}
-		}
-		if visible {
-			tris = append(tris, out)
-		}
-	}
+	tris := benchTriangles(b)
 	for _, band := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("band=%d", band), func(b *testing.B) {
 			frame := fb.New(benchImage, benchImage)

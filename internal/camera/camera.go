@@ -74,22 +74,48 @@ func (c *Camera) ViewProj(w, h int) vec.M4 {
 // Project maps world point p to window coordinates for a w x h viewport:
 // x in [0, w), y in [0, h) with y=0 the top row, and depth the camera
 // space distance along the view direction (positive in front). ok is
-// false when the point is behind the near plane.
+// false when the point is behind the near plane. Callers projecting many
+// points through one camera build a Projector once instead.
 func (c *Camera) Project(p vec.V3, w, h int) (x, y, depth float64, ok bool) {
-	view := c.View()
-	cam := view.MulPoint(p)
-	if cam.Z > -c.Near {
+	pr := c.NewProjector(w, h)
+	return pr.Project(p)
+}
+
+// Projector holds a camera's view and projection matrices for a fixed
+// viewport, so projecting a point is two matrix-vector products instead
+// of a LookAt and a Perspective construction on top of them — the
+// geometry-side twin of RayGen.
+type Projector struct {
+	view, proj vec.M4
+	near       float64
+	w, h       float64
+}
+
+// NewProjector builds the projector for c rendering a w x h viewport.
+func (c *Camera) NewProjector(w, h int) Projector {
+	return Projector{
+		view: c.View(), proj: c.Proj(w, h),
+		near: c.Near,
+		w:    float64(w), h: float64(h),
+	}
+}
+
+// Project maps world point p to window coordinates; see Camera.Project,
+// which is this method on a projector built for one point.
+func (pr *Projector) Project(p vec.V3) (x, y, depth float64, ok bool) {
+	cam := pr.view.MulPoint(p)
+	if cam.Z > -pr.near {
 		return 0, 0, 0, false
 	}
-	clip, wc := c.Proj(w, h).MulPointW(cam)
+	clip, wc := pr.proj.MulPointW(cam)
 	if wc == 0 {
 		return 0, 0, 0, false
 	}
 	inv := 1 / wc
 	nx := clip.X * inv
 	ny := clip.Y * inv
-	x = (nx + 1) / 2 * float64(w)
-	y = (1 - (ny+1)/2) * float64(h)
+	x = (nx + 1) / 2 * pr.w
+	y = (1 - (ny+1)/2) * pr.h
 	return x, y, -cam.Z, true
 }
 

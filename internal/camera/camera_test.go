@@ -2,6 +2,7 @@ package camera
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -148,5 +149,52 @@ func TestRayGenMatchesRayThrough(t *testing.T) {
 				t.Fatalf("pixel (%d,%d): RayThrough %v vs RayGen %v", px, py, a.Dir, b.Dir)
 			}
 		}
+	}
+}
+
+// projectRebuilding is Camera.Project as it was before Projector: both
+// matrices rebuilt for the one point.
+func projectRebuilding(c *Camera, p vec.V3, w, h int) (x, y, depth float64, ok bool) {
+	cam := vec.LookAt(c.Eye, c.Center, c.Up).MulPoint(p)
+	if cam.Z > -c.Near {
+		return 0, 0, 0, false
+	}
+	clip, wc := vec.Perspective(c.FovY, float64(w)/float64(h), c.Near, c.Far).MulPointW(cam)
+	if wc == 0 {
+		return 0, 0, 0, false
+	}
+	inv := 1 / wc
+	nx := clip.X * inv
+	ny := clip.Y * inv
+	x = (nx + 1) / 2 * float64(w)
+	y = (1 - (ny+1)/2) * float64(h)
+	return x, y, -cam.Z, true
+}
+
+// A Projector is the same arithmetic with the matrices hoisted, so every
+// result carries the same bits — the geometry frames depend on it.
+func TestProjectorMatchesRebuildingProject(t *testing.T) {
+	cam := ForBounds(vec.NewAABB(vec.New(-3, -1, 0), vec.New(5, 4, 7)))
+	const w, h = 352, 224
+	pr := cam.NewProjector(w, h)
+	rng := rand.New(rand.NewSource(19))
+	behind := 0
+	for i := 0; i < 10_000; i++ {
+		// A box around the eye: about half the points are behind it.
+		p := cam.Eye.Add(vec.New(rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()-0.5).Scale(40))
+		wx, wy, wd, wok := projectRebuilding(&cam, p, w, h)
+		x, y, d, ok := pr.Project(p)
+		cx, cy, cd, cok := cam.Project(p, w, h)
+		for _, got := range [][4]any{{x, y, d, ok}, {cx, cy, cd, cok}} {
+			if got != [4]any{wx, wy, wd, wok} {
+				t.Fatalf("point %v projects to %v, the rebuilding arithmetic gives %v", p, got, [4]any{wx, wy, wd, wok})
+			}
+		}
+		if !ok {
+			behind++
+		}
+	}
+	if behind < 1000 || behind > 9000 {
+		t.Fatalf("%d of 10000 points behind the near plane: the sample does not cover both sides", behind)
 	}
 }

@@ -2,7 +2,6 @@ package data
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/ascr-ecx/eth/internal/vec"
 )
@@ -130,9 +129,9 @@ func (g *StructuredGrid) Sample(f *Field, p vec.V3) float32 {
 	fx := (p.X - g.Origin.X) / g.Spacing.X
 	fy := (p.Y - g.Origin.Y) / g.Spacing.Y
 	fz := (p.Z - g.Origin.Z) / g.Spacing.Z
-	fx = clampF(fx, 0, float64(g.NX-1))
-	fy = clampF(fy, 0, float64(g.NY-1))
-	fz = clampF(fz, 0, float64(g.NZ-1))
+	fx = clamp0(fx, float64(g.NX-1))
+	fy = clamp0(fy, float64(g.NY-1))
+	fz = clamp0(fz, float64(g.NZ-1))
 
 	i0 := int(fx)
 	j0 := int(fy)
@@ -299,7 +298,18 @@ func (g *StructuredGrid) Downsample(stride int) *StructuredGrid {
 	return out
 }
 
-func clampF(x, lo, hi float64) float64 { return math.Min(math.Max(x, lo), hi) }
+// clamp0 clamps x to [0, hi] for hi >= 0. It returns what
+// math.Min(math.Max(x, 0), hi) returns, bit for bit — -0 becomes +0, NaN
+// stays NaN — without the calls: Sample runs it three times per lookup.
+func clamp0(x, hi float64) float64 {
+	if x > hi {
+		return hi
+	}
+	if x <= 0 {
+		return 0
+	}
+	return x
+}
 
 func boolToInt(b bool) int {
 	if b {

@@ -87,6 +87,32 @@ func TestSampleClampsOutside(t *testing.T) {
 	}
 }
 
+// clamp0 replaced math.Min(math.Max(x, 0), hi) in Sample; every frame a
+// marcher or a contour normal ever produced depends on the two agreeing
+// to the bit, signed zeros and infinities included.
+func TestClamp0MatchesMinMax(t *testing.T) {
+	inf := math.Inf(1)
+	tiny := math.SmallestNonzeroFloat64
+	negZero := math.Copysign(0, -1)
+	xs := []float64{
+		negZero, 0, tiny, -tiny, 0.5, 1, math.Nextafter(1, 0), math.Nextafter(1, 2),
+		63, math.Nextafter(63, 0), math.Nextafter(63, 64), 64, -1, -63, 1e300, -1e300,
+		math.MaxFloat64, -math.MaxFloat64, inf, -inf,
+	}
+	for _, hi := range []float64{0, 1, 63, 1e6} {
+		for _, x := range xs {
+			want := math.Min(math.Max(x, 0), hi)
+			if got := clamp0(x, hi); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("clamp0(%v, %v) = %v (bits %#x), math.Min(math.Max) gives %v (bits %#x)",
+					x, hi, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	if got := clamp0(math.NaN(), 5); got == got {
+		t.Errorf("clamp0(NaN, 5) = %v, want NaN as before", got)
+	}
+}
+
 func TestGradientOfLinearField(t *testing.T) {
 	g := linearGrid(8, 8, 8)
 	f, _ := g.Field("f")

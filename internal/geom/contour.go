@@ -2,8 +2,11 @@ package geom
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"github.com/ascr-ecx/eth/internal/data"
+	"github.com/ascr-ecx/eth/internal/mempool"
 	"github.com/ascr-ecx/eth/internal/par"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
@@ -14,13 +17,15 @@ import (
 // the triangles but has the identical cost structure — O(cells) scan with
 // work proportional to surface-crossing cells — which is what the
 // experiments measure; it also needs no 256-entry case table, making the
-// implementation verifiable by inspection. The mesh is emitted with
-// "triangle soup" topology (vertices duplicated per triangle), exactly
-// what a one-shot in-situ render consumes.
+// implementation verifiable by inspection. The mesh is indexed: a surface
+// point is stored once however many triangles meet there (about six), so
+// normals, projection and shading downstream are paid per point, not per
+// triangle corner.
 
-// tets enumerates the six tetrahedra of a cube by corner index, using the
-// standard decomposition around the 0-7 diagonal. Corner numbering:
-// bit 0 = +x, bit 1 = +y, bit 2 = +z.
+// tets enumerates the six tetrahedra of a cube by corner index. Corner
+// numbering: bit 0 = +x, bit 1 = +y, bit 2 = +z. All six share corner 0
+// and five of them the 0-7 diagonal (see ROADMAP: neighbouring cells do
+// not split their shared x face along the same diagonal).
 var tets = [6][4]int{
 	{0, 5, 1, 3},
 	{0, 5, 3, 7},
@@ -30,33 +35,93 @@ var tets = [6][4]int{
 	{0, 6, 4, 7},
 }
 
+// tetCrossing is the contour of one tetrahedron for one inside mask: the
+// crossed edges as ordered (from, to) tet-corner pairs. A surface point is
+// interpolated from its edge's from corner. n is 0 when the surface
+// misses the tet; 3 when one corner is alone on its side, cut off by the
+// triangle (e0, e1, e2); and 4 when two corners lie on each side, cut
+// apart by a quad drawn as the triangles (e0, e1, e3) and (e0, e3, e2).
+type tetCrossing struct {
+	n     int
+	edges [4][2]uint8
+}
+
+// tetCrossings is indexed by the inside mask: bit i set when tet corner i
+// is at or above the isovalue. It is the one copy of the marching
+// tetrahedra case analysis, shared by the structured and unstructured
+// contourers.
+var tetCrossings = func() (table [16]tetCrossing) {
+	for mask := range table {
+		c := &table[mask]
+		inside := func(i uint8) bool { return mask>>i&1 == 1 }
+		switch count := bits.OnesCount(uint(mask)); count {
+		case 1, 3:
+			// The isolated corner is the inside one of 1, the outside
+			// one of 3; its three edges run to the others in order.
+			var alone uint8
+			for inside(alone) != (count == 1) {
+				alone++
+			}
+			for i := uint8(0); i < 4; i++ {
+				if i != alone {
+					c.edges[c.n] = [2]uint8{alone, i}
+					c.n++
+				}
+			}
+		case 2:
+			// Every edge runs from an inside corner to an outside one.
+			var in, out []uint8
+			for i := uint8(0); i < 4; i++ {
+				if inside(i) {
+					in = append(in, i)
+				} else {
+					out = append(out, i)
+				}
+			}
+			c.n = 4
+			c.edges = [4][2]uint8{{in[0], out[0]}, {in[0], out[1]}, {in[1], out[0]}, {in[1], out[1]}}
+		}
+	}
+	return table
+}()
+
+// edgeT returns where the iso crossing lies on an edge whose end values
+// are va and vb, as a fraction from the va end.
+func edgeT(va, vb, iso float32) float64 {
+	//lint:ignore floateq exact divide-by-zero guard: crossing edges give t in [0,1] for any nonzero denominator, and an epsilon would shift vertices on valid steep edges
+	if va != vb {
+		return float64((iso - va) / (vb - va))
+	}
+	return 0.5
+}
+
 // Isosurface extracts the isoValue contour of the named field as a
 // triangle mesh whose per-vertex scalar is isoValue (constant), so the
 // surface renders with a single colormap entry — matching the paper's
 // single-isovalue renders. Per-vertex normals come from the field
 // gradient (VTK's normals filter), enabling smooth shading. It returns
-// an error if the field is missing.
+// an error if the field is missing. The mesh may be handed back with
+// PutMesh once drawn.
 func Isosurface(g *data.StructuredGrid, fieldName string, isoValue float32) (*Mesh, error) {
 	f, err := g.Field(fieldName)
 	if err != nil {
 		return nil, err
 	}
-	value := func(i, j, k int) float32 { return f.Values[g.Index(i, j, k)] }
-	scalar := func(p vec.V3) float32 { return isoValue }
-	m := contour(g, value, isoValue, scalar)
-	// Smooth normals from the field gradient at each emitted vertex.
-	m.Normals = make([]vec.V3, len(m.Verts))
-	par.For(len(m.Verts), 0, func(i int) {
-		m.Normals[i] = g.Gradient(f, m.Verts[i]).Norm()
-	})
-	return m, nil
+	return contour(g, f.Values, isoValue, func(m *Mesh, p vec.V3) {
+		m.Scalars = append(m.Scalars, isoValue)
+		m.Normals = append(m.Normals, g.Gradient(f, p).Norm())
+	}), nil
 }
+
+// distPool holds SlicePlane's per-vertex signed distances.
+var distPool mempool.SlicePool[float32]
 
 // SlicePlane extracts the cross-section of the grid with the plane
 // through point with unit normal, colored by the named field: the signed
 // distance to the plane is contoured at zero and each output vertex
 // samples the field for colormapping. This is VTK's slice filter
-// reproduced with the same cell-scan cost profile.
+// reproduced with the same cell-scan cost profile. The mesh may be handed
+// back with PutMesh once drawn.
 func SlicePlane(g *data.StructuredGrid, fieldName string, point, normal vec.V3) (*Mesh, error) {
 	f, err := g.Field(fieldName)
 	if err != nil {
@@ -66,134 +131,202 @@ func SlicePlane(g *data.StructuredGrid, fieldName string, point, normal vec.V3) 
 	if n == (vec.V3{}) {
 		return nil, fmt.Errorf("geom: slice plane normal is zero")
 	}
-	value := func(i, j, k int) float32 {
-		return float32(g.VertexPos(i, j, k).Sub(point).Dot(n))
-	}
-	scalar := func(p vec.V3) float32 { return g.Sample(f, p) }
-	return contour(g, value, 0, scalar), nil
+	dist := distPool.Get(g.Count())
+	par.For(g.NZ, 0, func(k int) {
+		idx := g.Index(0, 0, k)
+		for j := 0; j < g.NY; j++ {
+			for i := 0; i < g.NX; i++ {
+				dist[idx] = float32(g.VertexPos(i, j, k).Sub(point).Dot(n))
+				idx++
+			}
+		}
+	})
+	m := contour(g, dist, 0, func(m *Mesh, p vec.V3) {
+		m.Scalars = append(m.Scalars, g.Sample(f, p))
+	})
+	distPool.Put(dist)
+	return m, nil
 }
 
-// contour runs marching tetrahedra over every cell, evaluating the
-// implicit function at cell corners via value and assigning each emitted
-// vertex the scalar returned by scalar. Parallel over z-slabs; each
-// worker appends into a private mesh which are concatenated afterwards,
-// so output is deterministic in slab order.
-func contour(g *data.StructuredGrid, value func(i, j, k int) float32, iso float32, scalar func(p vec.V3) float32) *Mesh {
-	slabs := g.NZ - 1
-	if slabs <= 0 {
-		return &Mesh{}
-	}
-	parts := make([]*Mesh, slabs)
-	par.For(slabs, 0, func(k int) {
-		m := &Mesh{}
-		var corners [8]vec.V3
-		var vals [8]float32
-		for j := 0; j < g.NY-1; j++ {
-			for i := 0; i < g.NX-1; i++ {
-				// Gather the cell.
-				idx := 0
-				for dz := 0; dz < 2; dz++ {
-					for dy := 0; dy < 2; dy++ {
-						for dx := 0; dx < 2; dx++ {
-							corner := dx | dy<<1 | dz<<2
-							corners[corner] = g.VertexPos(i+dx, j+dy, k+dz)
-							vals[corner] = value(i+dx, j+dy, k+dz)
-							idx++
-						}
-					}
+// The edge cache is what makes the mesh indexed: it remembers the mesh
+// vertex already emitted on a grid edge so the next tetrahedron crossing
+// that edge reuses it. It is keyed by the DIRECTED edge, from corner to
+// to corner: the crossing is interpolated from the from corner with a
+// float32 t, so the two directions of one edge give positions that differ
+// in the last bit or two, and merging them would move pixels.
+//
+// A cell's nineteen tet edges point along eight directions, so sixteen
+// slots per grid vertex hold every directed edge, filed under the edge's
+// anchor: its lower end, in z first, then y, then x. Only the two vertex
+// planes bounding the current slab are kept, and they roll: a slab's top
+// plane is the next slab's bottom. Nothing is cleared between slabs:
+// vertex ids only grow, so a slot of the top plane is live when its id is
+// at least the vertex count at the start of this slab, and a slot of the
+// bottom plane when its id is at least the count at the start of the
+// previous slab, whose top plane it was; anything older is smaller.
+const edgeSlots = 16
+
+// edgePool holds the workers' edge caches.
+var edgePool mempool.SlicePool[int32]
+
+// cellEdge is one directed edge of a cell, ready to interpolate and to
+// look up: its end corners and the cache slot of its anchor vertex.
+type cellEdge struct {
+	from, to uint8
+	plane    int // of the anchor: 0 the slab's bottom vertex plane, 1 its top
+	ax, ay   int // anchor's vertex offset within the cell
+	slot     int
+}
+
+// cellCase is tetCrossings resolved to cell corners for one tetrahedron.
+type cellCase struct {
+	n     int
+	edges [4]cellEdge
+}
+
+// cellCases is indexed by tetrahedron, then by that tet's inside mask.
+var cellCases = func() (table [6][16]cellCase) {
+	// The eight directions of a cell's edges, from the anchor.
+	dirs := [][3]int{{1, 0, 0}, {0, 1, 0}, {1, 1, 0}, {0, 0, 1}, {1, 0, 1}, {0, 1, 1}, {1, 1, 1}, {0, -1, 1}}
+	xyz := func(corner int) [3]int { return [3]int{corner & 1, corner >> 1 & 1, corner >> 2 & 1} }
+	for t, tet := range tets {
+		for mask, crossing := range tetCrossings {
+			c := &table[t][mask]
+			c.n = crossing.n
+			for e := 0; e < crossing.n; e++ {
+				from, to := tet[crossing.edges[e][0]], tet[crossing.edges[e][1]]
+				// Corner numbers order the corners by z, then y, then x.
+				a, b, reversed := xyz(from), xyz(to), 0
+				if to < from {
+					a, b, reversed = b, a, 1
 				}
-				// Cheap reject: cell entirely on one side.
-				allLo, allHi := true, true
-				for _, v := range vals {
-					if v >= iso {
-						allLo = false
-					}
-					if v < iso {
-						allHi = false
-					}
+				dir := slices.Index(dirs, [3]int{b[0] - a[0], b[1] - a[1], b[2] - a[2]})
+				if dir < 0 {
+					panic(fmt.Sprintf("geom: tet %d edge %d-%d has no cache slot", t, from, to))
 				}
-				if allLo || allHi {
-					continue
-				}
-				for _, tet := range tets {
-					marchTet(m, &corners, &vals, tet, iso, scalar)
+				c.edges[e] = cellEdge{
+					from: uint8(from), to: uint8(to),
+					plane: a[2], ax: a[0], ay: a[1],
+					slot: 2*dir + reversed,
 				}
 			}
 		}
-		parts[k] = m
+	}
+	return table
+}()
+
+// contour runs marching tetrahedra over every cell of g for the implicit
+// function vals (one value per vertex, grid order), calling attr once for
+// each vertex it adds to the mesh to append that vertex's scalar (and
+// normal). Workers take contiguous runs of z-slabs, each filling a
+// private mesh through a private edge cache, and the meshes are
+// concatenated in slab order — so the triangle order is the same for any
+// worker count, and only vertices on a plane between two workers are
+// stored twice.
+func contour(g *data.StructuredGrid, vals []float32, iso float32, attr func(m *Mesh, p vec.V3)) *Mesh {
+	slabs := g.NZ - 1
+	if g.NX < 2 || g.NY < 2 || slabs < 1 {
+		return getMesh()
+	}
+	workers := par.DefaultWorkers()
+	if workers > slabs {
+		workers = slabs
+	}
+	if workers == 1 {
+		// Calling par.For would heap-allocate its closure for nothing.
+		m := getMesh()
+		contourSlabs(m, g, vals, iso, attr, 0, slabs)
+		return m
+	}
+	parts := make([]*Mesh, workers)
+	par.For(workers, workers, func(w int) {
+		parts[w] = getMesh()
+		contourSlabs(parts[w], g, vals, iso, attr, w*slabs/workers, (w+1)*slabs/workers)
 	})
-	out := &Mesh{}
-	for _, p := range parts {
+	out := parts[0]
+	for _, p := range parts[1:] {
 		out.Append(p)
+		PutMesh(p)
 	}
 	return out
 }
 
-// marchTet contours a single tetrahedron, appending 0, 1, or 2 triangles.
-func marchTet(m *Mesh, corners *[8]vec.V3, vals *[8]float32, tet [4]int, iso float32, scalar func(p vec.V3) float32) {
-	var inside [4]bool
-	count := 0
-	for i, c := range tet {
-		if vals[c] >= iso {
-			inside[i] = true
-			count++
-		}
+// bit is 1 for true; the compiler turns it into a flag move, not a branch.
+func bit(b bool) uint8 {
+	if b {
+		return 1
 	}
-	if count == 0 || count == 4 {
-		return
-	}
+	return 0
+}
 
-	// Edge interpolation between tet vertices a and b.
-	edgePoint := func(a, b int) vec.V3 {
-		va := vals[tet[a]]
-		vb := vals[tet[b]]
-		t := 0.5
-		//lint:ignore floateq exact divide-by-zero guard: crossing edges give t in [0,1] for any nonzero denominator, and an epsilon would shift vertices on valid steep edges
-		if va != vb {
-			t = float64((iso - va) / (vb - va))
-		}
-		return corners[tet[a]].Lerp(corners[tet[b]], t)
+// contourSlabs contours the cells of z-slabs [k0, k1) into m.
+func contourSlabs(m *Mesh, g *data.StructuredGrid, vals []float32, iso float32, attr func(m *Mesh, p vec.V3), k0, k1 int) {
+	nx, ny := g.NX, g.NY
+	plane := nx * ny * edgeSlots
+	cache := edgePool.Get(2 * plane)
+	for i := range cache {
+		cache[i] = -1
 	}
-	emit := func(p0, p1, p2 vec.V3) {
-		base := int32(len(m.Verts))
-		m.Verts = append(m.Verts, p0, p1, p2)
-		m.Scalars = append(m.Scalars, scalar(p0), scalar(p1), scalar(p2))
-		m.Tris = append(m.Tris, [3]int32{base, base + 1, base + 2})
+	// sideMasks classifies the four vertices of a cell's -x or +x side:
+	// bit 2*dy + 4*dz of ge is set when the vertex is at or above iso, of
+	// lt when it is below, so a cell's corner masks are its -x side's
+	// masks or'ed with its +x side's shifted by one. A NaN is neither.
+	sideMasks := func(v00, v10, v01, v11 float32) (ge, lt uint8) {
+		ge = bit(v00 >= iso) | bit(v10 >= iso)<<2 | bit(v01 >= iso)<<4 | bit(v11 >= iso)<<6
+		lt = bit(v00 < iso) | bit(v10 < iso)<<2 | bit(v01 < iso)<<4 | bit(v11 < iso)<<6
+		return ge, lt
 	}
-
-	switch count {
-	case 1, 3:
-		// One vertex isolated: a single triangle separates it. For
-		// count==3 the isolated vertex is the one outside.
-		iso1 := -1
-		for i := 0; i < 4; i++ {
-			if inside[i] == (count == 1) {
-				iso1 = i
-				break
+	// Slots of the slab's bottom plane are live from the previous slab's
+	// first vertex id on, slots of its top plane from this slab's.
+	var live [2]int32
+	for k := k0; k < k1; k++ {
+		live[0], live[1] = live[1], int32(len(m.Verts))
+		planes := [2][]int32{cache[(k&1)*plane:][:plane], cache[((k+1)&1)*plane:][:plane]}
+		z := [2]float64{g.Origin.Z + float64(k)*g.Spacing.Z, g.Origin.Z + float64(k+1)*g.Spacing.Z}
+		for j := 0; j < ny-1; j++ {
+			y := [2]float64{g.Origin.Y + float64(j)*g.Spacing.Y, g.Origin.Y + float64(j+1)*g.Spacing.Y}
+			// The cell row's four vertex rows, by (dy, dz).
+			r00 := vals[g.Index(0, j, k):][:nx]
+			r10 := vals[g.Index(0, j+1, k):][:nx]
+			r01 := vals[g.Index(0, j, k+1):][:nx]
+			r11 := vals[g.Index(0, j+1, k+1):][:nx]
+			ge, lt := sideMasks(r00[0], r10[0], r01[0], r11[0])
+			for i := 0; i < nx-1; i++ {
+				nextGE, nextLT := sideMasks(r00[i+1], r10[i+1], r01[i+1], r11[i+1])
+				inside, below := ge|nextGE<<1, lt|nextLT<<1
+				ge, lt = nextGE, nextLT
+				// Cheap reject: cell entirely on one side.
+				if inside == 0 || below == 0 {
+					continue
+				}
+				x := [2]float64{g.Origin.X + float64(i)*g.Spacing.X, g.Origin.X + float64(i+1)*g.Spacing.X}
+				cv := [8]float32{r00[i], r00[i+1], r10[i], r10[i+1], r01[i], r01[i+1], r11[i], r11[i+1]}
+				corner := func(c uint8) vec.V3 { return vec.V3{X: x[c&1], Y: y[c>>1&1], Z: z[c>>2&1]} }
+				for t := range tets {
+					tet := &tets[t]
+					mask := inside>>tet[0]&1 | inside>>tet[1]&1<<1 | inside>>tet[2]&1<<2 | inside>>tet[3]&1<<3
+					cc := &cellCases[t][mask]
+					var ids [4]int32
+					for e := 0; e < cc.n; e++ {
+						edge := &cc.edges[e]
+						slot := &planes[edge.plane][(i+edge.ax+(j+edge.ay)*nx)*edgeSlots+edge.slot]
+						if *slot < live[edge.plane] {
+							*slot = int32(len(m.Verts))
+							p := corner(edge.from).Lerp(corner(edge.to), edgeT(cv[edge.from], cv[edge.to], iso))
+							m.Verts = append(m.Verts, p)
+							attr(m, p)
+						}
+						ids[e] = *slot
+					}
+					switch cc.n {
+					case 3:
+						m.Tris = append(m.Tris, [3]int32{ids[0], ids[1], ids[2]})
+					case 4:
+						m.Tris = append(m.Tris, [3]int32{ids[0], ids[1], ids[3]}, [3]int32{ids[0], ids[3], ids[2]})
+					}
+				}
 			}
 		}
-		others := make([]int, 0, 3)
-		for i := 0; i < 4; i++ {
-			if i != iso1 {
-				others = append(others, i)
-			}
-		}
-		emit(edgePoint(iso1, others[0]), edgePoint(iso1, others[1]), edgePoint(iso1, others[2]))
-	case 2:
-		// Two in, two out: a quad split into two triangles. Find pairs.
-		var in2, out2 []int
-		for i := 0; i < 4; i++ {
-			if inside[i] {
-				in2 = append(in2, i)
-			} else {
-				out2 = append(out2, i)
-			}
-		}
-		p00 := edgePoint(in2[0], out2[0])
-		p01 := edgePoint(in2[0], out2[1])
-		p10 := edgePoint(in2[1], out2[0])
-		p11 := edgePoint(in2[1], out2[1])
-		emit(p00, p01, p11)
-		emit(p00, p11, p10)
 	}
+	edgePool.Put(cache)
 }

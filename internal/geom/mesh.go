@@ -8,6 +8,8 @@
 package geom
 
 import (
+	"sync"
+
 	"github.com/ascr-ecx/eth/internal/vec"
 )
 
@@ -21,6 +23,27 @@ type Mesh struct {
 	// smooth (Gouraud) shading — the analog of VTK's normals filter.
 	// Empty means flat shading with per-face geometric normals.
 	Normals []vec.V3
+}
+
+// meshPool recycles extraction results with their slices' capacity, so a
+// steady sequence of similar steps builds its meshes without allocating.
+var meshPool sync.Pool
+
+// getMesh returns an empty mesh, with spare capacity when one is pooled.
+func getMesh() *Mesh {
+	if m, _ := meshPool.Get().(*Mesh); m != nil {
+		return m
+	}
+	return &Mesh{}
+}
+
+// PutMesh returns a mesh obtained from Isosurface or SlicePlane for reuse
+// by a later extraction. It is optional, like PutSprites: a mesh never
+// returned is ordinary garbage. m and its slices must not be used
+// afterwards.
+func PutMesh(m *Mesh) {
+	m.Verts, m.Scalars, m.Tris, m.Normals = m.Verts[:0], m.Scalars[:0], m.Tris[:0], m.Normals[:0]
+	meshPool.Put(m)
 }
 
 // TriangleCount returns the number of triangles.

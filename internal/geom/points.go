@@ -69,15 +69,17 @@ func MapPoints(p *data.PointCloud, cam *camera.Camera, w, h int, opt PointsOptio
 		size = 2
 	}
 	sprites := spritePool.Get(p.Count())
-	keep := getKeep(p.Count())
-	par.For(p.Count(), 0, func(i int) {
-		x, y, depth, ok := cam.Project(p.Pos(i), w, h)
-		if !ok || x < -8 || x >= float64(w)+8 || y < -8 || y >= float64(h)+8 {
-			return
-		}
-		keep[i] = true
-		sprites[i] = raster.Sprite{
-			X: x, Y: y, Depth: depth, Size: size, Color: colors[i],
+	keep := keepPool.Get(p.Count())
+	proj := cam.NewProjector(w, h)
+	par.ForGrained(p.Count(), 0, 0, func(from, to int) {
+		for i := from; i < to; i++ {
+			x, y, depth, ok := proj.Project(p.Pos(i))
+			keep[i] = ok && !(x < -8 || x >= float64(w)+8 || y < -8 || y >= float64(h)+8)
+			if keep[i] {
+				sprites[i] = raster.Sprite{
+					X: x, Y: y, Depth: depth, Size: size, Color: colors[i],
+				}
+			}
 		}
 	})
 	// Compact in place: out aliases sprites' backing array, so ownership of
@@ -92,16 +94,6 @@ func MapPoints(p *data.PointCloud, cam *camera.Camera, w, h int, opt PointsOptio
 	colorPool.Put(colors)
 	ctrSprites.Add(int64(len(out)))
 	return out, nil
-}
-
-// getKeep returns an n-element all-false mask from the pool (pooled
-// slices come back with unspecified contents, so it clears them).
-func getKeep(n int) []bool {
-	keep := keepPool.Get(n)
-	for i := range keep {
-		keep[i] = false
-	}
-	return keep
 }
 
 // SplatOptions configures the Gaussian splatter.
@@ -134,22 +126,21 @@ func MapSplats(p *data.PointCloud, cam *camera.Camera, w, h int, opt SplatOption
 	pixPerUnit := float64(h) / 2 / math.Tan(cam.FovY/2)
 
 	imps := impostorPool.Get(p.Count())
-	keep := getKeep(p.Count())
-	par.For(p.Count(), 0, func(i int) {
-		x, y, depth, ok := cam.Project(p.Pos(i), w, h)
-		if !ok {
-			return
-		}
-		pr := radius / depth * pixPerUnit
-		if x+pr < 0 || x-pr >= float64(w) || y+pr < 0 || y-pr >= float64(h) {
-			return
-		}
-		keep[i] = true
-		imps[i] = raster.Impostor{
-			X: x, Y: y, Depth: depth,
-			Radius:      pr,
-			WorldRadius: radius,
-			Color:       colors[i],
+	keep := keepPool.Get(p.Count())
+	proj := cam.NewProjector(w, h)
+	par.ForGrained(p.Count(), 0, 0, func(from, to int) {
+		for i := from; i < to; i++ {
+			x, y, depth, ok := proj.Project(p.Pos(i))
+			pr := radius / depth * pixPerUnit
+			keep[i] = ok && !(x+pr < 0 || x-pr >= float64(w) || y+pr < 0 || y-pr >= float64(h))
+			if keep[i] {
+				imps[i] = raster.Impostor{
+					X: x, Y: y, Depth: depth,
+					Radius:      pr,
+					WorldRadius: radius,
+					Color:       colors[i],
+				}
+			}
 		}
 	})
 	out := imps[:0]

@@ -5,6 +5,7 @@ import (
 
 	"github.com/ascr-ecx/eth/internal/camera"
 	"github.com/ascr-ecx/eth/internal/fb"
+	"github.com/ascr-ecx/eth/internal/mempool"
 	"github.com/ascr-ecx/eth/internal/par"
 	"github.com/ascr-ecx/eth/internal/raster"
 	"github.com/ascr-ecx/eth/internal/telemetry"
@@ -29,11 +30,21 @@ type ShadeOptions struct {
 	Ambient float64
 }
 
-// DrawMesh projects, shades, and rasterizes m into frame using cam. Flat
-// shading with the geometric normal per triangle, Lambert + ambient —
+// Per-draw scratch: one screen-space vertex per mesh vertex (with a keep
+// flag from keepPool) and the triangle list handed to the rasterizer.
+var (
+	vertexPool   mempool.SlicePool[raster.Vertex]
+	trianglePool mempool.SlicePool[raster.Triangle]
+)
+
+// DrawMesh projects, shades, and rasterizes m into frame using cam:
+// Lambert + ambient, Gouraud-interpolated from the mesh's vertex normals
+// when it has them, else flat with the geometric normal per triangle —
 // what a fixed-function OpenGL pipeline would do with per-face normals.
-// This is the rendering half of the geometry pipeline; its cost is
-// proportional to the triangle count, not the input data size.
+// Projection, colormap lookup and vertex shading are done once per mesh
+// vertex, however many triangles share it. This is the rendering half of
+// the geometry pipeline; its cost is proportional to the geometry
+// generated, not the input data size.
 func DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
 	if m.TriangleCount() == 0 {
 		return
@@ -59,49 +70,48 @@ func DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
 	if ambient <= 0 {
 		ambient = 0.25
 	}
+	// Two-sided lighting: extraction makes no winding guarantee.
+	lit := func(n vec.V3) float64 { return ambient + (1-ambient)*math.Abs(n.Dot(light)) }
 
-	w, h := frame.W, frame.H
-	tris := make([]raster.Triangle, m.TriangleCount())
-	keep := make([]bool, m.TriangleCount())
-	smooth := len(m.Normals) == len(m.Verts) && len(m.Verts) > 0
-	par.For(m.TriangleCount(), 0, func(ti int) {
-		t := m.Tris[ti]
-		flatShade := 0.0
-		if !smooth {
-			n := m.Normal(ti)
-			// Two-sided lighting: extraction makes no winding guarantee.
-			flatShade = ambient + (1-ambient)*math.Abs(n.Dot(light))
-		}
-		var out raster.Triangle
-		for c := 0; c < 3; c++ {
-			p := m.Verts[t[c]]
-			x, y, depth, ok := cam.Project(p, w, h)
-			if !ok {
-				return // clip whole triangle at near plane
-			}
-			shade := flatShade
+	smooth := len(m.Normals) == len(m.Verts)
+	proj := cam.NewProjector(frame.W, frame.H)
+	verts := vertexPool.Get(len(m.Verts))
+	keep := keepPool.Get(len(m.Verts))
+	par.ForGrained(len(m.Verts), 0, 0, func(from, to int) {
+		for i := from; i < to; i++ {
+			x, y, depth, ok := proj.Project(m.Verts[i])
+			keep[i] = ok
+			color := cmap.Lookup(float64(m.Scalars[i]-lo) * scale)
 			if smooth {
 				// Gouraud: per-vertex normals interpolate via vertex
 				// colors, removing the faceting of flat shading.
-				shade = ambient + (1-ambient)*math.Abs(m.Normals[t[c]].Dot(light))
+				color = color.Scale(lit(m.Normals[i]))
 			}
-			s := float64(m.Scalars[t[c]]-lo) * scale
-			out.V[c] = raster.Vertex{
-				X: x, Y: y, Depth: depth,
-				Color: cmap.Lookup(s).Scale(shade),
-			}
+			verts[i] = raster.Vertex{X: x, Y: y, Depth: depth, Color: color}
 		}
-		tris[ti] = out
-		keep[ti] = true
 	})
-	compact := tris[:0]
-	for i, k := range keep {
-		if k {
-			compact = append(compact, tris[i])
+	tris := trianglePool.Get(m.TriangleCount())
+	n := 0
+	for ti, t := range m.Tris {
+		if !keep[t[0]] || !keep[t[1]] || !keep[t[2]] {
+			continue // clip whole triangle at near plane
 		}
+		v := &tris[n].V
+		v[0], v[1], v[2] = verts[t[0]], verts[t[1]], verts[t[2]]
+		if !smooth {
+			shade := lit(m.Normal(ti))
+			for c := range v {
+				v[c].Color = v[c].Color.Scale(shade)
+			}
+		}
+		n++
 	}
-	ctrTriangles.Add(int64(len(compact)))
-	raster.DrawTriangles(frame, compact, 0)
+	tris = tris[:n]
+	keepPool.Put(keep)
+	vertexPool.Put(verts)
+	ctrTriangles.Add(int64(len(tris)))
+	raster.DrawTriangles(frame, tris, 0)
+	trianglePool.Put(tris)
 }
 
 func scalarRange(vals []float32) (lo, hi float32) {

@@ -98,66 +98,36 @@ func contourUnstructuredImpl(u *data.UnstructuredGrid, value func(v int32) float
 	return out
 }
 
-// marchTetIndexed contours one tetrahedron given per-vertex values.
+// marchTetIndexed contours one tetrahedron given per-vertex values,
+// appending 0, 1, or 2 triangles as triangle soup.
 func marchTetIndexed(m *Mesh, u *data.UnstructuredGrid, tet [4]int32, value func(v int32) float32, iso float32, scalar func(tet [4]int32, p vec.V3) float32) {
 	var vals [4]float32
-	var inside [4]bool
-	count := 0
+	var mask uint8
 	for i, v := range tet {
 		vals[i] = value(v)
-		if vals[i] >= iso {
-			inside[i] = true
-			count++
-		}
+		mask |= bit(vals[i] >= iso) << i
 	}
-	if count == 0 || count == 4 {
+	crossing := &tetCrossings[mask]
+	if crossing.n == 0 {
 		return
 	}
-	edgePoint := func(a, b int) vec.V3 {
-		va, vb := vals[a], vals[b]
-		t := 0.5
-		//lint:ignore floateq exact divide-by-zero guard: crossing edges give t in [0,1] for any nonzero denominator, and an epsilon would shift vertices on valid steep edges
-		if va != vb {
-			t = float64((iso - va) / (vb - va))
-		}
-		return u.Points[tet[a]].Lerp(u.Points[tet[b]], t)
+	var points [4]vec.V3
+	var scalars [4]float32
+	for e, edge := range crossing.edges[:crossing.n] {
+		a, b := edge[0], edge[1]
+		points[e] = u.Points[tet[a]].Lerp(u.Points[tet[b]], edgeT(vals[a], vals[b], iso))
+		scalars[e] = scalar(tet, points[e])
 	}
-	emit := func(p0, p1, p2 vec.V3) {
+	emit := func(e0, e1, e2 int) {
 		base := int32(len(m.Verts))
-		m.Verts = append(m.Verts, p0, p1, p2)
-		m.Scalars = append(m.Scalars, scalar(tet, p0), scalar(tet, p1), scalar(tet, p2))
+		m.Verts = append(m.Verts, points[e0], points[e1], points[e2])
+		m.Scalars = append(m.Scalars, scalars[e0], scalars[e1], scalars[e2])
 		m.Tris = append(m.Tris, [3]int32{base, base + 1, base + 2})
 	}
-	switch count {
-	case 1, 3:
-		iso1 := -1
-		for i := 0; i < 4; i++ {
-			if inside[i] == (count == 1) {
-				iso1 = i
-				break
-			}
-		}
-		others := make([]int, 0, 3)
-		for i := 0; i < 4; i++ {
-			if i != iso1 {
-				others = append(others, i)
-			}
-		}
-		emit(edgePoint(iso1, others[0]), edgePoint(iso1, others[1]), edgePoint(iso1, others[2]))
-	case 2:
-		var in2, out2 []int
-		for i := 0; i < 4; i++ {
-			if inside[i] {
-				in2 = append(in2, i)
-			} else {
-				out2 = append(out2, i)
-			}
-		}
-		p00 := edgePoint(in2[0], out2[0])
-		p01 := edgePoint(in2[0], out2[1])
-		p10 := edgePoint(in2[1], out2[0])
-		p11 := edgePoint(in2[1], out2[1])
-		emit(p00, p01, p11)
-		emit(p00, p11, p10)
+	if crossing.n == 3 {
+		emit(0, 1, 2)
+	} else {
+		emit(0, 1, 3)
+		emit(0, 3, 2)
 	}
 }

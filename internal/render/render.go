@@ -304,17 +304,36 @@ func (*vtkIso) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt 
 		return Stats{}, err
 	}
 	t1 := time.Now()
+	lo, hi := isoScalarRange(opt, g.Field)
 	geom.DrawMesh(frame, mesh, cam, geom.ShadeOptions{
 		Colormap: volumeColormap(opt),
-		ScalarLo: opt.ScalarLo, ScalarHi: opt.ScalarHi,
+		ScalarLo: lo, ScalarHi: hi,
 	})
+	tris := mesh.TriangleCount()
+	geom.PutMesh(mesh)
 	return Stats{
 		Algorithm:  "vtk-iso",
 		Elements:   g.Cells(),
-		Primitives: mesh.TriangleCount(),
+		Primitives: tris,
 		Setup:      t1.Sub(t0),
 		Render:     time.Since(t1),
 	}, nil
+}
+
+// isoScalarRange returns the colormap range for an isosurface mesh: the
+// pinned one, else the named field's own. The mesh's scalar is the single
+// isovalue, so DrawMesh's fallback to the mesh's range would colour every
+// vertex with the colormap's first entry — black — where ray-iso, which
+// falls back to the field's range, draws a lit surface.
+func isoScalarRange(opt Options, field func(name string) (*data.Field, error)) (lo, hi float32) {
+	if opt.ScalarLo < opt.ScalarHi {
+		return opt.ScalarLo, opt.ScalarHi
+	}
+	f, err := field(gridField(opt))
+	if err != nil {
+		return 0, 0
+	}
+	return f.MinMax()
 }
 
 // rayIso is the raycasting isosurface (ray marching).
@@ -368,10 +387,12 @@ func (*vtkSlice) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, op
 		ScalarLo: opt.ScalarLo, ScalarHi: opt.ScalarHi,
 		Ambient: 0.95, // slices are unshaded color maps
 	})
+	tris := mesh.TriangleCount()
+	geom.PutMesh(mesh)
 	return Stats{
 		Algorithm:  "vtk-slice",
 		Elements:   g.Cells(),
-		Primitives: mesh.TriangleCount(),
+		Primitives: tris,
 		Setup:      t1.Sub(t0),
 		Render:     time.Since(t1),
 	}, nil

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/ascr-ecx/eth/internal/blast"
 	"github.com/ascr-ecx/eth/internal/camera"
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/fb"
@@ -263,6 +264,40 @@ func TestUnstructuredMatchesStructuredImage(t *testing.T) {
 	}
 	if rmse > 0.01 {
 		t.Errorf("structured vs unstructured isosurface RMSE = %v", rmse)
+	}
+}
+
+// With no colour range set, the geometry isosurface renderers colour by
+// the field's range, as ray-iso does — not by the mesh's own, which is the
+// single isovalue and mapped every vertex to the colormap's first entry,
+// black.
+func TestIsoDefaultRangeIsTheFieldRange(t *testing.T) {
+	g, err := blast.Generate(blast.Params{NX: 40, NY: 40, NZ: 40, BoxSize: 10, Seed: 1, TimeStep: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := g.Field("temperature")
+	lo, hi := f.MinMax()
+	cam := camera.ForBounds(g.Bounds())
+	for name, ds := range map[string]data.Dataset{"vtk-iso": g, "uns-iso": data.Tetrahedralize(g)} {
+		r, _ := New(name)
+		unset, pinned := fb.New(96, 96), fb.New(96, 96)
+		if _, err := r.Render(unset, ds, &cam, Options{IsoValue: 0.25}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := r.Render(pinned, ds, &cam, Options{IsoValue: 0.25, ScalarLo: lo, ScalarHi: hi}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sum := 0.0
+		for i, c := range unset.Color {
+			sum += c.X + c.Y + c.Z
+			if c != pinned.Color[i] || unset.Depth[i] != pinned.Depth[i] {
+				t.Fatalf("%s: pixel %d is %v with no range set, %v with the field's range pinned", name, i, c, pinned.Color[i])
+			}
+		}
+		if unset.CoveredPixels() == 0 || sum == 0 {
+			t.Errorf("%s: default-options render is black: %d pixels covered, colour sum %v", name, unset.CoveredPixels(), sum)
+		}
 	}
 }
 

@@ -45,9 +45,10 @@ func (*unsIso) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt 
 		return Stats{}, err
 	}
 	t1 := time.Now()
+	lo, hi := isoScalarRange(opt, u.Field)
 	geom.DrawMesh(frame, mesh, cam, geom.ShadeOptions{
 		Colormap: volumeColormap(opt),
-		ScalarLo: opt.ScalarLo, ScalarHi: opt.ScalarHi,
+		ScalarLo: lo, ScalarHi: hi,
 	})
 	return Stats{
 		Algorithm:  "uns-iso",

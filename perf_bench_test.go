@@ -33,13 +33,13 @@ func benchTriangles(b *testing.B) []raster.Triangle {
 		b.Fatal(err)
 	}
 	cam := camera.ForBounds(benchGrid.Bounds())
+	proj := cam.NewProjector(benchImage, benchImage)
 	tris := make([]raster.Triangle, 0, mesh.TriangleCount())
 	for ti := 0; ti < mesh.TriangleCount(); ti++ {
 		var out raster.Triangle
 		visible := true
 		for c := 0; c < 3; c++ {
-			p := mesh.Verts[mesh.Tris[ti][c]]
-			x, y, depth, ok := cam.Project(p, benchImage, benchImage)
+			x, y, depth, ok := proj.Project(mesh.Verts[mesh.Tris[ti][c]])
 			if !ok {
 				visible = false
 				break
