@@ -197,63 +197,121 @@ func (g *StructuredGrid) Gradient(f *Field, p vec.V3) vec.V3 {
 // algorithms (marching cubes, slicing) see no gaps at slab boundaries —
 // the same ghost-layer convention parallel VTK uses.
 func (g *StructuredGrid) Partition(n int) []Dataset {
-	if n <= 1 {
+	axis, cells, n := g.slabs(n)
+	if n == 0 {
 		return []Dataset{g}
-	}
-	axis := g.Bounds().LongestAxis()
-	dims := [3]int{g.NX, g.NY, g.NZ}
-	cells := dims[axis] - 1
-	if cells < 1 {
-		return []Dataset{g}
-	}
-	if n > cells {
-		n = cells
 	}
 	pieces := make([]Dataset, 0, n)
 	for k := 0; k < n; k++ {
-		lo := k * cells / n
-		hi := (k + 1) * cells / n
-		pieces = append(pieces, g.subgrid(axis, lo, hi))
+		pieces = append(pieces, g.subgrid(axis, k*cells/n, (k+1)*cells/n, nil))
 	}
 	return pieces
 }
 
+// slabs reports how a split into n pieces cuts the grid: the axis, its
+// cell layers, and the slab count — at most one per layer, and 0 when
+// there is nothing to split and the only piece is the grid itself. Slab k
+// spans vertices [k*cells/count, (k+1)*cells/count], sharing its last
+// plane with slab k+1.
+func (g *StructuredGrid) slabs(n int) (axis, cells, count int) {
+	if n <= 1 {
+		return 0, 0, 0
+	}
+	axis = g.Bounds().LongestAxis()
+	cells = [3]int{g.NX, g.NY, g.NZ}[axis] - 1
+	if cells < 1 {
+		return axis, cells, 0
+	}
+	return axis, cells, min(n, cells)
+}
+
 // subgrid copies the vertex range [lo, hi] (inclusive of hi as the shared
-// plane) along the given axis into a fresh grid.
-func (g *StructuredGrid) subgrid(axis, lo, hi int) *StructuredGrid {
+// plane) along the given axis into reuse when that grid already has the
+// slab's shape, and into a fresh grid otherwise. The copy moves the
+// longest contiguous runs the split axis allows: rows for x, one block per
+// z-plane for y, a single block for z.
+func (g *StructuredGrid) subgrid(axis, lo, hi int, reuse *StructuredGrid) *StructuredGrid {
 	dims := [3]int{g.NX, g.NY, g.NZ}
-	newDims := dims
-	newDims[axis] = hi - lo + 1
-	out := NewStructuredGrid(newDims[0], newDims[1], newDims[2])
+	dims[axis] = hi - lo + 1
+	out := reuse
+	if !out.shaped(dims, len(g.Fields)) {
+		out = NewStructuredGrid(dims[0], dims[1], dims[2])
+		for range g.Fields {
+			out.Fields = append(out.Fields, Field{Values: make([]float32, out.Count())})
+		}
+	}
 	out.Spacing = g.Spacing
 	out.Origin = g.Origin.Add(vec.V3{
 		X: g.Spacing.X * float64(lo*boolToInt(axis == 0)),
 		Y: g.Spacing.Y * float64(lo*boolToInt(axis == 1)),
 		Z: g.Spacing.Z * float64(lo*boolToInt(axis == 2)),
 	})
-	for _, f := range g.Fields {
-		vals := make([]float32, out.Count())
-		idx := 0
-		for k := 0; k < out.NZ; k++ {
-			for j := 0; j < out.NY; j++ {
-				for i := 0; i < out.NX; i++ {
-					si, sj, sk := i, j, k
-					switch axis {
-					case 0:
-						si += lo
-					case 1:
-						sj += lo
-					default:
-						sk += lo
-					}
-					vals[idx] = f.Values[g.Index(si, sj, sk)]
-					idx++
-				}
-			}
+	// A run is what one copy moves; runs start stride apart in the source
+	// and back to back in the slab.
+	run, stride := out.NX, g.NX
+	switch axis {
+	case 1:
+		run, stride = out.NX*out.NY, g.NX*g.NY
+	case 2:
+		run, stride = out.Count(), g.Count()
+	}
+	first := lo * [3]int{1, g.NX, g.NX * g.NY}[axis]
+	for i, f := range g.Fields {
+		out.Fields[i].Name = f.Name
+		dst := out.Fields[i].Values
+		for d, s := 0, first; d < len(dst); d, s = d+run, s+stride {
+			copy(dst[d:d+run], f.Values[s:s+run])
 		}
-		out.Fields = append(out.Fields, Field{Name: f.Name, Values: vals})
 	}
 	return out
+}
+
+// shaped reports whether g is a grid of exactly these vertex counts with
+// nf full-length fields — one subgrid may overwrite in place. A nil grid
+// is not.
+func (g *StructuredGrid) shaped(dims [3]int, nf int) bool {
+	if g == nil || [3]int{g.NX, g.NY, g.NZ} != dims || len(g.Fields) != nf {
+		return false
+	}
+	for i := range g.Fields {
+		if len(g.Fields[i].Values) != g.Count() {
+			return false
+		}
+	}
+	return true
+}
+
+// Piecer extracts one rank's piece of each step's dataset, recycling the
+// arrays of the piece it extracted last. The zero value is ready to use.
+type Piecer struct {
+	// grid is the last slab this Piecer allocated: the only grid it ever
+	// writes into, so a source's own dataset is never overwritten.
+	grid *StructuredGrid
+}
+
+// Piece returns piece k of ds split n ways — the dataset ds.Partition(n)[k]
+// describes — or nil when the split yields no piece k. For a structured
+// grid only that slab is copied out, into the grid the previous call
+// returned when the shape still matches: a returned piece is valid until
+// the next call. Other kinds answer with Partition(n)[k].
+func (pc *Piecer) Piece(ds Dataset, n, k int) Dataset {
+	g, ok := ds.(*StructuredGrid)
+	if !ok {
+		pieces := ds.Partition(n)
+		if k < 0 || k >= len(pieces) {
+			return nil
+		}
+		return pieces[k]
+	}
+	axis, cells, count := g.slabs(n)
+	if count == 0 && k == 0 {
+		return g
+	}
+	if k < 0 || k >= count {
+		return nil
+	}
+	pc.grid = g.subgrid(axis, k*cells/count, (k+1)*cells/count, pc.grid)
+	return pc.grid
 }
 
 // Downsample returns a grid with every stride-th vertex along each axis,

@@ -1,6 +1,11 @@
 package hub
 
 import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
 	"runtime"
 	"testing"
 
@@ -11,26 +16,53 @@ import (
 )
 
 // TestHubBroadcastSteadyStateAllocs is the fan-out allocation gate:
-// publishing a frame to three live subscribers — frame->grid
-// conversion, vtkio encode, refcounted pooled payload, three queue
-// hand-offs, three per-connection sends, and the three subscriber-side
-// decodes — must allocate nothing once warm. AllocsPerRun counts
-// mallocs across all goroutines, so the sender goroutines and the
-// subscriber clients are inside the budget.
+// publishing a frame to live subscribers — frame->grid conversion, vtkio
+// encode, refcounted pooled payload and fanout, the queue hand-offs, the
+// one shared encoding, the per-connection sends, and the subscriber-side
+// decodes — must allocate nothing once warm, under raw and under delta.
+// AllocsPerRun counts mallocs across all goroutines, so the sender
+// goroutines and the subscriber clients are inside the budget.
+//
+// Under delta+flate the subscribers read their sockets bare: stdlib
+// inflate allocates per frame and per viewer, and the claim here is about
+// the hub side, which must allocate nothing however many subscribers
+// share the encoding — one subscriber or three, the same zero.
 func TestHubBroadcastSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
 	}
-	const subs = 3
+	for _, tc := range []struct {
+		codec  transport.CodecID
+		subs   int
+		decode bool
+	}{
+		{transport.CodecRaw, 3, true},
+		{transport.CodecDelta, 3, true},
+		{transport.CodecDeltaFlate, 1, false},
+		{transport.CodecDeltaFlate, 3, false},
+	} {
+		t.Run(fmt.Sprintf("%s-%d", tc.codec, tc.subs), func(t *testing.T) {
+			broadcastAllocs(t, tc.codec, tc.subs, tc.decode)
+		})
+	}
+}
+
+func broadcastAllocs(t *testing.T, codec transport.CodecID, subs int, decode bool) {
 	// A small history reaches eviction steady state during warm-up, so
 	// each publish recycles the buffer it evicts; a roomy queue plus the
 	// drain barrier below keeps the journaling drop path (which
 	// allocates) out of the loop.
-	h, _ := startHub(t, Config{MaxSubs: subs, Queue: 64, History: 4})
+	h, _ := startHub(t, Config{MaxSubs: subs, Queue: 64, History: 4, Codec: codec})
 	defer h.Close()
 
 	received := make(chan struct{}, 1024)
 	for i := 0; i < subs; i++ {
+		if !decode {
+			nc := dialBare(t, h.Addr())
+			defer nc.Close()
+			go countFrames(nc, received)
+			continue
+		}
 		c := dialSub(t, h.Addr(), "s", -1)
 		defer c.Close()
 		c.SetDatasetReuse(true)
@@ -58,8 +90,8 @@ func TestHubBroadcastSteadyStateAllocs(t *testing.T) {
 		f.Color[step%len(f.Color)].X += 0.001
 		h.PublishFrame(step, f)
 		step++
-		// Barrier: wait until every subscriber has decoded this frame, so
-		// queue depth stays at 0-1 (no drops) and the refcount/pool cycle
+		// Barrier: wait until every subscriber has this frame, so queue
+		// depth stays at 0-1 (no drops) and the refcount/pool cycle
 		// completes inside the measured op.
 		for i := 0; i < subs; i++ {
 			<-received
@@ -73,14 +105,37 @@ func TestHubBroadcastSteadyStateAllocs(t *testing.T) {
 	}
 	before := h.Published()
 	dropsBefore := ctrDropped.Value()
+	encodedBefore := ctrEncoded.Value()
 	if allocs := testing.AllocsPerRun(50, publish); allocs > 0 {
 		t.Errorf("broadcast to %d subscribers allocates %.1f times per frame, want 0", subs, allocs)
 	}
-	// Non-vacuity: the gate really published and nothing was shed.
-	if got := h.Published() - before; got < 50 {
+	// Non-vacuity: the gate really published, nothing was shed, and a
+	// codec that encodes ran once per frame.
+	got := h.Published() - before
+	if got < 50 {
 		t.Errorf("published %d frames during AllocsPerRun, want >= 50", got)
 	}
 	if drops := ctrDropped.Value() - dropsBefore; drops != 0 {
 		t.Errorf("gate dropped %d frames; the alloc budget only covers the no-drop path", drops)
+	}
+	if runs := ctrEncoded.Value() - encodedBefore; codec != transport.CodecRaw && runs != got {
+		t.Errorf("%d codec runs for %d frames to %d subscribers, want one per frame", runs, got, subs)
+	}
+}
+
+// countFrames reads a subscriber stream bare, signalling each complete
+// dataset frame, without allocating per frame.
+func countFrames(nc net.Conn, received chan<- struct{}) {
+	br := bufio.NewReader(nc)
+	var hdr [18]byte
+	for {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil || transport.MsgType(hdr[0]) != transport.MsgDatasetV3 {
+			return
+		}
+		n := int(binary.BigEndian.Uint64(hdr[1:9])) + 4 // payload + CRC
+		if k, err := br.Discard(n); err != nil || k != n {
+			return
+		}
+		received <- struct{}{}
 	}
 }

@@ -1,0 +1,401 @@
+// Differential tests for the encode-once fan-out: the per-connection
+// encoder (Conn.SendDataset, which stays for sim→viz) is the reference
+// every subscriber's byte stream is held to, and the exception paths —
+// a dropped frame, a late join, a resume — must each restart on a
+// keyframe and stay byte-exact afterwards.
+package hub
+
+import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"net"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"testing"
+
+	"github.com/ascr-ecx/eth/internal/fb"
+	"github.com/ascr-ecx/eth/internal/mempool"
+	"github.com/ascr-ecx/eth/internal/raceflag"
+	"github.com/ascr-ecx/eth/internal/transport"
+)
+
+// tapConn records every byte read off the socket, so a test can decode a
+// stream through transport.Conn and still see the frames as sent.
+type tapConn struct {
+	net.Conn
+	mu  sync.Mutex
+	raw bytes.Buffer
+}
+
+func (c *tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.raw.Write(p[:n])
+	c.mu.Unlock()
+	return n, err
+}
+
+func (c *tapConn) bytes() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]byte(nil), c.raw.Bytes()...)
+}
+
+// dialTapped is dialSub over a recording socket.
+func dialTapped(t *testing.T, addr, name string, from int64) (*transport.Conn, *tapConn) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &tapConn{Conn: nc}
+	return helloOn(t, tap, name, from), tap
+}
+
+// dialBare registers a subscriber and returns its socket, to be read
+// without the framing layer.
+func dialBare(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	helloOn(t, nc, "bare", -1)
+	return nc
+}
+
+// wireFrame is one dataset frame header as it crossed the socket.
+type wireFrame struct {
+	step  int64
+	codec transport.CodecID
+}
+
+// parseStream walks a recorded subscriber stream: the complete v3
+// dataset frames ([1B type][8B len][8B step][1B codec][payload][4B CRC])
+// before a Done or the end of the recording.
+func parseStream(t *testing.T, raw []byte) []wireFrame {
+	t.Helper()
+	var frames []wireFrame
+	for len(raw) >= 9 {
+		n := int(binary.BigEndian.Uint64(raw[1:9]))
+		switch transport.MsgType(raw[0]) {
+		case transport.MsgDone:
+			return frames
+		case transport.MsgDatasetV3:
+			if len(raw) < 18+n+4 {
+				return frames
+			}
+			frames = append(frames, wireFrame{
+				step:  int64(binary.BigEndian.Uint64(raw[9:17])),
+				codec: transport.CodecID(raw[17]),
+			})
+			raw = raw[18+n+4:]
+		default:
+			t.Fatalf("unexpected message type %d in a subscriber stream", raw[0])
+		}
+	}
+	return frames
+}
+
+// loneConnStream is the reference: the bytes one Conn under codec puts
+// on its socket when it SendDatasets the same frames itself, then Done.
+func loneConnStream(t *testing.T, codec transport.CodecID, frames []*fb.Frame) []byte {
+	t.Helper()
+	a, b := net.Pipe()
+	got := make(chan []byte, 1)
+	go func() {
+		raw, _ := io.ReadAll(b)
+		got <- raw
+	}()
+	c := transport.NewConn(a)
+	c.SetCodec(codec)
+	for step, f := range frames {
+		c.Step = step
+		if err := c.SendDataset(FrameGrid(f, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.SendDone(); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	return <-got
+}
+
+// TestHubStreamsMatchLoneConn: three subscribers on one hub read, byte
+// for byte, the stream a lone per-connection encoder produces — under
+// every codec — while the hub runs each codec once per frame, never once
+// per subscriber.
+func TestHubStreamsMatchLoneConn(t *testing.T) {
+	const steps, subs = 7, 3
+	frames := make([]*fb.Frame, steps)
+	for i := range frames {
+		frames[i] = testFrame(i, 36, 20)
+	}
+	for _, codec := range []transport.CodecID{
+		transport.CodecDeltaFlate, transport.CodecDelta, transport.CodecFlate, transport.CodecRaw,
+	} {
+		t.Run(codec.String(), func(t *testing.T) {
+			want := loneConnStream(t, codec, frames)
+
+			h, _ := startHub(t, Config{MaxSubs: subs, Queue: 32, History: 32, Codec: codec})
+			streams := make([]chan []byte, subs)
+			for i := range streams {
+				nc := dialBare(t, h.Addr())
+				defer nc.Close()
+				streams[i] = make(chan []byte, 1)
+				go func(out chan<- []byte) {
+					raw, _ := io.ReadAll(nc)
+					out <- raw
+				}(streams[i])
+			}
+			waitFor(t, "subscribers", func() bool { return h.Subscribers() == subs })
+			encoded0 := ctrEncoded.Value()
+			for step, f := range frames {
+				h.PublishFrame(step, f)
+			}
+			h.Close()
+
+			for i, ch := range streams {
+				if got := <-ch; !bytes.Equal(got, want) {
+					t.Errorf("subscriber %d read %d bytes that differ from the lone connection's %d", i, len(got), len(want))
+				}
+			}
+			// One codec run per frame that is not sent raw: every frame
+			// under flate and delta+flate (the first as a flate keyframe),
+			// every frame but the raw keyframe under delta, none under raw.
+			wantRuns := int64(steps)
+			switch codec {
+			case transport.CodecDelta:
+				wantRuns = steps - 1
+			case transport.CodecRaw:
+				wantRuns = 0
+			}
+			if got := ctrEncoded.Value() - encoded0; got != wantRuns {
+				t.Errorf("hub.frames_encoded rose by %d for %d frames to %d subscribers, want %d", got, steps, subs, wantRuns)
+			}
+		})
+	}
+}
+
+// TestHubKeyframesOnExceptionPaths drives the three ways a subscriber's
+// reference goes stale — frames lost to drop-oldest, a late join inside
+// the history, a kill and resume — and checks on the wire that each
+// restarts on a keyframe, that every frame following its predecessor is
+// a delta, and that every decoded frame is the publisher's.
+func TestHubKeyframesOnExceptionPaths(t *testing.T) {
+	const codec = transport.CodecDelta // wire size == plain size: a stalled reader fills the socket fast
+	// check holds one recorded stream to the rule and the signatures.
+	check := func(t *testing.T, what string, tap *tapConn, steps []int64, sigs []uint32, want map[int64]uint32) {
+		t.Helper()
+		// The recording may run ahead of the decoder (read-ahead).
+		wire := parseStream(t, tap.bytes())
+		if len(wire) < len(steps) {
+			t.Fatalf("%s: %d frames on the wire, %d decoded", what, len(wire), len(steps))
+		}
+		for i, f := range wire[:len(steps)] {
+			if f.step != steps[i] {
+				t.Fatalf("%s: wire frame %d is step %d, decoded as %d", what, i, f.step, steps[i])
+			}
+			follows := i > 0 && f.step == wire[i-1].step+1
+			if follows && f.codec != codec {
+				t.Errorf("%s: step %d follows its predecessor but went out as %s, want %s", what, f.step, f.codec, codec)
+			}
+			if !follows && f.codec != codec.Keyframe() {
+				t.Errorf("%s: step %d has no predecessor on this connection but went out as %s, want a %s keyframe",
+					what, f.step, f.codec, codec.Keyframe())
+			}
+			if sigs[i] != want[f.step] {
+				t.Errorf("%s: step %d decoded to signature %08x, published %08x", what, f.step, sigs[i], want[f.step])
+			}
+		}
+	}
+	// recv decodes frames until Done or max frames.
+	recv := func(t *testing.T, c *transport.Conn, max int) (steps []int64, sigs []uint32) {
+		t.Helper()
+		var f *fb.Frame
+		for max <= 0 || len(steps) < max {
+			typ, ds, step, err := c.Recv()
+			if err != nil {
+				t.Fatalf("recv after %d frames: %v", len(steps), err)
+			}
+			if typ == transport.MsgDone {
+				break
+			}
+			if f, err = GridFrame(ds, f); err != nil {
+				t.Fatal(err)
+			}
+			steps, sigs = append(steps, step), append(sigs, FrameSig(f))
+		}
+		return steps, sigs
+	}
+
+	t.Run("drop-oldest", func(t *testing.T) {
+		h, _ := startHub(t, Config{Queue: 2, History: 4, Codec: codec})
+		c, tap := dialTapped(t, h.Addr(), "slow", -1)
+		defer c.Close()
+		waitFor(t, "subscriber", func() bool { return h.Subscribers() == 1 })
+
+		want := map[int64]uint32{}
+		publish := func(step int) {
+			f := testFrame(step, 200, 160) // 500 KiB on the wire
+			want[int64(step)] = FrameSig(f)
+			h.PublishFrame(step, f)
+		}
+		publish(0)
+		steps, sigs := recv(t, c, 1) // the reader holds a reference, then stalls
+		dropped0 := ctrDropped.Value()
+		step := 1
+		for ; ctrDropped.Value() == dropped0; step++ {
+			if step > 400 {
+				t.Fatal("a stalled reader with a queue of 2 shed nothing in 400 frames")
+			}
+			publish(step)
+		}
+		publish(step) // and one more behind the gap
+		// Close drains the queue into a socket that may be full: it can
+		// only finish while this side reads.
+		closed := make(chan struct{})
+		go func() {
+			h.Close()
+			close(closed)
+		}()
+		s2, g2 := recv(t, c, 0)
+		<-closed
+		steps, sigs = append(steps, s2...), append(sigs, g2...)
+		gaps := 0
+		for i := 1; i < len(steps); i++ {
+			if steps[i] != steps[i-1]+1 {
+				gaps++
+			}
+		}
+		if gaps == 0 {
+			t.Fatalf("received %v: the dropped frames left no gap", steps)
+		}
+		check(t, "dropper", tap, steps, sigs, want)
+	})
+
+	t.Run("late-join-and-resume", func(t *testing.T) {
+		h, _ := startHub(t, Config{Queue: 32, History: 16, Codec: codec})
+		want := map[int64]uint32{}
+		publish := func(step int) {
+			f := testFrame(step, 36, 20)
+			want[int64(step)] = FrameSig(f)
+			h.PublishFrame(step, f)
+		}
+		for step := 0; step < 8; step++ {
+			publish(step) // nobody is listening: no fanout, no encoding
+		}
+		// Late join inside the history: 3..7 replayed (deltas rebuilt from
+		// the ring's predecessors), then live frames.
+		late, lateTap := dialTapped(t, h.Addr(), "late", 3)
+		defer late.Close()
+		// Victim: reads three frames from step 0, dies, resumes at its cursor.
+		victim, victimTap := dialTapped(t, h.Addr(), "victim", 0)
+		vSteps, vSigs := recv(t, victim, 3)
+		check(t, "victim before the kill", victimTap, vSteps, vSigs, want)
+		victim.Close()
+		waitFor(t, "victim to leave", func() bool { return h.Subscribers() == 1 })
+		resumed, resumedTap := dialTapped(t, h.Addr(), "victim", vSteps[len(vSteps)-1]+1)
+		defer resumed.Close()
+		waitFor(t, "resume", func() bool { return h.Subscribers() == 2 })
+		publish(8)
+		publish(9)
+		h.Close()
+
+		lSteps, lSigs := recv(t, late, 0)
+		if len(lSteps) != 7 || lSteps[0] != 3 || lSteps[6] != 9 {
+			t.Fatalf("late joiner received steps %v, want 3..9", lSteps)
+		}
+		check(t, "late joiner", lateTap, lSteps, lSigs, want)
+		rSteps, rSigs := recv(t, resumed, 0)
+		if len(rSteps) != 7 || rSteps[0] != 3 || rSteps[6] != 9 {
+			t.Fatalf("resumed victim received steps %v, want 3..9", rSteps)
+		}
+		check(t, "resumed victim", resumedTap, rSteps, rSigs, want)
+	})
+}
+
+// TestHubHoldsOnlyHistoryReleases is the lifetime gate: with nobody
+// subscribed, and again after every subscriber has left, the hub holds
+// History plain buffers and nothing else — each with the ring's single
+// reference, so no fanout, encoding or chain of predecessors hangs off
+// it — and publishing recycles the buffer it evicts. Close hands every
+// buffer back: the pool returns the very same arrays.
+func TestHubHoldsOnlyHistoryReleases(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race-instrumented sync.Pool drops Put items at random; identity asserted in the non-race pass")
+	}
+	// One P and no collection, so sync.Pool is an exact LIFO; a frame
+	// size whose 128 KiB payload class no other hub test touches.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const history, w, hh = 4, 100, 80
+	h, _ := startHub(t, Config{Queue: 8, History: history, Codec: transport.CodecDeltaFlate})
+
+	seen := map[*byte]bool{} // every payload array the ring ever held
+	step := 0
+	publishIdle := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			h.PublishFrame(step, testFrame(step, w, hh))
+			step++
+			h.mu.Lock()
+			for j := 0; j < h.hcount; j++ {
+				f := h.history[(h.hhead+j)%len(h.history)]
+				seen[&f.payload[0]] = true
+				if refs := f.refs.Load(); refs != 1 {
+					t.Errorf("step %d: retained frame %d has %d references, want the ring's 1", step-1, f.step, refs)
+				}
+			}
+			if h.hcount > history {
+				t.Errorf("history holds %d frames, want at most %d", h.hcount, history)
+			}
+			h.mu.Unlock()
+		}
+	}
+	publishIdle(3 * history)
+	if len(seen) > history+1 {
+		t.Errorf("%d publishes with no subscriber drew %d payload buffers, want the %d retained plus the one in hand",
+			3*history, len(seen), history)
+	}
+
+	// Two subscribers come, read live frames and leave.
+	var conns []*transport.Conn
+	for i := 0; i < 2; i++ {
+		conns = append(conns, dialSub(t, h.Addr(), "s", -1))
+	}
+	waitFor(t, "subscribers", func() bool { return h.Subscribers() == 2 })
+	for i := 0; i < 3; i++ {
+		h.PublishFrame(step, testFrame(step, w, hh))
+		for _, c := range conns {
+			if typ, _, got, err := c.Recv(); err != nil || typ != transport.MsgDataset || got != int64(step) {
+				t.Fatalf("live step %d: typ %v step %d err %v", step, typ, got, err)
+			}
+		}
+		step++
+	}
+	for _, c := range conns {
+		c.Close()
+	}
+	waitFor(t, "subscribers to leave", func() bool { return h.Subscribers() == 0 && h.Backlog() == 0 })
+	before := len(seen)
+	publishIdle(3 * history)
+	// The subscribers' fanouts may have kept a few evicted frames alive a
+	// little longer; once they are gone the same bound holds again.
+	if grew := len(seen) - before; grew > 3 {
+		t.Errorf("publishing after the subscribers left drew %d new payload buffers", grew)
+	}
+
+	h.Close()
+	size := len(testFrame(0, w, hh).Color)*16 + 64
+	for draws := 4 * len(seen); draws > 0 && len(seen) > 0; draws-- {
+		b := mempool.Bytes(size)
+		delete(seen, &b[0])
+	}
+	if len(seen) != 0 {
+		t.Errorf("%d payload buffers never came back to the pool after Close", len(seen))
+	}
+}

@@ -2,12 +2,23 @@
 // visualization proxy: rendered frames fan out to N concurrent
 // subscribers over the v3 wire format, and a CRC-checked steering
 // channel flows back from subscribers to the proxies. Each subscriber
-// owns its own connection (so the PR 8 per-direction codec state gives
-// a late or resumed subscriber an automatic keyframe), its own step
-// cursor (the hello message carries the first step wanted, seeded from
-// the PR 5 checkpoint machinery on the client), and its own bounded
-// queue with drop-oldest overflow journaled in-band — a slow subscriber
-// sheds frames visibly instead of ever stalling the sim step loop.
+// owns its own connection, its own step cursor (the hello message
+// carries the first step wanted, seeded from the PR 5 checkpoint
+// machinery on the client), and its own bounded queue with drop-oldest
+// overflow journaled in-band — a slow subscriber sheds frames visibly
+// instead of ever stalling the sim step loop.
+//
+// A frame is encoded once, not once per subscriber. Each published frame
+// has at most two wire encodings — its delta against the frame published
+// just before it, and its keyframe (Config.Codec.Keyframe(), no
+// reference) — each built by the first sender goroutine that needs it
+// and shared by the rest. All a subscriber keeps of the temporal state is
+// which frame it was sent last: when that is the predecessor of the frame
+// it is about to send, it takes the shared delta; otherwise (it just
+// joined, resumed from the history, or lost frames to drop-oldest) it
+// takes the shared keyframe. An encoding lives only while some queue
+// still holds the frame; the history ring keeps plain bytes.
+//
 // Steering is last-writer-wins across subscribers and is consumed by
 // the proxies at step boundaries, journaled so a run can be replayed.
 package hub
@@ -35,6 +46,7 @@ import (
 // Per-slot gauges (queue depth, drops, lag) are resolved in New.
 var (
 	ctrPublished = telemetry.Default.Counter("hub.frames_published")
+	ctrEncoded   = telemetry.Default.Counter("hub.frames_encoded")
 	ctrFanout    = telemetry.Default.Counter("hub.frames_fanout")
 	ctrDropped   = telemetry.Default.Counter("hub.frames_dropped")
 	ctrSteer     = telemetry.Default.Counter("hub.steer_received")
@@ -60,8 +72,9 @@ type Config struct {
 	// asking for steps older than the retention starts at the oldest
 	// retained frame.
 	History int
-	// Codec is the wire codec for subscriber streams. Temporal codecs
-	// keyframe automatically on every fresh subscriber connection.
+	// Codec is the wire codec for subscriber streams. Under a temporal
+	// codec a subscriber's first frame, and its first after losing frames
+	// to drop-oldest, is a keyframe.
 	Codec transport.CodecID
 	// WriteTimeout bounds each frame write to a subscriber (default
 	// 10s); a wedged subscriber is disconnected, never waited on.
@@ -75,12 +88,16 @@ type Config struct {
 	Journal *journal.Writer
 }
 
-// frame is one published frame: a pooled vtkio payload shared by the
-// history ring and every subscriber queue via refcount. The final
+// frame is one published frame: a pooled plain vtkio payload shared by
+// the history ring and the fanouts that carry it, via refcount. The final
 // release returns the buffer to the mempool — dropping a reference on
 // the floor is a leak, never a double free.
 type frame struct {
-	step    int64
+	step int64
+	// seq numbers frames in publish order. Steps may repeat (a restarted
+	// proxy republishes from its checkpoint), so seq, not step, says
+	// which frame a subscriber's receiver holds as its delta reference.
+	seq     int64
 	payload []byte
 	refs    atomic.Int32
 }
@@ -95,6 +112,72 @@ func (f *frame) release() {
 		f.payload = nil
 		framePool.Put(f)
 	}
+}
+
+// fanout is one frame on its way through subscriber queues, with the
+// wire encodings the senders share. It holds a reference on the frame
+// and on its predecessor's plain bytes (the delta reference; nil for the
+// first frame ever published), and is itself refcounted by the queues: an
+// encoding is freed with the last queue's reference, so it never outlives
+// the senders that still have the frame queued, and since prev is a
+// frame, not a fanout, no chain of predecessors is ever pinned. The
+// history ring holds frames only; a late joiner gets fresh fanouts.
+type fanout struct {
+	cur, prev *frame
+	refs      atomic.Int32
+
+	// mu guards the lazily built encodings; a sender holds it across the
+	// encode so a second sender waits for the bytes instead of redoing
+	// them. PublishFrame never takes it. An encoding is a right-sized
+	// mempool buffer; nil means not built (or not needed: raw is the
+	// plain payload itself).
+	mu         sync.Mutex
+	delta, key []byte
+}
+
+var fanoutPool = sync.Pool{New: func() any { return new(fanout) }}
+
+// newFanout wraps cur for the queues; the caller owns the one reference
+// it starts with.
+func newFanout(cur, prev *frame) *fanout {
+	fo := fanoutPool.Get().(*fanout)
+	cur.retain()
+	if prev != nil {
+		prev.retain()
+	}
+	fo.cur, fo.prev = cur, prev
+	fo.refs.Store(1)
+	return fo
+}
+
+func (fo *fanout) retain() { fo.refs.Add(1) }
+
+func (fo *fanout) release() {
+	if fo.refs.Add(-1) != 0 {
+		return
+	}
+	// Last reference: no sender can be inside encoded any more.
+	for _, enc := range [2]*[]byte{&fo.delta, &fo.key} {
+		if *enc != nil {
+			mempool.PutBytes(*enc)
+			*enc = nil
+		}
+	}
+	fo.cur.release()
+	if fo.prev != nil {
+		fo.prev.release()
+	}
+	fo.cur, fo.prev = nil, nil
+	fanoutPool.Put(fo)
+}
+
+// encoder is the codec state one encode needs: the codec instances and
+// the scratch they encode into before the result is copied to a buffer of
+// its own size. Senders borrow one per encode, so a hub holds as many as
+// it has encodes in flight, not one per subscriber.
+type encoder struct {
+	transport.Encoder
+	scratch []byte
 }
 
 // encBuf is a minimal growable write buffer ([]byte as io.Writer) for
@@ -114,9 +197,15 @@ type subscriber struct {
 	from int64
 	conn *transport.Conn
 
+	// lastSent is the seq of the frame last sent on conn — the plain bytes
+	// the peer holds as its delta reference — once haveRef is set. Owned
+	// by the sender goroutine.
+	lastSent int64
+	haveRef  bool
+
 	mu     sync.Mutex
 	cond   *sync.Cond
-	ring   []*frame
+	ring   []*fanout
 	head   int
 	count  int
 	done   bool // no more enqueues; sender drains the ring then stops
@@ -129,7 +218,7 @@ type subscriber struct {
 // enqueue adds f (ownership of one reference transfers to the queue).
 // On overflow the oldest queued frame is evicted and returned for the
 // caller to journal and release; the publisher never blocks.
-func (s *subscriber) enqueue(f *frame) (evicted *frame) {
+func (s *subscriber) enqueue(f *fanout) (evicted *fanout) {
 	s.mu.Lock()
 	if s.done {
 		s.mu.Unlock()
@@ -154,7 +243,7 @@ func (s *subscriber) enqueue(f *frame) (evicted *frame) {
 
 // dequeue blocks until a frame is available or the queue is finished
 // and drained; ok=false means the sender should stop.
-func (s *subscriber) dequeue() (f *frame, ok bool) {
+func (s *subscriber) dequeue() (f *fanout, ok bool) {
 	s.mu.Lock()
 	for s.count == 0 && !s.done {
 		s.cond.Wait()
@@ -211,13 +300,15 @@ type Hub struct {
 	cfg Config
 	ln  net.Listener
 
-	// pmu serializes PublishFrame and guards its scratch (grid, enc).
+	// pmu serializes PublishFrame and guards its scratch (grid, enc) and
+	// seq, the next frame's place in publish order.
 	pmu  sync.Mutex
 	grid *data.StructuredGrid
 	enc  encBuf
+	seq  int64
 
 	// mu guards membership and the history ring. Lock order: mu before
-	// any subscriber.mu.
+	// any subscriber.mu; a fanout.mu is only ever held on its own.
 	mu      sync.Mutex
 	subs    []*subscriber
 	nsubs   int
@@ -225,6 +316,9 @@ type Hub struct {
 	hhead   int
 	hcount  int
 	closed  bool
+
+	// encoders holds idle *encoder values between encodes.
+	encoders sync.Pool
 
 	// latest is the newest published step, read lock-free by sender
 	// goroutines for the lag gauge.
@@ -271,6 +365,7 @@ func New(cfg Config) (*Hub, error) {
 		subs:    make([]*subscriber, cfg.MaxSubs),
 		history: make([]*frame, cfg.History),
 	}
+	h.encoders.New = func() any { return new(encoder) }
 	h.latest.Store(-1)
 	// The slot domain is closed and bounded by MaxSubs, so the dynamic
 	// series names below are auditable: hub.sub<slot>.{queue_depth,
@@ -502,7 +597,7 @@ func (h *Hub) register(m Msg, conn *transport.Conn) (*subscriber, error) {
 	}
 	s := &subscriber{
 		slot: slot, name: name, from: m.From, conn: conn,
-		ring:   make([]*frame, h.cfg.Queue),
+		ring:   make([]*fanout, h.cfg.Queue),
 		gDepth: h.slotDepth[slot], gDrops: h.slotDrops[slot], gLag: h.slotLag[slot],
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -511,22 +606,26 @@ func (h *Hub) register(m Msg, conn *transport.Conn) (*subscriber, error) {
 	s.gLag.Set(0)
 	seeded := 0
 	if m.From >= 0 {
+		// The retained frames go out on fanouts of their own, each with
+		// the frame before it in the ring as its delta reference: whatever
+		// encodings the live fanouts had went with them.
+		var prev *frame
 		for i := 0; i < h.hcount; i++ {
 			f := h.history[(h.hhead+i)%len(h.history)]
 			if f.step >= m.From {
-				f.retain()
-				if ev := s.enqueue(f); ev != nil {
+				if ev := s.enqueue(newFanout(f, prev)); ev != nil {
 					// Catch-up exceeded the queue bound; the overflow is
 					// journaled below like any live drop.
 					ctrDropped.Inc()
 					h.cfg.Journal.Emit(journal.Event{
-						Type: journal.TypeOverflow, Rank: h.cfg.Rank, Step: int(ev.step), Elements: 1,
+						Type: journal.TypeOverflow, Rank: h.cfg.Rank, Step: int(ev.cur.step), Elements: 1,
 						Detail: fmt.Sprintf("hub subscriber %s slot=%d dropped oldest queued frame (catch-up)", name, slot),
 					})
 					ev.release()
 				}
 				seeded++
 			}
+			prev = f
 		}
 	}
 	h.subs[slot] = s
@@ -570,10 +669,11 @@ func (h *Hub) unsubscribe(s *subscriber, reason string) {
 	s.conn.Close()
 }
 
-// sender drains one subscriber's queue onto its connection. Each
-// subscriber connection carries its own codec instance and temporal
-// reference, so the first frame after any (re)connect is a keyframe
-// whenever the codec is temporal.
+// sender drains one subscriber's queue onto its connection. A frame goes
+// out as the shared delta when the frame sent just before it on this
+// connection is its predecessor — the reference the peer then holds —
+// and as the shared keyframe otherwise: the first frame after a join or
+// a resume, and the first after a drop-oldest eviction.
 func (h *Hub) sender(s *subscriber) {
 	defer h.wg.Done()
 	for {
@@ -584,10 +684,15 @@ func (h *Hub) sender(s *subscriber) {
 			h.unsubscribe(s, "stream complete")
 			return
 		}
-		s.conn.Step = int(f.step)
-		err := s.conn.SendPayload(f.payload)
+		delta := h.cfg.Codec.Temporal() && s.haveRef && f.prev != nil && s.lastSent == f.prev.seq
+		id, wire, err := h.encoded(f, delta)
 		if err == nil {
-			s.gLag.Set(h.latest.Load() - f.step)
+			s.conn.Step = int(f.cur.step)
+			err = s.conn.SendEncoded(id, wire, len(f.cur.payload))
+		}
+		if err == nil {
+			s.lastSent, s.haveRef = f.cur.seq, true
+			s.gLag.Set(h.latest.Load() - f.cur.step)
 		}
 		f.release()
 		if err != nil {
@@ -597,9 +702,44 @@ func (h *Hub) sender(s *subscriber) {
 	}
 }
 
+// encoded returns f's wire bytes and the codec they are under: the hub
+// codec against f.prev when delta is set, its keyframe fallback with no
+// reference otherwise. The first sender to ask builds the encoding —
+// into a borrowed encoder's scratch, then copied to a pooled buffer of
+// its own size, so what a queued frame holds is the encoding's length
+// and not the scratch's capacity — and every later sender shares it.
+// Raw is the plain payload itself. The bytes stay valid while the
+// caller holds its reference on f.
+func (h *Hub) encoded(f *fanout, delta bool) (transport.CodecID, []byte, error) {
+	id, enc, ref := h.cfg.Codec.Keyframe(), &f.key, []byte(nil)
+	if delta {
+		id, enc, ref = h.cfg.Codec, &f.delta, f.prev.payload
+	}
+	if id == transport.CodecRaw {
+		return id, f.cur.payload, nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if *enc == nil {
+		e := h.encoders.Get().(*encoder)
+		defer h.encoders.Put(e)
+		out, err := e.Encode(id, e.scratch[:0], f.cur.payload, ref)
+		if err != nil {
+			return id, nil, fmt.Errorf("hub: encoding step %d as %s: %w", f.cur.step, id, err)
+		}
+		e.scratch = out
+		*enc = mempool.Bytes(len(out))
+		copy(*enc, out)
+		ctrEncoded.Inc()
+	}
+	return id, *enc, nil
+}
+
 // PublishFrame serializes one rendered frame and fans it out: one vtkio
-// encode into a pooled buffer, one reference per subscriber queue plus
-// one for the history ring. It never blocks on subscriber progress —
+// encode into a pooled buffer, one reference for the history ring, and —
+// when anyone is subscribed — one fanout shared by every subscriber
+// queue. Wire encoding is left to the senders (see encoded), so the cost
+// here does not depend on the codec. It never blocks on subscriber progress —
 // a full queue drops its oldest frame (journaled as an in-band overflow
 // event) and the sim/render loop proceeds untouched. Safe on a nil hub
 // (publishing is a no-op), so callers can wire it unconditionally.
@@ -617,6 +757,8 @@ func (h *Hub) PublishFrame(step int, fr *fb.Frame) {
 	}
 	f := framePool.Get().(*frame)
 	f.step = int64(step)
+	f.seq = h.seq
+	h.seq++
 	buf := mempool.Bytes(len(h.enc))
 	copy(buf, h.enc)
 	f.payload = buf
@@ -628,6 +770,17 @@ func (h *Hub) PublishFrame(step int, fr *fb.Frame) {
 		h.pmu.Unlock()
 		f.release()
 		return
+	}
+	// Nothing is encoded here: with subscribers attached the frame and
+	// its predecessor ride one fanout and the first sender to need an
+	// encoding builds it; with none, no fanout exists at all.
+	var fo *fanout
+	if h.nsubs > 0 {
+		var prev *frame
+		if h.hcount > 0 {
+			prev = h.history[(h.hhead+h.hcount-1)%len(h.history)]
+		}
+		fo = newFanout(f, prev)
 	}
 	if h.hcount == len(h.history) {
 		old := h.history[h.hhead]
@@ -643,17 +796,20 @@ func (h *Hub) PublishFrame(step int, fr *fb.Frame) {
 		if s == nil {
 			continue
 		}
-		f.retain()
-		if ev := s.enqueue(f); ev != nil {
+		fo.retain()
+		if ev := s.enqueue(fo); ev != nil {
 			ctrDropped.Inc()
 			h.cfg.Journal.Emit(journal.Event{
-				Type: journal.TypeOverflow, Rank: h.cfg.Rank, Step: int(ev.step), Elements: 1,
+				Type: journal.TypeOverflow, Rank: h.cfg.Rank, Step: int(ev.cur.step), Elements: 1,
 				Detail: fmt.Sprintf("hub subscriber %s slot=%d dropped oldest queued frame", s.name, s.slot),
 			})
 			ev.release()
 		} else {
 			ctrFanout.Inc()
 		}
+	}
+	if fo != nil {
+		fo.release() // the publisher's own reference
 	}
 	h.mu.Unlock()
 	h.pmu.Unlock()

@@ -195,6 +195,13 @@ func dialSub(t *testing.T, addr, name string, from int64) *transport.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return helloOn(t, nc, name, from)
+}
+
+// helloOn registers nc with the hub under name, cursor at from, and
+// returns the framed connection over it.
+func helloOn(t *testing.T, nc net.Conn, name string, from int64) *transport.Conn {
+	t.Helper()
 	c := transport.NewConn(nc)
 	p, err := EncodeMsg(nil, Msg{Kind: KindHello, From: from, Name: name})
 	if err != nil {

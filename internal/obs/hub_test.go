@@ -51,6 +51,7 @@ func TestMetricsExposeHubGauges(t *testing.T) {
 	for _, metric := range []string{
 		"eth_hub_subscribers",
 		"eth_hub_frames_published_total",
+		"eth_hub_frames_encoded_total",
 		"eth_hub_sub0_queue_depth",
 		"eth_hub_sub0_dropped_frames",
 		"eth_hub_sub0_lag_steps",

@@ -140,6 +140,9 @@ type SimProxy struct {
 	cfg   SimConfig
 	codec transport.CodecID
 	src   StepSource
+	// piecer cuts this rank's piece out of each step, into the arrays of
+	// the previous step's piece.
+	piecer data.Piecer
 	// stop, when set, drains the serve loop at the next step boundary
 	// (graceful shutdown: the in-flight step completes and is acked).
 	stop <-chan struct{}
@@ -189,7 +192,9 @@ func (s *SimProxy) Steps() int { return s.src.Steps() }
 // StepData prepares the dataset this rank presents to the in-situ
 // interface for step i: the rank's spatial piece, spatially sampled. The
 // fetch is journaled under the generate phase, partition + sampling under
-// the sample phase.
+// the sample phase. The returned dataset is valid until the next StepData
+// on this proxy, which may recycle its arrays for the next step's piece;
+// a caller that keeps a step's data longer must copy it.
 func (s *SimProxy) StepData(i int) (_ data.Dataset, err error) {
 	defer containPanic(s.cfg.Journal, s.cfg.Rank, i, "sim", &err)
 	// Tight-coupling drivers call StepData directly; ServeFrom already
@@ -212,13 +217,11 @@ func (s *SimProxy) StepData(i int) (_ data.Dataset, err error) {
 	t1 := time.Now()
 	before := ds.Count()
 	if s.cfg.Ranks > 1 {
-		pieces := ds.Partition(s.cfg.Ranks)
-		if s.cfg.Rank >= len(pieces) {
-			err := fmt.Errorf("proxy: partition produced %d pieces for rank %d", len(pieces), s.cfg.Rank)
+		if ds = s.piecer.Piece(ds, s.cfg.Ranks, s.cfg.Rank); ds == nil {
+			err := fmt.Errorf("proxy: a %d-way partition has no piece for rank %d", s.cfg.Ranks, s.cfg.Rank)
 			s.cfg.Journal.Error(s.cfg.Rank, i, err)
 			return nil, err
 		}
-		ds = pieces[s.cfg.Rank]
 	}
 	sampled, err := applySampling(ds, s.cfg.SamplingRatio, s.cfg.SamplingMethod, s.cfg.Seed)
 	if err != nil {

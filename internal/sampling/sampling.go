@@ -111,35 +111,61 @@ func stratifiedSample(p *data.PointCloud, ratio float64, seed int64) *data.Point
 	sy := math.Max(size.Y, 1e-12)
 	sz := math.Max(size.Z, 1e-12)
 
-	buckets := make(map[int][]int)
-	for i := 0; i < p.Count(); i++ {
+	// Bucket by counting sort: key every particle, prefix-sum the cell
+	// sizes, then fill members cell by cell in ascending particle order.
+	n := p.Count()
+	key := make([]int32, n)
+	start := make([]int32, cells*cells*cells+1)
+	for i := 0; i < n; i++ {
 		pos := p.Pos(i)
 		ci := cellIndex((pos.X-b.Min.X)/sx, cells)
 		cj := cellIndex((pos.Y-b.Min.Y)/sy, cells)
 		ck := cellIndex((pos.Z-b.Min.Z)/sz, cells)
-		key := ci + cells*(cj+cells*ck)
-		buckets[key] = append(buckets[key], i)
+		key[i] = int32(ci + cells*(cj+cells*ck))
+		start[key[i]+1]++
 	}
+	largest := int32(0) // the widest cell sizes the permutation scratch
+	for c := 1; c < len(start); c++ {
+		largest = max(largest, start[c])
+		start[c] += start[c-1]
+	}
+	members := make([]int32, n)
+	fill := append([]int32(nil), start[:len(start)-1]...)
+	for i, c := range key {
+		members[fill[c]] = int32(i)
+		fill[c]++
+	}
+
 	rng := rand.New(rand.NewSource(seed))
-	idx := make([]int, 0, int(float64(p.Count())*ratio)+1)
-	for key := 0; key < cells*cells*cells; key++ {
-		members, ok := buckets[key]
-		if !ok {
+	// A cell keeps at most its share plus one (rounding up, or the one
+	// probabilistic member), so this capacity is never outgrown.
+	idx := make([]int, 0, int(float64(n)*ratio)+len(start))
+	perm := make([]int, largest)
+	for c := 0; c+1 < len(start); c++ {
+		cell := members[start[c]:start[c+1]]
+		if len(cell) == 0 {
 			continue
 		}
-		// Keep ceil(ratio * |cell|) with random selection inside the cell,
+		// Keep round(ratio * |cell|) with random selection inside the cell,
 		// but never more than the cell holds.
-		keep := int(math.Round(ratio * float64(len(members))))
-		if keep == 0 && ratio > 0 && len(members) > 0 && rng.Float64() < ratio*float64(len(members)) {
+		keep := int(math.Round(ratio * float64(len(cell))))
+		if keep == 0 && rng.Float64() < ratio*float64(len(cell)) {
 			keep = 1 // small cells keep a member probabilistically to stay unbiased
 		}
-		if keep > len(members) {
-			keep = len(members)
+		if keep > len(cell) {
+			keep = len(cell)
 		}
-		perm := rng.Perm(len(members))
+		// rng.Perm(len(cell)) without its slice: the same Intn draws in the
+		// same order (Intn(1) included, and also when keep is 0), so the
+		// sample is the one rand.Perm selects.
+		for i := range cell {
+			j := rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = i
+		}
 		for _, j := range perm[:keep] {
-			//lint:ignore hotalloc idx is pre-sized to the sample budget; growth is a rare rounding overflow
-			idx = append(idx, members[j])
+			//lint:ignore hotalloc idx has capacity for the largest possible sample: this append never grows
+			idx = append(idx, int(cell[j]))
 		}
 	}
 	return p.Select(idx)

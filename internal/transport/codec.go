@@ -1,7 +1,8 @@
 // Wire codecs: the payload-encoding axis of the design space. A codec
 // turns a serialized dataset (the "plain" vtkio bytes) into the wire
 // payload of a v3 frame and back. Codecs are stateful per Conn and per
-// direction — flate coders and scratch buffers persist across frames so
+// direction (or per Encoder, for a broadcaster that encodes once for many
+// connections) — flate coders and scratch buffers persist across frames so
 // the steady state stays allocation-free — and the temporal codecs
 // (delta, delta+flate) additionally reference the previous step's plain
 // payload, which the Conn retains on both sides of the link.
@@ -122,6 +123,28 @@ type Codec interface {
 	ID() CodecID
 	Encode(dst, plain, prev []byte) ([]byte, error)
 	Decode(dst, wire, prev []byte) ([]byte, error)
+}
+
+// Encoder is the send side of the codecs on its own: what a Conn runs
+// inside SendDataset, for a broadcaster that encodes a payload once and
+// sends the result on many connections with SendEncoded. Instances are
+// built on first use and keep their scratch, so an Encoder must not be
+// used from two goroutines at once. The zero value is ready to use.
+type Encoder struct {
+	codecs [numCodecs]Codec
+}
+
+// Encode appends plain's encoding under codec id to dst[:0] and returns
+// it (raw returns plain itself). prev is the plain payload a temporal
+// codec encodes against; the other codecs ignore it.
+func (e *Encoder) Encode(id CodecID, dst, plain, prev []byte) ([]byte, error) {
+	if !id.Valid() {
+		return nil, fmt.Errorf("transport: encode with invalid codec %s", id)
+	}
+	if e.codecs[id] == nil {
+		e.codecs[id] = newCodec(id)
+	}
+	return e.codecs[id].Encode(dst, plain, prev)
 }
 
 // newCodec builds a fresh stateful instance of the codec.

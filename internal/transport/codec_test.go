@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/ascr-ecx/eth/internal/data"
+	"github.com/ascr-ecx/eth/internal/vtkio"
 )
 
 func TestParseCodec(t *testing.T) {
@@ -235,5 +236,66 @@ func TestSendDatasetRejectsInvalidCodec(t *testing.T) {
 	c.SetCodec(numCodecs)
 	if err := c.SendDataset(sampleCloud(10)); err == nil {
 		t.Fatal("SendDataset accepted an invalid codec")
+	}
+}
+
+// TestSendEncodedMatchesSendDataset holds the fan-out entry point to the
+// per-connection path: frames a caller encodes itself (Encoder) and hands
+// to SendEncoded are, byte for byte, the frames SendDataset puts on the
+// wire, with the same counters; and because SendEncoded drops the Conn's
+// own reference, a SendDataset after it opens with a keyframe.
+func TestSendEncodedMatchesSendDataset(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	steps := []data.Dataset{fuzzCloud(200, rng), fuzzCloud(200, rng), fuzzCloud(200, rng)}
+	for _, codec := range []CodecID{CodecRaw, CodecFlate, CodecDelta, CodecDeltaFlate} {
+		keyBefore, plainBefore := ctrKeyframes.Value(), ctrBytesPlain.Value()
+		want := bytes.Join(encodeStream(codec, 0, steps...), nil)
+		wantKeys, wantPlain := ctrKeyframes.Value()-keyBefore, ctrBytesPlain.Value()-plainBefore
+
+		keyBefore, plainBefore = ctrKeyframes.Value(), ctrBytesPlain.Value()
+		mc := &memConn{}
+		c := NewConn(mc)
+		c.SetCodec(codec)
+		var enc Encoder
+		var prev []byte
+		for i, ds := range steps {
+			var plain payloadBuffer
+			if err := vtkio.Write(&plain, ds); err != nil {
+				t.Fatal(err)
+			}
+			id := codec
+			if prev == nil {
+				id = codec.Keyframe()
+			}
+			wire, err := enc.Encode(id, nil, plain, prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Step = i
+			if err := c.SendEncoded(id, wire, len(plain)); err != nil {
+				t.Fatal(err)
+			}
+			prev = plain
+		}
+		if !bytes.Equal(mc.w.Bytes(), want) {
+			t.Errorf("%v: SendEncoded wrote %d bytes that differ from SendDataset's %d", codec, mc.w.Len(), len(want))
+		}
+		if keys, plain := ctrKeyframes.Value()-keyBefore, ctrBytesPlain.Value()-plainBefore; keys != wantKeys || plain != wantPlain {
+			t.Errorf("%v: SendEncoded counted %d keyframes / %d plain bytes, SendDataset %d / %d", codec, keys, plain, wantKeys, wantPlain)
+		}
+
+		// The Conn never saw those payloads: its next own send must not
+		// delta against anything.
+		sent := mc.w.Len()
+		c.Step = len(steps)
+		if err := c.SendDataset(steps[0]); err != nil {
+			t.Fatal(err)
+		}
+		if got := CodecID(mc.w.Bytes()[sent+17]); got != codec.Keyframe() {
+			t.Errorf("%v: SendDataset after SendEncoded went out as %v, want the %v keyframe", codec, got, codec.Keyframe())
+		}
+		if err := c.SendEncoded(numCodecs, nil, 0); err == nil {
+			t.Errorf("%v: SendEncoded accepted an invalid codec", codec)
+		}
 	}
 }

@@ -175,7 +175,7 @@ type Conn struct {
 	swire    payloadBuffer
 	sprev    payloadBuffer
 	sprevOK  bool
-	senc     [numCodecs]Codec
+	senc     Encoder
 	rwire    payloadBuffer
 	rplain   payloadBuffer
 	rprev    payloadBuffer
@@ -227,18 +227,9 @@ func (c *Conn) SetCodec(id CodecID) { c.codec = id }
 // Codec reports the configured outgoing codec.
 func (c *Conn) Codec() CodecID { return c.codec }
 
-// sendCodec returns the send-side instance of the codec, building it on
-// first use.
-func (c *Conn) sendCodec(id CodecID) Codec {
-	if c.senc[id] == nil {
-		c.senc[id] = newCodec(id)
-	}
-	return c.senc[id]
-}
-
-// recvCodec is sendCodec's receive-side counterpart; the instances are
-// separate because codecs keep internal scratch and the two directions
-// may run on different goroutines.
+// recvCodec returns the receive-side instance of the codec, building it
+// on first use. The send side keeps its own (senc): codecs hold internal
+// scratch and the two directions may run on different goroutines.
 func (c *Conn) recvCodec(id CodecID) Codec {
 	if c.rdec[id] == nil {
 		c.rdec[id] = newCodec(id)
@@ -351,37 +342,14 @@ func (c *Conn) SendDataset(ds data.Dataset) error {
 	if err := vtkio.Write(&c.payload, ds); err != nil {
 		return err
 	}
-	return c.sendPayload(t0, ds.Count())
-}
-
-// SendPayload streams an already-serialized vtkio payload as a dataset
-// frame under the configured codec — the fan-out entry point: a
-// broadcaster serializes a dataset once and replays the bytes to every
-// subscriber connection through each connection's own codec and temporal
-// reference state. The bytes are copied into the Conn's scratch, so the
-// caller keeps ownership of p.
-func (c *Conn) SendPayload(p []byte) error {
-	t0 := time.Now()
-	if !c.codec.Valid() {
-		return fmt.Errorf("transport: send with invalid codec %s", c.codec)
-	}
-	c.payload = append(c.payload[:0], p...)
-	return c.sendPayload(t0, 0)
-}
-
-// sendPayload frames and sends c.payload (the plain vtkio bytes staged
-// by SendDataset or SendPayload): codec encode, v3 header, CRC32C
-// trailer, and the plain-layer temporal-reference swap.
-func (c *Conn) sendPayload(t0 time.Time, elements int) error {
 	plain := []byte(c.payload)
 	id := c.codec
 	if id.Temporal() && !c.sprevOK {
 		id = id.Keyframe()
-		ctrKeyframes.Inc()
 	}
 	out := plain
 	if id != CodecRaw {
-		enc, err := c.sendCodec(id).Encode(c.swire[:0], plain, c.sprev)
+		enc, err := c.senc.Encode(id, c.swire[:0], plain, c.sprev)
 		if err != nil {
 			c.sprevOK = false
 			return err
@@ -394,11 +362,44 @@ func (c *Conn) sendPayload(t0 time.Time, elements int) error {
 	c.Journal.Emit(journal.Event{
 		Type: journal.TypeSerialize, Phase: journal.PhaseSerialize,
 		Rank: c.Rank, Step: c.Step, DurNS: int64(serDur),
-		Bytes: int64(len(out)), Elements: elements,
+		Bytes: int64(len(out)), Elements: ds.Count(),
 	})
+	if err := c.sendFrame(id, out, len(plain)); err != nil {
+		return err
+	}
+	// The frame is on the wire: this step's plain payload becomes the
+	// temporal reference for the next (a buffer swap, so the vacated
+	// reference becomes next step's encode scratch).
+	c.payload, c.sprev = c.sprev, c.payload
+	c.sprevOK = true
+	return nil
+}
 
-	// Frame: 18-byte header (type, payload length, step, codec), payload,
-	// then a CRC32C trailer over header+payload so any in-flight flip —
+// SendEncoded frames and sends wire, a payload the caller already encoded
+// under codec id from plainLen plain bytes, as the dataset frame for
+// c.Step — the fan-out entry point: a broadcaster encodes a frame once
+// (Encoder) and hands the same bytes to every subscriber connection. The
+// caller owns the temporal discipline: a delta frame may only follow the
+// frame it was encoded against on this connection. wire is written, not
+// retained. The Conn's own reference state is dropped, so a SendDataset
+// after it opens with a keyframe.
+func (c *Conn) SendEncoded(id CodecID, wire []byte, plainLen int) error {
+	if !id.Valid() {
+		return fmt.Errorf("transport: send with invalid codec %s", id)
+	}
+	c.sprevOK = false
+	return c.sendFrame(id, wire, plainLen)
+}
+
+// sendFrame writes one v3 dataset frame — 18-byte header (type, payload
+// length, step, codec), payload, CRC32C trailer — and accounts for it. A
+// frame that leaves under a non-temporal codec while the connection's
+// codec is temporal is a keyframe.
+func (c *Conn) sendFrame(id CodecID, out []byte, plainLen int) error {
+	if c.codec.Temporal() && !id.Temporal() {
+		ctrKeyframes.Inc()
+	}
+	// The CRC32C trailer covers header+payload so any in-flight flip —
 	// header and codec byte included — is detected at the receiver. The
 	// step field is what lets the receiver recognize a duplicate after a
 	// reconnect-and-resume.
@@ -411,33 +412,22 @@ func (c *Conn) sendPayload(t0 time.Time, elements int) error {
 	hdr[17] = byte(id)
 	crc := crc32.Update(0, castagnoli, hdr)
 	crc = crc32.Update(crc, castagnoli, out)
-	if _, err := c.bw.Write(hdr); err != nil {
-		c.sprevOK = false
-		return c.writeErr(err)
-	}
-	if _, err := c.bw.Write(out); err != nil {
-		c.sprevOK = false
-		return c.writeErr(err)
-	}
 	binary.BigEndian.PutUint32(c.scratch[18:22], crc)
-	if _, err := c.bw.Write(c.scratch[18:22]); err != nil {
-		c.sprevOK = false
-		return c.writeErr(err)
+	for _, part := range [3][]byte{hdr, out, c.scratch[18:22]} {
+		if _, err := c.bw.Write(part); err != nil {
+			c.sprevOK = false
+			return c.writeErr(err)
+		}
 	}
 	if err := c.bw.Flush(); err != nil {
 		c.sprevOK = false
 		return c.writeErr(err)
 	}
-	// The frame is on the wire: this step's plain payload becomes the
-	// temporal reference for the next (a buffer swap, so the vacated
-	// reference becomes next step's encode scratch).
-	c.payload, c.sprev = c.sprev, c.payload
-	c.sprevOK = true
 	sendDur := time.Since(t1)
 	c.BytesSent += int64(len(out))
 	spanSend.Observe(sendDur)
 	ctrBytesSent.Add(int64(len(out)))
-	ctrBytesPlain.Add(int64(len(plain)))
+	ctrBytesPlain.Add(int64(plainLen))
 	ctrMessages.Inc()
 	c.Journal.Emit(journal.Event{
 		Type: journal.TypeTransfer, Phase: journal.PhaseTransport,

@@ -27,8 +27,8 @@ go test -race ./...
 # sync.Pool randomly drops Put items), so run them again without it — a
 # hot-path allocation regression or an error-path pool leak must fail
 # CI, not hide behind the race build.
-echo "== go test -run 'Allocs|Releases' ./internal/transport ./internal/raster ./internal/compositing ./internal/hub ./internal/rt ./internal/geom ./internal/render"
-go test -run 'Allocs|Releases' ./internal/transport/ ./internal/raster/ ./internal/compositing/ ./internal/hub/ ./internal/rt/ ./internal/geom/ ./internal/render/
+echo "== go test -run 'Allocs|Releases' ./internal/transport ./internal/raster ./internal/compositing ./internal/hub ./internal/rt ./internal/geom ./internal/render ./internal/sampling ./internal/data ./internal/proxy"
+go test -run 'Allocs|Releases' ./internal/transport/ ./internal/raster/ ./internal/compositing/ ./internal/hub/ ./internal/rt/ ./internal/geom/ ./internal/render/ ./internal/sampling/ ./internal/data/ ./internal/proxy/
 
 # Supervision chaos: run the process-level suite (subprocess SIGKILL,
 # watchdog teardown, panic restart) by name so a rename that silently
