@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test check bench perf perf-quick lint sarif fuzz loc
+.PHONY: build test check perf perf-quick lint sarif fuzz loc
 
 build:
 	go build ./...
@@ -33,9 +33,6 @@ fuzz:
 # Full gate: vet + build + ethlint + race-enabled tests + short fuzz pass.
 check:
 	./scripts/check.sh
-
-bench:
-	go test -bench=. -benchmem ./...
 
 # The end-to-end pipeline benchmark BENCHMARK.json names (bench/README.md):
 # four closed-loop workloads, ten bounded metrics each, output checks.

@@ -2,10 +2,11 @@
 // evaluation section (§VI): Table I, Table II, and Figures 8 through 15.
 // Performance/power/energy rows come from the calibrated cluster model;
 // RMSE rows come from real renders of the real kernels. Each experiment
-// prints in the paper's row layout so results can be compared side by
-// side; -csv dumps machine-readable copies. Every experiment also reports
-// its harness wall time, and the run ends with a telemetry table showing
-// where the measured-kernel time went (span counts, totals, p50/p95/p99).
+// prints in the paper's row layout, its title saying whether its numbers
+// are modeled or measured; -csv dumps machine-readable copies. Every
+// experiment also reports its harness wall time, and the run ends with a
+// telemetry table showing where the measured-kernel time went (span
+// counts, totals, p50/p95/p99).
 //
 // Usage:
 //
@@ -278,7 +279,7 @@ func runOneExperiment(id, trace, csvDir string, cfg experiments.Config, run func
 // whole run: every telemetry span with count, total, and latency
 // quantiles.
 func spanTable() *metrics.Table {
-	t := metrics.NewTable("Where the time went (telemetry spans)",
+	t := metrics.NewTable("Where the time went (telemetry spans) [measured]",
 		"span", "count", "total s", "p50 ms", "p95 ms", "p99 ms")
 	for _, s := range telemetry.Default.SpanStats() {
 		t.AddRow(s.Name, s.Count, s.Total.Seconds(),

@@ -4,7 +4,8 @@
 // Ahrens — IPPS 2020).
 //
 // The library lives under internal/ (see DESIGN.md for the module map),
-// the executables under cmd/, runnable examples under examples/, and the
-// benchmark harness that regenerates every table and figure of the
-// paper's evaluation in bench_test.go.
+// the executables under cmd/, runnable examples under examples/.
+// cmd/ethbench regenerates every table and figure of the paper's
+// evaluation, each labelled modeled or measured; bench/ethperf is the
+// end-to-end pipeline benchmark that says whether a change is slower.
 package eth

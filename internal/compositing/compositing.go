@@ -20,8 +20,7 @@ import (
 )
 
 // Compositing telemetry: per-composite latency spans plus modeled
-// communication counters, so both the core harness path and the domain
-// sort-last path report merge cost.
+// communication counters, so every multi-rank run reports merge cost.
 var (
 	ctrCompBytes = telemetry.Default.Counter("compositing.bytes")
 	ctrCompMsgs  = telemetry.Default.Counter("compositing.messages")

@@ -4,7 +4,8 @@
 // tests and benches can assert the reproduced *shape* (orderings,
 // crossovers, scaling slopes). Performance/power/energy at paper scale
 // come from the calibrated cluster model; image-quality numbers (RMSE)
-// come from real renders of the real kernels.
+// come from real renders of the real kernels. Every table title says
+// which of the two its numbers are.
 package experiments
 
 import (
@@ -24,7 +25,10 @@ import (
 // Config scales the experiments. Defaults (via DefaultConfig) match the
 // paper's setup; tests shrink the measured parts.
 type Config struct {
-	// Costs supplies the cluster cost models (nil = DefaultCosts).
+	// Costs supplies the cluster cost models: nil selects DefaultCosts,
+	// fitted to the paper's published runtimes; anything else is taken to
+	// be measured on this machine (ethbench -calibrated), and the modeled
+	// tables' titles say so.
 	Costs cluster.CostTable
 	// PixelsPerImage is the render resolution (paper-scale runs).
 	PixelsPerImage int
@@ -94,25 +98,22 @@ func (c Config) costs() cluster.CostTable {
 	return cluster.DefaultCosts()
 }
 
-func (c Config) modelHACC(alg string, nodes int, elements, ratio float64) (cluster.Result, error) {
+// modeled labels numbers that come from the cluster model, so no table
+// passes modeled figures off as measured ones.
+func (c Config) modeled() string {
+	if c.Costs != nil {
+		return "modeled, coefficients measured on this machine"
+	}
+	return "modeled"
+}
+
+// model runs one paper-scale configuration through the cluster model.
+func (c Config) model(alg string, nodes int, elements float64, images int, ratio float64) (cluster.Result, error) {
 	return core.RunModeled(core.ModeledSpec{
 		Nodes:          nodes,
 		Algorithm:      alg,
 		Costs:          c.costs(),
 		Elements:       elements,
-		SamplingRatio:  ratio,
-		PixelsPerImage: c.PixelsPerImage,
-		ImagesPerStep:  c.HACCImagesPerStep,
-		TimeSteps:      1,
-	})
-}
-
-func (c Config) modelXRAGE(alg string, nodes int, cells float64, images int, ratio float64) (cluster.Result, error) {
-	return core.RunModeled(core.ModeledSpec{
-		Nodes:          nodes,
-		Algorithm:      alg,
-		Costs:          c.costs(),
-		Elements:       cells,
 		SamplingRatio:  ratio,
 		PixelsPerImage: c.PixelsPerImage,
 		ImagesPerStep:  images,
@@ -125,11 +126,11 @@ func (c Config) modelXRAGE(alg string, nodes int, cells float64, images int, rat
 // VTK points on the full dataset at 400 nodes.
 func Table1(cfg Config) (Result, error) {
 	tab := metrics.NewTable(
-		"Table I: Visualization Algorithm Results for HACC (1e9 particles, 400 nodes)",
+		"Table I: Visualization Algorithm Results for HACC (1e9 particles, 400 nodes) ["+cfg.modeled()+"]",
 		"Algorithm", "Time (s)", "Power (kW)")
 	res := Result{Table: tab, Series: map[string][]float64{}}
 	for _, alg := range haccAlgorithms {
-		r, err := c(cfg).modelHACC(alg, 400, 1e9, 1)
+		r, err := cfg.model(alg, 400, 1e9, cfg.HACCImagesPerStep, 1)
 		if err != nil {
 			return res, err
 		}
@@ -139,10 +140,6 @@ func Table1(cfg Config) (Result, error) {
 	}
 	return res, nil
 }
-
-// c is a tiny helper so experiment bodies read cfg.modelHACC-style while
-// keeping Config a value type.
-func c(cfg Config) *Config { return &cfg }
 
 func paperName(alg string) string {
 	switch alg {
@@ -167,12 +164,12 @@ func paperName(alg string) string {
 // saved (modeled).
 func Table2(cfg Config) (Result, error) {
 	tab := metrics.NewTable(
-		"Table II: Trade-off between accuracy and energy for HACC",
-		"Algorithm", "Sampling Ratio", "RMSE", "Energy Saved (%)")
+		"Table II: Trade-off between accuracy and energy for HACC [RMSE measured, energy "+cfg.modeled()+"]",
+		"Algorithm", "Sampling Ratio", "RMSE (measured)", "Energy Saved (%, modeled)")
 	res := Result{Table: tab, Series: map[string][]float64{}}
 	ratios := []float64{0.75, 0.50, 0.25}
 	for _, alg := range haccAlgorithms {
-		full, err := c(cfg).modelHACC(alg, 400, 1e9, 1)
+		full, err := cfg.model(alg, 400, 1e9, cfg.HACCImagesPerStep, 1)
 		if err != nil {
 			return res, err
 		}
@@ -181,7 +178,7 @@ func Table2(cfg Config) (Result, error) {
 			return res, err
 		}
 		for _, ratio := range ratios {
-			sampled, err := c(cfg).modelHACC(alg, 400, 1e9, ratio)
+			sampled, err := cfg.model(alg, 400, 1e9, cfg.HACCImagesPerStep, ratio)
 			if err != nil {
 				return res, err
 			}
@@ -227,13 +224,13 @@ func measuredFrame(cfg Config, alg string, ratio float64) (*fb.Frame, error) {
 // at 400 nodes, normalized to the smallest dataset per algorithm.
 func Fig8(cfg Config) (Result, error) {
 	tab := metrics.NewTable(
-		"Figure 8: Normalized execution time vs data size (HACC, 400 nodes)",
+		"Figure 8: Normalized execution time vs data size (HACC, 400 nodes) ["+cfg.modeled()+"]",
 		"Algorithm", "0.25e9", "0.5e9", "0.75e9", "1e9")
 	res := Result{Table: tab, Series: map[string][]float64{}}
 	for _, alg := range haccAlgorithms {
 		var times []float64
 		for _, elems := range haccElements {
-			r, err := c(cfg).modelHACC(alg, 400, elems, 1)
+			r, err := cfg.model(alg, 400, elems, cfg.HACCImagesPerStep, 1)
 			if err != nil {
 				return res, err
 			}
@@ -253,13 +250,13 @@ func Fig8(cfg Config) (Result, error) {
 // four spatial-sampling ratios (HACC, 400 nodes).
 func Fig9(cfg Config) (Result, error) {
 	tab := metrics.NewTable(
-		"Figure 9: Performance, dynamic power, energy vs sampling ratio (HACC, 400 nodes)",
+		"Figure 9: Performance, dynamic power, energy vs sampling ratio (HACC, 400 nodes) ["+cfg.modeled()+"]",
 		"Algorithm", "Ratio", "Time (s)", "Dynamic Power (kW)", "Energy (MJ)")
 	res := Result{Table: tab, Series: map[string][]float64{}}
 	ratios := []float64{0.25, 0.5, 0.75, 1.0}
 	for _, alg := range haccAlgorithms {
 		for _, ratio := range ratios {
-			r, err := c(cfg).modelHACC(alg, 400, 1e9, ratio)
+			r, err := cfg.model(alg, 400, 1e9, cfg.HACCImagesPerStep, ratio)
 			if err != nil {
 				return res, err
 			}
@@ -276,12 +273,12 @@ func Fig9(cfg Config) (Result, error) {
 // 200 versus 400 nodes (time, power, energy).
 func Fig10(cfg Config) (Result, error) {
 	tab := metrics.NewTable(
-		"Figure 10: Strong scaling (HACC full dataset, 200 vs 400 nodes)",
+		"Figure 10: Strong scaling (HACC full dataset, 200 vs 400 nodes) ["+cfg.modeled()+"]",
 		"Algorithm", "Nodes", "Time (s)", "Power (kW)", "Energy (MJ)")
 	res := Result{Table: tab, Series: map[string][]float64{}}
 	for _, alg := range haccAlgorithms {
 		for _, nodes := range []int{200, 400} {
-			r, err := c(cfg).modelHACC(alg, nodes, 1e9, 1)
+			r, err := cfg.model(alg, nodes, 1e9, cfg.HACCImagesPerStep, 1)
 			if err != nil {
 				return res, err
 			}
@@ -298,7 +295,7 @@ func Fig10(cfg Config) (Result, error) {
 // and energy for the HACC pipeline (Finding 6: intercore wins).
 func Fig11(cfg Config) (Result, error) {
 	tab := metrics.NewTable(
-		"Figure 11: Coupling strategies (HACC, 400 nodes, 4 steps)",
+		"Figure 11: Coupling strategies (HACC, 400 nodes, 4 steps) ["+cfg.modeled()+"]",
 		"Coupling", "Time (s)", "Energy (MJ)")
 	res := Result{Table: tab, Series: map[string][]float64{}}
 	sim := cluster.SimSpec{
@@ -336,11 +333,11 @@ func Fig11(cfg Config) (Result, error) {
 // grid at 216 nodes.
 func Fig12(cfg Config) (Result, error) {
 	tab := metrics.NewTable(
-		"Figure 12: xRAGE isosurface algorithms (large grid, 216 nodes)",
+		"Figure 12: xRAGE isosurface algorithms (large grid, 216 nodes) ["+cfg.modeled()+"]",
 		"Algorithm", "Time (s)", "Power (kW)", "Energy (MJ)")
 	res := Result{Table: tab, Series: map[string][]float64{}}
 	for _, alg := range []string{"vtk-iso", "ray-iso"} {
-		r, err := c(cfg).modelXRAGE(alg, 216, xrageCells(2), cfg.XRAGEImages, 1)
+		r, err := cfg.model(alg, 216, xrageCells(2), cfg.XRAGEImages, 1)
 		if err != nil {
 			return res, err
 		}
@@ -356,13 +353,13 @@ func Fig12(cfg Config) (Result, error) {
 // xRAGE pipelines at 216 nodes (27x data growth).
 func Fig13(cfg Config) (Result, error) {
 	tab := metrics.NewTable(
-		"Figure 13: xRAGE execution time vs problem size (216 nodes)",
+		"Figure 13: xRAGE execution time vs problem size (216 nodes) ["+cfg.modeled()+"]",
 		"Algorithm", "Small (s)", "Medium (s)", "Large (s)", "Growth (x)")
 	res := Result{Table: tab, Series: map[string][]float64{}}
 	for _, alg := range []string{"vtk-iso", "ray-iso"} {
 		var times []float64
 		for i := range xrageDims {
-			r, err := c(cfg).modelXRAGE(alg, 216, xrageCells(i), 100, 1)
+			r, err := cfg.model(alg, 216, xrageCells(i), 100, 1)
 			if err != nil {
 				return res, err
 			}
@@ -379,13 +376,13 @@ func Fig13(cfg Config) (Result, error) {
 // time falls but power stays flat even at ratio 0.04 (unlike HACC).
 func Fig14(cfg Config) (Result, error) {
 	tab := metrics.NewTable(
-		"Figure 14: xRAGE spatial sampling (large grid, 216 nodes)",
+		"Figure 14: xRAGE spatial sampling (large grid, 216 nodes) ["+cfg.modeled()+"]",
 		"Algorithm", "Ratio", "Time (s)", "Power (kW)", "Energy (MJ)")
 	res := Result{Table: tab, Series: map[string][]float64{}}
 	ratios := []float64{0.04, 0.25, 0.5, 1.0}
 	for _, alg := range []string{"vtk-iso", "ray-iso"} {
 		for _, ratio := range ratios {
-			r, err := c(cfg).modelXRAGE(alg, 216, xrageCells(2), cfg.XRAGEImages, ratio)
+			r, err := cfg.model(alg, 216, xrageCells(2), cfg.XRAGEImages, ratio)
 			if err != nil {
 				return res, err
 			}
@@ -405,13 +402,13 @@ var Fig15Nodes = []int{1, 2, 4, 8, 16, 32, 64, 128, 216}
 // linearly, vtk degrades past a point, crossover at 64 nodes.
 func Fig15(cfg Config) (Result, error) {
 	tab := metrics.NewTable(
-		"Figure 15: xRAGE strong scaling (largest grid, 1-216 nodes)",
+		"Figure 15: xRAGE strong scaling (largest grid, 1-216 nodes) ["+cfg.modeled()+"]",
 		"Algorithm", "Nodes", "Time (s)", "Normalized Perf (x)")
 	res := Result{Table: tab, Series: map[string][]float64{}}
 	for _, alg := range []string{"vtk-iso", "ray-iso"} {
 		var t1 float64
 		for _, nodes := range Fig15Nodes {
-			r, err := c(cfg).modelXRAGE(alg, nodes, xrageCells(2), 100, 1)
+			r, err := cfg.model(alg, nodes, xrageCells(2), 100, 1)
 			if err != nil {
 				return res, err
 			}
@@ -435,7 +432,7 @@ func Fig15(cfg Config) (Result, error) {
 // renders the same frames, so the rows differ only in transport cost.
 func Codecs(cfg Config) (Result, error) {
 	tab := metrics.NewTable(
-		"Codec sweep: wire bytes and wall time per transport codec (HACC, socket coupling)",
+		"Codec sweep: wire bytes and wall time per transport codec (HACC, socket coupling) [measured]",
 		"Codec", "Wall (s)", "Wire MB", "vs raw")
 	res := Result{Table: tab, Series: map[string][]float64{}}
 	dir, err := os.MkdirTemp("", "eth-codec-sweep-*")

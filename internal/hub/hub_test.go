@@ -365,15 +365,16 @@ func TestHubLiveSteeringOverWire(t *testing.T) {
 	if !st.HasIso || st.Iso != 0.42 || !st.HasRatio || st.Ratio != 0.5 {
 		t.Fatalf("steering state %+v did not capture the wire message", st)
 	}
-	found := false
-	for _, ev := range jw.Events() {
-		if ev.Type == journal.TypeSteer && strings.Contains(ev.Detail, "recv from=pilot") {
-			found = true
+	// Steer journals after it releases the state lock, so the event can
+	// trail the state by a moment.
+	waitFor(t, "steer journal event", func() bool {
+		for _, ev := range jw.Events() {
+			if ev.Type == journal.TypeSteer && strings.Contains(ev.Detail, "recv from=pilot") {
+				return true
+			}
 		}
-	}
-	if !found {
-		t.Error("steer message was not journaled")
-	}
+		return false
+	})
 
 	// A corrupted steer frame must disconnect the subscriber without
 	// touching the state.

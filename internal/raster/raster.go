@@ -53,32 +53,23 @@ type Impostor struct {
 	Color       vec.V3
 }
 
-// DefaultBandHeight is the scanline-band granularity for parallel
-// rasterization. DESIGN.md lists this as an ablation knob
-// (BenchmarkAblationRasterTiling); DrawTrianglesBanded exposes it.
+// DefaultBandHeight is the scanline-band height every primitive kind is
+// binned and rasterized in: smaller bands balance load across workers,
+// larger ones bin each primitive into fewer lists.
 const DefaultBandHeight = 16
 
 // DrawTriangles rasterizes tris into f with depth testing and Gouraud
 // color interpolation. workers <= 0 selects the default pool size.
-func DrawTriangles(f *fb.Frame, tris []Triangle, workers int) {
-	DrawTrianglesBanded(f, tris, workers, DefaultBandHeight)
-}
-
-// DrawTrianglesBanded is DrawTriangles with an explicit scanline-band
-// height — smaller bands balance load better, larger bands amortize
-// binning; the ablation bench sweeps this trade-off.
 //
 // Binning runs on pooled scratch (zero steady-state allocation) and, for
 // large triangle counts, in parallel: each worker bins a contiguous index
 // chunk into private per-band lists, and each band drains its workers in
 // chunk order, so the per-band rasterize order matches a serial pass.
-func DrawTrianglesBanded(f *fb.Frame, tris []Triangle, workers, bandHeight int) {
+func DrawTriangles(f *fb.Frame, tris []Triangle, workers int) {
 	if len(tris) == 0 {
 		return
 	}
-	if bandHeight < 1 {
-		bandHeight = 1
-	}
+	const bandHeight = DefaultBandHeight
 	bands := (f.H + bandHeight - 1) / bandHeight
 	wk := workers
 	if wk <= 0 {
@@ -93,10 +84,10 @@ func DrawTrianglesBanded(f *fb.Frame, tris []Triangle, workers, bandHeight int) 
 	}
 	s := getBins(binW * bands)
 	if binW == 1 {
-		binTriChunk(f, tris, s, binW, bands, bandHeight, 0)
+		binTriChunk(f, tris, s, binW, bands, 0)
 	} else {
 		par.For(binW, binW, func(w int) {
-			binTriChunk(f, tris, s, binW, bands, bandHeight, w)
+			binTriChunk(f, tris, s, binW, bands, w)
 		})
 	}
 	if wk == 1 {
@@ -104,11 +95,11 @@ func DrawTrianglesBanded(f *fb.Frame, tris []Triangle, workers, bandHeight int) 
 		// closure even for one worker; this branch keeps a 1-worker
 		// re-render allocation-free.
 		for b := 0; b < bands; b++ {
-			rasterizeBand(f, tris, s, binW, bands, b, bandHeight)
+			rasterizeBand(f, tris, s, binW, bands, b)
 		}
 	} else {
 		par.For(bands, wk, func(b int) {
-			rasterizeBand(f, tris, s, binW, bands, b, bandHeight)
+			rasterizeBand(f, tris, s, binW, bands, b)
 		})
 	}
 	putBins(s)
@@ -116,7 +107,8 @@ func DrawTrianglesBanded(f *fb.Frame, tris []Triangle, workers, bandHeight int) 
 
 // binTriChunk bins worker w's contiguous triangle chunk into its private
 // per-band lists.
-func binTriChunk(f *fb.Frame, tris []Triangle, s *binScratch, binW, bands, bandHeight, w int) {
+func binTriChunk(f *fb.Frame, tris []Triangle, s *binScratch, binW, bands, w int) {
+	const bandHeight = DefaultBandHeight
 	lo := w * len(tris) / binW
 	hi := (w + 1) * len(tris) / binW
 	row := s.bins[w*bands : (w+1)*bands]
@@ -138,7 +130,8 @@ func binTriChunk(f *fb.Frame, tris []Triangle, s *binScratch, binW, bands, bandH
 
 // rasterizeBand draws every triangle binned to band b, draining the
 // workers' lists in chunk order to preserve the serial rasterize order.
-func rasterizeBand(f *fb.Frame, tris []Triangle, s *binScratch, binW, bands, b, bandHeight int) {
+func rasterizeBand(f *fb.Frame, tris []Triangle, s *binScratch, binW, bands, b int) {
+	const bandHeight = DefaultBandHeight
 	y0 := b * bandHeight
 	y1 := minInt(y0+bandHeight, f.H)
 	for w := 0; w < binW; w++ {

@@ -40,8 +40,6 @@ type Options struct {
 	Radius float64
 	// ScalarLo/Hi pin the colormap normalization range.
 	ScalarLo, ScalarHi float32
-	// Strategy selects the BVH build for raycasting.
-	Strategy rt.BuildStrategy
 }
 
 // Stats instruments one Render call.
@@ -253,7 +251,6 @@ func (r *raycastSpheres) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Ca
 		Radius:     opt.Radius,
 		ColorField: cloudColorField(opt),
 		Colormap:   opt.Colormap,
-		Strategy:   opt.Strategy,
 		ScalarLo:   opt.ScalarLo, ScalarHi: opt.ScalarHi,
 	}
 	t0 := time.Now()
@@ -266,7 +263,7 @@ func (r *raycastSpheres) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Ca
 	// receiver delivers every step in the same PointCloud object, so
 	// pointer identity alone would serve a stale tree.
 	if r.cacheKey != p || r.cacheGen != p.Generation() || r.cacheRad != radius {
-		r.cached = rt.BuildSphereBVH(p, radius, opt.Strategy)
+		r.cached = rt.BuildSphereBVH(p, radius, rt.MedianSplit)
 		r.cacheKey = p
 		r.cacheGen = p.Generation()
 		r.cacheRad = radius

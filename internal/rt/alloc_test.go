@@ -13,8 +13,8 @@ import (
 )
 
 // TestBuildAllocsIndependentOfN gates the build's allocation count: the
-// header, the primitive slice and the node slice, for either strategy and
-// whatever the particle count — no per-node or per-range scratch.
+// header, the primitive slice and the node slice, whatever the particle
+// count — no per-node or per-range scratch.
 func TestBuildAllocsIndependentOfN(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
@@ -23,12 +23,10 @@ func TestBuildAllocsIndependentOfN(t *testing.T) {
 	// starts inside a run allocates its own bookkeeping.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const want = 3
-	for _, s := range []BuildStrategy{MedianSplit, BinnedSAH} {
-		for _, n := range []int{1_000, 50_000} {
-			p := randomCloud(n, 6)
-			if allocs := testing.AllocsPerRun(3, func() { BuildSphereBVH(p, 0.1, s) }); allocs != want {
-				t.Errorf("%v n=%d: build allocates %.0f times, want exactly %d", s, n, allocs, want)
-			}
+	for _, n := range []int{1_000, 50_000} {
+		p := randomCloud(n, 6)
+		if allocs := testing.AllocsPerRun(3, func() { BuildSphereBVH(p, 0.1, MedianSplit) }); allocs != want {
+			t.Errorf("n=%d: build allocates %.0f times, want exactly %d", n, allocs, want)
 		}
 	}
 }

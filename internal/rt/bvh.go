@@ -15,26 +15,13 @@ import (
 	"github.com/ascr-ecx/eth/internal/vec"
 )
 
-// BuildStrategy selects the BVH construction algorithm; DESIGN.md lists
-// this as an ablation dimension.
+// BuildStrategy names the BVH construction algorithm; MedianSplit is its
+// only value (see BuildSphereBVH for why the type remains).
 type BuildStrategy uint8
 
-const (
-	// MedianSplit splits at the object median along the longest axis —
-	// fast O(N log N) build, decent trees.
-	MedianSplit BuildStrategy = iota
-	// BinnedSAH evaluates a binned surface-area heuristic per split —
-	// slower build, faster traversal on irregular distributions.
-	BinnedSAH
-)
-
-// String implements fmt.Stringer.
-func (s BuildStrategy) String() string {
-	if s == BinnedSAH {
-		return "binned-sah"
-	}
-	return "median-split"
-}
+// MedianSplit splits at the object median along the longest axis: an
+// O(N log N) build. (DESIGN.md §4 says why binned SAH is gone.)
+const MedianSplit BuildStrategy = 0
 
 // leafSize is the maximum primitives per leaf; maxDepth cuts a branch
 // that degenerate input keeps splitting unevenly into one oversized leaf,
@@ -81,9 +68,10 @@ type SphereBVH struct {
 // BuildSphereBVH constructs the hierarchy over all particles of p, each a
 // sphere of the given radius. Build cost is O(N log N) — the "additional
 // setup phase" the paper attributes raycasting's extra computation to.
-// It allocates the two slices and the header, whatever N is, unless a
-// binned-SAH tree outgrows the node estimate.
-func BuildSphereBVH(p *data.PointCloud, radius float64, strategy BuildStrategy) *SphereBVH {
+// It allocates the two slices and the header, whatever N is. The strategy
+// parameter takes MedianSplit only; it is kept so the signature
+// bench/ethperf calls does not change.
+func BuildSphereBVH(p *data.PointCloud, radius float64, _ BuildStrategy) *SphereBVH {
 	n := p.Count()
 	b := &SphereBVH{prims: make([]sphere, n), radius: radius}
 	if n == 0 {
@@ -92,11 +80,10 @@ func BuildSphereBVH(p *data.PointCloud, radius float64, strategy BuildStrategy) 
 	for i := range b.prims {
 		b.prims[i] = sphere{c: [3]float32{p.X[i], p.Y[i], p.Z[i]}, id: int32(i)}
 	}
-	// A median split never leaves a leaf under four primitives, so its tree
-	// has fewer than n/2 nodes; binned SAH stays under that on anything but
-	// adversarial input, where append grows the slice.
+	// A median split never leaves a leaf under four primitives, so the tree
+	// has fewer than n/2 nodes.
 	b.nodes = make([]node, 1, n/2+2)
-	b.build(0, 0, n, strategy, 0)
+	b.build(0, 0, n, 0)
 	b.NodesBuilt = len(b.nodes)
 	return b
 }
@@ -104,7 +91,7 @@ func BuildSphereBVH(p *data.PointCloud, radius float64, strategy BuildStrategy) 
 // build recursively constructs the subtree for primitives [lo, hi) at
 // node index ni. One pass over the range yields the centroid range, from
 // which both the node's bounds and the split axis follow.
-func (b *SphereBVH) build(ni, lo, hi int, strategy BuildStrategy, depth int) {
+func (b *SphereBVH) build(ni, lo, hi, depth int) {
 	s := b.prims[lo:hi]
 	e := centroidRange(s)
 	nd := &b.nodes[ni]
@@ -117,21 +104,13 @@ func (b *SphereBVH) build(ni, lo, hi int, strategy BuildStrategy, depth int) {
 		nd.count = int32(len(s))
 		return
 	}
-	axis := e.aabb().LongestAxis()
 	mid := len(s) / 2
-	if strategy == BinnedSAH {
-		mid = sahSplit(s, axis, e.mn[axis], e.mx[axis])
-		if mid <= 0 || mid >= len(s) {
-			mid = len(s) / 2
-		}
-	} else {
-		nthElement(s, mid, axis)
-	}
+	nthElement(s, mid, e.aabb().LongestAxis())
 	left := len(b.nodes)
 	b.nodes = append(b.nodes, node{}, node{}) // may move the slice: nd is dead from here
 	b.nodes[ni].left = int32(left)
-	b.build(left, lo, lo+mid, strategy, depth+1)
-	b.build(left+1, lo+mid, hi, strategy, depth+1)
+	b.build(left, lo, lo+mid, depth+1)
+	b.build(left+1, lo+mid, hi, depth+1)
 }
 
 // extent is the float32 range of a set of centres. Minimum and maximum
@@ -141,21 +120,8 @@ type extent struct {
 	mn, mx [3]float32
 }
 
-func emptyExtent() extent {
-	inf := float32(math.Inf(1))
-	return extent{mn: [3]float32{inf, inf, inf}, mx: [3]float32{-inf, -inf, -inf}}
-}
-
-func (e *extent) add(c *[3]float32) {
-	for a := range c {
-		e.mn[a] = min(e.mn[a], c[a])
-		e.mx[a] = max(e.mx[a], c[a])
-	}
-}
-
-// centroidRange returns the extent of the centres in s. It is add over s
-// with the six bounds held in registers, which the per-node pass of the
-// build is worth.
+// centroidRange returns the extent of the centres in s, with the six
+// bounds held in registers, which the per-node pass of the build is worth.
 func centroidRange(s []sphere) extent {
 	inf := float32(math.Inf(1))
 	x0, y0, z0 := inf, inf, inf
@@ -170,7 +136,7 @@ func centroidRange(s []sphere) extent {
 }
 
 // aabb widens the extent to float64, for the vec.AABB arithmetic the
-// split rules are defined in.
+// split axis is chosen in.
 func (e *extent) aabb() vec.AABB {
 	return vec.AABB{Min: v3(e.mn), Max: v3(e.mx)}
 }
@@ -195,79 +161,6 @@ func roundUp(x float64) float32 {
 		f = math.Nextafter32(f, float32(math.Inf(1)))
 	}
 	return f
-}
-
-// sahSplit evaluates a 16-bin surface-area heuristic over the centroid
-// range [minC, maxC] of s on the given axis, partitions s at the cheapest
-// bin boundary and returns the split point.
-func sahSplit(s []sphere, axis int, minC32, maxC32 float32) int {
-	const bins = 16
-	minC := float64(minC32)
-	width := float64(maxC32) - minC
-	if width <= 0 {
-		return len(s) / 2
-	}
-	binOf := func(i int) int {
-		f := (float64(s[i].c[axis]) - minC) / width * bins
-		k := int(f)
-		if k >= bins {
-			k = bins - 1
-		}
-		return k
-	}
-	type bin struct {
-		extent
-		count int
-	}
-	var bs [bins]bin
-	for i := range bs {
-		bs[i].extent = emptyExtent()
-	}
-	for i := range s {
-		k := &bs[binOf(i)]
-		k.add(&s[i].c)
-		k.count++
-	}
-	// Sweep to find the cheapest split plane.
-	var leftArea, rightArea [bins]float64
-	var leftCount, rightCount [bins]int
-	acc := vec.EmptyAABB()
-	cnt := 0
-	for i := 0; i < bins-1; i++ {
-		acc = acc.Union(bs[i].aabb())
-		cnt += bs[i].count
-		leftArea[i] = acc.SurfaceArea()
-		leftCount[i] = cnt
-	}
-	acc = vec.EmptyAABB()
-	cnt = 0
-	for i := bins - 1; i > 0; i-- {
-		acc = acc.Union(bs[i].aabb())
-		cnt += bs[i].count
-		rightArea[i-1] = acc.SurfaceArea()
-		rightCount[i-1] = cnt
-	}
-	bestCost := math.Inf(1)
-	bestBin := bins / 2
-	for i := 0; i < bins-1; i++ {
-		if leftCount[i] == 0 || rightCount[i] == 0 {
-			continue
-		}
-		cost := leftArea[i]*float64(leftCount[i]) + rightArea[i]*float64(rightCount[i])
-		if cost < bestCost {
-			bestCost = cost
-			bestBin = i
-		}
-	}
-	// Partition primitives by bin.
-	mid := 0
-	for i := range s {
-		if binOf(i) <= bestBin {
-			s[mid], s[i] = s[i], s[mid]
-			mid++
-		}
-	}
-	return mid
 }
 
 // nthElement partially sorts s so that index n holds the value it would

@@ -3,14 +3,12 @@ package rt
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
 	"github.com/ascr-ecx/eth/internal/camera"
 	"github.com/ascr-ecx/eth/internal/cosmo"
 	"github.com/ascr-ecx/eth/internal/data"
-	"github.com/ascr-ecx/eth/internal/fb"
 	"github.com/ascr-ecx/eth/internal/geom"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
@@ -25,17 +23,15 @@ func randomCloud(n int, seed int64) *data.PointCloud {
 	return p
 }
 
-func TestBVHValidateBothStrategies(t *testing.T) {
-	for _, s := range []BuildStrategy{MedianSplit, BinnedSAH} {
-		for _, n := range []int{0, 1, 7, 8, 9, 100, 5000} {
-			p := randomCloud(n, int64(n)+1)
-			b := BuildSphereBVH(p, 0.3, s)
-			if err := b.Validate(); err != nil {
-				t.Errorf("%v n=%d: %v", s, n, err)
-			}
-			if b.Count() != n {
-				t.Errorf("%v n=%d: count %d", s, n, b.Count())
-			}
+func TestBVHValidate(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 9, 100, 5000} {
+		p := randomCloud(n, int64(n)+1)
+		b := BuildSphereBVH(p, 0.3, MedianSplit)
+		if err := b.Validate(); err != nil {
+			t.Errorf("n=%d: %v", n, err)
+		}
+		if b.Count() != n {
+			t.Errorf("n=%d: count %d", n, b.Count())
 		}
 	}
 }
@@ -74,12 +70,6 @@ func TestValidateCatchesViolations(t *testing.T) {
 		if err := b.Validate(); err == nil {
 			t.Errorf("%s: not detected", name)
 		}
-	}
-}
-
-func TestBVHStrategyNames(t *testing.T) {
-	if MedianSplit.String() != "median-split" || BinnedSAH.String() != "binned-sah" {
-		t.Error("strategy names wrong")
 	}
 }
 
@@ -185,10 +175,7 @@ func bruteForce(p *data.PointCloud, radius float64, origin, dir vec.V3, tMin, tM
 func TestIntersectMatchesBruteForceProperty(t *testing.T) {
 	p := randomCloud(300, 77)
 	const radius = 0.4
-	bvhs := map[string]*SphereBVH{
-		"median": BuildSphereBVH(p, radius, MedianSplit),
-		"sah":    BuildSphereBVH(p, radius, BinnedSAH),
-	}
+	b := BuildSphereBVH(p, radius, MedianSplit)
 	f := func(ox, oy, oz, tx, ty, tz float64) bool {
 		origin := vec.New(mod20(ox)+25, mod20(oy), mod20(oz)) // outside-ish
 		target := vec.New(mod20(tx), mod20(ty), mod20(tz))
@@ -197,16 +184,14 @@ func TestIntersectMatchesBruteForceProperty(t *testing.T) {
 			return true
 		}
 		want, wantOK := bruteForce(p, radius, origin, dir, 0, math.Inf(1))
-		for name, b := range bvhs {
-			got, ok := b.Intersect(origin, dir, 0, math.Inf(1))
-			if ok != wantOK {
-				t.Logf("%s: ok=%v want %v", name, ok, wantOK)
-				return false
-			}
-			if ok && (got.Particle != want.Particle || math.Abs(got.T-want.T) > 1e-9) {
-				t.Logf("%s: hit %d@%v want %d@%v", name, got.Particle, got.T, want.Particle, want.T)
-				return false
-			}
+		got, ok := b.Intersect(origin, dir, 0, math.Inf(1))
+		if ok != wantOK {
+			t.Logf("ok=%v want %v", ok, wantOK)
+			return false
+		}
+		if ok && (got.Particle != want.Particle || math.Abs(got.T-want.T) > 1e-9) {
+			t.Logf("hit %d@%v want %d@%v", got.Particle, got.T, want.Particle, want.T)
+			return false
 		}
 		return true
 	}
@@ -245,65 +230,63 @@ func latticeCloud(n int, seed int64) *data.PointCloud {
 func TestIntersectAxisParallelOnBoundPlane(t *testing.T) {
 	const radius = 0.5
 	p := latticeCloud(400, 11)
-	for _, s := range []BuildStrategy{MedianSplit, BinnedSAH} {
-		b := BuildSphereBVH(p, radius, s)
-		if err := b.Validate(); err != nil {
-			t.Fatal(err)
+	b := BuildSphereBVH(p, radius, MedianSplit)
+	if err := b.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	rays, hits, tangent := 0, 0, 0
+	// cast checks one ray along axis d (direction sign) that lies in the
+	// plane x[u] = plane and passes x[w] = through.
+	cast := func(ni int32, d, u int, sign float64, plane, through float32) {
+		var o, dir [3]float64
+		o[d], dir[d] = 8-sign*40, sign
+		o[u], o[3-d-u] = float64(plane), float64(through)
+		origin, dv := vec.New(o[0], o[1], o[2]), vec.New(dir[0], dir[1], dir[2])
+		want, wantOK := bruteForce(p, radius, origin, dv, 0, math.Inf(1))
+		got, ok := b.Intersect(origin, dv, 0, math.Inf(1))
+		// On a lattice distinct spheres tie in T exactly, and which of
+		// them wins depends on visiting order, so T is what must agree.
+		if ok != wantOK || ok && got.T != want.T {
+			t.Fatalf("node %d: ray %v -> %v: got %+v %v, want %+v %v", ni, origin, dv, got, ok, want, wantOK)
 		}
-		rays, hits, tangent := 0, 0, 0
-		// cast checks one ray along axis d (direction sign) that lies in the
-		// plane x[u] = plane and passes x[w] = through.
-		cast := func(ni int32, d, u int, sign float64, plane, through float32) {
-			var o, dir [3]float64
-			o[d], dir[d] = 8-sign*40, sign
-			o[u], o[3-d-u] = float64(plane), float64(through)
-			origin, dv := vec.New(o[0], o[1], o[2]), vec.New(dir[0], dir[1], dir[2])
-			want, wantOK := bruteForce(p, radius, origin, dv, 0, math.Inf(1))
-			got, ok := b.Intersect(origin, dv, 0, math.Inf(1))
-			// On a lattice distinct spheres tie in T exactly, and which of
-			// them wins depends on visiting order, so T is what must agree.
-			if ok != wantOK || ok && got.T != want.T {
-				t.Fatalf("%v node %d: ray %v -> %v: got %+v %v, want %+v %v", s, ni, origin, dv, got, ok, want, wantOK)
-			}
-			rays++
-			if ok {
-				hits++
-				// A tangent hit is exactly one radius off the ray on axis u.
-				if math.Abs(float64(p.Pos(got.Particle).Axis(u))-o[u]) == radius {
-					tangent++
-				}
+		rays++
+		if ok {
+			hits++
+			// A tangent hit is exactly one radius off the ray on axis u.
+			if math.Abs(float64(p.Pos(got.Particle).Axis(u))-o[u]) == radius {
+				tangent++
 			}
 		}
-		// span returns the primitive range under node ni, casting the rays
-		// of every node on the way: for each sphere under the node, rays
-		// along each axis d, in each of the node's bound planes on another
-		// axis u, through the sphere's centre on the remaining axis.
-		var span func(ni int32) (lo, hi int32)
-		span = func(ni int32) (lo, hi int32) {
-			nd := &b.nodes[ni]
-			lo, hi = nd.left, nd.left+nd.count
-			if nd.count == 0 {
-				lo, _ = span(nd.left)
-				_, hi = span(nd.left + 1)
-			}
-			for i := lo; i < hi; i++ {
-				c := b.prims[i].c
-				for d := 0; d < 3; d++ {
-					for _, u := range []int{(d + 1) % 3, (d + 2) % 3} {
-						for _, sign := range []float64{1, -1} {
-							cast(ni, d, u, sign, nd.bounds[u], c[3-d-u])
-							cast(ni, d, u, sign, nd.bounds[3+u], c[3-d-u])
-						}
+	}
+	// span returns the primitive range under node ni, casting the rays
+	// of every node on the way: for each sphere under the node, rays
+	// along each axis d, in each of the node's bound planes on another
+	// axis u, through the sphere's centre on the remaining axis.
+	var span func(ni int32) (lo, hi int32)
+	span = func(ni int32) (lo, hi int32) {
+		nd := &b.nodes[ni]
+		lo, hi = nd.left, nd.left+nd.count
+		if nd.count == 0 {
+			lo, _ = span(nd.left)
+			_, hi = span(nd.left + 1)
+		}
+		for i := lo; i < hi; i++ {
+			c := b.prims[i].c
+			for d := 0; d < 3; d++ {
+				for _, u := range []int{(d + 1) % 3, (d + 2) % 3} {
+					for _, sign := range []float64{1, -1} {
+						cast(ni, d, u, sign, nd.bounds[u], c[3-d-u])
+						cast(ni, d, u, sign, nd.bounds[3+u], c[3-d-u])
 					}
 				}
 			}
-			return lo, hi
 		}
-		span(0)
-		t.Logf("%v: %d rays, %d hits, %d of them tangent", s, rays, hits, tangent)
-		if tangent == 0 {
-			t.Errorf("%v: no ray grazed a sphere on a bound plane: the test no longer exercises the NaN case", s)
-		}
+		return lo, hi
+	}
+	span(0)
+	t.Logf("%d rays, %d hits, %d of them tangent", rays, hits, tangent)
+	if tangent == 0 {
+		t.Error("no ray grazed a sphere on a bound plane: the test no longer exercises the NaN case")
 	}
 }
 
@@ -317,11 +300,10 @@ func orbitCamera(b vec.AABB, k, total int) camera.Camera {
 	return cam
 }
 
-// TestStrategiesAgreeExactly is the differential test for the two things
-// rt does two ways: on a clustered cloud with the benchmark's overlapping
-// spheres, median-split, binned-SAH and brute force return the same Hit —
-// every field, to the bit — for every primary ray of a full orbit, and the
-// two strategies render byte-equal frames.
+// TestStrategiesAgreeExactly is the differential test for the BVH: on a
+// clustered cloud with the benchmark's overlapping spheres, the
+// median-split tree and brute force return the same Hit — every field, to
+// the bit — for every primary ray of a full orbit.
 func TestStrategiesAgreeExactly(t *testing.T) {
 	params := cosmo.DefaultParams()
 	params.Particles, params.Halos, params.Seed = 6000, 24, 5
@@ -330,15 +312,11 @@ func TestStrategiesAgreeExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	radius := geom.DefaultSplatRadius(p)
-	med := BuildSphereBVH(p, radius, MedianSplit)
-	sah := BuildSphereBVH(p, radius, BinnedSAH)
-	for _, b := range []*SphereBVH{med, sah} {
-		if err := b.Validate(); err != nil {
-			t.Fatal(err)
-		}
+	b := BuildSphereBVH(p, radius, MedianSplit)
+	if err := b.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	const views, raySize, frameSize = 6, 40, 96
-	opt := SphereOptions{Radius: radius, ColorField: "speed"}
+	const views, raySize = 6, 40
 	hits := 0
 	for k := 0; k < views; k++ {
 		cam := orbitCamera(p.Bounds(), k, views)
@@ -347,60 +325,18 @@ func TestStrategiesAgreeExactly(t *testing.T) {
 			for x := 0; x < raySize; x++ {
 				ray := gen.Ray(x, y)
 				want, wantOK := bruteForce(p, radius, ray.Origin, ray.Dir, cam.Near, cam.Far)
-				for _, b := range []*SphereBVH{med, sah} {
-					got, ok := b.Intersect(ray.Origin, ray.Dir, cam.Near, cam.Far)
-					if ok != wantOK || ok && got != want {
-						t.Fatalf("view %d pixel (%d,%d): got %+v %v, brute force %+v %v", k, x, y, got, ok, want, wantOK)
-					}
+				got, ok := b.Intersect(ray.Origin, ray.Dir, cam.Near, cam.Far)
+				if ok != wantOK || ok && got != want {
+					t.Fatalf("view %d pixel (%d,%d): got %+v %v, brute force %+v %v", k, x, y, got, ok, want, wantOK)
 				}
 				if wantOK {
 					hits++
 				}
 			}
 		}
-		fm, fs := fb.New(frameSize, frameSize), fb.New(frameSize, frameSize)
-		if err := RaycastSpheresWithBVH(fm, p, med, &cam, opt); err != nil {
-			t.Fatal(err)
-		}
-		if err := RaycastSpheresWithBVH(fs, p, sah, &cam, opt); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(fm.Color, fs.Color) || !slices.Equal(fm.Depth, fs.Depth) {
-			t.Fatalf("view %d: median-split and binned-SAH frames differ", k)
-		}
-		if fm.CoveredPixels() == 0 {
-			t.Fatalf("view %d: empty frame", k)
-		}
 	}
 	if hits < views*raySize*raySize/4 {
 		t.Errorf("only %d of %d rays hit: spheres no longer overlap as in the benchmark", hits, views*raySize*raySize)
-	}
-}
-
-func TestSAHBuildsFewerOrEqualCostTrees(t *testing.T) {
-	// Not a strict guarantee, but on a clustered distribution SAH should
-	// produce a tree whose total leaf surface area is no larger than
-	// median split's by a wide margin (sanity check that SAH differs).
-	p := data.NewPointCloud(4000)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < p.Count(); i++ {
-		// Two clusters far apart.
-		base := vec.New(0, 0, 0)
-		if i%2 == 0 {
-			base = vec.New(100, 0, 0)
-		}
-		p.SetPos(i, base.Add(vec.New(rng.Float64(), rng.Float64(), rng.Float64())))
-	}
-	med := BuildSphereBVH(p, 0.1, MedianSplit)
-	sah := BuildSphereBVH(p, 0.1, BinnedSAH)
-	if err := med.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sah.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if med.NodesBuilt == 0 || sah.NodesBuilt == 0 {
-		t.Error("no nodes built")
 	}
 }
 
@@ -409,14 +345,6 @@ func BenchmarkBVHBuildMedian100k(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		BuildSphereBVH(p, 0.1, MedianSplit)
-	}
-}
-
-func BenchmarkBVHBuildSAH100k(b *testing.B) {
-	p := randomCloud(100_000, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		BuildSphereBVH(p, 0.1, BinnedSAH)
 	}
 }
 

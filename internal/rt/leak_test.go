@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/ascr-ecx/eth/internal/data"
+	"github.com/ascr-ecx/eth/internal/raceflag"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
 
@@ -13,8 +14,13 @@ import (
 // acquired table to colorPool. The test seeds the pool, drives the error
 // path, and asserts the pool hands the same backing array back out —
 // possible only if the error path released it. Single goroutine, so
-// sync.Pool's per-P slots make the round trip deterministic.
+// sync.Pool's per-P slots make the round trip deterministic — except
+// under -race, whose sync.Pool drops Put items at random, so it skips
+// there and scripts/check.sh asserts it in the non-race pass.
 func TestScalarColorsErrorReleasesColors(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race-instrumented sync.Pool drops Put items at random; identity asserted in the non-race pass")
+	}
 	p := data.NewPointCloud(16)
 	for i := 0; i < 16; i++ {
 		p.SetPos(i, vec.New(float64(i), 0, 0))

@@ -39,8 +39,6 @@ type SphereOptions struct {
 	ColorField string
 	// Colormap maps normalized scalars; nil = Viridis.
 	Colormap *fb.Colormap
-	// Strategy selects the BVH build algorithm.
-	Strategy BuildStrategy
 	// Ambient light fraction; 0 selects 0.25.
 	Ambient float64
 	// ScalarLo/Hi pin the colormap normalization range; equal values
@@ -60,7 +58,7 @@ func RaycastSpheres(frame *fb.Frame, p *data.PointCloud, cam *camera.Camera, opt
 	if radius <= 0 {
 		radius = defaultRadius(p)
 	}
-	bvh := BuildSphereBVH(p, radius, opt.Strategy)
+	bvh := BuildSphereBVH(p, radius, MedianSplit)
 	if err := RaycastSpheresWithBVH(frame, p, bvh, cam, opt); err != nil {
 		return nil, err
 	}

@@ -55,16 +55,6 @@ func (b AABB) Size() V3 { return b.Max.Sub(b.Min) }
 // Diagonal returns the length of the box diagonal.
 func (b AABB) Diagonal() float64 { return b.Size().Len() }
 
-// SurfaceArea returns the total surface area, used by SAH BVH builders.
-// An empty box has zero area.
-func (b AABB) SurfaceArea() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	s := b.Size()
-	return 2 * (s.X*s.Y + s.Y*s.Z + s.Z*s.X)
-}
-
 // Contains reports whether point p lies inside or on the boundary of b.
 func (b AABB) Contains(p V3) bool {
 	return p.X >= b.Min.X && p.X <= b.Max.X &&
