@@ -21,16 +21,21 @@ sarif:
 
 # Short fuzz passes over the dataset container reader, the framed wire
 # format (checksummed dataset frames must detect any byte flip, for
-# every codec; temporal codecs must reconstruct bit-exactly), and the
-# hub steering codec (corruption must surface ErrSteering, never a
-# panic or a silently-applied wrong value).
+# every codec; temporal codecs must reconstruct bit-exactly), the hub
+# steering codec (corruption must surface ErrSteering, never a panic or
+# a silently-applied wrong value), and the two text formats a user
+# hands a run: the fault schedule and the job layout (no panic; an
+# accepted one reads back unchanged from its printed form).
 fuzz:
 	go test -run='^$$' -fuzz=FuzzReadVTK -fuzztime=10s ./internal/vtkio/
 	go test -run='^$$' -fuzz=FuzzFrameFlip -fuzztime=10s ./internal/transport/
 	go test -run='^$$' -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/transport/
 	go test -run='^$$' -fuzz=FuzzSteeringMessage -fuzztime=10s ./internal/hub/
+	go test -run='^$$' -fuzz=FuzzFaultsParse -fuzztime=10s ./internal/faults/
+	go test -run='^$$' -fuzz=FuzzLayoutParse -fuzztime=10s ./internal/layout/
 
-# Full gate: vet + build + ethlint + race-enabled tests + short fuzz pass.
+# Full gate: gofmt + vet + build + ethlint + race-enabled tests + short
+# fuzz passes.
 check:
 	./scripts/check.sh
 
@@ -44,8 +49,9 @@ perf:
 perf-quick:
 	bash bench/run.sh -quick
 
-# Per-package Go line counts (code / non-test / test) for internal/* and
-# cmd/*: run at the parent commit and at the change to report a PR's net
-# line count.
+# Go line counts (code / non-test / test) per package of internal/* and
+# cmd/*, plus bench/*, examples and the root package, totalled over the
+# whole module: run at the parent commit and at the change to report a
+# PR's net line count.
 loc:
 	./scripts/loc.sh

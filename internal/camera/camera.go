@@ -101,19 +101,27 @@ func (c *Camera) NewProjector(w, h int) Projector {
 }
 
 // Project maps world point p to window coordinates; see Camera.Project,
-// which is this method on a projector built for one point.
+// which is this method on a projector built for one point. It is the view
+// matrix's MulPoint and the projection's MulPointW, row by row through
+// vec.M4.Row on the matrices in place — the same products in the same
+// order, with no call and no matrix copied per point.
 func (pr *Projector) Project(p vec.V3) (x, y, depth float64, ok bool) {
-	cam := pr.view.MulPoint(p)
+	view, proj := &pr.view, &pr.proj
+	cam := vec.V3{X: view.Row(0, p), Y: view.Row(1, p), Z: view.Row(2, p)}
+	if w := view.Row(3, p); w != 0 && w != 1 {
+		inv := 1 / w
+		cam = vec.V3{X: cam.X * inv, Y: cam.Y * inv, Z: cam.Z * inv}
+	}
 	if cam.Z > -pr.near {
 		return 0, 0, 0, false
 	}
-	clip, wc := pr.proj.MulPointW(cam)
+	wc := proj.Row(3, cam)
 	if wc == 0 {
 		return 0, 0, 0, false
 	}
 	inv := 1 / wc
-	nx := clip.X * inv
-	ny := clip.Y * inv
+	nx := proj.Row(0, cam) * inv
+	ny := proj.Row(1, cam) * inv
 	x = (nx + 1) / 2 * pr.w
 	y = (1 - (ny+1)/2) * pr.h
 	return x, y, -cam.Z, true

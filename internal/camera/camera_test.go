@@ -197,4 +197,18 @@ func TestProjectorMatchesRebuildingProject(t *testing.T) {
 	if behind < 1000 || behind > 9000 {
 		t.Fatalf("%d of 10000 points behind the near plane: the sample does not cover both sides", behind)
 	}
+	// Non-finite points take the view matrix's perspective divide (w is
+	// NaN, not 1), so they are compared as bits: NaN equals nothing.
+	bits := func(x, y, d float64, ok bool) [4]uint64 {
+		return [4]uint64{math.Float64bits(x), math.Float64bits(y), math.Float64bits(d), map[bool]uint64{true: 1}[ok]}
+	}
+	for _, p := range []vec.V3{
+		{X: math.Inf(1)}, {Y: math.Inf(-1)}, {Z: math.Inf(1)}, {X: math.NaN()},
+		cam.Eye.Add(vec.New(0, 0, math.Inf(-1))), vec.New(math.Copysign(0, -1), 0, math.Copysign(0, -1)),
+	} {
+		wx, wy, wd, wok := projectRebuilding(&cam, p, w, h)
+		if got, want := bits(pr.Project(p)), bits(wx, wy, wd, wok); got != want {
+			t.Errorf("point %v projects to bits %x, the rebuilding arithmetic gives %x", p, got, want)
+		}
+	}
 }

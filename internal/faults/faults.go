@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -485,13 +486,16 @@ func parseRule(line string) (Rule, error) {
 	if r.Nth, err = parseIndex(nthStr); err != nil {
 		return Rule{}, fmt.Errorf("nth: %w", err)
 	}
-	action, arg, _ := strings.Cut(parts[3], "=")
+	action, arg, hasArg := strings.Cut(parts[3], "=")
 	switch action {
 	case "corrupt":
 		r.Action = Corrupt
-		if arg != "" {
-			if _, err := fmt.Sscanf(arg, "%d", &r.Pos); err != nil {
-				return Rule{}, fmt.Errorf("corrupt position %q: %w", arg, err)
+		if hasArg {
+			// 0 picks a seeded-random byte, as a bare "corrupt" does. A
+			// negative position would too, but String prints both bare,
+			// so only 0 reads back as itself.
+			if r.Pos, err = strconv.Atoi(arg); err != nil || r.Pos < 0 {
+				return Rule{}, fmt.Errorf("corrupt position %q: want a non-negative integer", arg)
 			}
 		}
 	case "drop":
@@ -513,6 +517,9 @@ func parseRule(line string) (Rule, error) {
 	default:
 		return Rule{}, fmt.Errorf("unknown action %q", action)
 	}
+	if hasArg && r.Action != Corrupt && r.Action != Delay {
+		return Rule{}, fmt.Errorf("%s takes no argument, got %q", action, arg)
+	}
 	return r, nil
 }
 
@@ -521,8 +528,8 @@ func parseIndex(s string) (int, error) {
 	if s == "*" {
 		return Any, nil
 	}
-	var n int
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil {
+	n, err := strconv.Atoi(s)
+	if err != nil {
 		return 0, fmt.Errorf("want integer or *, got %q", s)
 	}
 	if n < 0 {

@@ -190,8 +190,9 @@ func TestCloneResetsCounters(t *testing.T) {
 	}
 }
 
-func TestParseRoundTrip(t *testing.T) {
-	text := `
+// roundTripSchedule has one rule of every action, wildcards, a comment and
+// blank lines.
+const roundTripSchedule = `
 # a comment
 sim:0:write[1]:corrupt=30
 viz:*:dial[0]:refuse
@@ -200,7 +201,9 @@ sim:*:read[*]:reset
 sim:0:write[3]:partial
 viz:0:write[0]:drop
 `
-	s, err := Parse(text, 7)
+
+func TestParseRoundTrip(t *testing.T) {
+	s, err := Parse(roundTripSchedule, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,18 +231,29 @@ viz:0:write[0]:drop
 	}
 }
 
+// badSchedules are schedules Parse must refuse.
+var badSchedules = []string{
+	"",                             // no rules
+	"sim:0:write[1]",               // missing action
+	"mars:0:write[1]:corrupt",      // unknown side
+	"sim:x:write[1]:corrupt",       // bad conn
+	"sim:0:poke[1]:corrupt",        // unknown op
+	"sim:0:write[1]:explode",       // unknown action
+	"sim:0:write[1]:delay",         // delay without duration
+	"sim:0:write[1]:delay=fast",    // bad duration
+	"sim:-1:write[1]:corrupt",      // negative index
+	"sim:0x10:write[1]:corrupt",    // hex conn (was read as 0)
+	"sim:1e3:write[1]:corrupt",     // exponent conn (was read as 1)
+	"sim:0:write[2x]:corrupt",      // trailing garbage in nth
+	"sim:0:write[ 1]:corrupt",      // space in nth
+	"sim:0:write[1]:corrupt=30abc", // trailing garbage in position (was 30)
+	"sim:0:write[1]:corrupt=-5",    // negative position (printed as bare corrupt)
+	"sim:0:write[1]:corrupt=",      // empty position
+	"sim:0:write[1]:drop=3",        // argument on an action that takes none
+}
+
 func TestParseErrors(t *testing.T) {
-	for _, bad := range []string{
-		"",                         // no rules
-		"sim:0:write[1]",           // missing action
-		"mars:0:write[1]:corrupt",  // unknown side
-		"sim:x:write[1]:corrupt",   // bad conn
-		"sim:0:poke[1]:corrupt",    // unknown op
-		"sim:0:write[1]:explode",   // unknown action
-		"sim:0:write[1]:delay",     // delay without duration
-		"sim:0:write[1]:delay=fast",// bad duration
-		"sim:-1:write[1]:corrupt",  // negative index
-	} {
+	for _, bad := range badSchedules {
 		if _, err := Parse(bad, 1); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}

@@ -191,7 +191,11 @@ func refDrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions)
 	if ambient <= 0 {
 		ambient = 0.25
 	}
-	var tris []raster.Triangle
+	// The soup, three vertices of its own per triangle, is what the
+	// rasterizer took before it took shared vertices; raster's own
+	// reference test holds it to the soup rasterizer it had then.
+	var verts []raster.Vertex
+	var tris [][3]int32
 	smooth := len(m.Normals) == len(m.Verts) && len(m.Verts) > 0
 triangles:
 	for ti, t := range m.Tris {
@@ -199,7 +203,7 @@ triangles:
 		if !smooth {
 			flatShade = ambient + (1-ambient)*math.Abs(m.Normal(ti).Dot(light))
 		}
-		var out raster.Triangle
+		var out [3]raster.Vertex
 		for c := 0; c < 3; c++ {
 			x, y, depth, ok := refProject(cam, m.Verts[t[c]], frame.W, frame.H)
 			if !ok {
@@ -210,11 +214,13 @@ triangles:
 				shade = ambient + (1-ambient)*math.Abs(m.Normals[t[c]].Dot(light))
 			}
 			s := float64(m.Scalars[t[c]]-lo) * scale
-			out.V[c] = raster.Vertex{X: x, Y: y, Depth: depth, Color: cmap.Lookup(s).Scale(shade)}
+			out[c] = raster.Vertex{X: x, Y: y, Depth: depth, Color: cmap.Lookup(s).Scale(shade)}
 		}
-		tris = append(tris, out)
+		base := int32(len(verts))
+		verts = append(verts, out[:]...)
+		tris = append(tris, [3]int32{base, base + 1, base + 2})
 	}
-	raster.DrawTriangles(frame, tris, 0)
+	raster.DrawTriangles(frame, verts, tris, 0)
 }
 
 // diffCase is one grid of the differential tests with the isovalue and

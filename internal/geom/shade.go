@@ -30,11 +30,12 @@ type ShadeOptions struct {
 	Ambient float64
 }
 
-// Per-draw scratch: one screen-space vertex per mesh vertex (with a keep
-// flag from keepPool) and the triangle list handed to the rasterizer.
+// Per-draw scratch: the screen-space vertices (with a keep flag from
+// keepPool) and the kept triangles' index triples handed to the
+// rasterizer.
 var (
 	vertexPool   mempool.SlicePool[raster.Vertex]
-	trianglePool mempool.SlicePool[raster.Triangle]
+	trianglePool mempool.SlicePool[[3]int32]
 )
 
 // DrawMesh projects, shades, and rasterizes m into frame using cam:
@@ -75,7 +76,13 @@ func DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
 
 	smooth := len(m.Normals) == len(m.Verts)
 	proj := cam.NewProjector(frame.W, frame.H)
-	verts := vertexPool.Get(len(m.Verts))
+	// One screen vertex per mesh vertex, then — shaded flat — three of its
+	// own for each kept triangle, after them.
+	nv := len(m.Verts)
+	if !smooth {
+		nv += 3 * m.TriangleCount()
+	}
+	verts := vertexPool.Get(nv)
 	keep := keepPool.Get(len(m.Verts))
 	par.ForGrained(len(m.Verts), 0, 0, func(from, to int) {
 		for i := from; i < to; i++ {
@@ -92,25 +99,29 @@ func DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
 	})
 	tris := trianglePool.Get(m.TriangleCount())
 	n := 0
+	face := int32(len(m.Verts))
 	for ti, t := range m.Tris {
 		if !keep[t[0]] || !keep[t[1]] || !keep[t[2]] {
 			continue // clip whole triangle at near plane
 		}
-		v := &tris[n].V
-		v[0], v[1], v[2] = verts[t[0]], verts[t[1]], verts[t[2]]
 		if !smooth {
 			shade := lit(m.Normal(ti))
-			for c := range v {
-				v[c].Color = v[c].Color.Scale(shade)
+			for c := range t {
+				v := &verts[face+int32(c)]
+				*v = verts[t[c]]
+				v.Color = v.Color.Scale(shade)
+				t[c] = face + int32(c)
 			}
+			face += 3
 		}
+		tris[n] = t
 		n++
 	}
 	tris = tris[:n]
 	keepPool.Put(keep)
-	vertexPool.Put(verts)
 	ctrTriangles.Add(int64(len(tris)))
-	raster.DrawTriangles(frame, tris, 0)
+	raster.DrawTriangles(frame, verts, tris, 0)
+	vertexPool.Put(verts)
 	trianglePool.Put(tris)
 }
 

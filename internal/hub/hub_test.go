@@ -86,11 +86,11 @@ func TestSteerCorruption(t *testing.T) {
 func TestSteerRejectsInvalid(t *testing.T) {
 	bad := []Msg{
 		{Kind: 9},
-		{Kind: KindSteer},                                                   // no axes
-		{Kind: KindSteer, Axes: 0x80},                                       // unknown axis
-		{Kind: KindSteer, Axes: AxisRatio, Ratio: 0},                        // ratio out of domain
-		{Kind: KindSteer, Axes: AxisRatio, Ratio: 1.5},                      //
-		{Kind: KindSteer, Axes: AxisCamera, Cam: View{Dist: -1}},            // non-positive dist
+		{Kind: KindSteer},             // no axes
+		{Kind: KindSteer, Axes: 0x80}, // unknown axis
+		{Kind: KindSteer, Axes: AxisRatio, Ratio: 0},             // ratio out of domain
+		{Kind: KindSteer, Axes: AxisRatio, Ratio: 1.5},           //
+		{Kind: KindSteer, Axes: AxisCamera, Cam: View{Dist: -1}}, // non-positive dist
 		{Kind: KindSteer, Axes: AxisCamera, Cam: View{Az: math.NaN(), Dist: 1}},
 		{Kind: KindSteer, Axes: AxisIso, Iso: float32(math.Inf(1))},
 		{Kind: KindSteer, Axes: AxisCodec, Codec: 99},

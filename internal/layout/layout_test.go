@@ -33,11 +33,15 @@ func TestParseGoodSpec(t *testing.T) {
 	}
 }
 
+// unknownFields rename goodSpec's "pairs" key into specs Parse must
+// refuse.
+var unknownFields = map[string]string{
+	"typo":          `"paris"`,
+	"retired field": `"compress": true, "pairs"`, // now "codec": "flate"
+}
+
 func TestParseRejectsUnknownFields(t *testing.T) {
-	for name, to := range map[string]string{
-		"typo":          `"paris"`,
-		"retired field": `"compress": true, "pairs"`, // now "codec": "flate"
-	} {
+	for name, to := range unknownFields {
 		bad := strings.Replace(goodSpec, `"pairs"`, to, 1)
 		if _, err := Parse([]byte(bad)); err == nil {
 			t.Errorf("%s accepted", name)
@@ -45,18 +49,20 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// invalidSpecs are edits of goodSpec that decode but fail Validate.
+var invalidSpecs = []struct{ name, from, to string }{
+	{"bad workload kind", `"kind": "hacc"`, `"kind": "fluid"`},
+	{"zero particles", `"particles": 10000`, `"particles": 0`},
+	{"bad coupling", `"coupling": "unified"`, `"coupling": "quantum"`},
+	{"bad algorithm", `"algorithm": "gsplat"`, `"algorithm": "blender"`},
+	{"zero width", `"width": 64`, `"width": 0`},
+	{"bad ratio", `"ratio": 0.5`, `"ratio": 2.0`},
+	{"bad method", `"method": "stride"`, `"method": "psychic"`},
+	{"zero steps", `"steps": 2`, `"steps": 0`},
+}
+
 func TestValidationErrors(t *testing.T) {
-	cases := []struct{ name, from, to string }{
-		{"bad workload kind", `"kind": "hacc"`, `"kind": "fluid"`},
-		{"zero particles", `"particles": 10000`, `"particles": 0`},
-		{"bad coupling", `"coupling": "unified"`, `"coupling": "quantum"`},
-		{"bad algorithm", `"algorithm": "gsplat"`, `"algorithm": "blender"`},
-		{"zero width", `"width": 64`, `"width": 0`},
-		{"bad ratio", `"ratio": 0.5`, `"ratio": 2.0`},
-		{"bad method", `"method": "stride"`, `"method": "psychic"`},
-		{"zero steps", `"steps": 2`, `"steps": 0`},
-	}
-	for _, c := range cases {
+	for _, c := range invalidSpecs {
 		bad := strings.Replace(goodSpec, c.from, c.to, 1)
 		if bad == goodSpec {
 			t.Fatalf("%s: replacement did not apply", c.name)
@@ -131,14 +137,15 @@ func TestSocketSpec(t *testing.T) {
 	}
 }
 
+const xrageSpec = `{
+	"name": "blast",
+	"workload": {"kind": "xrage", "grid": 32, "steps": 1, "seed": 1},
+	"algorithm": "ray-iso",
+	"image": {"width": 48, "height": 48, "imagesPerStep": 1}
+}`
+
 func TestXRAGESpec(t *testing.T) {
-	x := `{
-		"name": "blast",
-		"workload": {"kind": "xrage", "grid": 32, "steps": 1, "seed": 1},
-		"algorithm": "ray-iso",
-		"image": {"width": 48, "height": 48, "imagesPerStep": 1}
-	}`
-	s, err := Parse([]byte(x))
+	s, err := Parse([]byte(xrageSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +158,15 @@ func TestXRAGESpec(t *testing.T) {
 	}
 }
 
+const diskSpec = `{
+	"name": "replay",
+	"workload": {"kind": "disk", "glob": "/nonexistent/*.ethd"},
+	"algorithm": "points",
+	"image": {"width": 32, "height": 32}
+}`
+
 func TestDiskSpecGlobValidation(t *testing.T) {
-	d := `{
-		"name": "replay",
-		"workload": {"kind": "disk", "glob": "/nonexistent/*.ethd"},
-		"algorithm": "points",
-		"image": {"width": 32, "height": 32}
-	}`
-	s, err := Parse([]byte(d))
+	s, err := Parse([]byte(diskSpec))
 	if err != nil {
 		t.Fatal(err) // validation passes; glob resolution happens at run
 	}

@@ -61,19 +61,21 @@ func TestHotPathAllocsWithObs(t *testing.T) {
 	t.Run("serial-draw", func(t *testing.T) {
 		defer scrape()
 		frame := fb.New(128, 128)
-		tris := make([]raster.Triangle, 200)
+		verts := make([]raster.Vertex, 0, 3*200)
+		tris := make([][3]int32, 200)
 		for i := range tris {
 			x := float64(8 + (i*13)%100)
 			y := float64(8 + (i*7)%100)
-			tris[i] = raster.Triangle{V: [3]raster.Vertex{
-				{X: x, Y: y, Depth: 1 + float64(i)*0.01, Color: vec.New(1, 0.5, 0.2)},
-				{X: x + 10, Y: y + 2, Depth: 1.1, Color: vec.New(0.2, 0.5, 1)},
-				{X: x + 4, Y: y + 9, Depth: 1.2, Color: vec.New(0.5, 1, 0.2)},
-			}}
+			verts = append(verts,
+				raster.Vertex{X: x, Y: y, Depth: 1 + float64(i)*0.01, Color: vec.New(1, 0.5, 0.2)},
+				raster.Vertex{X: x + 10, Y: y + 2, Depth: 1.1, Color: vec.New(0.2, 0.5, 1)},
+				raster.Vertex{X: x + 4, Y: y + 9, Depth: 1.2, Color: vec.New(0.5, 1, 0.2)},
+			)
+			tris[i] = [3]int32{int32(3 * i), int32(3*i + 1), int32(3*i + 2)}
 		}
 		redraw := func() {
 			frame.Clear(vec.V3{})
-			raster.DrawTriangles(frame, tris, 1)
+			raster.DrawTriangles(frame, verts, tris, 1)
 		}
 		redraw() // warm the bin scratch pool
 		if allocs := testing.AllocsPerRun(20, redraw); allocs > 0 {

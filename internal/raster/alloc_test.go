@@ -8,18 +8,18 @@ import (
 	"github.com/ascr-ecx/eth/internal/vec"
 )
 
-func allocTriangles(n int) []Triangle {
-	tris := make([]Triangle, n)
+func allocTriangles(n int) ([]Vertex, [][3]int32) {
+	tris := make([][3]Vertex, n)
 	for i := range tris {
 		x := float64(8 + (i*13)%100)
 		y := float64(8 + (i*7)%100)
-		tris[i] = Triangle{V: [3]Vertex{
+		tris[i] = [3]Vertex{
 			{X: x, Y: y, Depth: 1 + float64(i)*0.01, Color: vec.New(1, 0.5, 0.2)},
 			{X: x + 10, Y: y + 2, Depth: 1.1, Color: vec.New(0.2, 0.5, 1)},
 			{X: x + 4, Y: y + 9, Depth: 1.2, Color: vec.New(0.5, 1, 0.2)},
-		}}
+		}
 	}
-	return tris
+	return soup(tris...)
 }
 
 // TestDrawSteadyStateAllocs locks in the zero-allocation steady state of
@@ -32,7 +32,7 @@ func TestDrawSteadyStateAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
 	}
 	frame := fb.New(128, 128)
-	tris := allocTriangles(500)
+	verts, tris := allocTriangles(500)
 	sprites := make([]Sprite, 500)
 	for i := range sprites {
 		sprites[i] = Sprite{X: float64(i % 120), Y: float64((i * 7) % 120), Depth: 1, Size: 2, Color: vec.New(1, 1, 1)}
@@ -46,7 +46,7 @@ func TestDrawSteadyStateAllocs(t *testing.T) {
 		name string
 		draw func()
 	}{
-		{"triangles", func() { DrawTriangles(frame, tris, 1) }},
+		{"triangles", func() { DrawTriangles(frame, verts, tris, 1) }},
 		{"sprites", func() { DrawSprites(frame, sprites, 1) }},
 		{"impostors", func() { DrawImpostors(frame, imps, vec.New(0, 0, 1), 1) }},
 	}

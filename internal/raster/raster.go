@@ -27,11 +27,6 @@ type Vertex struct {
 	Color vec.V3
 }
 
-// Triangle is a screen-space triangle with per-vertex attributes.
-type Triangle struct {
-	V [3]Vertex
-}
-
 // Sprite is a screen-space point: a square of Size pixels on a side
 // (Size <= 1 renders one pixel), depth tested at a single depth.
 type Sprite struct {
@@ -58,15 +53,19 @@ type Impostor struct {
 // larger ones bin each primitive into fewer lists.
 const DefaultBandHeight = 16
 
-// DrawTriangles rasterizes tris into f with depth testing and Gouraud
-// color interpolation. workers <= 0 selects the default pool size.
+// DrawTriangles rasterizes the triangles tris, each three indices into
+// verts, into f with depth testing and Gouraud color interpolation. A
+// vertex shared by several triangles is stored once. workers <= 0 selects
+// the default pool size.
 //
 // Binning runs on pooled scratch (zero steady-state allocation) and, for
 // large triangle counts, in parallel: each worker bins a contiguous index
 // chunk into private per-band lists, and each band drains its workers in
 // chunk order, so the per-band rasterize order matches a serial pass.
-func DrawTriangles(f *fb.Frame, tris []Triangle, workers int) {
-	if len(tris) == 0 {
+func DrawTriangles(f *fb.Frame, verts []Vertex, tris [][3]int32, workers int) {
+	// rasterizeTriangle indexes the frame directly; a frame with no
+	// columns has no pixel for its clamped bounds to land on.
+	if len(tris) == 0 || f.W == 0 {
 		return
 	}
 	const bandHeight = DefaultBandHeight
@@ -84,10 +83,10 @@ func DrawTriangles(f *fb.Frame, tris []Triangle, workers int) {
 	}
 	s := getBins(binW * bands)
 	if binW == 1 {
-		binTriChunk(f, tris, s, binW, bands, 0)
+		binTriChunk(f, verts, tris, s, binW, bands, 0)
 	} else {
 		par.For(binW, binW, func(w int) {
-			binTriChunk(f, tris, s, binW, bands, w)
+			binTriChunk(f, verts, tris, s, binW, bands, w)
 		})
 	}
 	if wk == 1 {
@@ -95,11 +94,11 @@ func DrawTriangles(f *fb.Frame, tris []Triangle, workers int) {
 		// closure even for one worker; this branch keeps a 1-worker
 		// re-render allocation-free.
 		for b := 0; b < bands; b++ {
-			rasterizeBand(f, tris, s, binW, bands, b)
+			rasterizeBand(f, verts, tris, s, binW, bands, b)
 		}
 	} else {
 		par.For(bands, wk, func(b int) {
-			rasterizeBand(f, tris, s, binW, bands, b)
+			rasterizeBand(f, verts, tris, s, binW, bands, b)
 		})
 	}
 	putBins(s)
@@ -107,15 +106,16 @@ func DrawTriangles(f *fb.Frame, tris []Triangle, workers int) {
 
 // binTriChunk bins worker w's contiguous triangle chunk into its private
 // per-band lists.
-func binTriChunk(f *fb.Frame, tris []Triangle, s *binScratch, binW, bands, w int) {
+func binTriChunk(f *fb.Frame, verts []Vertex, tris [][3]int32, s *binScratch, binW, bands, w int) {
 	const bandHeight = DefaultBandHeight
 	lo := w * len(tris) / binW
 	hi := (w + 1) * len(tris) / binW
 	row := s.bins[w*bands : (w+1)*bands]
 	for i := lo; i < hi; i++ {
 		t := &tris[i]
-		minY := math.Min(t.V[0].Y, math.Min(t.V[1].Y, t.V[2].Y))
-		maxY := math.Max(t.V[0].Y, math.Max(t.V[1].Y, t.V[2].Y))
+		a, b, c := &verts[t[0]], &verts[t[1]], &verts[t[2]]
+		minY := min(a.Y, b.Y, c.Y)
+		maxY := max(a.Y, b.Y, c.Y)
 		if maxY < 0 || minY >= float64(f.H) {
 			continue
 		}
@@ -130,53 +130,75 @@ func binTriChunk(f *fb.Frame, tris []Triangle, s *binScratch, binW, bands, w int
 
 // rasterizeBand draws every triangle binned to band b, draining the
 // workers' lists in chunk order to preserve the serial rasterize order.
-func rasterizeBand(f *fb.Frame, tris []Triangle, s *binScratch, binW, bands, b int) {
+func rasterizeBand(f *fb.Frame, verts []Vertex, tris [][3]int32, s *binScratch, binW, bands, b int) {
 	const bandHeight = DefaultBandHeight
 	y0 := b * bandHeight
 	y1 := minInt(y0+bandHeight, f.H)
 	for w := 0; w < binW; w++ {
 		for _, ti := range s.bins[w*bands+b] {
-			rasterizeTriangle(f, &tris[ti], y0, y1)
+			t := &tris[ti]
+			rasterizeTriangle(f, &verts[t[0]], &verts[t[1]], &verts[t[2]], y0, y1)
 		}
 	}
 }
 
-// rasterizeTriangle scan-converts t restricted to scanlines [y0, y1).
-func rasterizeTriangle(f *fb.Frame, t *Triangle, y0, y1 int) {
-	v := &t.V
+// rasterizeTriangle scan-converts triangle (a, b, c) restricted to
+// scanlines [y0, y1).
+//
+// The weights are exact: each is edge's (bx-ax)*(cy-ay) - (by-ay)*(cx-ax)
+// for its edge and the pixel centre, the same IEEE operations in the same
+// order, with the two differences along the edge taken once per triangle
+// and the product with the row's offset once per row. Stepping the edge
+// functions by adding a per-pixel increment would be cheaper still, but
+// it rounds differently and would move pixels.
+func rasterizeTriangle(f *fb.Frame, a, b, c *Vertex, y0, y1 int) {
 	// Signed doubled area; degenerate triangles are skipped. A negative
 	// area means opposite winding — rasterize both windings (no culling),
 	// since extraction algorithms do not guarantee orientation.
-	area := edge(v[0].X, v[0].Y, v[1].X, v[1].Y, v[2].X, v[2].Y)
+	area := edge(a.X, a.Y, b.X, b.Y, c.X, c.Y)
 	//lint:ignore floateq exact degenerate-triangle guard before 1/area; an epsilon would cull thin slivers that still rasterize correctly (area only normalizes interpolation)
 	if area == 0 {
 		return
 	}
 	inv := 1 / area
 
-	minX := clampInt(int(math.Floor(min3(v[0].X, v[1].X, v[2].X))), 0, f.W-1)
-	maxX := clampInt(int(math.Ceil(max3(v[0].X, v[1].X, v[2].X))), 0, f.W-1)
-	minY := clampInt(int(math.Floor(min3(v[0].Y, v[1].Y, v[2].Y))), y0, y1-1)
-	maxY := clampInt(int(math.Ceil(max3(v[0].Y, v[1].Y, v[2].Y))), y0, y1-1)
+	minX := clampInt(int(math.Floor(min(a.X, b.X, c.X))), 0, f.W-1)
+	maxX := clampInt(int(math.Ceil(max(a.X, b.X, c.X))), 0, f.W-1)
+	minY := clampInt(int(math.Floor(min(a.Y, b.Y, c.Y))), y0, y1-1)
+	maxY := clampInt(int(math.Ceil(max(a.Y, b.Y, c.Y))), y0, y1-1)
 
+	// Weight k belongs to the vertex opposite edge k: w0 to a across
+	// b->c, w1 to b across c->a, w2 to c across a->b.
+	ex0, ey0 := c.X-b.X, c.Y-b.Y
+	ex1, ey1 := a.X-c.X, a.Y-c.Y
+	ex2, ey2 := b.X-a.X, b.Y-a.Y
 	for py := minY; py <= maxY; py++ {
 		cy := float64(py) + 0.5
+		r0 := ex0 * (cy - b.Y)
+		r1 := ex1 * (cy - c.Y)
+		r2 := ex2 * (cy - a.Y)
+		row := py * f.W
 		for px := minX; px <= maxX; px++ {
 			cx := float64(px) + 0.5
-			w0 := edge(v[1].X, v[1].Y, v[2].X, v[2].Y, cx, cy) * inv
-			w1 := edge(v[2].X, v[2].Y, v[0].X, v[0].Y, cx, cy) * inv
-			w2 := edge(v[0].X, v[0].Y, v[1].X, v[1].Y, cx, cy) * inv
+			w0 := (r0 - ey0*(cx-b.X)) * inv
+			w1 := (r1 - ey1*(cx-c.X)) * inv
+			w2 := (r2 - ey2*(cx-a.X)) * inv
 			if w0 < 0 || w1 < 0 || w2 < 0 {
 				continue
 			}
-			depth := w0*v[0].Depth + w1*v[1].Depth + w2*v[2].Depth
+			depth := w0*a.Depth + w1*b.Depth + w2*c.Depth
 			if depth <= 0 {
 				continue
 			}
-			color := v[0].Color.Scale(w0).
-				Add(v[1].Color.Scale(w1)).
-				Add(v[2].Color.Scale(w2))
-			f.DepthSet(px, py, depth, color)
+			// The depth test fb.Frame.DepthSet makes, before the colour
+			// is built: a hidden pixel costs no blend.
+			i := row + px
+			if depth < f.Depth[i] {
+				f.Depth[i] = depth
+				f.Color[i] = a.Color.Scale(w0).
+					Add(b.Color.Scale(w1)).
+					Add(c.Color.Scale(w2))
+			}
 		}
 	}
 }
@@ -376,9 +398,6 @@ func drawImpostorBand(f *fb.Frame, imps []Impostor, l vec.V3, s *binScratch, bin
 		}
 	}
 }
-
-func min3(a, b, c float64) float64 { return math.Min(a, math.Min(b, c)) }
-func max3(a, b, c float64) float64 { return math.Max(a, math.Max(b, c)) }
 
 func clampInt(x, lo, hi int) int {
 	if x < lo {

@@ -12,24 +12,42 @@ import (
 // rounding (barycentric weights sum to 1 only approximately).
 func approxColor(a, b vec.V3) bool { return a.Sub(b).Len() < 1e-9 }
 
-func fullscreenTriangle(depth float64, c vec.V3) Triangle {
+// soup lays triangles given corner by corner out the way DrawTriangles
+// takes them, each with three vertices of its own.
+func soup(tris ...[3]Vertex) ([]Vertex, [][3]int32) {
+	verts := make([]Vertex, 0, 3*len(tris))
+	idx := make([][3]int32, len(tris))
+	for i, t := range tris {
+		verts = append(verts, t[:]...)
+		idx[i] = [3]int32{int32(3 * i), int32(3*i + 1), int32(3*i + 2)}
+	}
+	return verts, idx
+}
+
+// drawSoup draws triangles given corner by corner.
+func drawSoup(f *fb.Frame, workers int, tris ...[3]Vertex) {
+	verts, idx := soup(tris...)
+	DrawTriangles(f, verts, idx, workers)
+}
+
+func fullscreenTriangle(depth float64, c vec.V3) [3]Vertex {
 	// Covers a 64x64 frame entirely.
-	return Triangle{V: [3]Vertex{
+	return [3]Vertex{
 		{X: -70, Y: -70, Depth: depth, Color: c},
 		{X: 200, Y: -70, Depth: depth, Color: c},
 		{X: -70, Y: 200, Depth: depth, Color: c},
-	}}
+	}
 }
 
 func TestTriangleCoversInterior(t *testing.T) {
 	f := fb.New(64, 64)
 	red := vec.New(1, 0, 0)
-	tri := Triangle{V: [3]Vertex{
+	tri := [3]Vertex{
 		{X: 8, Y: 8, Depth: 1, Color: red},
 		{X: 56, Y: 8, Depth: 1, Color: red},
 		{X: 32, Y: 56, Depth: 1, Color: red},
-	}}
-	DrawTriangles(f, []Triangle{tri}, 1)
+	}
+	drawSoup(f, 1, tri)
 	if !approxColor(f.At(32, 20), red) {
 		t.Error("interior pixel not filled")
 	}
@@ -45,12 +63,12 @@ func TestTriangleBothWindings(t *testing.T) {
 	f := fb.New(64, 64)
 	c := vec.New(0, 1, 0)
 	// Clockwise winding (negative area) must still fill.
-	tri := Triangle{V: [3]Vertex{
+	tri := [3]Vertex{
 		{X: 8, Y: 8, Depth: 1, Color: c},
 		{X: 32, Y: 56, Depth: 1, Color: c},
 		{X: 56, Y: 8, Depth: 1, Color: c},
-	}}
-	DrawTriangles(f, []Triangle{tri}, 1)
+	}
+	drawSoup(f, 1, tri)
 	if !approxColor(f.At(32, 20), c) {
 		t.Error("clockwise triangle not rasterized")
 	}
@@ -61,9 +79,9 @@ func TestTriangleDepthOrdering(t *testing.T) {
 	red := vec.New(1, 0, 0)
 	blue := vec.New(0, 0, 1)
 	// Draw far first, then near: near must win. Then redraw far: near stays.
-	DrawTriangles(f, []Triangle{fullscreenTriangle(10, red)}, 2)
-	DrawTriangles(f, []Triangle{fullscreenTriangle(5, blue)}, 2)
-	DrawTriangles(f, []Triangle{fullscreenTriangle(8, red)}, 2)
+	drawSoup(f, 2, fullscreenTriangle(10, red))
+	drawSoup(f, 2, fullscreenTriangle(5, blue))
+	drawSoup(f, 2, fullscreenTriangle(8, red))
 	if !approxColor(f.At(32, 32), blue) {
 		t.Errorf("depth test failed: got %v", f.At(32, 32))
 	}
@@ -71,12 +89,12 @@ func TestTriangleDepthOrdering(t *testing.T) {
 
 func TestTriangleGouraudInterpolation(t *testing.T) {
 	f := fb.New(64, 64)
-	tri := Triangle{V: [3]Vertex{
+	tri := [3]Vertex{
 		{X: 0, Y: 0, Depth: 1, Color: vec.New(1, 0, 0)},
 		{X: 63, Y: 0, Depth: 1, Color: vec.New(0, 1, 0)},
 		{X: 0, Y: 63, Depth: 1, Color: vec.New(0, 0, 1)},
-	}}
-	DrawTriangles(f, []Triangle{tri}, 1)
+	}
+	drawSoup(f, 1, tri)
 	// Near vertex 0 the color should be mostly red.
 	c := f.At(2, 2)
 	if c.X < 0.8 {
@@ -95,12 +113,12 @@ func TestTriangleGouraudInterpolation(t *testing.T) {
 
 func TestDegenerateTriangleIgnored(t *testing.T) {
 	f := fb.New(32, 32)
-	tri := Triangle{V: [3]Vertex{
+	tri := [3]Vertex{
 		{X: 1, Y: 1, Depth: 1},
 		{X: 10, Y: 10, Depth: 1},
 		{X: 20, Y: 20, Depth: 1}, // collinear
-	}}
-	DrawTriangles(f, []Triangle{tri}, 1)
+	}
+	drawSoup(f, 1, tri)
 	if f.CoveredPixels() != 0 {
 		t.Error("degenerate triangle rasterized pixels")
 	}
@@ -108,11 +126,10 @@ func TestDegenerateTriangleIgnored(t *testing.T) {
 
 func TestOffscreenTriangleIgnored(t *testing.T) {
 	f := fb.New(32, 32)
-	tris := []Triangle{
-		{V: [3]Vertex{{X: -100, Y: -100, Depth: 1}, {X: -50, Y: -100, Depth: 1}, {X: -75, Y: -50, Depth: 1}}},
-		{V: [3]Vertex{{X: 10, Y: 500, Depth: 1}, {X: 20, Y: 500, Depth: 1}, {X: 15, Y: 600, Depth: 1}}},
-	}
-	DrawTriangles(f, tris, 2)
+	drawSoup(f, 2,
+		[3]Vertex{{X: -100, Y: -100, Depth: 1}, {X: -50, Y: -100, Depth: 1}, {X: -75, Y: -50, Depth: 1}},
+		[3]Vertex{{X: 10, Y: 500, Depth: 1}, {X: 20, Y: 500, Depth: 1}, {X: 15, Y: 600, Depth: 1}},
+	)
 	if f.CoveredPixels() != 0 {
 		t.Error("offscreen triangles rasterized pixels")
 	}
@@ -120,7 +137,7 @@ func TestOffscreenTriangleIgnored(t *testing.T) {
 
 func TestNegativeDepthRejected(t *testing.T) {
 	f := fb.New(32, 32)
-	DrawTriangles(f, []Triangle{fullscreenTriangle(-5, vec.New(1, 1, 1))}, 1)
+	drawSoup(f, 1, fullscreenTriangle(-5, vec.New(1, 1, 1)))
 	if f.CoveredPixels() != 0 {
 		t.Error("behind-camera depth rasterized")
 	}
@@ -131,16 +148,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 	// identical image (bands are deterministic and disjoint).
 	mk := func(workers int) *fb.Frame {
 		f := fb.New(128, 128)
-		var tris []Triangle
+		var tris [][3]Vertex
 		for i := 0; i < 50; i++ {
 			fi := float64(i)
-			tris = append(tris, Triangle{V: [3]Vertex{
+			tris = append(tris, [3]Vertex{
 				{X: 10 + fi, Y: 5 + fi*2, Depth: 1 + fi, Color: vec.New(1, 0, 0)},
 				{X: 60 + fi, Y: 15 + fi, Depth: 2 + fi, Color: vec.New(0, 1, 0)},
 				{X: 30, Y: 100 - fi, Depth: 3, Color: vec.New(0, 0, 1)},
-			}})
+			})
 		}
-		DrawTriangles(f, tris, workers)
+		drawSoup(f, workers, tris...)
 		return f
 	}
 	a, b := mk(1), mk(8)
@@ -238,7 +255,7 @@ func TestImpostorOcclusion(t *testing.T) {
 
 func TestEmptyInputsNoop(t *testing.T) {
 	f := fb.New(8, 8)
-	DrawTriangles(f, nil, 0)
+	DrawTriangles(f, nil, nil, 0)
 	DrawSprites(f, nil, 0)
 	DrawImpostors(f, nil, vec.New(0, 0, 1), 0)
 	if f.CoveredPixels() != 0 {
@@ -248,19 +265,20 @@ func TestEmptyInputsNoop(t *testing.T) {
 
 func BenchmarkTriangles(b *testing.B) {
 	f := fb.New(512, 512)
-	var tris []Triangle
+	var tris [][3]Vertex
 	for i := 0; i < 2000; i++ {
 		x := float64(i%50) * 10
 		y := float64(i/50) * 12
-		tris = append(tris, Triangle{V: [3]Vertex{
+		tris = append(tris, [3]Vertex{
 			{X: x, Y: y, Depth: 1, Color: vec.New(1, 0, 0)},
 			{X: x + 9, Y: y, Depth: 1, Color: vec.New(0, 1, 0)},
 			{X: x, Y: y + 11, Depth: 1, Color: vec.New(0, 0, 1)},
-		}})
+		})
 	}
+	verts, idx := soup(tris...)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		DrawTriangles(f, tris, 0)
+		DrawTriangles(f, verts, idx, 0)
 	}
 }
 

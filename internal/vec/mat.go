@@ -80,10 +80,7 @@ func (m M4) MulM(n M4) M4 {
 // MulPoint transforms point p (w=1) by m and performs the perspective
 // divide. Points at w=0 are returned untransformed by the divide.
 func (m M4) MulPoint(p V3) V3 {
-	x := m[0][0]*p.X + m[0][1]*p.Y + m[0][2]*p.Z + m[0][3]
-	y := m[1][0]*p.X + m[1][1]*p.Y + m[1][2]*p.Z + m[1][3]
-	z := m[2][0]*p.X + m[2][1]*p.Y + m[2][2]*p.Z + m[2][3]
-	w := m[3][0]*p.X + m[3][1]*p.Y + m[3][2]*p.Z + m[3][3]
+	x, y, z, w := m.Row(0, p), m.Row(1, p), m.Row(2, p), m.Row(3, p)
 	if w != 0 && w != 1 {
 		inv := 1 / w
 		return V3{x * inv, y * inv, z * inv}
@@ -94,11 +91,15 @@ func (m M4) MulPoint(p V3) V3 {
 // MulPointW transforms point p (w=1) by m and returns the homogeneous
 // result before the perspective divide.
 func (m M4) MulPointW(p V3) (V3, float64) {
-	x := m[0][0]*p.X + m[0][1]*p.Y + m[0][2]*p.Z + m[0][3]
-	y := m[1][0]*p.X + m[1][1]*p.Y + m[1][2]*p.Z + m[1][3]
-	z := m[2][0]*p.X + m[2][1]*p.Y + m[2][2]*p.Z + m[2][3]
-	w := m[3][0]*p.X + m[3][1]*p.Y + m[3][2]*p.Z + m[3][3]
-	return V3{x, y, z}, w
+	return V3{m.Row(0, p), m.Row(1, p), m.Row(2, p)}, m.Row(3, p)
+}
+
+// Row returns coordinate r of m * p for point p (w=1), before any divide:
+// the one copy of the product MulPoint and MulPointW make. It reads m
+// through a pointer and inlines, so a caller that transforms many points
+// by one matrix copies none of it per point.
+func (m *M4) Row(r int, p V3) float64 {
+	return m[r][0]*p.X + m[r][1]*p.Y + m[r][2]*p.Z + m[r][3]
 }
 
 // MulDir transforms direction d (w=0) by m; translation is ignored.

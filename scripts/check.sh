@@ -1,8 +1,17 @@
 #!/bin/sh
-# Repo-wide check: vet, build, ethlint, race-enabled tests, and a short
-# fuzz pass over the dataset container reader. Run from anywhere.
+# Repo-wide check: gofmt, vet, build, ethlint, race-enabled tests, and
+# short fuzz passes over every parser of untrusted input. Run from
+# anywhere.
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "== gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "not gofmt-formatted (run gofmt -w):"
+    echo "$unformatted"
+    exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...
@@ -87,6 +96,12 @@ go test -run='^$' -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/transport/
 
 echo "== go test -fuzz=FuzzSteeringMessage -fuzztime=10s ./internal/hub"
 go test -run='^$' -fuzz=FuzzSteeringMessage -fuzztime=10s ./internal/hub/
+
+echo "== go test -fuzz=FuzzFaultsParse -fuzztime=10s ./internal/faults"
+go test -run='^$' -fuzz=FuzzFaultsParse -fuzztime=10s ./internal/faults/
+
+echo "== go test -fuzz=FuzzLayoutParse -fuzztime=10s ./internal/layout"
+go test -run='^$' -fuzz=FuzzLayoutParse -fuzztime=10s ./internal/layout/
 
 # Multi-viewer broadcast smoke: real sim+viz+hub processes, three
 # ethwatch viewers over real sockets, one steered, one SIGKILLed and
