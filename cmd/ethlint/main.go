@@ -1,21 +1,18 @@
 // Command ethlint runs ETH's project-specific static-analysis suite over
-// the module and exits non-zero on findings. It is part of the `make
-// check` gate: vet catches generic Go mistakes, ethlint catches the
-// harness-specific ones (span leaks, severed error chains, unguarded
-// shared fields, fire-and-forget goroutines, float equality in the
-// numeric hot paths).
+// the module and exits non-zero on findings: vet catches generic Go
+// mistakes, ethlint catches the harness-specific ones (span leaks,
+// severed error chains, fire-and-forget goroutines, float equality in
+// the numeric hot paths, bare sentinels, pooled-buffer leaks, loops
+// deaf to cancellation).
 //
 // Usage:
 //
-//	ethlint [-list] [-only analyzer[,analyzer]] [-json|-sarif]
-//	        [-max-ignores n] [-stale-ignores] [-cfgdump] [packages]
+//	ethlint [-list] [-only analyzer[,analyzer]] [-json|-sarif] [packages]
 //
 // -json and -sarif switch the report format on stdout (the one-line text
-// summary moves to stderr); the exit status is unchanged. -max-ignores
-// caps the number of //lint:ignore directives in the tree — the
-// suppression-debt gate — and -stale-ignores reports directives that
-// suppressed nothing this run. -cfgdump streams every control-flow graph
-// built by the flow-sensitive analyzers to stderr for debugging.
+// summary moves to stderr); the exit status is unchanged. The
+// suppression budget and the stale-directive check live in the
+// internal/lint test TestSelfClean, so `go test ./...` enforces them.
 //
 // The package arguments are accepted for interface familiarity
 // (`ethlint ./...`), but the whole module is always loaded; arguments
@@ -38,9 +35,6 @@ func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := flag.Bool("json", false, "write findings as JSON to stdout")
 	sarifOut := flag.Bool("sarif", false, "write findings as SARIF 2.1.0 to stdout")
-	maxIgnores := flag.Int("max-ignores", -1, "fail if the tree holds more than this many //lint:ignore directives (-1 disables)")
-	staleIgnores := flag.Bool("stale-ignores", false, "fail on //lint:ignore directives that suppressed nothing")
-	cfgdump := flag.Bool("cfgdump", false, "dump every control-flow graph built during analysis to stderr")
 	flag.Parse()
 
 	if *list {
@@ -79,13 +73,8 @@ func main() {
 	}
 	pkgs = filterPackages(pkgs, flag.Args(), root)
 
-	var opts lint.Options
-	if *cfgdump {
-		opts.CFGDump = os.Stderr
-	}
-	res := lint.RunOpts(pkgs, analyzers, opts)
+	res := lint.Run(pkgs, analyzers)
 
-	fail := len(res.Diagnostics) > 0
 	summary := io.Writer(os.Stdout)
 	switch {
 	case *jsonOut:
@@ -106,50 +95,11 @@ func main() {
 		}
 	}
 
-	if *maxIgnores >= 0 && res.Ignores > *maxIgnores {
-		fmt.Fprintf(os.Stderr, "ethlint: suppression debt: %d //lint:ignore directives, budget is %d — fix findings instead of suppressing them (or re-justify the budget)\n",
-			res.Ignores, *maxIgnores)
-		fail = true
-	}
-	if *staleIgnores {
-		for _, dir := range res.IgnoreDirectives {
-			if dir.Hits > 0 || !subset(dir.Analyzers, analyzers) {
-				continue
-			}
-			rel := dir.Pos.Filename
-			if r, err := filepath.Rel(root, rel); err == nil && !strings.HasPrefix(r, "..") {
-				rel = r
-			}
-			fmt.Fprintf(os.Stderr, "ethlint: stale ignore: %s:%d: //lint:ignore %s suppressed nothing\n",
-				rel, dir.Pos.Line, strings.Join(dir.Analyzers, ","))
-			fail = true
-		}
-	}
-
 	fmt.Fprintf(summary, "ethlint: %d packages, %d analyzers, %d findings, %d suppressed, %d ignore directives\n",
 		len(pkgs), len(analyzers), len(res.Diagnostics), res.Suppressed, res.Ignores)
-	if fail {
+	if len(res.Diagnostics) > 0 {
 		os.Exit(1)
 	}
-}
-
-// subset reports whether every analyzer named by a directive was part of
-// this run — staleness is only decidable for directives whose analyzers
-// all executed.
-func subset(names []string, ran []*lint.Analyzer) bool {
-	for _, n := range names {
-		found := false
-		for _, a := range ran {
-			if a.Name == n {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }
 
 // findModuleRoot walks up from the working directory to the nearest

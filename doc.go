@@ -4,7 +4,8 @@
 // Ahrens — IPPS 2020).
 //
 // The library lives under internal/ (see DESIGN.md for the module map),
-// the executables under cmd/, runnable examples under examples/.
+// the executables under cmd/, and Example (example_test.go) is the
+// minimal end-to-end use: generate, frame, raycast, save.
 // cmd/ethbench regenerates every table and figure of the paper's
 // evaluation, each labelled modeled or measured; bench/ethperf is the
 // end-to-end pipeline benchmark that says whether a change is slower.

@@ -1,13 +1,10 @@
-// Quickstart: synthesize a small cosmology dataset, render it with the
-// raycasting back-end, and write a PNG — the minimal end-to-end use of
-// the ETH public pipeline (generator -> camera -> renderer -> image).
-//
-//	go run ./examples/quickstart
-package main
+package eth_test
 
 import (
 	"fmt"
 	"log"
+	"os"
+	"path/filepath"
 
 	"github.com/ascr-ecx/eth/internal/camera"
 	"github.com/ascr-ecx/eth/internal/cosmo"
@@ -15,7 +12,10 @@ import (
 	"github.com/ascr-ecx/eth/internal/render"
 )
 
-func main() {
+// Example is the minimal end-to-end use of the ETH pipeline: synthesize
+// a small cosmology dataset, frame a camera against it, render it with
+// the raycasting back-end and save the image as a PNG.
+func Example() {
 	// 1. Synthesize a HACC-like particle dataset (100k particles with
 	//    halo clustering).
 	params := cosmo.DefaultParams()
@@ -40,11 +40,17 @@ func main() {
 	}
 
 	// 4. Save the image.
-	const out = "quickstart.png"
-	if err := frame.SavePNG(out); err != nil {
+	dir, err := os.MkdirTemp("", "eth-example-")
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("rendered %d particles (%d BVH nodes) in %v (setup %v)\n",
-		stats.Elements, stats.Primitives, stats.Total(), stats.Setup)
-	fmt.Printf("wrote %s (%d covered pixels)\n", out, frame.CoveredPixels())
+	defer os.RemoveAll(dir)
+	if err := frame.SavePNG(filepath.Join(dir, "quickstart.png")); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("rendered %d particles (%d BVH nodes)\n", stats.Elements, stats.Primitives)
+	fmt.Printf("wrote quickstart.png (%d covered pixels)\n", frame.CoveredPixels())
+	// Output:
+	// rendered 100000 particles (32767 BVH nodes)
+	// wrote quickstart.png (180201 covered pixels)
 }

@@ -197,35 +197,3 @@ func (d *disjointSet) union(a, b int) {
 	d.parent[rb] = int32(ra)
 	d.size[ra] += d.size[rb]
 }
-
-// MassFunction returns the halo counts in logarithmic mass (member
-// count) bins between the smallest and largest halo — the "distribution
-// of halos" extract the paper's cosmology example stores in place of raw
-// particles. Returned as (bin lower edges, counts).
-func MassFunction(halos []Halo, bins int) ([]float64, []int) {
-	if len(halos) == 0 || bins <= 0 {
-		return nil, nil
-	}
-	lo := math.Log10(float64(halos[len(halos)-1].Count))
-	hi := math.Log10(float64(halos[0].Count))
-	if hi == lo {
-		hi = lo + 1
-	}
-	edges := make([]float64, bins)
-	counts := make([]int, bins)
-	width := (hi - lo) / float64(bins)
-	for i := range edges {
-		edges[i] = math.Pow(10, lo+float64(i)*width)
-	}
-	for _, h := range halos {
-		b := int((math.Log10(float64(h.Count)) - lo) / width)
-		if b >= bins {
-			b = bins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	return edges, counts
-}

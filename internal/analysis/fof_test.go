@@ -161,32 +161,6 @@ func TestFOFOnCosmoGenerator(t *testing.T) {
 	}
 }
 
-func TestMassFunction(t *testing.T) {
-	halos := []Halo{
-		{Count: 1000}, {Count: 500}, {Count: 100}, {Count: 90}, {Count: 10},
-	}
-	edges, counts := MassFunction(halos, 4)
-	if len(edges) != 4 || len(counts) != 4 {
-		t.Fatalf("bins = %d, %d", len(edges), len(counts))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(halos) {
-		t.Errorf("mass function counts %d halos, want %d", total, len(halos))
-	}
-	// Edges ascend.
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			t.Error("edges not ascending")
-		}
-	}
-	if e, c := MassFunction(nil, 4); e != nil || c != nil {
-		t.Error("empty input should return nil")
-	}
-}
-
 func TestDisjointSetInvariants(t *testing.T) {
 	d := newDisjointSet(10)
 	d.union(0, 1)

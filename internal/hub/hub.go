@@ -371,7 +371,6 @@ func New(cfg Config) (*Hub, error) {
 	// series names below are auditable: hub.sub<slot>.{queue_depth,
 	// dropped_frames, lag_steps}.
 	gauge := func(slot int, kind string) *telemetry.Gauge {
-		//lint:ignore metricname slot/kind are drawn from closed bounded domains (MaxSubs slots, three kinds)
 		return telemetry.Default.Gauge("hub.sub" + strconv.Itoa(slot) + "." + kind)
 	}
 	for i := 0; i < cfg.MaxSubs; i++ {

@@ -17,18 +17,15 @@ package lint
 // function's flow.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"io"
-	"strings"
 )
 
 // Block is one basic block: a maximal run of straight-line statements.
 type Block struct {
 	// Index is the block's creation order, unique within its CFG.
 	Index int
-	// Label names the block's role for dumps: "entry", "exit", "panic",
+	// Label names the block's role: "entry", "exit", "panic",
 	// "for.head", "case", ...
 	Label string
 	// Nodes are the statements and control expressions executed in this
@@ -42,7 +39,7 @@ type Block struct {
 
 // CFG is the control-flow graph of one function body.
 type CFG struct {
-	// Name is a display name for dumps ("directSend", "func literal").
+	// Name is a display name for diagnostics ("directSend", "func literal").
 	Name string
 	// Entry is the unique entry block (empty; its successor is the first
 	// body block).
@@ -150,25 +147,6 @@ func (c *CFG) ReversePostorder() []*Block {
 		post[i], post[j] = post[j], post[i]
 	}
 	return post
-}
-
-// Dump writes a human-readable rendering of the graph, one block per
-// line, for `ethlint -cfgdump` and the builder's own tests.
-func (c *CFG) Dump(w io.Writer, fset *token.FileSet) {
-	fmt.Fprintf(w, "cfg %s: %d blocks, %d defers\n", c.Name, len(c.Blocks), len(c.Defers))
-	for _, b := range c.Blocks {
-		var succs []string
-		for _, s := range b.Succs {
-			succs = append(succs, fmt.Sprintf("b%d", s.Index))
-		}
-		pos := ""
-		if len(b.Nodes) > 0 && fset != nil {
-			p := fset.Position(b.Nodes[0].Pos())
-			pos = fmt.Sprintf(" @%d", p.Line)
-		}
-		fmt.Fprintf(w, "  b%d(%s)%s: %d nodes -> [%s]\n",
-			b.Index, b.Label, pos, len(b.Nodes), strings.Join(succs, " "))
-	}
 }
 
 type cfgBuilder struct {

@@ -10,7 +10,7 @@ package lint
 // instead of hanging the lint gate.
 
 // Facts is a powerset lattice over at most 64 indexed facts (acquisition
-// sites, held locks, ...). The zero value is the empty set.
+// sites, ...). The zero value is the empty set.
 type Facts uint64
 
 // FactLimit is the largest number of distinct facts a single function can

@@ -34,7 +34,7 @@ func f(c bool) int {
 	}
 	return x
 }`
-	c, _, _ := buildTestCFG(t, src, "f")
+	c, _ := buildTestCFG(t, src, "f")
 
 	// Fact 0: "saw the then-branch assignment"; fact 1: "saw any assignment".
 	flow := ForwardFlow(c, FlowProblem[Facts]{
@@ -77,7 +77,7 @@ func f(n int) int {
 	}
 	return s
 }`
-	c, file, _ := buildTestCFG(t, src, "f")
+	c, file := buildTestCFG(t, src, "f")
 	loop := nthLoop(file, 0)
 	if !c.HasBackEdge(loop) {
 		t.Fatal("counter loop should have a back edge")
@@ -121,7 +121,7 @@ func f() {
 		n++
 	}
 }`
-	c, _, _ := buildTestCFG(t, src, "f")
+	c, _ := buildTestCFG(t, src, "f")
 	flip := Facts(0)
 	flow := ForwardFlow(c, FlowProblem[Facts]{
 		Init: 0,
@@ -147,7 +147,7 @@ func f() {
 	for {
 	}
 }`
-	c, _, _ := buildTestCFG(t, src, "f")
+	c, _ := buildTestCFG(t, src, "f")
 	flow := ForwardFlow(c, FlowProblem[Facts]{
 		Init:     0,
 		Join:     Facts.Union,

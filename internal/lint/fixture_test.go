@@ -41,29 +41,10 @@ var wantRe = regexp.MustCompile(`// want "([^"]+)"`)
 // diagnostics against the `// want "regexp"` comments in the source: every
 // diagnostic must be expected on its line, and every expectation must be
 // hit. Returns the Result for extra assertions (e.g. suppression counts).
-//
-// Every fixture is run twice: once plain and once with the dataflow
-// engine's debug mode enabled (Options.CFGDump, the ethlint -cfgdump
-// path). Dumping control-flow graphs is pure observation, so the two
-// runs must produce identical diagnostics.
 func runFixture(t *testing.T, a *Analyzer, pkgPath, src string) Result {
 	t.Helper()
 	pkg := typeCheckFixture(t, pkgPath, src)
 	res := Run([]*Package{pkg}, []*Analyzer{a})
-
-	var dump strings.Builder
-	dumped := RunOpts([]*Package{pkg}, []*Analyzer{a}, Options{CFGDump: &dump})
-	if len(dumped.Diagnostics) != len(res.Diagnostics) {
-		t.Errorf("-cfgdump run diverged: %d diagnostics vs %d without dumping",
-			len(dumped.Diagnostics), len(res.Diagnostics))
-	} else {
-		for i := range res.Diagnostics {
-			if res.Diagnostics[i] != dumped.Diagnostics[i] {
-				t.Errorf("-cfgdump run diverged at diagnostic %d: %v vs %v",
-					i, dumped.Diagnostics[i], res.Diagnostics[i])
-			}
-		}
-	}
 
 	type want struct {
 		re  *regexp.Regexp

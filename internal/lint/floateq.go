@@ -69,10 +69,10 @@ func isFloat(pass *Pass, e ast.Expr) bool {
 
 // sameIdent reports whether both operands are the same plain identifier.
 func sameIdent(a, b ast.Expr) bool {
-	ia, ok := unparen(a).(*ast.Ident)
+	ia, ok := ast.Unparen(a).(*ast.Ident)
 	if !ok {
 		return false
 	}
-	ib, ok := unparen(b).(*ast.Ident)
+	ib, ok := ast.Unparen(b).(*ast.Ident)
 	return ok && ia.Name == ib.Name
 }

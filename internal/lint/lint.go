@@ -4,9 +4,12 @@
 // zero-dependency go.mod) and runs a set of analyzers that machine-check
 // the invariants the harness's measurements depend on: telemetry spans
 // are ended on every path, errors wrap with %w across proxy/transport
-// boundaries, mutex-guarded fields are only touched under their lock,
-// goroutines either recover or forward their errors, and hot numeric
-// packages never compare floats with ==.
+// boundaries, goroutines either recover or forward their errors, hot
+// numeric packages never compare floats with ==, internal packages return
+// wrapped sentinels, pooled buffers are released on every path, and
+// unbounded loops observe cancellation. poolleak and ctxguard are
+// flow-sensitive: they share one control-flow-graph layer (cfg.go), and
+// poolleak runs its fixpoint on ForwardFlow (dataflow.go).
 //
 // A finding can be suppressed with a directive on the offending line or
 // the line directly above it:
@@ -14,7 +17,9 @@
 //	//lint:ignore <analyzer> <reason>
 //
 // The reason is mandatory; suppressed findings are counted and reported
-// in the driver's summary line so silence is never free.
+// in ethlint's summary line so silence is never free, and the
+// self-check test (TestSelfClean) fails on a directive that suppresses
+// nothing and on more directives than its budget.
 package lint
 
 import (
@@ -22,7 +27,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"io"
 	"regexp"
 	"sort"
 	"strings"
@@ -48,16 +52,12 @@ type Pass struct {
 	PkgPath  string
 	Info     *types.Info
 
-	diags   *[]Diagnostic
-	cfgs    map[ast.Node]*CFG
-	cfgDump io.Writer
+	diags *[]Diagnostic
+	cfgs  map[ast.Node]*CFG
 }
 
 // CFGOf returns the control-flow graph for fn (an *ast.FuncDecl or
-// *ast.FuncLit), building and caching it on first use. When the driver
-// runs with -cfgdump, every graph built here is also written to the dump
-// sink — the debug mode the fixture harness exercises to prove dumping
-// never changes diagnostics.
+// *ast.FuncLit), building and caching it on first use.
 func (p *Pass) CFGOf(fn ast.Node) *CFG {
 	if c, ok := p.cfgs[fn]; ok {
 		return c
@@ -67,11 +67,6 @@ func (p *Pass) CFGOf(fn ast.Node) *CFG {
 		p.cfgs = make(map[ast.Node]*CFG)
 	}
 	p.cfgs[fn] = c
-	if c != nil && p.cfgDump != nil {
-		pos := p.Fset.Position(fn.Pos())
-		fmt.Fprintf(p.cfgDump, "%s:%d: [%s] ", pos.Filename, pos.Line, p.Analyzer.Name)
-		c.Dump(p.cfgDump, p.Fset)
-	}
 	return c
 }
 
@@ -122,7 +117,7 @@ type Result struct {
 	// Suppressed counts findings silenced by //lint:ignore directives.
 	Suppressed int
 	// Ignores is the number of well-formed //lint:ignore directives in
-	// the analyzed packages — the suppression debt `-max-ignores` gates.
+	// the analyzed packages — the suppression debt TestSelfClean gates.
 	Ignores int
 	// IgnoreDirectives lists every well-formed directive with how many
 	// findings it actually silenced in this run; a directive with zero
@@ -137,17 +132,9 @@ type IgnoreDirective struct {
 	Hits      int
 }
 
-// Options tune a Run.
-type Options struct {
-	// CFGDump, when non-nil, receives a textual dump of every CFG any
-	// analyzer builds (driver flag -cfgdump). Dumping must never change
-	// diagnostics; the fixture harness asserts this for every fixture.
-	CFGDump io.Writer
-}
-
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{SpanEnd, ErrWrap, GuardedField, NakedGo, FloatEq, HotAlloc, JournalEnd, SentinelErr, MetricName, PoolLeak, LockOrder, CtxGuard}
+	return []*Analyzer{SpanEnd, ErrWrap, NakedGo, FloatEq, SentinelErr, PoolLeak, CtxGuard}
 }
 
 // ByName returns the analyzer with the given name, or nil.
@@ -163,11 +150,6 @@ func ByName(name string) *Analyzer {
 // Run executes the analyzers over the packages, applies ignore
 // directives, and returns surviving diagnostics sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) Result {
-	return RunOpts(pkgs, analyzers, Options{})
-}
-
-// RunOpts is Run with explicit Options.
-func RunOpts(pkgs []*Package, analyzers []*Analyzer, opts Options) Result {
 	var raw []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
@@ -179,7 +161,6 @@ func RunOpts(pkgs []*Package, analyzers []*Analyzer, opts Options) Result {
 				PkgPath:  pkg.PkgPath,
 				Info:     pkg.Info,
 				diags:    &raw,
-				cfgDump:  opts.CFGDump,
 			}
 			a.Run(pass)
 		}

@@ -99,7 +99,7 @@ func recoversOrForwards(pass *Pass, body *ast.BlockStmt) bool {
 // to catch.
 func callsRecover(pass *Pass, call *ast.CallExpr) bool {
 	var body *ast.BlockStmt
-	switch fn := unparen(call.Fun).(type) {
+	switch fn := ast.Unparen(call.Fun).(type) {
 	case *ast.FuncLit:
 		body = fn.Body
 	case *ast.Ident:
@@ -129,7 +129,7 @@ func callsRecover(pass *Pass, call *ast.CallExpr) bool {
 }
 
 func isRecoverIdent(pass *Pass, fun ast.Expr) bool {
-	id, ok := unparen(fun).(*ast.Ident)
+	id, ok := ast.Unparen(fun).(*ast.Ident)
 	if !ok || id.Name != "recover" {
 		return false
 	}

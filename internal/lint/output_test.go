@@ -17,9 +17,9 @@ func sampleResult() Result {
 				Message:  "pooled buffer acquired here is not released on every path",
 			},
 			{
-				Analyzer: "lockorder",
+				Analyzer: "ctxguard",
 				Pos:      token.Position{Filename: "/elsewhere/y.go", Line: 4, Column: 1},
-				Message:  "lock order cycle",
+				Message:  "loop never observes ctx.Done()",
 			},
 		},
 		Suppressed: 2,

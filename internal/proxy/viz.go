@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -144,13 +145,10 @@ func NewVizProxy(cfg VizConfig) (*VizProxy, error) {
 		return nil, err
 	}
 	v := &VizProxy{cfg: cfg, renderer: r}
-	// The algorithm name was just validated by the render registry and
-	// the operation set is compiled in, so these dynamic names are drawn
-	// from closed, snake_case domains.
-	//lint:ignore metricname algorithm names come from the closed render registry
-	v.imgHist = telemetry.Default.Histogram("viz.render." + cfg.Algorithm)
+	// Metric names are dotted snake_case: registry algorithm names carry
+	// hyphens ("vtk-iso"), so they map to underscores here.
+	v.imgHist = telemetry.Default.Histogram("viz.render." + strings.ReplaceAll(cfg.Algorithm, "-", "_"))
 	for _, op := range cfg.Operations {
-		//lint:ignore metricname operation names are the compiled-in halos/stats/save set
 		v.opSpans = append(v.opSpans, telemetry.Default.Span("viz.op."+op.Name()))
 	}
 	if cfg.CursorPath != "" {

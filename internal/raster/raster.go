@@ -122,7 +122,6 @@ func binTriChunk(f *fb.Frame, verts []Vertex, tris [][3]int32, s *binScratch, bi
 		b0 := clampInt(int(minY)/bandHeight, 0, bands-1)
 		b1 := clampInt(int(maxY)/bandHeight, 0, bands-1)
 		for b := b0; b <= b1; b++ {
-			//lint:ignore hotalloc bin capacity is amortized across frames by the binScratch pool
 			row[b] = append(row[b], int32(i))
 		}
 	}
@@ -265,7 +264,6 @@ func binSpriteChunk(f *fb.Frame, sprites []Sprite, s *binScratch, binW, bands, w
 		b0 := clampInt(int(sp.Y-half)/bandHeight, 0, bands-1)
 		b1 := clampInt(int(sp.Y+half)/bandHeight, 0, bands-1)
 		for b := b0; b <= b1; b++ {
-			//lint:ignore hotalloc bin capacity is amortized across frames by the binScratch pool
 			row[b] = append(row[b], int32(i))
 		}
 	}
@@ -354,7 +352,6 @@ func binImpostorChunk(f *fb.Frame, imps []Impostor, s *binScratch, binW, bands, 
 		b0 := clampInt(int(im.Y-r)/bandHeight, 0, bands-1)
 		b1 := clampInt(int(im.Y+r)/bandHeight, 0, bands-1)
 		for b := b0; b <= b1; b++ {
-			//lint:ignore hotalloc bin capacity is amortized across frames by the binScratch pool
 			row[b] = append(row[b], int32(i))
 		}
 	}

@@ -164,7 +164,6 @@ func stratifiedSample(p *data.PointCloud, ratio float64, seed int64) *data.Point
 			perm[j] = i
 		}
 		for _, j := range perm[:keep] {
-			//lint:ignore hotalloc idx has capacity for the largest possible sample: this append never grows
 			idx = append(idx, int(cell[j]))
 		}
 	}

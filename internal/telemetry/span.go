@@ -211,7 +211,6 @@ func (r *Registry) StartSpan(name string) *Span {
 // ObserveSpan records a pre-measured duration under the given span name —
 // the zero-allocation path for hot loops that manage their own clocks.
 func (r *Registry) ObserveSpan(name string, d time.Duration) {
-	//lint:ignore metricname registry plumbing forwards the caller's already-checked name
 	r.Span(name).Observe(d)
 }
 
@@ -229,7 +228,6 @@ func (s *Span) Child(name string) *Span {
 // End closes the span, records its duration, and returns it.
 func (s *Span) End() time.Duration {
 	d := time.Since(s.start)
-	//lint:ignore metricname span plumbing forwards the name StartSpan was opened with
 	s.r.ObserveSpan(s.name, d)
 	return d
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Repo-wide check: gofmt, vet, build, ethlint, race-enabled tests, and
-# short fuzz passes over every parser of untrusted input. Run from
-# anywhere.
+# Repo-wide check: gofmt, vet, build, race-enabled tests (ethlint's gate
+# among them: internal/lint's TestSelfClean), and short fuzz passes over
+# every parser of untrusted input. Run from anywhere.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -18,15 +18,6 @@ go vet ./...
 
 echo "== go build ./..."
 go build ./...
-
-# The -max-ignores bound is the suppression-debt gate: fixing a finding
-# is free, suppressing one spends budget. Raising the bound is a
-# deliberate, reviewed act. -stale-ignores fails on directives that no
-# longer suppress anything. (18: the structured and unstructured
-# contourers now share one edge interpolation and its one floateq
-# directive.)
-echo "== ethlint -max-ignores 18 -stale-ignores ./..."
-go run ./cmd/ethlint -max-ignores 18 -stale-ignores ./...
 
 echo "== go test -race ./..."
 go test -race ./...
@@ -102,6 +93,12 @@ go test -run='^$' -fuzz=FuzzFaultsParse -fuzztime=10s ./internal/faults/
 
 echo "== go test -fuzz=FuzzLayoutParse -fuzztime=10s ./internal/layout"
 go test -run='^$' -fuzz=FuzzLayoutParse -fuzztime=10s ./internal/layout/
+
+echo "== go test -fuzz=FuzzJournalRead -fuzztime=10s ./internal/journal"
+go test -run='^$' -fuzz=FuzzJournalRead -fuzztime=10s ./internal/journal/
+
+echo "== go test -fuzz=FuzzParseExposition -fuzztime=10s ./internal/obs"
+go test -run='^$' -fuzz=FuzzParseExposition -fuzztime=10s ./internal/obs/
 
 # Multi-viewer broadcast smoke: real sim+viz+hub processes, three
 # ethwatch viewers over real sockets, one steered, one SIGKILLed and

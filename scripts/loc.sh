@@ -7,10 +7,10 @@
 #   scripts/loc.sh [repo-root]
 #
 # Rows: one per package directory under internal/ and cmd/, one per
-# directory under bench/, one for examples/ (all its programs), and one
-# for the root package's files. Together they hold every .go file of the
-# module outside testdata, so moving code between directories cannot
-# shrink the total.
+# directory under bench/, one for examples/ when the checkout has one (an
+# older parent checkout), and one for the root package's files. Together
+# they hold every .go file of the module outside testdata, so moving code
+# between directories cannot shrink the total.
 #
 # Columns: "code" is non-test lines that are neither blank nor a //
 # comment (the figure a simplification PR is judged by — trimming
