@@ -27,7 +27,8 @@ sarif:
 # reads back unchanged from its printed form), and the two readers of
 # what other processes wrote: the journal (a cut at any byte returns
 # every whole event, torn only inside one) and the Prometheus exposition
-# (an escaped label value parses back exactly).
+# (an escaped label value parses back exactly), and the sweep checkpoints
+# (any bytes load or fail, never panic; a saved done set reads back).
 fuzz:
 	go test -run='^$$' -fuzz=FuzzReadVTK -fuzztime=10s ./internal/vtkio/
 	go test -run='^$$' -fuzz=FuzzFrameFlip -fuzztime=10s ./internal/transport/
@@ -37,6 +38,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzLayoutParse -fuzztime=10s ./internal/layout/
 	go test -run='^$$' -fuzz=FuzzJournalRead -fuzztime=10s ./internal/journal/
 	go test -run='^$$' -fuzz=FuzzParseExposition -fuzztime=10s ./internal/obs/
+	go test -run='^$$' -fuzz=FuzzLoadDoneSet -fuzztime=10s ./internal/fleet/
 
 # Full gate: gofmt + vet + build + ethlint + race-enabled tests + short
 # fuzz passes.

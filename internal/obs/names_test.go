@@ -9,6 +9,7 @@ import (
 
 	"github.com/ascr-ecx/eth/internal/blast"
 	"github.com/ascr-ecx/eth/internal/cosmo"
+	"github.com/ascr-ecx/eth/internal/coupling"
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/hub"
 	"github.com/ascr-ecx/eth/internal/journal"
@@ -25,10 +26,11 @@ var metricNameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$`)
 
 // TestMetricNamesByValue checks the naming contract on the names a run
 // actually registers, not on the source that builds them: every render
-// algorithm, the halos and stats operations, and a hub with a live
-// subscriber run first, then every counter, gauge, histogram and span in
-// the default registry must match the contract and map to its
-// Prometheus family without sanitizing.
+// algorithm, the halos and stats operations, a hub with a live
+// subscriber and a unified pair (whose step span nests) run first, then
+// every counter, gauge, histogram and span in the default registry must
+// match the contract and map to its Prometheus family without
+// sanitizing.
 func TestMetricNamesByValue(t *testing.T) {
 	cp := cosmo.DefaultParams()
 	cp.Particles = 2000
@@ -85,13 +87,24 @@ func TestMetricNamesByValue(t *testing.T) {
 	if typ, _, _, err := c.Recv(); err != nil || typ != transport.MsgDataset {
 		t.Fatalf("Recv = type %d, %v; want a dataset frame", typ, err)
 	}
+	sim, err := proxy.NewSimProxy(proxy.SimConfig{Ranks: 1}, &proxy.MemSource{Data: []data.Dataset{cloud}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	viz, err := proxy.NewVizProxy(proxy.VizConfig{Width: 32, Height: 32, Algorithm: "points"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coupling.RunUnified(context.Background(), sim, viz); err != nil {
+		t.Fatal(err)
+	}
 
 	var names []string
 	telemetry.Default.EachCounter(func(m *telemetry.Counter) { names = append(names, m.Name()) })
 	telemetry.Default.EachGauge(func(m *telemetry.Gauge) { names = append(names, m.Name()) })
 	telemetry.Default.EachHistogram(func(m *telemetry.Histogram) { names = append(names, m.Name()) })
 	telemetry.Default.EachSpan(func(m *telemetry.SpanMetric) { names = append(names, m.Name()) })
-	for _, want := range []string{"viz.render.vtk_iso", "viz.op.halos", "viz.op.stats", "hub.sub0.queue_depth"} {
+	for _, want := range []string{"viz.render.vtk_iso", "viz.op.halos", "viz.op.stats", "hub.sub0.queue_depth", "coupling.unified.step"} {
 		if !slices.Contains(names, want) {
 			t.Errorf("registry lacks %q after the runs", want)
 		}

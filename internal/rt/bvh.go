@@ -219,60 +219,135 @@ type Hit struct {
 
 // Intersect finds the nearest sphere hit along ray origin + t*dir for
 // t in (tMin, tMax). It returns ok=false on a miss. dir need not be
-// normalized but T is in units of |dir|.
+// normalized but T is in units of |dir|. It is the one-ray packet of the
+// walk RaycastSpheresWithBVH traces a tile through.
 func (b *SphereBVH) Intersect(origin, dir vec.V3, tMin, tMax float64) (Hit, bool) {
-	nodes := b.nodes
-	if len(nodes) == 0 {
-		return Hit{}, false
+	var p packet
+	p.add(dir, tMax)
+	b.trace(&p, origin, tMin)
+	return b.hit(&p, 0, origin)
+}
+
+// tileRays is the capacity of a packet: one tile of the sphere renderer.
+const tileRays = tileW * tileH
+
+// packet is up to one tile of rays from a common origin, traced through
+// the tree together. Each ray keeps its own direction, inverse direction,
+// squared length and nearest hit; the arrays are fixed-size, so a packet
+// lives on its caller's stack.
+type packet struct {
+	n          int
+	dir        [tileRays]vec.V3
+	ix, iy, iz [tileRays]float64
+	a          [tileRays]float64 // dir·dir
+	t          [tileRays]float64 // nearest hit so far; tMax before any
+	prim       [tileRays]int32   // BVH index of that hit; -1 for none
+}
+
+// add appends the ray along dir, searched for hits below tMax.
+func (p *packet) add(dir vec.V3, tMax float64) {
+	i := p.n
+	p.dir[i] = dir
+	p.ix[i], p.iy[i], p.iz[i] = safeInv(dir.X), safeInv(dir.Y), safeInv(dir.Z)
+	p.a[i] = dir.Dot(dir)
+	p.t[i], p.prim[i] = tMax, -1
+	p.n++
+}
+
+// coherent reports whether every ray of p enters each slab through the
+// same plane, the condition for tracing them as one packet.
+func (p *packet) coherent() bool {
+	d0 := p.dir[0]
+	for _, d := range p.dir[1:p.n] {
+		if (d.X < 0) != (d0.X < 0) || (d.Y < 0) != (d0.Y < 0) || (d.Z < 0) != (d0.Z < 0) {
+			return false
+		}
 	}
-	ix, iy, iz := safeInv(dir.X), safeInv(dir.Y), safeInv(dir.Z)
+	return true
+}
+
+// trace finds each ray's nearest hit in (tMin, p.t[i]). Rays that agree
+// in direction sign on every axis walk the tree as one packet; otherwise
+// each walks it alone.
+func (b *SphereBVH) trace(p *packet, origin vec.V3, tMin float64) {
+	if len(b.nodes) == 0 {
+		return
+	}
+	if p.coherent() {
+		b.walk(p, 0, p.n, origin, tMin)
+		return
+	}
+	for i := 0; i < p.n; i++ {
+		b.walk(p, i, i+1, origin, tMin)
+	}
+}
+
+// walk traces rays [lo, hi) of p, which share their direction signs,
+// through the tree as one packet. Each internal node's children are
+// tested once for the whole packet by slab, an interval that contains
+// every ray's own clip interval (see DESIGN.md); each leaf is clipped and
+// its spheres tested per ray against that ray's nearest hit. With one ray
+// the packet interval is that ray's clip interval.
+func (b *SphereBVH) walk(p *packet, lo, hi int, origin vec.V3, tMin float64) {
+	nodes := b.nodes
+	d := p.dir[lo]
 	// A ray enters each slab through the plane its direction points away
 	// from: n* index that plane in node.bounds, f* the opposite one.
 	nx, fx := 0, 3
-	if dir.X < 0 {
+	if d.X < 0 {
 		nx, fx = 3, 0
 	}
 	ny, fy := 1, 4
-	if dir.Y < 0 {
+	if d.Y < 0 {
 		ny, fy = 4, 1
 	}
 	nz, fz := 2, 5
-	if dir.Z < 0 {
+	if d.Z < 0 {
 		nz, fz = 5, 2
 	}
+	// The packet's range of inverse directions per axis, and the farthest
+	// of its rays' nearest hits, which bounds what any node can still offer.
+	xmn, xmx := p.ix[lo], p.ix[lo]
+	ymn, ymx := p.iy[lo], p.iy[lo]
+	zmn, zmx := p.iz[lo], p.iz[lo]
+	tFar := p.t[lo]
+	for i := lo + 1; i < hi; i++ {
+		xmn, xmx = min(xmn, p.ix[i]), max(xmx, p.ix[i])
+		ymn, ymx = min(ymn, p.iy[i]), max(ymx, p.iy[i])
+		zmn, zmx = min(zmn, p.iz[i]), max(zmx, p.iz[i])
+		tFar = max(tFar, p.t[i])
+	}
 	// The farther child of a two-child hit waits here with its entry
-	// distance, so a popped node is pruned against the current best hit
-	// without re-intersecting its bounds. At most one waits per internal
-	// node on the path from the root, and those have depth 0..maxDepth.
+	// distance, so a popped node is pruned against the packet's farthest
+	// hit without re-intersecting its bounds. At most one waits per
+	// internal node on the path from the root, and those have depth
+	// 0..maxDepth.
 	type entry struct {
 		node int32
 		t    float64
 	}
 	var stack [maxDepth + 1]entry
 	sp := 0
-
-	bestT, bestI := tMax, -1
-	a := dir.Dot(dir)
+	var live [tileRays]int32 // the rays a leaf's box passes
 	r2 := b.radius * b.radius
 
-	// The root's own box is not tested: a ray that misses it fails both
+	// The root's own box is not tested: a packet that misses it fails both
 	// child tests one step later.
 	ni := int32(0)
-walk:
 	for {
 		nd := &nodes[ni]
 		if nd.count == 0 {
-			// Internal: clip the ray to both children's boxes, walk into the
-			// nearer one hit and leave the farther on the stack, so best
-			// tightens first.
+			// Internal: bound the packet's interval in both children's
+			// boxes, walk into the nearer one hit and leave the farther on
+			// the stack, so hits tighten first.
 			li := nd.left
 			lb, rb := &nodes[li].bounds, &nodes[li+1].bounds
-			lt0, lt1 := clip(lb[nx], lb[fx], origin.X, ix, tMin, bestT)
-			lt0, lt1 = clip(lb[ny], lb[fy], origin.Y, iy, lt0, lt1)
-			lt0, lt1 = clip(lb[nz], lb[fz], origin.Z, iz, lt0, lt1)
-			rt0, rt1 := clip(rb[nx], rb[fx], origin.X, ix, tMin, bestT)
-			rt0, rt1 = clip(rb[ny], rb[fy], origin.Y, iy, rt0, rt1)
-			rt0, rt1 = clip(rb[nz], rb[fz], origin.Z, iz, rt0, rt1)
+			lt0, lt1 := slab(lb[nx], lb[fx], origin.X, xmn, xmx, tMin, tFar)
+			lt0, lt1 = slab(lb[ny], lb[fy], origin.Y, ymn, ymx, lt0, lt1)
+			lt0, lt1 = slab(lb[nz], lb[fz], origin.Z, zmn, zmx, lt0, lt1)
+			rt0, rt1 := slab(rb[nx], rb[fx], origin.X, xmn, xmx, tMin, tFar)
+			rt0, rt1 = slab(rb[ny], rb[fy], origin.Y, ymn, ymx, rt0, rt1)
+			rt0, rt1 = slab(rb[nz], rb[fz], origin.Z, zmn, zmx, rt0, rt1)
 			lok, rok := lt0 <= lt1, rt0 <= rt1
 			switch {
 			case lok && rok:
@@ -294,45 +369,92 @@ walk:
 			}
 			// Neither: this subtree is done.
 		} else {
-			s := b.prims[nd.left : nd.left+nd.count]
-			for i := range s {
-				oc := origin.Sub(v3(s[i].c))
-				// Solve |oc + t*dir|^2 = r^2.
-				half := oc.Dot(dir)
-				cc := oc.Dot(oc) - r2
-				disc := half*half - a*cc
-				if disc < 0 {
-					continue
+			// Leaf: clip each ray to the box against its own nearest hit,
+			// then test the spheres against the rays that pass. A ray sees
+			// the spheres in the order and with the arithmetic of a lone
+			// ray; only the terms that do not depend on the ray are shared.
+			bb := &nd.bounds
+			m := 0
+			for i := lo; i < hi; i++ {
+				t0, t1 := clip(bb[nx], bb[fx], origin.X, p.ix[i], tMin, p.t[i])
+				t0, t1 = clip(bb[ny], bb[fy], origin.Y, p.iy[i], t0, t1)
+				t0, t1 = clip(bb[nz], bb[fz], origin.Z, p.iz[i], t0, t1)
+				if t0 <= t1 {
+					live[m] = int32(i)
+					m++
 				}
-				sq := math.Sqrt(disc)
-				t := (-half - sq) / a
-				if t <= tMin {
-					t = (-half + sq) / a
+			}
+			if m > 0 {
+				s := b.prims[nd.left : nd.left+nd.count]
+				for j := range s {
+					oc := origin.Sub(v3(s[j].c))
+					cc := oc.Dot(oc) - r2
+					for _, i := range live[:m] {
+						// Solve |oc + t*dir|^2 = r^2.
+						half := oc.Dot(p.dir[i])
+						a := p.a[i]
+						disc := half*half - a*cc
+						if disc < 0 {
+							continue
+						}
+						sq := math.Sqrt(disc)
+						t := (-half - sq) / a
+						if t <= tMin {
+							t = (-half + sq) / a
+						}
+						if t <= tMin || t >= p.t[i] {
+							continue
+						}
+						p.t[i], p.prim[i] = t, nd.left+int32(j)
+					}
 				}
-				if t <= tMin || t >= bestT {
-					continue
+				tFar = p.t[lo]
+				for i := lo + 1; i < hi; i++ {
+					tFar = max(tFar, p.t[i])
 				}
-				bestT, bestI = t, int(nd.left)+i
 			}
 		}
-		// Pop the nearest waiting node that can still beat best.
+		// Pop the nearest waiting node that can still beat some ray's hit.
 		for {
 			if sp == 0 {
-				break walk
+				return
 			}
 			sp--
-			if stack[sp].t < bestT {
+			if stack[sp].t < tFar {
 				ni = stack[sp].node
 				break
 			}
 		}
 	}
-	if bestI < 0 {
+}
+
+// hit returns ray i's nearest hit, ok=false if it has none.
+func (b *SphereBVH) hit(p *packet, i int, origin vec.V3) (Hit, bool) {
+	if p.prim[i] < 0 {
 		return Hit{}, false
 	}
-	p := &b.prims[bestI]
-	hitP := origin.Add(dir.Scale(bestT))
-	return Hit{T: bestT, Particle: int(p.id), Normal: hitP.Sub(v3(p.c)).Norm()}, true
+	s := &b.prims[p.prim[i]]
+	hitP := origin.Add(p.dir[i].Scale(p.t[i]))
+	return Hit{T: p.t[i], Particle: int(s.id), Normal: hitP.Sub(v3(s.c)).Norm()}, true
+}
+
+// slab narrows a packet's interval (t0, t1) to one slab: near and far are
+// the planes its rays enter and leave it through, o their common origin
+// on that axis and [imn, imx] the range of their inverse directions.
+// Rounded multiplication is monotone, so the products at the ends of the
+// range bound every ray's own: the interval contains each ray's clip
+// interval. A NaN product (0 × Inf, as in clip) leaves that plane out of
+// the test, as clip does, and that still contains every ray's interval.
+// With imn == imx it is clip.
+func slab(near, far float32, o, imn, imx, t0, t1 float64) (float64, float64) {
+	dn, df := float64(near)-o, float64(far)-o
+	if a, b := dn*imn, dn*imx; a > t0 && b > t0 {
+		t0 = min(a, b)
+	}
+	if a, b := df*imn, df*imx; a < t1 && b < t1 {
+		t1 = max(a, b)
+	}
+	return t0, t1
 }
 
 // clip narrows the ray interval (t0, t1) to one slab: near and far are the

@@ -7,6 +7,7 @@ import (
 	"github.com/ascr-ecx/eth/internal/camera"
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/fb"
+	"github.com/ascr-ecx/eth/internal/geom"
 	"github.com/ascr-ecx/eth/internal/mempool"
 	"github.com/ascr-ecx/eth/internal/par"
 	"github.com/ascr-ecx/eth/internal/telemetry"
@@ -25,9 +26,14 @@ var (
 	ctrMarchated = telemetry.Default.Counter("rt.march_steps")
 )
 
-// tileW is the width in pixels of the column tiles a scanline band is
-// walked in.
-const tileW = 8
+// The sphere renderer hands out scanline bands of tileH rows (the grain,
+// so no band is taller) and walks each in tiles tileW pixels wide:
+// neighbouring rays visit the same nodes, so a tile is traced as one
+// packet (see SphereBVH.walk).
+const (
+	tileW = 8
+	tileH = 4
+)
 
 // SphereOptions configures sphere raycasting.
 type SphereOptions struct {
@@ -56,7 +62,7 @@ type SphereOptions struct {
 func RaycastSpheres(frame *fb.Frame, p *data.PointCloud, cam *camera.Camera, opt SphereOptions) (*SphereBVH, error) {
 	radius := opt.Radius
 	if radius <= 0 {
-		radius = defaultRadius(p)
+		radius = geom.DefaultSplatRadius(p)
 	}
 	bvh := BuildSphereBVH(p, radius, MedianSplit)
 	if err := RaycastSpheresWithBVH(frame, p, bvh, cam, opt); err != nil {
@@ -80,16 +86,23 @@ func RaycastSpheresWithBVH(frame *fb.Frame, p *data.PointCloud, bvh *SphereBVH, 
 
 	w, h := frame.W, frame.H
 	gen := cam.NewRayGen(w, h)
-	par.ForGrained(h, 0, 4, func(y0, y1 int) {
+	par.ForGrained(h, 0, tileH, func(y0, y1 int) {
 		hits := 0
-		// Walk the band in narrow tiles: neighbouring rays visit the same
-		// nodes, so a tile's working set stays in cache.
+		var pk packet
 		for x0 := 0; x0 < w; x0 += tileW {
 			x1 := min(x0+tileW, w)
+			pk.n = 0
 			for y := y0; y < y1; y++ {
 				for x := x0; x < x1; x++ {
-					ray := gen.Ray(x, y)
-					hit, ok := bvh.Intersect(ray.Origin, ray.Dir, cam.Near, cam.Far)
+					pk.add(gen.Ray(x, y).Dir, cam.Far)
+				}
+			}
+			bvh.trace(&pk, cam.Eye, cam.Near)
+			i := 0
+			for y := y0; y < y1; y++ {
+				for x := x0; x < x1; x++ {
+					hit, ok := bvh.hit(&pk, i, cam.Eye)
+					i++
 					if !ok {
 						continue
 					}
@@ -108,18 +121,6 @@ func RaycastSpheresWithBVH(frame *fb.Frame, p *data.PointCloud, bvh *SphereBVH, 
 		ctrRayHits.Add(int64(hits))
 	})
 	return nil
-}
-
-func defaultRadius(p *data.PointCloud) float64 {
-	if p.Count() == 0 {
-		return 1
-	}
-	b := p.Bounds()
-	vol := b.Size().X * b.Size().Y * b.Size().Z
-	if vol <= 0 {
-		return b.Diagonal()/100 + 1e-6
-	}
-	return 0.5 * math.Cbrt(vol/float64(p.Count()))
 }
 
 func scalarColors(p *data.PointCloud, fieldName string, cmap *fb.Colormap, lo, hi float32) ([]vec.V3, error) {

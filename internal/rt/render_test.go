@@ -7,6 +7,7 @@ import (
 	"github.com/ascr-ecx/eth/internal/camera"
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/fb"
+	"github.com/ascr-ecx/eth/internal/geom"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
 
@@ -198,7 +199,7 @@ func TestRaycastIsosurfaceEmptyIso(t *testing.T) {
 func BenchmarkRaycastSpheres(b *testing.B) {
 	p := randomCloud(50_000, 4)
 	cam := camera.ForBounds(p.Bounds())
-	bvh := BuildSphereBVH(p, defaultRadius(p), MedianSplit)
+	bvh := BuildSphereBVH(p, geom.DefaultSplatRadius(p), MedianSplit)
 	frame := fb.New(256, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -214,15 +214,16 @@ func (r *Registry) ObserveSpan(name string, d time.Duration) {
 	r.Span(name).Observe(d)
 }
 
-// Name returns the span's full (slash-joined) metric name.
+// Name returns the span's full (dot-joined) metric name.
 func (s *Span) Name() string { return s.name }
 
 // Parent returns the enclosing span, or nil for a root span.
 func (s *Span) Parent() *Span { return s.parent }
 
-// Child opens a nested span named parent/name.
+// Child opens a nested span named parent.name, so nesting stays inside
+// the dotted metric-name contract.
 func (s *Span) Child(name string) *Span {
-	return &Span{r: s.r, parent: s, name: s.name + "/" + name, start: time.Now()}
+	return &Span{r: s.r, parent: s, name: s.name + "." + name, start: time.Now()}
 }
 
 // End closes the span, records its duration, and returns it.

@@ -115,7 +115,7 @@ func TestSpanNesting(t *testing.T) {
 	parent := r.StartSpan("step")
 	child := parent.Child("render")
 	grand := child.Child("bvh")
-	if grand.Name() != "step/render/bvh" {
+	if grand.Name() != "step.render.bvh" {
 		t.Errorf("nested name = %q", grand.Name())
 	}
 	if grand.Parent() != child || child.Parent() != parent || parent.Parent() != nil {
@@ -124,13 +124,13 @@ func TestSpanNesting(t *testing.T) {
 	grand.End()
 	child.End()
 	parent.End()
-	for _, name := range []string{"step", "step/render", "step/render/bvh"} {
+	for _, name := range []string{"step", "step.render", "step.render.bvh"} {
 		if r.Span(name).Count() != 1 {
 			t.Errorf("span %s not recorded", name)
 		}
 	}
 	// Parent wall-clock encloses the child's.
-	if r.Span("step").Total() < r.Span("step/render").Total() {
+	if r.Span("step").Total() < r.Span("step.render").Total() {
 		t.Error("parent total < child total")
 	}
 }
