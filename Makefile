@@ -26,9 +26,11 @@ sarif:
 # run: the fault schedule and the job layout (no panic; an accepted one
 # reads back unchanged from its printed form), and the two readers of
 # what other processes wrote: the journal (a cut at any byte returns
-# every whole event, torn only inside one) and the Prometheus exposition
-# (an escaped label value parses back exactly), and the sweep checkpoints
-# (any bytes load or fail, never panic; a saved done set reads back).
+# every whole event, torn only inside one), its live follower (a journal
+# written in any chunk cuts drains to exactly what Read returns) and the
+# Prometheus exposition (an escaped label value parses back exactly), and
+# the sweep checkpoints (any bytes load or fail, never panic; a saved
+# done set reads back).
 fuzz:
 	go test -run='^$$' -fuzz=FuzzReadVTK -fuzztime=10s ./internal/vtkio/
 	go test -run='^$$' -fuzz=FuzzFrameFlip -fuzztime=10s ./internal/transport/
@@ -37,6 +39,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzFaultsParse -fuzztime=10s ./internal/faults/
 	go test -run='^$$' -fuzz=FuzzLayoutParse -fuzztime=10s ./internal/layout/
 	go test -run='^$$' -fuzz=FuzzJournalRead -fuzztime=10s ./internal/journal/
+	go test -run='^$$' -fuzz=FuzzFollowerDrain -fuzztime=10s ./internal/journal/
 	go test -run='^$$' -fuzz=FuzzParseExposition -fuzztime=10s ./internal/obs/
 	go test -run='^$$' -fuzz=FuzzLoadDoneSet -fuzztime=10s ./internal/fleet/
 

@@ -309,7 +309,7 @@ func runMeasured(spec *layout.Spec, a runArgs) {
 		os.Exit(supervise.ExitCode(err))
 	}
 	fmt.Printf("measured run: %s on %s, %d ranks, %s coupling\n",
-		spec.Algorithm, mspec.Workload.Name, maxInt(spec.Pairs, 1), mspec.Mode)
+		spec.Algorithm, mspec.Workload.Name, max(spec.Pairs, 1), mspec.Mode)
 	fmt.Printf("  wall         %.3f s\n", res.Wall.Seconds())
 	fmt.Printf("  render       %.3f s (summed across ranks)\n", res.RenderTime.Seconds())
 	fmt.Printf("  elements     %d (last step, after sampling)\n", res.Elements)
@@ -334,15 +334,17 @@ func runMeasured(spec *layout.Spec, a runArgs) {
 }
 
 func runModeled(alg string, nodes int, elements, ratio float64, pixels, images, steps int, calibrated bool) {
-	var costs cluster.CostTable
+	costs := cluster.DefaultCosts()
 	if calibrated {
 		fmt.Println("calibrating against this machine's kernels...")
 		costs = cluster.Calibrate(0).Costs()
 	}
-	res, err := core.RunModeled(core.ModeledSpec{
-		Nodes:          nodes,
-		Algorithm:      alg,
-		Costs:          costs,
+	cost, err := costs.Get(alg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := cluster.Simulate(cluster.Hikari(nodes), cluster.Job{
+		Algorithm:      cost,
 		Elements:       elements,
 		SamplingRatio:  ratio,
 		PixelsPerImage: pixels,
@@ -365,11 +367,4 @@ func orOne(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

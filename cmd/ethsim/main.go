@@ -51,7 +51,7 @@ func main() {
 	if *dataGlob == "" {
 		log.Fatal("-data is required")
 	}
-	m, err := parseMethod(*method)
+	m, err := sampling.ParseMethod(*method)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -136,17 +136,4 @@ func main() {
 			next, err, drops, *maxRestarts)
 	}
 	fmt.Printf("rank %d done: served %d steps, %.1f MB\n", *rank, sim.Steps(), float64(total)/1e6)
-}
-
-func parseMethod(s string) (sampling.Method, error) {
-	switch s {
-	case "random":
-		return sampling.Random, nil
-	case "stride":
-		return sampling.Stride, nil
-	case "stratified":
-		return sampling.Stratified, nil
-	default:
-		return 0, fmt.Errorf("unknown sampling method %q", s)
-	}
 }

@@ -62,7 +62,13 @@ func main() {
 	serveCodec := flag.String("serve-codec", "raw", "wire codec for broadcast streams (raw, flate, delta, delta+flate)")
 	flag.Parse()
 
-	operations, err := parseOps(*ops)
+	var opNames []string
+	for _, name := range strings.Split(*ops, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			opNames = append(opNames, name)
+		}
+	}
+	operations, err := proxy.ParseOperations(opNames)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -209,27 +215,4 @@ func main() {
 			fmt.Printf("    %s: %s\n", op.Op, op.Summary)
 		}
 	}
-}
-
-// parseOps builds the analysis-operation list from a comma-separated
-// flag value.
-func parseOps(spec string) ([]proxy.Operation, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []proxy.Operation
-	for _, name := range strings.Split(spec, ",") {
-		switch strings.TrimSpace(name) {
-		case "halos":
-			out = append(out, &proxy.HaloOperation{})
-		case "stats":
-			out = append(out, &proxy.StatsOperation{})
-		case "save":
-			out = append(out, &proxy.SaveOperation{})
-		case "":
-		default:
-			return nil, fmt.Errorf("unknown operation %q (want halos, stats, save)", name)
-		}
-	}
-	return out, nil
 }

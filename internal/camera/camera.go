@@ -66,11 +66,6 @@ func (c *Camera) Proj(w, h int) vec.M4 {
 	return vec.Perspective(c.FovY, aspect, c.Near, c.Far)
 }
 
-// ViewProj returns the combined world-to-clip matrix.
-func (c *Camera) ViewProj(w, h int) vec.M4 {
-	return c.Proj(w, h).MulM(c.View())
-}
-
 // Project maps world point p to window coordinates for a w x h viewport:
 // x in [0, w), y in [0, h) with y=0 the top row, and depth the camera
 // space distance along the view direction (positive in front). ok is

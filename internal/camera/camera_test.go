@@ -126,8 +126,8 @@ func TestViewProjMatchesProject(t *testing.T) {
 	if !ok {
 		t.Fatal("point not visible")
 	}
-	// Same answer via the combined matrix.
-	clip, wc := cam.ViewProj(w, h).MulPointW(p)
+	// Same answer via the combined world-to-clip matrix.
+	clip, wc := cam.Proj(w, h).MulM(cam.View()).MulPointW(p)
 	nx := clip.X / wc
 	ny := clip.Y / wc
 	mx := (nx + 1) / 2 * w

@@ -1,18 +1,11 @@
 // Package core is the Exploration Test Harness itself — the paper's
 // primary contribution. An experiment names a workload (synthetic HACC or
 // xRAGE data, or exported dumps on disk), a rendering algorithm, a
-// coupling mode, and sampling parameters; the harness executes it in one
-// of two modes:
-//
-//   - Measured: the real pipelines run at laptop scale through the proxy
-//     pair, producing wall-clock times, images, and data-movement counts.
-//   - Modeled: the calibrated cluster model (internal/cluster)
-//     extrapolates the same cost structure to paper-scale node counts,
-//     producing time/power/energy.
-//
-// Parameter sweeps run lists of experiment variants and collect results
-// into metrics tables, which is how cmd/ethbench regenerates every table
-// and figure of the paper.
+// coupling mode, and sampling parameters; the harness runs the real
+// pipelines at laptop scale through the proxy pair, producing wall-clock
+// times, images, and data-movement counts. Paper-scale modeled runs
+// belong to internal/cluster, which extrapolates the same cost structure
+// to the paper's node counts.
 package core
 
 import (
@@ -23,7 +16,6 @@ import (
 	"time"
 
 	"github.com/ascr-ecx/eth/internal/blast"
-	"github.com/ascr-ecx/eth/internal/cluster"
 	"github.com/ascr-ecx/eth/internal/compositing"
 	"github.com/ascr-ecx/eth/internal/cosmo"
 	"github.com/ascr-ecx/eth/internal/coupling"
@@ -132,9 +124,6 @@ type MeasuredSpec struct {
 	Options render.Options
 	// OutDir, when set, receives PNG artifacts.
 	OutDir string
-	// CompositeAlg selects how multi-rank frames merge into the final
-	// image (direct-send by default).
-	CompositeAlg compositing.Algorithm
 	// Journal, when set, receives the run's structured event stream (a
 	// trace file via journal.Create, or any journal.Writer). When nil the
 	// run still records into a private in-memory journal so the result
@@ -343,7 +332,7 @@ func RunMeasured(spec MeasuredSpec) (MeasuredResult, error) {
 	// the sort-last composite every distributed in-situ run ends with.
 	if len(res.Frames) > 1 {
 		c0 := time.Now()
-		comp, cstats, err := compositing.Composite(res.Frames, spec.CompositeAlg)
+		comp, cstats, err := compositing.Composite(res.Frames, compositing.DirectSend)
 		if err != nil {
 			jw.Error(-1, -1, err)
 			return MeasuredResult{}, err
@@ -356,7 +345,7 @@ func RunMeasured(spec MeasuredSpec) (MeasuredResult, error) {
 			Rank: -1, Step: -1, DurNS: int64(compDur),
 			Bytes: cstats.BytesMoved,
 			Detail: fmt.Sprintf("algorithm=%s frames=%d rounds=%d",
-				spec.CompositeAlg, len(res.Frames), cstats.Rounds),
+				compositing.DirectSend, len(res.Frames), cstats.Rounds),
 		})
 	} else if len(res.Frames) == 1 {
 		res.Composited = res.Frames[0]
@@ -377,52 +366,4 @@ func effectiveRatio(r float64) float64 {
 		return 1
 	}
 	return r
-}
-
-// ModeledSpec describes a paper-scale modeled experiment.
-type ModeledSpec struct {
-	// Nodes is the allocation size.
-	Nodes int
-	// Algorithm names the cost model (render registry name).
-	Algorithm string
-	// Costs supplies cost models; nil selects cluster.DefaultCosts().
-	Costs cluster.CostTable
-	// Elements is the dataset size (particles or cells).
-	Elements float64
-	// SamplingRatio in (0, 1]; 0 means 1.
-	SamplingRatio float64
-	// PixelsPerImage, ImagesPerStep, TimeSteps shape the render load.
-	PixelsPerImage, ImagesPerStep, TimeSteps int
-	// Coupling, when CoupledSim is non-nil, models the full pipeline.
-	Coupling   cluster.Coupling
-	CoupledSim *cluster.SimSpec
-}
-
-// RunModeled executes the spec on the cluster model.
-func RunModeled(spec ModeledSpec) (cluster.Result, error) {
-	costs := spec.Costs
-	if costs == nil {
-		costs = cluster.DefaultCosts()
-	}
-	alg, err := costs.Get(spec.Algorithm)
-	if err != nil {
-		return cluster.Result{}, err
-	}
-	job := cluster.Job{
-		Algorithm:      alg,
-		Elements:       spec.Elements,
-		SamplingRatio:  spec.SamplingRatio,
-		PixelsPerImage: spec.PixelsPerImage,
-		ImagesPerStep:  spec.ImagesPerStep,
-		TimeSteps:      spec.TimeSteps,
-	}
-	cfg := cluster.Hikari(spec.Nodes)
-	if spec.CoupledSim != nil {
-		r, err := cluster.SimulateCoupled(cfg, job, *spec.CoupledSim, spec.Coupling)
-		if err != nil {
-			return cluster.Result{}, err
-		}
-		return r.Result, nil
-	}
-	return cluster.Simulate(cfg, job)
 }

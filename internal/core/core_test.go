@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/ascr-ecx/eth/internal/cluster"
 	"github.com/ascr-ecx/eth/internal/coupling"
 	"github.com/ascr-ecx/eth/internal/fb"
 	"github.com/ascr-ecx/eth/internal/vtkio"
@@ -141,57 +140,6 @@ func TestDiskWorkload(t *testing.T) {
 	}
 	if _, err := DiskWorkload("none"); err == nil {
 		t.Error("empty disk workload accepted")
-	}
-}
-
-func TestRunModeled(t *testing.T) {
-	res, err := RunModeled(ModeledSpec{
-		Nodes:          400,
-		Algorithm:      "gsplat",
-		Elements:       1e9,
-		PixelsPerImage: 1 << 20,
-		ImagesPerStep:  500,
-		TimeSteps:      1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Seconds <= 0 || res.EnergyJ <= 0 {
-		t.Error("modeled run empty")
-	}
-	if _, err := RunModeled(ModeledSpec{Algorithm: "bogus", Nodes: 4, Elements: 1, PixelsPerImage: 1, ImagesPerStep: 1, TimeSteps: 1}); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-}
-
-func TestRunModeledCoupled(t *testing.T) {
-	sim := &cluster.SimSpec{SecondsPerStep: 60, RefNodes: 400, BytesPerStep: 1e10, Utilization: 0.5}
-	res, err := RunModeled(ModeledSpec{
-		Nodes:          400,
-		Algorithm:      "points",
-		Elements:       1e9,
-		PixelsPerImage: 1 << 20,
-		ImagesPerStep:  100,
-		TimeSteps:      2,
-		Coupling:       cluster.Intercore,
-		CoupledSim:     sim,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := RunModeled(ModeledSpec{
-		Nodes:          400,
-		Algorithm:      "points",
-		Elements:       1e9,
-		PixelsPerImage: 1 << 20,
-		ImagesPerStep:  100,
-		TimeSteps:      2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Seconds <= plain.Seconds {
-		t.Error("coupled run should include sim time")
 	}
 }
 

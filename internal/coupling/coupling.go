@@ -128,8 +128,6 @@ type Policy struct {
 	// IOTimeout arms per-operation read/write deadlines on both ends so a
 	// stalled peer surfaces as transport.ErrTimeout instead of a hang.
 	IOTimeout time.Duration
-	// MaxFrame bounds accepted frame sizes (0 = transport.DefaultMaxFrame).
-	MaxFrame int64
 	// Backoff is the reconnect dial policy; a zero Attempts count selects
 	// transport.DefaultBackoff(Seed).
 	Backoff transport.Backoff
@@ -259,9 +257,7 @@ func runSocketPair(ctx context.Context, sim *proxy.SimProxy, viz *proxy.VizProxy
 			sconn = transport.NewConn(pol.Faults.WrapAccepted(raw))
 			reg.add(sconn)
 			sconn.SetTimeouts(pol.IOTimeout, pol.IOTimeout)
-			sconn.SetMaxFrame(pol.MaxFrame)
 			vconn.SetTimeouts(pol.IOTimeout, pol.IOTimeout)
-			vconn.SetMaxFrame(pol.MaxFrame)
 			ctrReconnects.Inc()
 
 			type simOut struct {

@@ -350,9 +350,9 @@ func (g *StructuredGrid) Downsample(stride int) *StructuredGrid {
 		for k := 0; k < nz; k++ {
 			for j := 0; j < ny; j++ {
 				for i := 0; i < nx; i++ {
-					si := minInt(i*stride, g.NX-1)
-					sj := minInt(j*stride, g.NY-1)
-					sk := minInt(k*stride, g.NZ-1)
+					si := min(i*stride, g.NX-1)
+					sj := min(j*stride, g.NY-1)
+					sk := min(k*stride, g.NZ-1)
 					vals[idx] = f.Values[g.Index(si, sj, sk)]
 					idx++
 				}
@@ -381,11 +381,4 @@ func boolToInt(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -109,10 +109,12 @@ func (c Config) modeled() string {
 
 // model runs one paper-scale configuration through the cluster model.
 func (c Config) model(alg string, nodes int, elements float64, images int, ratio float64) (cluster.Result, error) {
-	return core.RunModeled(core.ModeledSpec{
-		Nodes:          nodes,
-		Algorithm:      alg,
-		Costs:          c.costs(),
+	cost, err := c.costs().Get(alg)
+	if err != nil {
+		return cluster.Result{}, err
+	}
+	return cluster.Simulate(cluster.Hikari(nodes), cluster.Job{
+		Algorithm:      cost,
 		Elements:       elements,
 		SamplingRatio:  ratio,
 		PixelsPerImage: c.PixelsPerImage,

@@ -6,12 +6,8 @@ import "github.com/ascr-ecx/eth/internal/vec"
 // [0, 1] are clamped. ETH uses colormaps to color particles by speed and
 // volumes by temperature, matching the paper's rendering tasks.
 type Colormap struct {
-	name  string
 	stops []vec.V3 // equally spaced control colors
 }
-
-// Name returns the colormap's registered name.
-func (c *Colormap) Name() string { return c.name }
 
 // Lookup returns the interpolated color for t in [0, 1].
 func (c *Colormap) Lookup(t float64) vec.V3 {
@@ -39,7 +35,6 @@ func (c *Colormap) Lookup(t float64) vec.V3 {
 // Viridis is a perceptually uniform colormap (coarse control points of
 // matplotlib's viridis), the default for scalar fields.
 var Viridis = &Colormap{
-	name: "viridis",
 	stops: []vec.V3{
 		{X: 0.267, Y: 0.005, Z: 0.329},
 		{X: 0.283, Y: 0.141, Z: 0.458},
@@ -58,7 +53,6 @@ var Viridis = &Colormap{
 // Hot maps 0 -> black through red and yellow to white, the classic
 // temperature map used for the asteroid renders.
 var Hot = &Colormap{
-	name: "hot",
 	stops: []vec.V3{
 		{X: 0, Y: 0, Z: 0},
 		{X: 0.5, Y: 0, Z: 0},
@@ -71,13 +65,5 @@ var Hot = &Colormap{
 
 // Gray is the identity grayscale map.
 var Gray = &Colormap{
-	name:  "gray",
 	stops: []vec.V3{{}, {X: 1, Y: 1, Z: 1}},
-}
-
-// Colormaps indexes the built-in maps by name.
-var Colormaps = map[string]*Colormap{
-	"viridis": Viridis,
-	"hot":     Hot,
-	"gray":    Gray,
 }

@@ -161,24 +161,6 @@ func RMSE(a, b *Frame) (float64, error) {
 	return math.Sqrt(sum / float64(len(a.Color))), nil
 }
 
-// MAE computes the mean absolute error between two frames (average of
-// per-channel absolute differences), a companion metric to RMSE.
-func MAE(a, b *Frame) (float64, error) {
-	if a.W != b.W || a.H != b.H {
-		return 0, fmt.Errorf("fb: frame sizes differ (%dx%d vs %dx%d)", a.W, a.H, b.W, b.H)
-	}
-	if len(a.Color) == 0 {
-		return 0, nil
-	}
-	var sum float64
-	for i := range a.Color {
-		ca := a.Color[i].Clamp(0, 1)
-		cb := b.Color[i].Clamp(0, 1)
-		sum += math.Abs(ca.X-cb.X) + math.Abs(ca.Y-cb.Y) + math.Abs(ca.Z-cb.Z)
-	}
-	return sum / float64(3*len(a.Color)), nil
-}
-
 // CoveredPixels returns the number of pixels with finite depth (i.e.
 // written by some primitive), a cheap sanity metric for renders.
 func (f *Frame) CoveredPixels() int {

@@ -1,9 +1,6 @@
 package fb
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // SSIM computes the mean structural similarity index between two frames —
 // the kind of perception-oriented quality metric the paper anticipates
@@ -91,17 +88,4 @@ func luminance(f *Frame) []float64 {
 		out[i] = 0.2126*cc.X + 0.7152*cc.Y + 0.0722*cc.Z
 	}
 	return out
-}
-
-// PSNR computes peak signal-to-noise ratio in dB over linear RGB with
-// peak 1.0. Identical frames return +Inf.
-func PSNR(a, b *Frame) (float64, error) {
-	rmse, err := RMSE(a, b)
-	if err != nil {
-		return 0, err
-	}
-	if rmse == 0 {
-		return math.Inf(1), nil
-	}
-	return 20 * math.Log10(1/rmse), nil
 }

@@ -82,21 +82,3 @@ func TestSSIMSizeMismatch(t *testing.T) {
 		t.Error("size mismatch accepted")
 	}
 }
-
-func TestPSNR(t *testing.T) {
-	a := noisyFrame(32, 32, 1, 0)
-	if p, err := PSNR(a, a); err != nil || !math.IsInf(p, 1) {
-		t.Errorf("PSNR identical = %v, %v", p, err)
-	}
-	b := noisyFrame(32, 32, 2, 0.1)
-	p, err := PSNR(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 5 || p > 60 {
-		t.Errorf("PSNR = %v dB, implausible", p)
-	}
-	if _, err := PSNR(New(2, 2), New(3, 3)); err == nil {
-		t.Error("size mismatch accepted")
-	}
-}

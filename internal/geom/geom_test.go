@@ -164,8 +164,8 @@ func TestMeshAppend(t *testing.T) {
 		Tris:    [][3]int32{{0, 1, 2}},
 	}
 	a.Append(b)
-	if a.VertexCount() != 6 || a.TriangleCount() != 2 {
-		t.Fatalf("append: %d verts %d tris", a.VertexCount(), a.TriangleCount())
+	if len(a.Verts) != 6 || a.TriangleCount() != 2 {
+		t.Fatalf("append: %d verts %d tris", len(a.Verts), a.TriangleCount())
 	}
 	if a.Tris[1] != [3]int32{3, 4, 5} {
 		t.Errorf("appended indices = %v", a.Tris[1])

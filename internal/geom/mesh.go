@@ -49,9 +49,6 @@ func PutMesh(m *Mesh) {
 // TriangleCount returns the number of triangles.
 func (m *Mesh) TriangleCount() int { return len(m.Tris) }
 
-// VertexCount returns the number of vertices.
-func (m *Mesh) VertexCount() int { return len(m.Verts) }
-
 // Bounds returns the bounding box of all vertices.
 func (m *Mesh) Bounds() vec.AABB {
 	b := vec.EmptyAABB()

@@ -43,11 +43,9 @@ var (
 type PointsOptions struct {
 	// Size is the sprite edge length in pixels (the paper uses 1-3).
 	Size int
-	// ColorField names the per-particle scalar used for colormapping;
-	// empty selects constant white.
+	// ColorField names the per-particle scalar colormapped through
+	// Viridis; empty selects constant white.
 	ColorField string
-	// Colormap maps normalized scalars to colors; nil selects Viridis.
-	Colormap *fb.Colormap
 	// ScalarLo/Hi pin the colormap normalization range; equal values
 	// select the field's own range. Multi-rank renders must pin a global
 	// range so every rank colors identically.
@@ -60,7 +58,7 @@ type PointsOptions struct {
 // camera are dropped. The mapper is O(N) in the particle count —
 // extraction cost the experiments measure.
 func MapPoints(p *data.PointCloud, cam *camera.Camera, w, h int, opt PointsOptions) ([]raster.Sprite, error) {
-	colors, err := particleColors(p, opt.ColorField, opt.Colormap, opt.ScalarLo, opt.ScalarHi)
+	colors, err := particleColors(p, opt.ColorField, opt.ScalarLo, opt.ScalarHi)
 	if err != nil {
 		return nil, err
 	}
@@ -101,9 +99,8 @@ type SplatOptions struct {
 	// WorldRadius is the particle radius in world units; <= 0 derives a
 	// radius from the mean inter-particle spacing.
 	WorldRadius float64
-	// ColorField and Colormap as in PointsOptions.
+	// ColorField as in PointsOptions.
 	ColorField string
-	Colormap   *fb.Colormap
 	// ScalarLo/Hi as in PointsOptions.
 	ScalarLo, ScalarHi float32
 }
@@ -113,7 +110,7 @@ type SplatOptions struct {
 // shading models a sphere (§IV-C). Projected radius honors perspective,
 // so nearer particles draw larger.
 func MapSplats(p *data.PointCloud, cam *camera.Camera, w, h int, opt SplatOptions) ([]raster.Impostor, error) {
-	colors, err := particleColors(p, opt.ColorField, opt.Colormap, opt.ScalarLo, opt.ScalarHi)
+	colors, err := particleColors(p, opt.ColorField, opt.ScalarLo, opt.ScalarHi)
 	if err != nil {
 		return nil, err
 	}
@@ -169,10 +166,10 @@ func DefaultSplatRadius(p *data.PointCloud) float64 {
 	return 0.5 * math.Cbrt(vol/float64(p.Count()))
 }
 
-// particleColors maps the named field through the colormap, normalizing
+// particleColors maps the named field through Viridis, normalizing
 // by [lo, hi] (or the field's min/max when lo == hi). A missing name
 // yields constant white.
-func particleColors(p *data.PointCloud, fieldName string, cmap *fb.Colormap, lo, hi float32) ([]vec.V3, error) {
+func particleColors(p *data.PointCloud, fieldName string, lo, hi float32) ([]vec.V3, error) {
 	colors := colorPool.Get(p.Count())
 	if fieldName == "" {
 		white := vec.New(1, 1, 1)
@@ -186,9 +183,6 @@ func particleColors(p *data.PointCloud, fieldName string, cmap *fb.Colormap, lo,
 		colorPool.Put(colors)
 		return nil, fmt.Errorf("geom: color field: %w", err)
 	}
-	if cmap == nil {
-		cmap = fb.Viridis
-	}
 	if lo >= hi {
 		lo, hi = f.MinMax()
 	}
@@ -197,7 +191,7 @@ func particleColors(p *data.PointCloud, fieldName string, cmap *fb.Colormap, lo,
 		scale = 1 / float64(hi-lo)
 	}
 	par.For(p.Count(), 0, func(i int) {
-		colors[i] = cmap.Lookup(float64(f.Values[i]-lo) * scale)
+		colors[i] = fb.Viridis.Lookup(float64(f.Values[i]-lo) * scale)
 	})
 	return colors, nil
 }

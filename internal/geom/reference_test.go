@@ -386,8 +386,8 @@ func TestIndexedMatchesReference(t *testing.T) {
 				}
 				requireSameSurface(t, iso, refIso)
 				requireSameSurface(t, slice, refSlice)
-				if workers == 1 && 2*iso.VertexCount() > refIso.VertexCount() {
-					t.Errorf("indexed isosurface has %d vertices for the reference's %d: the edge cache is not sharing", iso.VertexCount(), refIso.VertexCount())
+				if workers == 1 && 2*len(iso.Verts) > len(refIso.Verts) {
+					t.Errorf("indexed isosurface has %d vertices for the reference's %d: the edge cache is not sharing", len(iso.Verts), len(refIso.Verts))
 				}
 
 				frame := fb.New(diffImage, diffImage)

@@ -2,13 +2,11 @@ package journal
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"time"
 )
 
 // Follower tails a journal file while it is being written — the live
@@ -17,10 +15,6 @@ import (
 // an unterminated final line is the writer's in-flight event and simply
 // stays pending until its newline lands, so following a live journal
 // never reports a torn tail for an event that is still being written.
-//
-// The offset is the resume point: persist Offset() and a later follower
-// constructed with NewFollowerAt picks up exactly where this one
-// stopped, across process restarts.
 //
 // The one genuinely exceptional shape is a torn-tail repair:
 // journal.Append truncated a torn final line away (the writer crashed
@@ -47,25 +41,12 @@ type Follower struct {
 // may not exist yet — Drain reports no events until it appears.
 func NewFollower(path string) *Follower { return &Follower{path: path} }
 
-// NewFollowerAt tails the journal at path from a byte offset previously
-// reported by Offset.
-func NewFollowerAt(path string, offset int64) *Follower {
-	if offset < 0 {
-		offset = 0
-	}
-	return &Follower{path: path, off: offset}
-}
-
-// Offset returns the byte offset after the last complete event Drain
-// consumed — the durable resume point.
-func (f *Follower) Offset() int64 { return f.off }
-
-// Drain parses every complete event appended since the last call (or
-// the construction offset) and advances the offset past them. A missing
-// file yields no events and no error; an unterminated final line stays
-// pending for the next call. A shrunken file (torn-tail repair by a
-// restarted writer) resets the offset to the new end and returns the
-// complete events read so far along with an ErrTornTail-wrapped error.
+// Drain parses every complete event appended since the last call and
+// advances the offset past them. A missing file yields no events and no
+// error; an unterminated final line stays pending for the next call. A
+// shrunken file (torn-tail repair by a restarted writer) resets the
+// offset to the new end and returns the complete events read so far
+// along with an ErrTornTail-wrapped error.
 func (f *Follower) Drain() ([]Event, error) {
 	file, err := os.Open(f.path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -152,37 +133,4 @@ func (f *Follower) drainRaw(raw []byte, tornErr error) ([]Event, error) {
 	f.off += consumed
 	f.frag = append([]byte(nil), pending...)
 	return events, tornErr
-}
-
-// Follow polls the journal every poll interval (default 50ms) and
-// delivers events to fn in order until ctx is canceled or fn returns an
-// error. ErrTornTail from a mid-follow tail repair is delivered to fn
-// as a synthesized TypeError event (the stream stays alive); any other
-// read error ends the follow. Returns nil on context cancellation.
-func (f *Follower) Follow(ctx context.Context, poll time.Duration, fn func(Event) error) error {
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	tick := time.NewTicker(poll)
-	defer tick.Stop()
-	for {
-		events, err := f.Drain()
-		if errors.Is(err, ErrTornTail) {
-			events = append(events, Event{
-				Type: TypeError, Rank: -1, Step: -1, Err: err.Error(),
-			})
-		} else if err != nil {
-			return err
-		}
-		for _, ev := range events {
-			if err := fn(ev); err != nil {
-				return err
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-tick.C:
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -60,8 +59,8 @@ func TestFollowerDrain(t *testing.T) {
 	jw.Close()
 }
 
-// TestFollowerOffsetResume checks that a follower rebuilt from a saved
-// offset continues exactly where the previous one stopped.
+// TestFollowerOffsetResume checks that a later Drain continues exactly
+// where the previous one stopped, also after the writer has closed.
 func TestFollowerOffsetResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	jw, err := Create(path)
@@ -77,15 +76,13 @@ func TestFollowerOffsetResume(t *testing.T) {
 	if err != nil || len(events) != 5 {
 		t.Fatalf("first drain: %d events err=%v, want 5", len(events), err)
 	}
-	saved := f.Offset()
 
 	for s := 5; s < 8; s++ {
 		jw.Emit(Event{Type: TypeRender, Rank: 0, Step: s})
 	}
 	jw.Close()
 
-	resumed := NewFollowerAt(path, saved)
-	events, err = resumed.Drain()
+	events, err = f.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +133,9 @@ func TestFollowerConcurrentWriter(t *testing.T) {
 // TestFollowerTornTailMidFollow simulates the crash-and-restart shape:
 // the writer dies mid-event leaving a torn tail the follower is waiting
 // on, then a restarted writer's Append repairs (truncates) it. The
-// follower must notice the shrink, report ErrTornTail once, and resume
-// cleanly with the restarted writer's events.
+// follower must notice the repair, report ErrTornTail once, and resume
+// cleanly with the restarted writer's events; a file that shrinks below
+// what the follower consumed is reported the same way.
 func TestFollowerTornTailMidFollow(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	jw, err := Create(path)
@@ -163,72 +161,35 @@ func TestFollowerTornTailMidFollow(t *testing.T) {
 		t.Fatalf("pre-repair drain: events=%v err=%v, want just step 0", events, err)
 	}
 
-	// Manually advance into the torn region, as a follower that polled
-	// mid-write and is now waiting for the newline effectively has.
-	waiting := NewFollowerAt(path, f.Offset())
-
-	// The restarted writer repairs the tail (truncating below the torn
-	// bytes) and appends a fresh event.
+	// The restarted writer repairs the tail, cutting away the fragment
+	// the follower holds as pending.
 	jw2, err := Append(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := f.Drain(); !errors.Is(err, ErrTornTail) {
+		t.Fatalf("repaired-fragment drain err = %v, want ErrTornTail", err)
+	}
 	jw2.Emit(Event{Type: TypeRender, Rank: 0, Step: 1})
-
-	// A follower whose offset points into the (now truncated) torn line
-	// is unaffected — the repair cut exactly the bytes after its offset,
-	// so it just sees the new event.
-	events, err = waiting.Drain()
+	events, err = f.Drain()
 	if err != nil || len(events) != 1 || events[0].Step != 1 {
 		t.Fatalf("post-repair drain: events=%v err=%v, want step 1", events, err)
 	}
 
-	// But a follower that had read INTO the torn bytes (offset past the
-	// repaired size) must surface ErrTornTail and reset.
-	ahead := NewFollowerAt(path, waiting.Offset()+1000)
-	if _, err := ahead.Drain(); !errors.Is(err, ErrTornTail) {
+	// A file shorter than the consumed offset surfaces ErrTornTail and
+	// resets the follower to the new end.
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Drain(); !errors.Is(err, ErrTornTail) {
 		t.Fatalf("shrunken-file drain err = %v, want ErrTornTail", err)
 	}
 	jw2.Emit(Event{Type: TypeRender, Rank: 0, Step: 2})
-	events, err = ahead.Drain()
+	events, err = f.Drain()
 	if err != nil || len(events) != 1 || events[0].Step != 2 {
 		t.Fatalf("post-torn-tail drain: events=%v err=%v, want step 2", events, err)
 	}
 	jw2.Close()
-}
-
-// TestFollowBlocking checks the ctx-driven Follow loop delivers events
-// appended after the follow started and stops on cancellation.
-func TestFollowBlocking(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	jw, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	got := make(chan Event, 16)
-	errc := make(chan error, 1)
-	go func() {
-		errc <- NewFollower(path).Follow(ctx, time.Millisecond, func(ev Event) error {
-			got <- ev
-			return nil
-		})
-	}()
-
-	jw.Emit(Event{Type: TypeRender, Rank: 0, Step: 0})
-	select {
-	case ev := <-got:
-		if ev.Step != 0 {
-			t.Fatalf("followed step %d, want 0", ev.Step)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("follow never delivered the event")
-	}
-	cancel()
-	if err := <-errc; err != nil {
-		t.Fatalf("follow returned %v, want nil on cancel", err)
-	}
-	jw.Close()
 }
 
 // TestEventsSince checks the in-process tail primitive.

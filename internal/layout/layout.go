@@ -75,8 +75,15 @@ type ImageSpec struct {
 type SamplingSpec struct {
 	// Ratio in (0, 1]; 0 means no sampling.
 	Ratio float64 `json:"ratio"`
-	// Method is "random", "stride", or "stratified".
+	// Method is "random", "stride", or "stratified"; empty means random.
 	Method string `json:"method"`
+}
+
+func (s SamplingSpec) method() (sampling.Method, error) {
+	if s.Method == "" {
+		return sampling.Random, nil
+	}
+	return sampling.ParseMethod(s.Method)
 }
 
 // Load reads and validates a spec from a JSON file.
@@ -148,34 +155,16 @@ func (s *Spec) Validate() error {
 	if s.Sampling.Ratio < 0 || s.Sampling.Ratio > 1 {
 		return fmt.Errorf("layout: sampling ratio %v outside [0, 1]", s.Sampling.Ratio)
 	}
-	if _, err := parseMethod(s.Sampling.Method); err != nil {
+	if _, err := s.Sampling.method(); err != nil {
 		return err
 	}
 	if _, err := transport.ParseCodec(s.Codec); err != nil {
 		return err
 	}
-	if _, err := buildOperations(s.Operations); err != nil {
+	if _, err := proxy.ParseOperations(s.Operations); err != nil {
 		return err
 	}
 	return nil
-}
-
-// buildOperations maps operation names to implementations.
-func buildOperations(names []string) ([]proxy.Operation, error) {
-	var out []proxy.Operation
-	for _, name := range names {
-		switch name {
-		case "halos":
-			out = append(out, &proxy.HaloOperation{})
-		case "stats":
-			out = append(out, &proxy.StatsOperation{})
-		case "save":
-			out = append(out, &proxy.SaveOperation{})
-		default:
-			return nil, fmt.Errorf("layout: unknown operation %q (want halos, stats, save)", name)
-		}
-	}
-	return out, nil
 }
 
 // ToMeasuredSpec converts the layout to a runnable harness spec.
@@ -208,11 +197,11 @@ func (s *Spec) ToMeasuredSpec(layoutDir string) (core.MeasuredSpec, error) {
 		mode = coupling.Socket
 		layoutPath = filepath.Join(layoutDir, "rendezvous.layout")
 	}
-	method, err := parseMethod(s.Sampling.Method)
+	method, err := s.Sampling.method()
 	if err != nil {
 		return core.MeasuredSpec{}, err
 	}
-	ops, err := buildOperations(s.Operations)
+	ops, err := proxy.ParseOperations(s.Operations)
 	if err != nil {
 		return core.MeasuredSpec{}, err
 	}
@@ -231,17 +220,4 @@ func (s *Spec) ToMeasuredSpec(layoutDir string) (core.MeasuredSpec, error) {
 		Codec:          s.Codec,
 		OutDir:         s.OutDir,
 	}, nil
-}
-
-func parseMethod(m string) (sampling.Method, error) {
-	switch m {
-	case "", "random":
-		return sampling.Random, nil
-	case "stride":
-		return sampling.Stride, nil
-	case "stratified":
-		return sampling.Stratified, nil
-	default:
-		return 0, fmt.Errorf("layout: unknown sampling method %q", m)
-	}
 }

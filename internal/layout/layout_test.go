@@ -8,6 +8,8 @@ import (
 
 	"github.com/ascr-ecx/eth/internal/core"
 	"github.com/ascr-ecx/eth/internal/coupling"
+	"github.com/ascr-ecx/eth/internal/proxy"
+	"github.com/ascr-ecx/eth/internal/sampling"
 )
 
 const goodSpec = `{
@@ -202,5 +204,63 @@ func TestOperationsInSpec(t *testing.T) {
 	bad := strings.Replace(withOps, `"halos"`, `"telepathy"`, 1)
 	if _, err := Parse([]byte(bad)); err == nil {
 		t.Error("unknown operation accepted")
+	}
+}
+
+// TestMethodAndOperationNames pins the two name vocabularies a layout
+// shares with the commands (ethsim -method, ethviz -ops): every valid
+// name and the parsers' strictness. Only a layout maps an absent method
+// to random.
+func TestMethodAndOperationNames(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		want    sampling.Method
+		wantErr bool
+	}{
+		{"random", sampling.Random, false},
+		{"stride", sampling.Stride, false},
+		{"stratified", sampling.Stratified, false},
+		{"", 0, true},
+		{"Random", 0, true},
+		{" stride", 0, true},
+		{"method(0)", 0, true},
+		{"psychic", 0, true},
+	} {
+		got, err := sampling.ParseMethod(c.name)
+		if (err != nil) != c.wantErr || got != c.want {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v, error %v", c.name, got, err, c.want, c.wantErr)
+		}
+	}
+	if m, err := (SamplingSpec{}).method(); err != nil || m != sampling.Random {
+		t.Errorf("absent layout method = %v, %v; want random", m, err)
+	}
+
+	for _, c := range []struct {
+		names   []string
+		want    []string
+		wantErr bool
+	}{
+		{nil, nil, false},
+		{[]string{"halos"}, []string{"halos"}, false},
+		{[]string{"stats"}, []string{"stats"}, false},
+		{[]string{"save"}, []string{"save"}, false},
+		{[]string{"save", "halos", "stats", "halos"}, []string{"save", "halos", "stats", "halos"}, false},
+		{[]string{""}, nil, true},
+		{[]string{"Halos"}, nil, true},
+		{[]string{"halos", " stats"}, nil, true},
+		{[]string{"telepathy"}, nil, true},
+	} {
+		ops, err := proxy.ParseOperations(c.names)
+		if (err != nil) != c.wantErr {
+			t.Errorf("ParseOperations(%q) error = %v, want error %v", c.names, err, c.wantErr)
+			continue
+		}
+		var got []string
+		for _, op := range ops {
+			got = append(got, op.Name())
+		}
+		if strings.Join(got, ",") != strings.Join(c.want, ",") {
+			t.Errorf("ParseOperations(%q) = %v, want %v", c.names, got, c.want)
+		}
 	}
 }

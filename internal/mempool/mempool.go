@@ -9,8 +9,9 @@
 //     classes, for wire payloads and codec scratch.
 //   - SlicePool[T]: the same capacity-class scheme for typed slices
 //     (per-particle colors, primitive lists).
-//   - AcquireFrame / ReleaseFrame: pooled fb.Frame instances keyed by
-//     dimensions, for compositing intermediates and per-image scratch.
+//   - AcquireFrameUncleared / ReleaseFrame: pooled fb.Frame instances
+//     keyed by dimensions, for compositing intermediates and per-image
+//     scratch.
 //
 // Ownership convention (documented once here, relied on everywhere): a
 // value obtained from a pool is owned exclusively by the caller until it
@@ -26,7 +27,6 @@ import (
 	"sync"
 
 	"github.com/ascr-ecx/eth/internal/fb"
-	"github.com/ascr-ecx/eth/internal/vec"
 )
 
 // maxClass is the largest pooled capacity class: 1<<maxClass elements.
@@ -164,19 +164,11 @@ func poolFor(w, h int) *framePool {
 	return p.(*framePool)
 }
 
-// AcquireFrame returns a cleared w x h frame (black, infinite depth) from
-// the pool, allocating only when the pool is empty. Release it with
-// ReleaseFrame when done; releasing is optional (see the package
-// ownership convention).
-func AcquireFrame(w, h int) *fb.Frame {
-	f := AcquireFrameUncleared(w, h)
-	f.Clear(vec.V3{})
-	return f
-}
-
-// AcquireFrameUncleared is AcquireFrame without the clearing pass, for
-// callers that overwrite every pixel (e.g. a full-frame copy target).
-// Pixel contents are unspecified.
+// AcquireFrameUncleared returns a w x h frame from the pool, allocating
+// only when the pool is empty, for callers that overwrite every pixel
+// (e.g. a full-frame copy target): pixel contents are unspecified.
+// Release it with ReleaseFrame when done; releasing is optional (see the
+// package ownership convention).
 func AcquireFrameUncleared(w, h int) *fb.Frame {
 	fp := poolFor(w, h)
 	if f, _ := fp.p.Get().(*fb.Frame); f != nil {

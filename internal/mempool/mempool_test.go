@@ -1,7 +1,6 @@
 package mempool
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -108,25 +107,14 @@ func TestSlicePoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestAcquireFrameCleared(t *testing.T) {
-	f := AcquireFrame(16, 8)
-	if f.W != 16 || f.H != 8 {
-		t.Fatalf("got %dx%d, want 16x8", f.W, f.H)
+func TestAcquireFrameUncleared(t *testing.T) {
+	f := AcquireFrameUncleared(16, 8)
+	if f.W != 16 || f.H != 8 || len(f.Color) != 16*8 || len(f.Depth) != 16*8 {
+		t.Fatalf("got %dx%d with %d/%d pixels, want 16x8", f.W, f.H, len(f.Color), len(f.Depth))
 	}
-	// Dirty it and release; the next acquire must come back cleared.
-	f.Color[0] = vec.New(1, 1, 1)
-	f.Depth[0] = 0.5
 	ReleaseFrame(f)
-	g := AcquireFrame(16, 8)
-	if g.Color[0] != (vec.V3{}) {
-		t.Errorf("pooled frame not cleared: color %v", g.Color[0])
-	}
-	if !math.IsInf(g.Depth[0], 1) {
-		t.Errorf("pooled frame not cleared: depth %v", g.Depth[0])
-	}
-	ReleaseFrame(g)
 	// Distinct dimensions draw from distinct pools.
-	h := AcquireFrame(8, 8)
+	h := AcquireFrameUncleared(8, 8)
 	if h.W != 8 || h.H != 8 {
 		t.Fatalf("got %dx%d, want 8x8", h.W, h.H)
 	}
@@ -142,7 +130,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	PutBytes(Bytes(4096))
 	var sp SlicePool[int32]
 	sp.Put(sp.Get(512))
-	ReleaseFrame(AcquireFrame(32, 32))
+	ReleaseFrame(AcquireFrameUncleared(32, 32))
 
 	if n := testing.AllocsPerRun(100, func() {
 		b := Bytes(4096)
@@ -157,9 +145,9 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("SlicePool steady state: %v allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		f := AcquireFrame(32, 32)
+		f := AcquireFrameUncleared(32, 32)
 		ReleaseFrame(f)
 	}); n != 0 {
-		t.Errorf("AcquireFrame steady state: %v allocs/op, want 0", n)
+		t.Errorf("AcquireFrameUncleared steady state: %v allocs/op, want 0", n)
 	}
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -13,7 +12,7 @@ import (
 
 // /events streams the run journal as NDJSON: every existing event, then
 // a live tail until the client disconnects. Each subscriber polls the
-// source independently with a bounded backlog — a subscriber slower
+// journal independently with a bounded backlog — a subscriber slower
 // than the run drops its oldest pending events rather than applying
 // backpressure to the instrumented process, and the drop itself becomes
 // a journal.TypeOverflow event, both on the stream (so the consumer
@@ -21,63 +20,23 @@ import (
 // of the permanent record). This is the backpressure contract the
 // ROADMAP's multi-viewer frame fan-out inherits.
 
-// eventsPollInterval is how often a subscriber checks its source for
+// eventsPollInterval is how often a subscriber checks the journal for
 // new events between flushes.
 const eventsPollInterval = 50 * time.Millisecond
 
-// eventSource abstracts the two journal tails: the in-process Writer
-// (cursor over its event slice) and another process's JSONL file (a
-// journal.Follower).
-type eventSource interface {
-	// next returns events appended since the previous call. A nil batch
-	// with nil error means "nothing new yet".
-	next() ([]journal.Event, error)
-}
-
-// writerSource tails an in-process journal.Writer by index cursor.
-type writerSource struct {
-	jw  *journal.Writer
-	cur int
-}
-
-func (ws *writerSource) next() ([]journal.Event, error) {
-	evs := ws.jw.EventsSince(ws.cur)
-	ws.cur += len(evs)
-	return evs, nil
-}
-
-// fileSource tails a JSONL journal file, surfacing a torn tail (writer
-// crash + restart repair) as a synthetic error event instead of ending
-// the stream: the follower has already reset and will resume.
-type fileSource struct {
-	f *journal.Follower
-}
-
-func (fs *fileSource) next() ([]journal.Event, error) {
-	evs, err := fs.f.Drain()
-	if errors.Is(err, journal.ErrTornTail) {
-		return append(evs, journal.Event{
-			T: time.Now(), Type: journal.TypeError, Rank: -1, Step: -1,
-			Err: err.Error(), Detail: "journal tail repaired; stream reset to new end",
-		}), nil
-	}
-	return evs, err
-}
+// eventQueue bounds each /events subscriber's per-poll backlog; excess
+// events are dropped oldest-first and the drop is journaled.
+const eventQueue = 1024
 
 // handleEvents serves /events. Query parameters: queue=N overrides the
 // server's per-subscriber backlog bound for this subscriber.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	var src eventSource
-	switch {
-	case s.cfg.Journal != nil:
-		src = &writerSource{jw: s.cfg.Journal}
-	case s.cfg.JournalPath != "":
-		src = &fileSource{f: journal.NewFollower(s.cfg.JournalPath)}
-	default:
-		http.Error(w, "no journal attached (start with Config.Journal or Config.JournalPath)", http.StatusNotFound)
+	jw := s.cfg.Journal
+	if jw == nil {
+		http.Error(w, "no journal attached (start with Config.Journal)", http.StatusNotFound)
 		return
 	}
-	queue := s.cfg.eventQueue()
+	queue := eventQueue
 	if qs := r.URL.Query().Get("queue"); qs != "" {
 		n, err := strconv.Atoi(qs)
 		if err != nil || n <= 0 {
@@ -102,16 +61,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	tick := time.NewTicker(eventsPollInterval)
 	defer tick.Stop()
-	for {
-		evs, err := src.next()
-		if err != nil {
-			// A broken source (unreadable file, malformed line) ends the
-			// stream with a final error event the consumer can log.
-			enc.Encode(journal.Event{
-				T: time.Now(), Type: journal.TypeError, Rank: -1, Step: -1, Err: err.Error(),
-			})
-			return
-		}
+	for cur := 0; ; {
+		evs := jw.EventsSince(cur)
+		cur += len(evs)
 		if dropped := len(evs) - queue; dropped > 0 {
 			// The subscriber fell further behind than its backlog bound:
 			// keep the newest, journal the hole, and tell the stream.
@@ -122,13 +74,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				Elements: dropped,
 				Detail:   fmt.Sprintf("obs /events subscriber over backlog bound %d", queue),
 			}
-			if s.cfg.Journal != nil {
-				// The journaled overflow event reaches the stream through the
-				// normal tail on a later poll, so don't also synthesize it.
-				s.cfg.Journal.Emit(over)
-			} else if err := enc.Encode(over); err != nil {
-				return
-			}
+			// The journaled overflow event reaches the stream through the
+			// normal tail on a later poll, so it is not also written here.
+			jw.Emit(over)
 		}
 		for _, ev := range evs {
 			if err := enc.Encode(ev); err != nil {

@@ -66,16 +66,9 @@ type Config struct {
 	// Journal, when set, feeds /events and /trace from the in-process
 	// run journal.
 	Journal *journal.Writer
-	// JournalPath, when set and Journal is nil, feeds /events and /trace
-	// by tailing the JSONL file at this path (another process's trace).
-	JournalPath string
 	// Health feeds /healthz and /readyz; nil creates a private Health
 	// that reports healthy/ready (no supervised roles).
 	Health *Health
-	// EventQueue bounds each /events subscriber's per-poll backlog;
-	// excess events are dropped oldest-first and the drop is journaled.
-	// 0 means 1024.
-	EventQueue int
 }
 
 func (c Config) role() string {
@@ -90,13 +83,6 @@ func (c Config) registry() *telemetry.Registry {
 		return telemetry.Default
 	}
 	return c.Registry
-}
-
-func (c Config) eventQueue() int {
-	if c.EventQueue <= 0 {
-		return 1024
-	}
-	return c.EventQueue
 }
 
 // Server is a running observability endpoint. Create with Start, stop
@@ -166,13 +152,6 @@ func (s *Server) SetRun(run string) {
 	s.mu.Lock()
 	s.run = run
 	s.mu.Unlock()
-}
-
-// runLabel returns the current run label.
-func (s *Server) runLabel() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.run
 }
 
 // Close stops the server immediately (in-flight /events streams are cut).

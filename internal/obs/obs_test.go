@@ -390,39 +390,6 @@ func TestEventsOverflow(t *testing.T) {
 	}
 }
 
-// TestEventsFileTail streams another process's journal by path.
-func TestEventsFileTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	jw, err := journal.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jw.Close()
-	jw.Emit(journal.Event{Type: journal.TypeRunStart, Rank: -1, Step: -1})
-
-	s := startServer(t, Config{JournalPath: path, Registry: &telemetry.Registry{}})
-	resp, err := http.Get(s.URL() + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	if !sc.Scan() {
-		t.Fatalf("no first event: %v", sc.Err())
-	}
-	jw.Emit(journal.Event{Type: journal.TypeRender, Rank: 0, Step: 0})
-	if !sc.Scan() {
-		t.Fatalf("no tailed event: %v", sc.Err())
-	}
-	var ev journal.Event
-	if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Type != journal.TypeRender {
-		t.Fatalf("tailed event = %s, want render", ev.Type)
-	}
-}
-
 // TestEventsNoJournal checks the endpoint 404s rather than hangs when
 // the server has no journal attached.
 func TestEventsNoJournal(t *testing.T) {

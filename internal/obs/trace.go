@@ -38,21 +38,11 @@ type TraceFile struct {
 
 // handleTrace serves /trace.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	var events []journal.Event
-	switch {
-	case s.cfg.Journal != nil:
-		events = s.cfg.Journal.Events()
-	case s.cfg.JournalPath != "":
-		var err error
-		events, err = journal.ReadFile(s.cfg.JournalPath)
-		if err != nil {
-			http.Error(w, "reading journal: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-	default:
-		http.Error(w, "no journal attached (start with Config.Journal or Config.JournalPath)", http.StatusNotFound)
+	if s.cfg.Journal == nil {
+		http.Error(w, "no journal attached (start with Config.Journal)", http.StatusNotFound)
 		return
 	}
+	events := s.cfg.Journal.Events()
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="eth-trace.json"`)
 	json.NewEncoder(w).Encode(BuildTrace(events))

@@ -1,8 +1,8 @@
 // Package par is ETH's intra-node threading substrate — the stand-in for the
 // Intel TBB layer the paper uses inside each MPI rank. It provides grained
-// parallel-for loops, parallel reductions, and a reusable worker pool whose
-// concurrency can be pinned per pipeline so that experiments can model
-// "cores assigned to visualization" separately from "cores on the node".
+// parallel-for loops whose worker count each pipeline stage pins, so that
+// experiments can model "cores assigned to visualization" separately from
+// "cores on the node".
 package par
 
 import (
@@ -118,152 +118,4 @@ func grainFor(n, workers int) int {
 		g = 1
 	}
 	return g
-}
-
-// ReduceFloat64 computes a parallel reduction over [0, n): each worker
-// folds its iterations into a private accumulator seeded with identity
-// using body, and the per-worker partials are combined with merge in
-// worker order. merge must be associative; it need not be commutative.
-func ReduceFloat64(n, workers int, identity float64,
-	body func(i int, acc float64) float64,
-	merge func(a, b float64) float64,
-) float64 {
-	if n <= 0 {
-		return identity
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	partials := make([]float64, workers)
-	var wg sync.WaitGroup
-	var pb panicBox
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			defer pb.capture()
-			acc := identity
-			lo := w * n / workers
-			hi := (w + 1) * n / workers
-			for i := lo; i < hi; i++ {
-				acc = body(i, acc)
-			}
-			partials[w] = acc
-		}(w)
-	}
-	wg.Wait()
-	pb.rethrow()
-	acc := identity
-	for _, p := range partials {
-		acc = merge(acc, p)
-	}
-	return acc
-}
-
-// Pool is a fixed-size worker pool that executes submitted tasks. Unlike
-// ad hoc goroutine spawning, a Pool bounds the concurrency of a whole
-// pipeline stage, which is how ETH models "this proxy owns K cores" in
-// the intercore coupling experiments.
-type Pool struct {
-	tasks chan func()
-	wg    sync.WaitGroup
-	size  int
-	pb    panicBox // first panicked task; rethrown by Wait and ForPool
-
-	mu     sync.Mutex
-	closed bool // guarded by mu
-}
-
-// NewPool starts a pool with the given number of workers
-// (<= 0 selects DefaultWorkers()).
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	p := &Pool{
-		tasks: make(chan func(), workers*2),
-		size:  workers,
-	}
-	for i := 0; i < workers; i++ {
-		go func() {
-			for task := range p.tasks {
-				func() {
-					defer p.wg.Done()
-					defer p.pb.capture()
-					task()
-				}()
-			}
-		}()
-	}
-	return p
-}
-
-// Size returns the number of workers in the pool.
-func (p *Pool) Size() int { return p.size }
-
-// Submit schedules task for execution. It panics if the pool is closed,
-// mirroring send-on-closed-channel semantics deliberately: submitting work
-// to a torn-down pipeline is a programming error the harness wants loud.
-func (p *Pool) Submit(task func()) {
-	p.wg.Add(1)
-	p.tasks <- task
-}
-
-// Wait blocks until every submitted task has completed. If any task
-// panicked, Wait rethrows the first such panic on the caller.
-func (p *Pool) Wait() {
-	p.wg.Wait()
-	p.pb.rethrow()
-}
-
-// Close waits for outstanding tasks and stops the workers. The pool cannot
-// be reused afterwards. Close is idempotent.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return
-	}
-	p.closed = true
-	p.wg.Wait()
-	close(p.tasks)
-}
-
-// ForPool is like For but borrows concurrency from an existing pool,
-// so several pipeline stages can share one core budget.
-func (p *Pool) ForPool(n int, body func(i int)) {
-	if n <= 0 {
-		return
-	}
-	grain := grainFor(n, p.size)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	slots := p.size
-	if slots > n {
-		slots = n
-	}
-	wg.Add(slots)
-	for w := 0; w < slots; w++ {
-		p.Submit(func() {
-			defer wg.Done()
-			for {
-				lo := int(cursor.Add(int64(grain))) - grain
-				if lo >= n {
-					return
-				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					body(i)
-				}
-			}
-		})
-	}
-	wg.Wait()
-	p.pb.rethrow()
 }

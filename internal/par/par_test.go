@@ -3,7 +3,6 @@ package par
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForCoversAllIterations(t *testing.T) {
@@ -50,132 +49,6 @@ func TestForGrainedSingleWorkerSequential(t *testing.T) {
 		if i != v {
 			t.Fatalf("single worker should be in order; got order[%d]=%d", i, v)
 		}
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	n := 10000
-	got := ReduceFloat64(n, 8, 0,
-		func(i int, acc float64) float64 { return acc + float64(i) },
-		func(a, b float64) float64 { return a + b },
-	)
-	want := float64(n*(n-1)) / 2
-	if got != want {
-		t.Errorf("sum = %v, want %v", got, want)
-	}
-}
-
-func TestReduceMax(t *testing.T) {
-	vals := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
-	got := ReduceFloat64(len(vals), 3, vals[0],
-		func(i int, acc float64) float64 {
-			if vals[i] > acc {
-				return vals[i]
-			}
-			return acc
-		},
-		func(a, b float64) float64 {
-			if a > b {
-				return a
-			}
-			return b
-		},
-	)
-	if got != 9 {
-		t.Errorf("max = %v", got)
-	}
-}
-
-func TestReduceEmpty(t *testing.T) {
-	got := ReduceFloat64(0, 4, -1,
-		func(i int, acc float64) float64 { return 0 },
-		func(a, b float64) float64 { return a + b },
-	)
-	if got != -1 {
-		t.Errorf("empty reduce = %v, want identity", got)
-	}
-}
-
-// Property: parallel sum equals sequential sum regardless of worker count.
-func TestReduceMatchesSequentialProperty(t *testing.T) {
-	f := func(raw []float64, workers uint8) bool {
-		w := int(workers%8) + 1
-		seq := 0.0
-		for _, v := range raw {
-			if v != v || v > 1e100 || v < -1e100 { // skip NaN/huge to avoid fp-order issues
-				return true
-			}
-			seq += v
-		}
-		got := ReduceFloat64(len(raw), w, 0,
-			func(i int, acc float64) float64 { return acc + raw[i] },
-			func(a, b float64) float64 { return a + b },
-		)
-		diff := got - seq
-		if diff < 0 {
-			diff = -diff
-		}
-		scale := 1.0
-		for _, v := range raw {
-			if v > 0 {
-				scale += v
-			} else {
-				scale -= v
-			}
-		}
-		return diff <= 1e-9*scale
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPoolRunsAllTasks(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var count atomic.Int64
-	for i := 0; i < 100; i++ {
-		p.Submit(func() { count.Add(1) })
-	}
-	p.Wait()
-	if count.Load() != 100 {
-		t.Errorf("ran %d tasks, want 100", count.Load())
-	}
-}
-
-func TestPoolForPool(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	n := 500
-	hits := make([]int32, n)
-	p.ForPool(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
-		}
-	}
-	// Pool remains usable for a second round.
-	p.ForPool(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-	for i, h := range hits {
-		if h != 2 {
-			t.Fatalf("round 2: index %d visited %d times", i, h)
-		}
-	}
-}
-
-func TestPoolCloseIdempotent(t *testing.T) {
-	p := NewPool(2)
-	p.Submit(func() {})
-	p.Close()
-	p.Close() // must not panic
-}
-
-func TestPoolSize(t *testing.T) {
-	if got := NewPool(5).Size(); got != 5 {
-		t.Errorf("Size = %d", got)
-	}
-	if got := NewPool(0).Size(); got != DefaultWorkers() {
-		t.Errorf("default Size = %d, want %d", got, DefaultWorkers())
 	}
 }
 

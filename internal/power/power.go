@@ -141,24 +141,3 @@ func (m *Meter) String() string {
 	return fmt.Sprintf("power: %.1fs, avg %.1f W, peak %.1f W, %.1f kJ",
 		m.Duration(), m.AverageW(), m.PeakW(), m.EnergyJ()/1000)
 }
-
-// UtilizationForWork maps work-per-core to a utilization level with a
-// saturating curve: when each core has at least saturationWork units the
-// node is fully utilized; below that utilization falls off smoothly but
-// never below floor (OS, memory, uncore activity). This reproduces the
-// paper's Figure 9b observation that aggressive spatial sampling lowers
-// dynamic power because "it becomes difficult to keep all parallel
-// resources busy".
-func UtilizationForWork(workPerCore, saturationWork, floor float64) float64 {
-	if saturationWork <= 0 {
-		return 1
-	}
-	u := workPerCore / saturationWork
-	if u > 1 {
-		u = 1
-	}
-	if u < floor {
-		u = floor
-	}
-	return u
-}

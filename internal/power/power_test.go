@@ -154,25 +154,6 @@ func TestSampleConsistencyProperty(t *testing.T) {
 	}
 }
 
-func TestUtilizationForWork(t *testing.T) {
-	// Saturated.
-	if got := UtilizationForWork(100, 50, 0.1); got != 1 {
-		t.Errorf("saturated = %v", got)
-	}
-	// Proportional below saturation.
-	if got := UtilizationForWork(25, 50, 0.1); got != 0.5 {
-		t.Errorf("half = %v", got)
-	}
-	// Floor.
-	if got := UtilizationForWork(1, 1000, 0.15); got != 0.15 {
-		t.Errorf("floor = %v", got)
-	}
-	// Degenerate saturation.
-	if got := UtilizationForWork(5, 0, 0.1); got != 1 {
-		t.Errorf("zero saturation = %v", got)
-	}
-}
-
 func TestMeterString(t *testing.T) {
 	var m Meter
 	m.Record(2, 100)

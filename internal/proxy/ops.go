@@ -48,6 +48,25 @@ type OpResult struct {
 	ExtractBytes int64
 }
 
+// ParseOperations returns a fresh operation for each name: halos, stats
+// or save.
+func ParseOperations(names []string) ([]Operation, error) {
+	var out []Operation
+	for _, name := range names {
+		switch name {
+		case "halos":
+			out = append(out, &HaloOperation{})
+		case "stats":
+			out = append(out, &StatsOperation{})
+		case "save":
+			out = append(out, &SaveOperation{})
+		default:
+			return nil, fmt.Errorf("proxy: unknown operation %q (want halos, stats, save)", name)
+		}
+	}
+	return out, nil
+}
+
 // artifactPath names an operation's per-step output file.
 func (c OpContext) artifactPath(op, ext string) string {
 	return filepath.Join(c.OutDir,
@@ -99,9 +118,10 @@ type StatsOperation struct {
 	// Field names the scalar; empty selects "speed" for clouds and
 	// "temperature" for grids.
 	Field string
-	// Bins is the histogram resolution (default 16).
-	Bins int
 }
+
+// statsBins is StatsOperation's histogram resolution.
+const statsBins = 16
 
 // Name implements Operation.
 func (*StatsOperation) Name() string { return "stats" }
@@ -149,12 +169,8 @@ func (s *StatsOperation) Apply(ctx OpContext, ds data.Dataset) (OpResult, error)
 	default:
 		return OpResult{}, fmt.Errorf("proxy: stats operation: unsupported kind %v", ds.Kind())
 	}
-	bins := s.Bins
-	if bins <= 0 {
-		bins = 16
-	}
 	st := analysis.Stats(values)
-	edges, counts := analysis.Histogram(values, bins)
+	edges, counts := analysis.Histogram(values, statsBins)
 	res := OpResult{
 		Op:      "stats",
 		Summary: fmt.Sprintf("%s: %s", name, st),

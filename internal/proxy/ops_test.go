@@ -71,7 +71,7 @@ func TestHaloOperation(t *testing.T) {
 
 func TestStatsOperationAllKinds(t *testing.T) {
 	dir := t.TempDir()
-	op := &StatsOperation{Bins: 8}
+	op := &StatsOperation{}
 
 	grid := data.NewStructuredGrid(4, 4, 4)
 	grid.FillField("temperature", func(p vec.V3) float32 { return float32(p.X) })
@@ -104,6 +104,9 @@ func TestStatsOperationAllKinds(t *testing.T) {
 	}
 	if err := json.Unmarshal(raw, &ex); err != nil {
 		t.Fatal(err)
+	}
+	if len(ex.BinCounts) != 16 {
+		t.Errorf("histogram has %d bins, want 16", len(ex.BinCounts))
 	}
 	total := 0
 	for _, c := range ex.BinCounts {

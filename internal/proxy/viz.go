@@ -299,18 +299,11 @@ func orbitCamera(bounds vec.AABB, img, total int) camera.Camera {
 	if d == 0 {
 		d = 1
 	}
-	angle := 2 * math.Pi * float64(img) / float64(maxInt(total, 1))
+	angle := 2 * math.Pi * float64(img) / float64(max(total, 1))
 	dir := vec.New(math.Cos(angle), 0.5, math.Sin(angle)).Norm()
 	cam := camera.LookAt(c.Add(dir.Scale(d*1.2)), c, vec.New(0, 1, 0))
 	cam.FitClip(bounds)
 	return cam
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // applySteering folds any new steering state into the proxy's local
@@ -391,7 +384,7 @@ func steerCamera(bounds vec.AABB, view hub.View, img, total int) camera.Camera {
 	if d == 0 {
 		d = 1
 	}
-	az := view.Az + 2*math.Pi*float64(img)/float64(maxInt(total, 1))
+	az := view.Az + 2*math.Pi*float64(img)/float64(max(total, 1))
 	el := view.El
 	dir := vec.New(math.Cos(az)*math.Cos(el), math.Sin(el), math.Sin(az)*math.Cos(el)).Norm()
 	dist := view.Dist

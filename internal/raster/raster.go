@@ -132,7 +132,7 @@ func binTriChunk(f *fb.Frame, verts []Vertex, tris [][3]int32, s *binScratch, bi
 func rasterizeBand(f *fb.Frame, verts []Vertex, tris [][3]int32, s *binScratch, binW, bands, b int) {
 	const bandHeight = DefaultBandHeight
 	y0 := b * bandHeight
-	y1 := minInt(y0+bandHeight, f.H)
+	y1 := min(y0+bandHeight, f.H)
 	for w := 0; w < binW; w++ {
 		for _, ti := range s.bins[w*bands+b] {
 			t := &tris[ti]
@@ -257,7 +257,7 @@ func binSpriteChunk(f *fb.Frame, sprites []Sprite, s *binScratch, binW, bands, w
 	row := s.bins[w*bands : (w+1)*bands]
 	for i := lo; i < hi; i++ {
 		sp := &sprites[i]
-		half := float64(maxInt(sp.Size, 1)) / 2
+		half := float64(max(sp.Size, 1)) / 2
 		if sp.Y+half < 0 || sp.Y-half >= float64(f.H) {
 			continue
 		}
@@ -272,11 +272,11 @@ func binSpriteChunk(f *fb.Frame, sprites []Sprite, s *binScratch, binW, bands, w
 func drawSpriteBand(f *fb.Frame, sprites []Sprite, s *binScratch, binW, bands, b int) {
 	const bandHeight = DefaultBandHeight
 	y0 := b * bandHeight
-	y1 := minInt(y0+bandHeight, f.H)
+	y1 := min(y0+bandHeight, f.H)
 	for w := 0; w < binW; w++ {
 		for _, si := range s.bins[w*bands+b] {
 			sp := &sprites[si]
-			size := maxInt(sp.Size, 1)
+			size := max(sp.Size, 1)
 			px0 := int(sp.X - float64(size)/2 + 0.5)
 			py0 := int(sp.Y - float64(size)/2 + 0.5)
 			for dy := 0; dy < size; dy++ {
@@ -360,7 +360,7 @@ func binImpostorChunk(f *fb.Frame, imps []Impostor, s *binScratch, binW, bands, 
 func drawImpostorBand(f *fb.Frame, imps []Impostor, l vec.V3, s *binScratch, binW, bands, b int) {
 	const bandHeight = DefaultBandHeight
 	y0 := b * bandHeight
-	y1 := minInt(y0+bandHeight, f.H)
+	y1 := min(y0+bandHeight, f.H)
 	for w := 0; w < binW; w++ {
 		for _, si := range s.bins[w*bands+b] {
 			im := &imps[si]
@@ -404,18 +404,4 @@ func clampInt(x, lo, hi int) int {
 		return hi
 	}
 	return x
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

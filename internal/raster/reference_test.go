@@ -68,7 +68,7 @@ func refBinTriChunk(f *fb.Frame, tris []refTriangle, s *binScratch, binW, bands,
 func refRasterizeBand(f *fb.Frame, tris []refTriangle, s *binScratch, binW, bands, b int) {
 	const bandHeight = DefaultBandHeight
 	y0 := b * bandHeight
-	y1 := minInt(y0+bandHeight, f.H)
+	y1 := min(y0+bandHeight, f.H)
 	for w := 0; w < binW; w++ {
 		for _, ti := range s.bins[w*bands+b] {
 			refRasterizeTriangle(f, &tris[ti], y0, y1)

@@ -27,14 +27,10 @@ type Options struct {
 	// volume field (grids). Defaults: "speed" for clouds,
 	// "temperature" for grids.
 	ColorField string
-	// Colormap maps normalized scalars; nil selects a per-kind default.
-	Colormap *fb.Colormap
 	// IsoValue is the contour value for isosurface algorithms.
 	IsoValue float32
 	// SlicePoint / SliceNormal define the plane for slice algorithms.
 	SlicePoint, SliceNormal vec.V3
-	// PointSize is the sprite size for the points algorithm (pixels).
-	PointSize int
 	// Radius is the particle world radius for splats and raycast spheres;
 	// <= 0 derives one from density.
 	Radius float64
@@ -105,18 +101,6 @@ func Algorithms() []string {
 	return names
 }
 
-// AlgorithmsFor returns the registry names accepting the given kind.
-func AlgorithmsFor(kind data.Kind) []string {
-	var names []string
-	for _, n := range Algorithms() {
-		r, _ := New(n)
-		if r.Kind() == kind {
-			names = append(names, n)
-		}
-	}
-	return names
-}
-
 // vec3zero and defaultNormal are shared by the slice renderers.
 var (
 	vec3zero      vec.V3
@@ -173,9 +157,7 @@ func (*pointsRenderer) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Came
 	}
 	t0 := time.Now()
 	sprites, err := geom.MapPoints(p, cam, frame.W, frame.H, geom.PointsOptions{
-		Size:       opt.PointSize,
 		ColorField: cloudColorField(opt),
-		Colormap:   opt.Colormap,
 		ScalarLo:   opt.ScalarLo, ScalarHi: opt.ScalarHi,
 	})
 	if err != nil {
@@ -209,7 +191,6 @@ func (*splatRenderer) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camer
 	imps, err := geom.MapSplats(p, cam, frame.W, frame.H, geom.SplatOptions{
 		WorldRadius: opt.Radius,
 		ColorField:  cloudColorField(opt),
-		Colormap:    opt.Colormap,
 		ScalarLo:    opt.ScalarLo, ScalarHi: opt.ScalarHi,
 	})
 	if err != nil {
@@ -250,7 +231,6 @@ func (r *raycastSpheres) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Ca
 	sphereOpt := rt.SphereOptions{
 		Radius:     opt.Radius,
 		ColorField: cloudColorField(opt),
-		Colormap:   opt.Colormap,
 		ScalarLo:   opt.ScalarLo, ScalarHi: opt.ScalarHi,
 	}
 	t0 := time.Now()
@@ -303,7 +283,7 @@ func (*vtkIso) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt 
 	t1 := time.Now()
 	lo, hi := isoScalarRange(opt, g.Field)
 	geom.DrawMesh(frame, mesh, cam, geom.ShadeOptions{
-		Colormap: volumeColormap(opt),
+		Colormap: fb.Hot,
 		ScalarLo: lo, ScalarHi: hi,
 	})
 	tris := mesh.TriangleCount()
@@ -347,7 +327,6 @@ func (*rayIso) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt 
 	t0 := time.Now()
 	err = rt.RaycastIsosurface(frame, g, cam, opt.IsoValue, rt.VolumeOptions{
 		Field:    gridField(opt),
-		Colormap: volumeColormap(opt),
 		ScalarLo: opt.ScalarLo, ScalarHi: opt.ScalarHi,
 	})
 	if err != nil {
@@ -380,7 +359,7 @@ func (*vtkSlice) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, op
 	}
 	t1 := time.Now()
 	geom.DrawMesh(frame, mesh, cam, geom.ShadeOptions{
-		Colormap: volumeColormap(opt),
+		Colormap: fb.Hot,
 		ScalarLo: opt.ScalarLo, ScalarHi: opt.ScalarHi,
 		Ambient: 0.95, // slices are unshaded color maps
 	})
@@ -410,7 +389,6 @@ func (*raySlice) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, op
 	t0 := time.Now()
 	err = rt.RaycastSlice(frame, g, cam, point, normal, rt.VolumeOptions{
 		Field:    gridField(opt),
-		Colormap: volumeColormap(opt),
 		ScalarLo: opt.ScalarLo, ScalarHi: opt.ScalarHi,
 	})
 	if err != nil {
@@ -432,11 +410,4 @@ func slicePlane(g *data.StructuredGrid, opt Options) (point, normal vec.V3) {
 		point = g.Bounds().Center()
 	}
 	return point, normal
-}
-
-func volumeColormap(opt Options) *fb.Colormap {
-	if opt.Colormap != nil {
-		return opt.Colormap
-	}
-	return fb.Hot
 }

@@ -51,21 +51,36 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// The registry's algorithms by the data kind each accepts.
+var algorithmsByKind = map[data.Kind][]string{
+	data.KindPointCloud:       {"points", "gsplat", "raycast"},
+	data.KindStructuredGrid:   {"vtk-iso", "ray-iso", "vtk-slice", "ray-slice", "ray-dvr"},
+	data.KindUnstructuredGrid: {"uns-iso", "uns-slice"},
+}
+
 func TestAlgorithmsFor(t *testing.T) {
-	clouds := AlgorithmsFor(data.KindPointCloud)
-	grids := AlgorithmsFor(data.KindStructuredGrid)
-	if len(clouds) != 3 {
-		t.Errorf("cloud algorithms = %v", clouds)
+	n := 0
+	for kind, names := range algorithmsByKind {
+		for _, name := range names {
+			r, err := New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Kind() != kind {
+				t.Errorf("%s accepts kind %v, want %v", name, r.Kind(), kind)
+			}
+		}
+		n += len(names)
 	}
-	if len(grids) != 5 {
-		t.Errorf("grid algorithms = %v", grids)
+	if n != len(Algorithms()) {
+		t.Errorf("%d algorithms by kind, %d registered", n, len(Algorithms()))
 	}
 }
 
 func TestAllCloudAlgorithmsRender(t *testing.T) {
 	p := testCloud(2000)
 	cam := camera.ForBounds(p.Bounds())
-	for _, name := range AlgorithmsFor(data.KindPointCloud) {
+	for _, name := range algorithmsByKind[data.KindPointCloud] {
 		r, _ := New(name)
 		frame := fb.New(96, 96)
 		stats, err := r.Render(frame, p, &cam, Options{})
@@ -94,7 +109,7 @@ func TestAllCloudAlgorithmsRender(t *testing.T) {
 func TestAllGridAlgorithmsRender(t *testing.T) {
 	g := testGrid(24)
 	cam := camera.ForBounds(g.Bounds())
-	for _, name := range AlgorithmsFor(data.KindStructuredGrid) {
+	for _, name := range algorithmsByKind[data.KindStructuredGrid] {
 		r, _ := New(name)
 		frame := fb.New(96, 96)
 		stats, err := r.Render(frame, g, &cam, Options{IsoValue: 0.12})
@@ -218,7 +233,7 @@ func testUnstructured(n int) *data.UnstructuredGrid {
 func TestUnstructuredAlgorithmsRender(t *testing.T) {
 	u := testUnstructured(16)
 	cam := camera.ForBounds(u.Bounds())
-	for _, name := range AlgorithmsFor(data.KindUnstructuredGrid) {
+	for _, name := range algorithmsByKind[data.KindUnstructuredGrid] {
 		r, _ := New(name)
 		frame := fb.New(96, 96)
 		stats, err := r.Render(frame, u, &cam, Options{IsoValue: 0.12})
@@ -235,9 +250,6 @@ func TestUnstructuredAlgorithmsRender(t *testing.T) {
 		if _, err := r.Render(frame, testGrid(4), &cam, Options{}); err == nil {
 			t.Errorf("%s accepted a structured grid", name)
 		}
-	}
-	if len(AlgorithmsFor(data.KindUnstructuredGrid)) != 2 {
-		t.Errorf("unstructured algorithms = %v", AlgorithmsFor(data.KindUnstructuredGrid))
 	}
 }
 

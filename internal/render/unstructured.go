@@ -47,7 +47,7 @@ func (*unsIso) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt 
 	t1 := time.Now()
 	lo, hi := isoScalarRange(opt, u.Field)
 	geom.DrawMesh(frame, mesh, cam, geom.ShadeOptions{
-		Colormap: volumeColormap(opt),
+		Colormap: fb.Hot,
 		ScalarLo: lo, ScalarHi: hi,
 	})
 	return Stats{
@@ -83,7 +83,7 @@ func (*unsSlice) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, op
 	}
 	t1 := time.Now()
 	geom.DrawMesh(frame, mesh, cam, geom.ShadeOptions{
-		Colormap: volumeColormap(opt),
+		Colormap: fb.Hot,
 		ScalarLo: opt.ScalarLo, ScalarHi: opt.ScalarHi,
 		Ambient: 0.95,
 	})
@@ -116,7 +116,6 @@ func (*rayDVR) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt 
 	t0 := time.Now()
 	err = rt.RaycastVolume(frame, g, cam, rt.DVROptions{
 		Field:    gridField(opt),
-		Colormap: volumeColormap(opt),
 		ScalarLo: opt.ScalarLo, ScalarHi: opt.ScalarHi,
 	})
 	if err != nil {

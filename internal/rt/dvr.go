@@ -15,17 +15,16 @@ import (
 type DVROptions struct {
 	// Field names the grid scalar.
 	Field string
-	// Colormap maps normalized scalars; nil = Hot.
-	Colormap *fb.Colormap
 	// ScalarLo/Hi normalize scalars; equal values select the field range.
 	ScalarLo, ScalarHi float32
 	// OpacityScale controls overall extinction: the opacity contributed
 	// by one voxel-length step at normalized scalar 1.0. Default 0.05.
 	OpacityScale float64
-	// OpacityGamma shapes the scalar-to-opacity transfer: opacity ~
-	// scalar^Gamma. Default 2 (emphasizes high values).
-	OpacityGamma float64
 }
+
+// opacityGamma shapes the scalar-to-opacity transfer: opacity ~
+// scalar^opacityGamma, which emphasizes high values.
+const opacityGamma = 2
 
 // RaycastVolume performs direct volume rendering (emission-absorption,
 // front-to-back alpha compositing with early termination) — the
@@ -39,10 +38,6 @@ func RaycastVolume(frame *fb.Frame, g *data.StructuredGrid, cam *camera.Camera, 
 	if err != nil {
 		return err
 	}
-	cmap := opt.Colormap
-	if cmap == nil {
-		cmap = fb.Hot
-	}
 	lo, hi := opt.ScalarLo, opt.ScalarHi
 	if lo >= hi {
 		lo, hi = f.MinMax()
@@ -54,10 +49,6 @@ func RaycastVolume(frame *fb.Frame, g *data.StructuredGrid, cam *camera.Camera, 
 	opScale := opt.OpacityScale
 	if opScale <= 0 {
 		opScale = 0.05
-	}
-	gamma := opt.OpacityGamma
-	if gamma <= 0 {
-		gamma = 2
 	}
 	bounds := g.Bounds()
 	step := g.Spacing.MinComp()
@@ -88,14 +79,14 @@ func RaycastVolume(frame *fb.Frame, g *data.StructuredGrid, cam *camera.Camera, 
 					if s > 1 {
 						s = 1
 					}
-					a := opScale * math.Pow(s, gamma)
+					a := opScale * math.Pow(s, opacityGamma)
 					if a <= 0 {
 						continue
 					}
 					if math.IsInf(firstT, 1) {
 						firstT = t
 					}
-					c := cmap.Lookup(s)
+					c := fb.Hot.Lookup(s)
 					// Front-to-back compositing.
 					accum = accum.Add(c.Scale(a * (1 - alpha)))
 					alpha += a * (1 - alpha)

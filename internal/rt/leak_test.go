@@ -30,7 +30,7 @@ func TestScalarColorsErrorReleasesColors(t *testing.T) {
 	seedPtr := &seed[0]
 	colorPool.Put(seed)
 
-	if _, err := scalarColors(p, "no-such-field", nil, 0, 0); err == nil {
+	if _, err := scalarColors(p, "no-such-field", 0, 0); err == nil {
 		t.Fatal("scalarColors with a missing field should fail")
 	}
 

@@ -120,15 +120,11 @@ walk:
 }
 
 func refRaycastSpheresWithBVH(frame *fb.Frame, p *data.PointCloud, bvh *SphereBVH, cam *camera.Camera, opt SphereOptions) error {
-	colors, err := scalarColors(p, opt.ColorField, opt.Colormap, opt.ScalarLo, opt.ScalarHi)
+	colors, err := scalarColors(p, opt.ColorField, opt.ScalarLo, opt.ScalarHi)
 	if err != nil {
 		return err
 	}
 	defer colorPool.Put(colors)
-	ambient := opt.Ambient
-	if ambient <= 0 {
-		ambient = 0.25
-	}
 	light := cam.Eye.Sub(cam.Center).Norm()
 
 	w, h := frame.W, frame.H

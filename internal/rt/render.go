@@ -35,18 +35,19 @@ const (
 	tileH = 4
 )
 
+// ambient is the ambient light fraction of the shaded renderers (spheres
+// and ray-marched isosurfaces).
+const ambient = 0.25
+
 // SphereOptions configures sphere raycasting.
 type SphereOptions struct {
 	// Radius is the world-space sphere radius; <= 0 derives one from the
 	// dataset density (same default as the Gaussian splatter so the two
 	// pipelines are comparable in RMSE tests).
 	Radius float64
-	// ColorField names the per-particle scalar for colormapping.
+	// ColorField names the per-particle scalar colormapped through
+	// Viridis.
 	ColorField string
-	// Colormap maps normalized scalars; nil = Viridis.
-	Colormap *fb.Colormap
-	// Ambient light fraction; 0 selects 0.25.
-	Ambient float64
 	// ScalarLo/Hi pin the colormap normalization range; equal values
 	// select the field's own range (multi-rank renders pin a global
 	// range so ranks color identically).
@@ -73,15 +74,11 @@ func RaycastSpheres(frame *fb.Frame, p *data.PointCloud, cam *camera.Camera, opt
 
 // RaycastSpheresWithBVH renders using a prebuilt hierarchy.
 func RaycastSpheresWithBVH(frame *fb.Frame, p *data.PointCloud, bvh *SphereBVH, cam *camera.Camera, opt SphereOptions) error {
-	colors, err := scalarColors(p, opt.ColorField, opt.Colormap, opt.ScalarLo, opt.ScalarHi)
+	colors, err := scalarColors(p, opt.ColorField, opt.ScalarLo, opt.ScalarHi)
 	if err != nil {
 		return err
 	}
 	defer colorPool.Put(colors)
-	ambient := opt.Ambient
-	if ambient <= 0 {
-		ambient = 0.25
-	}
 	light := cam.Eye.Sub(cam.Center).Norm() // headlight
 
 	w, h := frame.W, frame.H
@@ -123,7 +120,7 @@ func RaycastSpheresWithBVH(frame *fb.Frame, p *data.PointCloud, bvh *SphereBVH, 
 	return nil
 }
 
-func scalarColors(p *data.PointCloud, fieldName string, cmap *fb.Colormap, lo, hi float32) ([]vec.V3, error) {
+func scalarColors(p *data.PointCloud, fieldName string, lo, hi float32) ([]vec.V3, error) {
 	colors := colorPool.Get(p.Count())
 	if fieldName == "" {
 		for i := range colors {
@@ -136,9 +133,6 @@ func scalarColors(p *data.PointCloud, fieldName string, cmap *fb.Colormap, lo, h
 		colorPool.Put(colors)
 		return nil, fmt.Errorf("rt: color field: %w", err)
 	}
-	if cmap == nil {
-		cmap = fb.Viridis
-	}
 	if lo >= hi {
 		lo, hi = f.MinMax()
 	}
@@ -147,7 +141,7 @@ func scalarColors(p *data.PointCloud, fieldName string, cmap *fb.Colormap, lo, h
 		scale = 1 / float64(hi-lo)
 	}
 	par.For(p.Count(), 0, func(i int) {
-		colors[i] = cmap.Lookup(float64(f.Values[i]-lo) * scale)
+		colors[i] = fb.Viridis.Lookup(float64(f.Values[i]-lo) * scale)
 	})
 	return colors, nil
 }
@@ -156,12 +150,8 @@ func scalarColors(p *data.PointCloud, fieldName string, cmap *fb.Colormap, lo, h
 type VolumeOptions struct {
 	// Field names the grid scalar to visualize.
 	Field string
-	// Colormap maps normalized scalars; nil = Hot (temperature-style).
-	Colormap *fb.Colormap
 	// ScalarLo/Hi normalize scalars; equal values select the field range.
 	ScalarLo, ScalarHi float32
-	// Ambient light fraction; 0 selects 0.25.
-	Ambient float64
 }
 
 // RaycastSlice renders the cross-section of the grid with the plane
@@ -177,10 +167,6 @@ func RaycastSlice(frame *fb.Frame, g *data.StructuredGrid, cam *camera.Camera, p
 	n := normal.Norm()
 	if n == (vec.V3{}) {
 		return fmt.Errorf("rt: slice plane normal is zero")
-	}
-	cmap := opt.Colormap
-	if cmap == nil {
-		cmap = fb.Hot
 	}
 	lo, hi := opt.ScalarLo, opt.ScalarHi
 	if lo >= hi {
@@ -211,7 +197,7 @@ func RaycastSlice(frame *fb.Frame, g *data.StructuredGrid, cam *camera.Camera, p
 					continue
 				}
 				s := float64(g.Sample(f, p)-lo) * scale
-				frame.DepthSet(x, y, t, cmap.Lookup(s))
+				frame.DepthSet(x, y, t, fb.Hot.Lookup(s))
 			}
 		}
 	})
@@ -228,10 +214,6 @@ func RaycastIsosurface(frame *fb.Frame, g *data.StructuredGrid, cam *camera.Came
 	if err != nil {
 		return err
 	}
-	cmap := opt.Colormap
-	if cmap == nil {
-		cmap = fb.Hot
-	}
 	lo, hi := opt.ScalarLo, opt.ScalarHi
 	if lo >= hi {
 		lo, hi = f.MinMax()
@@ -246,10 +228,6 @@ func RaycastIsosurface(frame *fb.Frame, g *data.StructuredGrid, cam *camera.Came
 	step := g.Spacing.MinComp()
 	if step <= 0 {
 		return fmt.Errorf("rt: grid has non-positive spacing")
-	}
-	ambient := opt.Ambient
-	if ambient <= 0 {
-		ambient = 0.25
 	}
 	light := cam.Eye.Sub(cam.Center).Norm()
 
@@ -304,7 +282,7 @@ func RaycastIsosurface(frame *fb.Frame, g *data.StructuredGrid, cam *camera.Came
 				normal := g.Gradient(f, p).Norm()
 				lambert := math.Abs(normal.Dot(light))
 				shade := ambient + (1-ambient)*lambert
-				frame.DepthSet(x, y, hitT, cmap.Lookup(isoNorm).Scale(shade))
+				frame.DepthSet(x, y, hitT, fb.Hot.Lookup(isoNorm).Scale(shade))
 			}
 		}
 		ctrMarchated.Add(int64(marchSteps))

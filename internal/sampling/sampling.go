@@ -45,6 +45,17 @@ func (m Method) String() string {
 	}
 }
 
+// ParseMethod returns the method String names: random, stride or
+// stratified.
+func ParseMethod(s string) (Method, error) {
+	for _, m := range []Method{Random, Stride, Stratified} {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("sampling: unknown method %q (want random, stride, stratified)", s)
+}
+
 // Points returns a new cloud containing approximately ratio*Count()
 // particles chosen by the given method. ratio is clamped to [0, 1];
 // ratio >= 1 returns the input unchanged. Sampling is deterministic in

@@ -35,9 +35,6 @@ type Proc struct {
 	Grace time.Duration
 	// Stdout and Stderr receive the child's output. Nil discards.
 	Stdout, Stderr io.Writer
-	// OnStart observes each incarnation's pid (tests use it to kill the
-	// child at a chosen moment).
-	OnStart func(pid int)
 }
 
 func (p Proc) grace() time.Duration {
@@ -99,9 +96,6 @@ func runOnce(actx context.Context, role string, p Proc, h *procHandle) error {
 	}
 	h.set(cmd.Process)
 	defer h.set(nil)
-	if p.OnStart != nil {
-		p.OnStart(cmd.Process.Pid)
-	}
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()
 	select {

@@ -898,8 +898,3 @@ func DialBackoff(layoutPath string, rank int, bo Backoff) (*Conn, error) {
 	return nil, fmt.Errorf("transport: dialing rank %d at %s after %d attempts: %w",
 		rank, addr, bo.Attempts, lastErr)
 }
-
-// openAppend opens path for appending; separated out for tests.
-func openAppend(path string) (*os.File, error) {
-	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-}

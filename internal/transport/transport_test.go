@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -164,7 +165,10 @@ func TestReadLayoutMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Append a malformed line by hand.
-	f, _ := openAppend(path)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f.WriteString("not a layout line with too many fields\n")
 	f.Close()
 	if _, err := ReadLayout(path); err == nil {

@@ -24,12 +24,6 @@ func NewAABB(a, b V3) AABB {
 	return AABB{Min: a.Min(b), Max: a.Max(b)}
 }
 
-// IsEmpty reports whether the box contains no points (any Min component
-// exceeds the corresponding Max).
-func (b AABB) IsEmpty() bool {
-	return b.Min.X > b.Max.X || b.Min.Y > b.Max.Y || b.Min.Z > b.Max.Z
-}
-
 // Extend returns the box grown to include point p.
 func (b AABB) Extend(p V3) AABB {
 	return AABB{Min: b.Min.Min(p), Max: b.Max.Max(p)}
@@ -38,12 +32,6 @@ func (b AABB) Extend(p V3) AABB {
 // Union returns the smallest box containing both b and o.
 func (b AABB) Union(o AABB) AABB {
 	return AABB{Min: b.Min.Min(o.Min), Max: b.Max.Max(o.Max)}
-}
-
-// Expand returns the box grown by r in every direction.
-func (b AABB) Expand(r float64) AABB {
-	d := Splat(r)
-	return AABB{Min: b.Min.Sub(d), Max: b.Max.Add(d)}
 }
 
 // Center returns the centroid of the box.
@@ -60,13 +48,6 @@ func (b AABB) Contains(p V3) bool {
 	return p.X >= b.Min.X && p.X <= b.Max.X &&
 		p.Y >= b.Min.Y && p.Y <= b.Max.Y &&
 		p.Z >= b.Min.Z && p.Z <= b.Max.Z
-}
-
-// Overlaps reports whether b and o share any volume (touching counts).
-func (b AABB) Overlaps(o AABB) bool {
-	return b.Min.X <= o.Max.X && b.Max.X >= o.Min.X &&
-		b.Min.Y <= o.Max.Y && b.Max.Y >= o.Min.Y &&
-		b.Min.Z <= o.Max.Z && b.Max.Z >= o.Min.Z
 }
 
 // LongestAxis returns the index (0, 1, 2) of the box's longest edge.

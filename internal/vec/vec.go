@@ -103,19 +103,6 @@ func (v V3) Axis(i int) float64 {
 	}
 }
 
-// WithAxis returns a copy of v with component i replaced by s.
-func (v V3) WithAxis(i int, s float64) V3 {
-	switch i {
-	case 0:
-		v.X = s
-	case 1:
-		v.Y = s
-	default:
-		v.Z = s
-	}
-	return v
-}
-
 // Clamp returns v with every component clamped to [lo, hi].
 func (v V3) Clamp(lo, hi float64) V3 {
 	return V3{clamp(v.X, lo, hi), clamp(v.Y, lo, hi), clamp(v.Z, lo, hi)}

@@ -97,6 +97,9 @@ go test -run='^$' -fuzz=FuzzLayoutParse -fuzztime=10s ./internal/layout/
 echo "== go test -fuzz=FuzzJournalRead -fuzztime=10s ./internal/journal"
 go test -run='^$' -fuzz=FuzzJournalRead -fuzztime=10s ./internal/journal/
 
+echo "== go test -fuzz=FuzzFollowerDrain -fuzztime=10s ./internal/journal"
+go test -run='^$' -fuzz=FuzzFollowerDrain -fuzztime=10s ./internal/journal/
+
 echo "== go test -fuzz=FuzzParseExposition -fuzztime=10s ./internal/obs"
 go test -run='^$' -fuzz=FuzzParseExposition -fuzztime=10s ./internal/obs/
 
