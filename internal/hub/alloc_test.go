@@ -11,6 +11,7 @@ import (
 
 	"github.com/ascr-ecx/eth/internal/fb"
 	"github.com/ascr-ecx/eth/internal/raceflag"
+	"github.com/ascr-ecx/eth/internal/telemetry"
 	"github.com/ascr-ecx/eth/internal/transport"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
@@ -26,28 +27,40 @@ import (
 // Under delta+flate the subscribers read their sockets bare: stdlib
 // inflate allocates per frame and per viewer, and the claim here is about
 // the hub side, which must allocate nothing however many subscribers
-// share the encoding — one subscriber or three, the same zero.
+// share the encoding — one subscriber or three, the same zero — whether
+// the frames are coherent and go out as deltas or independent and go out
+// as the keyframe transport.Choose finds smaller.
 func TestHubBroadcastSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
 	}
 	for _, tc := range []struct {
-		codec  transport.CodecID
-		subs   int
-		decode bool
+		codec      transport.CodecID
+		subs       int
+		decode     bool
+		incoherent bool
 	}{
-		{transport.CodecRaw, 3, true},
-		{transport.CodecDelta, 3, true},
-		{transport.CodecDeltaFlate, 1, false},
-		{transport.CodecDeltaFlate, 3, false},
+		{transport.CodecRaw, 3, true, false},
+		{transport.CodecDelta, 3, true, false},
+		{transport.CodecDeltaFlate, 1, false, false},
+		{transport.CodecDeltaFlate, 3, false, false},
+		{transport.CodecDeltaFlate, 3, false, true},
 	} {
-		t.Run(fmt.Sprintf("%s-%d", tc.codec, tc.subs), func(t *testing.T) {
-			broadcastAllocs(t, tc.codec, tc.subs, tc.decode)
+		name := fmt.Sprintf("%s-%d", tc.codec, tc.subs)
+		if tc.incoherent {
+			name += "-incoherent"
+		}
+		t.Run(name, func(t *testing.T) {
+			broadcastAllocs(t, tc.codec, tc.subs, tc.decode, tc.incoherent)
 		})
 	}
 }
 
-func broadcastAllocs(t *testing.T, codec transport.CodecID, subs int, decode bool) {
+// keyframes is the transport's count of frames a temporal sender put
+// out as keyframes.
+var keyframes = telemetry.Default.Counter("transport.keyframes")
+
+func broadcastAllocs(t *testing.T, codec transport.CodecID, subs int, decode, incoherent bool) {
 	// A small history reaches eviction steady state during warm-up, so
 	// each publish recycles the buffer it evicts; a roomy queue plus the
 	// drain barrier below keeps the journaling drop path (which
@@ -83,12 +96,19 @@ func broadcastAllocs(t *testing.T, codec transport.CodecID, subs int, decode boo
 		f.Color[i] = vec.V3{X: float64(i%97) / 97, Y: 0.5, Z: 0.25}
 		f.Depth[i] = float64(i % 13)
 	}
+	// Incoherent: three independent frames in turn, each large enough
+	// for the estimate to sample past the grid's unchanging preamble.
+	noise := [3]*fb.Frame{noiseFrame(1, 100, 80), noiseFrame(2, 100, 80), noiseFrame(3, 100, 80)}
 	step := 0
 	publish := func() {
-		// Perturb so frames are not identical (nothing in the path keys
-		// on content, but a degenerate stream would be a weaker gate).
-		f.Color[step%len(f.Color)].X += 0.001
-		h.PublishFrame(step, f)
+		if incoherent {
+			h.PublishFrame(step, noise[step%len(noise)])
+		} else {
+			// Perturb so frames are not identical (a degenerate stream
+			// would be a weaker gate).
+			f.Color[step%len(f.Color)].X += 0.001
+			h.PublishFrame(step, f)
+		}
 		step++
 		// Barrier: wait until every subscriber has this frame, so queue
 		// depth stays at 0-1 (no drops) and the refcount/pool cycle
@@ -106,6 +126,7 @@ func broadcastAllocs(t *testing.T, codec transport.CodecID, subs int, decode boo
 	before := h.Published()
 	dropsBefore := ctrDropped.Value()
 	encodedBefore := ctrEncoded.Value()
+	keysBefore := keyframes.Value()
 	if allocs := testing.AllocsPerRun(50, publish); allocs > 0 {
 		t.Errorf("broadcast to %d subscribers allocates %.1f times per frame, want 0", subs, allocs)
 	}
@@ -120,6 +141,15 @@ func broadcastAllocs(t *testing.T, codec transport.CodecID, subs int, decode boo
 	}
 	if runs := ctrEncoded.Value() - encodedBefore; codec != transport.CodecRaw && runs != got {
 		t.Errorf("%d codec runs for %d frames to %d subscribers, want one per frame", runs, got, subs)
+	}
+	// Every incoherent frame went out as the keyframe, to every
+	// subscriber; no coherent one did.
+	wantKeys := int64(0)
+	if incoherent {
+		wantKeys = got * int64(subs)
+	}
+	if keys := keyframes.Value() - keysBefore; keys != wantKeys {
+		t.Errorf("%d keyframes sent for %d frames to %d subscribers, want %d", keys, got, subs, wantKeys)
 	}
 }
 

@@ -126,19 +126,39 @@ func loneConnStream(t *testing.T, codec transport.CodecID, frames []*fb.Frame) [
 
 // TestHubStreamsMatchLoneConn: three subscribers on one hub read, byte
 // for byte, the stream a lone per-connection encoder produces — under
-// every codec — while the hub runs each codec once per frame, never once
-// per subscriber.
+// every codec, for frames that go out as deltas and for independent
+// frames that delta+flate keyframes — while the hub runs each codec once
+// per frame, never once per subscriber.
 func TestHubStreamsMatchLoneConn(t *testing.T) {
 	const steps, subs = 7, 3
-	frames := make([]*fb.Frame, steps)
+	frames, noise := make([]*fb.Frame, steps), make([]*fb.Frame, steps)
 	for i := range frames {
 		frames[i] = testFrame(i, 36, 20)
+		noise[i] = noiseFrame(int64(i+1), 100, 80)
 	}
+	for _, run := range []struct {
+		prefix string
+		frames []*fb.Frame
+	}{{"", frames}, {"incoherent-", noise}} {
+		streamsMatchLoneConn(t, run.prefix, run.frames, subs)
+	}
+}
+
+func streamsMatchLoneConn(t *testing.T, prefix string, frames []*fb.Frame, subs int) {
+	steps := len(frames)
 	for _, codec := range []transport.CodecID{
 		transport.CodecDeltaFlate, transport.CodecDelta, transport.CodecFlate, transport.CodecRaw,
 	} {
-		t.Run(codec.String(), func(t *testing.T) {
+		t.Run(prefix+codec.String(), func(t *testing.T) {
 			want := loneConnStream(t, codec, frames)
+			if prefix != "" && codec == transport.CodecDeltaFlate {
+				// Non-vacuity: these frames take the keyframe path.
+				for _, f := range parseStream(t, want) {
+					if f.codec != transport.CodecFlate {
+						t.Errorf("independent step %d went out as %s, want the flate keyframe", f.step, f.codec)
+					}
+				}
+			}
 
 			h, _ := startHub(t, Config{MaxSubs: subs, Queue: 32, History: 32, Codec: codec})
 			streams := make([]chan []byte, subs)
@@ -164,17 +184,81 @@ func TestHubStreamsMatchLoneConn(t *testing.T) {
 				}
 			}
 			// One codec run per frame that is not sent raw: every frame
-			// under flate and delta+flate (the first as a flate keyframe),
-			// every frame but the raw keyframe under delta, none under raw.
+			// under flate and delta+flate (the first, and any the estimate
+			// keyframes, as flate), every frame but the raw keyframe under
+			// delta, none under raw.
 			wantRuns := int64(steps)
 			switch codec {
 			case transport.CodecDelta:
-				wantRuns = steps - 1
+				wantRuns = int64(steps - 1)
 			case transport.CodecRaw:
 				wantRuns = 0
 			}
 			if got := ctrEncoded.Value() - encoded0; got != wantRuns {
 				t.Errorf("hub.frames_encoded rose by %d for %d frames to %d subscribers, want %d", got, steps, subs, wantRuns)
+			}
+		})
+	}
+}
+
+// TestHubKeyframeWinsEncodesOnce: when the estimate keyframes a frame,
+// the subscriber that holds its predecessor and a late joiner that holds
+// nothing share the one keyframe encoding, so hub.frames_encoded rises by
+// exactly one per frame; for coherent frames the join frame needs both a
+// delta and a keyframe.
+func TestHubKeyframeWinsEncodesOnce(t *testing.T) {
+	const w, hh, live = 100, 80, 4
+	for _, tc := range []struct {
+		name     string
+		frame    func(step int) *fb.Frame
+		wantRuns int64
+		codec    transport.CodecID // of the subscriber's live frames
+	}{
+		{"incoherent", func(step int) *fb.Frame { return noiseFrame(int64(step+1), w, hh) }, live, transport.CodecFlate},
+		{"coherent", func(step int) *fb.Frame { return testFrame(step, w, hh) }, live + 1, transport.CodecDeltaFlate},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, _ := startHub(t, Config{Queue: 32, History: 32, Codec: transport.CodecDeltaFlate})
+			first, firstTap := dialTapped(t, h.Addr(), "first", -1)
+			defer first.Close()
+			waitFor(t, "first subscriber", func() bool { return h.Subscribers() == 1 })
+			step := 0
+			for ; step < live; step++ {
+				h.PublishFrame(step, tc.frame(step))
+			}
+			for i := 0; i < live; i++ {
+				if _, _, _, err := first.Recv(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			joiner := dialBare(t, h.Addr())
+			defer joiner.Close()
+			joined := make(chan []byte, 1)
+			go func() {
+				raw, _ := io.ReadAll(joiner)
+				joined <- raw
+			}()
+			waitFor(t, "late joiner", func() bool { return h.Subscribers() == 2 })
+			encoded0 := ctrEncoded.Value()
+			for end := step + live; step < end; step++ {
+				h.PublishFrame(step, tc.frame(step))
+			}
+			h.Close()
+			for i := 0; i < live; i++ {
+				if _, _, _, err := first.Recv(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := ctrEncoded.Value() - encoded0; got != tc.wantRuns {
+				t.Errorf("hub.frames_encoded rose by %d for %d frames with a late joiner attached, want %d", got, live, tc.wantRuns)
+			}
+			for _, f := range parseStream(t, firstTap.bytes())[1:] {
+				if f.codec != tc.codec {
+					t.Errorf("first subscriber's step %d went out as %s, want %s", f.step, f.codec, tc.codec)
+				}
+			}
+			if wire := parseStream(t, <-joined); len(wire) != live || wire[0].codec != transport.CodecFlate {
+				t.Errorf("late joiner read %v, want %d frames opening on the flate keyframe", wire, live)
 			}
 		})
 	}

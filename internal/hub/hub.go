@@ -16,8 +16,11 @@
 // which frame it was sent last: when that is the predecessor of the frame
 // it is about to send, it takes the shared delta; otherwise (it just
 // joined, resumed from the history, or lost frames to drop-oldest) it
-// takes the shared keyframe. An encoding lives only while some queue
-// still holds the frame; the history ring keeps plain bytes.
+// takes the shared keyframe. Under delta+flate the delta is built only
+// when transport.Choose, asked once per frame, finds it smaller than the
+// keyframe; otherwise every subscriber takes the keyframe and the frame
+// has one encoding. An encoding lives only while some queue still holds
+// the frame; the history ring keeps plain bytes.
 //
 // Steering is last-writer-wins across subscribers and is consumed by
 // the proxies at step boundaries, journaled so a run can be replayed.
@@ -130,9 +133,13 @@ type fanout struct {
 	// encode so a second sender waits for the bytes instead of redoing
 	// them. PublishFrame never takes it. An encoding is a right-sized
 	// mempool buffer; nil means not built (or not needed: raw is the
-	// plain payload itself).
+	// plain payload itself). choice, once chosen, is the codec for a
+	// subscriber that holds prev: the hub codec, or its keyframe when
+	// transport.Choose found that smaller.
 	mu         sync.Mutex
 	delta, key []byte
+	choice     transport.CodecID
+	chosen     bool
 }
 
 var fanoutPool = sync.Pool{New: func() any { return new(fanout) }}
@@ -167,7 +174,7 @@ func (fo *fanout) release() {
 	if fo.prev != nil {
 		fo.prev.release()
 	}
-	fo.cur, fo.prev = nil, nil
+	fo.cur, fo.prev, fo.chosen = nil, nil, false
 	fanoutPool.Put(fo)
 }
 
@@ -671,8 +678,9 @@ func (h *Hub) unsubscribe(s *subscriber, reason string) {
 // sender drains one subscriber's queue onto its connection. A frame goes
 // out as the shared delta when the frame sent just before it on this
 // connection is its predecessor — the reference the peer then holds —
-// and as the shared keyframe otherwise: the first frame after a join or
-// a resume, and the first after a drop-oldest eviction.
+// unless the keyframe is the smaller encoding (see encoded), and as the
+// shared keyframe otherwise: the first frame after a join or a resume,
+// and the first after a drop-oldest eviction.
 func (h *Hub) sender(s *subscriber) {
 	defer h.wg.Done()
 	for {
@@ -701,9 +709,12 @@ func (h *Hub) sender(s *subscriber) {
 	}
 }
 
-// encoded returns f's wire bytes and the codec they are under: the hub
-// codec against f.prev when delta is set, its keyframe fallback with no
-// reference otherwise. The first sender to ask builds the encoding —
+// encoded returns f's wire bytes and the codec they are under: what
+// transport.Choose picks for the hub codec against f.prev when delta is
+// set — asked once per fanout, so every subscriber holding f.prev gets
+// the same answer, and a keyframe answer is the very f.key that
+// subscribers without a reference share — and the keyframe fallback
+// otherwise. The first sender to ask builds the encoding —
 // into a borrowed encoder's scratch, then copied to a pooled buffer of
 // its own size, so what a queued frame holds is the encoding's length
 // and not the scratch's capacity — and every later sender shares it.
@@ -711,14 +722,19 @@ func (h *Hub) sender(s *subscriber) {
 // caller holds its reference on f.
 func (h *Hub) encoded(f *fanout, delta bool) (transport.CodecID, []byte, error) {
 	id, enc, ref := h.cfg.Codec.Keyframe(), &f.key, []byte(nil)
-	if delta {
-		id, enc, ref = h.cfg.Codec, &f.delta, f.prev.payload
-	}
-	if id == transport.CodecRaw {
+	if !delta && id == transport.CodecRaw {
 		return id, f.cur.payload, nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if delta {
+		if !f.chosen {
+			f.choice, f.chosen = transport.Choose(h.cfg.Codec, f.cur.payload, f.prev.payload), true
+		}
+		if f.choice != id {
+			id, enc, ref = f.choice, &f.delta, f.prev.payload
+		}
+	}
 	if *enc == nil {
 		e := h.encoders.Get().(*encoder)
 		defer h.encoders.Put(e)

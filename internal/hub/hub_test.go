@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"net"
 	"strings"
 	"testing"
@@ -218,6 +219,20 @@ func testFrame(step, w, h int) *fb.Frame {
 	f := fb.New(w, h)
 	for i := range f.Color {
 		v := float64((i*31+step*97)%256) / 255
+		f.Color[i] = vec.V3{X: v, Y: 1 - v, Z: v * v}
+		f.Depth[i] = 1 + v
+	}
+	return f
+}
+
+// noiseFrame is a w×h frame of 256 colour levels drawn from seed: two
+// seeds give frames with nothing in common, the input on which a
+// delta+flate stream sends keyframes.
+func noiseFrame(seed int64, w, h int) *fb.Frame {
+	rng := rand.New(rand.NewSource(seed))
+	f := fb.New(w, h)
+	for i := range f.Color {
+		v := float64(rng.Intn(256)) / 255
 		f.Color[i] = vec.V3{X: v, Y: 1 - v, Z: v * v}
 		f.Depth[i] = 1 + v
 	}

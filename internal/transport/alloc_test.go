@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"math/rand"
 	"net"
 	"testing"
 
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/raceflag"
+	"github.com/ascr-ecx/eth/internal/vtkio"
 )
 
 // allocCloud builds the shape-stable dataset the steady-state gates
@@ -198,4 +200,39 @@ func TestFlateRoundTripAllocsBounded(t *testing.T) {
 // dynamic blocks than plain flate, so the budget is much tighter.
 func TestDeltaFlateRoundTripAllocsBounded(t *testing.T) {
 	gateSteadyState(t, CodecDeltaFlate, drift, 24)
+}
+
+// TestChooseAllocatesNothing gates the per-frame codec choice at zero:
+// the estimate runs on every delta+flate send and on every hub frame, so
+// its histograms must stay on the stack whichever way it decides.
+func TestChooseAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
+	}
+	payload := func(ds data.Dataset) []byte {
+		var p payloadBuffer
+		if err := vtkio.Write(&p, ds); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	rng := rand.New(rand.NewSource(77))
+	first := fuzzCloud(20_000, rng)
+	ref := payload(first)
+	for _, tc := range []struct {
+		name  string
+		plain []byte
+		want  CodecID
+	}{
+		{"independent", payload(fuzzCloud(20_000, rng)), CodecFlate},
+		{"coherent", payload(coherentStep(first, rng)), CodecDeltaFlate},
+	} {
+		var got CodecID
+		if allocs := testing.AllocsPerRun(20, func() { got = Choose(CodecDeltaFlate, tc.plain, ref) }); allocs > 0 {
+			t.Errorf("%s: Choose allocates %.1f times per call, want 0", tc.name, allocs)
+		}
+		if got != tc.want {
+			t.Errorf("%s: Choose picked %v, want %v", tc.name, got, tc.want)
+		}
+	}
 }

@@ -10,7 +10,11 @@
 // Temporal codecs never stand alone on the wire: the first frame of a
 // connection (and the first after any error) is a keyframe, encoded with
 // the codec's Keyframe fallback (raw for delta, flate for delta+flate),
-// so a receiver with no reference state can always resynchronize. The
+// so a receiver with no reference state can always resynchronize. A
+// delta+flate sender also keyframes any frame whose delta is estimated
+// to be larger than its keyframe (Choose): incoherent steps go out as
+// flate, and the receiver keeps the plain payload as its reference
+// whatever the codec byte says. The
 // codec ID travels in every frame header, covered by the CRC trailer, so
 // a flipped codec byte surfaces as ErrChecksum, never as a frame decoded
 // under the wrong codec.
@@ -23,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // CodecID identifies a payload codec in the v3 frame header.
@@ -93,6 +98,82 @@ func (id CodecID) Keyframe() CodecID {
 	}
 }
 
+// Choose returns the codec a sender configured with id puts plain under,
+// given prev, the plain payload the receiver holds as its reference (nil
+// when it holds none). A temporal codec without a reference falls back
+// to its keyframe. With one, delta+flate still keyframes when
+// keyframeSmaller says flate's output would be the smaller of the two,
+// as it is when successive steps are independent draws; plain delta
+// keeps the delta, since its wire length is the same either way. Every
+// other case is id itself. Choose is deterministic and allocation-free,
+// so two senders of the same bytes — a lone Conn and the hub's shared
+// encoding — make the same choice.
+func Choose(id CodecID, plain, prev []byte) CodecID {
+	switch {
+	case !id.Temporal():
+		return id
+	case prev == nil:
+		return id.Keyframe()
+	case id == CodecDeltaFlate && keyframeSmaller(plain, prev):
+		return CodecFlate
+	default:
+		return id
+	}
+}
+
+// estStride is keyframeSmaller's sampling stride in dfBlock blocks: one
+// block in eight is enough to tell a coherent step from an independent
+// draw, at an eighth of the cost of looking at every byte.
+const estStride = 8
+
+// klog2k[k] is k·log2(k) in 1/65536 bits, so a block's order-0 entropy —
+// n·log2(n) − Σ k·log2(k) over its byte counts — sums in integers and
+// comes out the same on every platform. The largest entry, 4096·12·2^16,
+// fits in a uint32.
+var klog2k = func() (t [dfBlock + 1]uint32) {
+	for k := 2; k <= dfBlock; k++ {
+		t[k] = uint32(math.Round(float64(k) * math.Log2(float64(k)) * 65536))
+	}
+	return t
+}()
+
+// keyframeSmaller estimates whether plain alone encodes smaller than its
+// XOR residual against prev. It samples every estStride-th dfBlock block
+// of plain and, for each, compares the order-0 byte entropy — the size a
+// Huffman-only coder would reach — of the plain bytes with that of the
+// residual. An all-zero residual block has entropy 0, which is also what
+// it costs on the wire: the delta+flate container elides it. The
+// keyframe wins only when its sampled total is strictly smaller: a tie
+// keeps the delta.
+func keyframeSmaller(plain, prev []byte) bool {
+	var key, delta int64
+	for lo := 0; lo < len(plain); lo += estStride * dfBlock {
+		hi := min(lo+dfBlock, len(plain))
+		var hp, hr [256]uint32
+		for i := lo; i < hi; i++ {
+			b := plain[i]
+			hp[b]++
+			if i < len(prev) {
+				b ^= prev[i]
+			}
+			hr[b]++
+		}
+		key += blockEntropy(&hp, hi-lo)
+		delta += blockEntropy(&hr, hi-lo)
+	}
+	return key < delta
+}
+
+// blockEntropy is the order-0 entropy of n bytes with histogram h, in
+// klog2k's units.
+func blockEntropy(h *[256]uint32, n int) int64 {
+	e := int64(klog2k[n])
+	for _, k := range h {
+		e -= int64(klog2k[k])
+	}
+	return e
+}
+
 // Codecs lists every codec name in ID order — the sweep axis for CLIs and
 // benchmarks.
 func Codecs() []string { return codecNames[:] }
@@ -120,7 +201,6 @@ func ParseCodec(name string) (CodecID, error) {
 // sending and a receiving goroutine; the Conn keeps separate per-direction
 // instances.
 type Codec interface {
-	ID() CodecID
 	Encode(dst, plain, prev []byte) ([]byte, error)
 	Decode(dst, wire, prev []byte) ([]byte, error)
 }
@@ -166,7 +246,6 @@ func newCodec(id CodecID) Codec {
 // rawCodec is the identity codec: the wire payload is the plain payload.
 type rawCodec struct{}
 
-func (rawCodec) ID() CodecID                               { return CodecRaw }
 func (rawCodec) Encode(_, plain, _ []byte) ([]byte, error) { return plain, nil }
 func (rawCodec) Decode(_, wire, _ []byte) ([]byte, error)  { return wire, nil }
 
@@ -181,8 +260,6 @@ type flateCodec struct {
 	sink payloadBuffer
 	cp   []byte
 }
-
-func (*flateCodec) ID() CodecID { return CodecFlate }
 
 func (f *flateCodec) Encode(dst, plain, _ []byte) ([]byte, error) {
 	// The sink must be a field, not a local: flate.Writer holds the
@@ -241,8 +318,6 @@ func (f *flateCodec) Decode(dst, wire, _ []byte) ([]byte, error) {
 // equals the plain length.
 type deltaCodec struct{}
 
-func (deltaCodec) ID() CodecID { return CodecDelta }
-
 func (deltaCodec) Encode(dst, plain, prev []byte) ([]byte, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("transport: delta encode: %w", ErrDeltaState)
@@ -285,8 +360,6 @@ type deltaFlateCodec struct {
 	cp   []byte
 	tmp  payloadBuffer // XOR residual (encode) / packed blocks (decode)
 }
-
-func (*deltaFlateCodec) ID() CodecID { return CodecDeltaFlate }
 
 func (d *deltaFlateCodec) Encode(dst, plain, prev []byte) ([]byte, error) {
 	if prev == nil {

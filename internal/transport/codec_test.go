@@ -106,9 +106,6 @@ func TestCodecEncodeDecodeRoundTrip(t *testing.T) {
 		if id == CodecDelta && len(wire) != len(plain) {
 			t.Errorf("delta wire length %d != plain length %d", len(wire), len(plain))
 		}
-		if enc.ID() != id {
-			t.Errorf("%v reports ID %v", id, enc.ID())
-		}
 	}
 }
 
@@ -130,7 +127,7 @@ func TestTemporalCodecsRequireReference(t *testing.T) {
 // decodes bit-exact.
 func TestKeyframeThenDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	steps := []*data.PointCloud{fuzzCloud(300, rng), fuzzCloud(300, rng), fuzzCloud(300, rng)}
+	steps := coherentSteps(3, 300, rng)
 	for _, codec := range []CodecID{CodecDelta, CodecDeltaFlate} {
 		before := ctrKeyframes.Value()
 		dss := make([]data.Dataset, len(steps))
@@ -168,6 +165,85 @@ func TestKeyframeThenDelta(t *testing.T) {
 	}
 }
 
+// coherentSteps is an n-step stream of count-particle clouds, each a
+// coherentStep of the one before.
+func coherentSteps(n, count int, rng *rand.Rand) []*data.PointCloud {
+	steps := []*data.PointCloud{fuzzCloud(count, rng)}
+	for len(steps) < n {
+		steps = append(steps, coherentStep(steps[len(steps)-1], rng))
+	}
+	return steps
+}
+
+// TestIncoherentStepsSendKeyframe holds delta+flate to its per-frame
+// choice: independent draws — every byte of the payload new — go out as
+// flate keyframes mid-stream, each counted as a keyframe, and their flate
+// encoding really is the smaller; identical steps stay delta+flate after
+// the opening keyframe. Every frame decodes bit-exact either way.
+func TestIncoherentStepsSendKeyframe(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	fresh := []*data.PointCloud{fuzzCloud(2000, rng), fuzzCloud(2000, rng), fuzzCloud(2000, rng)}
+	same := []*data.PointCloud{fresh[0], fresh[0], fresh[0]}
+	for _, tc := range []struct {
+		name  string
+		steps []*data.PointCloud
+		mid   CodecID // the codec of every frame after the first
+	}{
+		{"independent", fresh, CodecFlate},
+		{"identical", same, CodecDeltaFlate},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := ctrKeyframes.Value()
+			dss := make([]data.Dataset, len(tc.steps))
+			for i, s := range tc.steps {
+				dss[i] = s
+			}
+			frames := encodeStream(CodecDeltaFlate, 0, dss...)
+			wantKeys := int64(1)
+			if tc.mid == CodecFlate {
+				wantKeys = int64(len(frames))
+			}
+			if got := ctrKeyframes.Value() - before; got != wantKeys {
+				t.Errorf("%d keyframes over %d sends, want %d", got, len(frames), wantKeys)
+			}
+			if got := CodecID(frames[0][17]); got != CodecFlate {
+				t.Errorf("frame 0 went out as %v, want the flate keyframe", got)
+			}
+			for i := 1; i < len(frames); i++ {
+				if got := CodecID(frames[i][17]); got != tc.mid {
+					t.Errorf("frame %d went out as %v, want %v", i, got, tc.mid)
+				}
+			}
+			if tc.mid == CodecFlate {
+				// The estimate's call, checked against the two real encodings.
+				var cur, prev payloadBuffer
+				if err := vtkio.Write(&prev, dss[0]); err != nil {
+					t.Fatal(err)
+				}
+				if err := vtkio.Write(&cur, dss[1]); err != nil {
+					t.Fatal(err)
+				}
+				var enc Encoder
+				key, _ := enc.Encode(CodecFlate, nil, cur, nil)
+				delta, _ := enc.Encode(CodecDeltaFlate, nil, cur, prev)
+				if len(key) >= len(delta) {
+					t.Errorf("flate sent %d bytes where delta+flate would have sent %d", len(key), len(delta))
+				}
+			}
+			c := NewConn(&memConn{r: bytes.NewReader(bytes.Join(frames, nil))})
+			for i, want := range tc.steps {
+				_, ds, step, err := c.Recv()
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				if got, ok := ds.(*data.PointCloud); !ok || step != int64(i) || !cloudEqual(got, want) {
+					t.Errorf("frame %d (step %d): not bit-exact", i, step)
+				}
+			}
+		})
+	}
+}
+
 // TestDeltaWithoutKeyframeFails feeds a receiver a delta frame with no
 // preceding keyframe — the resume-after-restart shape — and requires the
 // ErrDeltaState protocol error rather than garbage output.
@@ -188,10 +264,7 @@ func TestDeltaWithoutKeyframeFails(t *testing.T) {
 func TestMixedCodecStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	order := []CodecID{CodecRaw, CodecDelta, CodecFlate, CodecDeltaFlate, CodecDelta, CodecRaw}
-	steps := make([]*data.PointCloud, len(order))
-	for i := range steps {
-		steps[i] = fuzzCloud(250, rng)
-	}
+	steps := coherentSteps(len(order), 250, rng)
 	mc := &memConn{}
 	send := NewConn(mc)
 	for i, s := range steps {
@@ -246,7 +319,10 @@ func TestSendDatasetRejectsInvalidCodec(t *testing.T) {
 // own reference, a SendDataset after it opens with a keyframe.
 func TestSendEncodedMatchesSendDataset(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	steps := []data.Dataset{fuzzCloud(200, rng), fuzzCloud(200, rng), fuzzCloud(200, rng)}
+	var steps []data.Dataset
+	for _, s := range coherentSteps(3, 200, rng) {
+		steps = append(steps, s)
+	}
 	for _, codec := range []CodecID{CodecRaw, CodecFlate, CodecDelta, CodecDeltaFlate} {
 		keyBefore, plainBefore := ctrKeyframes.Value(), ctrBytesPlain.Value()
 		want := bytes.Join(encodeStream(codec, 0, steps...), nil)

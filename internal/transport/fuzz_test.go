@@ -16,9 +16,11 @@ package transport
 // alone — no payload byte buffered, never a panic — flipped or not.
 //
 // FuzzDeltaRoundTrip attacks the temporal codecs from the other side:
-// random shape-stable step pairs (same particle count, arbitrary values)
-// must survive the keyframe+delta round trip bit-exact, and the delta
-// codec's wire frames must stay length-preserving.
+// random shape-stable four-step streams (same particle count, each step
+// either a coherent move of the last or a fresh draw) must survive the
+// round trip bit-exact whichever codec each frame went out under, each
+// frame's codec byte must be Choose's answer, and the delta codec's wire
+// frames must stay length-preserving.
 
 import (
 	"bytes"
@@ -32,6 +34,7 @@ import (
 	"time"
 
 	"github.com/ascr-ecx/eth/internal/data"
+	"github.com/ascr-ecx/eth/internal/vtkio"
 )
 
 // memConn adapts an in-memory byte stream to net.Conn: reads come from
@@ -109,6 +112,23 @@ func fuzzCloud(n int, rng *rand.Rand) *data.PointCloud {
 	return c
 }
 
+// coherentStep returns a copy of c with one slab of it moved: the second
+// quarter of the particles drift in x by a small random step, and the
+// rest of the payload is as it was — the way successive steps of a
+// simulation change a snapshot, and the input delta+flate keeps its
+// delta for.
+func coherentStep(c *data.PointCloud, rng *rand.Rand) *data.PointCloud {
+	all := make([]int, c.Count())
+	for i := range all {
+		all[i] = i
+	}
+	next := c.Select(all)
+	for i := len(all) / 4; i < len(all)/2; i++ {
+		next.X[i] += 1e-3 * float32(rng.NormFloat64())
+	}
+	return next
+}
+
 // flipStream is one precomputed two-frame fuzz stream: a codec's v3
 // frames and the datasets they must decode to, or (wants == nil) frames
 // under the retired v2 framing that must be refused.
@@ -131,12 +151,13 @@ func asV2(frame []byte) []byte {
 }
 
 // buildFlipStreams encodes the streams the flip fuzzer mutates: per
-// codec (indexed by CodecID), two shape-stable steps with different
-// values, so temporal codecs emit one keyframe and one genuine delta
-// frame; then the raw and flate streams again under v2 framing.
+// codec (indexed by CodecID), two coherent shape-stable steps, so
+// temporal codecs emit one keyframe and one genuine delta frame; then
+// the raw and flate streams again under v2 framing.
 func buildFlipStreams() []flipStream {
 	rng := rand.New(rand.NewSource(42))
-	s1, s2 := fuzzCloud(200, rng), fuzzCloud(200, rng)
+	s1 := fuzzCloud(200, rng)
+	s2 := coherentStep(s1, rng)
 	var out []flipStream
 	for id := CodecID(0); id < numCodecs; id++ {
 		out = append(out, flipStream{
@@ -234,30 +255,57 @@ func FuzzFrameFlip(f *testing.F) {
 }
 
 // FuzzDeltaRoundTrip drives the temporal codecs with random shape-stable
-// step pairs: any two same-count clouds must survive keyframe+delta
-// encoding bit-exact, and the plain delta codec's frames must keep the
-// raw frame length (length-preserving residuals are what keep fault
-// schedules aligned across codecs in the chaos suite).
+// four-step streams: the fuzzed pattern byte makes each step after the
+// first a coherent move of the one before (bit set) or an independent
+// draw (bit clear), so a delta+flate stream switches between delta and
+// keyframe mid-stream. Every frame must decode bit-exact, carry the codec
+// Choose picks for its plain bytes against the previous frame's, and —
+// under plain delta — keep the raw frame length (length-preserving
+// residuals are what keep fault schedules aligned across codecs in the
+// chaos suite).
 func FuzzDeltaRoundTrip(f *testing.F) {
-	f.Add(int64(1), int64(2), uint16(100), true)
-	f.Add(int64(3), int64(3), uint16(1), false) // identical steps: all-zero residual
-	f.Add(int64(7), int64(11), uint16(2048), true)
-	f.Add(int64(0), int64(0), uint16(0), false)
-	f.Fuzz(func(t *testing.T, seedA, seedB int64, n uint16, compress bool) {
+	f.Add(int64(1), uint16(100), uint8(0b111), true)
+	f.Add(int64(3), uint16(1), uint8(0), false)
+	f.Add(int64(7), uint16(2048), uint8(0b101), true)
+	f.Add(int64(9), uint16(1500), uint8(0b010), true)
+	f.Add(int64(0), uint16(0), uint8(0b110), false)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, pattern uint8, compress bool) {
 		count := int(n)%2048 + 1
-		s1 := fuzzCloud(count, rand.New(rand.NewSource(seedA)))
-		s2 := fuzzCloud(count, rand.New(rand.NewSource(seedB)))
+		rng := rand.New(rand.NewSource(seed))
+		steps := []*data.PointCloud{fuzzCloud(count, rng)}
+		for i := 0; i < 3; i++ {
+			next := fuzzCloud(count, rng)
+			if pattern&(1<<i) != 0 {
+				next = coherentStep(steps[i], rng)
+			}
+			steps = append(steps, next)
+		}
 		codec := CodecDelta
 		if compress {
 			codec = CodecDeltaFlate
 		}
-		frames := encodeStream(codec, 0, s1, s2)
-		if codec == CodecDelta && len(frames[1]) != len(frames[0]) {
-			t.Fatalf("delta frame length %d != keyframe length %d: XOR residual must be length-preserving",
-				len(frames[1]), len(frames[0]))
+		dss := make([]data.Dataset, len(steps))
+		for i, s := range steps {
+			dss[i] = s
+		}
+		frames := encodeStream(codec, 0, dss...)
+		var prev []byte
+		for i, ds := range dss {
+			var plain payloadBuffer
+			if err := vtkio.Write(&plain, ds); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := CodecID(frames[i][17]), Choose(codec, plain, prev); got != want {
+				t.Fatalf("frame %d went out as %v, Choose says %v", i, got, want)
+			}
+			if codec == CodecDelta && len(frames[i]) != len(frames[0]) {
+				t.Fatalf("delta frame %d length %d != keyframe length %d: XOR residual must be length-preserving",
+					i, len(frames[i]), len(frames[0]))
+			}
+			prev = plain
 		}
 		c := NewConn(&memConn{r: bytes.NewReader(bytes.Join(frames, nil))})
-		for i, want := range []*data.PointCloud{s1, s2} {
+		for i, want := range steps {
 			typ, ds, step, err := c.Recv()
 			if err != nil {
 				t.Fatalf("frame %d: %v", i, err)

@@ -158,7 +158,9 @@ type Conn struct {
 	// codecs are downgraded to their Keyframe fallback until the first
 	// frame of the connection succeeds (and again after any send error),
 	// which is what resynchronizes delta state across reconnect, resume,
-	// and skip — every one of those paths builds a fresh Conn.
+	// and skip — every one of those paths builds a fresh Conn. Choose
+	// may downgrade a delta+flate frame later on too, when its keyframe
+	// is the smaller encoding.
 	codec CodecID
 
 	// Steady-state reuse scratch, split per direction so one sender plus
@@ -223,9 +225,6 @@ func (c *Conn) Close() error { return c.c.Close() }
 // after any send error — so the receiver always has reference state.
 // Invalid IDs are rejected at send time.
 func (c *Conn) SetCodec(id CodecID) { c.codec = id }
-
-// Codec reports the configured outgoing codec.
-func (c *Conn) Codec() CodecID { return c.codec }
 
 // recvCodec returns the receive-side instance of the codec, building it
 // on first use. The send side keeps its own (senc): codecs hold internal
@@ -325,10 +324,11 @@ func (c *Conn) writeErr(err error) error {
 	return err
 }
 
-// SendDataset streams ds as a MsgDatasetV3 frame under the configured
-// codec. The first frame of a connection — and the first after any send
-// error — is a keyframe when the codec is temporal, so the receiver can
-// always rebuild delta state from the wire alone.
+// SendDataset streams ds as a MsgDatasetV3 frame under the codec Choose
+// picks for the configured one. The first frame of a connection — and
+// the first after any send error — is a keyframe when the codec is
+// temporal, so the receiver can always rebuild delta state from the wire
+// alone; under delta+flate so is any frame whose delta would be larger.
 func (c *Conn) SendDataset(ds data.Dataset) error {
 	// Encode to a buffer first to learn the length. Dataset payloads are
 	// the dominant cost; an extra copy is acceptable for framing clarity.
@@ -343,10 +343,11 @@ func (c *Conn) SendDataset(ds data.Dataset) error {
 		return err
 	}
 	plain := []byte(c.payload)
-	id := c.codec
-	if id.Temporal() && !c.sprevOK {
-		id = id.Keyframe()
+	var ref []byte
+	if c.sprevOK {
+		ref = c.sprev
 	}
+	id := Choose(c.codec, plain, ref)
 	out := plain
 	if id != CodecRaw {
 		enc, err := c.senc.Encode(id, c.swire[:0], plain, c.sprev)

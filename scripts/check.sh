@@ -106,6 +106,9 @@ go test -run='^$' -fuzz=FuzzParseExposition -fuzztime=10s ./internal/obs/
 echo "== go test -fuzz=FuzzLoadDoneSet -fuzztime=10s ./internal/fleet"
 go test -run='^$' -fuzz=FuzzLoadDoneSet -fuzztime=10s ./internal/fleet/
 
+echo "== go test -fuzz=FuzzLoadSweep -fuzztime=10s ./internal/fleet"
+go test -run='^$' -fuzz=FuzzLoadSweep -fuzztime=10s ./internal/fleet/
+
 # Multi-viewer broadcast smoke: real sim+viz+hub processes, three
 # ethwatch viewers over real sockets, one steered, one SIGKILLed and
 # resumed from its cursor, then a journal audit via ethinfo.
