@@ -20,7 +20,9 @@ sarif:
 
 # Short fuzz passes over the dataset container reader, the framed wire
 # format (checksummed dataset frames must detect any byte flip, for
-# every codec; temporal codecs must reconstruct bit-exactly), the hub
+# every codec; temporal codecs must reconstruct bit-exactly), the
+# DEFLATE decoder (any bytes decode exactly as compress/flate decodes
+# them, or fail where it fails or past the output bound), the hub
 # steering codec (corruption must surface ErrSteering, never a panic or
 # a silently-applied wrong value), the two text formats a user hands a
 # run: the fault schedule and the job layout (no panic; an accepted one
@@ -36,6 +38,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzReadVTK -fuzztime=10s ./internal/vtkio/
 	go test -run='^$$' -fuzz=FuzzFrameFlip -fuzztime=10s ./internal/transport/
 	go test -run='^$$' -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/transport/
+	go test -run='^$$' -fuzz=FuzzInflate -fuzztime=10s ./internal/transport/
 	go test -run='^$$' -fuzz=FuzzSteeringMessage -fuzztime=10s ./internal/hub/
 	go test -run='^$$' -fuzz=FuzzFaultsParse -fuzztime=10s ./internal/faults/
 	go test -run='^$$' -fuzz=FuzzLayoutParse -fuzztime=10s ./internal/layout/

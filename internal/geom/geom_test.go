@@ -197,7 +197,7 @@ func testCloud() *data.PointCloud {
 func TestMapPointsProjectsAll(t *testing.T) {
 	p := testCloud()
 	cam := camera.ForBounds(p.Bounds())
-	sprites, err := MapPoints(p, &cam, 256, 256, PointsOptions{Size: 2, ColorField: "speed"})
+	sprites, err := MapPoints(p, &cam, 256, 256, PointsOptions{ColorField: "speed"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +208,8 @@ func TestMapPointsProjectsAll(t *testing.T) {
 		if s.Depth <= 0 {
 			t.Fatal("non-positive depth")
 		}
-		if s.Size != 2 {
-			t.Fatal("size not honored")
+		if s.Size != spriteSize {
+			t.Fatalf("sprite size %d, want %d", s.Size, spriteSize)
 		}
 	}
 }

@@ -39,10 +39,12 @@ var (
 	ctrImpostors = telemetry.Default.Counter("geom.impostors")
 )
 
+// spriteSize is the VTK-points sprite edge length in pixels (the paper
+// uses 1-3).
+const spriteSize = 2
+
 // PointsOptions configures the VTK-points mapper.
 type PointsOptions struct {
-	// Size is the sprite edge length in pixels (the paper uses 1-3).
-	Size int
 	// ColorField names the per-particle scalar colormapped through
 	// Viridis; empty selects constant white.
 	ColorField string
@@ -62,10 +64,6 @@ func MapPoints(p *data.PointCloud, cam *camera.Camera, w, h int, opt PointsOptio
 	if err != nil {
 		return nil, err
 	}
-	size := opt.Size
-	if size <= 0 {
-		size = 2
-	}
 	sprites := spritePool.Get(p.Count())
 	keep := keepPool.Get(p.Count())
 	proj := cam.NewProjector(w, h)
@@ -75,7 +73,7 @@ func MapPoints(p *data.PointCloud, cam *camera.Camera, w, h int, opt PointsOptio
 			keep[i] = ok && !(x < -8 || x >= float64(w)+8 || y < -8 || y >= float64(h)+8)
 			if keep[i] {
 				sprites[i] = raster.Sprite{
-					X: x, Y: y, Depth: depth, Size: size, Color: colors[i],
+					X: x, Y: y, Depth: depth, Size: spriteSize, Color: colors[i],
 				}
 			}
 		}

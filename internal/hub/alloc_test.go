@@ -1,11 +1,7 @@
 package hub
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"net"
 	"runtime"
 	"testing"
 
@@ -20,16 +16,15 @@ import (
 // publishing a frame to live subscribers — frame->grid conversion, vtkio
 // encode, refcounted pooled payload and fanout, the queue hand-offs, the
 // one shared encoding, the per-connection sends, and the subscriber-side
-// decodes — must allocate nothing once warm, under raw and under delta.
-// AllocsPerRun counts mallocs across all goroutines, so the sender
-// goroutines and the subscriber clients are inside the budget.
+// decodes — must allocate nothing once warm. AllocsPerRun counts mallocs
+// across all goroutines, so the sender goroutines and the subscriber
+// clients are inside the budget.
 //
-// Under delta+flate the subscribers read their sockets bare: stdlib
-// inflate allocates per frame and per viewer, and the claim here is about
-// the hub side, which must allocate nothing however many subscribers
-// share the encoding — one subscriber or three, the same zero — whether
-// the frames are coherent and go out as deltas or independent and go out
-// as the keyframe transport.Choose finds smaller.
+// Under delta+flate the subscribers inflate every frame too, and the
+// budget is the same zero however many subscribers share the encoding —
+// one subscriber or three — whether the frames are coherent and go out as
+// deltas or independent and go out as the keyframe transport.Choose finds
+// smaller.
 func TestHubBroadcastSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
@@ -37,21 +32,20 @@ func TestHubBroadcastSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		codec      transport.CodecID
 		subs       int
-		decode     bool
 		incoherent bool
 	}{
-		{transport.CodecRaw, 3, true, false},
-		{transport.CodecDelta, 3, true, false},
-		{transport.CodecDeltaFlate, 1, false, false},
-		{transport.CodecDeltaFlate, 3, false, false},
-		{transport.CodecDeltaFlate, 3, false, true},
+		{transport.CodecRaw, 3, false},
+		{transport.CodecDelta, 3, false},
+		{transport.CodecDeltaFlate, 1, false},
+		{transport.CodecDeltaFlate, 3, false},
+		{transport.CodecDeltaFlate, 3, true},
 	} {
 		name := fmt.Sprintf("%s-%d", tc.codec, tc.subs)
 		if tc.incoherent {
 			name += "-incoherent"
 		}
 		t.Run(name, func(t *testing.T) {
-			broadcastAllocs(t, tc.codec, tc.subs, tc.decode, tc.incoherent)
+			broadcastAllocs(t, tc.codec, tc.subs, tc.incoherent)
 		})
 	}
 }
@@ -60,7 +54,7 @@ func TestHubBroadcastSteadyStateAllocs(t *testing.T) {
 // out as keyframes.
 var keyframes = telemetry.Default.Counter("transport.keyframes")
 
-func broadcastAllocs(t *testing.T, codec transport.CodecID, subs int, decode, incoherent bool) {
+func broadcastAllocs(t *testing.T, codec transport.CodecID, subs int, incoherent bool) {
 	// A small history reaches eviction steady state during warm-up, so
 	// each publish recycles the buffer it evicts; a roomy queue plus the
 	// drain barrier below keeps the journaling drop path (which
@@ -70,12 +64,6 @@ func broadcastAllocs(t *testing.T, codec transport.CodecID, subs int, decode, in
 
 	received := make(chan struct{}, 1024)
 	for i := 0; i < subs; i++ {
-		if !decode {
-			nc := dialBare(t, h.Addr())
-			defer nc.Close()
-			go countFrames(nc, received)
-			continue
-		}
 		c := dialSub(t, h.Addr(), "s", -1)
 		defer c.Close()
 		c.SetDatasetReuse(true)
@@ -150,22 +138,5 @@ func broadcastAllocs(t *testing.T, codec transport.CodecID, subs int, decode, in
 	}
 	if keys := keyframes.Value() - keysBefore; keys != wantKeys {
 		t.Errorf("%d keyframes sent for %d frames to %d subscribers, want %d", keys, got, subs, wantKeys)
-	}
-}
-
-// countFrames reads a subscriber stream bare, signalling each complete
-// dataset frame, without allocating per frame.
-func countFrames(nc net.Conn, received chan<- struct{}) {
-	br := bufio.NewReader(nc)
-	var hdr [18]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil || transport.MsgType(hdr[0]) != transport.MsgDatasetV3 {
-			return
-		}
-		n := int(binary.BigEndian.Uint64(hdr[1:9])) + 4 // payload + CRC
-		if k, err := br.Discard(n); err != nil || k != n {
-			return
-		}
-		received <- struct{}{}
 	}
 }

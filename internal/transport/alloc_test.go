@@ -7,7 +7,6 @@ import (
 
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/raceflag"
-	"github.com/ascr-ecx/eth/internal/vtkio"
 )
 
 // allocCloud builds the shape-stable dataset the steady-state gates
@@ -141,12 +140,11 @@ func TestDeltaSteadyStateAllocs(t *testing.T) {
 	gateSteadyState(t, CodecDelta, drift, 0)
 }
 
-// TestFlateSendSteadyStateAllocs gates the flate *send* path at zero: the
-// flate writer, its sink buffer, and the frame scratch are all reused, so
-// compressing and framing a steady stream must not allocate. The receive
-// side is excluded by draining raw bytes instead of decoding (inflate
-// allocates per dynamic block inside compress/flate; see the round-trip
-// bound below).
+// TestFlateSendSteadyStateAllocs gates the flate *send* path at zero on
+// its own: the flate writer, its sink buffer, and the frame scratch are
+// all reused, so compressing and framing a steady stream must not
+// allocate. The receive side is excluded by draining raw bytes instead of
+// decoding; TestFlateSteadyStateAllocs gates the two together.
 func TestFlateSendSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
@@ -182,24 +180,19 @@ func TestFlateSendSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestFlateRoundTripAllocsBounded bounds the full compressed round trip.
-// It cannot be zero with the standard library: flate's inflater rebuilds
-// its Huffman link tables per dynamic block, and this ~240 KiB payload
-// spans enough blocks to cost ~170 allocations on the decode side. The
-// bound asserts that everything else — framing, CRC, buffers, the flate
-// writer, the persistent reader — contributes nothing beyond that stdlib
-// floor, and that a regression (an unpooled flate reader, a per-frame
-// sink) fails loudly.
-func TestFlateRoundTripAllocsBounded(t *testing.T) {
-	gateSteadyState(t, CodecFlate, nil, 200)
+// TestFlateSteadyStateAllocs gates the full compressed round trip at
+// zero: the flate writer and its sink on the send side, and on the
+// receive side inflate's tables, which live in the codec, and its output,
+// which lands in the Conn's plain buffer from the frame before.
+func TestFlateSteadyStateAllocs(t *testing.T) {
+	gateSteadyState(t, CodecFlate, nil, 0)
 }
 
-// TestDeltaFlateRoundTripAllocsBounded is the flate bound applied to the
-// composed codec. The XOR stage must add nothing, and because the
-// residual stream is sparse (mostly zeros) it inflates through far fewer
-// dynamic blocks than plain flate, so the budget is much tighter.
-func TestDeltaFlateRoundTripAllocsBounded(t *testing.T) {
-	gateSteadyState(t, CodecDeltaFlate, drift, 24)
+// TestDeltaFlateSteadyStateAllocs is the same zero for the composed
+// codec: the XOR stage, the block bitmap, and the packed blocks inflated
+// into the output buffer and spread in place add nothing.
+func TestDeltaFlateSteadyStateAllocs(t *testing.T) {
+	gateSteadyState(t, CodecDeltaFlate, drift, 0)
 }
 
 // TestChooseAllocatesNothing gates the per-frame codec choice at zero:
@@ -209,23 +202,16 @@ func TestChooseAllocatesNothing(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
 	}
-	payload := func(ds data.Dataset) []byte {
-		var p payloadBuffer
-		if err := vtkio.Write(&p, ds); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
 	rng := rand.New(rand.NewSource(77))
 	first := fuzzCloud(20_000, rng)
-	ref := payload(first)
+	ref := vtkPayload(t, first)
 	for _, tc := range []struct {
 		name  string
 		plain []byte
 		want  CodecID
 	}{
-		{"independent", payload(fuzzCloud(20_000, rng)), CodecFlate},
-		{"coherent", payload(coherentStep(first, rng)), CodecDeltaFlate},
+		{"independent", vtkPayload(t, fuzzCloud(20_000, rng)), CodecFlate},
+		{"coherent", vtkPayload(t, coherentStep(first, rng)), CodecDeltaFlate},
 	} {
 		var got CodecID
 		if allocs := testing.AllocsPerRun(20, func() { got = Choose(CodecDeltaFlate, tc.plain, ref) }); allocs > 0 {

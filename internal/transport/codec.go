@@ -21,12 +21,10 @@
 package transport
 
 import (
-	"bytes"
 	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -61,8 +59,9 @@ var ErrDeltaState = errors.New("transport: delta frame without reference state")
 
 // ErrCodecFrame is returned when a compressed frame's container is
 // structurally malformed — truncated header, bitmap, or packed blocks
-// that disagree with the bitmap — or when a dataset frame arrives under
-// the retired codec-less v2 framing. It indicates corruption the CRC did
+// that disagree with the bitmap, a corrupt or truncated DEFLATE stream,
+// or one that inflates past its bound — or when a dataset frame arrives
+// under the retired codec-less v2 framing. It indicates corruption the CRC did
 // not catch (or a buggy or outdated peer), never a recoverable
 // state-loss condition.
 var ErrCodecFrame = errors.New("transport: malformed codec frame")
@@ -196,13 +195,15 @@ func ParseCodec(name string) (CodecID, error) {
 // the previous step's *plain* payload on both sides (nil for keyframes
 // and non-temporal codecs). Encode and Decode append into dst[:0] and
 // return the result — except rawCodec, which passes the input through
-// unchanged so the pass-through path costs zero copies. Implementations
-// keep internal scratch, so one instance must not be shared between a
-// sending and a receiving goroutine; the Conn keeps separate per-direction
-// instances.
+// unchanged so the pass-through path costs zero copies. A decompressing
+// Decode produces at most limit plain bytes and fails with ErrCodecFrame
+// before it would grow past them, so a small frame cannot inflate into an
+// unbounded allocation. Implementations keep internal scratch, so one
+// instance must not be shared between a sending and a receiving
+// goroutine; the Conn keeps separate per-direction instances.
 type Codec interface {
 	Encode(dst, plain, prev []byte) ([]byte, error)
-	Decode(dst, wire, prev []byte) ([]byte, error)
+	Decode(dst, wire, prev []byte, limit int) ([]byte, error)
 }
 
 // Encoder is the send side of the codecs on its own: what a Conn runs
@@ -246,19 +247,16 @@ func newCodec(id CodecID) Codec {
 // rawCodec is the identity codec: the wire payload is the plain payload.
 type rawCodec struct{}
 
-func (rawCodec) Encode(_, plain, _ []byte) ([]byte, error) { return plain, nil }
-func (rawCodec) Decode(_, wire, _ []byte) ([]byte, error)  { return wire, nil }
+func (rawCodec) Encode(_, plain, _ []byte) ([]byte, error)       { return plain, nil }
+func (rawCodec) Decode(_, wire, _ []byte, _ int) ([]byte, error) { return wire, nil }
 
-// flateCodec DEFLATE-compresses frames independently. The writer, reader,
-// and copy scratch persist across frames; inflate itself still allocates
-// per dynamic block inside compress/flate, which is why the flate alloc
-// gate is a bound rather than zero.
+// flateCodec DEFLATE-compresses frames independently. The writer, its
+// sink and the inflate tables persist across frames, so a steady stream
+// encodes and decodes with no allocation.
 type flateCodec struct {
 	zw   *flate.Writer
-	zr   io.ReadCloser
-	rd   bytes.Reader
 	sink payloadBuffer
-	cp   []byte
+	inflater
 }
 
 func (f *flateCodec) Encode(dst, plain, _ []byte) ([]byte, error) {
@@ -284,33 +282,8 @@ func (f *flateCodec) Encode(dst, plain, _ []byte) ([]byte, error) {
 	return f.sink, nil
 }
 
-func (f *flateCodec) Decode(dst, wire, _ []byte) ([]byte, error) {
-	f.rd.Reset(wire)
-	if f.zr == nil {
-		f.zr = flate.NewReader(&f.rd)
-	} else if err := f.zr.(flate.Resetter).Reset(&f.rd, nil); err != nil {
-		return nil, err
-	}
-	if f.cp == nil {
-		f.cp = make([]byte, 32<<10)
-	}
-	// Manual read loop instead of io.Copy: io.Copy allocates its transfer
-	// buffer per call, and the inflated size is unknown up front.
-	out := dst[:0]
-	for {
-		n, err := f.zr.Read(f.cp)
-		out = append(out, f.cp[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := f.zr.Close(); err != nil {
-		return nil, err
-	}
-	return out, nil
+func (f *flateCodec) Decode(dst, wire, _ []byte, limit int) ([]byte, error) {
+	return f.inflate(dst, wire, limit)
 }
 
 // deltaCodec XORs against the previous plain payload. XOR is self-inverse
@@ -325,7 +298,7 @@ func (deltaCodec) Encode(dst, plain, prev []byte) ([]byte, error) {
 	return xorDelta(dst, plain, prev), nil
 }
 
-func (deltaCodec) Decode(dst, wire, prev []byte) ([]byte, error) {
+func (deltaCodec) Decode(dst, wire, prev []byte, _ int) ([]byte, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("transport: delta decode: %w", ErrDeltaState)
 	}
@@ -351,14 +324,12 @@ const dfBlock = 4096
 // empty DEFLATE stream.
 type deltaFlateCodec struct {
 	zw *flate.Writer
-	zr io.ReadCloser
-	rd bytes.Reader
 	// sink is the evolving wire payload (header+bitmap+DEFLATE). It must
 	// be a field: the flate writer retains &d.sink across frames, and a
 	// local's address escaping would allocate per frame.
 	sink payloadBuffer
-	cp   []byte
-	tmp  payloadBuffer // XOR residual (encode) / packed blocks (decode)
+	tmp  payloadBuffer // XOR residual
+	inflater
 }
 
 func (d *deltaFlateCodec) Encode(dst, plain, prev []byte) ([]byte, error) {
@@ -409,7 +380,7 @@ func (d *deltaFlateCodec) Encode(dst, plain, prev []byte) ([]byte, error) {
 	return d.sink, nil
 }
 
-func (d *deltaFlateCodec) Decode(dst, wire, prev []byte) ([]byte, error) {
+func (d *deltaFlateCodec) Decode(dst, wire, prev []byte, limit int) ([]byte, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("transport: delta+flate decode: %w", ErrDeltaState)
 	}
@@ -417,8 +388,8 @@ func (d *deltaFlateCodec) Decode(dst, wire, prev []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: delta+flate frame shorter than its header", ErrCodecFrame)
 	}
 	resLen := binary.BigEndian.Uint64(wire)
-	if resLen > uint64(int(^uint(0)>>1)) {
-		return nil, fmt.Errorf("%w: delta+flate residual length %d overflows", ErrCodecFrame, resLen)
+	if resLen > uint64(limit) {
+		return nil, fmt.Errorf("%w: delta+flate residual of %d bytes exceeds the %d-byte bound", ErrCodecFrame, resLen, limit)
 	}
 	n := int(resLen)
 	nb := (n + dfBlock - 1) / dfBlock
@@ -427,63 +398,39 @@ func (d *deltaFlateCodec) Decode(dst, wire, prev []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: delta+flate frame shorter than its block bitmap", ErrCodecFrame)
 	}
 	bitmap := wire[8 : 8+bitmapLen]
-
-	// Inflate the packed nonzero blocks into the scratch buffer.
-	d.rd.Reset(wire[8+bitmapLen:])
-	if d.zr == nil {
-		d.zr = flate.NewReader(&d.rd)
-	} else if err := d.zr.(flate.Resetter).Reset(&d.rd, nil); err != nil {
-		return nil, err
-	}
-	if d.cp == nil {
-		d.cp = make([]byte, 32<<10)
-	}
-	packed := d.tmp[:0]
-	for {
-		k, err := d.zr.Read(d.cp)
-		packed = append(packed, d.cp[:k]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := d.zr.Close(); err != nil {
-		return nil, err
-	}
-	d.tmp = packed
-
-	// Reassemble the residual directly into dst, then XOR in place
-	// against the reference (self-inverse, index-aligned, so aliasing
-	// cur with dst is safe).
-	var out []byte
-	if cap(dst) >= n {
-		out = dst[:n]
-	} else {
-		out = make([]byte, n)
-	}
-	pi := 0
+	// The DEFLATE stream carries exactly the set blocks, the last one
+	// short when it is the payload's tail: that is its inflate bound.
+	packed := 0
 	for b := 0; b < nb; b++ {
-		lo, hi := b*dfBlock, (b+1)*dfBlock
-		if hi > n {
-			hi = n
-		}
-		seg := out[lo:hi]
 		if bitmap[b/8]&(1<<(b%8)) != 0 {
-			if pi+len(seg) > len(packed) {
-				return nil, fmt.Errorf("%w: delta+flate packed blocks truncated", ErrCodecFrame)
-			}
-			copy(seg, packed[pi:pi+len(seg)])
-			pi += len(seg)
-		} else {
-			for i := range seg {
-				seg[i] = 0
-			}
+			packed += min(dfBlock, n-b*dfBlock)
 		}
 	}
-	if pi != len(packed) {
-		return nil, fmt.Errorf("%w: delta+flate carries %d packed bytes beyond its bitmap", ErrCodecFrame, len(packed)-pi)
+
+	// Inflate the packed blocks to the front of dst, spread them to their
+	// places last first (a block only ever moves up, past the packed
+	// blocks still waiting in front of it), zero the quiet blocks, then
+	// XOR in place against the reference (self-inverse, index-aligned).
+	out := dst[:0]
+	if cap(out) < n {
+		out = make([]byte, 0, n)
+	}
+	p, err := d.inflate(out, wire[8+bitmapLen:], packed)
+	if err != nil {
+		return nil, err
+	}
+	if len(p) != packed {
+		return nil, fmt.Errorf("%w: delta+flate packed blocks truncated", ErrCodecFrame)
+	}
+	out = out[:n]
+	for b := nb - 1; b >= 0; b-- {
+		lo, hi := b*dfBlock, min((b+1)*dfBlock, n)
+		if bitmap[b/8]&(1<<(b%8)) != 0 {
+			packed -= hi - lo
+			copy(out[lo:hi], out[packed:])
+		} else {
+			clear(out[lo:hi])
+		}
 	}
 	return xorDelta(out, out, prev), nil
 }

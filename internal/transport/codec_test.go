@@ -96,7 +96,7 @@ func TestCodecEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: encode: %v", id, err)
 		}
-		got, err := dec.Decode(nil, wire, ref)
+		got, err := dec.Decode(nil, wire, ref, DefaultMaxFrame)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", id, err)
 		}
@@ -115,7 +115,7 @@ func TestTemporalCodecsRequireReference(t *testing.T) {
 		if _, err := c.Encode(nil, []byte{1, 2, 3}, nil); !errors.Is(err, ErrDeltaState) {
 			t.Errorf("%v encode without prev: err = %v, want ErrDeltaState", id, err)
 		}
-		if _, err := c.Decode(nil, []byte{1, 2, 3}, nil); !errors.Is(err, ErrDeltaState) {
+		if _, err := c.Decode(nil, []byte{1, 2, 3}, nil, DefaultMaxFrame); !errors.Is(err, ErrDeltaState) {
 			t.Errorf("%v decode without prev: err = %v, want ErrDeltaState", id, err)
 		}
 	}

@@ -251,8 +251,9 @@ func (c *Conn) SetDatasetReuse(on bool) {
 
 // SetMaxFrame lowers (or raises) the inbound frame-length bound from
 // DefaultMaxFrame. Frames announcing more than n payload bytes are
-// rejected with ErrFrameTooLarge before any allocation. n <= 0 restores
-// the default.
+// rejected with ErrFrameTooLarge before any allocation, and a compressed
+// frame that would inflate past n plain bytes fails with ErrCodecFrame
+// before its output grows past them. n <= 0 restores the default.
 func (c *Conn) SetMaxFrame(n int64) { c.maxFrame = n }
 
 // SetTimeouts arms per-operation deadlines: every Recv gets read and
@@ -650,7 +651,7 @@ func (c *Conn) recvDataset(n int64) (ds data.Dataset, step int64, err error) {
 	}
 	plain := []byte(c.rwire)
 	if id != CodecRaw {
-		plain, err = c.recvCodec(id).Decode(c.rplain[:0], c.rwire, c.rprev)
+		plain, err = c.recvCodec(id).Decode(c.rplain[:0], c.rwire, c.rprev, int(c.frameBound()))
 		if err != nil {
 			return nil, 0, fmt.Errorf("transport: decoding dataset: %w", err)
 		}
