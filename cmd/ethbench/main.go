@@ -96,27 +96,23 @@ func main() {
 		fmt.Println()
 	}
 
-	runs := map[string]func(experiments.Config) (experiments.Result, error){
-		"table1": experiments.Table1, "table2": experiments.Table2,
-		"fig8": experiments.Fig8, "fig9": experiments.Fig9,
-		"fig10": experiments.Fig10, "fig11": experiments.Fig11,
-		"fig12": experiments.Fig12, "fig13": experiments.Fig13,
-		"fig14": experiments.Fig14, "fig15": experiments.Fig15,
-		"codecs": experiments.Codecs,
-	}
-	order := []string{"table1", "table2", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "codecs"}
-	if *only != "" {
-		if _, ok := runs[*only]; !ok {
-			log.Fatalf("unknown experiment %q", *only)
+	find := func(id string) experiments.Experiment {
+		for _, e := range experiments.Experiments {
+			if e.ID == id {
+				return e
+			}
 		}
-		order = []string{*only}
+		log.Fatalf("unknown experiment %q", id)
+		return experiments.Experiment{}
+	}
+	runs := experiments.Experiments
+	if *only != "" {
+		runs = []experiments.Experiment{find(*only)}
 	}
 
 	if *runOne != "" {
-		if _, ok := runs[*runOne]; !ok {
-			log.Fatalf("unknown experiment %q", *runOne)
-		}
-		os.Exit(runOneExperiment(*runOne, *tracePath, *csvDir, cfg, runs[*runOne]))
+		e := find(*runOne)
+		os.Exit(runOneExperiment(e.ID, *tracePath, *csvDir, cfg, e.Run))
 	}
 
 	// Load the completed-experiment list when resuming; a missing
@@ -153,7 +149,8 @@ func main() {
 	}
 
 	telemetry.Default.Reset()
-	for _, id := range order {
+	for _, e := range runs {
+		id := e.ID
 		if srv != nil {
 			srv.SetRun(id)
 		}
@@ -166,7 +163,7 @@ func main() {
 			os.Exit(supervise.ExitShutdown)
 		}
 		t0 := time.Now()
-		res, err := runs[id](cfg)
+		res, err := e.Run(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

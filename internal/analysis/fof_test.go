@@ -73,7 +73,11 @@ func TestFOFFindsPlantedClusters(t *testing.T) {
 func TestFOFOrderingAndIDs(t *testing.T) {
 	p, _ := plantedCloud(3, 50, 0, 2)
 	// Make cluster sizes distinct by dropping particles from the tail.
-	trimmed := p.Slice(0, 50+40+30) // 50, 40, 30 members
+	keep := make([]int, 50+40+30) // 50, 40, 30 members
+	for i := range keep {
+		keep[i] = i
+	}
+	trimmed := p.Select(keep)
 	halos, err := FOF(trimmed, FOFOptions{LinkLength: 1.5, MinMembers: 10})
 	if err != nil {
 		t.Fatal(err)

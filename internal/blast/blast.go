@@ -30,12 +30,6 @@ type Params struct {
 	Seed int64
 }
 
-// DefaultParams returns a laptop-scale grid with the paper's 1.7:1.2:1
-// aspect ratio (1840x1120x960 scaled down).
-func DefaultParams() Params {
-	return Params{NX: 184, NY: 112, NZ: 96, BoxSize: 10, Seed: 1}
-}
-
 // SmallParams, MediumParams and LargeParams mirror the paper's three
 // problem sizes at 1/10 linear scale (the paper's small/medium/large are
 // 610x375x320, 1280x750x640, 1840x1120x960).

@@ -66,16 +66,6 @@ func (c *Camera) Proj(w, h int) vec.M4 {
 	return vec.Perspective(c.FovY, aspect, c.Near, c.Far)
 }
 
-// Project maps world point p to window coordinates for a w x h viewport:
-// x in [0, w), y in [0, h) with y=0 the top row, and depth the camera
-// space distance along the view direction (positive in front). ok is
-// false when the point is behind the near plane. Callers projecting many
-// points through one camera build a Projector once instead.
-func (c *Camera) Project(p vec.V3, w, h int) (x, y, depth float64, ok bool) {
-	pr := c.NewProjector(w, h)
-	return pr.Project(p)
-}
-
 // Projector holds a camera's view and projection matrices for a fixed
 // viewport, so projecting a point is two matrix-vector products instead
 // of a LookAt and a Perspective construction on top of them — the

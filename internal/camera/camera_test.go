@@ -11,7 +11,8 @@ import (
 
 func TestProjectCenterHitsImageCenter(t *testing.T) {
 	cam := LookAt(vec.New(0, 0, 10), vec.V3{}, vec.New(0, 1, 0))
-	x, y, depth, ok := cam.Project(vec.V3{}, 640, 480)
+	pr := cam.NewProjector(640, 480)
+	x, y, depth, ok := pr.Project(vec.V3{})
 	if !ok {
 		t.Fatal("center not visible")
 	}
@@ -25,18 +26,20 @@ func TestProjectCenterHitsImageCenter(t *testing.T) {
 
 func TestProjectBehindCamera(t *testing.T) {
 	cam := LookAt(vec.New(0, 0, 10), vec.V3{}, vec.New(0, 1, 0))
-	if _, _, _, ok := cam.Project(vec.New(0, 0, 20), 100, 100); ok {
+	pr := cam.NewProjector(100, 100)
+	if _, _, _, ok := pr.Project(vec.New(0, 0, 20)); ok {
 		t.Error("point behind camera reported visible")
 	}
 }
 
 func TestProjectUpIsUp(t *testing.T) {
 	cam := LookAt(vec.New(0, 0, 10), vec.V3{}, vec.New(0, 1, 0))
-	_, yTop, _, ok := cam.Project(vec.New(0, 1, 0), 100, 100)
+	pr := cam.NewProjector(100, 100)
+	_, yTop, _, ok := pr.Project(vec.New(0, 1, 0))
 	if !ok {
 		t.Fatal("top point not visible")
 	}
-	_, yCenter, _, _ := cam.Project(vec.V3{}, 100, 100)
+	_, yCenter, _, _ := pr.Project(vec.V3{})
 	if yTop >= yCenter {
 		t.Errorf("world +Y should be up on screen: yTop=%v yCenter=%v", yTop, yCenter)
 	}
@@ -58,13 +61,14 @@ func TestRayThroughCenterPointsForward(t *testing.T) {
 // the projected window position of a point passes through that point.
 func TestProjectRayConsistencyProperty(t *testing.T) {
 	cam := ForBounds(vec.NewAABB(vec.New(-1, -1, -1), vec.New(1, 1, 1)))
+	const w, h = 512, 512
+	pr := cam.NewProjector(w, h)
 	f := func(px, py, pz float64) bool {
 		p := vec.New(math.Mod(px, 1), math.Mod(py, 1), math.Mod(pz, 1))
 		if !p.IsFinite() {
 			return true
 		}
-		const w, h = 512, 512
-		x, y, depth, ok := cam.Project(p, w, h)
+		x, y, depth, ok := pr.Project(p)
 		if !ok {
 			return true
 		}
@@ -84,6 +88,7 @@ func TestForBoundsSeesWholeBox(t *testing.T) {
 	b := vec.NewAABB(vec.New(0, 0, 0), vec.New(10, 20, 5))
 	cam := ForBounds(b)
 	const w, h = 256, 256
+	pr := cam.NewProjector(w, h)
 	corners := []vec.V3{
 		b.Min, b.Max,
 		{X: b.Min.X, Y: b.Min.Y, Z: b.Max.Z},
@@ -94,7 +99,7 @@ func TestForBoundsSeesWholeBox(t *testing.T) {
 		{X: b.Min.X, Y: b.Max.Y, Z: b.Max.Z},
 	}
 	for _, c := range corners {
-		x, y, depth, ok := cam.Project(c, w, h)
+		x, y, depth, ok := pr.Project(c)
 		if !ok {
 			t.Fatalf("corner %v behind camera", c)
 		}
@@ -122,7 +127,8 @@ func TestViewProjMatchesProject(t *testing.T) {
 	cam := ForBounds(vec.NewAABB(vec.New(-2, -2, -2), vec.New(2, 2, 2)))
 	const w, h = 400, 300
 	p := vec.New(0.5, -0.7, 0.9)
-	x, y, _, ok := cam.Project(p, w, h)
+	pr := cam.NewProjector(w, h)
+	x, y, _, ok := pr.Project(p)
 	if !ok {
 		t.Fatal("point not visible")
 	}
@@ -152,8 +158,8 @@ func TestRayGenMatchesRayThrough(t *testing.T) {
 	}
 }
 
-// projectRebuilding is Camera.Project as it was before Projector: both
-// matrices rebuilt for the one point.
+// projectRebuilding is the projection with both matrices rebuilt for the
+// one point, as it was before Projector.
 func projectRebuilding(c *Camera, p vec.V3, w, h int) (x, y, depth float64, ok bool) {
 	cam := vec.LookAt(c.Eye, c.Center, c.Up).MulPoint(p)
 	if cam.Z > -c.Near {
@@ -184,11 +190,8 @@ func TestProjectorMatchesRebuildingProject(t *testing.T) {
 		p := cam.Eye.Add(vec.New(rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()-0.5).Scale(40))
 		wx, wy, wd, wok := projectRebuilding(&cam, p, w, h)
 		x, y, d, ok := pr.Project(p)
-		cx, cy, cd, cok := cam.Project(p, w, h)
-		for _, got := range [][4]any{{x, y, d, ok}, {cx, cy, cd, cok}} {
-			if got != [4]any{wx, wy, wd, wok} {
-				t.Fatalf("point %v projects to %v, the rebuilding arithmetic gives %v", p, got, [4]any{wx, wy, wd, wok})
-			}
+		if got := [4]any{x, y, d, ok}; got != [4]any{wx, wy, wd, wok} {
+			t.Fatalf("point %v projects to %v, the rebuilding arithmetic gives %v", p, got, [4]any{wx, wy, wd, wok})
 		}
 		if !ok {
 			behind++

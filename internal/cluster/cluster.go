@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/ascr-ecx/eth/internal/compositing"
 	"github.com/ascr-ecx/eth/internal/power"
@@ -180,14 +179,4 @@ func Simulate(cfg Config, job Job) (Result, error) {
 		Utilization:    util,
 		Meter:          meter,
 	}, nil
-}
-
-// Speedup returns t1/tN — the scalability metric of §V-C ("ratio of
-// execution time of a visualization algorithm running on N nodes to the
-// execution time on 1 node", reported as normalized performance).
-func Speedup(t1, tN float64) float64 {
-	if tN == 0 {
-		return math.Inf(1)
-	}
-	return t1 / tN
 }

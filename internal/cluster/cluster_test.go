@@ -303,15 +303,6 @@ func TestSimulateBreakdownConsistent(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	if Speedup(10, 5) != 2 {
-		t.Error("speedup wrong")
-	}
-	if !math.IsInf(Speedup(10, 0), 1) {
-		t.Error("zero time speedup should be +Inf")
-	}
-}
-
 func TestSamplingDefaultsToOne(t *testing.T) {
 	cfg := Hikari(50)
 	a := mustSim(t, cfg, paperHACCJob("points", t))

@@ -24,7 +24,6 @@ import (
 	"github.com/ascr-ecx/eth/internal/journal"
 	"github.com/ascr-ecx/eth/internal/metrics"
 	"github.com/ascr-ecx/eth/internal/proxy"
-	"github.com/ascr-ecx/eth/internal/render"
 	"github.com/ascr-ecx/eth/internal/sampling"
 	"github.com/ascr-ecx/eth/internal/supervise"
 	"github.com/ascr-ecx/eth/internal/telemetry"
@@ -120,8 +119,6 @@ type MeasuredSpec struct {
 	Codec string
 	// Operations are in-situ analysis steps run by every viz proxy.
 	Operations []proxy.Operation
-	// Options carries rendering parameters.
-	Options render.Options
 	// OutDir, when set, receives PNG artifacts.
 	OutDir string
 	// Journal, when set, receives the run's structured event stream (a
@@ -297,7 +294,6 @@ func RunMeasured(spec MeasuredSpec) (MeasuredResult, error) {
 		viz, err := proxy.NewVizProxy(proxy.VizConfig{
 			Rank: r, Width: spec.Width, Height: spec.Height,
 			Algorithm:     spec.Algorithm,
-			Options:       spec.Options,
 			ImagesPerStep: spec.ImagesPerStep,
 			OutDir:        spec.OutDir,
 			Operations:    spec.Operations,

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"github.com/ascr-ecx/eth/internal/render"
 	"github.com/ascr-ecx/eth/internal/telemetry"
 )
 
@@ -42,7 +41,6 @@ func TestTelemetryCountersAdvanceDuringRuns(t *testing.T) {
 			Width:         48,
 			Height:        48,
 			ImagesPerStep: 1,
-			Options:       render.Options{IsoValue: 0.35},
 		}); err != nil {
 			t.Fatal(err)
 		}

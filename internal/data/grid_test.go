@@ -148,7 +148,7 @@ func TestGridPartitionSharesBoundaryPlane(t *testing.T) {
 		}
 	}
 	// World bounds: union must equal the original.
-	u := a.Bounds().Union(b.Bounds())
+	u := a.Bounds().Extend(b.Bounds().Min).Extend(b.Bounds().Max)
 	if u != g.Bounds() {
 		t.Errorf("union bounds %+v != original %+v", u, g.Bounds())
 	}

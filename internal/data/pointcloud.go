@@ -89,16 +89,6 @@ func (p *PointCloud) Field(name string) (*Field, error) {
 	return nil, fmt.Errorf("%w: %q", ErrFieldMissing, name)
 }
 
-// AddField attaches a named scalar array. The array length must equal the
-// particle count.
-func (p *PointCloud) AddField(name string, values []float32) error {
-	if len(values) != p.Count() {
-		return fmt.Errorf("data: field %q has %d values for %d particles", name, len(values), p.Count())
-	}
-	p.Fields = append(p.Fields, Field{Name: name, Values: values})
-	return nil
-}
-
 // Bounds implements Dataset. The box is cached until positions change via
 // SetPos; callers that mutate X/Y/Z slices directly should call
 // InvalidateBounds.
@@ -152,20 +142,6 @@ func (p *PointCloud) Select(indices []int) *PointCloud {
 			vals[j] = f.Values[i]
 		}
 		out.Fields = append(out.Fields, Field{Name: f.Name, Values: vals})
-	}
-	return out
-}
-
-// Slice returns a new cloud referencing particles [lo, hi). The returned
-// cloud shares backing arrays with p; treat it as read-only.
-func (p *PointCloud) Slice(lo, hi int) *PointCloud {
-	out := &PointCloud{
-		IDs: p.IDs[lo:hi],
-		X:   p.X[lo:hi], Y: p.Y[lo:hi], Z: p.Z[lo:hi],
-		VX: p.VX[lo:hi], VY: p.VY[lo:hi], VZ: p.VZ[lo:hi],
-	}
-	for _, f := range p.Fields {
-		out.Fields = append(out.Fields, Field{Name: f.Name, Values: f.Values[lo:hi]})
 	}
 	return out
 }

@@ -64,9 +64,7 @@ func TestPointCloudBoundsCaching(t *testing.T) {
 
 func TestPointCloudFields(t *testing.T) {
 	p := NewPointCloud(4)
-	if err := p.AddField("mass", []float32{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
+	p.Fields = append(p.Fields, Field{Name: "mass", Values: []float32{1, 2, 3, 4}})
 	f, err := p.Field("mass")
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +74,6 @@ func TestPointCloudFields(t *testing.T) {
 	}
 	if _, err := p.Field("nope"); !errors.Is(err, ErrFieldMissing) {
 		t.Errorf("missing field err = %v", err)
-	}
-	if err := p.AddField("short", []float32{1}); err == nil {
-		t.Error("AddField accepted wrong length")
 	}
 	lo, hi := f.MinMax()
 	if lo != 1 || hi != 4 {
@@ -92,9 +87,7 @@ func TestPointCloudFields(t *testing.T) {
 
 func TestPointCloudSelect(t *testing.T) {
 	p := randomCloud(10, 1)
-	if err := p.AddField("m", []float32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}); err != nil {
-		t.Fatal(err)
-	}
+	p.Fields = append(p.Fields, Field{Name: "m", Values: []float32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}})
 	sel := p.Select([]int{9, 0, 5})
 	if sel.Count() != 3 {
 		t.Fatalf("count = %d", sel.Count())
@@ -108,17 +101,6 @@ func TestPointCloudSelect(t *testing.T) {
 	}
 	if sel.Pos(1) != p.Pos(0) {
 		t.Errorf("selected pos mismatch")
-	}
-}
-
-func TestPointCloudSlice(t *testing.T) {
-	p := randomCloud(10, 2)
-	s := p.Slice(3, 7)
-	if s.Count() != 4 {
-		t.Fatalf("count = %d", s.Count())
-	}
-	if s.Pos(0) != p.Pos(3) {
-		t.Error("slice misaligned")
 	}
 }
 

@@ -80,15 +80,6 @@ func (u *UnstructuredGrid) Field(name string) (*Field, error) {
 	return nil, fmt.Errorf("%w: %q", ErrFieldMissing, name)
 }
 
-// AddField attaches a named per-vertex scalar array.
-func (u *UnstructuredGrid) AddField(name string, values []float32) error {
-	if len(values) != u.Count() {
-		return fmt.Errorf("data: field %q has %d values for %d vertices", name, len(values), u.Count())
-	}
-	u.Fields = append(u.Fields, Field{Name: name, Values: values})
-	return nil
-}
-
 // CellCentroid returns the centroid of tetrahedron t.
 func (u *UnstructuredGrid) CellCentroid(t int) vec.V3 {
 	tet := u.Tets[t]

@@ -472,23 +472,17 @@ func Codecs(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// All runs every experiment and returns them keyed by id, in paper order
-// (plus the harness-level codec sweep).
-func All(cfg Config) ([]string, map[string]Result, error) {
-	order := []string{"table1", "table2", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "codecs"}
-	runs := map[string]func(Config) (Result, error){
-		"table1": Table1, "table2": Table2,
-		"fig8": Fig8, "fig9": Fig9, "fig10": Fig10, "fig11": Fig11,
-		"fig12": Fig12, "fig13": Fig13, "fig14": Fig14, "fig15": Fig15,
-		"codecs": Codecs,
-	}
-	out := map[string]Result{}
-	for _, id := range order {
-		r, err := runs[id](cfg)
-		if err != nil {
-			return order, out, fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		out[id] = r
-	}
-	return order, out, nil
+// Experiment is one table or figure of the evaluation, by id.
+type Experiment struct {
+	ID  string
+	Run func(Config) (Result, error)
+}
+
+// Experiments lists every experiment in paper order, then the
+// harness-level codec sweep.
+var Experiments = []Experiment{
+	{"table1", Table1}, {"table2", Table2},
+	{"fig8", Fig8}, {"fig9", Fig9}, {"fig10", Fig10}, {"fig11", Fig11},
+	{"fig12", Fig12}, {"fig13", Fig13}, {"fig14", Fig14}, {"fig15", Fig15},
+	{"codecs", Codecs},
 }

@@ -206,11 +206,6 @@ func (s *Schedule) Clone(seed int64) *Schedule {
 	return New(seed, s.rules...)
 }
 
-// Rules returns a copy of the schedule's rule set.
-func (s *Schedule) Rules() []Rule {
-	return append([]Rule(nil), s.rules...)
-}
-
 // Fired returns a description of every injection performed so far, in
 // firing order.
 func (s *Schedule) Fired() []string {

@@ -207,7 +207,7 @@ func TestParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules := s.Rules()
+	rules := s.rules
 	want := []Rule{
 		{Side: SideSim, Conn: 0, Op: OpWrite, Nth: 1, Action: Corrupt, Pos: 30},
 		{Side: SideViz, Conn: Any, Op: OpDial, Nth: 0, Action: Refuse},

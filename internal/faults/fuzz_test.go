@@ -27,7 +27,7 @@ func FuzzFaultsParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rules := s.Rules()
+		rules := s.rules
 		lines := make([]string, len(rules))
 		for i, r := range rules {
 			lines[i] = r.String()
@@ -37,8 +37,8 @@ func FuzzFaultsParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted %q, but its printed form %q does not parse: %v", text, printed, err)
 		}
-		if !reflect.DeepEqual(back.Rules(), rules) {
-			t.Fatalf("accepted %q as %+v; its printed form %q parses as %+v", text, rules, printed, back.Rules())
+		if !reflect.DeepEqual(back.rules, rules) {
+			t.Fatalf("accepted %q as %+v; its printed form %q parses as %+v", text, rules, printed, back.rules)
 		}
 	})
 }

@@ -97,7 +97,7 @@ func TestFleetChaosWorkerSIGKILL(t *testing.T) {
 	if c.Completed != len(ids) || c.Quarantined != 0 || !c.Balanced() {
 		t.Fatalf("counts %+v, want all %d completed despite worker kills", c, len(ids))
 	}
-	got := s.Completed()
+	got := checkpointDone(t, dir)
 	sort.Strings(got)
 	if strings.Join(got, ",") != strings.Join(ids, ",") {
 		t.Fatalf("completed %v, want %v", got, ids)
@@ -295,7 +295,7 @@ func TestFleetChaosSchedulerSIGKILLResume(t *testing.T) {
 	if c.Submitted != nspecs || c.Completed != nspecs || c.Quarantined != 0 || !c.Balanced() {
 		t.Fatalf("resumed counts %+v, want all %d completed, balanced", c, nspecs)
 	}
-	completed := s.Completed()
+	completed := checkpointDone(t, dir)
 	seen := map[string]int{}
 	for _, id := range completed {
 		seen[id]++

@@ -1,10 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -26,7 +22,7 @@ type Quarantine struct {
 
 // Checkpoint is the fleet's crash-safe state: every submitted spec,
 // the completed set, and the quarantined set. It is written with
-// journal.WriteAtomic's write-temp/fsync/rename protocol on
+// journal.WriteJSON's write-temp/fsync/rename protocol on
 // every submit/complete/quarantine transition, so a scheduler killed
 // at any instant — SIGKILL included — resumes with an exact picture of
 // what remains: specs minus done minus quarantined is the queue. The
@@ -47,32 +43,16 @@ func WriteCheckpoint(dir string, cp Checkpoint) error {
 	if cp.T.IsZero() {
 		cp.T = time.Now()
 	}
-	raw, err := json.Marshal(cp)
-	if err != nil {
-		return fmt.Errorf("fleet: encoding checkpoint: %w", err)
-	}
-	path := filepath.Join(dir, CheckpointFile)
-	if err := journal.WriteAtomic(path, append(raw, '\n')); err != nil {
-		return fmt.Errorf("fleet: writing checkpoint %s: %w", path, err)
-	}
-	return nil
+	return journal.WriteJSON("fleet", filepath.Join(dir, CheckpointFile), cp)
 }
 
 // ReadCheckpoint loads the fleet checkpoint from dir. A missing file
 // is an os.ErrNotExist-wrapped error so -resume on a fresh dir can be
 // distinguished from a corrupt checkpoint.
 func ReadCheckpoint(dir string) (Checkpoint, error) {
-	path := filepath.Join(dir, CheckpointFile)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return Checkpoint{}, fmt.Errorf("fleet: reading checkpoint: %w", err)
-	}
 	var cp Checkpoint
-	if err := json.Unmarshal(raw, &cp); err != nil {
-		return Checkpoint{}, fmt.Errorf("fleet: decoding checkpoint %s: %w", path, err)
+	if err := journal.ReadJSON("fleet", filepath.Join(dir, CheckpointFile), &cp); err != nil {
+		return Checkpoint{}, err
 	}
 	return cp, nil
 }
-
-// errIsNotExist reports a missing-checkpoint read.
-func errIsNotExist(err error) bool { return errors.Is(err, os.ErrNotExist) }

@@ -103,11 +103,6 @@ type Config struct {
 	Resume bool
 	// Poll is the ingestion poll interval (default 25ms).
 	Poll time.Duration
-	// FlushCount, FlushEvery, Queue tune the ingest batcher (see
-	// ingest.Config); zero values take that package's defaults.
-	FlushCount int
-	FlushEvery time.Duration
-	Queue      int
 	// Stdout and Stderr receive worker output. Nil discards.
 	Stdout, Stderr io.Writer
 }
@@ -215,9 +210,7 @@ func New(cfg Config) (*Scheduler, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: opening fleet journal: %w", err)
 	}
-	b := ingest.NewBatcher(ingest.Config{
-		Sink: jw, FlushCount: cfg.FlushCount, FlushEvery: cfg.FlushEvery, Queue: cfg.Queue,
-	})
+	b := ingest.NewBatcher(ingest.Config{Sink: jw})
 	s := &Scheduler{
 		cfg:       cfg,
 		jw:        jw,
@@ -243,7 +236,7 @@ func New(cfg Config) (*Scheduler, error) {
 // quarantined specs keep their terminal state.
 func (s *Scheduler) resume() error {
 	cp, err := ReadCheckpoint(s.cfg.Dir)
-	if errIsNotExist(err) {
+	if errors.Is(err, os.ErrNotExist) {
 		return nil // fresh dir: nothing to resume
 	}
 	if err != nil {
@@ -452,13 +445,6 @@ func (s *Scheduler) Snapshot() []SpecStatus {
 		})
 	}
 	return out
-}
-
-// Completed returns the completed-spec IDs in completion order.
-func (s *Scheduler) Completed() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.done.IDs()
 }
 
 // Quarantined returns the quarantine records.

@@ -148,6 +148,17 @@ func helperSpec(id, mode string, steps, retries int, markerDir string) fleet.Spe
 
 // runFleet drives a scheduler to idle and drains it, returning Run's
 // error.
+// checkpointDone returns the completed spec IDs, in completion order,
+// from the fleet checkpoint in dir.
+func checkpointDone(t *testing.T, dir string) []string {
+	t.Helper()
+	cp, err := fleet.ReadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp.Done
+}
+
 func runFleet(t *testing.T, s *fleet.Scheduler, specs []fleet.Spec) error {
 	t.Helper()
 	done := make(chan error, 1)
@@ -208,7 +219,7 @@ func TestFleetCompletesSweep(t *testing.T) {
 	if !c.Balanced() || c.Completed != len(ids) || c.Quarantined != 0 {
 		t.Fatalf("counts %+v, want %d completed, balanced", c, len(ids))
 	}
-	got := s.Completed()
+	got := checkpointDone(t, dir)
 	sort.Strings(got)
 	if strings.Join(got, ",") != strings.Join(ids, ",") {
 		t.Fatalf("completed %v, want %v", got, ids)

@@ -49,15 +49,6 @@ func PutMesh(m *Mesh) {
 // TriangleCount returns the number of triangles.
 func (m *Mesh) TriangleCount() int { return len(m.Tris) }
 
-// Bounds returns the bounding box of all vertices.
-func (m *Mesh) Bounds() vec.AABB {
-	b := vec.EmptyAABB()
-	for _, v := range m.Verts {
-		b = b.Extend(v)
-	}
-	return b
-}
-
 // Append concatenates other onto m, offsetting indices.
 func (m *Mesh) Append(other *Mesh) {
 	base := int32(len(m.Verts))

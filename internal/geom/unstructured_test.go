@@ -100,10 +100,7 @@ func TestUnstructuredSliceErrors(t *testing.T) {
 }
 
 func TestUnstructuredEmptyMesh(t *testing.T) {
-	u := &data.UnstructuredGrid{}
-	if err := u.AddField("r", nil); err != nil {
-		t.Fatal(err)
-	}
+	u := &data.UnstructuredGrid{Fields: []data.Field{{Name: "r"}}}
 	m, err := IsosurfaceUnstructured(u, "r", 1)
 	if err != nil {
 		t.Fatal(err)

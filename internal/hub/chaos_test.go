@@ -324,22 +324,22 @@ func TestHubChaosKillResume(t *testing.T) {
 }
 
 // TestHubChaosSteeringReplay proves deterministic steering: two runs
-// under the same steering script produce byte-identical frames and
-// identical journaled steering sequences, and the script demonstrably
-// changes the output versus an unsteered run.
+// under the same viz-side steering script produce byte-identical frames
+// and identical journaled steering sequences, and the script
+// demonstrably changes the output versus an unsteered run. The sim axes
+// (ratio, codec) reach the sim only over the in-situ connection, so
+// TestHubChaosSteeringOverSocketPair covers them.
 func TestHubChaosSteeringReplay(t *testing.T) {
 	const steps = 8
 	script := &hub.Script{Entries: []hub.ScriptEntry{
 		{Step: 2, Msg: hub.Msg{Kind: hub.KindSteer, Axes: hub.AxisIso, Iso: 0.55}},
 		{Step: 4, Msg: hub.Msg{Kind: hub.KindSteer, Axes: hub.AxisCamera,
 			Cam: hub.View{Az: 1.1, El: 0.6, Dist: 1.5}}},
-		{Step: 6, Msg: hub.Msg{Kind: hub.KindSteer, Axes: hub.AxisRatio | hub.AxisCodec,
-			Ratio: 0.5, Codec: transport.CodecDeltaFlate}},
 	}}
 
 	run := func(steer hub.Source) ([]uint32, []journal.Event) {
 		jw := journal.New()
-		sim, err := proxy.NewSimProxy(proxy.SimConfig{Journal: jw, Steering: steer}, chaosSource(steps, 12))
+		sim, err := proxy.NewSimProxy(proxy.SimConfig{Journal: jw}, chaosSource(steps, 12))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,11 +401,13 @@ func TestHubChaosSteeringReplay(t *testing.T) {
 // TestHubChaosSteeringOverSocketPair proves the forwarded-steering path
 // end to end over real sockets: ratio/codec steering enters at the viz
 // side, crosses the in-situ connection as a control frame, and the sim
-// proxy applies and journals it at a step boundary.
+// proxy applies and journals it at a step boundary; the steps after the
+// codec switch still decode and render.
 func TestHubChaosSteeringOverSocketPair(t *testing.T) {
 	const steps = 6
 	script := &hub.Script{Entries: []hub.ScriptEntry{
-		{Step: 2, Msg: hub.Msg{Kind: hub.KindSteer, Axes: hub.AxisRatio, Ratio: 0.5}},
+		{Step: 2, Msg: hub.Msg{Kind: hub.KindSteer, Axes: hub.AxisRatio | hub.AxisCodec,
+			Ratio: 0.5, Codec: transport.CodecDeltaFlate}},
 	}}
 	jw := journal.New()
 	sim, err := proxy.NewSimProxy(proxy.SimConfig{Journal: jw}, chaosSource(steps, 12))
@@ -427,7 +429,7 @@ func TestHubChaosSteeringOverSocketPair(t *testing.T) {
 			return
 		}
 		defer nc.Close()
-		_, err = sim.Serve(transport.NewConn(nc))
+		_, _, err = sim.ServeFrom(transport.NewConn(nc), 0)
 		simDone <- err
 	}()
 	conn, err := transport.Dial(layout, 0, 5*time.Second)
@@ -442,9 +444,13 @@ func TestHubChaosSteeringOverSocketPair(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var forwarded, applied bool
+	var forwarded, applied, codecApplied bool
 	var appliedStep int
+	rendered := map[int]bool{}
 	for _, ev := range jw.Events() {
+		if ev.Type == journal.TypeRender {
+			rendered[ev.Step] = true
+		}
 		if ev.Type != journal.TypeSteer {
 			continue
 		}
@@ -455,12 +461,23 @@ func TestHubChaosSteeringOverSocketPair(t *testing.T) {
 			applied = true
 			appliedStep = ev.Step
 		}
+		if strings.HasPrefix(ev.Detail, "sim applied") && strings.Contains(ev.Detail, "codec=delta+flate") {
+			codecApplied = true
+		}
 	}
 	if !forwarded {
-		t.Error("viz proxy never forwarded the ratio steer upstream")
+		t.Error("viz proxy never forwarded the ratio/codec steer upstream")
 	}
 	if !applied {
 		t.Fatal("sim proxy never applied the forwarded ratio")
+	}
+	if !codecApplied {
+		t.Fatal("sim proxy never applied the forwarded codec")
+	}
+	for step := 0; step < steps; step++ {
+		if !rendered[step] {
+			t.Errorf("step %d was not decoded and rendered after the codec switch", step)
+		}
 	}
 	// FIFO control framing pins the earliest possible boundary: the steer
 	// is scripted at the step-2 receive, so it cannot apply before step 2.

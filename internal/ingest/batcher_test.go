@@ -3,8 +3,6 @@ package ingest
 import (
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -148,32 +146,4 @@ func TestBatcherBackpressureBounded(t *testing.T) {
 	if overflows == 0 {
 		t.Error("producer backpressure left no in-band overflow event")
 	}
-}
-
-// TestBatcherFlushBarrier proves Flush is a synchronous barrier: after
-// it returns, everything Put before it is in the sink.
-func TestBatcherFlushBarrier(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "fleet.jsonl")
-	sink, err := journal.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBatcher(Config{Sink: sink, FlushCount: 1 << 20, FlushEvery: time.Hour})
-	for i := 0; i < 10; i++ {
-		if err := b.Put(journal.Event{Type: journal.TypeRender, Step: i, Rank: -1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.Flush()
-	events, err := journal.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 10 {
-		t.Fatalf("after Flush the on-disk journal has %d events, want 10", len(events))
-	}
-	b.Close()
-	sink.Close()
-	_ = os.Remove(path)
 }

@@ -91,7 +91,7 @@ func TestCollectorTornTailExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.DrainOnce()
-	b.Flush()
+	b.Close() // drains the queue into the sink
 
 	var steps []int
 	torn := 0
@@ -121,7 +121,6 @@ func TestCollectorTornTailExactlyOnce(t *testing.T) {
 			t.Fatalf("ingested steps %v, want %v", steps, want)
 		}
 	}
-	b.Close()
 }
 
 // TestCollectorRunTailsLiveJournal drives the poll loop end to end: a
@@ -193,7 +192,7 @@ func TestCollectorDeadSourceDoesNotWedge(t *testing.T) {
 
 	c.DrainOnce()
 	c.DrainOnce() // the dead source must stay dead, not re-report
-	b.Flush()
+	b.Close()     // drains the queue into the sink
 
 	var goodEvents, deadReports int
 	for _, ev := range sink.Events() {
@@ -210,7 +209,6 @@ func TestCollectorDeadSourceDoesNotWedge(t *testing.T) {
 	if deadReports != 1 {
 		t.Errorf("corrupt source reported %d times, want exactly once", deadReports)
 	}
-	b.Close()
 }
 
 // TestCollectorUnwatchFinalDrain proves Unwatch pulls the last events
@@ -231,12 +229,11 @@ func TestCollectorUnwatchFinalDrain(t *testing.T) {
 	jw.Close()
 
 	c.Unwatch("w")
-	b.Flush()
+	b.Close() // drains the queue into the sink
 	if got := sink.Len(); got != 2 {
 		t.Fatalf("Unwatch drained %d events, want 2", got)
 	}
 	if got := c.DrainOnce(); got != 0 {
 		t.Fatalf("unwatched source still drains (%d events)", got)
 	}
-	b.Close()
 }

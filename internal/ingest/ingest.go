@@ -95,12 +95,11 @@ func (c Config) queue() int {
 // count/interval-triggered flushes and bounded-queue backpressure.
 // Create with NewBatcher, feed with Put, stop with Close.
 type Batcher struct {
-	cfg      Config
-	ch       chan journal.Event
-	closing  chan struct{}
-	done     chan struct{}
-	flushReq chan chan struct{}
-	once     sync.Once
+	cfg     Config
+	ch      chan journal.Event
+	closing chan struct{}
+	done    chan struct{}
+	once    sync.Once
 	// blocked counts producer backpressure episodes since the last
 	// flush reported them in-band.
 	blocked atomic.Int64
@@ -109,11 +108,10 @@ type Batcher struct {
 // NewBatcher starts the flush loop and returns the batcher.
 func NewBatcher(cfg Config) *Batcher {
 	b := &Batcher{
-		cfg:      cfg,
-		ch:       make(chan journal.Event, cfg.queue()),
-		closing:  make(chan struct{}),
-		done:     make(chan struct{}),
-		flushReq: make(chan chan struct{}),
+		cfg:     cfg,
+		ch:      make(chan journal.Event, cfg.queue()),
+		closing: make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	//lint:ignore nakedgo flush loop lifecycle is owned by Close, which joins via b.done
 	go b.loop()
@@ -150,17 +148,6 @@ func (b *Batcher) Put(ev journal.Event) error {
 	}
 }
 
-// Flush forces a flush of everything enqueued so far and blocks until
-// the sink has it (tests and checkpoint barriers).
-func (b *Batcher) Flush() {
-	ack := make(chan struct{})
-	select {
-	case b.flushReq <- ack:
-		<-ack
-	case <-b.done:
-	}
-}
-
 // Close stops intake, drains the queue, flushes the final batch, and
 // returns the sink's first write error, if any. Idempotent.
 func (b *Batcher) Close() error {
@@ -185,10 +172,6 @@ func (b *Batcher) loop() {
 			}
 		case <-tick.C:
 			b.flush(&pending)
-		case ack := <-b.flushReq:
-			b.drainQueued(&pending)
-			b.flush(&pending)
-			close(ack)
 		case <-b.closing:
 			b.drainQueued(&pending)
 			b.flush(&pending)

@@ -12,7 +12,7 @@ import (
 // journal. It records how far a run or sweep actually got — the first
 // step not yet completed, the experiment IDs already finished — so a
 // restarted harness resumes instead of replaying. Checkpoints are
-// written with WriteAtomic's write-temp/fsync/rename protocol, so a
+// written with WriteJSON's write-temp/fsync/rename protocol, so a
 // crash at any instant leaves either the previous checkpoint or the new
 // one, never a torn file.
 type Checkpoint struct {
@@ -38,11 +38,23 @@ func (c Checkpoint) Has(id string) bool {
 	return false
 }
 
-// WriteAtomic atomically replaces the file at path with raw: the bytes
-// are written to a temporary file in the same directory, fsynced, and
-// renamed over path. Readers (and crashes) therefore always observe
-// either the previous contents or the new ones, never a torn file.
-func WriteAtomic(path string, raw []byte) error {
+// WriteJSON atomically replaces the file at path with v as one JSON
+// line: the bytes are written to a temporary file in the same directory,
+// fsynced, and renamed over path. Readers (and crashes) therefore always
+// observe either the previous contents or the new ones, never a torn
+// file. Errors begin with pkg, so each caller keeps its package's prefix.
+func WriteJSON(pkg, path string, v any) error {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("%s: encoding checkpoint: %w", pkg, err)
+	}
+	if err := writeAtomic(path, append(raw, '\n')); err != nil {
+		return fmt.Errorf("%s: writing checkpoint %s: %w", pkg, path, err)
+	}
+	return nil
+}
+
+func writeAtomic(path string, raw []byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
@@ -63,33 +75,35 @@ func WriteAtomic(path string, raw []byte) error {
 	return err
 }
 
-// WriteCheckpoint atomically replaces the checkpoint at path (see
-// WriteAtomic).
-func WriteCheckpoint(path string, cp Checkpoint) error {
-	if cp.T.IsZero() {
-		cp.T = time.Now()
-	}
-	raw, err := json.Marshal(cp)
+// ReadJSON decodes the JSON file at path into v, with errors beginning
+// with pkg. A missing file is an os.ErrNotExist-wrapped error, so
+// resumable callers can treat "no checkpoint yet" as a fresh start with
+// errors.Is.
+func ReadJSON(pkg, path string, v any) error {
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("journal: encoding checkpoint: %w", err)
+		return fmt.Errorf("%s: reading checkpoint: %w", pkg, err)
 	}
-	if err := WriteAtomic(path, append(raw, '\n')); err != nil {
-		return fmt.Errorf("journal: writing checkpoint %s: %w", path, err)
+	if err := json.Unmarshal(raw, v); err != nil {
+		return fmt.Errorf("%s: decoding checkpoint %s: %w", pkg, path, err)
 	}
 	return nil
 }
 
-// ReadCheckpoint loads the checkpoint at path. A missing file is an
-// os.ErrNotExist-wrapped error, so resumable callers can treat "no
-// checkpoint yet" as a fresh start with errors.Is.
-func ReadCheckpoint(path string) (Checkpoint, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return Checkpoint{}, fmt.Errorf("journal: reading checkpoint: %w", err)
+// WriteCheckpoint atomically replaces the checkpoint at path (see
+// WriteJSON).
+func WriteCheckpoint(path string, cp Checkpoint) error {
+	if cp.T.IsZero() {
+		cp.T = time.Now()
 	}
+	return WriteJSON("journal", path, cp)
+}
+
+// ReadCheckpoint loads the checkpoint at path (see ReadJSON).
+func ReadCheckpoint(path string) (Checkpoint, error) {
 	var cp Checkpoint
-	if err := json.Unmarshal(raw, &cp); err != nil {
-		return Checkpoint{}, fmt.Errorf("journal: decoding checkpoint %s: %w", path, err)
+	if err := ReadJSON("journal", path, &cp); err != nil {
+		return Checkpoint{}, err
 	}
 	return cp, nil
 }

@@ -334,22 +334,17 @@ func (j *Writer) Err() error {
 	return j.err
 }
 
-// Sync flushes buffered output and fsyncs the backing file, making every
-// event emitted so far durable. Callers invoke it at step boundaries —
-// after an acked render, a checkpoint write, a restart decision — so the
-// on-disk journal is never more than one in-flight step behind. No-op
-// for memory journals and nil writers.
+// Sync fsyncs the backing file, making every event emitted so far
+// durable (Emit writes each event through unbuffered). Callers invoke it
+// at step boundaries — after an acked render, a checkpoint write, a
+// restart decision — so the on-disk journal is never more than one
+// in-flight step behind. No-op for memory journals and nil writers.
 func (j *Writer) Sync() error {
 	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if bw, ok := j.out.(*bufio.Writer); ok {
-		if err := bw.Flush(); err != nil && j.err == nil {
-			j.err = fmt.Errorf("journal: flushing: %w", err)
-		}
-	}
 	if j.file != nil {
 		if err := j.file.Sync(); err != nil && j.err == nil {
 			j.err = fmt.Errorf("journal: syncing: %w", err)
@@ -358,18 +353,13 @@ func (j *Writer) Sync() error {
 	return j.err
 }
 
-// Close flushes and closes the backing file (no-op for memory journals).
+// Close closes the backing file (no-op for memory journals).
 func (j *Writer) Close() error {
 	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if bw, ok := j.out.(*bufio.Writer); ok {
-		if err := bw.Flush(); err != nil && j.err == nil {
-			j.err = err
-		}
-	}
 	if j.file != nil {
 		if err := j.file.Close(); err != nil && j.err == nil {
 			j.err = err

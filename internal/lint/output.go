@@ -61,9 +61,8 @@ type sarifTool struct {
 }
 
 type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri,omitempty"`
-	Rules          []sarifRule `json:"rules"`
+	Name  string      `json:"name"`
+	Rules []sarifRule `json:"rules"`
 }
 
 type sarifRule struct {
@@ -92,8 +91,7 @@ type sarifPhysical struct {
 }
 
 type sarifArtifact struct {
-	URI       string `json:"uri"`
-	URIBaseID string `json:"uriBaseId,omitempty"`
+	URI string `json:"uri"`
 }
 
 type sarifRegion struct {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -60,20 +59,6 @@ func (e *Exposition) Value(name string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Names returns the sorted set of distinct sample names.
-func (e *Exposition) Names() []string {
-	seen := map[string]bool{}
-	for _, s := range e.Samples {
-		seen[s.Name] = true
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ParseExposition parses a Prometheus text-format scrape.

@@ -73,24 +73,22 @@ func (c OpContext) artifactPath(op, ext string) string {
 		fmt.Sprintf("%s_step%03d_rank%d.%s", op, c.Step, c.Rank, ext))
 }
 
-// HaloOperation runs the friends-of-friends halo finder on particle
-// steps and writes the halo catalog as JSON — the cosmology extract of
-// the paper's introduction.
-type HaloOperation struct {
-	// Options forwards to analysis.FOF.
-	Options analysis.FOFOptions
-}
+// HaloOperation runs the friends-of-friends halo finder, with its default
+// linking length and minimum membership, on particle steps and writes the
+// halo catalog as JSON — the cosmology extract of the paper's
+// introduction.
+type HaloOperation struct{}
 
 // Name implements Operation.
 func (*HaloOperation) Name() string { return "halos" }
 
 // Apply implements Operation.
-func (h *HaloOperation) Apply(ctx OpContext, ds data.Dataset) (OpResult, error) {
+func (*HaloOperation) Apply(ctx OpContext, ds data.Dataset) (OpResult, error) {
 	cloud, ok := ds.(*data.PointCloud)
 	if !ok {
 		return OpResult{}, fmt.Errorf("proxy: halos operation requires a point cloud, got %v", ds.Kind())
 	}
-	halos, err := analysis.FOF(cloud, h.Options)
+	halos, err := analysis.FOF(cloud, analysis.FOFOptions{})
 	if err != nil {
 		return OpResult{}, err
 	}
@@ -112,13 +110,10 @@ func (h *HaloOperation) Apply(ctx OpContext, ds data.Dataset) (OpResult, error) 
 	return res, nil
 }
 
-// StatsOperation computes per-field statistics and a histogram for the
-// named field of any dataset kind — the monitoring extract.
-type StatsOperation struct {
-	// Field names the scalar; empty selects "speed" for clouds and
-	// "temperature" for grids.
-	Field string
-}
+// StatsOperation computes statistics and a histogram of one field of any
+// dataset kind — "speed" for clouds, "temperature" for grids — the
+// monitoring extract.
+type StatsOperation struct{}
 
 // statsBins is StatsOperation's histogram resolution.
 const statsBins = 16
@@ -135,40 +130,25 @@ type statsExtract struct {
 }
 
 // Apply implements Operation.
-func (s *StatsOperation) Apply(ctx OpContext, ds data.Dataset) (OpResult, error) {
-	name := s.Field
-	var values []float32
+func (*StatsOperation) Apply(ctx OpContext, ds data.Dataset) (OpResult, error) {
+	name := "temperature"
+	var f *data.Field
+	var err error
 	switch d := ds.(type) {
 	case *data.PointCloud:
-		if name == "" {
-			name = "speed"
-		}
-		f, err := d.Field(name)
-		if err != nil {
-			return OpResult{}, err
-		}
-		values = f.Values
+		name = "speed"
+		f, err = d.Field(name)
 	case *data.StructuredGrid:
-		if name == "" {
-			name = "temperature"
-		}
-		f, err := d.Field(name)
-		if err != nil {
-			return OpResult{}, err
-		}
-		values = f.Values
+		f, err = d.Field(name)
 	case *data.UnstructuredGrid:
-		if name == "" {
-			name = "temperature"
-		}
-		f, err := d.Field(name)
-		if err != nil {
-			return OpResult{}, err
-		}
-		values = f.Values
+		f, err = d.Field(name)
 	default:
 		return OpResult{}, fmt.Errorf("proxy: stats operation: unsupported kind %v", ds.Kind())
 	}
+	if err != nil {
+		return OpResult{}, err
+	}
+	values := f.Values
 	st := analysis.Stats(values)
 	edges, counts := analysis.Histogram(values, statsBins)
 	res := OpResult{

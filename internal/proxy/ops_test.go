@@ -36,7 +36,7 @@ func clusteredCloud() *data.PointCloud {
 
 func TestHaloOperation(t *testing.T) {
 	dir := t.TempDir()
-	op := &HaloOperation{Options: analysis.FOFOptions{LinkLength: 0.5, MinMembers: 20}}
+	op := &HaloOperation{}
 	if op.Name() != "halos" {
 		t.Error("name wrong")
 	}
@@ -154,7 +154,7 @@ func TestVizProxyRunsOperations(t *testing.T) {
 		ImagesPerStep: 1,
 		OutDir:        dir,
 		Operations: []Operation{
-			&HaloOperation{Options: analysis.FOFOptions{LinkLength: 0.5, MinMembers: 20}},
+			&HaloOperation{},
 			&StatsOperation{},
 		},
 	})

@@ -215,7 +215,7 @@ func TestServeReceiveProtocol(t *testing.T) {
 		}
 		conn := transport.NewConn(c)
 		defer conn.Close()
-		n, err := sp.Serve(conn)
+		_, n, err := sp.ServeFrom(conn, 0)
 		bytesSent = n
 		simErr <- err
 	}()
@@ -309,7 +309,7 @@ func TestSimRejectsWrongAck(t *testing.T) {
 		b.Recv()
 		b.SendAck(99)
 	}()
-	if _, err := sp.Serve(a); err == nil {
+	if _, _, err := sp.ServeFrom(a, 0); err == nil {
 		t.Error("sim accepted a wrong-step ack")
 	}
 }
@@ -324,7 +324,7 @@ func TestSimDetectsPeerDeath(t *testing.T) {
 		b.Recv()
 		b.Close() // die instead of acking
 	}()
-	if _, err := sp.Serve(a); err == nil {
+	if _, _, err := sp.ServeFrom(a, 0); err == nil {
 		t.Error("sim did not detect peer death")
 	}
 }

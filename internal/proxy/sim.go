@@ -127,12 +127,6 @@ type SimConfig struct {
 	// Journal, when set, receives one event per dataset fetch, sampling
 	// decision, wire transfer, and error.
 	Journal *journal.Writer
-	// Steering, when set, is consulted at every step boundary: sampling
-	// ratio and wire codec changes apply to the next step's data, are
-	// journaled, and are seq-gated so each update applies exactly once.
-	// Wire steering forwarded by the visualization proxy folds into the
-	// same boundary.
-	Steering hub.Source
 }
 
 // SimProxy is one simulation-proxy rank.
@@ -146,14 +140,13 @@ type SimProxy struct {
 	// stop, when set, drains the serve loop at the next step boundary
 	// (graceful shutdown: the in-flight step completes and is acked).
 	stop <-chan struct{}
-	// Steering state. steerSeq gates the scripted source; wire (under
-	// wmu, written by the connection's control-frame handler) buffers
-	// steering forwarded by the visualization proxy until the next step
-	// boundary; wireSeq gates its application.
-	steerSeq uint64
-	wmu      sync.Mutex
-	wire     hub.State
-	wireSeq  uint64
+	// Steering state. wire (under wmu, written by the connection's
+	// control-frame handler) buffers steering forwarded by the
+	// visualization proxy until the next step boundary; wireSeq gates its
+	// application.
+	wmu     sync.Mutex
+	wire    hub.State
+	wireSeq uint64
 }
 
 // SetStop installs a drain channel: when it fires, ServeFrom finishes
@@ -240,30 +233,16 @@ func (s *SimProxy) StepData(i int) (_ data.Dataset, err error) {
 	return sampled, nil
 }
 
-// applySteering folds pending steering (scripted source and/or wire
-// messages forwarded by the visualization proxy) into the proxy's
-// sampling ratio and wire codec at a step boundary. Both paths are
+// applySteering folds steering forwarded by the visualization proxy
+// (sampling ratio, wire codec) into the proxy at a step boundary. It is
 // seq-gated so each update applies exactly once; every effective change
 // is journaled, making a steered run replayable from its journal.
 func (s *SimProxy) applySteering(step int, conn *transport.Conn) {
 	var pend hub.State
-	if s.cfg.Steering != nil {
-		if sc := s.cfg.Steering.Current(step); sc.Seq > s.steerSeq {
-			s.steerSeq = sc.Seq
-			pend = sc
-		}
-	}
 	s.wmu.Lock()
 	if s.wire.Seq > s.wireSeq {
 		s.wireSeq = s.wire.Seq
-		// Wire steering arrived after any scripted state was captured, so
-		// it wins the per-axis merge.
-		if s.wire.HasRatio {
-			pend.HasRatio, pend.Ratio = true, s.wire.Ratio
-		}
-		if s.wire.HasCodec {
-			pend.HasCodec, pend.Codec = true, s.wire.Codec
-		}
+		pend = s.wire
 	}
 	s.wmu.Unlock()
 	if pend.HasRatio && pend.Ratio != s.cfg.SamplingRatio {
@@ -308,17 +287,11 @@ func applySampling(ds data.Dataset, ratio float64, method sampling.Method, seed 
 	}
 }
 
-// Serve runs the paper's §III-C simulation-proxy protocol over an
-// established connection: send each step's dataset, wait for the
-// visualization proxy's ack, then signal completion. It returns the
-// total payload bytes sent.
-func (s *SimProxy) Serve(conn *transport.Conn) (int64, error) {
-	_, n, err := s.ServeFrom(conn, 0)
-	return n, err
-}
-
-// ServeFrom is Serve starting at step from — the resume entry point after
-// a reconnect. It returns next, the first step that was NOT acknowledged
+// ServeFrom runs the paper's §III-C simulation-proxy protocol over an
+// established connection from step from on: send each step's dataset,
+// wait for the visualization proxy's ack, then signal completion. A fresh
+// stream starts at step 0; a reconnect resumes at the step it returned.
+// It returns next, the first step that was NOT acknowledged
 // (next == Steps() means the stream completed and Done was sent), along
 // with the bytes sent over this connection. A degradation-policy driver
 // reconnects and calls ServeFrom(conn2, next) to resume without

@@ -55,9 +55,6 @@ type Stats struct {
 	Render time.Duration
 }
 
-// Total returns setup + render time.
-func (s Stats) Total() time.Duration { return s.Setup + s.Render }
-
 // Renderer renders one dataset kind with one algorithm.
 type Renderer interface {
 	// Name returns the registry name.

@@ -474,9 +474,6 @@ func clip(near, far float32, o, inv, t0, t1 float64) (float64, float64) {
 	return t0, t1
 }
 
-// Count returns the number of spheres.
-func (b *SphereBVH) Count() int { return len(b.prims) }
-
 // Validate checks structural invariants: children bounds are inside
 // parents, every primitive appears exactly once, and every sphere —
 // centre ± radius, in float64 — is inside its leaf's float32 bounds. It

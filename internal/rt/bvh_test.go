@@ -30,8 +30,8 @@ func TestBVHValidate(t *testing.T) {
 		if err := b.Validate(); err != nil {
 			t.Errorf("n=%d: %v", n, err)
 		}
-		if b.Count() != n {
-			t.Errorf("n=%d: count %d", n, b.Count())
+		if len(b.prims) != n {
+			t.Errorf("n=%d: count %d", n, len(b.prims))
 		}
 	}
 }

@@ -27,7 +27,7 @@ func TestRaycastSpheresRendersParticles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bvh == nil || bvh.Count() != p.Count() {
+	if bvh == nil || len(bvh.prims) != p.Count() {
 		t.Error("BVH not returned")
 	}
 	if frame.CoveredPixels() < 200 {

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 
 	"github.com/ascr-ecx/eth/internal/journal"
@@ -165,15 +164,10 @@ type Task func(ctx context.Context) error
 // Supervisor restarts a failing role under Config's policy.
 type Supervisor struct {
 	cfg Config
-	// restarts counts restarts performed so far (telemetry/tests).
-	restarts atomic.Int64
 }
 
 // New returns a supervisor for the config.
 func New(cfg Config) *Supervisor { return &Supervisor{cfg: cfg} }
-
-// Restarts reports how many restarts this supervisor has performed.
-func (s *Supervisor) Restarts() int { return int(s.restarts.Load()) }
 
 // Run executes task under supervision until it succeeds, shutdown is
 // requested, or the restart budget is exhausted. A panicking attempt is
@@ -209,7 +203,6 @@ func (s *Supervisor) Run(ctx context.Context, task Task) (rerr error) {
 			return fmt.Errorf("supervise: %s failed after %d restarts: %w: %w",
 				s.cfg.role(), attempt, err, ErrRestartBudget)
 		}
-		s.restarts.Add(1)
 		ctrRestarts.Inc()
 		backoff := Backoff(s.cfg.BackoffBase, s.cfg.BackoffMax, attempt+1)
 		if s.cfg.Observer != nil {

@@ -18,7 +18,19 @@ func fastCfg(role string, restarts int) Config {
 		MaxRestarts: restarts,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  4 * time.Millisecond,
+		Journal:     journal.New(),
 	}
+}
+
+// restartCount counts the restart events s journaled.
+func restartCount(s *Supervisor) int {
+	n := 0
+	for _, ev := range s.cfg.Journal.Events() {
+		if ev.Type == journal.TypeRestart {
+			n++
+		}
+	}
+	return n
 }
 
 func TestRunSucceedsFirstTry(t *testing.T) {
@@ -30,8 +42,8 @@ func TestRunSucceedsFirstTry(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if calls != 1 || s.Restarts() != 0 {
-		t.Fatalf("calls=%d restarts=%d, want 1/0", calls, s.Restarts())
+	if calls != 1 || restartCount(s) != 0 {
+		t.Fatalf("calls=%d restarts=%d, want 1/0", calls, restartCount(s))
 	}
 }
 
@@ -51,8 +63,8 @@ func TestRunRestartsOnErrorThenSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if calls != 3 || s.Restarts() != 2 {
-		t.Fatalf("calls=%d restarts=%d, want 3/2", calls, s.Restarts())
+	if calls != 3 || restartCount(s) != 2 {
+		t.Fatalf("calls=%d restarts=%d, want 3/2", calls, restartCount(s))
 	}
 	var restarts []journal.Event
 	for _, ev := range jw.Events() {
@@ -77,8 +89,8 @@ func TestRunBudgetExhausted(t *testing.T) {
 	if !errors.Is(err, ErrRestartBudget) {
 		t.Fatalf("err = %v, want ErrRestartBudget", err)
 	}
-	if s.Restarts() != 2 {
-		t.Fatalf("restarts = %d, want 2", s.Restarts())
+	if restartCount(s) != 2 {
+		t.Fatalf("restarts = %d, want 2", restartCount(s))
 	}
 	if ExitCode(err) != ExitBudget {
 		t.Fatalf("ExitCode = %d, want %d", ExitCode(err), ExitBudget)
@@ -145,8 +157,8 @@ func TestWatchdogStallTearsDownAndRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if calls != 2 || s.Restarts() != 1 {
-		t.Fatalf("calls=%d restarts=%d, want 2/1", calls, s.Restarts())
+	if calls != 2 || restartCount(s) != 1 {
+		t.Fatalf("calls=%d restarts=%d, want 2/1", calls, restartCount(s))
 	}
 	if interrupted.Load() == 0 {
 		t.Fatal("Interrupt was not invoked on stall")
@@ -198,8 +210,8 @@ func TestShutdownDoesNotSpendBudget(t *testing.T) {
 	if !errors.Is(err, ErrShutdown) {
 		t.Fatalf("err = %v, want ErrShutdown", err)
 	}
-	if calls != 1 || s.Restarts() != 0 {
-		t.Fatalf("calls=%d restarts=%d, want 1/0 (shutdown must not restart)", calls, s.Restarts())
+	if calls != 1 || restartCount(s) != 0 {
+		t.Fatalf("calls=%d restarts=%d, want 1/0 (shutdown must not restart)", calls, restartCount(s))
 	}
 	var sawShutdown bool
 	for _, ev := range jw.Events() {
@@ -266,8 +278,8 @@ func TestShutdownDrainIsNotStalled(t *testing.T) {
 	if interrupted.Load() != 0 {
 		t.Fatal("watchdog fired Interrupt during a graceful shutdown drain")
 	}
-	if s.Restarts() != 0 {
-		t.Fatalf("restarts = %d, want 0", s.Restarts())
+	if restartCount(s) != 0 {
+		t.Fatalf("restarts = %d, want 0", restartCount(s))
 	}
 }
 

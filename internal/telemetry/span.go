@@ -15,23 +15,18 @@ import (
 const histBuckets = 64
 
 // Histogram is a lock-free log2-bucketed distribution. Observations cost
-// three atomic adds plus two bounded CAS loops; quantiles are approximate
+// three atomic adds plus a bounded CAS loop; quantiles are approximate
 // (upper bucket bound, clamped to the observed max), which is plenty for
 // the p50/p95/p99 latency reporting the harness needs.
 type Histogram struct {
 	name    string
 	count   atomic.Int64
 	sum     atomic.Int64
-	min     atomic.Int64
 	max     atomic.Int64
 	buckets [histBuckets]atomic.Int64
 }
 
-func newHistogram(name string) *Histogram {
-	h := &Histogram{name: name}
-	h.min.Store(math.MaxInt64)
-	return h
-}
+func newHistogram(name string) *Histogram { return &Histogram{name: name} }
 
 // Name returns the histogram's registered name.
 func (h *Histogram) Name() string { return h.name }
@@ -54,12 +49,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 	h.buckets[bucketOf(v)].Add(1)
 	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
 			break
@@ -75,17 +64,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the total of all observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Min returns the smallest observed value (0 if empty).
-func (h *Histogram) Min() int64 {
-	if h.count.Load() == 0 {
-		return 0
-	}
-	return h.min.Load()
-}
-
-// Max returns the largest observed value (0 if empty).
-func (h *Histogram) Max() int64 { return h.max.Load() }
 
 // Quantile returns an approximate q-quantile (q in [0, 1]): the upper
 // bound of the log2 bucket holding the target observation, clamped to the
@@ -161,7 +139,6 @@ const NumBuckets = histBuckets
 func (h *Histogram) reset() {
 	h.count.Store(0)
 	h.sum.Store(0)
-	h.min.Store(math.MaxInt64)
 	h.max.Store(0)
 	for i := range h.buckets {
 		h.buckets[i].Store(0)
@@ -195,12 +172,11 @@ func (m *SpanMetric) Quantile(q float64) time.Duration {
 // Span is one in-flight timed region, created by Registry.StartSpan. Ending
 // it records the elapsed time into the registry's SpanMetric for its name.
 // Spans nest: Child opens a sub-region whose metric name is the parent's
-// name plus "/child", so aggregated totals keep the call structure.
+// name plus ".child", so aggregated totals keep the call structure.
 type Span struct {
-	r      *Registry
-	parent *Span
-	name   string
-	start  time.Time
+	r     *Registry
+	name  string
+	start time.Time
 }
 
 // StartSpan opens a timed region under the given metric name.
@@ -214,16 +190,10 @@ func (r *Registry) ObserveSpan(name string, d time.Duration) {
 	r.Span(name).Observe(d)
 }
 
-// Name returns the span's full (dot-joined) metric name.
-func (s *Span) Name() string { return s.name }
-
-// Parent returns the enclosing span, or nil for a root span.
-func (s *Span) Parent() *Span { return s.parent }
-
 // Child opens a nested span named parent.name, so nesting stays inside
 // the dotted metric-name contract.
 func (s *Span) Child(name string) *Span {
-	return &Span{r: s.r, parent: s, name: s.name + "." + name, start: time.Now()}
+	return &Span{r: s.r, name: s.name + "." + name, start: time.Now()}
 }
 
 // End closes the span, records its duration, and returns it.

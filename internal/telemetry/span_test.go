@@ -42,8 +42,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Sum() != 1106 {
 		t.Errorf("sum = %d", h.Sum())
 	}
-	if h.Min() != 1 || h.Max() != 1000 {
-		t.Errorf("min/max = %d/%d", h.Min(), h.Max())
+	if h.max.Load() != 1000 {
+		t.Errorf("max = %d", h.max.Load())
 	}
 	// p100 must be clamped to the observed max, not the bucket bound.
 	if q := h.Quantile(1.0); q != 1000 {
@@ -61,12 +61,12 @@ func TestHistogramBasics(t *testing.T) {
 func TestHistogramEmptyAndReset(t *testing.T) {
 	var r Registry
 	h := r.Histogram("empty")
-	if h.Quantile(0.5) != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Quantile(0.5) != 0 || h.max.Load() != 0 {
 		t.Error("empty histogram should report zeros")
 	}
 	h.Observe(42)
 	r.Reset()
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.Sum() != 0 || h.max.Load() != 0 {
 		t.Error("reset did not clear histogram")
 	}
 	if h.Quantile(0.99) != 0 {
@@ -84,9 +84,6 @@ func TestHistogramExtremes(t *testing.T) {
 	}
 	if q := h.Quantile(1.0); q != math.MaxInt64 {
 		t.Errorf("p100 = %d", q)
-	}
-	if h.Min() != -5 {
-		t.Errorf("min = %d", h.Min())
 	}
 }
 
@@ -115,12 +112,6 @@ func TestSpanNesting(t *testing.T) {
 	parent := r.StartSpan("step")
 	child := parent.Child("render")
 	grand := child.Child("bvh")
-	if grand.Name() != "step.render.bvh" {
-		t.Errorf("nested name = %q", grand.Name())
-	}
-	if grand.Parent() != child || child.Parent() != parent || parent.Parent() != nil {
-		t.Error("parent links wrong")
-	}
 	grand.End()
 	child.End()
 	parent.End()

@@ -29,11 +29,6 @@ func (b AABB) Extend(p V3) AABB {
 	return AABB{Min: b.Min.Min(p), Max: b.Max.Max(p)}
 }
 
-// Union returns the smallest box containing both b and o.
-func (b AABB) Union(o AABB) AABB {
-	return AABB{Min: b.Min.Min(o.Min), Max: b.Max.Max(o.Max)}
-}
-
 // Center returns the centroid of the box.
 func (b AABB) Center() V3 { return b.Min.Add(b.Max).Scale(0.5) }
 

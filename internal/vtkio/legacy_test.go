@@ -85,9 +85,7 @@ func TestLegacyExportUnstructured(t *testing.T) {
 
 func TestLegacyExportFieldNameSanitized(t *testing.T) {
 	p := data.NewPointCloud(1)
-	if err := p.AddField("my field", []float32{1}); err != nil {
-		t.Fatal(err)
-	}
+	p.Fields = append(p.Fields, data.Field{Name: "my field", Values: []float32{1}})
 	var buf bytes.Buffer
 	if err := ExportLegacyVTK(&buf, p, ""); err != nil {
 		t.Fatal(err)
