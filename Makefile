@@ -32,8 +32,11 @@ sarif:
 # written in any chunk cuts drains to exactly what Read returns) and the
 # Prometheus exposition (an escaped label value parses back exactly), and
 # the sweep checkpoints (any bytes load or fail, never panic; a saved
-# done set reads back), and the fleet sweep file (an accepted sweep has
-# valid, unique IDs and reads back from its marshalled form).
+# done set reads back), the fleet sweep file (an accepted sweep has
+# valid, unique IDs and reads back from its marshalled form) and the
+# fleet journal's replay (any bytes replay or fail, never panic; an
+# accepted ledger adds up, and a real scheduler's journal replays to its
+# counts).
 fuzz:
 	go test -run='^$$' -fuzz=FuzzReadVTK -fuzztime=10s ./internal/vtkio/
 	go test -run='^$$' -fuzz=FuzzFrameFlip -fuzztime=10s ./internal/transport/
@@ -47,6 +50,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzParseExposition -fuzztime=10s ./internal/obs/
 	go test -run='^$$' -fuzz=FuzzLoadDoneSet -fuzztime=10s ./internal/fleet/
 	go test -run='^$$' -fuzz=FuzzLoadSweep -fuzztime=10s ./internal/fleet/
+	go test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/fleet/
 
 # Full gate: gofmt + vet + build + ethlint + race-enabled tests + short
 # fuzz passes.

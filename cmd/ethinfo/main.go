@@ -7,7 +7,9 @@
 // event counts, and any recorded errors for post-hoc audit. A fleet
 // journal (`ethserve`) additionally gets an experiment-ledger audit:
 // per-spec submit/lease/requeue/quarantine/complete tallies and the
-// completed+quarantined==submitted conservation check.
+// completed+quarantined==submitted conservation check, or, when the
+// ledger does not replay (a journal an earlier build wrote), the replay
+// error in its place.
 //
 // Usage:
 //
@@ -32,6 +34,7 @@ import (
 	"strings"
 
 	"github.com/ascr-ecx/eth/internal/data"
+	"github.com/ascr-ecx/eth/internal/fleet"
 	"github.com/ascr-ecx/eth/internal/journal"
 	"github.com/ascr-ecx/eth/internal/metrics"
 	"github.com/ascr-ecx/eth/internal/vtkio"
@@ -184,6 +187,10 @@ type journalAudit struct {
 	// Fleet summarizes a fleet scheduler journal's experiment ledger;
 	// present only when the journal records fleet traffic.
 	Fleet *fleetAudit `json:"fleet,omitempty"`
+	// FleetError is why the fleet ledger does not replay (a journal
+	// an earlier build wrote, or a corrupt one); Fleet is then absent
+	// and the rest of the audit stands.
+	FleetError string `json:"fleet_error,omitempty"`
 }
 
 // fleetAudit replays a fleet journal's experiment ledger. Spec tallies
@@ -265,8 +272,9 @@ func auditJournal(path string, jsonOut bool) error {
 	} else if err != nil {
 		return err
 	}
+	fl, flErr := fleetLedger(events)
 	if jsonOut {
-		return writeJSON(buildAudit(path, events, torn))
+		return writeJSON(buildAudit(path, events, torn, fl, flErr))
 	}
 	fmt.Printf("%s:\n", path)
 	fmt.Printf("  events   %d\n", len(events))
@@ -327,15 +335,18 @@ func auditJournal(path string, jsonOut bool) error {
 	}
 
 	// Fleet audit: the experiment ledger and its conservation law.
-	if f := fleetTallies(events); f != nil {
+	if flErr != nil {
+		fmt.Printf("  fleet    ledger does not replay: %v\n", flErr)
+	}
+	if fl != nil {
 		fmt.Printf("  fleet    submitted=%d completed=%d quarantined=%d retried=%d leases=%d requeues=%d balanced=%v\n",
-			f.Submitted, f.Completed, f.Quarantined, f.Retried, f.Leases, f.Requeues, f.Balanced)
-		for _, q := range f.Quarantines {
+			fl.Submitted, fl.Completed, fl.Quarantined, fl.Retried, fl.Leases, fl.Requeues, fl.Balanced)
+		for _, q := range fl.Quarantines {
 			fmt.Printf("    quarantined %s: %s\n", q.ID, firstLine(q.Err))
 		}
-		if !f.Balanced {
+		if !fl.Balanced {
 			fmt.Printf("    unbalanced: %d specs neither completed nor quarantined (killed mid-sweep? resume the fleet)\n",
-				f.Submitted-f.Completed-f.Quarantined)
+				fl.Submitted-fl.Completed-fl.Quarantined)
 		}
 	}
 
@@ -359,7 +370,7 @@ func auditJournal(path string, jsonOut bool) error {
 
 // buildAudit assembles the JSON audit from the same replays the table
 // printer uses, so the two outputs cannot drift apart.
-func buildAudit(path string, events []journal.Event, torn bool) journalAudit {
+func buildAudit(path string, events []journal.Event, torn bool, fl *fleetAudit, flErr error) journalAudit {
 	a := journalAudit{
 		Path:      path,
 		TornTail:  torn,
@@ -388,53 +399,32 @@ func buildAudit(path string, events []journal.Event, torn bool) journalAudit {
 		a.Errors = append(a.Errors, errorAudit{Rank: ev.Rank, Step: ev.Step, Err: ev.Err})
 	}
 	a.Hub = hubTallies(events)
-	a.Fleet = fleetTallies(events)
+	a.Fleet = fl
+	if flErr != nil {
+		a.FleetError = flErr.Error()
+	}
 	return a
 }
 
-// fleetTallies replays a fleet journal's experiment ledger: unique spec
-// IDs through each lifecycle stage, attempt counts, and the
-// completed+quarantined==submitted conservation check. Returns nil when
-// the journal records no fleet traffic.
-func fleetTallies(events []journal.Event) *fleetAudit {
-	submitted := map[string]bool{}
-	completed := map[string]bool{}
-	quarantined := map[string]bool{}
-	retried := map[string]bool{}
-	var f fleetAudit
-	seen := false
-	for _, ev := range events {
-		switch ev.Type {
-		case journal.TypeSubmit:
-			seen = true
-			submitted[ev.Src] = true
-		case journal.TypeLease:
-			seen = true
-			f.Leases++
-		case journal.TypeRequeue:
-			seen = true
-			f.Requeues++
-			retried[ev.Src] = true
-		case journal.TypeQuarantine:
-			seen = true
-			if !quarantined[ev.Src] {
-				quarantined[ev.Src] = true
-				f.Quarantines = append(f.Quarantines, quarantineAudit{ID: ev.Src, Err: ev.Err})
-			}
-		case journal.TypeComplete:
-			seen = true
-			completed[ev.Src] = true
-		}
+// fleetLedger builds the fleet audit from fleet.Replay, the fold a
+// resuming scheduler reads the same journal with. Returns nil when the
+// journal records no fleet traffic, and Replay's error when its ledger
+// is corrupt.
+func fleetLedger(events []journal.Event) (*fleetAudit, error) {
+	led, err := fleet.Replay(events)
+	if err != nil || len(led.Specs) == 0 {
+		return nil, err
 	}
-	if !seen {
-		return nil
+	c := led.Counts
+	f := &fleetAudit{
+		Submitted: c.Submitted, Completed: c.Completed, Quarantined: c.Quarantined,
+		Retried: led.Retried, Leases: led.Leases, Requeues: c.Requeues,
+		Balanced: c.Balanced(),
 	}
-	f.Submitted = len(submitted)
-	f.Completed = len(completed)
-	f.Quarantined = len(quarantined)
-	f.Retried = len(retried)
-	f.Balanced = f.Completed+f.Quarantined == f.Submitted
-	return &f
+	for _, q := range led.Quarantined {
+		f.Quarantines = append(f.Quarantines, quarantineAudit{ID: q.ID, Err: q.Err})
+	}
+	return f, nil
 }
 
 // hubTallies replays the hub's journaled traffic: subscriber churn,

@@ -4,9 +4,12 @@
 // and survives anything short of losing the fleet directory. Every spec
 // runs under a lease — no journal progress within the stall window and
 // the worker is killed and the spec requeued — and failures walk a
-// retry→requeue→quarantine ladder with capped backoff. The queue is
-// checkpointed on every transition, so a SIGKILLed scheduler resumes
-// with -resume and completes every remaining spec exactly once.
+// retry→requeue→quarantine ladder with capped backoff. The merged
+// journal is the fleet's only durable state: each submit event carries
+// its spec, and a submit, completion or quarantine is fsynced before
+// the scheduler moves on, so a SIGKILLed scheduler resumes with
+// -resume (replaying the journal) and completes every remaining spec
+// exactly once.
 //
 // Usage:
 //
@@ -17,13 +20,12 @@
 //
 // Batch mode exits 0 when every spec completed, 1 when any spec was
 // quarantined, and 3 (ExitShutdown) when a signal drained the fleet
-// early — the queue is checkpointed, so -resume finishes it. Serve mode
+// early — the queue is in the journal, so -resume finishes it. Serve mode
 // runs until SIGINT/SIGTERM or POST /drain.
 //
 // The fleet directory layout:
 //
 //	fleet.jsonl        merged journal (all workers + scheduler events)
-//	fleet.ckpt         atomically-replaced queue/done/quarantine checkpoint
 //	specs/<id>/        per-spec worker journal (+ quarantine.tail on failure)
 //	artifacts/<id>/    per-spec outputs (CSVs, renders)
 package main
@@ -47,11 +49,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ethserve: ")
 
-	dir := flag.String("dir", "fleet", "fleet directory (journal, checkpoint, per-spec state)")
+	dir := flag.String("dir", "fleet", "fleet directory (journal, per-spec state)")
 	workers := flag.Int("workers", 2, "worker pool size")
 	sweep := flag.String("sweep", "", "submit every spec in this JSON sweep file")
 	addr := flag.String("addr", "", "serve the steering API on this address (empty: batch mode)")
-	resume := flag.Bool("resume", false, "reload the fleet checkpoint and finish its queue")
+	resume := flag.Bool("resume", false, "replay the fleet journal and finish its queue")
 	retries := flag.Int("retries", 2, "default retry budget per spec")
 	stall := flag.Duration("stall", 2*time.Minute, "kill a worker with no journal progress for this long (0: no lease watchdog)")
 	grace := flag.Duration("grace", 5*time.Second, "SIGTERM-to-SIGKILL grace when revoking a lease")
@@ -107,7 +109,7 @@ func main() {
 				submitted++
 			case errors.Is(err, fleet.ErrDuplicate) && *resume:
 				// Resubmitting the sweep of a resumed fleet is expected:
-				// the checkpoint already carries these specs.
+				// the journal already carries these specs.
 			default:
 				log.Fatalf("submitting %s: %v", sp.ID, err)
 			}

@@ -17,8 +17,9 @@ import (
 //	POST /drain       request a graceful drain
 //
 // The API is a steering plane, not a public service: ethserve binds it
-// to localhost. Submissions are validated and checkpointed before the
-// 200 returns, so an acknowledged spec survives any crash.
+// to localhost. Submissions are validated and their submit events
+// fsynced to the fleet journal before the 200 returns, so an
+// acknowledged spec survives any crash.
 func (s *Scheduler) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /specs", s.handleSubmit)

@@ -97,7 +97,7 @@ func TestFleetChaosWorkerSIGKILL(t *testing.T) {
 	if c.Completed != len(ids) || c.Quarantined != 0 || !c.Balanced() {
 		t.Fatalf("counts %+v, want all %d completed despite worker kills", c, len(ids))
 	}
-	got := checkpointDone(t, dir)
+	got := append([]string(nil), replayJournal(t, dir).Done...)
 	sort.Strings(got)
 	if strings.Join(got, ",") != strings.Join(ids, ",") {
 		t.Fatalf("completed %v, want %v", got, ids)
@@ -243,8 +243,10 @@ func TestFleetChaosSchedulerSIGKILLResume(t *testing.T) {
 	// ...and is SIGKILLed once real progress exists but work remains.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		cp, err := fleet.ReadCheckpoint(dir)
-		if err == nil && len(cp.Done) >= 2 && len(cp.Done)+len(cp.Quarantined) < len(cp.Specs) {
+		// The journal is live: a torn last line still replays its prefix.
+		events, _ := journal.ReadFile(filepath.Join(dir, fleet.JournalFile))
+		led, err := fleet.Replay(events)
+		if err == nil && len(led.Done) >= 2 && len(led.Done)+len(led.Quarantined) < len(led.Specs) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -258,14 +260,11 @@ func TestFleetChaosSchedulerSIGKILLResume(t *testing.T) {
 	}
 	_ = cmd.Wait()
 
-	cp, err := fleet.ReadCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
+	led := replayJournal(t, dir)
+	if len(led.Specs) != nspecs {
+		t.Fatalf("journal lost specs across SIGKILL: %d/%d", len(led.Specs), nspecs)
 	}
-	if len(cp.Specs) != nspecs {
-		t.Fatalf("checkpoint lost specs across SIGKILL: %d/%d", len(cp.Specs), nspecs)
-	}
-	t.Logf("killed scheduler with %d/%d specs done", len(cp.Done), nspecs)
+	t.Logf("killed scheduler with %d/%d specs done", len(led.Done), nspecs)
 
 	// Phase 2: resume on the same dir. Orphaned workers may still hold
 	// their journal flocks for a moment; the retry ladder absorbs that.
@@ -295,14 +294,24 @@ func TestFleetChaosSchedulerSIGKILLResume(t *testing.T) {
 	if c.Submitted != nspecs || c.Completed != nspecs || c.Quarantined != 0 || !c.Balanced() {
 		t.Fatalf("resumed counts %+v, want all %d completed, balanced", c, nspecs)
 	}
-	completed := checkpointDone(t, dir)
-	seen := map[string]int{}
-	for _, id := range completed {
-		seen[id]++
+	// The journal records each spec's submit and complete exactly once:
+	// the resume added no second copy of either.
+	events, err := journal.ReadFile(filepath.Join(dir, fleet.JournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submits, completes := map[string]int{}, map[string]int{}
+	for _, ev := range events {
+		switch ev.Type {
+		case journal.TypeSubmit:
+			submits[ev.Src]++
+		case journal.TypeComplete:
+			completes[ev.Src]++
+		}
 	}
 	for _, id := range ids {
-		if seen[id] != 1 {
-			t.Errorf("spec %s completed %d times, want exactly once", id, seen[id])
+		if submits[id] != 1 || completes[id] != 1 {
+			t.Errorf("spec %s journaled %d submits and %d completes, want exactly one each", id, submits[id], completes[id])
 		}
 	}
 
@@ -317,12 +326,9 @@ func TestFleetChaosSchedulerSIGKILLResume(t *testing.T) {
 		}
 	}
 
-	// The final checkpoint alone tells the whole story.
-	cp2, err := fleet.ReadCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cp2.Done) != nspecs || len(cp2.Quarantined) != 0 {
-		t.Fatalf("final checkpoint done=%d quarantined=%d, want %d/0", len(cp2.Done), len(cp2.Quarantined), nspecs)
+	// The final journal alone tells the whole story.
+	final := replayJournal(t, dir)
+	if len(final.Done) != nspecs || len(final.Quarantined) != 0 {
+		t.Fatalf("final journal done=%d quarantined=%d, want %d/0", len(final.Done), len(final.Quarantined), nspecs)
 	}
 }

@@ -57,12 +57,6 @@ func (d *DoneSet) Add(id string) {
 // Len reports how many units are recorded as completed.
 func (d *DoneSet) Len() int { return len(d.cp.Done) }
 
-// IDs returns the completed IDs in completion order. The slice is a
-// copy; mutating it does not affect the set.
-func (d *DoneSet) IDs() []string {
-	return append([]string(nil), d.cp.Done...)
-}
-
 // Save atomically replaces the checkpoint at path with the current set,
 // stamped with the given detail (for humans reading the sidecar). The
 // write-temp/fsync/rename protocol means a crash mid-save leaves the

@@ -13,12 +13,14 @@
 // and a quarantined spec keeps the tail of its last journal for
 // post-mortem.
 //
-// Every state transition — submit, lease, requeue, quarantine,
-// complete — is persisted twice: as a journal event in the merged
-// fleet journal (through the internal/ingest batcher, alongside the
-// workers' own event streams) and as an atomically-replaced fleet
-// checkpoint. SIGKILL the scheduler at any instant and a -resume
-// brings back exactly the outstanding specs; the conservation law
+// The merged fleet journal is the fleet's only durable state. Every
+// state transition — submit, lease, requeue, quarantine, complete — is
+// a journal event in it, written through the internal/ingest batcher
+// alongside the workers' own event streams; a submit event carries its
+// spec, and Submit, completion and quarantine return only once their
+// event is fsynced. Replay folds the journal back into fleet state, so
+// SIGKILL the scheduler at any instant and a -resume brings back
+// exactly the outstanding specs; the conservation law
 //
 //	completed + quarantined == submitted
 //
@@ -33,6 +35,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -75,8 +78,8 @@ var (
 
 // Config shapes a Scheduler.
 type Config struct {
-	// Dir is the fleet state directory: the merged journal, the fleet
-	// checkpoint, and per-spec journal/artifact directories live here.
+	// Dir is the fleet state directory: the merged journal and the
+	// per-spec journal/artifact directories live here.
 	Dir string
 	// Workers bounds the subprocess pool. Default 2.
 	Workers int
@@ -98,8 +101,8 @@ type Config struct {
 	// RunBin and BenchBin are the worker binaries for KindRun and
 	// KindBench specs. Defaults "ethrun" and "ethbench" (from PATH).
 	RunBin, BenchBin string
-	// Resume loads the fleet checkpoint from Dir and requeues every
-	// spec not yet completed or quarantined.
+	// Resume replays the fleet journal in Dir and requeues every spec
+	// not yet completed or quarantined.
 	Resume bool
 	// Poll is the ingestion poll interval (default 25ms).
 	Poll time.Duration
@@ -172,7 +175,7 @@ type SpecStatus struct {
 	LastErr  string `json:"last_err,omitempty"`
 }
 
-// Scheduler owns the fleet: queue, worker pool, ingestion, checkpoint.
+// Scheduler owns the fleet: queue, worker pool, ingestion, journal.
 // Create with New, feed with Submit, drive with Run; Drain requests a
 // graceful stop.
 type Scheduler struct {
@@ -181,6 +184,7 @@ type Scheduler struct {
 	batcher   *ingest.Batcher
 	collector *ingest.Collector
 
+	submitMu    sync.Mutex // serializes Submit; taken before mu
 	mu          sync.Mutex
 	specs       map[string]*specState
 	order       []string // submission order
@@ -195,10 +199,17 @@ type Scheduler struct {
 	wake chan struct{}
 }
 
+// resumeLockWait bounds how long a resuming scheduler waits for the
+// fleet journal's lock. A worker the killed scheduler forked but had
+// not yet exec'd holds an inherited descriptor of the journal, and with
+// it the flock, until its exec closes it — milliseconds, not a rival
+// scheduler.
+const resumeLockWait = 2 * time.Second
+
 // New opens the fleet directory and its merged journal (held with an
 // exclusive lock — a second scheduler on the same dir gets
-// journal.ErrLocked), wires ingestion, and, with cfg.Resume, reloads
-// the checkpoint so every outstanding spec re-enters the queue.
+// journal.ErrLocked), wires ingestion, and, with cfg.Resume, replays
+// the journal so every outstanding spec re-enters the queue.
 func New(cfg Config) (*Scheduler, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("fleet: Config.Dir is required: %w", ErrBadSpec)
@@ -206,9 +217,31 @@ func New(cfg Config) (*Scheduler, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleet: creating fleet dir: %w", err)
 	}
-	jw, err := journal.Append(filepath.Join(cfg.Dir, JournalFile))
+	path := filepath.Join(cfg.Dir, JournalFile)
+	jw, err := journal.Append(path)
+	for deadline := time.Now().Add(resumeLockWait); cfg.Resume && errors.Is(err, journal.ErrLocked) && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		jw, err = journal.Append(path)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("fleet: opening fleet journal: %w", err)
+	}
+	var led Ledger
+	if cfg.Resume {
+		// Append repaired any torn tail, so the journal reads clean.
+		events, err := journal.ReadFile(path)
+		if err == nil {
+			led, err = Replay(events)
+		}
+		if errors.Is(err, ErrBadSpec) {
+			// Submit events written before they carried the spec (Detail
+			// "kind=run retries=2") fail here: such a fleet cannot resume.
+			err = fmt.Errorf("%w (a journal whose submit events do not carry their spec cannot be resumed)", err)
+		}
+		if err != nil {
+			jw.Close()
+			return nil, fmt.Errorf("fleet: resuming: %w", err)
+		}
 	}
 	b := ingest.NewBatcher(ingest.Config{Sink: jw})
 	s := &Scheduler{
@@ -221,101 +254,84 @@ func New(cfg Config) (*Scheduler, error) {
 		wake:      make(chan struct{}, 1),
 	}
 	if cfg.Resume {
-		if err := s.resume(); err != nil {
-			b.Close()
-			jw.Close()
-			return nil, err
-		}
+		s.resume(led)
 	}
 	s.setGauges()
 	return s, nil
 }
 
-// resume reloads fleet state from the checkpoint. Outstanding specs
-// re-enter the queue with a fresh retry budget; completed and
-// quarantined specs keep their terminal state.
-func (s *Scheduler) resume() error {
-	cp, err := ReadCheckpoint(s.cfg.Dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil // fresh dir: nothing to resume
-	}
-	if err != nil {
-		return err
-	}
-	terminal := map[string]string{}
-	for _, id := range cp.Done {
-		terminal[id] = StatusDone
-	}
-	quarErr := map[string]Quarantine{}
-	for _, q := range cp.Quarantined {
-		terminal[q.ID] = StatusQuarantined
-		quarErr[q.ID] = q
-	}
-	for _, sp := range cp.Specs {
-		st := &specState{spec: sp, status: StatusQueued}
-		// Re-emit the checkpoint's ledger state in-band. A SIGKILLed
-		// scheduler loses whatever was queued in its batcher, so the
-		// journal may be missing submit/complete/quarantine events the
-		// checkpoint already recorded; replaying them here makes the
-		// merged journal converge back to the conservation law. Audits
-		// tally unique spec IDs, so the duplicates are harmless.
-		s.emit(journal.Event{
-			Type: journal.TypeSubmit, Src: sp.ID,
-			Detail: "resume: reloaded from checkpoint",
-		})
-		switch terminal[sp.ID] {
-		case StatusDone:
-			st.status = StatusDone
-			s.done.Add(sp.ID)
-			s.emit(journal.Event{
-				Type: journal.TypeComplete, Src: sp.ID,
-				Detail: "resume: recorded complete in checkpoint",
-			})
-		case StatusQuarantined:
-			q := quarErr[sp.ID]
-			st.status = StatusQuarantined
-			st.attempts = q.Attempts
-			st.lastErr = q.Err
-			s.quarantined = append(s.quarantined, q)
-			s.emit(journal.Event{
-				Type: journal.TypeQuarantine, Src: sp.ID, Step: q.Attempts, Err: q.Err,
-				Detail: "resume: recorded quarantined in checkpoint",
-			})
-		default:
-			s.queue = append(s.queue, sp.ID)
-		}
-		s.specs[sp.ID] = st
+// resume rebuilds fleet state from the replayed journal. Outstanding
+// specs re-enter the queue with a fresh retry budget; completed and
+// quarantined specs keep their terminal state. The journal already
+// holds every lifecycle event, so only the resume itself is journaled.
+func (s *Scheduler) resume(led Ledger) {
+	for _, sp := range led.Specs {
+		s.specs[sp.ID] = &specState{spec: sp, status: StatusQueued}
 		s.order = append(s.order, sp.ID)
 	}
-	return nil
+	for _, id := range led.Done {
+		s.specs[id].status = StatusDone
+		s.done.Add(id)
+	}
+	for _, q := range led.Quarantined {
+		if _, err := os.Stat(s.tailPath(q.ID)); err == nil {
+			q.TailPath = s.tailPath(q.ID)
+		}
+		st := s.specs[q.ID]
+		st.status, st.attempts, st.lastErr = StatusQuarantined, q.Attempts, q.Err
+		s.quarantined = append(s.quarantined, q)
+	}
+	for _, id := range s.order {
+		if s.specs[id].status == StatusQueued {
+			s.queue = append(s.queue, id)
+		}
+	}
+	c := led.Counts
+	s.emit(journal.Event{
+		Type: journal.TypeResume, Step: -1,
+		Detail: fmt.Sprintf("fleet resumed from journal: submitted=%d completed=%d quarantined=%d queued=%d",
+			c.Submitted, c.Completed, c.Quarantined, c.Queued),
+	})
 }
 
-// Submit validates the spec, persists it in the checkpoint (the queue
-// survives any crash from this point on), journals the submission, and
-// wakes the pool. Duplicate IDs are rejected with ErrDuplicate.
+// Submit validates the spec, journals it — the submit event carries
+// the spec, and Submit returns once it is fsynced, so the queue
+// survives any crash from then on — and wakes the pool. Duplicate IDs
+// are rejected with ErrDuplicate.
 func (s *Scheduler) Submit(sp Spec) error {
 	if err := sp.Validate(); err != nil {
 		return err
 	}
+	raw, _ := json.Marshal(sp) // strings and an int: Marshal cannot fail
+	// submitMu, not mu, spans the Put: the submit event precedes any
+	// lease of the spec and the journal's submit order is s.order, while
+	// ingest backpressure holds up only other Submits, never Drain,
+	// Counts or a finishing worker.
+	s.submitMu.Lock()
 	s.mu.Lock()
-	if _, ok := s.specs[sp.ID]; ok {
-		s.mu.Unlock()
+	_, dup := s.specs[sp.ID]
+	s.mu.Unlock()
+	if dup {
+		s.submitMu.Unlock()
 		return fmt.Errorf("fleet: spec %s: %w", sp.ID, ErrDuplicate)
 	}
+	if err := s.batcher.Put(journal.Event{
+		Type: journal.TypeSubmit, Rank: -1, Src: sp.ID, Step: -1, Detail: string(raw),
+	}); err != nil {
+		s.submitMu.Unlock()
+		return fmt.Errorf("fleet: spec %s: %w", sp.ID, err)
+	}
+	s.mu.Lock()
 	s.specs[sp.ID] = &specState{spec: sp, status: StatusQueued}
 	s.order = append(s.order, sp.ID)
 	s.queue = append(s.queue, sp.ID)
-	cp := s.checkpointLocked()
 	s.mu.Unlock()
+	s.submitMu.Unlock()
 
 	ctrSubmitted.Inc()
 	s.setGauges()
-	s.emit(journal.Event{
-		Type: journal.TypeSubmit, Src: sp.ID, Step: -1,
-		Detail: fmt.Sprintf("kind=%s retries=%d", sp.Kind, sp.retryBudget(s.cfg.retries())),
-	})
-	if err := WriteCheckpoint(s.cfg.Dir, cp); err != nil {
-		return err
+	if err := s.batcher.Flush(); err != nil {
+		return fmt.Errorf("fleet: journaling spec %s: %w", sp.ID, err)
 	}
 	s.wakeWorkers()
 	return nil
@@ -324,9 +340,9 @@ func (s *Scheduler) Submit(sp Spec) error {
 // Run starts ingestion and the worker pool and blocks until the fleet
 // drains: the parent context is canceled (signal) or Drain is called
 // (API, or batch mode going idle). On the way out it requeues whatever
-// was in flight, writes a final checkpoint, and flushes and closes the
-// merged journal. Returns an ErrShutdown-wrapped error when the parent
-// context forced the drain, nil otherwise.
+// was in flight, then flushes and closes the merged journal. Returns an
+// ErrShutdown-wrapped error when the parent context forced the drain,
+// nil otherwise.
 func (s *Scheduler) Run(ctx context.Context) error {
 	rctx, cancel := context.WithCancel(ctx)
 	s.mu.Lock()
@@ -357,19 +373,13 @@ func (s *Scheduler) Run(ctx context.Context) error {
 	cancel()
 	<-colDone // ingestion's final drain has run
 
-	s.mu.Lock()
-	cp := s.checkpointLocked()
-	counts := s.countsLocked()
-	s.mu.Unlock()
-	err := WriteCheckpoint(s.cfg.Dir, cp)
+	counts := s.Counts()
 	s.emit(journal.Event{
 		Type: journal.TypeShutdown, Step: -1,
 		Detail: fmt.Sprintf("fleet drained: submitted=%d completed=%d quarantined=%d queued=%d",
 			counts.Submitted, counts.Completed, counts.Quarantined, counts.Queued),
 	})
-	if cerr := s.batcher.Close(); err == nil {
-		err = cerr
-	}
+	err := s.batcher.Close()
 	if jerr := s.jw.Close(); err == nil {
 		err = jerr
 	}
@@ -384,7 +394,7 @@ func (s *Scheduler) Run(ctx context.Context) error {
 
 // Drain requests a graceful stop: in-flight workers get SIGTERM (then
 // SIGKILL after the grace window), their specs requeue without
-// spending retry budget, and Run returns after the final checkpoint.
+// spending retry budget, and Run returns once the journal is closed.
 func (s *Scheduler) Drain() {
 	s.mu.Lock()
 	cancel := s.cancel
@@ -471,8 +481,8 @@ func (s *Scheduler) workerLoop(ctx context.Context) {
 func (s *Scheduler) next(ctx context.Context) *specState {
 	for {
 		// Check for drain before claiming: a requeued in-flight spec must
-		// stay queued (and checkpointed) on the way out, not be re-leased
-		// by a worker that has not yet noticed the cancellation.
+		// stay queued on the way out, not be re-leased by a worker that
+		// has not yet noticed the cancellation.
 		select {
 		case <-ctx.Done():
 			return nil
@@ -582,18 +592,16 @@ func (s *Scheduler) finish(ctx context.Context, st *specState, jpath string, err
 		s.done.Add(id)
 		s.running--
 		attempt := st.attempts + 1
-		cp := s.checkpointLocked()
 		s.mu.Unlock()
 		ctrCompleted.Inc()
-		s.emit(journal.Event{
+		s.record(journal.Event{
 			Type: journal.TypeComplete, Src: id, Step: attempt,
 			Detail: fmt.Sprintf("completed on attempt %d", attempt),
 		})
-		s.checkpoint(cp)
 
 	case ctx.Err() != nil || errors.Is(err, supervise.ErrShutdown):
 		// Drain: the attempt was interrupted, not at fault. Requeue
-		// without spending retry budget; the checkpoint already carries
+		// without spending retry budget; the journal already carries
 		// the spec, so the queue survives even a SIGKILL right here.
 		s.mu.Lock()
 		st.status = StatusQueued
@@ -617,21 +625,19 @@ func (s *Scheduler) finish(ctx context.Context, st *specState, jpath string, err
 		attempts := st.attempts
 		s.mu.Unlock()
 		if quarantine {
-			tail := preserveTail(jpath, filepath.Join(s.cfg.Dir, "specs", id, "quarantine.tail"))
+			tail := preserveTail(jpath, s.tailPath(id))
 			s.collector.Unwatch(id)
 			s.mu.Lock()
 			st.status = StatusQuarantined
 			q := Quarantine{ID: id, Attempts: attempts, Err: err.Error(), TailPath: tail}
 			s.quarantined = append(s.quarantined, q)
 			s.running--
-			cp := s.checkpointLocked()
 			s.mu.Unlock()
-			s.emit(journal.Event{
+			s.record(journal.Event{
 				Type: journal.TypeQuarantine, Src: id, Step: attempts,
 				Err:    err.Error(),
 				Detail: fmt.Sprintf("retry budget %d exhausted after %d attempts; journal tail preserved", budget, attempts),
 			})
-			s.checkpoint(cp)
 		} else {
 			backoff := supervise.Backoff(s.cfg.BackoffBase, s.cfg.BackoffMax, attempts)
 			s.mu.Lock()
@@ -655,34 +661,24 @@ func (s *Scheduler) finish(ctx context.Context, st *specState, jpath string, err
 	s.wakeWorkers()
 }
 
-// checkpoint persists cp, surfacing a failed write in the journal —
-// the fleet keeps running, but the operator sees that resumability is
-// degraded.
-func (s *Scheduler) checkpoint(cp Checkpoint) {
-	if err := WriteCheckpoint(s.cfg.Dir, cp); err != nil {
-		s.emit(journal.Event{Type: journal.TypeError, Step: -1, Err: err.Error(),
-			Detail: "fleet checkpoint write failed; a crash now would replay completed specs"})
-	}
-}
-
-// checkpointLocked builds the durable state snapshot. Caller holds mu.
-func (s *Scheduler) checkpointLocked() Checkpoint {
-	specs := make([]Spec, 0, len(s.order))
-	for _, id := range s.order {
-		specs = append(specs, s.specs[id].spec)
-	}
-	return Checkpoint{
-		Specs:       specs,
-		Done:        s.done.IDs(),
-		Quarantined: append([]Quarantine(nil), s.quarantined...),
-	}
-}
-
 // emit sends one fleet control event through the ingest batcher so it
 // interleaves with worker traffic in the merged journal.
 func (s *Scheduler) emit(ev journal.Event) {
 	ev.Rank = -1
 	_ = s.batcher.Put(ev)
+}
+
+// record emits a terminal event and returns once it is fsynced, so a
+// spec the fleet reports complete or quarantined stays so across a
+// crash. A sink failure is sticky: Run's close reports it.
+func (s *Scheduler) record(ev journal.Event) {
+	s.emit(ev)
+	_ = s.batcher.Flush()
+}
+
+// tailPath is where a quarantined spec's journal tail is preserved.
+func (s *Scheduler) tailPath(id string) string {
+	return filepath.Join(s.cfg.Dir, "specs", id, "quarantine.tail")
 }
 
 func (s *Scheduler) setGauges() {

@@ -10,11 +10,14 @@ package fleet_test
 // mid-write, refuses to run (poison), or stops heartbeating (stall).
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -146,19 +149,23 @@ func helperSpec(id, mode string, steps, retries int, markerDir string) fleet.Spe
 	}
 }
 
-// runFleet drives a scheduler to idle and drains it, returning Run's
-// error.
-// checkpointDone returns the completed spec IDs, in completion order,
-// from the fleet checkpoint in dir.
-func checkpointDone(t *testing.T, dir string) []string {
+// replayJournal folds the fleet journal in dir through fleet.Replay.
+// A torn final line (a SIGKILLed writer) leaves the clean prefix.
+func replayJournal(t *testing.T, dir string) fleet.Ledger {
 	t.Helper()
-	cp, err := fleet.ReadCheckpoint(dir)
+	events, err := journal.ReadFile(filepath.Join(dir, fleet.JournalFile))
+	if err != nil && !errors.Is(err, journal.ErrTornTail) {
+		t.Fatal(err)
+	}
+	led, err := fleet.Replay(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cp.Done
+	return led
 }
 
+// runFleet drives a scheduler to idle and drains it, returning Run's
+// error.
 func runFleet(t *testing.T, s *fleet.Scheduler, specs []fleet.Spec) error {
 	t.Helper()
 	done := make(chan error, 1)
@@ -198,8 +205,8 @@ func chaosDir(t *testing.T) string {
 
 // TestFleetCompletesSweep is the happy path: a small sweep across a
 // bounded pool completes every spec, balances the conservation law,
-// persists a complete checkpoint, and journals the full submit → lease
-// → complete lifecycle per spec.
+// and journals the full submit → lease → complete lifecycle per spec —
+// enough for the journal alone to replay to the live state.
 func TestFleetCompletesSweep(t *testing.T) {
 	dir := chaosDir(t)
 	s, err := fleet.New(fleet.Config{Dir: dir, Workers: 2, BackoffBase: 20 * time.Millisecond})
@@ -219,7 +226,8 @@ func TestFleetCompletesSweep(t *testing.T) {
 	if !c.Balanced() || c.Completed != len(ids) || c.Quarantined != 0 {
 		t.Fatalf("counts %+v, want %d completed, balanced", c, len(ids))
 	}
-	got := checkpointDone(t, dir)
+	led := replayJournal(t, dir)
+	got := append([]string(nil), led.Done...)
 	sort.Strings(got)
 	if strings.Join(got, ",") != strings.Join(ids, ",") {
 		t.Fatalf("completed %v, want %v", got, ids)
@@ -231,13 +239,13 @@ func TestFleetCompletesSweep(t *testing.T) {
 		}
 	}
 
-	// The checkpoint alone reconstructs the fleet.
-	cp, err := fleet.ReadCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
+	// The journal alone reconstructs the fleet: every spec as submitted,
+	// in order, and the live tally.
+	if !reflect.DeepEqual(led.Specs, specs) || len(led.Done) != len(ids) || len(led.Quarantined) != 0 {
+		t.Fatalf("replayed ledger %+v incomplete", led)
 	}
-	if len(cp.Specs) != len(ids) || len(cp.Done) != len(ids) || len(cp.Quarantined) != 0 {
-		t.Fatalf("checkpoint %+v incomplete", cp)
+	if led.Counts != c {
+		t.Fatalf("replayed counts %+v, live counts %+v", led.Counts, c)
 	}
 
 	// The merged journal carries the full lifecycle, tagged by spec.
@@ -307,6 +315,14 @@ func TestFleetRetryLadder(t *testing.T) {
 	}
 	if !strings.Contains(string(tail), "poison spec") {
 		t.Errorf("preserved tail does not show the failure: %q", tail)
+	}
+	led := replayJournal(t, dir)
+	if len(led.Quarantined) != 1 || led.Quarantined[0].ID != "bad" ||
+		led.Quarantined[0].Attempts != 2 || led.Quarantined[0].Err != qs[0].Err {
+		t.Errorf("replayed quarantine %+v, live %+v", led.Quarantined, qs)
+	}
+	if led.Counts != c {
+		t.Errorf("replayed counts %+v, live counts %+v", led.Counts, c)
 	}
 
 	events, err := journal.ReadFile(filepath.Join(dir, fleet.JournalFile))
@@ -394,4 +410,72 @@ func TestFleetSecondSchedulerRejected(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_ = s.Run(ctx)
+}
+
+const lockHolderEnv = "ETH_FLEET_LOCK_HOLDER"
+
+// TestHelperFleetLockHolder is not a test: it is the subprocess that
+// stands in for a worker the killed scheduler forked but had not yet
+// exec'd, which holds the fleet journal's flock through its inherited
+// descriptor. It takes the lock, says so, and drops it by exiting
+// about 200ms later.
+func TestHelperFleetLockHolder(t *testing.T) {
+	path := os.Getenv(lockHolderEnv)
+	if path == "" {
+		t.Skip("helper process body; skipped in normal runs")
+	}
+	if _, err := journal.Append(path); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fmt.Println("locked")
+	time.Sleep(200 * time.Millisecond)
+	os.Exit(0)
+}
+
+// TestFleetResumeWaitsOutInheritedLock reproduces the fork–exec window
+// right after a scheduler SIGKILL: another process holds the fleet
+// journal's lock for a moment. A plain New still refuses at once (a
+// rival scheduler), but a resuming New waits the lock out and picks up
+// the outstanding queue.
+func TestFleetResumeWaitsOutInheritedLock(t *testing.T) {
+	dir := t.TempDir()
+	s, err := fleet.New(fleet.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Submit(helperSpec("held", "", 1, 0, dir)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = s.Run(ctx) // closes the journal with the spec still queued
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestHelperFleetLockHolder$", "-test.v=false")
+	cmd.Env = append(os.Environ(), lockHolderEnv+"="+filepath.Join(dir, fleet.JournalFile))
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Wait()
+	if line, err := bufio.NewReader(out).ReadString('\n'); line != "locked\n" {
+		t.Fatalf("lock holder said %q (%v)", line, err)
+	}
+
+	if _, err := fleet.New(fleet.Config{Dir: dir}); !errors.Is(err, journal.ErrLocked) {
+		t.Fatalf("New while the lock is held = %v, want journal.ErrLocked", err)
+	}
+	r, err := fleet.New(fleet.Config{Dir: dir, Resume: true})
+	if err != nil {
+		t.Fatalf("resuming New did not wait out the lock: %v", err)
+	}
+	if c := r.Counts(); c.Submitted != 1 || c.Queued != 1 {
+		t.Errorf("resumed counts %+v, want the one queued spec", c)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	cancel()
+	_ = r.Run(ctx)
 }

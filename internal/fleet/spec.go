@@ -28,8 +28,9 @@ var ErrBadSpec = errors.New("fleet: invalid spec")
 
 // Spec is one experiment the fleet owns: an ID, the harness kind that
 // runs it, and its arguments. Specs arrive over the HTTP API or from a
-// sweep file and live in the fleet checkpoint until they complete or
-// quarantine, so the whole type must round-trip through JSON.
+// sweep file, and each submit event in the fleet journal carries its
+// spec as JSON (Replay reads it back), so the whole type must
+// round-trip through JSON.
 type Spec struct {
 	// ID names the experiment. It doubles as the spec's directory name
 	// under the fleet dir and the Src tag on every journal event the

@@ -68,6 +68,46 @@ func TestBatcherCloseDrains(t *testing.T) {
 	}
 }
 
+// TestBatcherFlushIsABarrier proves Flush's contract: with neither
+// trigger due, every event Put before the call is in the sink when it
+// returns, a failed sink write comes back as its error, and Flush
+// after Close returns rather than waiting for a loop that has exited.
+func TestBatcherFlushIsABarrier(t *testing.T) {
+	sink := journal.New()
+	b := NewBatcher(Config{Sink: sink, FlushCount: 1 << 20, FlushEvery: time.Hour})
+	for i := 0; i < 10; i++ {
+		if err := b.Put(journal.Event{Type: journal.TypeRender, Step: i, Rank: -1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sink.Len(); got != 10 {
+		t.Fatalf("sink has %d events after Flush, want 10", got)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatalf("Flush after Close = %v", err)
+	}
+
+	failing := NewBatcher(Config{Sink: journal.NewWriter(errWriter{}), FlushEvery: time.Hour})
+	defer failing.Close()
+	if err := failing.Put(journal.Event{Type: journal.TypeRender, Rank: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := failing.Flush(); err == nil {
+		t.Fatal("Flush over a failing sink returned nil")
+	}
+}
+
+// errWriter fails every write: the broken-disk sink.
+type errWriter struct{}
+
+func (errWriter) Write([]byte) (int, error) { return 0, errors.New("disk on fire") }
+
 // blockingWriter is a sink backend that blocks every Write until
 // released — the stalled-consumer fixture.
 type blockingWriter struct {

@@ -4,8 +4,8 @@
 // one-writer-per-journal-file contract journal.ErrLocked enforces —
 // and ingestion merges those streams into the fleet journal through a
 // Batcher: events queue in a bounded channel and flush to the sink on
-// a count or interval trigger, with one fsync per batch instead of per
-// event.
+// a count or interval trigger, or at a producer's Flush barrier, with
+// one fsync per batch instead of per event.
 //
 // The batcher is provably bounded. A stalled sink (slow disk, blocked
 // writer) fills the queue and then blocks producers — backpressure,
@@ -95,11 +95,12 @@ func (c Config) queue() int {
 // count/interval-triggered flushes and bounded-queue backpressure.
 // Create with NewBatcher, feed with Put, stop with Close.
 type Batcher struct {
-	cfg     Config
-	ch      chan journal.Event
-	closing chan struct{}
-	done    chan struct{}
-	once    sync.Once
+	cfg      Config
+	ch       chan journal.Event
+	flushReq chan chan struct{}
+	closing  chan struct{}
+	done     chan struct{}
+	once     sync.Once
 	// blocked counts producer backpressure episodes since the last
 	// flush reported them in-band.
 	blocked atomic.Int64
@@ -108,10 +109,11 @@ type Batcher struct {
 // NewBatcher starts the flush loop and returns the batcher.
 func NewBatcher(cfg Config) *Batcher {
 	b := &Batcher{
-		cfg:     cfg,
-		ch:      make(chan journal.Event, cfg.queue()),
-		closing: make(chan struct{}),
-		done:    make(chan struct{}),
+		cfg:      cfg,
+		ch:       make(chan journal.Event, cfg.queue()),
+		flushReq: make(chan chan struct{}),
+		closing:  make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	//lint:ignore nakedgo flush loop lifecycle is owned by Close, which joins via b.done
 	go b.loop()
@@ -148,6 +150,23 @@ func (b *Batcher) Put(ev journal.Event) error {
 	}
 }
 
+// Flush is the durability barrier: it returns once every event Put
+// before the call has been written to the sink and synced, with the
+// sink's first error. An event that must be on disk before its
+// producer goes on (the fleet's submit, complete and quarantine
+// records) is Put and then Flushed, so it still lands after everything
+// queued ahead of it.
+func (b *Batcher) Flush() error {
+	flushed := make(chan struct{})
+	select {
+	case b.flushReq <- flushed:
+		<-flushed
+	case <-b.closing:
+		<-b.done // Close's final drain flushes everything queued
+	}
+	return b.cfg.Sink.Err()
+}
+
 // Close stops intake, drains the queue, flushes the final batch, and
 // returns the sink's first write error, if any. Idempotent.
 func (b *Batcher) Close() error {
@@ -172,6 +191,10 @@ func (b *Batcher) loop() {
 			}
 		case <-tick.C:
 			b.flush(&pending)
+		case flushed := <-b.flushReq:
+			b.drainQueued(&pending)
+			b.flush(&pending)
+			close(flushed)
 		case <-b.closing:
 			b.drainQueued(&pending)
 			b.flush(&pending)

@@ -55,7 +55,8 @@ const (
 	// TypeSkip records a step abandoned under the degradation policy.
 	TypeSkip = "skip"
 	// TypeResume records a connection resuming at a step after reconnect,
-	// including a duplicate re-sent step being re-acked without rendering.
+	// including a duplicate re-sent step being re-acked without rendering,
+	// or a fleet scheduler resuming from its journal.
 	TypeResume = "resume"
 	// TypeRestart records a supervised proxy being torn down and
 	// restarted; Detail carries "role=<role> attempt=<n>/<max> cause=<c>".
@@ -84,7 +85,8 @@ const (
 	// and its starting cursor.
 	TypeSubscribe = "subscribe"
 	// TypeSubmit records an experiment spec entering a fleet queue;
-	// Detail identifies the spec and its source (API, sweep file, resume).
+	// Src is the spec ID and Detail the spec as JSON, which is all a
+	// resuming scheduler needs to queue it again.
 	TypeSubmit = "submit"
 	// TypeLease records a fleet spec being leased to a worker slot for
 	// one attempt; Detail carries "spec=<id> worker=<n> attempt=<k>".

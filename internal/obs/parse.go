@@ -162,3 +162,36 @@ func parseLabels(body string, dst map[string]string) error {
 	}
 	return nil
 }
+
+// splitTopLevel splits a label body on commas outside quoted values.
+func splitTopLevel(s string) []string {
+	var parts []string
+	depth := false // inside quotes
+	start := 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '\\':
+			i++
+		case '"':
+			depth = !depth
+		case ',':
+			if !depth {
+				parts = append(parts, s[start:i])
+				start = i + 1
+			}
+		}
+	}
+	if start < len(s) {
+		parts = append(parts, s[start:])
+	}
+	return parts
+}
+
+// unescapeLabel reverses escapeLabel.
+func unescapeLabel(v string) string {
+	if !strings.Contains(v, `\`) {
+		return v
+	}
+	r := strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n")
+	return r.Replace(v)
+}

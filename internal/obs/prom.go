@@ -71,7 +71,7 @@ func (s *Server) renderExpositionLocked(run string) []byte {
 	reg.EachSpan(func(sm *telemetry.SpanMetric) { e.spans = append(e.spans, sm) })
 	sort.Slice(e.spans, func(i, j int) bool { return e.spans[i].Name() < e.spans[j].Name() })
 
-	labels := renderLabels(s.cfg.role(), run)
+	role := s.cfg.role()
 	b := e.buf[:0]
 
 	for _, c := range e.counters {
@@ -81,7 +81,7 @@ func (s *Server) renderExpositionLocked(run string) []byte {
 		}
 		b = appendHeader(b, name, "counter")
 		b = append(b, name...)
-		b = append(b, labels...)
+		b = appendLabels(b, role, run, "", "")
 		b = append(b, ' ')
 		b = strconv.AppendInt(b, c.Value(), 10)
 		b = append(b, '\n')
@@ -90,16 +90,16 @@ func (s *Server) renderExpositionLocked(run string) []byte {
 		name := promName(g.Name())
 		b = appendHeader(b, name, "gauge")
 		b = append(b, name...)
-		b = append(b, labels...)
+		b = appendLabels(b, role, run, "", "")
 		b = append(b, ' ')
 		b = strconv.AppendInt(b, g.Value(), 10)
 		b = append(b, '\n')
 	}
 	for _, h := range e.hists {
-		b = e.appendHistogram(b, h, s.cfg.role(), run)
+		b = e.appendHistogram(b, h, role, run)
 	}
 	for _, sm := range e.spans {
-		b = appendSummary(b, sm, labels)
+		b = appendSummary(b, sm, role, run)
 	}
 	e.buf = b
 	return b
@@ -127,16 +127,15 @@ func (e *expoScratch) appendHistogram(b []byte, h *telemetry.Histogram, role, ru
 	b = strconv.AppendInt(b, count, 10)
 	b = append(b, '\n')
 
-	labels := renderLabels(role, run)
 	b = append(b, name...)
 	b = append(b, "_sum"...)
-	b = append(b, labels...)
+	b = appendLabels(b, role, run, "", "")
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, h.Sum(), 10)
 	b = append(b, '\n')
 	b = append(b, name...)
 	b = append(b, "_count"...)
-	b = append(b, labels...)
+	b = appendLabels(b, role, run, "", "")
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, count, 10)
 	b = append(b, '\n')
@@ -145,9 +144,8 @@ func (e *expoScratch) appendHistogram(b []byte, h *telemetry.Histogram, role, ru
 
 // appendSummary renders one span metric as a Prometheus summary in
 // seconds: the p50/p95/p99 quantile series plus _sum and _count.
-func appendSummary(b []byte, sm *telemetry.SpanMetric, labels string) []byte {
+func appendSummary(b []byte, sm *telemetry.SpanMetric, role, run string) []byte {
 	name := promName(sm.Name()) + "_seconds"
-	role, run := splitLabels(labels)
 	b = appendHeader(b, name, "summary")
 	for _, q := range [...]struct {
 		label string
@@ -161,13 +159,13 @@ func appendSummary(b []byte, sm *telemetry.SpanMetric, labels string) []byte {
 	}
 	b = append(b, name...)
 	b = append(b, "_sum"...)
-	b = append(b, labels...)
+	b = appendLabels(b, role, run, "", "")
 	b = append(b, ' ')
 	b = strconv.AppendFloat(b, sm.Total().Seconds(), 'g', -1, 64)
 	b = append(b, '\n')
 	b = append(b, name...)
 	b = append(b, "_count"...)
-	b = append(b, labels...)
+	b = appendLabels(b, role, run, "", "")
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, sm.Count(), 10)
 	b = append(b, '\n')
@@ -202,68 +200,9 @@ func promName(name string) string {
 	return sb.String()
 }
 
-// renderLabels renders the constant role/run label set, e.g.
-// `{role="viz",run="trace.jsonl"}`.
-func renderLabels(role, run string) string {
-	var sb strings.Builder
-	sb.WriteString(`{role="`)
-	sb.WriteString(escapeLabel(role))
-	sb.WriteString(`"`)
-	if run != "" {
-		sb.WriteString(`,run="`)
-		sb.WriteString(escapeLabel(run))
-		sb.WriteString(`"`)
-	}
-	sb.WriteString("}")
-	return sb.String()
-}
-
-// splitLabels recovers role and run from a rendered label set so the
-// summary/histogram helpers can append extra labels. The inverse only
-// needs to be correct for renderLabels' own output.
-func splitLabels(labels string) (role, run string) {
-	inner := strings.TrimSuffix(strings.TrimPrefix(labels, "{"), "}")
-	for _, kv := range splitTopLevel(inner) {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			continue
-		}
-		v = unescapeLabel(strings.Trim(v, `"`))
-		switch k {
-		case "role":
-			role = v
-		case "run":
-			run = v
-		}
-	}
-	return role, run
-}
-
-// splitTopLevel splits a label body on commas outside quoted values.
-func splitTopLevel(s string) []string {
-	var parts []string
-	depth := false // inside quotes
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++
-		case '"':
-			depth = !depth
-		case ',':
-			if !depth {
-				parts = append(parts, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	if start < len(s) {
-		parts = append(parts, s[start:])
-	}
-	return parts
-}
-
-// appendLabels writes role/run plus one extra label (le or quantile).
+// appendLabels is the one label writer: the constant role/run set,
+// e.g. `{role="viz",run="trace.jsonl"}`, plus one extra label (le or
+// quantile) when extraKey is set.
 func appendLabels(b []byte, role, run, extraKey, extraVal string) []byte {
 	b = append(b, `{role="`...)
 	b = append(b, escapeLabel(role)...)
@@ -273,12 +212,14 @@ func appendLabels(b []byte, role, run, extraKey, extraVal string) []byte {
 		b = append(b, escapeLabel(run)...)
 		b = append(b, '"')
 	}
-	b = append(b, ',')
-	b = append(b, extraKey...)
-	b = append(b, `="`...)
-	b = append(b, extraVal...)
-	b = append(b, `"}`...)
-	return b
+	if extraKey != "" {
+		b = append(b, ',')
+		b = append(b, extraKey...)
+		b = append(b, `="`...)
+		b = append(b, extraVal...)
+		b = append(b, '"')
+	}
+	return append(b, '}')
 }
 
 // escapeLabel escapes a label value per the exposition format.
@@ -287,14 +228,5 @@ func escapeLabel(v string) string {
 		return v
 	}
 	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
-
-// unescapeLabel reverses escapeLabel.
-func unescapeLabel(v string) string {
-	if !strings.Contains(v, `\`) {
-		return v
-	}
-	r := strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n")
 	return r.Replace(v)
 }

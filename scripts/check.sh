@@ -22,13 +22,14 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-# The steady-state allocation gates and the pool-identity leak tests
-# skip themselves under -race (the race runtime allocates, and its
-# sync.Pool randomly drops Put items), so run them again without it — a
-# hot-path allocation regression or an error-path pool leak must fail
-# CI, not hide behind the race build.
-echo "== go test -run 'Allocs|Releases' ./internal/transport ./internal/raster ./internal/compositing ./internal/hub ./internal/rt ./internal/geom ./internal/render ./internal/sampling ./internal/data ./internal/proxy"
-go test -run 'Allocs|Releases' ./internal/transport/ ./internal/raster/ ./internal/compositing/ ./internal/hub/ ./internal/rt/ ./internal/geom/ ./internal/render/ ./internal/sampling/ ./internal/data/ ./internal/proxy/
+# The allocation gates and the pool-identity leak tests skip themselves
+# under -race (the race runtime allocates, and its sync.Pool randomly
+# drops Put items), so run them again without it, module-wide and by
+# name — a hot-path allocation regression or an error-path pool leak
+# must fail CI, not hide behind the race build, and a new gate needs no
+# list to join.
+echo "== go test -run 'Alloc|Releases' ./..."
+go test -run 'Alloc|Releases' ./...
 
 # Supervision chaos: run the process-level suite (subprocess SIGKILL,
 # watchdog teardown, panic restart) by name so a rename that silently
@@ -111,6 +112,9 @@ go test -run='^$' -fuzz=FuzzLoadDoneSet -fuzztime=10s ./internal/fleet/
 
 echo "== go test -fuzz=FuzzLoadSweep -fuzztime=10s ./internal/fleet"
 go test -run='^$' -fuzz=FuzzLoadSweep -fuzztime=10s ./internal/fleet/
+
+echo "== go test -fuzz=FuzzReplay -fuzztime=10s ./internal/fleet"
+go test -run='^$' -fuzz=FuzzReplay -fuzztime=10s ./internal/fleet/
 
 # Multi-viewer broadcast smoke: real sim+viz+hub processes, three
 # ethwatch viewers over real sockets, one steered, one SIGKILLed and

@@ -67,12 +67,12 @@ else
     echo "   pad-1 already finished; worker-kill window missed" ; exit 1
 fi
 
-# Kill the scheduler once the checkpoint records progress but the sweep
-# is still running — the classic mid-sweep crash.
+# Kill the scheduler once its journal records a completed spec but the
+# sweep is still running — the classic mid-sweep crash.
 echo "== SIGKILL the scheduler mid-sweep"
 i=0
 while [ $i -lt 400 ]; do
-    if grep -q '"done":\["' "$tmp/fleet/fleet.ckpt" 2>/dev/null; then break; fi
+    if grep -q '"type":"complete"' "$tmp/fleet/fleet.jsonl" 2>/dev/null; then break; fi
     if ! kill -0 "$servepid" 2>/dev/null; then break; fi
     i=$((i + 1))
     sleep 0.05
@@ -83,7 +83,7 @@ fi
 kill -9 "$servepid" 2>/dev/null || true
 wait "$servepid" 2>/dev/null || true
 pids=""
-echo "   scheduler killed; checkpoint survives"
+echo "   scheduler killed; its journal survives"
 
 # Orphaned workers from the killed scheduler may still be running; the
 # resumed fleet's retry ladder absorbs their journal locks.
