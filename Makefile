@@ -36,7 +36,8 @@ sarif:
 # valid, unique IDs and reads back from its marshalled form) and the
 # fleet journal's replay (any bytes replay or fail, never panic; an
 # accepted ledger adds up, and a real scheduler's journal replays to its
-# counts).
+# counts), and the cosmo generator's lazy random stream (any seed draws
+# math/rand's exact sequence, past its hand-over to a real source).
 fuzz:
 	go test -run='^$$' -fuzz=FuzzReadVTK -fuzztime=10s ./internal/vtkio/
 	go test -run='^$$' -fuzz=FuzzFrameFlip -fuzztime=10s ./internal/transport/
@@ -51,6 +52,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzLoadDoneSet -fuzztime=10s ./internal/fleet/
 	go test -run='^$$' -fuzz=FuzzLoadSweep -fuzztime=10s ./internal/fleet/
 	go test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/fleet/
+	go test -run='^$$' -fuzz=FuzzStream -fuzztime=10s ./internal/cosmo/
 
 # Full gate: gofmt + vet + build + ethlint + race-enabled tests + short
 # fuzz passes.

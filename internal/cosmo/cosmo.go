@@ -15,6 +15,11 @@
 //     velocity; halo particles add an isotropic virial dispersion that
 //     scales with halo mass.
 //
+// Every particle draws from its own math/rand sequence, so the data do not
+// depend on the worker count. The sequence is computed lazily, word by
+// word, instead of seeding a 607-word source per particle; the output is
+// bit-identical to rand.NewSource's.
+//
 // The renderers and samplers only observe positions, velocities, and IDs,
 // which is exactly the payload the paper's simulation proxy presents to
 // the in-situ interface, so the substitution preserves the code paths
@@ -72,7 +77,10 @@ type halo struct {
 }
 
 // Generate synthesizes the particle dataset for p. It is deterministic in
-// p (including Seed and TimeStep) and parallelized across particles.
+// p (including Seed and TimeStep) and parallelized across particles. Each
+// particle draws from math/rand's sequence for a seed mixed from p.Seed,
+// its index and p.TimeStep; the sequence is computed lazily (see stream),
+// so a particle costs the few draws it makes, not a seeded source.
 func Generate(p Params) (*data.PointCloud, error) {
 	if p.Particles < 0 {
 		return nil, fmt.Errorf("cosmo: negative particle count %d", p.Particles)
@@ -110,25 +118,30 @@ func Generate(p Params) (*data.PointCloud, error) {
 
 	// Per-particle generation must be reproducible regardless of worker
 	// count, so each particle derives its own RNG stream from (seed, i).
-	par.For(p.Particles, 0, func(i int) {
-		rng := rand.New(rand.NewSource(p.Seed ^ int64(uint64(i)*0x9E3779B97F4A7C15) ^ int64(p.TimeStep)<<32))
-		cloud.IDs[i] = int64(i)
-		if i < nBg || len(halos) == 0 {
-			genBackground(cloud, i, p, rng)
-			return
-		}
-		// Pick a halo by mass weight.
-		u := rng.Float64() * total
-		lo, hi := 0, len(cum)-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid] < u {
-				lo = mid + 1
-			} else {
-				hi = mid
+	// One Rand per grain is re-seeded for each particle; its lazy source
+	// makes that O(1).
+	par.ForGrained(p.Particles, 0, 0, func(lo, hi int) {
+		rng := rand.New(&stream{})
+		for i := lo; i < hi; i++ {
+			rng.Seed(p.Seed ^ int64(uint64(i)*0x9E3779B97F4A7C15) ^ int64(p.TimeStep)<<32)
+			cloud.IDs[i] = int64(i)
+			if i < nBg || len(halos) == 0 {
+				genBackground(cloud, i, p, rng)
+				continue
 			}
+			// Pick a halo by mass weight.
+			u := rng.Float64() * total
+			a, b := 0, len(cum)-1
+			for a < b {
+				mid := (a + b) / 2
+				if cum[mid] < u {
+					a = mid + 1
+				} else {
+					b = mid
+				}
+			}
+			genHaloParticle(cloud, i, p, halos[a], rng)
 		}
-		genHaloParticle(cloud, i, p, halos[lo], rng)
 	})
 
 	cloud.SpeedField()

@@ -119,7 +119,8 @@ type surfaceFinding struct{ name, pos string }
 //   - a function or method that no identifier resolves to outside its own
 //     declaration, unless it is a method of an interface its type
 //     satisfies (one declared in the module, error, fmt.Stringer,
-//     io.Reader, io.Writer, ast.Visitor or types.Importer);
+//     io.Reader, io.Writer, ast.Visitor, types.Importer, rand.Source or
+//     rand.Source64);
 //   - a named type used nowhere outside its declaration and its methods;
 //   - an exported field, of a struct without json tags, that nothing
 //     writes (keyed or positional literal, assignment, ++/--, &x.f).
@@ -250,7 +251,7 @@ func (s *surfaceScan) write(info *types.Info, e ast.Expr) {
 // types are the ones the module was checked against.
 func (s *surfaceScan) addStdInterfaces(pkgs []*lint.Package) {
 	s.interfaces = append(s.interfaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
-	want := map[string][]string{"fmt": {"Stringer"}, "io": {"Reader", "Writer"}, "go/ast": {"Visitor"}, "go/types": {"Importer"}}
+	want := map[string][]string{"fmt": {"Stringer"}, "io": {"Reader", "Writer"}, "go/ast": {"Visitor"}, "go/types": {"Importer"}, "math/rand": {"Source", "Source64"}}
 	seen := map[*types.Package]bool{}
 	var visit func(*types.Package)
 	visit = func(p *types.Package) {

@@ -4,6 +4,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 
 	"surface/internal/lib"
 )
@@ -18,5 +19,5 @@ func main() {
 		panic(err)
 	}
 	cfg := lib.Config{Size: lib.Sum(&lib.Counter{}, 3)}
-	fmt.Println(cfg, r)
+	fmt.Println(cfg, r, rand.New(&lib.Dice{}).Intn(6))
 }

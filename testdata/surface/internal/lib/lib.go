@@ -65,6 +65,25 @@ type Config struct {
 // reported.
 func (c Config) String() string { return fmt.Sprintf("size=%d debug=%v", c.Size, c.Debug) }
 
+// Dice is the rand.Source64 the command hands to rand.New. Only math/rand
+// calls its methods, and they are not reported.
+type Dice struct{ n uint64 }
+
+// Seed implements rand.Source.
+func (d *Dice) Seed(seed int64) { d.n = uint64(seed) }
+
+// Int63 implements rand.Source.
+func (d *Dice) Int63() int64 {
+	d.n = d.n*6364136223846793005 + 1442695040888963407
+	return int64(d.n >> 1)
+}
+
+// Uint64 implements rand.Source64.
+func (d *Dice) Uint64() uint64 {
+	d.n = d.n*6364136223846793005 + 1442695040888963407
+	return d.n
+}
+
 // Report is decoded from JSON: no code writes its fields, and they are not
 // reported.
 type Report struct {
