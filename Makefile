@@ -28,13 +28,12 @@ sarif:
 # run: the fault schedule and the job layout (no panic; an accepted one
 # reads back unchanged from its printed form), and the two readers of
 # what other processes wrote: the journal (a cut at any byte returns
-# every whole event, torn only inside one), its live follower (a journal
-# written in any chunk cuts drains to exactly what Read returns) and the
-# Prometheus exposition (an escaped label value parses back exactly), and
-# the sweep checkpoints (any bytes load or fail, never panic; a saved
-# done set reads back), the fleet sweep file (an accepted sweep has
-# valid, unique IDs and reads back from its marshalled form) and the
-# fleet journal's replay (any bytes replay or fail, never panic; an
+# every whole event, torn only inside one, and its step cursor matches a
+# plain scan), its live follower (a journal written in any chunk cuts
+# drains to exactly what Read returns) and the Prometheus exposition (an
+# escaped label value parses back exactly), the fleet sweep file (an
+# accepted sweep has valid, unique IDs and reads back from its
+# marshalled form) and the fleet journal's replay (any bytes replay or fail, never panic; an
 # accepted ledger adds up, and a real scheduler's journal replays to its
 # counts), and the cosmo generator's lazy random stream (any seed draws
 # math/rand's exact sequence, past its hand-over to a real source).
@@ -49,7 +48,6 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzJournalRead -fuzztime=10s ./internal/journal/
 	go test -run='^$$' -fuzz=FuzzFollowerDrain -fuzztime=10s ./internal/journal/
 	go test -run='^$$' -fuzz=FuzzParseExposition -fuzztime=10s ./internal/obs/
-	go test -run='^$$' -fuzz=FuzzLoadDoneSet -fuzztime=10s ./internal/fleet/
 	go test -run='^$$' -fuzz=FuzzLoadSweep -fuzztime=10s ./internal/fleet/
 	go test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/fleet/
 	go test -run='^$$' -fuzz=FuzzStream -fuzztime=10s ./internal/cosmo/

@@ -15,21 +15,18 @@
 //	ethbench -csv results/  # also write CSVs
 //	ethbench -calibrated    # use this machine's measured kernel costs
 //	ethbench -cpuprofile cpu.pb.gz  # pprof capture around the run
-//	ethbench -checkpoint bench.ckpt           # record each finished experiment
-//	ethbench -checkpoint bench.ckpt -resume   # skip experiments already done
-//	ethbench -run-one fig8 -trace w.jsonl     # one experiment as a fleet worker
+//	ethbench -trace bench.jsonl           # journal each experiment
+//	ethbench -trace bench.jsonl -resume   # skip experiments already done
 //
-// With -checkpoint, every completed experiment is recorded in an
-// atomically-replaced checkpoint file, and SIGINT/SIGTERM stops cleanly
-// at the next experiment boundary (exit 3). A later -resume run skips
-// every recorded experiment, so a killed overnight sweep picks up where
-// it left off instead of replaying hours of finished work.
-//
-// -run-one is the fleet worker mode ethserve drives: it runs exactly one
-// experiment, journaling run_start/run_end to the -trace file. A retried
-// attempt appends to the same journal (repairing any torn tail from a
-// crashed predecessor) and exits immediately if the journal already
-// records the experiment's run_end, so fleet retries are idempotent.
+// With -trace, each experiment is journaled as run_start, then its CSV
+// (with -csv), then run_end, fsynced, and SIGINT/SIGTERM stops cleanly
+// at the next experiment boundary (exit 3). A later -resume run appends
+// to the same journal (repairing a torn tail a kill -9 left) and skips
+// every experiment it records a run_end for, so a killed overnight sweep
+// picks up where it left off instead of replaying hours of finished
+// work. The fleet's bench worker is this same loop over one experiment:
+// -only <id> -trace <journal> -csv <dir>, plus -resume on a retry, so
+// fleet retries are idempotent.
 package main
 
 import (
@@ -41,12 +38,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
 	"github.com/ascr-ecx/eth/internal/cluster"
 	"github.com/ascr-ecx/eth/internal/experiments"
-	"github.com/ascr-ecx/eth/internal/fleet"
 	"github.com/ascr-ecx/eth/internal/journal"
 	"github.com/ascr-ecx/eth/internal/metrics"
 	"github.com/ascr-ecx/eth/internal/obs"
@@ -65,15 +62,13 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	noTiming := flag.Bool("notiming", false, "suppress per-experiment timing and the telemetry summary")
-	ckptPath := flag.String("checkpoint", "", "record each completed experiment in this checkpoint file")
-	resume := flag.Bool("resume", false, "skip experiments the -checkpoint file records as complete")
 	obsAddr := flag.String("obs", "", "serve live observability (/metrics /healthz) on this address for the whole sweep")
-	runOne := flag.String("run-one", "", "fleet worker mode: run exactly one experiment, journaling to -trace")
-	tracePath := flag.String("trace", "", "worker journal for -run-one (run_start/run_end events; enables idempotent retries)")
+	tracePath := flag.String("trace", "", "journal each experiment's run_start and run_end (JSONL) to this file")
+	resume := flag.Bool("resume", false, "continue the -trace journal, skipping experiments it records as finished")
 	flag.Parse()
 
-	if *resume && *ckptPath == "" {
-		log.Fatal("-resume needs -checkpoint: the completed-experiment list lives there")
+	if *resume && *tracePath == "" {
+		log.Fatal("-resume needs -trace: the journal it continues records each finished experiment")
 	}
 
 	if *cpuprofile != "" {
@@ -96,42 +91,44 @@ func main() {
 		fmt.Println()
 	}
 
-	find := func(id string) experiments.Experiment {
-		for _, e := range experiments.Experiments {
-			if e.ID == id {
-				return e
-			}
-		}
-		log.Fatalf("unknown experiment %q", id)
-		return experiments.Experiment{}
-	}
 	runs := experiments.Experiments
 	if *only != "" {
-		runs = []experiments.Experiment{find(*only)}
+		i := slices.IndexFunc(runs, func(e experiments.Experiment) bool { return e.ID == *only })
+		if i < 0 {
+			log.Fatalf("unknown experiment %q", *only)
+		}
+		runs = runs[i : i+1]
 	}
 
-	if *runOne != "" {
-		e := find(*runOne)
-		os.Exit(runOneExperiment(e.ID, *tracePath, *csvDir, cfg, e.Run))
-	}
-
-	// Load the completed-experiment list when resuming; a missing
-	// checkpoint file is a fresh start.
-	done := fleet.NewDoneSet()
-	if *resume {
-		d, err := fleet.LoadDoneSet(*ckptPath)
+	// The journal is the sweep's ledger: an experiment is finished once
+	// it records the experiment's run_end. A missing journal on -resume
+	// is a fresh start.
+	var jw *journal.Writer
+	finished := map[string]bool{}
+	ctx := context.Background()
+	if *tracePath != "" {
+		var (
+			events []journal.Event
+			err    error
+		)
+		if *resume {
+			jw, events, err = journal.Reopen(*tracePath)
+		} else {
+			jw, err = journal.Create(*tracePath)
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		done = d
-	}
-
-	// With a checkpoint file, signals stop the sweep cleanly at the next
-	// experiment boundary rather than mid-render.
-	ctx := context.Background()
-	if *ckptPath != "" {
+		defer jw.Close()
+		for _, ev := range events {
+			if ev.Type == journal.TypeRunEnd {
+				finished[strings.TrimPrefix(ev.Detail, "experiment=")] = true
+			}
+		}
+		// Signals stop the sweep cleanly at the next experiment boundary
+		// rather than mid-render.
 		var stop context.CancelFunc
-		ctx, stop = supervise.SignalContext(ctx, nil)
+		ctx, stop = supervise.SignalContext(ctx, jw)
 		defer stop()
 	}
 
@@ -154,17 +151,21 @@ func main() {
 		if srv != nil {
 			srv.SetRun(id)
 		}
-		if done.Has(id) {
-			fmt.Printf("==== %s ==== (complete in %s, skipped)\n\n", strings.ToUpper(id), *ckptPath)
+		if finished[id] {
+			fmt.Printf("==== %s ==== (complete in %s, skipped)\n\n", strings.ToUpper(id), *tracePath)
 			continue
 		}
 		if ctx.Err() != nil {
-			log.Printf("interrupted; %d experiments recorded in %s (-resume continues)", done.Len(), *ckptPath)
+			log.Printf("interrupted; %d experiments recorded in %s (-resume continues)", len(finished), *tracePath)
 			os.Exit(supervise.ExitShutdown)
 		}
+		jw.Emit(journal.Event{Type: journal.TypeRunStart, Rank: -1, Step: -1, Detail: "experiment=" + id})
+		jw.Sync()
 		t0 := time.Now()
 		res, err := e.Run(cfg)
 		if err != nil {
+			jw.Error(-1, -1, err)
+			jw.Sync()
 			log.Fatal(err)
 		}
 		wall := time.Since(t0)
@@ -176,17 +177,21 @@ func main() {
 			fmt.Printf("(harness: %.3f s)\n", wall.Seconds())
 		}
 		fmt.Println()
+		// The CSV lands before run_end: an experiment killed between the
+		// two is rerun, never recorded finished without its CSV.
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, id, res); err != nil {
 				log.Fatal(err)
 			}
 		}
-		if *ckptPath != "" {
-			done.Add(id)
-			if err := done.Save(*ckptPath, "last="+id); err != nil {
-				log.Fatal(err)
-			}
+		jw.Emit(journal.Event{
+			Type: journal.TypeRunEnd, Rank: -1, Step: -1,
+			DurNS: wall.Nanoseconds(), Detail: "experiment=" + id,
+		})
+		if err := jw.Sync(); err != nil {
+			log.Fatal(err)
 		}
+		finished[id] = true
 	}
 
 	if !*noTiming {
@@ -209,67 +214,6 @@ func main() {
 		}
 		f.Close()
 	}
-}
-
-// runOneExperiment is the fleet worker mode: run exactly one experiment,
-// journaling run_start/run_end to the trace file. The journal is the
-// attempt ledger — a recorded run_end means a prior attempt already
-// finished this experiment (and wrote its CSV), so a fleet retry exits
-// 0 without redoing the work. Opening with journal.Append repairs a
-// torn tail left by a SIGKILLed predecessor and takes the writer lock,
-// enforcing the one-writer-per-journal-file contract against an orphaned
-// twin still holding the file.
-func runOneExperiment(id, trace, csvDir string, cfg experiments.Config, run func(experiments.Config) (experiments.Result, error)) int {
-	var jw *journal.Writer
-	if trace != "" {
-		w, err := journal.Append(trace)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer w.Close()
-		jw = w
-		events, err := journal.ReadFile(trace)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		for _, ev := range events {
-			if ev.Type == journal.TypeRunEnd && ev.Detail == "experiment="+id {
-				fmt.Printf("==== %s ==== (already complete in %s, skipped)\n", strings.ToUpper(id), trace)
-				return 0
-			}
-		}
-	}
-	jw.Emit(journal.Event{Type: journal.TypeRunStart, Rank: -1, Step: -1, Detail: "experiment=" + id})
-	jw.Sync()
-	t0 := time.Now()
-	res, err := run(cfg)
-	if err != nil {
-		jw.Error(-1, -1, err)
-		jw.Sync()
-		log.Print(err)
-		return 1
-	}
-	fmt.Printf("==== %s ====\n", strings.ToUpper(id))
-	if err := res.Table.Fprint(os.Stdout); err != nil {
-		log.Print(err)
-		return 1
-	}
-	if csvDir != "" {
-		// The artifact lands before run_end: an attempt that dies between
-		// the two is retried, never recorded complete without its CSV.
-		if err := writeCSV(csvDir, id, res); err != nil {
-			log.Print(err)
-			return 1
-		}
-	}
-	jw.Emit(journal.Event{
-		Type: journal.TypeRunEnd, Rank: -1, Step: -1,
-		DurNS: time.Since(t0).Nanoseconds(), Detail: "experiment=" + id,
-	})
-	jw.Sync()
-	return 0
 }
 
 // spanTable tabulates where the measured-kernel time went across the

@@ -30,8 +30,10 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"strings"
+	"time"
 
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/fleet"
@@ -191,6 +193,11 @@ type journalAudit struct {
 	// an earlier build wrote, or a corrupt one); Fleet is then absent
 	// and the rest of the audit stands.
 	FleetError string `json:"fleet_error,omitempty"`
+
+	// started is the run_start time and phases the breakdown's keys in
+	// pipeline order (journal.PhaseNames), for the text rendering.
+	started time.Time
+	phases  []string
 }
 
 // fleetAudit replays a fleet journal's experiment ledger. Spec tallies
@@ -258,50 +265,60 @@ type errorAudit struct {
 
 // auditJournal replays a JSONL run journal: run metadata, wall time,
 // event counts by type, the reconstructed per-phase time breakdown, and
-// any recorded errors. With jsonOut the same audit is emitted as one
-// JSON document instead of tables.
+// any recorded errors. With jsonOut the audit is emitted as one JSON
+// document instead of tables; both render the one buildAudit fold.
 func auditJournal(path string, jsonOut bool) error {
 	events, err := journal.ReadFile(path)
+	// A crash mid-write leaves at most one torn final line; the clean
+	// prefix is still a valid audit subject.
 	torn := errors.Is(err, journal.ErrTornTail)
-	if torn {
-		// A crash mid-write leaves at most one torn final line; the clean
-		// prefix is still a valid audit subject.
-		if !jsonOut {
-			fmt.Printf("warning: %s has a torn final line (crash mid-write); auditing the clean prefix\n", path)
-		}
-	} else if err != nil {
+	if err != nil && !torn {
 		return err
 	}
 	fl, flErr := fleetLedger(events)
+	a := buildAudit(path, events, torn, fl, flErr)
 	if jsonOut {
-		return writeJSON(buildAudit(path, events, torn, fl, flErr))
+		return writeJSON(a)
 	}
-	fmt.Printf("%s:\n", path)
-	fmt.Printf("  events   %d\n", len(events))
-	for _, ev := range events {
-		if ev.Type == journal.TypeRunStart {
-			fmt.Printf("  run      %s (started %s)\n", ev.Detail, ev.T.Format("2006-01-02 15:04:05"))
-			break
+	return printAudit(a)
+}
+
+// eventTypeOrder is the text audit's row order for event types; types
+// outside it follow, sorted by name.
+var eventTypeOrder = []string{
+	journal.TypeRunStart, journal.TypeRunEnd, journal.TypePhase,
+	journal.TypeDataset, journal.TypeSample, journal.TypeSerialize,
+	journal.TypeTransfer, journal.TypeRender, journal.TypeAnalysis,
+	journal.TypeComposite, journal.TypeRetry, journal.TypeSkip,
+	journal.TypeResume, journal.TypeError, journal.TypeRestart,
+	journal.TypeShutdown, journal.TypeCheckpoint, journal.TypeOverflow,
+	journal.TypeSteer, journal.TypeSubscribe,
+	journal.TypeSubmit, journal.TypeLease, journal.TypeRequeue,
+	journal.TypeQuarantine, journal.TypeComplete,
+}
+
+// printAudit renders the audit as text tables.
+func printAudit(a journalAudit) error {
+	if a.TornTail {
+		fmt.Printf("warning: %s has a torn final line (crash mid-write); auditing the clean prefix\n", a.Path)
+	}
+	fmt.Printf("%s:\n", a.Path)
+	fmt.Printf("  events   %d\n", a.Events)
+	if a.Started != "" {
+		fmt.Printf("  run      %s (started %s)\n", a.Run, a.started.Format("2006-01-02 15:04:05"))
+	}
+	fmt.Printf("  wall     %.3f s\n", a.WallSec)
+
+	ct := metrics.NewTable("Events by type", "type", "count")
+	var rest []string
+	for _, ty := range sortedKeys(a.ByType) {
+		if !slices.Contains(eventTypeOrder, ty) {
+			rest = append(rest, ty)
 		}
 	}
-	wall := journal.Wall(events)
-	fmt.Printf("  wall     %.3f s\n", wall.Seconds())
-
-	counts := journal.CountByType(events)
-	ct := metrics.NewTable("Events by type", "type", "count")
-	for _, ty := range []string{
-		journal.TypeRunStart, journal.TypeRunEnd, journal.TypePhase,
-		journal.TypeDataset, journal.TypeSample, journal.TypeSerialize,
-		journal.TypeTransfer, journal.TypeRender, journal.TypeAnalysis,
-		journal.TypeComposite, journal.TypeRetry, journal.TypeSkip,
-		journal.TypeResume, journal.TypeError, journal.TypeRestart,
-		journal.TypeShutdown, journal.TypeCheckpoint, journal.TypeOverflow,
-		journal.TypeSteer, journal.TypeSubscribe,
-		journal.TypeSubmit, journal.TypeLease, journal.TypeRequeue,
-		journal.TypeQuarantine, journal.TypeComplete,
-	} {
-		if counts[ty] > 0 {
-			ct.AddRow(ty, counts[ty])
+	for _, ty := range append(slices.Clone(eventTypeOrder), rest...) {
+		if a.ByType[ty] > 0 {
+			ct.AddRow(ty, a.ByType[ty])
 		}
 	}
 	if err := ct.Fprint(os.Stdout); err != nil {
@@ -309,36 +326,34 @@ func auditJournal(path string, jsonOut bool) error {
 	}
 
 	// Supervision audit: which roles were restarted, how often, and why.
-	if counts[journal.TypeRestart] > 0 {
+	if len(a.Restarts) > 0 {
 		rt := metrics.NewTable("Restarts by role", "role", "restarts", "causes")
-		roles, causes := restartsByRole(events)
-		for _, role := range sortedKeys(roles) {
-			rt.AddRow(role, roles[role], causes[role])
+		for _, r := range a.Restarts {
+			rt.AddRow(r.Role, r.Restarts, r.Causes)
 		}
 		if err := rt.Fprint(os.Stdout); err != nil {
 			return err
 		}
 	}
 
-	breakdown := journal.Breakdown(events)
 	pt := metrics.NewTable("Per-phase breakdown (replayed)", "phase", "seconds", "% of wall")
-	for _, name := range journal.PhaseNames(events) {
-		d := breakdown[name]
+	for _, name := range a.phases {
+		sec := a.Breakdown[name]
 		pct := 0.0
-		if wall > 0 {
-			pct = 100 * float64(d) / float64(wall)
+		if a.WallSec > 0 {
+			pct = 100 * sec / a.WallSec
 		}
-		pt.AddRow(name, d.Seconds(), pct)
+		pt.AddRow(name, sec, pct)
 	}
 	if err := pt.Fprint(os.Stdout); err != nil {
 		return err
 	}
 
 	// Fleet audit: the experiment ledger and its conservation law.
-	if flErr != nil {
-		fmt.Printf("  fleet    ledger does not replay: %v\n", flErr)
+	if a.FleetError != "" {
+		fmt.Printf("  fleet    ledger does not replay: %s\n", a.FleetError)
 	}
-	if fl != nil {
+	if fl := a.Fleet; fl != nil {
 		fmt.Printf("  fleet    submitted=%d completed=%d quarantined=%d retried=%d leases=%d requeues=%d balanced=%v\n",
 			fl.Submitted, fl.Completed, fl.Quarantined, fl.Retried, fl.Leases, fl.Requeues, fl.Balanced)
 		for _, q := range fl.Quarantines {
@@ -351,25 +366,25 @@ func auditJournal(path string, jsonOut bool) error {
 	}
 
 	// Hub audit: who watched, what was dropped, how the run was steered.
-	if h := hubTallies(events); h != nil {
+	if h := a.Hub; h != nil {
 		fmt.Printf("  hub      joins=%d leaves=%d rejects=%d dropped_frames=%d steer_received=%d steer_applied=%d\n",
 			h.Joins, h.Leaves, h.Rejects, h.DroppedFrames, h.SteerReceived, h.SteerApplied)
-		for _, s := range h.Steering {
-			fmt.Printf("    step=%d %s\n", s.Step, s.Detail)
+		for _, st := range h.Steering {
+			fmt.Printf("    step=%d %s\n", st.Step, st.Detail)
 		}
 	}
 
-	if errs := journal.Errors(events); len(errs) > 0 {
-		fmt.Printf("  errors   %d\n", len(errs))
-		for _, ev := range errs {
-			fmt.Printf("    rank=%d step=%d: %s\n", ev.Rank, ev.Step, firstLine(ev.Err))
+	if len(a.Errors) > 0 {
+		fmt.Printf("  errors   %d\n", len(a.Errors))
+		for _, e := range a.Errors {
+			fmt.Printf("    rank=%d step=%d: %s\n", e.Rank, e.Step, firstLine(e.Err))
 		}
 	}
 	return nil
 }
 
-// buildAudit assembles the JSON audit from the same replays the table
-// printer uses, so the two outputs cannot drift apart.
+// buildAudit folds the journal into the audit both renderings print, so
+// the text and JSON outputs cannot drift apart.
 func buildAudit(path string, events []journal.Event, torn bool, fl *fleetAudit, flErr error) journalAudit {
 	a := journalAudit{
 		Path:      path,
@@ -382,6 +397,7 @@ func buildAudit(path string, events []journal.Event, torn bool, fl *fleetAudit, 
 	for _, ev := range events {
 		if ev.Type == journal.TypeRunStart {
 			a.Run = ev.Detail
+			a.started = ev.T
 			a.Started = ev.T.Format("2006-01-02T15:04:05Z07:00")
 			break
 		}
@@ -391,7 +407,8 @@ func buildAudit(path string, events []journal.Event, torn bool, fl *fleetAudit, 
 		a.Restarts = append(a.Restarts, restartAudit{Role: role, Restarts: roles[role], Causes: causes[role]})
 	}
 	breakdown := journal.Breakdown(events)
-	for _, name := range journal.PhaseNames(events) {
+	a.phases = journal.PhaseNames(events)
+	for _, name := range a.phases {
 		a.Breakdown[name] = breakdown[name].Seconds()
 	}
 	a.Durations = durationQuantiles(events)

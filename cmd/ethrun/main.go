@@ -88,7 +88,7 @@ func main() {
 	// Supervision flags: watchdog + restart-with-resume + crash recovery.
 	watchdog := flag.Duration("watchdog", 0, "measured: stall watchdog timeout per pair (0 = no watchdog); implies supervision")
 	maxRestarts := flag.Int("max-restarts", 0, "measured: restarts allowed per pair before the run fails; implies supervision")
-	resume := flag.Bool("resume", false, "measured: resume a crashed run from its step cursors (requires -trace; implies supervision)")
+	resume := flag.Bool("resume", false, "measured: continue a crashed run's -trace journal, each rank after its last checkpointed step (implies supervision)")
 
 	// Job-layout file (paper §VII).
 	specFile := flag.String("spec", "", "run a JSON job-layout file in place of the measured experiment flags (run flags still apply)")
@@ -246,19 +246,21 @@ func buildPolicy(a runArgs, socket bool) coupling.Policy {
 // flags — under the run flags, and prints the report.
 func runMeasured(spec *layout.Spec, a runArgs) {
 	if a.resume && a.trace == "" {
-		log.Fatal("-resume needs -trace: the step cursors live next to the trace file")
+		log.Fatal("-resume needs -trace: the journal it continues records each rank's progress")
 	}
 	pol := buildPolicy(a, spec.Coupling == "socket")
 	// A nil journal keeps the run's events in memory only. On -resume,
 	// reopen the crashed run's journal (a torn final line from kill -9 is
-	// repaired on open) so the resumed events extend the same file.
+	// repaired on open) so the resumed events extend the same file, and
+	// replay it for each rank's last checkpointed step.
 	var (
-		jw  *journal.Writer
-		err error
+		jw      *journal.Writer
+		resumed []journal.Event
+		err     error
 	)
 	switch {
 	case a.resume:
-		jw, err = journal.Append(a.trace)
+		jw, resumed, err = journal.Reopen(a.trace)
 	case a.trace != "":
 		jw, err = journal.Create(a.trace)
 	}
@@ -276,14 +278,12 @@ func runMeasured(spec *layout.Spec, a runArgs) {
 		log.Fatal(err)
 	}
 	mspec.Journal = jw
+	mspec.Resume = resumed
 	mspec.Policy = pol
 	if a.supervised() {
 		mspec.Supervise = &supervise.Config{
 			MaxRestarts: a.maxRestarts,
 			Stall:       a.watchdog,
-		}
-		if a.trace != "" {
-			mspec.CursorDir = a.trace + ".cursors"
 		}
 		// First SIGINT/SIGTERM drains the in-flight step and exits with
 		// the shutdown code; a second hard-aborts.

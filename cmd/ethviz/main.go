@@ -6,14 +6,15 @@
 // Usage:
 //
 //	ethviz -rank 0 -layout /tmp/eth.layout -algorithm raycast -out frames/
-//	ethviz -rank 0 -layout /tmp/eth.layout -cursor viz.ckpt -trace viz.jsonl -reconnect 3
+//	ethviz -rank 0 -layout /tmp/eth.layout -trace viz.jsonl -resume -reconnect 3
 //
-// With -cursor, each completed step is recorded in an atomically-replaced
-// checkpoint; a restarted ethviz pointed at the same cursor resumes after
-// its last completed step instead of re-rendering. -trace appends the
-// step journal to a crash-safe JSONL file (a torn final line from kill -9
-// is repaired on reopen). -reconnect N redials a lost simulation peer up
-// to N times, resuming at the cursor. SIGINT/SIGTERM drains and exits 3.
+// -trace appends the step journal to a crash-safe JSONL file (a torn
+// final line from kill -9 is repaired on reopen); each completed step is
+// a checkpoint event fsynced into it. With -resume, a restarted ethviz
+// replays that journal and resumes after the rank's last checkpointed
+// step instead of re-rendering. -reconnect N redials a lost simulation
+// peer up to N times, resuming at the step cursor. SIGINT/SIGTERM drains
+// and exits 3.
 package main
 
 import (
@@ -51,8 +52,8 @@ func main() {
 	out := flag.String("out", "", "directory for PNG artifacts (empty = discard)")
 	timeout := flag.Duration("timeout", 30*time.Second, "rendezvous timeout")
 	ops := flag.String("ops", "", "comma-separated in-situ analysis operations (halos, stats, save)")
-	cursor := flag.String("cursor", "", "persist the step cursor here; a restarted ethviz resumes after its last completed step")
 	trace := flag.String("trace", "", "append the step journal (JSONL) to this crash-safe file")
+	resume := flag.Bool("resume", false, "continue the -trace journal after this rank's last checkpointed step")
 	reconnect := flag.Int("reconnect", 0, "redials to survive when the simulation peer is lost mid-run")
 	obsAddr := flag.String("obs", "", "serve live observability (/metrics /healthz /events /trace) on this address")
 	serve := flag.String("serve", "", "broadcast rendered frames to live viewers (ethwatch) on this address")
@@ -73,9 +74,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var jw *journal.Writer
+	if *resume && *trace == "" {
+		log.Fatal("-resume needs -trace: the journal it continues records each step")
+	}
+	var (
+		jw      *journal.Writer
+		resumed []journal.Event
+	)
 	if *trace != "" {
-		jw, err = journal.Append(*trace)
+		if *resume {
+			jw, resumed, err = journal.Reopen(*trace)
+		} else {
+			jw, err = journal.Append(*trace)
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -148,7 +159,7 @@ func main() {
 		ImagesPerStep: *images,
 		OutDir:        *out,
 		Operations:    operations,
-		CursorPath:    *cursor,
+		Start:         journal.Cursor(resumed, *rank),
 		Journal:       jw,
 	}
 	if h != nil {
@@ -162,8 +173,8 @@ func main() {
 	if err := viz.EnsureOutDir(); err != nil {
 		log.Fatal(err)
 	}
-	if resumed := viz.NextStep(); resumed > 0 {
-		fmt.Printf("rank %d resuming at step %d (cursor %s)\n", *rank, resumed, *cursor)
+	if start := viz.NextStep(); start > 0 {
+		fmt.Printf("rank %d resuming at step %d (journal %s)\n", *rank, start, *trace)
 	}
 
 	t0 := time.Now()

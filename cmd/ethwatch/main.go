@@ -1,6 +1,6 @@
 // Command ethwatch is a live viewer for the ethviz broadcast hub: it
 // subscribes to the frame stream, renders progress to stdout (and
-// optionally PNG files), persists a step cursor so a killed viewer can
+// optionally PNG files), journals a step cursor so a killed viewer can
 // resume exactly where it stopped, and injects live steering — camera,
 // isovalue, sampling ratio, wire codec — back into the running
 // pipeline.
@@ -8,17 +8,20 @@
 // Usage:
 //
 //	ethwatch -addr 127.0.0.1:7040 -follow -out frames/
-//	ethwatch -addr 127.0.0.1:7040 -cursor watch.ckpt          # resumable
+//	ethwatch -addr 127.0.0.1:7040 -cursor watch.jsonl         # resumable
 //	ethwatch -addr 127.0.0.1:7040 -once                       # one frame, then exit
 //	ethwatch -addr 127.0.0.1:7040 -set iso=0.45 -set camera=1.2,0.5,1.5
 //	ethwatch -addr 127.0.0.1:7040 -set ratio=0.25 -at 10      # steer at step 10
 //
 // Without -follow, ethwatch drains whatever the hub has buffered and
 // exits once the stream goes idle ("caught up"); with -follow it stays
-// attached until the run ends. With -cursor, the cursor checkpoint is
-// rewritten after every frame, and -from defaults to the checkpointed
-// step on restart, so kill -9 and rerun replays nothing and skips
-// nothing (the hub re-keyframes temporal codecs automatically).
+// attached until the run ends. With -cursor, the viewer appends one
+// checkpoint event per frame to that journal and fsyncs it, and a
+// restarted viewer starts after the journal's last checkpoint in place
+// of -from, so kill -9 and rerun replays nothing and skips nothing (the
+// hub re-keyframes temporal codecs automatically). The journal has one
+// writer: a second viewer on the same cursor fails with
+// journal.ErrLocked.
 package main
 
 import (
@@ -105,7 +108,7 @@ func main() {
 	addr := flag.String("addr", "", "hub address (ethviz -serve)")
 	name := flag.String("name", "watch", "subscriber name (journals, gauges)")
 	from := flag.Int64("from", -1, "first step wanted (-1 = live tail; overridden by a -cursor checkpoint)")
-	cursorPath := flag.String("cursor", "", "persist the step cursor here; a restarted ethwatch resumes from it")
+	cursorPath := flag.String("cursor", "", "journal each received step here; a restarted ethwatch resumes after the last one")
 	follow := flag.Bool("follow", false, "stay attached until the run ends (default: exit when caught up)")
 	once := flag.Bool("once", false, "exit after the first frame")
 	frames := flag.Int("frames", 0, "exit after this many frames (0 = unlimited)")
@@ -123,16 +126,20 @@ func main() {
 		*frames = 1
 	}
 	start := *from
+	var jw *journal.Writer
 	if *cursorPath != "" {
-		cp, err := journal.ReadCheckpoint(*cursorPath)
-		switch {
-		case err == nil:
-			start = int64(cp.Step)
-			fmt.Printf("resuming at step %d (cursor %s)\n", start, *cursorPath)
-		case errors.Is(err, os.ErrNotExist):
-			// Fresh start.
-		default:
+		var (
+			events []journal.Event
+			err    error
+		)
+		jw, events, err = journal.Reopen(*cursorPath)
+		if err != nil {
 			log.Fatal(err)
+		}
+		defer jw.Close()
+		if c := journal.Cursor(events, -1); c > 0 {
+			start = int64(c)
+			fmt.Printf("resuming at step %d (cursor %s)\n", start, *cursorPath)
 		}
 	}
 	if *out != "" {
@@ -185,11 +192,9 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		if *cursorPath != "" {
-			cp := journal.Checkpoint{Step: int(step) + 1, Detail: "ethwatch " + *name}
-			if err := journal.WriteCheckpoint(*cursorPath, cp); err != nil {
-				log.Fatal(err)
-			}
+		jw.Emit(journal.Event{Type: journal.TypeCheckpoint, Rank: -1, Step: int(step), Detail: "ethwatch " + *name})
+		if err := jw.Sync(); err != nil {
+			log.Fatal(err)
 		}
 		if steer.msg.Axes != 0 && *at >= 0 && step >= int64(*at) {
 			if err := hub.SendSteer(conn, steer.msg); err != nil {

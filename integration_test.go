@@ -175,6 +175,47 @@ func TestEthrunSpecHonoursRunFlags(t *testing.T) {
 	}
 }
 
+// TestEthbenchResumeSkipsFinished runs one experiment under -trace, then
+// the same command with -resume: the journal records table1's run_end,
+// so the second run skips it and journals no new run_start.
+func TestEthbenchResumeSkipsFinished(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	dir := t.TempDir()
+	bin := buildTools(t, dir, "ethbench")
+	trace := filepath.Join(dir, "bench.jsonl")
+	args := []string{"-only", "table1", "-notiming", "-trace", trace}
+	out, err := exec.Command(bin["ethbench"], args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("ethbench: %v\n%s", err, out)
+	}
+	if strings.Contains(string(out), "skipped") {
+		t.Fatalf("fresh run skipped an experiment:\n%s", out)
+	}
+	first, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(first), `"type":"run_end"`); n != 1 {
+		t.Fatalf("journal records %d run_end events, want 1:\n%s", n, first)
+	}
+	out, err = exec.Command(bin["ethbench"], append(args, "-resume")...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("ethbench -resume: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "skipped") {
+		t.Errorf("resumed run did not skip table1:\n%s", out)
+	}
+	second, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(second), `"type":"run_start"`); n != 1 {
+		t.Errorf("journal records %d run_start events after -resume, want 1:\n%s", n, second)
+	}
+}
+
 // buildTools compiles the named cmd binaries into dir once per test.
 func buildTools(t *testing.T, dir string, names ...string) map[string]string {
 	t.Helper()

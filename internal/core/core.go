@@ -11,8 +11,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/ascr-ecx/eth/internal/blast"
@@ -139,11 +137,10 @@ type MeasuredSpec struct {
 	// down and restarted under the budget, resuming from its step cursor.
 	// Nil runs unsupervised (failures end the run).
 	Supervise *supervise.Config
-	// CursorDir, when set, persists each rank's visualization step cursor
-	// to CursorDir/rank<r>.ckpt. A fresh process pointed at the same
-	// directory resumes each pair after its last completed step instead
-	// of re-rendering from step 0.
-	CursorDir string
+	// Resume holds the events of an earlier run's journal: each rank's
+	// visualization proxy starts at journal.Cursor(Resume, rank), after
+	// its last completed step, instead of re-rendering from step 0.
+	Resume []journal.Event
 }
 
 // Validate reports errors.
@@ -269,11 +266,6 @@ func RunMeasured(spec MeasuredSpec) (MeasuredResult, error) {
 		datasets[s] = ds
 	}
 
-	if spec.CursorDir != "" {
-		if err := os.MkdirAll(spec.CursorDir, 0o755); err != nil {
-			return MeasuredResult{}, fmt.Errorf("core: creating cursor dir: %w", err)
-		}
-	}
 	pairs := make([]coupling.PairSpec, ranks)
 	for r := 0; r < ranks; r++ {
 		sim, err := proxy.NewSimProxy(proxy.SimConfig{
@@ -287,10 +279,6 @@ func RunMeasured(spec MeasuredSpec) (MeasuredResult, error) {
 		if err != nil {
 			return MeasuredResult{}, err
 		}
-		cursorPath := ""
-		if spec.CursorDir != "" {
-			cursorPath = filepath.Join(spec.CursorDir, fmt.Sprintf("rank%d.ckpt", r))
-		}
 		viz, err := proxy.NewVizProxy(proxy.VizConfig{
 			Rank: r, Width: spec.Width, Height: spec.Height,
 			Algorithm:     spec.Algorithm,
@@ -298,7 +286,7 @@ func RunMeasured(spec MeasuredSpec) (MeasuredResult, error) {
 			OutDir:        spec.OutDir,
 			Operations:    spec.Operations,
 			Journal:       jw,
-			CursorPath:    cursorPath,
+			Start:         journal.Cursor(spec.Resume, r),
 		})
 		if err != nil {
 			return MeasuredResult{}, err

@@ -73,8 +73,8 @@ type Report struct {
 // handed to the renderer directly, no serialization. Cancelling ctx
 // drains at the next step boundary with an ErrShutdown-wrapped error.
 // The loop starts at the visualization proxy's step cursor, so a proxy
-// restarted after a contained panic (or re-created over a persistent
-// CursorPath) resumes instead of replaying completed steps.
+// restarted after a contained panic (or re-created at its journal's
+// cursor) resumes instead of replaying completed steps.
 func RunUnified(ctx context.Context, sim *proxy.SimProxy, viz *proxy.VizProxy) (Report, error) {
 	if err := viz.EnsureOutDir(); err != nil {
 		return Report{}, err
@@ -183,8 +183,8 @@ type deadliner interface {
 // proxy's stop channel drains mid-stream at the next step boundary) with
 // an ErrShutdown-wrapped error. The resume point is the visualization
 // proxy's step cursor, so a freshly restarted attempt over the same
-// proxies — or over a CursorPath-backed proxy in a new process — picks up
-// where the last one stopped.
+// proxies — or over a proxy a new process started at its journal's
+// cursor — picks up where the last one stopped.
 func RunSocketPair(ctx context.Context, sim *proxy.SimProxy, viz *proxy.VizProxy, layoutPath string, rank int, pol Policy, jw *journal.Writer) (Report, error) {
 	return runSocketPair(ctx, sim, viz, layoutPath, rank, pol, jw, nil)
 }

@@ -5,63 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
-	"unicode/utf8"
-
-	"github.com/ascr-ecx/eth/internal/journal"
 )
-
-// FuzzLoadDoneSet feeds LoadDoneSet bytes a crash, a full disk or a
-// hand edit could leave behind: whatever the file holds, it loads or
-// returns an error, and never panics. A set built from the fuzzed IDs
-// (the text split at NUL) survives Save then LoadDoneSet with the same
-// members, and the saved file lists them once each in insertion order.
-func FuzzLoadDoneSet(f *testing.F) {
-	f.Add([]byte(`{"t":"2026-07-30T22:15:04Z","step":-1,"done":["table1","fig8"],"detail":"last=fig8"}`+"\n"), "table1\x00fig8")
-	f.Add([]byte(`{"specs":[{"id":"a"}],"done":["a"],"quarantined":[{"id":"b","attempts":3}]}`), "a\x00a\x00b")
-	f.Add([]byte(`{"done": [truncat`), "")
-	f.Add([]byte(`null`), "quote\" back\\slash   <tag>")
-	f.Fuzz(func(t *testing.T, raw []byte, ids string) {
-		path := filepath.Join(t.TempDir(), "sweep.ckpt")
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		LoadDoneSet(path)
-
-		// JSON strings carry UTF-8 only: Save replaces other bytes.
-		if !utf8.ValidString(ids) {
-			return
-		}
-		d := NewDoneSet()
-		for _, id := range strings.Split(ids, "\x00") {
-			d.Add(id)
-		}
-		if err := d.Save(path, "fuzz"); err != nil {
-			t.Fatal(err)
-		}
-		back, err := LoadDoneSet(path)
-		if err != nil {
-			t.Fatalf("saved set does not load: %v", err)
-		}
-		var want []string
-		for _, id := range strings.Split(ids, "\x00") {
-			if !slices.Contains(want, id) {
-				want = append(want, id)
-			}
-			if !back.Has(id) {
-				t.Fatalf("ID %q lost in Save+Load", id)
-			}
-		}
-		cp, err := journal.ReadCheckpoint(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.Len() != len(want) || !slices.Equal(cp.Done, want) {
-			t.Fatalf("IDs after Save+Load = %q (Len %d), want %q", cp.Done, back.Len(), want)
-		}
-	})
-}
 
 // FuzzLoadSweep feeds LoadSweep arbitrary sweep files: it loads them or
 // returns an error, and never panics. An accepted sweep holds only specs

@@ -189,7 +189,7 @@ type Scheduler struct {
 	specs       map[string]*specState
 	order       []string // submission order
 	queue       []string // runnable, FIFO
-	done        *DoneSet
+	completed   int
 	quarantined []Quarantine
 	running     int
 	retries     int
@@ -250,7 +250,6 @@ func New(cfg Config) (*Scheduler, error) {
 		batcher:   b,
 		collector: ingest.NewCollector(b, cfg.Poll),
 		specs:     map[string]*specState{},
-		done:      NewDoneSet(),
 		wake:      make(chan struct{}, 1),
 	}
 	if cfg.Resume {
@@ -271,7 +270,7 @@ func (s *Scheduler) resume(led Ledger) {
 	}
 	for _, id := range led.Done {
 		s.specs[id].status = StatusDone
-		s.done.Add(id)
+		s.completed++
 	}
 	for _, q := range led.Quarantined {
 		if _, err := os.Stat(s.tailPath(q.ID)); err == nil {
@@ -436,7 +435,7 @@ func (s *Scheduler) countsLocked() Counts {
 		Submitted:   len(s.order),
 		Queued:      len(s.queue),
 		Running:     s.running,
-		Completed:   s.done.Len(),
+		Completed:   s.completed,
 		Quarantined: len(s.quarantined),
 		Retries:     s.retries,
 		Requeues:    s.requeues,
@@ -552,17 +551,17 @@ func (s *Scheduler) procFor(sp Spec, jpath, artDir string) supervise.Proc {
 	case KindRun:
 		path = s.cfg.runBin()
 		args = append(append([]string{}, sp.Args...), "-trace", jpath, "-out", artDir)
-		if _, err := os.Stat(jpath); err == nil {
-			// A previous attempt left a journal: resume from its step
-			// cursors (and repair its torn tail) instead of replaying.
-			args = append(args, "-resume")
-		}
 	case KindBench:
 		path = s.cfg.benchBin()
-		args = append(append([]string{}, sp.Args...), "-run-one", sp.ID, "-trace", jpath, "-csv", artDir)
+		args = append(append([]string{}, sp.Args...), "-only", sp.ID, "-trace", jpath, "-csv", artDir)
 	default: // KindExec — validated at submission
 		path = sp.Args[0]
 		args = append([]string{}, sp.Args[1:]...)
+	}
+	if _, err := os.Stat(jpath); err == nil && sp.Kind != KindExec {
+		// A previous attempt left a journal: resume from it (and repair
+		// its torn tail) instead of replaying finished work.
+		args = append(args, "-resume")
 	}
 	env := append(append([]string{}, sp.Env...),
 		"ETH_FLEET_SPEC="+sp.ID,
@@ -589,7 +588,7 @@ func (s *Scheduler) finish(ctx context.Context, st *specState, jpath string, err
 		s.mu.Lock()
 		st.status = StatusDone
 		st.lastErr = ""
-		s.done.Add(id)
+		s.completed++
 		s.running--
 		attempt := st.attempts + 1
 		s.mu.Unlock()

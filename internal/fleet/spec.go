@@ -13,8 +13,8 @@ const (
 	// KindRun invokes the single-shot harness (ethrun) with the spec's
 	// arguments plus fleet-managed -trace/-resume/-out wiring.
 	KindRun = "run"
-	// KindBench invokes the evaluation harness (ethbench -run-one <id>)
-	// for one named experiment.
+	// KindBench invokes the evaluation harness (ethbench -only <id>) for
+	// one named experiment, with fleet-managed -trace/-resume/-csv wiring.
 	KindBench = "bench"
 	// KindExec invokes Args[0] directly — the escape hatch for custom
 	// workers and the chaos suite's helper processes. The worker finds

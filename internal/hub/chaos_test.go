@@ -262,29 +262,37 @@ func TestHubChaosKillResume(t *testing.T) {
 		t.Fatalf("control got %d frames, want %d", len(ctrlSteps), steps)
 	}
 
-	// Victim: read a few frames, checkpoint the cursor after each (the
+	// Victim: read a few frames, journal a checkpoint after each (the
 	// ethwatch client contract), then die without so much as a FIN-ack
 	// courtesy — Close on the raw conn models a SIGKILLed viewer.
-	cursorPath := filepath.Join(t.TempDir(), "victim.cursor")
+	cursorPath := filepath.Join(t.TempDir(), "victim.jsonl")
+	cursor, err := journal.Create(cursorPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	victim := dialHello(t, h.Addr(), "victim", 0)
 	vSteps, vSigs := drainSub(t, victim, killAfter)
-	cp := journal.Checkpoint{Step: int(vSteps[len(vSteps)-1]) + 1, Detail: "victim"}
-	if err := journal.WriteCheckpoint(cursorPath, cp); err != nil {
+	for _, step := range vSteps {
+		cursor.Emit(journal.Event{Type: journal.TypeCheckpoint, Rank: -1, Step: int(step), Detail: "victim"})
+	}
+	if err := cursor.Close(); err != nil {
 		t.Fatal(err)
 	}
 	victim.Close()
 
-	// Resume: reload the cursor, reconnect, and expect a keyframe first
-	// (fresh connection, temporal codec) then the exact remaining steps.
+	// Resume: replay the cursor journal, reconnect, and expect a keyframe
+	// first (fresh connection, temporal codec) then the exact remaining
+	// steps.
 	kf0 := telemetry.Default.Counter("transport.keyframes").Value()
-	loaded, err := journal.ReadCheckpoint(cursorPath)
+	events, err := journal.ReadFile(cursorPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Step != killAfter {
-		t.Fatalf("checkpoint cursor %d, want %d", loaded.Step, killAfter)
+	start := journal.Cursor(events, -1)
+	if start != killAfter {
+		t.Fatalf("checkpoint cursor %d, want %d", start, killAfter)
 	}
-	resumed := dialHello(t, h.Addr(), "victim", int64(loaded.Step))
+	resumed := dialHello(t, h.Addr(), "victim", int64(start))
 	defer resumed.Close()
 	rSteps, rSigs := drainSub(t, resumed, steps-killAfter)
 	if kf := telemetry.Default.Counter("transport.keyframes").Value() - kf0; kf < 1 {

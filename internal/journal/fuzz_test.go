@@ -17,21 +17,27 @@ import (
 // byte must give back exactly the events whose JSON is whole — a cut
 // just after an object's closing brace still counts — with an
 // ErrTornTail-wrapped error when, and only when, the cut lands inside an
-// object.
+// object. Cursor over whatever Read returns, for every rank the events
+// name, must match a plain scan for that rank's last checkpoint.
 func FuzzJournalRead(f *testing.F) {
 	f.Add("algorithm=raycast images=2", uint16(0), []byte(nil))
 	f.Add("", uint16(90), []byte("{\"type\":\"render\""))
 	f.Add("quote\" newline\n brace} \xff", uint16(200), []byte("{}\n{corrupt}\n"))
 	f.Add("x", uint16(65535), []byte("\n\n{\"step\":1}"))
+	f.Add("cursor=2", uint16(300), []byte(`{"type":"checkpoint","rank":2,"step":5}`+"\n"+`{"type":"checkpoint","rank":1,"step":9}`))
 	f.Fuzz(func(t *testing.T, detail string, cut uint16, junk []byte) {
-		Read(bytes.NewReader(junk))
+		junkEvents, _ := Read(bytes.NewReader(junk))
+		checkCursor(t, junkEvents)
 
 		var buf bytes.Buffer
 		j := NewWriter(&buf)
 		at := time.Date(2020, 5, 18, 0, 0, 0, 0, time.UTC)
 		j.Emit(Event{T: at, Type: TypeRunStart, Rank: -1, Step: -1, Detail: detail})
 		j.Emit(Event{T: at, Type: TypeRender, Phase: PhaseRender, Step: 0, DurNS: 7, Elements: 3, Detail: detail})
+		j.Emit(Event{T: at, Type: TypeCheckpoint, Rank: 0, Step: 0, Detail: detail})
 		j.Emit(Event{T: at, Type: TypeError, Rank: 1, Step: 1, Err: detail, Src: detail})
+		j.Emit(Event{T: at, Type: TypeCheckpoint, Rank: 1, Step: 1, Detail: detail})
+		j.Emit(Event{T: at, Type: TypeCheckpoint, Rank: 0, Step: 1})
 		j.Emit(Event{T: at, Type: TypeRunEnd, Rank: -1, Step: -1, DurNS: 9})
 		if err := j.Err(); err != nil {
 			t.Fatal(err)
@@ -68,7 +74,28 @@ func FuzzJournalRead(f *testing.F) {
 				t.Fatalf("cut %d: event %d reads back as %+v, want %+v", k, i, ev, want)
 			}
 		}
+		checkCursor(t, events)
 	})
+}
+
+// checkCursor compares Cursor with a forward scan for every rank the
+// events name, plus one they do not.
+func checkCursor(t *testing.T, events []Event) {
+	t.Helper()
+	want := map[int]int{-2: 0}
+	for _, ev := range events {
+		if _, ok := want[ev.Rank]; !ok {
+			want[ev.Rank] = 0
+		}
+		if ev.Type == TypeCheckpoint {
+			want[ev.Rank] = ev.Step + 1
+		}
+	}
+	for rank, w := range want {
+		if got := Cursor(events, rank); got != w {
+			t.Fatalf("Cursor(rank %d) = %d, scan says %d", rank, got, w)
+		}
+	}
 }
 
 // FuzzFollowerDrain is the hardening gate for the live tail: a valid

@@ -64,8 +64,9 @@ const (
 	// TypeShutdown records a graceful shutdown decision (signal received,
 	// drain started, or a supervisor declining to restart after one).
 	TypeShutdown = "shutdown"
-	// TypeCheckpoint records durable progress being persisted: a viz
-	// cursor advancing, a sweep experiment completing, a run finishing.
+	// TypeCheckpoint records durable progress: a viz rank or a viewer
+	// has completed Step, and the journal is fsynced behind it. Cursor
+	// folds these into the step a restarted process resumes at.
 	TypeCheckpoint = "checkpoint"
 	// TypeOverflow records a bounded live-tail subscriber dropping its
 	// oldest queued events (drop-oldest backpressure); Elements carries
@@ -99,8 +100,8 @@ const (
 	// leaving the queue permanently; Err carries the final failure and
 	// Detail points at the preserved journal tail.
 	TypeQuarantine = "quarantine"
-	// TypeComplete records a fleet spec finishing successfully and
-	// entering the durable done-set.
+	// TypeComplete records a fleet spec finishing successfully; once
+	// fsynced, a resumed fleet never reruns it.
 	TypeComplete = "complete"
 )
 
@@ -232,6 +233,23 @@ func Append(path string) (*Writer, error) {
 		return nil, err
 	}
 	return &Writer{out: f, file: f}, nil
+}
+
+// Reopen is Append for a restarted process: it opens the journal at
+// path for appending and returns the events already in it, read after
+// the lock is held and the torn tail repaired, so they are exactly the
+// events the new ones extend.
+func Reopen(path string) (*Writer, []Event, error) {
+	w, err := Append(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	events, err := ReadFile(path)
+	if err != nil {
+		w.Close()
+		return nil, nil, err
+	}
+	return w, events, nil
 }
 
 // repairTornTail truncates the file after its last complete
@@ -474,6 +492,21 @@ func Wall(events []Event) time.Duration {
 		return 0
 	}
 	return events[len(events)-1].T.Sub(events[0].T)
+}
+
+// Cursor returns the step a restarted rank resumes at: one past the
+// Step of its last checkpoint event, or 0 when it has none. It reads
+// Step, not Detail, so journals whose checkpoints carried a sidecar path
+// ("cursor=3 path=rank0.ckpt") resume the same way, and the last event
+// wins, so a run appended after an earlier one in the same file resumes
+// where the later run stopped.
+func Cursor(events []Event, rank int) int {
+	for i := len(events) - 1; i >= 0; i-- {
+		if ev := events[i]; ev.Type == TypeCheckpoint && ev.Rank == rank {
+			return ev.Step + 1
+		}
+	}
+	return 0
 }
 
 // PhaseNames returns every phase present in events: known phases first in

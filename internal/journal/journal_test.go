@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -296,38 +297,43 @@ func TestAppendRepairsTornTail(t *testing.T) {
 	}
 }
 
-func TestCheckpointRoundTripAndAtomicity(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.ckpt")
-	if _, err := ReadCheckpoint(path); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("missing checkpoint: err = %v, want wrapped os.ErrNotExist", err)
+// TestCursor checks the resume fold over journals as restarted processes
+// find them: the rank's last checkpoint wins, other ranks and event types
+// are ignored, a torn final line is not a checkpoint, and a checkpoint an
+// earlier build wrote next to its sidecar file reads by Step alone.
+func TestCursor(t *testing.T) {
+	const (
+		start = `{"type":"run_start","rank":-1,"step":-1}` + "\n"
+		end   = `{"type":"run_end","rank":-1,"step":-1}` + "\n"
+	)
+	ckpt := func(rank, step int) string {
+		return `{"type":"checkpoint","rank":` + strconv.Itoa(rank) + `,"step":` + strconv.Itoa(step) + `}` + "\n"
 	}
-	cp := Checkpoint{Step: 7, Done: []string{"table1", "fig8"}, Detail: "sweep"}
-	if err := WriteCheckpoint(path, cp); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Step != 7 || !got.Has("fig8") || got.Has("fig9") || got.T.IsZero() {
-		t.Errorf("checkpoint = %+v", got)
-	}
-	// Overwrite must go through the temp+rename protocol: no temp residue
-	// and the new record fully replaces the old.
-	if err := WriteCheckpoint(path, Checkpoint{Step: 9}); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadCheckpoint(path)
-	if err != nil || got.Step != 9 || len(got.Done) != 0 {
-		t.Errorf("rewritten checkpoint = %+v, err = %v", got, err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("directory has %d entries (temp residue?), want 1", len(entries))
+	render := `{"type":"render","phase":"render","rank":0,"step":2}` + "\n"
+	for _, tc := range []struct {
+		name    string
+		journal string
+		rank    int
+		want    int
+	}{
+		{"empty", "", 0, 0},
+		{"no checkpoints", start + render + end, 0, 0},
+		{"two ranks interleaved, rank 0", start + ckpt(0, 0) + ckpt(1, 0) + ckpt(1, 1) + ckpt(0, 1) + ckpt(1, 2), 0, 2},
+		{"two ranks interleaved, rank 1", start + ckpt(0, 0) + ckpt(1, 0) + ckpt(1, 1) + ckpt(0, 1) + ckpt(1, 2), 1, 3},
+		{"rank with none", start + ckpt(1, 4), 0, 0},
+		{"second run appended after a finished one", start + ckpt(0, 0) + ckpt(0, 1) + ckpt(0, 2) + end + start + ckpt(0, 0), 0, 1},
+		{"torn tail", start + ckpt(0, 0) + ckpt(0, 1) + `{"type":"checkpoint","rank":0,"st`, 0, 2},
+		{"earlier build's sidecar detail", start + `{"type":"checkpoint","rank":0,"step":3,"detail":"cursor=4 path=rank0.ckpt"}` + "\n", 0, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			events, err := Read(strings.NewReader(tc.journal))
+			if err != nil && !errors.Is(err, ErrTornTail) {
+				t.Fatal(err)
+			}
+			if got := Cursor(events, tc.rank); got != tc.want {
+				t.Errorf("Cursor(rank %d) = %d, want %d", tc.rank, got, tc.want)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"errors"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -81,8 +80,7 @@ func TestSimPanicContained(t *testing.T) {
 }
 
 func TestVizCursorPersistsAndResumes(t *testing.T) {
-	cursor := filepath.Join(t.TempDir(), "rank0.ckpt")
-	cfg := VizConfig{Width: 16, Height: 16, Algorithm: "points", CursorPath: cursor, Journal: journal.New()}
+	cfg := VizConfig{Width: 16, Height: 16, Algorithm: "points", Journal: journal.New()}
 	vp, err := NewVizProxy(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -95,16 +93,10 @@ func TestVizCursorPersistsAndResumes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cp, err := journal.ReadCheckpoint(cursor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Step != 3 {
-		t.Fatalf("checkpoint step = %d, want 3", cp.Step)
-	}
 	// A checkpoint event per completed step.
+	events := cfg.Journal.Events()
 	var ckpts int
-	for _, ev := range cfg.Journal.Events() {
+	for _, ev := range events {
 		if ev.Type == journal.TypeCheckpoint {
 			ckpts++
 		}
@@ -112,8 +104,12 @@ func TestVizCursorPersistsAndResumes(t *testing.T) {
 	if ckpts != 3 {
 		t.Fatalf("checkpoint events = %d, want 3", ckpts)
 	}
+	if c := journal.Cursor(events, 0); c != 3 {
+		t.Fatalf("journal cursor = %d, want 3", c)
+	}
 
-	// A second incarnation over the same cursor resumes at step 3.
+	// A second incarnation started at the journal's cursor resumes at step 3.
+	cfg.Start = journal.Cursor(events, 0)
 	vp2, err := NewVizProxy(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -54,12 +53,10 @@ type VizConfig struct {
 	// received dataset after rendering (§III "easily configurable
 	// visualization operations").
 	Operations []Operation
-	// CursorPath, when non-empty, persists the step cursor as an
-	// atomically-replaced checkpoint file: the cursor is loaded at
-	// construction and rewritten after every completed step, so a
-	// restarted incarnation resumes at the first unfinished step instead
-	// of replaying the run.
-	CursorPath string
+	// Start is the first step to render: a restarted incarnation passes
+	// journal.Cursor of its predecessor's journal, so it resumes at the
+	// first unfinished step instead of replaying the run.
+	Start int
 	// Journal, when set, receives one event per render, analysis
 	// operation, wire transfer, and error.
 	Journal *journal.Writer
@@ -151,19 +148,7 @@ func NewVizProxy(cfg VizConfig) (*VizProxy, error) {
 	for _, op := range cfg.Operations {
 		v.opSpans = append(v.opSpans, telemetry.Default.Span("viz.op."+op.Name()))
 	}
-	if cfg.CursorPath != "" {
-		cp, err := journal.ReadCheckpoint(cfg.CursorPath)
-		switch {
-		case err == nil:
-			if cp.Step > 0 {
-				v.next.Store(int64(cp.Step))
-			}
-		case errors.Is(err, os.ErrNotExist):
-			// No checkpoint yet: fresh start.
-		default:
-			return nil, fmt.Errorf("proxy: loading step cursor: %w", err)
-		}
-	}
+	v.next.Store(int64(max(cfg.Start, 0)))
 	return v, nil
 }
 
@@ -261,24 +246,19 @@ func (v *VizProxy) RenderStep(step int, ds data.Dataset) (res StepResult, err er
 	ctrImages.Add(int64(res.Images))
 	// The step is complete: advance the cursor (RenderStep is also called
 	// directly by the tight-coupling driver, which resumes from NextStep)
-	// and persist it so a restarted incarnation skips this step. The
-	// journal is fsynced at the same boundary — the crash-safety contract
-	// is "at most the in-flight step is lost".
+	// and checkpoint it in the journal, fsynced, so a restarted
+	// incarnation skips this step — the crash-safety contract is "at most
+	// the in-flight step is lost".
 	if int64(step+1) > v.next.Load() {
 		v.next.Store(int64(step + 1))
 	}
-	if v.cfg.CursorPath != "" {
-		cp := journal.Checkpoint{Step: v.NextStep(), Detail: fmt.Sprintf("rank=%d", v.cfg.Rank)}
-		if cerr := journal.WriteCheckpoint(v.cfg.CursorPath, cp); cerr != nil {
-			v.cfg.Journal.Error(v.cfg.Rank, step, cerr)
-			return res, cerr
-		}
-		v.cfg.Journal.Emit(journal.Event{
-			Type: journal.TypeCheckpoint, Rank: v.cfg.Rank, Step: step,
-			Detail: fmt.Sprintf("cursor=%d path=%s", v.NextStep(), filepath.Base(v.cfg.CursorPath)),
-		})
-		v.cfg.Journal.Sync()
-	}
+	v.cfg.Journal.Emit(journal.Event{
+		Type: journal.TypeCheckpoint, Rank: v.cfg.Rank, Step: step,
+		Detail: fmt.Sprintf("cursor=%d", v.NextStep()),
+	})
+	// A failed sync costs a restart re-rendering from an earlier
+	// checkpoint, not this step's result; the journal keeps the error.
+	_ = v.cfg.Journal.Sync()
 	return res, nil
 }
 

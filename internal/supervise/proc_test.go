@@ -5,13 +5,13 @@ package supervise_test
 // Process-level chaos, subprocess half: a REAL visualization-proxy
 // subprocess is SIGKILLed mid-run (it kills itself at a deterministic
 // step, modeling kill -9 from outside), the supervisor restarts it
-// under budget, the new incarnation resumes from its persistent step
-// cursor, and the run completes with the same artifacts as an
+// under budget, the new incarnation resumes after the last step its
+// journal checkpoints, and the run completes with the same artifacts as an
 // undisturbed run. The child is this very test binary re-executed with
 // ETH_HELPER_VIZ=1 — the standard helper-process pattern, so no extra
 // binaries are built.
 //
-// Artifacts (journals, cursor checkpoints, frames) are written under
+// Artifacts (journals, frames) are written under
 // ETH_CHAOS_DIR when set — CI points it at a temp dir it uploads on
 // failure — and under t.TempDir() otherwise.
 
@@ -53,7 +53,7 @@ func TestHelperVizProcess(t *testing.T) {
 }
 
 // killAtOp SIGKILLs the process mid-step — after the step's images
-// rendered but before its cursor checkpoint — iff armed. This is the
+// rendered but before its checkpoint event — iff armed. This is the
 // deterministic stand-in for an operator's kill -9.
 type killAtOp struct {
 	step  int
@@ -69,28 +69,25 @@ func (o *killAtOp) Apply(ctx proxy.OpContext, ds data.Dataset) (proxy.OpResult, 
 	return proxy.OpResult{Op: o.Name(), Summary: "ok"}, nil
 }
 
-// helperVizMain is the child: open (or resume) the journal and step
-// cursor, dial the parent through the layout file, receive and render
-// until done. Exit 0 on completion, 1 on error.
+// helperVizMain is the child: open (or resume) the journal, start at
+// its step cursor, dial the parent through the layout file, receive and
+// render until done. Exit 0 on completion, 1 on error.
 func helperVizMain() int {
-	jw, err := journal.Append(os.Getenv("ETH_JOURNAL"))
+	jw, events, err := journal.Reopen(os.Getenv("ETH_JOURNAL"))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	defer jw.Close()
-	cursorPath := os.Getenv("ETH_CURSOR")
-	// Arm the self-kill only on a first incarnation (no cursor yet): the
-	// restarted child must survive the same step it died on.
-	armed := os.Getenv("ETH_KILL_STEP") != ""
-	if _, err := journal.ReadCheckpoint(cursorPath); err == nil {
-		armed = false
-	}
+	start := journal.Cursor(events, 0)
+	// Arm the self-kill only on a first incarnation (nothing checkpointed
+	// yet): the restarted child must survive the same step it died on.
+	armed := os.Getenv("ETH_KILL_STEP") != "" && start == 0
 	killStep := 1
 	viz, err := proxy.NewVizProxy(proxy.VizConfig{
 		Width: 32, Height: 32, Algorithm: "points", ImagesPerStep: 1,
 		OutDir:     os.Getenv("ETH_OUT"),
-		CursorPath: cursorPath,
+		Start:      start,
 		Journal:    jw,
 		Operations: []proxy.Operation{&killAtOp{step: killStep, armed: armed}},
 	})
@@ -142,7 +139,6 @@ func runProcViz(t *testing.T, dir string, steps int, kill bool, codec string) (r
 	t.Helper()
 	layout := filepath.Join(dir, "layout")
 	childJournal := filepath.Join(dir, "viz.journal")
-	cursor := filepath.Join(dir, "viz.ckpt")
 	outDir := filepath.Join(dir, "frames")
 
 	var datasets []data.Dataset
@@ -189,7 +185,6 @@ func runProcViz(t *testing.T, dir string, steps int, kill bool, codec string) (r
 		helperEnv + "=1",
 		"ETH_LAYOUT=" + layout,
 		"ETH_JOURNAL=" + childJournal,
-		"ETH_CURSOR=" + cursor,
 		"ETH_OUT=" + outDir,
 	}
 	if kill {
@@ -232,19 +227,19 @@ func runProcViz(t *testing.T, dir string, steps int, kill bool, codec string) (r
 }
 
 // procSignature is the completed-step progression a disturbed and an
-// undisturbed run must agree on: the ordered cursor checkpoints from
-// the child's journal (restart/shutdown/error events excluded by
-// construction), which torn tails must not corrupt.
-func procSignature(t *testing.T, dir string) []string {
+// undisturbed run must agree on: the (rank, step) of each checkpoint in
+// the child's journal, in order (restart/shutdown/error events excluded
+// by construction), which torn tails must not corrupt.
+func procSignature(t *testing.T, dir string) [][2]int {
 	t.Helper()
 	events, err := journal.ReadFile(filepath.Join(dir, "viz.journal"))
 	if err != nil && !errors.Is(err, journal.ErrTornTail) {
 		t.Fatalf("child journal unreadable: %v", err)
 	}
-	var sig []string
+	var sig [][2]int
 	for _, ev := range events {
 		if ev.Type == journal.TypeCheckpoint {
-			sig = append(sig, ev.Detail)
+			sig = append(sig, [2]int{ev.Rank, ev.Step})
 		}
 	}
 	return sig
@@ -290,7 +285,7 @@ func TestProcSIGKILLRestartsAndResumes(t *testing.T) {
 	}
 	for i := range baseSig {
 		if baseSig[i] != killSig[i] {
-			t.Fatalf("checkpoint %d diverged: %q vs %q", i, baseSig[i], killSig[i])
+			t.Fatalf("checkpoint %d diverged: %v vs %v", i, baseSig[i], killSig[i])
 		}
 	}
 
@@ -308,13 +303,13 @@ func TestProcSIGKILLRestartsAndResumes(t *testing.T) {
 		t.Errorf("final frame diverged from undisturbed run (%d vs %d bytes)", len(basePNG), len(killPNG))
 	}
 
-	// Both incarnations' cursors landed on completion.
-	cp, err := journal.ReadCheckpoint(filepath.Join(killDir, "viz.ckpt"))
+	// Both incarnations' checkpoints landed on completion.
+	events, err := journal.ReadFile(filepath.Join(killDir, "viz.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Step != steps {
-		t.Errorf("final cursor = %d, want %d", cp.Step, steps)
+	if c := journal.Cursor(events, 0); c != steps {
+		t.Errorf("final cursor = %d, want %d", c, steps)
 	}
 }
 

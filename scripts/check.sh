@@ -107,9 +107,6 @@ go test -run='^$' -fuzz=FuzzFollowerDrain -fuzztime=10s ./internal/journal/
 echo "== go test -fuzz=FuzzParseExposition -fuzztime=10s ./internal/obs"
 go test -run='^$' -fuzz=FuzzParseExposition -fuzztime=10s ./internal/obs/
 
-echo "== go test -fuzz=FuzzLoadDoneSet -fuzztime=10s ./internal/fleet"
-go test -run='^$' -fuzz=FuzzLoadDoneSet -fuzztime=10s ./internal/fleet/
-
 echo "== go test -fuzz=FuzzLoadSweep -fuzztime=10s ./internal/fleet"
 go test -run='^$' -fuzz=FuzzLoadSweep -fuzztime=10s ./internal/fleet/
 
