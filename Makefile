@@ -35,8 +35,11 @@ sarif:
 # accepted sweep has valid, unique IDs and reads back from its
 # marshalled form) and the fleet journal's replay (any bytes replay or fail, never panic; an
 # accepted ledger adds up, and a real scheduler's journal replays to its
-# counts), and the cosmo generator's lazy random stream (any seed draws
-# math/rand's exact sequence, past its hand-over to a real source).
+# counts), the cosmo generator's lazy random stream (any seed draws
+# math/rand's exact sequence, past its hand-over to a real source), and
+# the packet tracer (any small clustered or lattice cloud, radius and
+# orbit angle render a frame == to the per-ray reference's, and sampled
+# rays hit what brute force hits).
 fuzz:
 	go test -run='^$$' -fuzz=FuzzReadVTK -fuzztime=10s ./internal/vtkio/
 	go test -run='^$$' -fuzz=FuzzFrameFlip -fuzztime=10s ./internal/transport/
@@ -51,6 +54,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzLoadSweep -fuzztime=10s ./internal/fleet/
 	go test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/fleet/
 	go test -run='^$$' -fuzz=FuzzStream -fuzztime=10s ./internal/cosmo/
+	go test -run='^$$' -fuzz=FuzzPacketsMatchReference -fuzztime=10s ./internal/rt/
 
 # Full gate: gofmt + vet + build + ethlint + race-enabled tests + short
 # fuzz passes.

@@ -51,6 +51,6 @@ func Example() {
 	fmt.Printf("rendered %d particles (%d BVH nodes)\n", stats.Elements, stats.Primitives)
 	fmt.Printf("wrote quickstart.png (%d covered pixels)\n", frame.CoveredPixels())
 	// Output:
-	// rendered 100000 particles (32767 BVH nodes)
+	// rendered 100000 particles (16383 BVH nodes)
 	// wrote quickstart.png (180201 covered pixels)
 }

@@ -27,7 +27,7 @@ const MedianSplit BuildStrategy = 0
 // that degenerate input keeps splitting unevenly into one oversized leaf,
 // which bounds the traversal stack.
 const (
-	leafSize = 8
+	leafSize = 16
 	maxDepth = 60
 )
 
@@ -80,9 +80,9 @@ func BuildSphereBVH(p *data.PointCloud, radius float64, _ BuildStrategy) *Sphere
 	for i := range b.prims {
 		b.prims[i] = sphere{c: [3]float32{p.X[i], p.Y[i], p.Z[i]}, id: int32(i)}
 	}
-	// A median split never leaves a leaf under four primitives, so the tree
-	// has fewer than n/2 nodes.
-	b.nodes = make([]node, 1, n/2+2)
+	// A median split never leaves a leaf under leafSize/2 = 8 primitives,
+	// so the tree has fewer than n/4 nodes.
+	b.nodes = make([]node, 1, n/4+2)
 	b.build(0, 0, n, 0)
 	b.NodesBuilt = len(b.nodes)
 	return b
@@ -372,13 +372,18 @@ func (b *SphereBVH) walk(p *packet, lo, hi int, origin vec.V3, tMin float64) {
 			// Leaf: clip each ray to the box against its own nearest hit,
 			// then test the spheres against the rays that pass. A ray sees
 			// the spheres in the order and with the arithmetic of a lone
-			// ray; only the terms that do not depend on the ray are shared.
+			// ray; only the terms that do not depend on the ray are shared:
+			// the six plane offsets from the origin, and per sphere oc and
+			// |oc|² − r².
 			bb := &nd.bounds
+			xn, xf := float64(bb[nx])-origin.X, float64(bb[fx])-origin.X
+			yn, yf := float64(bb[ny])-origin.Y, float64(bb[fy])-origin.Y
+			zn, zf := float64(bb[nz])-origin.Z, float64(bb[fz])-origin.Z
 			m := 0
 			for i := lo; i < hi; i++ {
-				t0, t1 := clip(bb[nx], bb[fx], origin.X, p.ix[i], tMin, p.t[i])
-				t0, t1 = clip(bb[ny], bb[fy], origin.Y, p.iy[i], t0, t1)
-				t0, t1 = clip(bb[nz], bb[fz], origin.Z, p.iz[i], t0, t1)
+				t0, t1 := cut(xn, xf, p.ix[i], tMin, p.t[i])
+				t0, t1 = cut(yn, yf, p.iy[i], t0, t1)
+				t0, t1 = cut(zn, zf, p.iz[i], t0, t1)
 				if t0 <= t1 {
 					live[m] = int32(i)
 					m++
@@ -386,6 +391,7 @@ func (b *SphereBVH) walk(p *packet, lo, hi int, origin vec.V3, tMin float64) {
 			}
 			if m > 0 {
 				s := b.prims[nd.left : nd.left+nd.count]
+				tightened := false
 				for j := range s {
 					oc := origin.Sub(v3(s[j].c))
 					cc := oc.Dot(oc) - r2
@@ -406,11 +412,15 @@ func (b *SphereBVH) walk(p *packet, lo, hi int, origin vec.V3, tMin float64) {
 							continue
 						}
 						p.t[i], p.prim[i] = t, nd.left+int32(j)
+						tightened = true
 					}
 				}
-				tFar = p.t[lo]
-				for i := lo + 1; i < hi; i++ {
-					tFar = max(tFar, p.t[i])
+				// Only a tightened hit can lower the packet's bound.
+				if tightened {
+					tFar = p.t[lo]
+					for i := lo + 1; i < hi; i++ {
+						tFar = max(tFar, p.t[i])
+					}
 				}
 			}
 		}
@@ -443,9 +453,9 @@ func (b *SphereBVH) hit(p *packet, i int, origin vec.V3) (Hit, bool) {
 // on that axis and [imn, imx] the range of their inverse directions.
 // Rounded multiplication is monotone, so the products at the ends of the
 // range bound every ray's own: the interval contains each ray's clip
-// interval. A NaN product (0 × Inf, as in clip) leaves that plane out of
-// the test, as clip does, and that still contains every ray's interval.
-// With imn == imx it is clip.
+// interval. A NaN product (0 × Inf, as in cut) leaves that plane out of
+// the test, as cut does, and that still contains every ray's interval.
+// With imn == imx it is cut.
 func slab(near, far float32, o, imn, imx, t0, t1 float64) (float64, float64) {
 	dn, df := float64(near)-o, float64(far)-o
 	if a, b := dn*imn, dn*imx; a > t0 && b > t0 {
@@ -457,18 +467,18 @@ func slab(near, far float32, o, imn, imx, t0, t1 float64) (float64, float64) {
 	return t0, t1
 }
 
-// clip narrows the ray interval (t0, t1) to one slab: near and far are the
-// planes the ray enters and leaves it through, o and inv the ray's origin
-// and inverse direction on that axis. Every comparison is false on NaN
-// (0 × Inf: an axis-parallel ray whose origin lies on a bound plane),
-// which leaves that plane out of the test — the conservative reading;
-// min and max would propagate the NaN into a miss. It is small enough to
-// inline, so the traversal loop makes no calls.
-func clip(near, far float32, o, inv, t0, t1 float64) (float64, float64) {
-	if t := (float64(near) - o) * inv; t > t0 {
+// cut narrows the ray interval (t0, t1) to one slab: dn and df are the
+// offsets from the ray's origin of the planes it enters and leaves the
+// slab through, inv its inverse direction, all on one axis. Every
+// comparison is false on NaN (0 × Inf: an axis-parallel ray whose origin
+// lies on a bound plane), which leaves that plane out of the test — the
+// conservative reading; min and max would propagate the NaN into a miss.
+// It is small enough to inline, so the traversal loop makes no calls.
+func cut(dn, df, inv, t0, t1 float64) (float64, float64) {
+	if t := dn * inv; t > t0 {
 		t0 = t
 	}
-	if t := (float64(far) - o) * inv; t < t1 {
+	if t := df * inv; t < t1 {
 		t1 = t
 	}
 	return t0, t1

@@ -36,6 +36,30 @@ func TestBVHValidate(t *testing.T) {
 	}
 }
 
+// TestNodeCapacityHolds builds every particle count up to 2 048 and two
+// workload-sized ones. The node slice must never grow past the capacity
+// the build sizes it to, which would cost a silent copy and an
+// allocation, and no leaf but a lone root may hold fewer than
+// leafSize/2 primitives, the bound that capacity rests on.
+func TestNodeCapacityHolds(t *testing.T) {
+	ns := make([]int, 0, 2051)
+	for n := 0; n <= 2048; n++ {
+		ns = append(ns, n)
+	}
+	ns = append(ns, 50_000, 100_000)
+	for _, n := range ns {
+		b := BuildSphereBVH(randomCloud(n, int64(n)+1), 0.3, MedianSplit)
+		if c := cap(b.nodes); c > n/4+2 {
+			t.Fatalf("n=%d: node capacity grew to %d, past %d", n, c, n/4+2)
+		}
+		for i := range b.nodes {
+			if c := b.nodes[i].count; c > 0 && len(b.nodes) > 1 && c < leafSize/2 {
+				t.Fatalf("n=%d: node %d is a leaf of %d primitives, under %d", n, i, c, leafSize/2)
+			}
+		}
+	}
+}
+
 // TestValidateCatchesViolations corrupts a valid tree one invariant at a
 // time: Validate is the differential tests' structural oracle, so it must
 // see each of the three things it claims to check.
@@ -293,9 +317,18 @@ func TestIntersectAxisParallelOnBoundPlane(t *testing.T) {
 // orbitCamera frames b from image k of a total-image orbit, as the
 // visualization proxy does for many-images-per-step runs.
 func orbitCamera(b vec.AABB, k, total int) camera.Camera {
-	angle := 2 * math.Pi * float64(k) / float64(total)
+	return orbitAt(b, 2*math.Pi*float64(k)/float64(total))
+}
+
+// orbitAt frames b from the given azimuth, with the proxy's fallback
+// distance for a box of zero size.
+func orbitAt(b vec.AABB, angle float64) camera.Camera {
+	d := b.Diagonal()
+	if d == 0 {
+		d = 1
+	}
 	dir := vec.New(math.Cos(angle), 0.5, math.Sin(angle)).Norm()
-	cam := camera.LookAt(b.Center().Add(dir.Scale(b.Diagonal()*1.2)), b.Center(), vec.New(0, 1, 0))
+	cam := camera.LookAt(b.Center().Add(dir.Scale(d*1.2)), b.Center(), vec.New(0, 1, 0))
 	cam.FitClip(b)
 	return cam
 }
@@ -340,11 +373,19 @@ func TestStrategiesAgreeExactly(t *testing.T) {
 	}
 }
 
-func BenchmarkBVHBuildMedian100k(b *testing.B) {
-	p := randomCloud(100_000, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		BuildSphereBVH(p, 0.1, MedianSplit)
+// BenchmarkBVHBuild builds the tree over each cosmo raycast workload's
+// cloud.
+func BenchmarkBVHBuild(b *testing.B) {
+	for _, w := range workloadShapes {
+		b.Run(w.name, func(b *testing.B) {
+			p := cosmoCloud(b, w.particles, 1)
+			radius := geom.DefaultSplatRadius(p)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				BuildSphereBVH(p, radius, MedianSplit)
+			}
+		})
 	}
 }
 

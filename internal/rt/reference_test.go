@@ -119,6 +119,20 @@ walk:
 	return Hit{T: bestT, Particle: int(p.id), Normal: hitP.Sub(v3(p.c)).Norm()}, true
 }
 
+// clip narrows the ray interval (t0, t1) to one slab: near and far are the
+// planes the ray enters and leaves it through, o and inv the ray's origin
+// and inverse direction on that axis: cut with each plane offset computed
+// per ray. Comparisons ignore a NaN plane as cut's do.
+func clip(near, far float32, o, inv, t0, t1 float64) (float64, float64) {
+	if t := (float64(near) - o) * inv; t > t0 {
+		t0 = t
+	}
+	if t := (float64(far) - o) * inv; t < t1 {
+		t1 = t
+	}
+	return t0, t1
+}
+
 func refRaycastSpheresWithBVH(frame *fb.Frame, p *data.PointCloud, bvh *SphereBVH, cam *camera.Camera, opt SphereOptions) error {
 	colors, err := scalarColors(p, opt.ColorField, opt.ScalarLo, opt.ScalarHi)
 	if err != nil {
@@ -186,7 +200,7 @@ func requireSameFrame(t *testing.T, name string, got, want *fb.Frame, colors boo
 
 // cosmoCloud is the benchmark's particle input: a cosmo step with its
 // speed field, the field the raycast workloads colour by.
-func cosmoCloud(t *testing.T, particles int, seed int64) *data.PointCloud {
+func cosmoCloud(t testing.TB, particles int, seed int64) *data.PointCloud {
 	t.Helper()
 	params := cosmo.DefaultParams()
 	params.Particles, params.Seed = particles, seed

@@ -196,17 +196,43 @@ func TestRaycastIsosurfaceEmptyIso(t *testing.T) {
 	}
 }
 
+// workloadShapes are the two cosmo raycast workloads' inputs: particles,
+// image size and images per step, each image from its own orbit camera
+// as the visualization proxy frames it.
+var workloadShapes = []struct {
+	name              string
+	particles, pixels int
+	images            int
+}{
+	{"cosmo-raycast", 60_000, 352, 1},
+	{"cosmo-orbit", 30_000, 224, 3},
+}
+
+// BenchmarkRaycastSpheres traces one step of each cosmo raycast workload
+// from a prebuilt tree, coloured by speed: ns/op is per step.
 func BenchmarkRaycastSpheres(b *testing.B) {
-	p := randomCloud(50_000, 4)
-	cam := camera.ForBounds(p.Bounds())
-	bvh := BuildSphereBVH(p, geom.DefaultSplatRadius(p), MedianSplit)
-	frame := fb.New(256, 256)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		frame.Clear(vec.V3{})
-		if err := RaycastSpheresWithBVH(frame, p, bvh, &cam, SphereOptions{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, w := range workloadShapes {
+		b.Run(w.name, func(b *testing.B) {
+			p := cosmoCloud(b, w.particles, 1)
+			radius := geom.DefaultSplatRadius(p)
+			bvh := BuildSphereBVH(p, radius, MedianSplit)
+			cams := make([]camera.Camera, w.images)
+			for k := range cams {
+				cams[k] = orbitCamera(p.Bounds(), k, w.images)
+			}
+			frame := fb.New(w.pixels, w.pixels)
+			opt := SphereOptions{Radius: radius, ColorField: "speed"}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := range cams {
+					frame.Clear(vec.V3{})
+					if err := RaycastSpheresWithBVH(frame, p, bvh, &cams[k], opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -116,6 +116,9 @@ go test -run='^$' -fuzz=FuzzReplay -fuzztime=10s ./internal/fleet/
 echo "== go test -fuzz=FuzzStream -fuzztime=10s ./internal/cosmo"
 go test -run='^$' -fuzz=FuzzStream -fuzztime=10s ./internal/cosmo/
 
+echo "== go test -fuzz=FuzzPacketsMatchReference -fuzztime=10s ./internal/rt"
+go test -run='^$' -fuzz=FuzzPacketsMatchReference -fuzztime=10s ./internal/rt/
+
 # Multi-viewer broadcast smoke: real sim+viz+hub processes, three
 # ethwatch viewers over real sockets, one steered, one SIGKILLed and
 # resumed from its cursor, then a journal audit via ethinfo.
