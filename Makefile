@@ -18,7 +18,9 @@ lint:
 sarif:
 	go run ./cmd/ethlint -sarif ./... > ethlint.sarif
 
-# Short fuzz passes over the dataset container reader, the framed wire
+# Short fuzz passes over the dataset container reader and its slice
+# decoder (Decode accepts exactly what the streaming decoder it replaced
+# accepted, and decodes it to the same bytes), the framed wire
 # format (checksummed dataset frames must detect any byte flip, for
 # every codec; temporal codecs must reconstruct bit-exactly), the
 # DEFLATE decoder (any bytes decode exactly as compress/flate decodes
@@ -42,6 +44,7 @@ sarif:
 # rays hit what brute force hits).
 fuzz:
 	go test -run='^$$' -fuzz=FuzzReadVTK -fuzztime=10s ./internal/vtkio/
+	go test -run='^$$' -fuzz=FuzzDecodeMatchesReference -fuzztime=10s ./internal/vtkio/
 	go test -run='^$$' -fuzz=FuzzFrameFlip -fuzztime=10s ./internal/transport/
 	go test -run='^$$' -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/transport/
 	go test -run='^$$' -fuzz=FuzzInflate -fuzztime=10s ./internal/transport/

@@ -187,15 +187,6 @@ type encoder struct {
 	scratch []byte
 }
 
-// encBuf is a minimal growable write buffer ([]byte as io.Writer) for
-// the publish-path vtkio serialization scratch.
-type encBuf []byte
-
-func (b *encBuf) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
-}
-
 // subscriber is one attached viewer: a bounded frame ring drained by a
 // dedicated sender goroutine, fed by PublishFrame without ever blocking.
 type subscriber struct {
@@ -311,7 +302,7 @@ type Hub struct {
 	// seq, the next frame's place in publish order.
 	pmu  sync.Mutex
 	grid *data.StructuredGrid
-	enc  encBuf
+	enc  []byte
 	seq  int64
 
 	// mu guards membership and the history ring. Lock order: mu before
@@ -764,8 +755,8 @@ func (h *Hub) PublishFrame(step int, fr *fb.Frame) {
 	}
 	h.pmu.Lock()
 	h.grid = FrameGrid(fr, h.grid)
-	h.enc = h.enc[:0]
-	if err := vtkio.Write(&h.enc, h.grid); err != nil {
+	var err error
+	if h.enc, err = vtkio.Append(h.enc[:0], h.grid); err != nil {
 		h.pmu.Unlock()
 		h.cfg.Journal.Error(h.cfg.Rank, step, fmt.Errorf("hub: encoding frame: %w", err))
 		return

@@ -135,12 +135,11 @@ func TestFrameGridRoundTrip(t *testing.T) {
 	f.Depth[3] = math.Inf(1) // background depth must survive
 
 	g := FrameGrid(f, nil)
-	var buf []byte
-	w := (*encBuf)(&buf)
-	if err := vtkio.Write(w, g); err != nil {
+	buf, err := vtkio.Append(nil, g)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := vtkio.Read(strings.NewReader(string(buf)))
+	ds, err := vtkio.Decode(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

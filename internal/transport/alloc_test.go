@@ -79,23 +79,24 @@ func allocHarness(t *testing.T, cloud *data.PointCloud, codec CodecID, advance f
 	return roundTrip, finish
 }
 
-// gateSteadyState warms the harness, then asserts the steady-state
-// round-trip allocation budget while proving the CRC path actually ran.
-func gateSteadyState(t *testing.T, codec CodecID, advance func(c *data.PointCloud), budget float64) {
+// gateSteadyState warms the harness on an n-particle cloud, then asserts
+// the steady-state round-trip allocation budget while proving the CRC
+// path actually ran.
+func gateSteadyState(t *testing.T, n int, codec CodecID, advance func(c *data.PointCloud), budget float64) {
 	t.Helper()
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
 	}
-	cloud := allocCloud(10_000)
+	cloud := allocCloud(n)
 	var adv func()
 	if advance != nil {
 		adv = func() { advance(cloud) }
 	}
 	roundTrip, finish := allocHarness(t, cloud, codec, adv)
 	defer finish()
-	// Warm the pools: payload/wire/reference buffers, vtkio codecs, the
-	// per-direction codec instances, the receiver's reused dataset, and
-	// the ack scratch all materialize on the first trips.
+	// Warm the buffers: payload/wire/reference buffers, the per-direction
+	// codec instances, the receiver's reused dataset, and the ack scratch
+	// all materialize on the first trips.
 	for i := 0; i < 5; i++ {
 		roundTrip()
 	}
@@ -129,7 +130,7 @@ func drift(c *data.PointCloud) {
 // side. AllocsPerRun counts mallocs across all goroutines, so the
 // receiver goroutine's decode is included in the budget.
 func TestSendRecvSteadyStateAllocs(t *testing.T) {
-	gateSteadyState(t, CodecRaw, nil, 0)
+	gateSteadyState(t, 10_000, CodecRaw, nil, 0)
 }
 
 // TestDeltaSteadyStateAllocs is the acceptance gate for the temporal
@@ -137,7 +138,7 @@ func TestSendRecvSteadyStateAllocs(t *testing.T) {
 // reference swaps on both sides must all stay inside Conn-owned scratch —
 // exactly zero allocations per round trip, same budget as raw.
 func TestDeltaSteadyStateAllocs(t *testing.T) {
-	gateSteadyState(t, CodecDelta, drift, 0)
+	gateSteadyState(t, 10_000, CodecDelta, drift, 0)
 }
 
 // TestFlateSendSteadyStateAllocs gates the flate *send* path at zero on
@@ -185,14 +186,33 @@ func TestFlateSendSteadyStateAllocs(t *testing.T) {
 // receive side inflate's tables, which live in the codec, and its output,
 // which lands in the Conn's plain buffer from the frame before.
 func TestFlateSteadyStateAllocs(t *testing.T) {
-	gateSteadyState(t, CodecFlate, nil, 0)
+	gateSteadyState(t, 10_000, CodecFlate, nil, 0)
 }
 
 // TestDeltaFlateSteadyStateAllocs is the same zero for the composed
 // codec: the XOR stage, the block bitmap, and the packed blocks inflated
 // into the output buffer and spread in place add nothing.
 func TestDeltaFlateSteadyStateAllocs(t *testing.T) {
-	gateSteadyState(t, CodecDeltaFlate, drift, 0)
+	gateSteadyState(t, 10_000, CodecDeltaFlate, drift, 0)
+}
+
+// largeCloud is the particle count of the large-frame gates: ≈ 1.4 MB of
+// plain payload, past the Conn's 1 MiB buffers, so raw frames take the
+// direct paths — header flushed, payload written straight from the
+// payload buffer, and on receive drained from the read buffer and then
+// read straight from the socket.
+const largeCloud = 40_000
+
+// TestRawLargeFrameSteadyStateAllocs gates the direct socket paths at
+// zero on a raw stream of frames larger than the buffers.
+func TestRawLargeFrameSteadyStateAllocs(t *testing.T) {
+	gateSteadyState(t, largeCloud, CodecRaw, nil, 0)
+}
+
+// TestDeltaFlateLargeFrameSteadyStateAllocs is the same zero for the
+// composed codec over a plain payload larger than the buffers.
+func TestDeltaFlateLargeFrameSteadyStateAllocs(t *testing.T) {
+	gateSteadyState(t, largeCloud, CodecDeltaFlate, drift, 0)
 }
 
 // TestChooseAllocatesNothing gates the per-frame codec choice at zero:

@@ -244,6 +244,15 @@ func newCodec(id CodecID) Codec {
 	}
 }
 
+// payloadBuffer is a minimal growable write buffer ([]byte as io.Writer):
+// the sink the flate writers append their output to.
+type payloadBuffer []byte
+
+func (b *payloadBuffer) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
+}
+
 // rawCodec is the identity codec: the wire payload is the plain payload.
 type rawCodec struct{}
 

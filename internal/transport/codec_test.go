@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/ascr-ecx/eth/internal/data"
-	"github.com/ascr-ecx/eth/internal/vtkio"
 )
 
 func TestParseCodec(t *testing.T) {
@@ -216,13 +215,7 @@ func TestIncoherentStepsSendKeyframe(t *testing.T) {
 			}
 			if tc.mid == CodecFlate {
 				// The estimate's call, checked against the two real encodings.
-				var cur, prev payloadBuffer
-				if err := vtkio.Write(&prev, dss[0]); err != nil {
-					t.Fatal(err)
-				}
-				if err := vtkio.Write(&cur, dss[1]); err != nil {
-					t.Fatal(err)
-				}
+				prev, cur := vtkPayload(t, dss[0]), vtkPayload(t, dss[1])
 				var enc Encoder
 				key, _ := enc.Encode(CodecFlate, nil, cur, nil)
 				delta, _ := enc.Encode(CodecDeltaFlate, nil, cur, prev)
@@ -335,10 +328,7 @@ func TestSendEncodedMatchesSendDataset(t *testing.T) {
 		var enc Encoder
 		var prev []byte
 		for i, ds := range steps {
-			var plain payloadBuffer
-			if err := vtkio.Write(&plain, ds); err != nil {
-				t.Fatal(err)
-			}
+			plain := vtkPayload(t, ds)
 			id := codec
 			if prev == nil {
 				id = codec.Keyframe()

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"github.com/ascr-ecx/eth/internal/data"
-	"github.com/ascr-ecx/eth/internal/vtkio"
 )
 
 // memConn adapts an in-memory byte stream to net.Conn: reads come from
@@ -291,10 +290,7 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 		frames := encodeStream(codec, 0, dss...)
 		var prev []byte
 		for i, ds := range dss {
-			var plain payloadBuffer
-			if err := vtkio.Write(&plain, ds); err != nil {
-				t.Fatal(err)
-			}
+			plain := vtkPayload(t, ds)
 			if got, want := CodecID(frames[i][17]), Choose(codec, plain, prev); got != want {
 				t.Fatalf("frame %d went out as %v, Choose says %v", i, got, want)
 			}

@@ -42,8 +42,8 @@ func deflate(tb testing.TB, plain []byte, level int) []byte {
 // vtkPayload is ds as the plain bytes a sender puts under a codec.
 func vtkPayload(tb testing.TB, ds data.Dataset) []byte {
 	tb.Helper()
-	var p payloadBuffer
-	if err := vtkio.Write(&p, ds); err != nil {
+	p, err := vtkio.Append(nil, ds)
+	if err != nil {
 		tb.Fatal(err)
 	}
 	return p

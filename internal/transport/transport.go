@@ -32,7 +32,6 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -165,25 +164,26 @@ type Conn struct {
 
 	// Steady-state reuse scratch, split per direction so one sender plus
 	// one receiver goroutine stay race-free: payload/swire/sprev serve
-	// SendDataset, rwire/rplain/rprev/rrd serve Recv, and the scratch
-	// arrays serve header and ack frames (a local array passed through
+	// SendDataset, rwire/rplain/rprev serve Recv, and the scratch arrays
+	// serve header and ack frames (a local array passed through
 	// io.ReadFull escapes and allocates per call; a field on the
-	// already-heap Conn does not). senc/rdec hold the lazily-built
-	// per-direction codec instances; sprev/rprev retain the previous
-	// step's *plain* payload — kept at the plain layer regardless of
-	// codec, so switching codecs mid-stream never desynchronizes the
-	// temporal reference.
-	payload  payloadBuffer
-	swire    payloadBuffer
-	sprev    payloadBuffer
+	// already-heap Conn does not). vtkio appends the plain payload
+	// straight into payload and decodes straight out of rwire (raw) or
+	// rplain, so a dataset byte is converted once per side. senc/rdec
+	// hold the lazily-built per-direction codec instances; sprev/rprev
+	// retain the previous step's *plain* payload — kept at the plain
+	// layer regardless of codec, so switching codecs mid-stream never
+	// desynchronizes the temporal reference.
+	payload  []byte
+	swire    []byte
+	sprev    []byte
 	sprevOK  bool
 	senc     Encoder
-	rwire    payloadBuffer
-	rplain   payloadBuffer
-	rprev    payloadBuffer
+	rwire    []byte
+	rplain   []byte
+	rprev    []byte
 	rprevOK  bool
 	rdec     [numCodecs]Codec
-	rrd      bytes.Reader
 	scratch  [22]byte // write side (headers, ack payloads, CRC trailers)
 	rscratch [22]byte // read side, so one sender + one receiver goroutine stay race-free
 
@@ -195,7 +195,7 @@ type Conn struct {
 	writeTimeout time.Duration
 
 	// prev/reuse drive the decode-into path: when reuse is on, Recv hands
-	// the previous step's dataset to vtkio.ReadInto so a shape-stable
+	// the previous step's dataset to vtkio.Decode so a shape-stable
 	// stream of steps decodes with zero steady-state allocation.
 	prev  data.Dataset
 	reuse bool
@@ -331,19 +331,19 @@ func (c *Conn) writeErr(err error) error {
 // temporal, so the receiver can always rebuild delta state from the wire
 // alone; under delta+flate so is any frame whose delta would be larger.
 func (c *Conn) SendDataset(ds data.Dataset) error {
-	// Encode to a buffer first to learn the length. Dataset payloads are
-	// the dominant cost; an extra copy is acceptable for framing clarity.
-	// The payload, wire, and reference buffers live on the Conn, so
-	// steady-state sends reuse them in full.
+	// vtkio converts the dataset straight into the Conn's payload buffer,
+	// whose length the frame header needs. The payload, wire, and
+	// reference buffers live on the Conn, so steady-state sends reuse
+	// them in full.
 	t0 := time.Now()
 	if !c.codec.Valid() {
 		return fmt.Errorf("transport: send with invalid codec %s", c.codec)
 	}
-	c.payload = c.payload[:0]
-	if err := vtkio.Write(&c.payload, ds); err != nil {
+	plain, err := vtkio.Append(c.payload[:0], ds)
+	if err != nil {
 		return err
 	}
-	plain := []byte(c.payload)
+	c.payload = plain
 	var ref []byte
 	if c.sprevOK {
 		ref = c.sprev
@@ -395,6 +395,10 @@ func (c *Conn) SendEncoded(id CodecID, wire []byte, plainLen int) error {
 
 // sendFrame writes one v3 dataset frame — 18-byte header (type, payload
 // length, step, codec), payload, CRC32C trailer — and accounts for it. A
+// frame that fits the write buffer leaves in one flush, so fault
+// schedules, which count Write calls, see one Write per frame. A payload
+// larger than the buffer skips it: the header is flushed first, and
+// bufio, empty, writes the payload straight from the caller's slice. A
 // frame that leaves under a non-temporal codec while the connection's
 // codec is temporal is a keyframe.
 func (c *Conn) sendFrame(id CodecID, out []byte, plainLen int) error {
@@ -416,6 +420,12 @@ func (c *Conn) sendFrame(id CodecID, out []byte, plainLen int) error {
 	crc = crc32.Update(crc, castagnoli, out)
 	binary.BigEndian.PutUint32(c.scratch[18:22], crc)
 	for _, part := range [3][]byte{hdr, out, c.scratch[18:22]} {
+		if len(part) > c.bw.Size() {
+			if err := c.bw.Flush(); err != nil {
+				c.sprevOK = false
+				return c.writeErr(err)
+			}
+		}
 		if _, err := c.bw.Write(part); err != nil {
 			c.sprevOK = false
 			return c.writeErr(err)
@@ -596,9 +606,11 @@ func (c *Conn) Recv() (t MsgType, ds data.Dataset, step int64, err error) {
 // buffer with amortized chunked growth (bounded by delivered bytes, so a
 // hostile length cannot force a huge up-front allocation), verifies the
 // CRC32C trailer over the exact wire bytes, and only then runs the codec
-// and the vtkio decode. All scratch lives on the Conn, so a shape-stable
-// stream of raw or delta frames decodes with zero steady-state
-// allocation.
+// and decodes the dataset straight out of the checked slice. A payload
+// larger than the read buffer skips it: what the buffer already holds is
+// drained, and the rest is read straight from the socket. All scratch
+// lives on the Conn, so a shape-stable stream decodes with zero
+// steady-state allocation.
 func (c *Conn) recvDataset(n int64) (ds data.Dataset, step int64, err error) {
 	if _, err = io.ReadFull(c.br, c.rscratch[9:datasetHeaderLenV3]); err != nil {
 		return nil, 0, c.readErr(err)
@@ -614,6 +626,7 @@ func (c *Conn) recvDataset(n int64) (ds data.Dataset, step int64, err error) {
 	// allocation property of the old streaming path while letting the CRC
 	// run over the buffer in bulk before any decode.
 	c.rwire = c.rwire[:0]
+	direct := n > int64(c.br.Size())
 	for remaining := n; remaining > 0; {
 		k := int(remaining)
 		if k > 1<<20 {
@@ -625,7 +638,7 @@ func (c *Conn) recvDataset(n int64) (ds data.Dataset, step int64, err error) {
 		} else {
 			c.rwire = append(c.rwire, make([]byte, k)...)
 		}
-		if _, err = io.ReadFull(c.br, c.rwire[off:]); err != nil {
+		if err = c.readPayload(c.rwire[off:], direct); err != nil {
 			return nil, 0, c.readErr(err)
 		}
 		remaining -= int64(k)
@@ -649,7 +662,7 @@ func (c *Conn) recvDataset(n int64) (ds data.Dataset, step int64, err error) {
 	if id.Temporal() && !c.rprevOK {
 		return nil, 0, fmt.Errorf("transport: dataset frame step %d: %w", step, ErrDeltaState)
 	}
-	plain := []byte(c.rwire)
+	plain := c.rwire
 	if id != CodecRaw {
 		plain, err = c.recvCodec(id).Decode(c.rplain[:0], c.rwire, c.rprev, int(c.frameBound()))
 		if err != nil {
@@ -659,8 +672,7 @@ func (c *Conn) recvDataset(n int64) (ds data.Dataset, step int64, err error) {
 	}
 	prev := c.prev
 	c.prev = nil // never reuse through a failed decode
-	c.rrd.Reset(plain)
-	ds, decodeErr := vtkio.ReadInto(&c.rrd, prev)
+	ds, decodeErr := vtkio.Decode(plain, prev)
 	if decodeErr != nil {
 		return nil, 0, fmt.Errorf("transport: decoding dataset: %w", decodeErr)
 	}
@@ -687,12 +699,20 @@ func (c *Conn) recvDataset(n int64) (ds data.Dataset, step int64, err error) {
 	return ds, step, nil
 }
 
-// payloadBuffer is a minimal growable write buffer ([]byte as io.Writer).
-type payloadBuffer []byte
-
-func (b *payloadBuffer) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
+// readPayload fills p from the read buffer, or — direct, for a payload
+// larger than the buffer — from what the buffer still holds and then
+// straight from the socket, which leaves the buffer empty.
+func (c *Conn) readPayload(p []byte, direct bool) error {
+	if !direct {
+		_, err := io.ReadFull(c.br, p)
+		return err
+	}
+	// A Read of no more than the buffer holds is served from it in full;
+	// with nothing held it reads nothing, and a stored read error recurs
+	// on the socket read below.
+	held, _ := c.br.Read(p[:min(len(p), c.br.Buffered())])
+	_, err := io.ReadFull(c.c, p[held:])
+	return err
 }
 
 // ---- layout file (§III-C rendezvous) ----

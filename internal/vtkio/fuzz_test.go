@@ -60,3 +60,67 @@ func FuzzReadVTK(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeMatchesReference holds Decode to the streaming decoder it
+// replaced (reference_test.go): both accept exactly the same inputs, and
+// an accepted input decodes to the same dataset, compared by its Append
+// bytes (exact under NaN payloads). Each input is decoded fresh and into
+// a previous dataset of every kind, so the reuse paths — in place, grown
+// and of a mismatched kind — are held to the reference too.
+func FuzzDecodeMatchesReference(f *testing.F) {
+	encode := func(ds data.Dataset) []byte {
+		b, err := Append(nil, ds)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	kinds := [][]byte{
+		encode(sampleCloud(17, 1)),
+		encode(sampleGrid()),
+		encode(data.Tetrahedralize(sampleGrid())),
+	}
+	for _, b := range kinds {
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+		f.Add(b[:7])
+	}
+	f.Add(encode(sampleCloud(40, 2))) // grows a reused 17-particle cloud
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		for k := -1; k < len(kinds); k++ {
+			// Each decoder gets its own copy of the previous dataset: both
+			// write into it.
+			prev := func() data.Dataset {
+				if k < 0 {
+					return nil
+				}
+				ds, err := Decode(kinds[k], nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ds
+			}
+			want, werr := referenceReadInto(bytes.NewReader(in), prev())
+			got, gerr := Decode(in, prev())
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("prev kind %d: reference err = %v, Decode err = %v", k, werr, gerr)
+			}
+			if werr != nil {
+				continue
+			}
+			wb, err := Append(nil, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gb, err := Append(nil, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wb, gb) {
+				t.Fatalf("prev kind %d: Decode and the reference decoded different datasets", k)
+			}
+		}
+	})
+}

@@ -16,22 +16,26 @@
 //	fields  uint32 count, then per field:
 //	  nameLen uint16, name bytes, valueCount uint64, float32 values
 //
-// Steady-state allocation: Write and Read run on pooled codec states
-// (buffered I/O plus conversion scratch), so repeated calls allocate
-// nothing beyond the decoded dataset itself — and ReadInto eliminates
-// even that by decoding into the arrays of a previous step's dataset
-// when the shapes match, which is the common case for a simulation
-// replaying fixed-size steps.
+// The codec works on byte slices. Append converts each array straight
+// into the destination slice and Decode converts straight out of the
+// source slice, so each dataset byte is converted once per side with no
+// staging buffer in between. Decode checks every count a header
+// announces against the bytes left before it slices or allocates, so a
+// corrupt header cannot make it allocate more than its input implies.
+// Append into a buffer with room, and Decode into the previous step's
+// dataset when the shapes match, allocate nothing — the steady state of
+// a simulation replaying fixed-size steps.
 package vtkio
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 
 	"github.com/ascr-ecx/eth/internal/data"
@@ -50,414 +54,396 @@ var (
 
 const version = 1
 
-// maxReasonable guards length fields read from untrusted streams so a
-// corrupt header cannot force a huge allocation.
+// maxReasonable bounds a structured grid's vertex count. Its fields are
+// checked against the bytes left like every other array, but a grid with
+// no fields carries no bytes per vertex to check against.
 const maxReasonable = 1 << 33 // 8 Gi elements
-
-// Codec scratch geometry: bulk payloads are converted through a fixed
-// 256 KiB chunk owned by the pooled codec state, bounding scratch memory
-// regardless of dataset size.
-const (
-	chunkBytes = 1 << 18
-	chunkF32   = chunkBytes / 4
-	chunkI64   = chunkBytes / 8
-)
-
-// eofReader parks pooled codecs between uses so they never pin a caller's
-// stream.
-type eofReader struct{}
-
-func (eofReader) Read([]byte) (int, error) { return 0, io.EOF }
 
 // ---- encoder ----
 
-// encoder is the pooled write-side state: a large buffered writer plus
-// conversion scratch, so steady-state Write calls allocate nothing.
-type encoder struct {
-	bw    *bufio.Writer
-	tmp   [8]byte
-	chunk []byte
-}
-
-var encoders = sync.Pool{New: func() any {
-	return &encoder{bw: bufio.NewWriterSize(io.Discard, 1<<20), chunk: make([]byte, chunkBytes)}
-}}
-
-func (e *encoder) u8(v uint8) error { return e.bw.WriteByte(v) }
-
-func (e *encoder) u16(v uint16) error {
-	binary.LittleEndian.PutUint16(e.tmp[:2], v)
-	_, err := e.bw.Write(e.tmp[:2])
-	return err
-}
-
-func (e *encoder) u32(v uint32) error {
-	binary.LittleEndian.PutUint32(e.tmp[:4], v)
-	_, err := e.bw.Write(e.tmp[:4])
-	return err
-}
-
-func (e *encoder) u64(v uint64) error {
-	binary.LittleEndian.PutUint64(e.tmp[:8], v)
-	_, err := e.bw.Write(e.tmp[:8])
-	return err
-}
-
-func (e *encoder) f64(v float64) error { return e.u64(math.Float64bits(v)) }
-
-// float32s writes a float32 slice in bulk through the conversion chunk.
-func (e *encoder) float32s(vals []float32) error {
-	for len(vals) > 0 {
-		n := min(len(vals), chunkF32)
-		buf := e.chunk[:n*4]
-		for i, v := range vals[:n] {
-			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-		}
-		if _, err := e.bw.Write(buf); err != nil {
-			return err
-		}
-		vals = vals[n:]
+// Append appends the container encoding of ds to dst and returns the
+// extended slice. It grows dst once, with append's headroom, so a buffer
+// reused across steps of slowly varying size settles without
+// reallocating; on error dst is returned unchanged.
+func Append(dst []byte, ds data.Dataset) ([]byte, error) {
+	n, err := encodedLen(ds)
+	if err != nil {
+		return dst, err
 	}
-	return nil
-}
-
-// int64s writes an int64 slice in bulk through the conversion chunk.
-func (e *encoder) int64s(vals []int64) error {
-	for len(vals) > 0 {
-		n := min(len(vals), chunkI64)
-		buf := e.chunk[:n*8]
-		for i, v := range vals[:n] {
-			binary.LittleEndian.PutUint64(buf[i*8:], uint64(v))
-		}
-		if _, err := e.bw.Write(buf); err != nil {
-			return err
-		}
-		vals = vals[n:]
-	}
-	return nil
-}
-
-// Write serializes ds to w.
-func Write(w io.Writer, ds data.Dataset) error {
-	e := encoders.Get().(*encoder)
-	e.bw.Reset(w)
-	err := e.write(ds)
-	if ferr := e.bw.Flush(); err == nil {
-		err = ferr
-	}
-	e.bw.Reset(io.Discard)
-	encoders.Put(e)
-	return err
-}
-
-func (e *encoder) write(ds data.Dataset) error {
-	if _, err := e.bw.Write(magic[:]); err != nil {
-		return err
-	}
-	if err := e.u16(version); err != nil {
-		return err
-	}
-	if err := e.u8(uint8(ds.Kind())); err != nil {
-		return err
-	}
+	dst = slices.Grow(dst, n)
+	dst = append(dst, magic[:]...)
+	dst = binary.LittleEndian.AppendUint16(dst, version)
+	dst = append(dst, uint8(ds.Kind()))
+	var fields []data.Field
 	switch d := ds.(type) {
 	case *data.PointCloud:
-		return e.writePointCloud(d)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(d.Count()))
+		dst = appendI64s(dst, d.IDs)
+		for _, arr := range [...][]float32{d.X, d.Y, d.Z, d.VX, d.VY, d.VZ} {
+			dst = appendF32s(dst, arr)
+		}
+		fields = d.Fields
 	case *data.StructuredGrid:
-		return e.writeGrid(d)
+		for _, v := range [...]int{d.NX, d.NY, d.NZ} {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+		}
+		for _, v := range [...]float64{
+			d.Origin.X, d.Origin.Y, d.Origin.Z,
+			d.Spacing.X, d.Spacing.Y, d.Spacing.Z,
+		} {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
+		fields = d.Fields
 	case *data.UnstructuredGrid:
-		return e.writeUnstructured(d)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(d.Points)))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(d.Tets)))
+		var b []byte
+		dst, b = extend(dst, 12*len(d.Points))
+		for i, p := range d.Points {
+			s := b[12*i : 12*i+12 : 12*i+12]
+			binary.LittleEndian.PutUint32(s[0:], math.Float32bits(float32(p.X)))
+			binary.LittleEndian.PutUint32(s[4:], math.Float32bits(float32(p.Y)))
+			binary.LittleEndian.PutUint32(s[8:], math.Float32bits(float32(p.Z)))
+		}
+		dst, b = extend(dst, 16*len(d.Tets))
+		for i, t := range d.Tets {
+			s := b[16*i : 16*i+16 : 16*i+16]
+			for v := 0; v < 4; v++ {
+				binary.LittleEndian.PutUint32(s[4*v:], uint32(t[v]))
+			}
+		}
+		fields = d.Fields
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(fields)))
+	for _, f := range fields {
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Name)))
+		dst = append(dst, f.Name...)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(f.Values)))
+		dst = appendF32s(dst, f.Values)
+	}
+	return dst, nil
+}
+
+// encodedLen is the length of ds's encoding, or the reason it has none.
+func encodedLen(ds data.Dataset) (int, error) {
+	n := len(magic) + 2 + 1 + 4 // magic, version, kind, field count
+	var fields []data.Field
+	switch d := ds.(type) {
+	case *data.PointCloud:
+		n += 8 + 8*len(d.IDs)
+		for _, arr := range [...][]float32{d.X, d.Y, d.Z, d.VX, d.VY, d.VZ} {
+			n += 4 * len(arr)
+		}
+		fields = d.Fields
+	case *data.StructuredGrid:
+		n += 3*8 + 6*8
+		fields = d.Fields
+	case *data.UnstructuredGrid:
+		n += 2*8 + 12*len(d.Points) + 16*len(d.Tets)
+		fields = d.Fields
 	default:
-		return fmt.Errorf("vtkio: unsupported dataset type %T", ds)
-	}
-}
-
-func (e *encoder) writePointCloud(p *data.PointCloud) error {
-	if err := e.u64(uint64(p.Count())); err != nil {
-		return err
-	}
-	if err := e.int64s(p.IDs); err != nil {
-		return err
-	}
-	for _, arr := range [...][]float32{p.X, p.Y, p.Z, p.VX, p.VY, p.VZ} {
-		if err := e.float32s(arr); err != nil {
-			return err
-		}
-	}
-	return e.writeFields(p.Fields)
-}
-
-func (e *encoder) writeGrid(g *data.StructuredGrid) error {
-	for _, d := range [...]uint64{uint64(g.NX), uint64(g.NY), uint64(g.NZ)} {
-		if err := e.u64(d); err != nil {
-			return err
-		}
-	}
-	for _, v := range [...]float64{
-		g.Origin.X, g.Origin.Y, g.Origin.Z,
-		g.Spacing.X, g.Spacing.Y, g.Spacing.Z,
-	} {
-		if err := e.f64(v); err != nil {
-			return err
-		}
-	}
-	return e.writeFields(g.Fields)
-}
-
-func (e *encoder) writeFields(fields []data.Field) error {
-	if err := e.u32(uint32(len(fields))); err != nil {
-		return err
+		return 0, fmt.Errorf("vtkio: unsupported dataset type %T", ds)
 	}
 	for _, f := range fields {
 		if len(f.Name) > math.MaxUint16 {
-			return fmt.Errorf("vtkio: field name too long (%d bytes)", len(f.Name))
+			return 0, fmt.Errorf("vtkio: field name too long (%d bytes)", len(f.Name))
 		}
-		if err := e.u16(uint16(len(f.Name))); err != nil {
-			return err
-		}
-		if _, err := e.bw.WriteString(f.Name); err != nil {
-			return err
-		}
-		if err := e.u64(uint64(len(f.Values))); err != nil {
-			return err
-		}
-		if err := e.float32s(f.Values); err != nil {
-			return err
-		}
+		n += 2 + len(f.Name) + 8 + 4*len(f.Values)
 	}
-	return nil
+	return n, nil
 }
 
-func (e *encoder) writeUnstructured(u *data.UnstructuredGrid) error {
-	if err := e.u64(uint64(len(u.Points))); err != nil {
-		return err
+// extend lengthens b by n bytes and returns it with the new tail.
+func extend(b []byte, n int) (all, tail []byte) {
+	l := len(b)
+	b = slices.Grow(b, n)[:l+n]
+	return b, b[l:]
+}
+
+// appendF32s appends vals little-endian, four values per iteration.
+func appendF32s(dst []byte, vals []float32) []byte {
+	dst, b := extend(dst, 4*len(vals))
+	i := 0
+	for ; i+4 <= len(vals); i += 4 {
+		v := vals[i : i+4 : i+4]
+		s := b[4*i : 4*i+16 : 4*i+16]
+		binary.LittleEndian.PutUint32(s[0:], math.Float32bits(v[0]))
+		binary.LittleEndian.PutUint32(s[4:], math.Float32bits(v[1]))
+		binary.LittleEndian.PutUint32(s[8:], math.Float32bits(v[2]))
+		binary.LittleEndian.PutUint32(s[12:], math.Float32bits(v[3]))
 	}
-	if err := e.u64(uint64(len(u.Tets))); err != nil {
-		return err
+	for ; i < len(vals); i++ {
+		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(vals[i]))
 	}
-	// Coordinates, 12 bytes per point, batched through the chunk.
-	used := 0
-	for _, p := range u.Points {
-		if used+12 > len(e.chunk) {
-			if _, err := e.bw.Write(e.chunk[:used]); err != nil {
-				return err
-			}
-			used = 0
-		}
-		binary.LittleEndian.PutUint32(e.chunk[used:], math.Float32bits(float32(p.X)))
-		binary.LittleEndian.PutUint32(e.chunk[used+4:], math.Float32bits(float32(p.Y)))
-		binary.LittleEndian.PutUint32(e.chunk[used+8:], math.Float32bits(float32(p.Z)))
-		used += 12
+	return dst
+}
+
+// appendI64s appends vals little-endian, four values per iteration.
+func appendI64s(dst []byte, vals []int64) []byte {
+	dst, b := extend(dst, 8*len(vals))
+	i := 0
+	for ; i+4 <= len(vals); i += 4 {
+		v := vals[i : i+4 : i+4]
+		s := b[8*i : 8*i+32 : 8*i+32]
+		binary.LittleEndian.PutUint64(s[0:], uint64(v[0]))
+		binary.LittleEndian.PutUint64(s[8:], uint64(v[1]))
+		binary.LittleEndian.PutUint64(s[16:], uint64(v[2]))
+		binary.LittleEndian.PutUint64(s[24:], uint64(v[3]))
 	}
-	if used > 0 {
-		if _, err := e.bw.Write(e.chunk[:used]); err != nil {
-			return err
-		}
+	for ; i < len(vals); i++ {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(vals[i]))
 	}
-	// Tetrahedra, 16 bytes per cell.
-	used = 0
-	for _, t := range u.Tets {
-		if used+16 > len(e.chunk) {
-			if _, err := e.bw.Write(e.chunk[:used]); err != nil {
-				return err
-			}
-			used = 0
-		}
-		for v := 0; v < 4; v++ {
-			binary.LittleEndian.PutUint32(e.chunk[used+4*v:], uint32(t[v]))
-		}
-		used += 16
-	}
-	if used > 0 {
-		if _, err := e.bw.Write(e.chunk[:used]); err != nil {
-			return err
-		}
-	}
-	return e.writeFields(u.Fields)
+	return dst
 }
 
 // ---- decoder ----
 
-// decoder is the pooled read-side state, mirroring encoder.
-type decoder struct {
-	br    *bufio.Reader
-	tmp   [8]byte
-	chunk []byte
-}
-
-var decoders = sync.Pool{New: func() any {
-	return &decoder{br: bufio.NewReaderSize(eofReader{}, 1<<20), chunk: make([]byte, chunkBytes)}
-}}
-
-func (d *decoder) u8() (uint8, error) { return d.br.ReadByte() }
-
-func (d *decoder) u16() (uint16, error) {
-	if _, err := io.ReadFull(d.br, d.tmp[:2]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(d.tmp[:2]), nil
-}
-
-func (d *decoder) u32() (uint32, error) {
-	if _, err := io.ReadFull(d.br, d.tmp[:4]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(d.tmp[:4]), nil
-}
-
-func (d *decoder) u64() (uint64, error) {
-	if _, err := io.ReadFull(d.br, d.tmp[:8]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(d.tmp[:8]), nil
-}
-
-func (d *decoder) f64() (float64, error) {
-	v, err := d.u64()
-	return math.Float64frombits(v), err
-}
-
-// Read deserializes a dataset from r.
-func Read(r io.Reader) (data.Dataset, error) {
-	return ReadInto(r, nil)
-}
-
-// ReadInto deserializes a dataset from r, reusing prev's backing arrays
-// when prev is non-nil, of the same kind, and shape-compatible (matching
-// array capacities and field layout). This is the steady-state path of
-// the in-situ interface: a simulation replaying fixed-size steps decodes
+// Decode decodes the container at the start of b; bytes after it are
+// ignored. It reuses prev's arrays when prev is non-nil and of the same
+// kind: each array whose capacity covers its decoded length is
+// overwritten in place, a field whose name matches the previous one at
+// its index keeps its name string, and anything too small grows with
+// append's headroom. A shape-stable stream of steps therefore decodes
 // every step after the first without allocating.
 //
 // On success the returned dataset may be prev itself, mutated in place —
 // the caller must treat prev as invalid (aliased) afterwards. On error
-// prev is also invalid: it may have been partially overwritten by the
-// failed decode.
-func ReadInto(r io.Reader, prev data.Dataset) (data.Dataset, error) {
-	d := decoders.Get().(*decoder)
-	d.br.Reset(r)
-	ds, err := d.read(prev)
-	d.br.Reset(eofReader{})
-	decoders.Put(d)
-	return ds, err
-}
-
-func (d *decoder) read(prev data.Dataset) (data.Dataset, error) {
-	if _, err := io.ReadFull(d.br, d.tmp[:4]); err != nil {
-		return nil, fmt.Errorf("vtkio: reading magic: %w", err)
+// prev is also invalid: it may have been partially overwritten.
+func Decode(b []byte, prev data.Dataset) (data.Dataset, error) {
+	d := decoder{b: b}
+	if m := d.take(4, 1); d.err != nil {
+		return nil, fmt.Errorf("vtkio: reading magic: %w", d.err)
+	} else if [4]byte(m) != magic {
+		return nil, fmt.Errorf("%w: got % x", ErrBadMagic, m)
 	}
-	if [4]byte(d.tmp[:4]) != magic {
-		return nil, fmt.Errorf("%w: got % x", ErrBadMagic, d.tmp[:4])
-	}
-	ver, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	if ver != version {
+	if ver := d.u16(); d.err == nil && ver != version {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
-	kind, err := d.u8()
-	if err != nil {
-		return nil, err
+	kind := d.take(1, 1)
+	if d.err != nil {
+		return nil, d.err
 	}
-	switch data.Kind(kind) {
+	var ds data.Dataset
+	switch data.Kind(kind[0]) {
 	case data.KindPointCloud:
 		p, _ := prev.(*data.PointCloud)
-		return d.readPointCloud(p)
+		ds = d.pointCloud(p)
 	case data.KindStructuredGrid:
 		g, _ := prev.(*data.StructuredGrid)
-		return d.readGrid(g)
+		ds = d.grid(g)
 	case data.KindUnstructuredGrid:
 		u, _ := prev.(*data.UnstructuredGrid)
-		return d.readUnstructured(u)
+		ds = d.unstructured(u)
 	default:
-		return nil, fmt.Errorf("vtkio: unknown dataset kind %d", kind)
+		return nil, fmt.Errorf("vtkio: unknown dataset kind %d", kind[0])
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return ds, nil
+}
+
+// decoder walks a container slice. Its first error sticks: every later
+// read returns zero values and the error surfaces from Decode.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
 	}
 }
 
-func (d *decoder) readPointCloud(prev *data.PointCloud) (*data.PointCloud, error) {
-	n, err := d.u64()
-	if err != nil {
-		return nil, err
+// take consumes n values of size bytes each, failing — before anything
+// is sliced or allocated for them — when fewer bytes are left.
+func (d *decoder) take(n, size uint64) []byte {
+	if d.err != nil {
+		return nil
 	}
-	if n > maxReasonable {
-		return nil, fmt.Errorf("vtkio: implausible particle count %d", n)
+	if n > uint64(len(d.b))/size {
+		d.fail("vtkio: %d values of %d bytes announced, %d bytes left: %w", n, size, len(d.b), io.ErrUnexpectedEOF)
+		return nil
 	}
-	p := prev
+	p := d.b[: n*size : n*size]
+	d.b = d.b[n*size:]
+	return p
+}
+
+func (d *decoder) u16() uint16 {
+	if p := d.take(1, 2); p != nil {
+		return binary.LittleEndian.Uint16(p)
+	}
+	return 0
+}
+
+func (d *decoder) u32() uint32 {
+	if p := d.take(1, 4); p != nil {
+		return binary.LittleEndian.Uint32(p)
+	}
+	return 0
+}
+
+func (d *decoder) u64() uint64 {
+	if p := d.take(1, 8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
+// resize returns s with length n, in place when its capacity covers n,
+// else grown as append grows it. A nil s yields a non-nil slice, so an
+// empty array round-trips as empty, not nil.
+func resize[T any](s []T, n int) []T {
+	if s == nil {
+		return make([]T, n)
+	}
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// f32s decodes n float32 values into dst's array (see resize), four
+// values per iteration.
+func (d *decoder) f32s(dst []float32, n uint64) []float32 {
+	src := d.take(n, 4)
+	if d.err != nil {
+		return dst
+	}
+	dst = resize(dst, int(n))
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		v := dst[i : i+4 : i+4]
+		s := src[4*i : 4*i+16 : 4*i+16]
+		v[0] = math.Float32frombits(binary.LittleEndian.Uint32(s[0:]))
+		v[1] = math.Float32frombits(binary.LittleEndian.Uint32(s[4:]))
+		v[2] = math.Float32frombits(binary.LittleEndian.Uint32(s[8:]))
+		v[3] = math.Float32frombits(binary.LittleEndian.Uint32(s[12:]))
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+	return dst
+}
+
+// i64s is f32s for int64 values.
+func (d *decoder) i64s(dst []int64, n uint64) []int64 {
+	src := d.take(n, 8)
+	if d.err != nil {
+		return dst
+	}
+	dst = resize(dst, int(n))
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		v := dst[i : i+4 : i+4]
+		s := src[8*i : 8*i+32 : 8*i+32]
+		v[0] = int64(binary.LittleEndian.Uint64(s[0:]))
+		v[1] = int64(binary.LittleEndian.Uint64(s[8:]))
+		v[2] = int64(binary.LittleEndian.Uint64(s[16:]))
+		v[3] = int64(binary.LittleEndian.Uint64(s[24:]))
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+	return dst
+}
+
+func (d *decoder) pointCloud(p *data.PointCloud) *data.PointCloud {
 	if p == nil {
 		p = &data.PointCloud{}
 	}
-	if p.IDs, err = d.int64s(p.IDs[:0], int(n)); err != nil {
-		return nil, err
+	n := d.u64()
+	p.IDs = d.i64s(p.IDs, n)
+	for _, arr := range [...]*[]float32{&p.X, &p.Y, &p.Z, &p.VX, &p.VY, &p.VZ} {
+		*arr = d.f32s(*arr, n)
 	}
-	for _, dst := range [...]*[]float32{&p.X, &p.Y, &p.Z, &p.VX, &p.VY, &p.VZ} {
-		if *dst, err = d.float32s((*dst)[:0], int(n)); err != nil {
-			return nil, err
-		}
-	}
-	fields, err := d.readFields(p.Fields, p.Count())
-	if err != nil {
-		return nil, err
-	}
-	p.Fields = fields
+	p.Fields = d.fields(p.Fields, n)
 	// The reuse path overwrites positions in place, so the lazy bounds
 	// cache of the previous step must not survive.
 	p.InvalidateBounds()
-	return p, nil
+	return p
 }
 
-func (d *decoder) readGrid(prev *data.StructuredGrid) (*data.StructuredGrid, error) {
-	var hdr [3]uint64
-	for i := range hdr {
-		v, err := d.u64()
-		if err != nil {
-			return nil, err
-		}
-		if v > maxReasonable {
-			return nil, fmt.Errorf("vtkio: implausible grid dimension %d", v)
-		}
-		hdr[i] = v
-	}
+func (d *decoder) grid(g *data.StructuredGrid) *data.StructuredGrid {
+	nx, ny, nz := d.u64(), d.u64(), d.u64()
 	// Guard the vertex-count product stepwise with divisions: a plain
-	// hdr[0]*hdr[1]*hdr[2] overflows uint64 for dimensions that each pass
-	// the per-axis check, wraps to a small number, and slips through.
-	if hdr[0] > 0 && hdr[1] > 0 {
-		if hdr[1] > maxReasonable/hdr[0] || (hdr[2] > 0 && hdr[2] > maxReasonable/(hdr[0]*hdr[1])) {
-			return nil, fmt.Errorf("vtkio: implausible grid size %dx%dx%d", hdr[0], hdr[1], hdr[2])
-		}
+	// nx*ny*nz overflows uint64 for dimensions that each pass the per-axis
+	// check, wraps to a small number, and slips through.
+	if nx > maxReasonable || ny > maxReasonable || nz > maxReasonable ||
+		(nx > 0 && ny > 0 && (ny > maxReasonable/nx || (nz > 0 && nz > maxReasonable/(nx*ny)))) {
+		d.fail("vtkio: implausible grid size %dx%dx%d", nx, ny, nz)
 	}
-	g := prev
-	if g == nil || g.NX != int(hdr[0]) || g.NY != int(hdr[1]) || g.NZ != int(hdr[2]) {
-		g = data.NewStructuredGrid(int(hdr[0]), int(hdr[1]), int(hdr[2]))
+	if d.err != nil {
+		return nil
+	}
+	if g == nil || g.NX != int(nx) || g.NY != int(ny) || g.NZ != int(nz) {
+		g = data.NewStructuredGrid(int(nx), int(ny), int(nz))
 	}
 	var geo [6]float64
 	for i := range geo {
-		v, err := d.f64()
-		if err != nil {
-			return nil, err
-		}
-		geo[i] = v
+		geo[i] = math.Float64frombits(d.u64())
 	}
 	g.Origin = vec.New(geo[0], geo[1], geo[2])
 	g.Spacing = vec.New(geo[3], geo[4], geo[5])
-	fields, err := d.readFields(g.Fields, g.Count())
-	if err != nil {
-		return nil, err
-	}
-	g.Fields = fields
-	return g, nil
+	g.Fields = d.fields(g.Fields, uint64(g.Count()))
+	return g
 }
 
-// readFields decodes the field table, recycling prev's entries: a field
-// whose name matches the previous step's field at the same index keeps
-// its name string, and its value array is reused whenever its capacity
-// suffices.
-func (d *decoder) readFields(prev []data.Field, expect int) ([]data.Field, error) {
-	n, err := d.u32()
-	if err != nil {
-		return nil, err
+func (d *decoder) unstructured(u *data.UnstructuredGrid) *data.UnstructuredGrid {
+	if u == nil {
+		u = &data.UnstructuredGrid{}
 	}
-	if n > 1<<16 {
-		return nil, fmt.Errorf("vtkio: implausible field count %d", n)
+	nPts, nTets := d.u64(), d.u64()
+	src := d.take(nPts, 12)
+	if d.err != nil {
+		return nil
+	}
+	u.Points = resize(u.Points, int(nPts))
+	for i := range u.Points {
+		s := src[12*i : 12*i+12 : 12*i+12]
+		u.Points[i] = vec.New(
+			float64(math.Float32frombits(binary.LittleEndian.Uint32(s[0:]))),
+			float64(math.Float32frombits(binary.LittleEndian.Uint32(s[4:]))),
+			float64(math.Float32frombits(binary.LittleEndian.Uint32(s[8:]))),
+		)
+	}
+	src = d.take(nTets, 16)
+	if d.err != nil {
+		return nil
+	}
+	// Vertex indices are validated as they land.
+	u.Tets = resize(u.Tets, int(nTets))
+	for i := range u.Tets {
+		s := src[16*i : 16*i+16 : 16*i+16]
+		for v := 0; v < 4; v++ {
+			raw := binary.LittleEndian.Uint32(s[4*v:])
+			if uint64(raw) >= nPts {
+				d.fail("vtkio: tet %d references vertex %d of %d", i, raw, nPts)
+				return nil
+			}
+			u.Tets[i][v] = int32(raw)
+		}
+	}
+	u.Fields = d.fields(u.Fields, nPts)
+	u.InvalidateBounds()
+	return u
+}
+
+// fields decodes the field table into prev's entries (see Decode); every
+// field must carry exactly expect values.
+func (d *decoder) fields(prev []data.Field, expect uint64) []data.Field {
+	n := d.u32()
+	switch {
+	case d.err != nil:
+		return nil
+	case n > 1<<16:
+		d.fail("vtkio: implausible field count %d", n)
+		return nil
+	case uint64(n) > uint64(len(d.b))/(2+8): // each field's name length and value count
+		d.fail("vtkio: %d fields announced, %d bytes left: %w", n, len(d.b), io.ErrUnexpectedEOF)
+		return nil
 	}
 	fields := prev[:0]
 	if fields == nil || cap(fields) < int(n) {
@@ -470,228 +456,73 @@ func (d *decoder) readFields(prev []data.Field, expect int) ([]data.Field, error
 		if i < len(prev) {
 			old = prev[i]
 		}
-		nameLen, err := d.u16()
-		if err != nil {
-			return nil, err
-		}
-		nameBytes := d.chunk[:nameLen]
-		if _, err := io.ReadFull(d.br, nameBytes); err != nil {
-			return nil, err
+		nameBytes := d.take(uint64(d.u16()), 1)
+		count := d.u64()
+		if d.err != nil {
+			return nil
 		}
 		name := old.Name
 		if string(nameBytes) != old.Name { // comparison does not allocate
 			name = string(nameBytes)
 		}
-		count, err := d.u64()
-		if err != nil {
-			return nil, err
+		if count != expect {
+			d.fail("vtkio: field %q has %d values, dataset expects %d", name, count, expect)
+			return nil
 		}
-		if count != uint64(expect) {
-			return nil, fmt.Errorf("vtkio: field %q has %d values, dataset expects %d", name, count, expect)
-		}
-		vals, err := d.float32s(old.Values[:0], int(count))
-		if err != nil {
-			return nil, err
-		}
-		fields = append(fields, data.Field{Name: name, Values: vals})
+		fields = append(fields, data.Field{Name: name, Values: d.f32s(old.Values, count)})
 	}
-	return fields, nil
+	return fields
 }
 
-// float32s reads n float32 values into dst. When dst's capacity covers n
-// the values are decoded in place with zero allocation; otherwise the
-// result grows chunk by chunk so memory use is bounded by the bytes the
-// stream actually delivers (plus one chunk) rather than by an untrusted
-// header count.
-func (d *decoder) float32s(dst []float32, n int) ([]float32, error) {
-	if n == 0 {
-		if dst == nil {
-			return []float32{}, nil // keep round trips non-nil, like make(_, 0)
-		}
-		return dst[:0], nil
+// ---- streams and files ----
+
+// streamBufs holds the container buffers Write and Read stage through,
+// so a caller streaming datasets of a steady size — ethperf's
+// vtkio.write_ms and vtkio.read_ms probes time these two as the
+// pipeline's serialize and deserialize legs — allocates nothing but the
+// decoded dataset.
+var streamBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Write writes ds's container encoding to w.
+func Write(w io.Writer, ds data.Dataset) error {
+	bp := streamBufs.Get().(*[]byte)
+	defer streamBufs.Put(bp)
+	b, err := Append((*bp)[:0], ds)
+	*bp = b
+	if err != nil {
+		return err
 	}
-	if cap(dst) >= n {
-		dst = dst[:n]
-		for off := 0; off < n; {
-			c := min(n-off, chunkF32)
-			if _, err := io.ReadFull(d.br, d.chunk[:c*4]); err != nil {
-				return nil, err
-			}
-			for i := 0; i < c; i++ {
-				dst[off+i] = math.Float32frombits(binary.LittleEndian.Uint32(d.chunk[i*4:]))
-			}
-			off += c
-		}
-		return dst, nil
-	}
-	dst = dst[:0]
-	if cap(dst) == 0 {
-		dst = make([]float32, 0, min(n, chunkF32))
-	}
-	for len(dst) < n {
-		c := min(n-len(dst), chunkF32)
-		if _, err := io.ReadFull(d.br, d.chunk[:c*4]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < c; i++ {
-			dst = append(dst, math.Float32frombits(binary.LittleEndian.Uint32(d.chunk[i*4:])))
-		}
-	}
-	return dst, nil
+	_, err = w.Write(b)
+	return err
 }
 
-// int64s reads n int64 values with the same reuse/incremental policy as
-// float32s.
-func (d *decoder) int64s(dst []int64, n int) ([]int64, error) {
-	if n == 0 {
-		if dst == nil {
-			return []int64{}, nil
-		}
-		return dst[:0], nil
-	}
-	if cap(dst) >= n {
-		dst = dst[:n]
-		for off := 0; off < n; {
-			c := min(n-off, chunkI64)
-			if _, err := io.ReadFull(d.br, d.chunk[:c*8]); err != nil {
-				return nil, err
-			}
-			for i := 0; i < c; i++ {
-				dst[off+i] = int64(binary.LittleEndian.Uint64(d.chunk[i*8:]))
-			}
-			off += c
-		}
-		return dst, nil
-	}
-	dst = dst[:0]
-	if cap(dst) == 0 {
-		dst = make([]int64, 0, min(n, chunkI64))
-	}
-	for len(dst) < n {
-		c := min(n-len(dst), chunkI64)
-		if _, err := io.ReadFull(d.br, d.chunk[:c*8]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < c; i++ {
-			dst = append(dst, int64(binary.LittleEndian.Uint64(d.chunk[i*8:])))
-		}
-	}
-	return dst, nil
-}
-
-func (d *decoder) readUnstructured(prev *data.UnstructuredGrid) (*data.UnstructuredGrid, error) {
-	nPtsU, err := d.u64()
+// Read reads r to EOF and decodes the container at its start.
+func Read(r io.Reader) (data.Dataset, error) {
+	bp := streamBufs.Get().(*[]byte)
+	defer streamBufs.Put(bp)
+	buf := bytes.NewBuffer((*bp)[:0])
+	_, err := io.Copy(buf, r)
+	*bp = buf.Bytes()
 	if err != nil {
 		return nil, err
 	}
-	nTetsU, err := d.u64()
-	if err != nil {
-		return nil, err
-	}
-	if nPtsU > maxReasonable || nTetsU > maxReasonable {
-		return nil, fmt.Errorf("vtkio: implausible unstructured sizes %d points, %d tets", nPtsU, nTetsU)
-	}
-	nPts, nTets := int(nPtsU), int(nTetsU)
-	u := prev
-	if u == nil {
-		u = &data.UnstructuredGrid{}
-	}
-
-	// Coordinates, 12 bytes per point, streamed through the chunk. On the
-	// reuse path points land in place; otherwise the slice grows chunk by
-	// chunk, bounded by delivered bytes.
-	const ptsPerChunk = chunkBytes / 12
-	pts := u.Points[:0]
-	inPlace := nPts > 0 && cap(pts) >= nPts
-	if inPlace {
-		pts = pts[:nPts]
-	} else if cap(pts) == 0 {
-		pts = make([]vec.V3, 0, min(nPts, ptsPerChunk))
-	}
-	for off := 0; off < nPts; {
-		c := min(nPts-off, ptsPerChunk)
-		if _, err := io.ReadFull(d.br, d.chunk[:c*12]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < c; i++ {
-			p := vec.New(
-				float64(math.Float32frombits(binary.LittleEndian.Uint32(d.chunk[i*12:]))),
-				float64(math.Float32frombits(binary.LittleEndian.Uint32(d.chunk[i*12+4:]))),
-				float64(math.Float32frombits(binary.LittleEndian.Uint32(d.chunk[i*12+8:]))),
-			)
-			if inPlace {
-				pts[off+i] = p
-			} else {
-				pts = append(pts, p)
-			}
-		}
-		off += c
-	}
-	u.Points = pts
-
-	// Tetrahedra, 16 bytes per cell, vertex indices validated as they land.
-	const tetsPerChunk = chunkBytes / 16
-	tets := u.Tets[:0]
-	tetsInPlace := nTets > 0 && cap(tets) >= nTets
-	if tetsInPlace {
-		tets = tets[:nTets]
-	} else if cap(tets) == 0 {
-		tets = make([][4]int32, 0, min(nTets, tetsPerChunk))
-	}
-	for off := 0; off < nTets; {
-		c := min(nTets-off, tetsPerChunk)
-		if _, err := io.ReadFull(d.br, d.chunk[:c*16]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < c; i++ {
-			var t [4]int32
-			for v := 0; v < 4; v++ {
-				raw := binary.LittleEndian.Uint32(d.chunk[16*i+4*v:])
-				if uint64(raw) >= uint64(nPts) {
-					return nil, fmt.Errorf("vtkio: tet %d references vertex %d of %d", off+i, raw, nPts)
-				}
-				t[v] = int32(raw)
-			}
-			if tetsInPlace {
-				tets[off+i] = t
-			} else {
-				tets = append(tets, t)
-			}
-		}
-		off += c
-	}
-	u.Tets = tets
-
-	fields, err := d.readFields(u.Fields, nPts)
-	if err != nil {
-		return nil, err
-	}
-	u.Fields = fields
-	u.InvalidateBounds()
-	return u, nil
+	return Decode(buf.Bytes(), nil)
 }
-
-// ---- files ----
 
 // WriteFile writes ds to the named file, creating or truncating it.
 func WriteFile(path string, ds data.Dataset) error {
-	f, err := os.Create(path)
+	b, err := Append(nil, ds)
 	if err != nil {
 		return err
 	}
-	if err := Write(f, ds); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, b, 0o666)
 }
 
 // ReadFile reads a dataset from the named file.
 func ReadFile(path string) (data.Dataset, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Read(f)
+	return Decode(b, nil)
 }

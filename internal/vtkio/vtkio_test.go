@@ -2,14 +2,17 @@ package vtkio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"github.com/ascr-ecx/eth/internal/data"
+	"github.com/ascr-ecx/eth/internal/raceflag"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
 
@@ -340,5 +343,72 @@ func TestRandomTruncationNeverPanics(t *testing.T) {
 				t.Fatalf("truncation at %d of %d accepted", cut, len(base))
 			}
 		}()
+	}
+}
+
+// TestHugeCountRejectedCheaply: a container of at most 64 bytes that
+// announces 2³² values — as a particle count or as an unstructured point
+// or tet count — is rejected after allocating under 1 KiB, because
+// Decode checks each count against the bytes left before it allocates.
+// So is a field of 2³² values under a grid of that size (94 bytes: a
+// grid's fixed header alone is 79).
+func TestHugeCountRejectedCheaply(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const huge = 1 << 32
+	le := binary.LittleEndian
+	head := func(k data.Kind) []byte { return append(append(magic[:0:0], magic[:]...), 1, 0, byte(k)) }
+	cloud := le.AppendUint64(head(data.KindPointCloud), huge)
+	grid := head(data.KindStructuredGrid)
+	for _, v := range []uint64{1 << 16, 1 << 16, 1} {
+		grid = le.AppendUint64(grid, v)
+	}
+	grid = append(grid, make([]byte, 48)...) // origin and spacing
+	grid = le.AppendUint32(grid, 1)
+	grid = le.AppendUint16(grid, 1)
+	grid = append(grid, 'f')
+	grid = le.AppendUint64(grid, huge)
+	points := le.AppendUint64(le.AppendUint64(head(data.KindUnstructuredGrid), huge), 0)
+	tets := le.AppendUint64(le.AppendUint64(head(data.KindUnstructuredGrid), 0), huge)
+	for name, in := range map[string][]byte{"cloud": cloud, "grid field": grid, "points": points, "tets": tets} {
+		if len(in) > 64 && name != "grid field" {
+			t.Fatalf("%s: container is %d bytes, want <= 64", name, len(in))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(in, nil)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: 2^32 values announced in %d bytes accepted", name, len(in))
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1024 {
+			t.Errorf("%s: rejecting it allocated %d bytes, want < 1024", name, n)
+		}
+	}
+}
+
+// TestAppendDecodeAllocs gates the slice codec's steady state at zero:
+// Append into a buffer with room, and Decode into a previous dataset of
+// the same shape, allocate nothing for every kind.
+func TestAppendDecodeAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
+	}
+	for _, ds := range []data.Dataset{sampleCloud(10_000, 5), sampleGrid(), data.Tetrahedralize(sampleGrid())} {
+		buf, err := Append(nil, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { buf, _ = Append(buf[:0], ds) }); allocs != 0 {
+			t.Errorf("%v: Append into a buffer with room allocates %.1f times, want 0", ds.Kind(), allocs)
+		}
+		prev, err := Decode(buf, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { prev, err = Decode(buf, prev) }); allocs != 0 || err != nil {
+			t.Errorf("%v: Decode into a matching dataset allocates %.1f times (err %v), want 0", ds.Kind(), allocs, err)
+		}
 	}
 }

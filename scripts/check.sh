@@ -80,6 +80,9 @@ runpid=""
 echo "== go test -fuzz=FuzzReadVTK -fuzztime=10s ./internal/vtkio"
 go test -run='^$' -fuzz=FuzzReadVTK -fuzztime=10s ./internal/vtkio/
 
+echo "== go test -fuzz=FuzzDecodeMatchesReference -fuzztime=10s ./internal/vtkio"
+go test -run='^$' -fuzz=FuzzDecodeMatchesReference -fuzztime=10s ./internal/vtkio/
+
 echo "== go test -fuzz=FuzzFrameFlip -fuzztime=10s ./internal/transport"
 go test -run='^$' -fuzz=FuzzFrameFlip -fuzztime=10s ./internal/transport/
 
