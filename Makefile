@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test check perf perf-quick lint sarif fuzz loc
+.PHONY: build test check perf perf-quick lint sarif fuzz loc mutants
 
 build:
 	go build ./...
@@ -24,7 +24,9 @@ sarif:
 # format (checksummed dataset frames must detect any byte flip, for
 # every codec; temporal codecs must reconstruct bit-exactly), the
 # DEFLATE decoder (any bytes decode exactly as compress/flate decodes
-# them, or fail where it fails or past the output bound), the hub
+# them, or fail where it fails or past the output bound) and encoder
+# (any bytes, after any prefix, encode to a stream both decoders return
+# them from, never larger than storing them), the hub
 # steering codec (corruption must surface ErrSteering, never a panic or
 # a silently-applied wrong value), the two text formats a user hands a
 # run: the fault schedule and the job layout (no panic; an accepted one
@@ -48,6 +50,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzFrameFlip -fuzztime=10s ./internal/transport/
 	go test -run='^$$' -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/transport/
 	go test -run='^$$' -fuzz=FuzzInflate -fuzztime=10s ./internal/transport/
+	go test -run='^$$' -fuzz=FuzzDeflate -fuzztime=10s ./internal/transport/
 	go test -run='^$$' -fuzz=FuzzSteeringMessage -fuzztime=10s ./internal/hub/
 	go test -run='^$$' -fuzz=FuzzFaultsParse -fuzztime=10s ./internal/faults/
 	go test -run='^$$' -fuzz=FuzzLayoutParse -fuzztime=10s ./internal/layout/
@@ -58,6 +61,13 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/fleet/
 	go test -run='^$$' -fuzz=FuzzStream -fuzztime=10s ./internal/cosmo/
 	go test -run='^$$' -fuzz=FuzzPacketsMatchReference -fuzztime=10s ./internal/rt/
+
+# The mutation ledger (outside tier-1 and outside check): each
+# scripts/mutants/*.patch is a deliberate bug applied to a temporary git
+# worktree of the tracked files; the tests its header names must fail
+# (the comment-only self-test must pass). Stale or surviving patches fail.
+mutants:
+	./scripts/mutants.sh
 
 # Full gate: gofmt + vet + build + ethlint + race-enabled tests + short
 # fuzz passes.

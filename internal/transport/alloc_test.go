@@ -36,20 +36,22 @@ func allocHarness(t *testing.T, cloud *data.PointCloud, codec CodecID, advance f
 	send.SetCodec(codec)
 	recv.SetDatasetReuse(true)
 
+	// A receiver that fails reports why and then closes its end, so the
+	// sender's wait for the ack fails with it instead of blocking forever.
 	errc := make(chan error, 1)
 	go func() {
 		for {
 			typ, _, _, err := recv.Recv()
-			if err != nil {
-				errc <- err
-				return
-			}
-			if typ == MsgDone {
+			if err == nil && typ == MsgDone {
 				errc <- nil
 				return
 			}
-			if err := recv.SendAck(0); err != nil {
+			if err == nil {
+				err = recv.SendAck(0)
+			}
+			if err != nil {
 				errc <- err
+				recv.Close()
 				return
 			}
 		}
@@ -63,7 +65,8 @@ func allocHarness(t *testing.T, cloud *data.PointCloud, codec CodecID, advance f
 			t.Fatal(err)
 		}
 		if _, _, _, err := send.Recv(); err != nil {
-			t.Fatal(err)
+			send.Close() // a receiver still waiting fails too
+			t.Fatalf("waiting for the ack: %v (receiver: %v)", err, <-errc)
 		}
 	}
 	finish = func() {

@@ -2,10 +2,11 @@
 // turns a serialized dataset (the "plain" vtkio bytes) into the wire
 // payload of a v3 frame and back. Codecs are stateful per Conn and per
 // direction (or per Encoder, for a broadcaster that encodes once for many
-// connections) — flate coders and scratch buffers persist across frames so
-// the steady state stays allocation-free — and the temporal codecs
-// (delta, delta+flate) additionally reference the previous step's plain
-// payload, which the Conn retains on both sides of the link.
+// connections) — the DEFLATE coders' tables and scratch buffers persist
+// across frames so the steady state stays allocation-free — and the
+// temporal codecs (delta, delta+flate) additionally reference the
+// previous step's plain payload, which the Conn retains on both sides of
+// the link.
 //
 // Temporal codecs never stand alone on the wire: the first frame of a
 // connection (and the first after any error) is a keyframe, encoded with
@@ -21,7 +22,6 @@
 package transport
 
 import (
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -244,51 +244,22 @@ func newCodec(id CodecID) Codec {
 	}
 }
 
-// payloadBuffer is a minimal growable write buffer ([]byte as io.Writer):
-// the sink the flate writers append their output to.
-type payloadBuffer []byte
-
-func (b *payloadBuffer) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
-}
-
 // rawCodec is the identity codec: the wire payload is the plain payload.
 type rawCodec struct{}
 
 func (rawCodec) Encode(_, plain, _ []byte) ([]byte, error)       { return plain, nil }
 func (rawCodec) Decode(_, wire, _ []byte, _ int) ([]byte, error) { return wire, nil }
 
-// flateCodec DEFLATE-compresses frames independently. The writer, its
-// sink and the inflate tables persist across frames, so a steady stream
-// encodes and decodes with no allocation.
+// flateCodec DEFLATE-compresses frames independently. The deflater's
+// match table and code tables and the inflater's tables persist across
+// frames, so a steady stream encodes and decodes with no allocation.
 type flateCodec struct {
-	zw   *flate.Writer
-	sink payloadBuffer
+	deflater
 	inflater
 }
 
 func (f *flateCodec) Encode(dst, plain, _ []byte) ([]byte, error) {
-	// The sink must be a field, not a local: flate.Writer holds the
-	// io.Writer across calls, and a local's address escaping would
-	// allocate per frame.
-	f.sink = dst[:0]
-	if f.zw == nil {
-		zw, err := flate.NewWriter(&f.sink, flate.BestSpeed)
-		if err != nil {
-			return nil, err
-		}
-		f.zw = zw
-	} else {
-		f.zw.Reset(&f.sink)
-	}
-	if _, err := f.zw.Write(plain); err != nil {
-		return nil, err
-	}
-	if err := f.zw.Close(); err != nil {
-		return nil, err
-	}
-	return f.sink, nil
+	return f.deflate(dst[:0], plain), nil
 }
 
 func (f *flateCodec) Decode(dst, wire, _ []byte, limit int) ([]byte, error) {
@@ -327,17 +298,15 @@ const dfBlock = 4096
 //	[8B residual length][block bitmap][DEFLATE of the nonzero blocks]
 //
 // and DEFLATE — the expensive stage in both directions — only ever sees
-// the blocks that actually changed. The cost of a delta+flate frame
+// the blocks that actually changed: Encode packs them to the front of the
+// residual in place and deflates them as one stream, which Decode
+// inflates to the front of its output and spreads back. The cost of a delta+flate frame
 // therefore scales with how much of the dataset moved between steps, not
 // with the dataset size; a fully-quiet step costs one bitmap and an
 // empty DEFLATE stream.
 type deltaFlateCodec struct {
-	zw *flate.Writer
-	// sink is the evolving wire payload (header+bitmap+DEFLATE). It must
-	// be a field: the flate writer retains &d.sink across frames, and a
-	// local's address escaping would allocate per frame.
-	sink payloadBuffer
-	tmp  payloadBuffer // XOR residual
+	deflater
+	res []byte // XOR residual, its non-zero blocks packed to the front
 	inflater
 }
 
@@ -345,48 +314,29 @@ func (d *deltaFlateCodec) Encode(dst, plain, prev []byte) ([]byte, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("transport: delta+flate encode: %w", ErrDeltaState)
 	}
-	d.tmp = xorDelta(d.tmp, plain, prev)
-	res := d.tmp
+	d.res = xorDelta(d.res, plain, prev)
+	res := d.res
 	nb := (len(res) + dfBlock - 1) / dfBlock
-	bitmapLen := (nb + 7) / 8
-
-	out := append(dst[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	binary.BigEndian.PutUint64(out, uint64(len(res)))
-	// The bitmap region must be cleared explicitly: dst is a reused
-	// buffer, so append into its capacity resurrects old bytes.
-	for i := 0; i < bitmapLen; i++ {
-		out = append(out, 0)
-	}
-	d.sink = out
-	if d.zw == nil {
-		zw, err := flate.NewWriter(&d.sink, flate.BestSpeed)
-		if err != nil {
-			return nil, err
-		}
-		d.zw = zw
-	} else {
-		d.zw.Reset(&d.sink)
-	}
+	// dst is a reused buffer: append the bitmap as zeros, or its capacity
+	// resurrects old bytes.
+	out := binary.BigEndian.AppendUint64(dst[:0], uint64(len(res)))
+	out = append(out, make([]byte, (nb+7)/8)...)
+	// Pack the blocks that changed to the front of the residual, in
+	// place (a block only ever moves down), and deflate them as one
+	// stream.
+	packed := 0
 	for b := 0; b < nb; b++ {
-		lo, hi := b*dfBlock, (b+1)*dfBlock
-		if hi > len(res) {
-			hi = len(res)
-		}
+		lo, hi := b*dfBlock, min((b+1)*dfBlock, len(res))
 		if allZero(res[lo:hi]) {
 			continue
 		}
-		// Indexing d.sink directly is safe even though the flate writer
-		// appends to it: append preserves the prefix, and d.sink is the
-		// current header.
-		d.sink[8+b/8] |= 1 << (b % 8)
-		if _, err := d.zw.Write(res[lo:hi]); err != nil {
-			return nil, err
+		out[8+b/8] |= 1 << (b % 8)
+		if packed != lo {
+			copy(res[packed:], res[lo:hi])
 		}
+		packed += hi - lo
 	}
-	if err := d.zw.Close(); err != nil {
-		return nil, err
-	}
-	return d.sink, nil
+	return d.deflate(out, res[:packed]), nil
 }
 
 func (d *deltaFlateCodec) Decode(dst, wire, prev []byte, limit int) ([]byte, error) {

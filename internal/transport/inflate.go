@@ -10,8 +10,9 @@ package transport
 // back-references copied within the output itself, and tables that live
 // in the codec across frames — no window, no per-byte call, no per-block
 // allocation. It accepts exactly the streams compress/flate accepts
-// (FuzzInflate holds it to that), so compress/flate stays the encoder
-// and the wire is unchanged.
+// (FuzzInflate holds it to that), so any RFC 1951 encoder may feed it:
+// the send half is deflate (deflate.go), and compress/flate remains only
+// the tests' reference coder.
 
 import (
 	"encoding/binary"

@@ -10,11 +10,7 @@ import (
 	"testing"
 
 	"github.com/ascr-ecx/eth/internal/blast"
-	"github.com/ascr-ecx/eth/internal/camera"
-	"github.com/ascr-ecx/eth/internal/cosmo"
 	"github.com/ascr-ecx/eth/internal/data"
-	"github.com/ascr-ecx/eth/internal/fb"
-	"github.com/ascr-ecx/eth/internal/render"
 	"github.com/ascr-ecx/eth/internal/vtkio"
 )
 
@@ -22,8 +18,8 @@ import (
 // BestSpeed through BestCompression.
 var deflateLevels = []int{flate.HuffmanOnly, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 
-// deflate compresses plain with compress/flate at level.
-func deflate(tb testing.TB, plain []byte, level int) []byte {
+// stdDeflate compresses plain with compress/flate at level.
+func stdDeflate(tb testing.TB, plain []byte, level int) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	zw, err := flate.NewWriter(&buf, level)
@@ -54,41 +50,15 @@ func vtkPayload(tb testing.TB, ds data.Dataset) []byte {
 // the hub's four-field grid (r, g, b, depth).
 func workloadPayloads(tb testing.TB) map[string][]byte {
 	tb.Helper()
-	cp := cosmo.DefaultParams()
-	cp.Particles = 20_000
-	cloud, err := cosmo.Generate(cp)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	cloud := cosmoCloud(tb, 20_000)
 	grid, err := blast.Generate(blast.Params{NX: 40, NY: 28, NZ: 24, BoxSize: 10, Seed: 1, TimeStep: 3})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r, err := render.New("points")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	frame := fb.New(160, 160)
-	cam := camera.ForBounds(cloud.Bounds())
-	if _, err := r.Render(frame, cloud, &cam, render.Options{ColorField: "speed"}); err != nil {
-		tb.Fatal(err)
-	}
-	n := frame.W * frame.H
-	hub := data.NewStructuredGrid(frame.W, frame.H, 1)
-	for _, name := range []string{"r", "g", "b", "depth"} {
-		hub.Fields = append(hub.Fields, data.Field{Name: name, Values: make([]float32, n)})
-	}
-	for i := 0; i < n; i++ {
-		c := frame.Color[i]
-		hub.Fields[0].Values[i] = float32(c.X)
-		hub.Fields[1].Values[i] = float32(c.Y)
-		hub.Fields[2].Values[i] = float32(c.Z)
-		hub.Fields[3].Values[i] = float32(frame.Depth[i])
-	}
 	return map[string][]byte{
 		"cosmo":     vtkPayload(tb, cloud),
 		"blast":     vtkPayload(tb, grid),
-		"hub-frame": vtkPayload(tb, hub),
+		"hub-frame": frameGridPayload(tb, renderFrame(tb, "points", cloud, 160)),
 	}
 }
 
@@ -101,7 +71,7 @@ func TestInflateMatchesFlate(t *testing.T) {
 	var dst []byte
 	for name, plain := range workloadPayloads(t) {
 		for _, level := range deflateLevels {
-			wire := deflate(t, plain, level)
+			wire := stdDeflate(t, plain, level)
 			got, err := z.inflate(dst[:0], wire, len(plain))
 			if err != nil {
 				t.Fatalf("%s level %d: %v", name, level, err)
@@ -122,7 +92,7 @@ func TestInflateMatchesFlate(t *testing.T) {
 // delta+flate, bounded by its bitmap, may not even allocate the 1 MiB.
 func TestInflateBoundRejectsBomb(t *testing.T) {
 	zeros := make([]byte, 8<<20)
-	bomb := deflate(t, zeros, flate.BestSpeed)
+	bomb := stdDeflate(t, zeros, flate.BestSpeed)
 	if len(bomb) > 16<<10 {
 		t.Fatalf("8 MiB of zeros deflates to %d bytes, want a small frame", len(bomb))
 	}
@@ -256,17 +226,17 @@ func inflateSeeds(tb testing.TB) [][]byte {
 	plain := vtkPayload(tb, sampleCloud(120))
 	var seeds [][]byte
 	for _, level := range deflateLevels {
-		seeds = append(seeds, deflate(tb, plain, level))
+		seeds = append(seeds, stdDeflate(tb, plain, level))
 	}
-	fixed := deflate(tb, []byte("hello, hello, hello, hello"), flate.DefaultCompression)
+	fixed := stdDeflate(tb, []byte("hello, hello, hello, hello"), flate.DefaultCompression)
 	if fixed[0]>>1&3 != 1 {
 		tb.Fatalf("seed stream opens with block type %d, want fixed Huffman (1)", fixed[0]>>1&3)
 	}
-	dynamic := deflate(tb, plain, flate.BestSpeed)
+	dynamic := stdDeflate(tb, plain, flate.BestSpeed)
 	seeds = append(seeds,
 		fixed,
-		deflate(tb, plain[:300], flate.NoCompression),
-		deflate(tb, nil, flate.BestSpeed),
+		stdDeflate(tb, plain[:300], flate.NoCompression),
+		stdDeflate(tb, nil, flate.BestSpeed),
 		nil,
 		dynamic[:len(dynamic)/2],
 		dynamic[:len(dynamic)-5],
@@ -288,7 +258,7 @@ func FuzzInflate(f *testing.F) {
 	for _, s := range inflateSeeds(f) {
 		f.Add(s, uint32(1<<20))
 	}
-	f.Add(deflate(f, make([]byte, 5000), flate.BestSpeed), uint32(4999))
+	f.Add(stdDeflate(f, make([]byte, 5000), flate.BestSpeed), uint32(4999))
 	var z inflater
 	buf := make([]byte, 64<<10)
 	f.Fuzz(func(t *testing.T, wire []byte, limit uint32) {

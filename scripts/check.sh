@@ -92,6 +92,9 @@ go test -run='^$' -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/transport/
 echo "== go test -fuzz=FuzzInflate -fuzztime=10s ./internal/transport"
 go test -run='^$' -fuzz=FuzzInflate -fuzztime=10s ./internal/transport/
 
+echo "== go test -fuzz=FuzzDeflate -fuzztime=10s ./internal/transport"
+go test -run='^$' -fuzz=FuzzDeflate -fuzztime=10s ./internal/transport/
+
 echo "== go test -fuzz=FuzzSteeringMessage -fuzztime=10s ./internal/hub"
 go test -run='^$' -fuzz=FuzzSteeringMessage -fuzztime=10s ./internal/hub/
 
