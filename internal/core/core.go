@@ -308,7 +308,7 @@ func RunMeasured(spec MeasuredSpec) (MeasuredResult, error) {
 		res.RenderTime += rep.Viz.TotalRenderTime()
 		if n := len(rep.Viz.Results); n > 0 {
 			res.Elements += rep.Viz.Results[n-1].Elements
-			res.Frames = append(res.Frames, rep.Viz.Results[n-1].LastFrame)
+			res.Frames = append(res.Frames, rep.Viz.LastFrame())
 		}
 	}
 

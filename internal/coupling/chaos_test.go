@@ -20,6 +20,7 @@ import (
 
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/faults"
+	"github.com/ascr-ecx/eth/internal/fb"
 	"github.com/ascr-ecx/eth/internal/journal"
 	"github.com/ascr-ecx/eth/internal/proxy"
 	"github.com/ascr-ecx/eth/internal/transport"
@@ -29,7 +30,7 @@ import (
 // viz-side resume events land next to the driver's retry/skip events.
 // codec names the wire codec ("" = raw); temporal codecs exercise the
 // keyframe resynchronization path on every reconnect.
-func chaosPair(t *testing.T, steps int, codec string, jw *journal.Writer) PairSpec {
+func chaosPair(t *testing.T, steps int, codec string, jw *journal.Writer, pub proxy.FramePublisher) PairSpec {
 	t.Helper()
 	var datasets []data.Dataset
 	for s := 0; s < steps; s++ {
@@ -41,11 +42,24 @@ func chaosPair(t *testing.T, steps int, codec string, jw *journal.Writer) PairSp
 	}
 	viz, err := proxy.NewVizProxy(proxy.VizConfig{
 		Width: 32, Height: 32, Algorithm: "points", ImagesPerStep: 1, Journal: jw,
+		Publisher: pub,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return PairSpec{Sim: sim, Viz: viz}
+}
+
+// frameLog is a publisher that keeps a copy of every published frame,
+// in publish order: one per rendered step, as Report.Viz.Results.
+type frameLog struct{ frames []*fb.Frame }
+
+func (l *frameLog) PublishFrame(_ int, f *fb.Frame) {
+	c := fb.New(f.W, f.H)
+	if err := c.CopyFrom(f); err != nil {
+		panic(err)
+	}
+	l.frames = append(l.frames, c)
 }
 
 // fastBackoff keeps reconnect sleeps in the single-millisecond range so
@@ -100,7 +114,7 @@ func chaosSignature(jw *journal.Writer, rep Report, err error) []string {
 func runChaos(t *testing.T, sc chaosScenario) []string {
 	t.Helper()
 	jw := journal.New()
-	pair := chaosPair(t, sc.steps, sc.codec, jw)
+	pair := chaosPair(t, sc.steps, sc.codec, jw, nil)
 	sched := faults.New(42, sc.rules...)
 	pol := Policy{
 		MaxRetries: sc.retries,
@@ -287,7 +301,7 @@ func TestChaosScenarios(t *testing.T) {
 // exactly once.
 func TestChaosDuplicateNotRerendered(t *testing.T) {
 	jw := journal.New()
-	pair := chaosPair(t, 3, "", jw)
+	pair := chaosPair(t, 3, "", jw, nil)
 	pol := Policy{
 		MaxRetries: 2, IOTimeout: 250 * time.Millisecond,
 		Backoff: fastBackoff(), Seed: 7,
@@ -332,10 +346,11 @@ func TestChaosDuplicateNotRerendered(t *testing.T) {
 // wire but must still converge to the identical images after its
 // keyframe resync. Render lists and retry/skip counts must agree too.
 func TestChaosCodecRecoveryBitExact(t *testing.T) {
-	run := func(codec string) Report {
+	run := func(codec string) (Report, []*fb.Frame) {
 		t.Helper()
 		jw := journal.New()
-		pair := chaosPair(t, 4, codec, jw)
+		rec := &frameLog{}
+		pair := chaosPair(t, 4, codec, jw, rec)
 		pol := Policy{
 			MaxRetries: 2,
 			Backoff:    fastBackoff(),
@@ -349,14 +364,17 @@ func TestChaosCodecRecoveryBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s run failed: %v", codec, err)
 		}
-		return rep
+		if len(rec.frames) != len(rep.Viz.Results) {
+			t.Fatalf("%s: %d frames published for %d rendered steps", codec, len(rec.frames), len(rep.Viz.Results))
+		}
+		return rep, rec.frames
 	}
-	base := run("")
+	base, baseFrames := run("")
 	if base.Retries != 1 {
 		t.Fatalf("baseline retries = %d, want 1 (schedule did not fire)", base.Retries)
 	}
 	for _, codec := range []string{"delta", "delta+flate"} {
-		rep := run(codec)
+		rep, frames := run(codec)
 		if rep.Retries != base.Retries || rep.Skipped != base.Skipped {
 			t.Errorf("%s: retries=%d skipped=%d, raw run had %d/%d",
 				codec, rep.Retries, rep.Skipped, base.Retries, base.Skipped)
@@ -370,10 +388,10 @@ func TestChaosCodecRecoveryBitExact(t *testing.T) {
 				t.Errorf("%s result %d: step %d, raw step %d", codec, i, got.Step, want.Step)
 				continue
 			}
-			if !reflect.DeepEqual(got.LastFrame.Color, want.LastFrame.Color) {
+			if !reflect.DeepEqual(frames[i].Color, baseFrames[i].Color) {
 				t.Errorf("%s step %d: colors differ from raw run", codec, got.Step)
 			}
-			if !reflect.DeepEqual(got.LastFrame.Depth, want.LastFrame.Depth) {
+			if !reflect.DeepEqual(frames[i].Depth, baseFrames[i].Depth) {
 				t.Errorf("%s step %d: depths differ from raw run", codec, got.Step)
 			}
 		}

@@ -99,8 +99,8 @@ func TestModesProduceIdenticalImages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa := ra.Viz.Results[0].LastFrame
-	fbm := rb.Viz.Results[0].LastFrame
+	fa := ra.Viz.LastFrame()
+	fbm := rb.Viz.LastFrame()
 	rmse, err := fb.RMSE(fa, fbm)
 	if err != nil {
 		t.Fatal(err)

@@ -245,8 +245,8 @@ func assertSameFinalFrame(t *testing.T, a, b Report) {
 	if len(a.Viz.Results) == 0 || len(b.Viz.Results) == 0 {
 		t.Fatal("missing results for frame comparison")
 	}
-	fa := a.Viz.Results[len(a.Viz.Results)-1].LastFrame
-	fc := b.Viz.Results[len(b.Viz.Results)-1].LastFrame
+	fa := a.Viz.LastFrame()
+	fc := b.Viz.LastFrame()
 	rmse, err := fb.RMSE(fa, fc)
 	if err != nil {
 		t.Fatal(err)

@@ -51,36 +51,49 @@ func chaosSource(steps, n int) *proxy.MemSource {
 	return src
 }
 
-// chaosViz builds a visualization proxy rendering the chaos source.
-func chaosViz(t *testing.T, jw *journal.Writer, pub proxy.FramePublisher, steer hub.Source) *proxy.VizProxy {
+// sigTee is a publisher that records the signature of every published
+// frame, then hands the frame on to next, if any.
+type sigTee struct {
+	next proxy.FramePublisher
+	sigs []uint32
+}
+
+func (s *sigTee) PublishFrame(step int, f *fb.Frame) {
+	s.sigs = append(s.sigs, hub.FrameSig(f))
+	if s.next != nil {
+		s.next.PublishFrame(step, f)
+	}
+}
+
+// chaosViz builds a visualization proxy rendering the chaos source; it
+// publishes through the returned tee to pub.
+func chaosViz(t *testing.T, jw *journal.Writer, pub proxy.FramePublisher, steer hub.Source) (*proxy.VizProxy, *sigTee) {
 	t.Helper()
+	tee := &sigTee{next: pub}
 	viz, err := proxy.NewVizProxy(proxy.VizConfig{
 		Width: 48, Height: 36, Algorithm: "vtk-iso", ImagesPerStep: 2,
-		Journal: jw, Publisher: pub, Steering: steer,
+		Journal: jw, Publisher: tee, Steering: steer,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return viz
+	return viz, tee
 }
 
 // runPipeline drives sim->viz step by step (the unified coupling shape)
 // and returns the per-step frame signatures.
-func runPipeline(t *testing.T, sim *proxy.SimProxy, viz *proxy.VizProxy) []uint32 {
+func runPipeline(t *testing.T, sim *proxy.SimProxy, viz *proxy.VizProxy, tee *sigTee) []uint32 {
 	t.Helper()
-	var sigs []uint32
 	for i := 0; i < sim.Steps(); i++ {
 		ds, err := sim.StepData(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := viz.RenderStep(i, ds)
-		if err != nil {
+		if _, err := viz.RenderStep(i, ds); err != nil {
 			t.Fatal(err)
 		}
-		sigs = append(sigs, hub.FrameSig(res.LastFrame))
 	}
-	return sigs
+	return tee.sigs
 }
 
 // drainSub receives frames until Done (or maxFrames, if positive),
@@ -120,7 +133,8 @@ func TestHubChaosSlowSubscriber(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := runPipeline(t, bareSim, chaosViz(t, bareJW, nil, nil))
+	bareViz, bareTee := chaosViz(t, bareJW, nil, nil)
+	bare := runPipeline(t, bareSim, bareViz, bareTee)
 
 	// Hub run: one draining subscriber, one stuck subscriber with a tiny
 	// queue joining mid-run with a backlog it can never absorb.
@@ -152,18 +166,15 @@ func TestHubChaosSlowSubscriber(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viz := chaosViz(t, jw, h, nil)
-	var hubSigs []uint32
+	viz, tee := chaosViz(t, jw, h, nil)
 	for i := 0; i < steps; i++ {
 		ds, err := sim.StepData(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := viz.RenderStep(i, ds)
-		if err != nil {
+		if _, err := viz.RenderStep(i, ds); err != nil {
 			t.Fatal(err)
 		}
-		hubSigs = append(hubSigs, hub.FrameSig(res.LastFrame))
 		if i == steps/2 {
 			// Mid-run, a subscriber joins asking for the full backlog —
 			// more than its queue can hold — and then never reads a byte.
@@ -182,6 +193,7 @@ func TestHubChaosSlowSubscriber(t *testing.T) {
 		t.Fatalf("serve: %v", err)
 	}
 
+	hubSigs := tee.sigs
 	if len(hubSigs) != steps || len(bare) != steps {
 		t.Fatalf("run lengths: hub %d, bare %d, want %d", len(hubSigs), len(bare), steps)
 	}
@@ -351,7 +363,8 @@ func TestHubChaosSteeringReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sigs := runPipeline(t, sim, chaosViz(t, jw, nil, steer))
+		viz, tee := chaosViz(t, jw, nil, steer)
+		sigs := runPipeline(t, sim, viz, tee)
 		var steerEvs []journal.Event
 		for _, ev := range jw.Events() {
 			if ev.Type == journal.TypeSteer {
@@ -422,7 +435,7 @@ func TestHubChaosSteeringOverSocketPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viz := chaosViz(t, jw, nil, script)
+	viz, _ := chaosViz(t, jw, nil, script)
 
 	layout := filepath.Join(t.TempDir(), "layout")
 	ln, err := transport.Listen(layout, 0, "127.0.0.1")

@@ -5,12 +5,14 @@
 package hub
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
 
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/fb"
+	"github.com/ascr-ecx/eth/internal/mempool"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
 
@@ -80,28 +82,33 @@ func GridFrame(ds data.Dataset, reuse *fb.Frame) (*fb.Frame, error) {
 	return f, nil
 }
 
+// sigChunk is how many pixels FrameSig encodes per CRC update.
+const sigChunk = 256
+
 // FrameSig is a quantization-stable signature of a frame's pixels: both
 // a frame that crossed the wire (float32 fields) and its float64 source
 // hash identically, because the source is quantized the same way the
 // wire conversion quantizes. Used by tests and clients to prove
-// byte-identical delivery.
+// byte-identical delivery. It is the CRC-32C of every pixel's r, g, b
+// and depth as big-endian float32, in pixel order; since a CRC streams,
+// updating it once per chunk of pixels gives the per-pixel value. The
+// chunk buffer comes from mempool: crc32 hands it to a function value,
+// so a stack array would escape.
 func FrameSig(f *fb.Frame) uint32 {
-	var buf [16]byte
+	buf := mempool.Bytes(sigChunk * 16)
 	crc := uint32(0)
-	for i := range f.Color {
-		c := f.Color[i]
-		put32 := func(off int, v float32) {
-			bits := math.Float32bits(v)
-			buf[off] = byte(bits >> 24)
-			buf[off+1] = byte(bits >> 16)
-			buf[off+2] = byte(bits >> 8)
-			buf[off+3] = byte(bits)
+	for lo := 0; lo < len(f.Color); lo += sigChunk {
+		px := f.Color[lo:min(lo+sigChunk, len(f.Color))]
+		depth := f.Depth[lo : lo+len(px)]
+		for i, c := range px {
+			b := buf[16*i : 16*i+16]
+			binary.BigEndian.PutUint32(b[0:], math.Float32bits(float32(c.X)))
+			binary.BigEndian.PutUint32(b[4:], math.Float32bits(float32(c.Y)))
+			binary.BigEndian.PutUint32(b[8:], math.Float32bits(float32(c.Z)))
+			binary.BigEndian.PutUint32(b[12:], math.Float32bits(float32(depth[i])))
 		}
-		put32(0, float32(c.X))
-		put32(4, float32(c.Y))
-		put32(8, float32(c.Z))
-		put32(12, float32(f.Depth[i]))
-		crc = crc32.Update(crc, castagnoli, buf[:])
+		crc = crc32.Update(crc, castagnoli, buf[:16*len(px)])
 	}
+	mempool.PutBytes(buf)
 	return crc
 }

@@ -17,6 +17,7 @@ import (
 	"github.com/ascr-ecx/eth/internal/coupling"
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/faults"
+	"github.com/ascr-ecx/eth/internal/fb"
 	"github.com/ascr-ecx/eth/internal/journal"
 	"github.com/ascr-ecx/eth/internal/proxy"
 	"github.com/ascr-ecx/eth/internal/transport"
@@ -42,26 +43,35 @@ func chaosCloud(n int, seed int64) *data.PointCloud {
 	return p
 }
 
-// hashFrames digests each rendered step's final frame, bit-exact over
-// color and depth.
-func hashFrames(rep coupling.Report) []string {
-	var out []string
+// frameHasher is a publisher that digests each rendered step's final
+// frame as it is published, bit-exact over color and depth.
+type frameHasher struct{ sums []uint64 }
+
+func (fh *frameHasher) PublishFrame(_ int, f *fb.Frame) {
 	var buf [8]byte
-	for _, r := range rep.Viz.Results {
-		h := fnv.New64a()
-		if r.LastFrame != nil {
-			for _, c := range r.LastFrame.Color {
-				for _, v := range [3]float64{c.X, c.Y, c.Z} {
-					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-					h.Write(buf[:])
-				}
-			}
-			for _, d := range r.LastFrame.Depth {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(d))
-				h.Write(buf[:])
-			}
+	h := fnv.New64a()
+	for _, c := range f.Color {
+		for _, v := range [3]float64{c.X, c.Y, c.Z} {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
 		}
-		out = append(out, fmt.Sprintf("step=%d elements=%d frame=%016x", r.Step, r.Elements, h.Sum64()))
+	}
+	for _, d := range f.Depth {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(d))
+		h.Write(buf[:])
+	}
+	fh.sums = append(fh.sums, h.Sum64())
+}
+
+// hashFrames pairs each rendered step with its published frame's digest.
+func hashFrames(t *testing.T, rep coupling.Report, fh *frameHasher) []string {
+	t.Helper()
+	if len(fh.sums) != len(rep.Viz.Results) {
+		t.Fatalf("%d frames published for %d rendered steps", len(fh.sums), len(rep.Viz.Results))
+	}
+	var out []string
+	for i, r := range rep.Viz.Results {
+		out = append(out, fmt.Sprintf("step=%d elements=%d frame=%016x", r.Step, r.Elements, fh.sums[i]))
 	}
 	return out
 }
@@ -82,8 +92,10 @@ func runObservedChaos(t *testing.T, observe bool) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fh := &frameHasher{}
 	viz, err := proxy.NewVizProxy(proxy.VizConfig{
 		Width: 32, Height: 32, Algorithm: "points", ImagesPerStep: 1, Journal: jw,
+		Publisher: fh,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +154,7 @@ func runObservedChaos(t *testing.T, observe bool) []string {
 		t.Fatalf("chaos run failed (observe=%v): %v", observe, err)
 	}
 
-	sig := hashFrames(rep)
+	sig := hashFrames(t, rep, fh)
 	for _, ev := range jw.Events() {
 		switch ev.Type {
 		case journal.TypeRetry, journal.TypeSkip, journal.TypeResume:

@@ -125,10 +125,12 @@ func TestFuncSource(t *testing.T) {
 }
 
 func TestVizProxyRendersSteps(t *testing.T) {
+	pub := &sigPublisher{}
 	vp, err := NewVizProxy(VizConfig{
 		Width: 64, Height: 64,
 		Algorithm:     "points",
 		ImagesPerStep: 3,
+		Publisher:     pub,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +142,7 @@ func TestVizProxyRendersSteps(t *testing.T) {
 	if res.Images != 3 || res.Elements != 200 {
 		t.Errorf("result = %+v", res)
 	}
-	if res.LastFrame == nil || res.LastFrame.CoveredPixels() == 0 {
+	if len(pub.covered) != 1 || pub.covered[0] == 0 {
 		t.Error("no pixels rendered")
 	}
 	if vp.TotalRenderTime() <= 0 {

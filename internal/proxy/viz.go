@@ -29,6 +29,12 @@ var (
 // FramePublisher receives each completed step's final rendered frame
 // for fan-out to live viewers (implemented by hub.Hub). Publishing must
 // never block the render loop.
+//
+// The frame is lent, not given: it is the proxy's own buffer, which it
+// renders the step after next into, so it is valid only until
+// PublishFrame returns. A publisher that keeps the frame (or hands it
+// to another goroutine) copies it first; hub.Hub converts it to its
+// wire grid before returning.
 type FramePublisher interface {
 	PublishFrame(step int, f *fb.Frame)
 }
@@ -61,7 +67,8 @@ type VizConfig struct {
 	// operation, wire transfer, and error.
 	Journal *journal.Writer
 	// Publisher, when set, receives each step's final rendered frame
-	// (the broadcast hub). Publishing is non-blocking by contract.
+	// (the broadcast hub), lent for the duration of the call (see
+	// FramePublisher). Publishing is non-blocking by contract.
 	Publisher FramePublisher
 	// Steering, when set, is consulted at every step boundary: camera
 	// and isovalue steering is applied locally before rendering;
@@ -82,7 +89,6 @@ type StepResult struct {
 	Render time.Duration
 	// Analysis is the time spent in configured analysis operations.
 	Analysis   time.Duration
-	LastFrame  *fb.Frame
 	Primitives int
 	// Ops holds the results of the configured analysis operations.
 	Ops []OpResult
@@ -92,10 +98,12 @@ type StepResult struct {
 type VizProxy struct {
 	cfg      VizConfig
 	renderer render.Renderer
-	// scratch is the persistent render target: every image of every step
-	// renders into it (cleared between images), so the per-image path
-	// allocates no framebuffers at steady state.
-	scratch *fb.Frame
+	// cur and last are the proxy's only two frames. Every image of a step
+	// renders into cur (cleared between images); when the step succeeds
+	// the two swap, so last holds the completed step's final image and a
+	// failed step leaves it untouched. Neither the per-image nor the
+	// per-step path allocates a framebuffer at steady state.
+	cur, last *fb.Frame
 	// next is the first step not yet rendered+acked; it persists across
 	// Receive calls so a reconnected sender resuming at an earlier step is
 	// recognized (the duplicate is re-acked without rendering). Atomic
@@ -161,11 +169,10 @@ func (v *VizProxy) RenderStep(step int, ds data.Dataset) (res StepResult, err er
 	t0 := time.Now()
 	res = StepResult{Step: step, Elements: ds.Count(), Images: v.cfg.ImagesPerStep}
 	bounds := ds.Bounds()
-	frame := v.scratch
-	if frame == nil || frame.W != v.cfg.Width || frame.H != v.cfg.Height {
-		frame = fb.New(v.cfg.Width, v.cfg.Height)
-		v.scratch = frame
+	if v.cur == nil {
+		v.cur = fb.New(v.cfg.Width, v.cfg.Height)
 	}
+	frame := v.cur
 	for img := 0; img < v.cfg.ImagesPerStep; img++ {
 		it0 := time.Now()
 		cam := orbitCamera(bounds, img, v.cfg.ImagesPerStep)
@@ -230,16 +237,11 @@ func (v *VizProxy) RenderStep(step int, ds data.Dataset) (res StepResult, err er
 		})
 		res.Ops = append(res.Ops, opRes)
 	}
-	// Results retains LastFrame beyond this step while the scratch frame
-	// is overwritten by the next image, so snapshot it (one per-step copy
-	// instead of the old one-allocation-per-image).
-	last := fb.New(v.cfg.Width, v.cfg.Height)
-	if err := last.CopyFrom(frame); err != nil {
-		return res, err
-	}
-	res.LastFrame = last
+	// The step is complete: its frame becomes last, lent to the publisher
+	// without a copy, and the previous last becomes the next render target.
+	v.cur, v.last = v.last, frame
 	if v.cfg.Publisher != nil {
-		v.cfg.Publisher.PublishFrame(step, last)
+		v.cfg.Publisher.PublishFrame(step, frame)
 	}
 	v.Results = append(v.Results, res)
 	ctrSteps.Inc()
@@ -460,6 +462,11 @@ func (v *VizProxy) EnsureOutDir() error {
 	}
 	return os.MkdirAll(v.cfg.OutDir, 0o755)
 }
+
+// LastFrame returns the final image of the last completed step, or nil
+// before the first. It is the proxy's own buffer: the next RenderStep
+// but one overwrites it.
+func (v *VizProxy) LastFrame() *fb.Frame { return v.last }
 
 // TotalRenderTime sums render time across completed steps.
 func (v *VizProxy) TotalRenderTime() time.Duration {

@@ -240,7 +240,10 @@ func (r *raycastSpheres) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Ca
 	// receiver delivers every step in the same PointCloud object, so
 	// pointer identity alone would serve a stale tree.
 	if r.cacheKey != p || r.cacheGen != p.Generation() || r.cacheRad != radius {
-		r.cached = rt.BuildSphereBVH(p, radius, rt.MedianSplit)
+		if r.cached == nil {
+			r.cached = new(rt.SphereBVH)
+		}
+		r.cached.Rebuild(p, radius)
 		r.cacheKey = p
 		r.cacheGen = p.Generation()
 		r.cacheRad = radius

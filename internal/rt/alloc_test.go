@@ -2,11 +2,13 @@ package rt
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
 	"github.com/ascr-ecx/eth/internal/camera"
+	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/fb"
 	"github.com/ascr-ecx/eth/internal/raceflag"
 	"github.com/ascr-ecx/eth/internal/vec"
@@ -27,6 +29,31 @@ func TestBuildAllocsIndependentOfN(t *testing.T) {
 		p := randomCloud(n, 6)
 		if allocs := testing.AllocsPerRun(3, func() { BuildSphereBVH(p, 0.1, MedianSplit) }); allocs != want {
 			t.Errorf("n=%d: build allocates %.0f times, want exactly %d", n, allocs, want)
+		}
+	}
+}
+
+// TestRebuildAllocs holds a rebuild into a tree's own arrays at exactly
+// zero allocations, for the cloud the tree was built over and for a
+// smaller one, and requires the rebuilt tree to be the one a fresh build
+// makes.
+func TestRebuildAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
+	}
+	big, small := randomCloud(50_000, 6), randomCloud(1_000, 7)
+	b := BuildSphereBVH(big, 0.1, MedianSplit)
+	for _, tc := range []struct {
+		name string
+		p    *data.PointCloud
+	}{{"same", big}, {"smaller", small}} {
+		if allocs := testing.AllocsPerRun(3, func() { b.Rebuild(tc.p, 0.2) }); allocs != 0 {
+			t.Errorf("%s cloud: rebuild allocates %.0f times, want exactly 0", tc.name, allocs)
+		}
+		want := BuildSphereBVH(tc.p, 0.2, MedianSplit)
+		if !reflect.DeepEqual(b.nodes, want.nodes) || !reflect.DeepEqual(b.prims, want.prims) ||
+			b.radius != want.radius || b.NodesBuilt != want.NodesBuilt {
+			t.Errorf("%s cloud: rebuilt tree differs from a fresh build", tc.name)
 		}
 	}
 }

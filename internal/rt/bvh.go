@@ -73,19 +73,35 @@ type SphereBVH struct {
 // bench/ethperf calls does not change.
 func BuildSphereBVH(p *data.PointCloud, radius float64, _ BuildStrategy) *SphereBVH {
 	n := p.Count()
-	b := &SphereBVH{prims: make([]sphere, n), radius: radius}
+	b := &SphereBVH{prims: make([]sphere, n), nodes: make([]node, 0, n/4+2)}
+	b.Rebuild(p, radius)
+	return b
+}
+
+// Rebuild replaces b with the hierarchy BuildSphereBVH would build over
+// p, in b's own primitive and node arrays: once they are large enough
+// for p, a rebuild allocates nothing.
+func (b *SphereBVH) Rebuild(p *data.PointCloud, radius float64) {
+	n := p.Count()
+	if cap(b.prims) < n {
+		b.prims = make([]sphere, n)
+	}
+	// A median split never leaves a leaf under leafSize/2 = 8 primitives,
+	// so the tree has fewer than n/4 nodes.
+	if cap(b.nodes) < n/4+2 {
+		b.nodes = make([]node, 0, n/4+2)
+	}
+	b.prims, b.nodes = b.prims[:n], b.nodes[:0]
+	b.radius, b.NodesBuilt = radius, 0
 	if n == 0 {
-		return b
+		return
 	}
 	for i := range b.prims {
 		b.prims[i] = sphere{c: [3]float32{p.X[i], p.Y[i], p.Z[i]}, id: int32(i)}
 	}
-	// A median split never leaves a leaf under leafSize/2 = 8 primitives,
-	// so the tree has fewer than n/4 nodes.
-	b.nodes = make([]node, 1, n/4+2)
+	b.nodes = append(b.nodes, node{})
 	b.build(0, 0, n, 0)
 	b.NodesBuilt = len(b.nodes)
-	return b
 }
 
 // build recursively constructs the subtree for primitives [lo, hi) at

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"github.com/ascr-ecx/eth/internal/cosmo"
@@ -157,6 +158,9 @@ func TestStratifiedAllocsIndependentOfCells(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
 	}
+	// The scratch is pooled, and a collection inside a run empties the
+	// pools; AllocsPerRun would count the refills.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var counts []float64
 	for _, n := range []int{1_000, 100_000} {
 		p := cosmoCloud(t, n)
@@ -168,5 +172,26 @@ func TestStratifiedAllocsIndependentOfCells(t *testing.T) {
 	if counts[0] != counts[1] || counts[0] > 20 {
 		t.Errorf("stratifiedSample allocates %.0f times at 1 000 particles and %.0f at 100 000, want the same count, at most 20",
 			counts[0], counts[1])
+	}
+}
+
+// TestStratifiedWarmAllocs holds a warm stratified sampler to the
+// allocations of its output alone: keys, cell starts and cursors,
+// members, the index list, the permutation scratch and the generator
+// all come from pools, so sampling allocates exactly what Select does
+// for a sample of the same size.
+func TestStratifiedWarmAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, n := range []int{1_000, 100_000} {
+		p := cosmoCloud(t, n)
+		p.Bounds()
+		idx := make([]int, stratifiedSample(p, 0.5, 1).Count())
+		output := testing.AllocsPerRun(5, func() { p.Select(idx) })
+		if got := testing.AllocsPerRun(5, func() { stratifiedSample(p, 0.5, 1) }); got != output {
+			t.Errorf("n=%d: stratifiedSample allocates %.0f times, its output alone %.0f", n, got, output)
+		}
 	}
 }

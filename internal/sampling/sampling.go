@@ -10,8 +10,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"github.com/ascr-ecx/eth/internal/data"
+	"github.com/ascr-ecx/eth/internal/mempool"
 )
 
 // Method selects a point-sampling strategy.
@@ -105,6 +107,16 @@ func strideSample(p *data.PointCloud, ratio float64) *data.PointCloud {
 	return p.Select(idx)
 }
 
+// Stratified sampling's scratch: everything but the sampled cloud, which
+// goes to the caller, comes from these pools and goes back to them, so a
+// warm sampler allocates only its output. A pooled generator is reseeded
+// per call; Seed leaves it in the state rand.NewSource(seed) starts in.
+var (
+	int32Pool mempool.SlicePool[int32]
+	intPool   mempool.SlicePool[int]
+	rngPool   = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+)
+
 func stratifiedSample(p *data.PointCloud, ratio float64, seed int64) *data.PointCloud {
 	if p.Count() == 0 || ratio <= 0 {
 		return p.Select(nil)
@@ -125,8 +137,9 @@ func stratifiedSample(p *data.PointCloud, ratio float64, seed int64) *data.Point
 	// Bucket by counting sort: key every particle, prefix-sum the cell
 	// sizes, then fill members cell by cell in ascending particle order.
 	n := p.Count()
-	key := make([]int32, n)
-	start := make([]int32, cells*cells*cells+1)
+	key := int32Pool.Get(n)
+	start := int32Pool.Get(cells*cells*cells + 1)
+	clear(start)
 	for i := 0; i < n; i++ {
 		pos := p.Pos(i)
 		ci := cellIndex((pos.X-b.Min.X)/sx, cells)
@@ -140,18 +153,20 @@ func stratifiedSample(p *data.PointCloud, ratio float64, seed int64) *data.Point
 		largest = max(largest, start[c])
 		start[c] += start[c-1]
 	}
-	members := make([]int32, n)
-	fill := append([]int32(nil), start[:len(start)-1]...)
+	members := int32Pool.Get(n)
+	fill := int32Pool.Get(len(start) - 1)
+	copy(fill, start)
 	for i, c := range key {
 		members[fill[c]] = int32(i)
 		fill[c]++
 	}
 
-	rng := rand.New(rand.NewSource(seed))
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(seed)
 	// A cell keeps at most its share plus one (rounding up, or the one
 	// probabilistic member), so this capacity is never outgrown.
-	idx := make([]int, 0, int(float64(n)*ratio)+len(start))
-	perm := make([]int, largest)
+	idx := intPool.Get(int(float64(n)*ratio) + len(start))[:0]
+	perm := intPool.Get(int(largest))
 	for c := 0; c+1 < len(start); c++ {
 		cell := members[start[c]:start[c+1]]
 		if len(cell) == 0 {
@@ -178,7 +193,14 @@ func stratifiedSample(p *data.PointCloud, ratio float64, seed int64) *data.Point
 			idx = append(idx, int(cell[j]))
 		}
 	}
-	return p.Select(idx)
+	out := p.Select(idx)
+	for _, s := range [][]int32{key, start, members, fill} {
+		int32Pool.Put(s)
+	}
+	intPool.Put(idx)
+	intPool.Put(perm)
+	rngPool.Put(rng)
+	return out
 }
 
 func cellIndex(frac float64, cells int) int {
