@@ -43,7 +43,9 @@ sarif:
 # math/rand's exact sequence, past its hand-over to a real source), and
 # the packet tracer (any small clustered or lattice cloud, radius and
 # orbit angle render a frame == to the per-ray reference's, and sampled
-# rays hit what brute force hits).
+# rays hit what brute force hits), and the triangle rasterizer (any
+# triangles, slivers a few ulps thick and non-finite corners among them,
+# draw == to the loose-box reference's frame at one and two workers).
 fuzz:
 	go test -run='^$$' -fuzz=FuzzReadVTK -fuzztime=10s ./internal/vtkio/
 	go test -run='^$$' -fuzz=FuzzDecodeMatchesReference -fuzztime=10s ./internal/vtkio/
@@ -61,6 +63,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/fleet/
 	go test -run='^$$' -fuzz=FuzzStream -fuzztime=10s ./internal/cosmo/
 	go test -run='^$$' -fuzz=FuzzPacketsMatchReference -fuzztime=10s ./internal/rt/
+	go test -run='^$$' -fuzz=FuzzTrianglesMatchReference -fuzztime=10s ./internal/raster/
 
 # The mutation ledger (outside tier-1 and outside check): each
 # scripts/mutants/*.patch is a deliberate bug applied to a temporary git

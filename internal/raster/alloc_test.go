@@ -23,10 +23,10 @@ func allocTriangles(n int) ([]Vertex, [][3]int32) {
 }
 
 // TestDrawSteadyStateAllocs locks in the zero-allocation steady state of
-// the serial rasterizers: once the band-bin scratch pool is warm, a
-// re-render into an existing frame must not allocate. (Parallel draws
-// allocate the par.For closure and goroutine bookkeeping by design; the
-// serial path is the floor the pool guarantees.)
+// the one-worker rasterizers: they draw each primitive straight into the
+// frame, with no bins and no scratch, so a re-render into an existing
+// frame must not allocate. (More workers bin on pooled scratch and
+// allocate the par.For closures and goroutine bookkeeping by design.)
 func TestDrawSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
@@ -56,7 +56,7 @@ func TestDrawSteadyStateAllocs(t *testing.T) {
 				frame.Clear(vec.V3{})
 				tc.draw()
 			}
-			redraw() // warm the bin scratch pool
+			redraw()
 			if allocs := testing.AllocsPerRun(20, redraw); allocs > 0 {
 				t.Errorf("steady-state redraw allocates %.1f times per op, want 0", allocs)
 			}

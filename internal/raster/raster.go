@@ -8,14 +8,14 @@
 // binned to the bands their bounding boxes overlap and each band is
 // rasterized by one worker. Bands never share pixels, so no locks are
 // needed in the inner loop — the same strategy tile-based GPU and software
-// rasterizers (e.g. Mesa's llvmpipe) use.
+// rasterizers (e.g. Mesa's llvmpipe) use. One worker skips the bins and
+// draws each primitive once, over the rows of all its bands.
 package raster
 
 import (
 	"math"
 
 	"github.com/ascr-ecx/eth/internal/fb"
-	"github.com/ascr-ecx/eth/internal/par"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
 
@@ -58,88 +58,54 @@ const DefaultBandHeight = 16
 // vertex shared by several triangles is stored once. workers <= 0 selects
 // the default pool size.
 //
-// Binning runs on pooled scratch (zero steady-state allocation) and, for
-// large triangle counts, in parallel: each worker bins a contiguous index
-// chunk into private per-band lists, and each band drains its workers in
-// chunk order, so the per-band rasterize order matches a serial pass.
+// One worker draws each triangle once, in input order, over the rows of
+// every band drawBinned would bin it to; more workers bin (see
+// drawBinned). Either way each pixel gets the same writes in the same
+// order, so the frame does not depend on the worker count.
 func DrawTriangles(f *fb.Frame, verts []Vertex, tris [][3]int32, workers int) {
 	// rasterizeTriangle indexes the frame directly; a frame with no
 	// columns has no pixel for its clamped bounds to land on.
 	if len(tris) == 0 || f.W == 0 {
 		return
 	}
-	const bandHeight = DefaultBandHeight
-	bands := (f.H + bandHeight - 1) / bandHeight
-	wk := workers
-	if wk <= 0 {
-		wk = par.DefaultWorkers()
-	}
-	if wk > bands {
-		wk = bands
-	}
-	binW := wk
-	if len(tris) < parallelBinMin {
-		binW = 1
-	}
-	s := getBins(binW * bands)
-	if binW == 1 {
-		binTriChunk(f, verts, tris, s, binW, bands, 0)
-	} else {
-		par.For(binW, binW, func(w int) {
-			binTriChunk(f, verts, tris, s, binW, bands, w)
-		})
-	}
+	wk := drawWorkers(workers, f.H)
 	if wk == 1 {
-		// Serial fast path: calling par.For would heap-allocate its body
-		// closure even for one worker; this branch keeps a 1-worker
-		// re-render allocation-free.
-		for b := 0; b < bands; b++ {
-			rasterizeBand(f, verts, tris, s, binW, bands, b)
+		for i := range tris {
+			t := &tris[i]
+			a, b, c := &verts[t[0]], &verts[t[1]], &verts[t[2]]
+			if y0, y1, ok := triRows(f.H, a, b, c); ok {
+				rasterizeTriangle(f, a, b, c, y0, y1)
+			}
 		}
-	} else {
-		par.For(bands, wk, func(b int) {
-			rasterizeBand(f, verts, tris, s, binW, bands, b)
-		})
+		return
 	}
-	putBins(s)
-}
-
-// binTriChunk bins worker w's contiguous triangle chunk into its private
-// per-band lists.
-func binTriChunk(f *fb.Frame, verts []Vertex, tris [][3]int32, s *binScratch, binW, bands, w int) {
-	const bandHeight = DefaultBandHeight
-	lo := w * len(tris) / binW
-	hi := (w + 1) * len(tris) / binW
-	row := s.bins[w*bands : (w+1)*bands]
-	for i := lo; i < hi; i++ {
-		t := &tris[i]
-		a, b, c := &verts[t[0]], &verts[t[1]], &verts[t[2]]
-		minY := min(a.Y, b.Y, c.Y)
-		maxY := max(a.Y, b.Y, c.Y)
-		if maxY < 0 || minY >= float64(f.H) {
-			continue
-		}
-		b0 := clampInt(int(minY)/bandHeight, 0, bands-1)
-		b1 := clampInt(int(maxY)/bandHeight, 0, bands-1)
-		for b := b0; b <= b1; b++ {
-			row[b] = append(row[b], int32(i))
-		}
-	}
-}
-
-// rasterizeBand draws every triangle binned to band b, draining the
-// workers' lists in chunk order to preserve the serial rasterize order.
-func rasterizeBand(f *fb.Frame, verts []Vertex, tris [][3]int32, s *binScratch, binW, bands, b int) {
-	const bandHeight = DefaultBandHeight
-	y0 := b * bandHeight
-	y1 := min(y0+bandHeight, f.H)
-	for w := 0; w < binW; w++ {
-		for _, ti := range s.bins[w*bands+b] {
-			t := &tris[ti]
+	drawBinned(f.H, len(tris), wk,
+		func(i int) (y0, y1 int, ok bool) {
+			t := &tris[i]
+			return triRows(f.H, &verts[t[0]], &verts[t[1]], &verts[t[2]])
+		},
+		func(i, y0, y1 int) {
+			t := &tris[i]
 			rasterizeTriangle(f, &verts[t[0]], &verts[t[1]], &verts[t[2]], y0, y1)
-		}
-	}
+		})
 }
+
+// triRows is bandRows for a triangle.
+func triRows(h int, a, b, c *Vertex) (y0, y1 int, ok bool) {
+	return bandRows(h, min(a.Y, b.Y, c.Y), max(a.Y, b.Y, c.Y))
+}
+
+// centreSlack is how far outside a triangle's vertex range a pixel centre
+// may lie and still be tested once the triangle's box is proven; see
+// rasterizeTriangle. It is far above the rounding of the box's own bounds
+// (at most 2⁻²⁸ within provenMax) and far below a pixel.
+const centreSlack = 0x1p-16
+
+// provenMax bounds the vertex coordinates a pixel-centre box is proven
+// for: within it, subtracting ½ ± centreSlack from a coordinate rounds by
+// at most 2⁻²⁸, far below half the slack, which the proof assumes. Larger
+// and non-finite coordinates keep the loose box.
+const provenMax = 1 << 24
 
 // rasterizeTriangle scan-converts triangle (a, b, c) restricted to
 // scanlines [y0, y1).
@@ -150,6 +116,12 @@ func rasterizeBand(f *fb.Frame, verts []Vertex, tris [][3]int32, s *binScratch, 
 // and the product with the row's offset once per row. Stepping the edge
 // functions by adding a per-pixel increment would be cheaper still, but
 // it rounds differently and would move pixels.
+//
+// The pixels tested are the centres within centreSlack of the vertices'
+// range, when centresProven shows every centre beyond it fails the edge
+// test as computed; otherwise, as before, every pixel the range touches.
+// Either way the same pixels pass, so a triangle that covers no centre
+// returns without a division and without a pixel loop.
 func rasterizeTriangle(f *fb.Frame, a, b, c *Vertex, y0, y1 int) {
 	// Signed doubled area; degenerate triangles are skipped. A negative
 	// area means opposite winding — rasterize both windings (no culling),
@@ -159,12 +131,26 @@ func rasterizeTriangle(f *fb.Frame, a, b, c *Vertex, y0, y1 int) {
 	if area == 0 {
 		return
 	}
+	lx, hx := min(a.X, b.X, c.X), max(a.X, b.X, c.X)
+	ly, hy := min(a.Y, b.Y, c.Y), max(a.Y, b.Y, c.Y)
+	minX, maxX := int(math.Floor(lx)), int(math.Ceil(hx))
+	minY, maxY := int(math.Floor(ly)), int(math.Ceil(hy))
+	// The loose box must reach the frame and the band: where it does not,
+	// clamping moves it onto pixels outside it, which the proof does not
+	// cover, and the loose box is kept.
+	if minX < f.W && maxX >= 0 && minY < y1 && maxY >= y0 && centresProven(area, lx, hx, ly, hy) {
+		minX = max(int(math.Ceil(lx-(0.5+centreSlack))), 0)
+		maxX = min(int(math.Floor(hx-(0.5-centreSlack))), f.W-1)
+		minY = max(int(math.Ceil(ly-(0.5+centreSlack))), y0)
+		maxY = min(int(math.Floor(hy-(0.5-centreSlack))), y1-1)
+		if minX > maxX || minY > maxY {
+			return
+		}
+	} else {
+		minX, maxX = clampInt(minX, 0, f.W-1), clampInt(maxX, 0, f.W-1)
+		minY, maxY = clampInt(minY, y0, y1-1), clampInt(maxY, y0, y1-1)
+	}
 	inv := 1 / area
-
-	minX := clampInt(int(math.Floor(min(a.X, b.X, c.X))), 0, f.W-1)
-	maxX := clampInt(int(math.Ceil(max(a.X, b.X, c.X))), 0, f.W-1)
-	minY := clampInt(int(math.Floor(min(a.Y, b.Y, c.Y))), y0, y1-1)
-	maxY := clampInt(int(math.Ceil(max(a.Y, b.Y, c.Y))), y0, y1-1)
 
 	// Weight k belongs to the vertex opposite edge k: w0 to a across
 	// b->c, w1 to b across c->a, w2 to c across a->b.
@@ -202,6 +188,32 @@ func rasterizeTriangle(f *fb.Frame, a, b, c *Vertex, y0, y1 int) {
 	}
 }
 
+// centresProven reports whether every pixel centre of the loose box that
+// lies more than centreSlack/2 outside the vertex range [lx, hx]×[ly, hy]
+// gets a negative weight from rasterizeTriangle's arithmetic, for a
+// triangle whose doubled area computes to area.
+//
+// Such a centre is an exact affine combination of the corners whose
+// weights sum to 1; its offset δ outside the range in x is made up by the
+// negative weights alone, so one of them is below −δ/(2W), W = hx−lx (in
+// y, likewise with H). Its edge numerator is that weight times the exact
+// area A. Each numerator and the area are two products of a difference
+// along an edge (at most W or H) and one to the centre (at most W+1.5 or
+// H+1.5 inside the loose box), subtracted: four roundings, under
+// 4u(2WH + 1.5(W+H)) with u = 2⁻⁵³; err doubles that, plus an absolute
+// term for underflow. When slack·(|area|−err) > 4·max(W, H)·err, A has
+// area's sign and each such numerator exceeds err in size, so its
+// computed sign is exact and the weight is negative. Slivers fail the
+// test and keep the loose box.
+func centresProven(area, lx, hx, ly, hy float64) bool {
+	if !(lx >= -provenMax && hx <= provenMax && ly >= -provenMax && hy <= provenMax) {
+		return false
+	}
+	w, h := hx-lx, hy-ly
+	err := 0x1p-50*(2*w*h+1.5*(w+h)) + 0x1p-1000
+	return centreSlack*(math.Abs(area)-err) > 4*max(w, h)*err
+}
+
 // edge is the 2D cross product (b-a) x (c-a): positive when c is left of
 // the directed edge a->b.
 func edge(ax, ay, bx, by, cx, cy float64) float64 {
@@ -210,84 +222,46 @@ func edge(ax, ay, bx, by, cx, cy float64) float64 {
 
 // DrawSprites renders fixed-size square point sprites — the "VTK points"
 // technique: every particle maps to a fixed-size, fixed-color block
-// (usually 1-3 pixels on a side, §IV-C).
+// (usually 1-3 pixels on a side, §IV-C). Like DrawTriangles, one worker
+// draws each sprite once in input order, and more workers bin.
 func DrawSprites(f *fb.Frame, sprites []Sprite, workers int) {
 	if len(sprites) == 0 {
 		return
 	}
-	const bandHeight = DefaultBandHeight
-	bands := (f.H + bandHeight - 1) / bandHeight
-	wk := workers
-	if wk <= 0 {
-		wk = par.DefaultWorkers()
-	}
-	if wk > bands {
-		wk = bands
-	}
-	binW := wk
-	if len(sprites) < parallelBinMin {
-		binW = 1
-	}
-	s := getBins(binW * bands)
-	if binW == 1 {
-		binSpriteChunk(f, sprites, s, binW, bands, 0)
-	} else {
-		par.For(binW, binW, func(w int) {
-			binSpriteChunk(f, sprites, s, binW, bands, w)
-		})
-	}
+	wk := drawWorkers(workers, f.H)
 	if wk == 1 {
-		for b := 0; b < bands; b++ {
-			drawSpriteBand(f, sprites, s, binW, bands, b)
+		for i := range sprites {
+			sp := &sprites[i]
+			if y0, y1, ok := spriteRows(f.H, sp); ok {
+				drawSprite(f, sp, y0, y1)
+			}
 		}
-	} else {
-		par.For(bands, wk, func(b int) {
-			drawSpriteBand(f, sprites, s, binW, bands, b)
-		})
+		return
 	}
-	putBins(s)
+	drawBinned(f.H, len(sprites), wk,
+		func(i int) (y0, y1 int, ok bool) { return spriteRows(f.H, &sprites[i]) },
+		func(i, y0, y1 int) { drawSprite(f, &sprites[i], y0, y1) })
 }
 
-// binSpriteChunk bins worker w's contiguous sprite chunk into its private
-// per-band lists.
-func binSpriteChunk(f *fb.Frame, sprites []Sprite, s *binScratch, binW, bands, w int) {
-	const bandHeight = DefaultBandHeight
-	lo := w * len(sprites) / binW
-	hi := (w + 1) * len(sprites) / binW
-	row := s.bins[w*bands : (w+1)*bands]
-	for i := lo; i < hi; i++ {
-		sp := &sprites[i]
-		half := float64(max(sp.Size, 1)) / 2
-		if sp.Y+half < 0 || sp.Y-half >= float64(f.H) {
+// spriteRows is bandRows for a sprite.
+func spriteRows(h int, sp *Sprite) (y0, y1 int, ok bool) {
+	half := float64(max(sp.Size, 1)) / 2
+	return bandRows(h, sp.Y-half, sp.Y+half)
+}
+
+// drawSprite draws sp's rows within [y0, y1): the square of its size
+// whose pixel centres are nearest its own centre.
+func drawSprite(f *fb.Frame, sp *Sprite, y0, y1 int) {
+	size := max(sp.Size, 1)
+	px0 := int(math.Floor(sp.X - float64(size)/2 + 0.5))
+	py0 := int(math.Floor(sp.Y - float64(size)/2 + 0.5))
+	for dy := 0; dy < size; dy++ {
+		py := py0 + dy
+		if py < y0 || py >= y1 {
 			continue
 		}
-		b0 := clampInt(int(sp.Y-half)/bandHeight, 0, bands-1)
-		b1 := clampInt(int(sp.Y+half)/bandHeight, 0, bands-1)
-		for b := b0; b <= b1; b++ {
-			row[b] = append(row[b], int32(i))
-		}
-	}
-}
-
-func drawSpriteBand(f *fb.Frame, sprites []Sprite, s *binScratch, binW, bands, b int) {
-	const bandHeight = DefaultBandHeight
-	y0 := b * bandHeight
-	y1 := min(y0+bandHeight, f.H)
-	for w := 0; w < binW; w++ {
-		for _, si := range s.bins[w*bands+b] {
-			sp := &sprites[si]
-			size := max(sp.Size, 1)
-			px0 := int(sp.X - float64(size)/2 + 0.5)
-			py0 := int(sp.Y - float64(size)/2 + 0.5)
-			for dy := 0; dy < size; dy++ {
-				py := py0 + dy
-				if py < y0 || py >= y1 {
-					continue
-				}
-				for dx := 0; dx < size; dx++ {
-					f.DepthSet(px0+dx, py, sp.Depth, sp.Color)
-				}
-			}
+		for dx := 0; dx < size; dx++ {
+			f.DepthSet(px0+dx, py, sp.Depth, sp.Color)
 		}
 	}
 }
@@ -297,101 +271,62 @@ func drawSpriteBand(f *fb.Frame, sprites []Sprite, s *binScratch, binW, bands, b
 // with a Lambertian term plus ambient — the paper's Gaussian splatter,
 // which "manipulates the triangle normal at each pixel to model a
 // sphere" (§IV-C). light is the direction toward the light in camera
-// space (+Z toward the viewer).
+// space (+Z toward the viewer). Like DrawTriangles, one worker draws each
+// impostor once in input order, and more workers bin.
 func DrawImpostors(f *fb.Frame, imps []Impostor, light vec.V3, workers int) {
 	if len(imps) == 0 {
 		return
 	}
 	l := light.Norm()
-	const bandHeight = DefaultBandHeight
-	bands := (f.H + bandHeight - 1) / bandHeight
-	wk := workers
-	if wk <= 0 {
-		wk = par.DefaultWorkers()
-	}
-	if wk > bands {
-		wk = bands
-	}
-	binW := wk
-	if len(imps) < parallelBinMin {
-		binW = 1
-	}
-	s := getBins(binW * bands)
-	if binW == 1 {
-		binImpostorChunk(f, imps, s, binW, bands, 0)
-	} else {
-		par.For(binW, binW, func(w int) {
-			binImpostorChunk(f, imps, s, binW, bands, w)
-		})
-	}
+	wk := drawWorkers(workers, f.H)
 	if wk == 1 {
-		for b := 0; b < bands; b++ {
-			drawImpostorBand(f, imps, l, s, binW, bands, b)
-		}
-	} else {
-		par.For(bands, wk, func(b int) {
-			drawImpostorBand(f, imps, l, s, binW, bands, b)
-		})
-	}
-	putBins(s)
-}
-
-// binImpostorChunk bins worker w's contiguous impostor chunk into its
-// private per-band lists.
-func binImpostorChunk(f *fb.Frame, imps []Impostor, s *binScratch, binW, bands, w int) {
-	const bandHeight = DefaultBandHeight
-	lo := w * len(imps) / binW
-	hi := (w + 1) * len(imps) / binW
-	row := s.bins[w*bands : (w+1)*bands]
-	for i := lo; i < hi; i++ {
-		im := &imps[i]
-		r := math.Max(im.Radius, 0.5)
-		if im.Y+r < 0 || im.Y-r >= float64(f.H) {
-			continue
-		}
-		b0 := clampInt(int(im.Y-r)/bandHeight, 0, bands-1)
-		b1 := clampInt(int(im.Y+r)/bandHeight, 0, bands-1)
-		for b := b0; b <= b1; b++ {
-			row[b] = append(row[b], int32(i))
-		}
-	}
-}
-
-func drawImpostorBand(f *fb.Frame, imps []Impostor, l vec.V3, s *binScratch, binW, bands, b int) {
-	const bandHeight = DefaultBandHeight
-	y0 := b * bandHeight
-	y1 := min(y0+bandHeight, f.H)
-	for w := 0; w < binW; w++ {
-		for _, si := range s.bins[w*bands+b] {
-			im := &imps[si]
-			r := math.Max(im.Radius, 0.5)
-			px0 := clampInt(int(im.X-r), 0, f.W-1)
-			px1 := clampInt(int(im.X+r)+1, 0, f.W-1)
-			py0 := clampInt(int(im.Y-r), y0, y1-1)
-			py1 := clampInt(int(im.Y+r)+1, y0, y1-1)
-			invR := 1 / r
-			for py := py0; py <= py1; py++ {
-				dy := (float64(py) + 0.5 - im.Y) * invR
-				for px := px0; px <= px1; px++ {
-					dx := (float64(px) + 0.5 - im.X) * invR
-					d2 := dx*dx + dy*dy
-					if d2 > 1 {
-						continue
-					}
-					// Reconstruct the sphere normal at this pixel.
-					nz := math.Sqrt(1 - d2)
-					n := vec.V3{X: dx, Y: -dy, Z: nz}
-					lambert := n.Dot(l)
-					if lambert < 0 {
-						lambert = 0
-					}
-					shade := 0.25 + 0.75*lambert
-					// True sphere depth: front surface bulges toward the
-					// viewer by nz * worldRadius.
-					depth := im.Depth - nz*im.WorldRadius
-					f.DepthSet(px, py, depth, im.Color.Scale(shade))
-				}
+		for i := range imps {
+			im := &imps[i]
+			if y0, y1, ok := impostorRows(f.H, im); ok {
+				drawImpostor(f, im, l, y0, y1)
 			}
+		}
+		return
+	}
+	drawBinned(f.H, len(imps), wk,
+		func(i int) (y0, y1 int, ok bool) { return impostorRows(f.H, &imps[i]) },
+		func(i, y0, y1 int) { drawImpostor(f, &imps[i], l, y0, y1) })
+}
+
+// impostorRows is bandRows for an impostor.
+func impostorRows(h int, im *Impostor) (y0, y1 int, ok bool) {
+	r := math.Max(im.Radius, 0.5)
+	return bandRows(h, im.Y-r, im.Y+r)
+}
+
+// drawImpostor draws im's rows within [y0, y1).
+func drawImpostor(f *fb.Frame, im *Impostor, l vec.V3, y0, y1 int) {
+	r := math.Max(im.Radius, 0.5)
+	px0 := clampInt(int(im.X-r), 0, f.W-1)
+	px1 := clampInt(int(im.X+r)+1, 0, f.W-1)
+	py0 := clampInt(int(im.Y-r), y0, y1-1)
+	py1 := clampInt(int(im.Y+r)+1, y0, y1-1)
+	invR := 1 / r
+	for py := py0; py <= py1; py++ {
+		dy := (float64(py) + 0.5 - im.Y) * invR
+		for px := px0; px <= px1; px++ {
+			dx := (float64(px) + 0.5 - im.X) * invR
+			d2 := dx*dx + dy*dy
+			if d2 > 1 {
+				continue
+			}
+			// Reconstruct the sphere normal at this pixel.
+			nz := math.Sqrt(1 - d2)
+			n := vec.V3{X: dx, Y: -dy, Z: nz}
+			lambert := n.Dot(l)
+			if lambert < 0 {
+				lambert = 0
+			}
+			shade := 0.25 + 0.75*lambert
+			// True sphere depth: front surface bulges toward the
+			// viewer by nz * worldRadius.
+			depth := im.Depth - nz*im.WorldRadius
+			f.DepthSet(px, py, depth, im.Color.Scale(shade))
 		}
 	}
 }

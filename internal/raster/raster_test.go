@@ -214,6 +214,35 @@ func TestSpriteClipping(t *testing.T) {
 	}
 }
 
+// TestSpriteFrameEdges places sprites just outside and just inside each
+// edge of the frame: a sprite paints the pixels whose centres its square
+// covers, so one whose square stops short of the first centre paints
+// nothing, however close it is to the edge. (A sprite's corner was once
+// rounded toward zero, which pulled squares at -0.7 or -0.2 onto the
+// first column or row.)
+func TestSpriteFrameEdges(t *testing.T) {
+	const w, h = 24, 2*DefaultBandHeight + 3
+	for _, c := range []struct {
+		x, y    float64
+		size    int
+		covered int // pixels in the frame
+	}{
+		{-0.7, 9, 1, 0}, {-0.2, 9, 1, 0}, {0.2, 9, 1, 1}, {-1.2, 9, 3, 0}, {-0.9, 9, 3, 3},
+		{w + 0.2, 9, 1, 0}, {w - 0.2, 9, 1, 1}, {w + 1.2, 9, 3, 0}, {w + 0.9, 9, 3, 3},
+		{9, -0.7, 1, 0}, {9, -0.2, 1, 0}, {9, 0.2, 1, 1}, {9, -1.2, 3, 0}, {9, -0.9, 3, 3},
+		{9, h + 0.2, 1, 0}, {9, h - 0.2, 1, 1}, {9, h + 1.2, 3, 0}, {9, h + 0.9, 3, 3},
+		{-0.2, -0.2, 2, 1}, {w - 0.1, h - 0.1, 2, 1},
+	} {
+		for _, workers := range []int{1, 2} {
+			f := fb.New(w, h)
+			DrawSprites(f, []Sprite{{X: c.x, Y: c.y, Depth: 1, Size: c.size, Color: vec.New(1, 1, 1)}}, workers)
+			if got := f.CoveredPixels(); got != c.covered {
+				t.Errorf("size-%d sprite at (%g, %g), %d workers: %d pixels covered, want %d", c.size, c.x, c.y, workers, got, c.covered)
+			}
+		}
+	}
+}
+
 func TestImpostorShading(t *testing.T) {
 	f := fb.New(64, 64)
 	white := vec.New(1, 1, 1)
@@ -260,25 +289,6 @@ func TestEmptyInputsNoop(t *testing.T) {
 	DrawImpostors(f, nil, vec.New(0, 0, 1), 0)
 	if f.CoveredPixels() != 0 {
 		t.Error("empty draws covered pixels")
-	}
-}
-
-func BenchmarkTriangles(b *testing.B) {
-	f := fb.New(512, 512)
-	var tris [][3]Vertex
-	for i := 0; i < 2000; i++ {
-		x := float64(i%50) * 10
-		y := float64(i/50) * 12
-		tris = append(tris, [3]Vertex{
-			{X: x, Y: y, Depth: 1, Color: vec.New(1, 0, 0)},
-			{X: x + 9, Y: y, Depth: 1, Color: vec.New(0, 1, 0)},
-			{X: x, Y: y + 11, Depth: 1, Color: vec.New(0, 0, 1)},
-		})
-	}
-	verts, idx := soup(tris...)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		DrawTriangles(f, verts, idx, 0)
 	}
 }
 

@@ -31,6 +31,13 @@ go test -race ./...
 echo "== go test -run 'Alloc|Releases' ./..."
 go test -run 'Alloc|Releases' ./...
 
+# The rasterizer draws on two paths: one worker draws each primitive
+# once over the whole frame, more workers bin by band. geom and render
+# draw with GOMAXPROCS workers, so at one GOMAXPROCS only their tests
+# reach the first path and at two only the second: run them at both.
+echo "== go test -cpu 1,2 ./internal/raster ./internal/geom ./internal/render"
+go test -cpu 1,2 ./internal/raster/ ./internal/geom/ ./internal/render/
+
 # Supervision chaos: run the process-level suite (subprocess SIGKILL,
 # watchdog teardown, panic restart) by name so a rename that silently
 # drops a chaos test from the default run fails loudly here.
@@ -124,6 +131,9 @@ go test -run='^$' -fuzz=FuzzStream -fuzztime=10s ./internal/cosmo/
 
 echo "== go test -fuzz=FuzzPacketsMatchReference -fuzztime=10s ./internal/rt"
 go test -run='^$' -fuzz=FuzzPacketsMatchReference -fuzztime=10s ./internal/rt/
+
+echo "== go test -fuzz=FuzzTrianglesMatchReference -fuzztime=10s ./internal/raster"
+go test -run='^$' -fuzz=FuzzTrianglesMatchReference -fuzztime=10s ./internal/raster/
 
 # Multi-viewer broadcast smoke: real sim+viz+hub processes, three
 # ethwatch viewers over real sockets, one steered, one SIGKILLed and
