@@ -103,26 +103,31 @@ func edgeT(va, vb, iso float32) float64 {
 // an error if the field is missing. The mesh may be handed back with
 // PutMesh once drawn.
 func Isosurface(g *data.StructuredGrid, fieldName string, isoValue float32) (*Mesh, error) {
+	return isosurface(getMesh(), g, fieldName, isoValue)
+}
+
+// isosurface is Isosurface into m, whose contents it replaces.
+func isosurface(m *Mesh, g *data.StructuredGrid, fieldName string, isoValue float32) (*Mesh, error) {
 	f, err := g.Field(fieldName)
 	if err != nil {
 		return nil, err
 	}
-	return contour(g, f.Values, isoValue, func(m *Mesh, p vec.V3) {
+	contour(m, g, f.Values, isoValue, func(m *Mesh, p vec.V3) {
 		m.Scalars = append(m.Scalars, isoValue)
 		m.Normals = append(m.Normals, g.Gradient(f, p).Norm())
-	}), nil
+	})
+	return m, nil
 }
 
-// distPool holds SlicePlane's per-vertex signed distances.
+// distPool holds slicePlane's per-vertex signed distances.
 var distPool mempool.SlicePool[float32]
 
-// SlicePlane extracts the cross-section of the grid with the plane
-// through point with unit normal, colored by the named field: the signed
-// distance to the plane is contoured at zero and each output vertex
-// samples the field for colormapping. This is VTK's slice filter
-// reproduced with the same cell-scan cost profile. The mesh may be handed
-// back with PutMesh once drawn.
-func SlicePlane(g *data.StructuredGrid, fieldName string, point, normal vec.V3) (*Mesh, error) {
+// slicePlane replaces m with the cross-section of the grid with the
+// plane through point with unit normal, colored by the named field: the
+// signed distance to the plane is contoured at zero and each output
+// vertex samples the field for colormapping. This is VTK's slice filter
+// reproduced with the same cell-scan cost profile.
+func slicePlane(m *Mesh, g *data.StructuredGrid, fieldName string, point, normal vec.V3) (*Mesh, error) {
 	f, err := g.Field(fieldName)
 	if err != nil {
 		return nil, err
@@ -141,7 +146,7 @@ func SlicePlane(g *data.StructuredGrid, fieldName string, point, normal vec.V3) 
 			}
 		}
 	})
-	m := contour(g, dist, 0, func(m *Mesh, p vec.V3) {
+	contour(m, g, dist, 0, func(m *Mesh, p vec.V3) {
 		m.Scalars = append(m.Scalars, g.Sample(f, p))
 	})
 	distPool.Put(dist)
@@ -215,18 +220,19 @@ var cellCases = func() (table [6][16]cellCase) {
 	return table
 }()
 
-// contour runs marching tetrahedra over every cell of g for the implicit
-// function vals (one value per vertex, grid order), calling attr once for
-// each vertex it adds to the mesh to append that vertex's scalar (and
-// normal). Workers take contiguous runs of z-slabs, each filling a
-// private mesh through a private edge cache, and the meshes are
-// concatenated in slab order — so the triangle order is the same for any
-// worker count, and only vertices on a plane between two workers are
-// stored twice.
-func contour(g *data.StructuredGrid, vals []float32, iso float32, attr func(m *Mesh, p vec.V3)) *Mesh {
+// contour replaces m with the marching-tetrahedra contour of every cell
+// of g for the implicit function vals (one value per vertex, grid order),
+// calling attr once for each vertex it adds to the mesh to append that
+// vertex's scalar (and normal). Workers take contiguous runs of z-slabs,
+// each filling a mesh of its own (the first one m) through a private edge
+// cache, and the meshes are concatenated onto m in slab order — so the
+// triangle order is the same for any worker count, and only vertices on a
+// plane between two workers are stored twice.
+func contour(m *Mesh, g *data.StructuredGrid, vals []float32, iso float32, attr func(m *Mesh, p vec.V3)) {
+	m.reset()
 	slabs := g.NZ - 1
 	if g.NX < 2 || g.NY < 2 || slabs < 1 {
-		return getMesh()
+		return
 	}
 	workers := par.DefaultWorkers()
 	if workers > slabs {
@@ -234,21 +240,21 @@ func contour(g *data.StructuredGrid, vals []float32, iso float32, attr func(m *M
 	}
 	if workers == 1 {
 		// Calling par.For would heap-allocate its closure for nothing.
-		m := getMesh()
 		contourSlabs(m, g, vals, iso, attr, 0, slabs)
-		return m
+		return
 	}
 	parts := make([]*Mesh, workers)
+	parts[0] = m
 	par.For(workers, workers, func(w int) {
-		parts[w] = getMesh()
+		if w > 0 {
+			parts[w] = getMesh()
+		}
 		contourSlabs(parts[w], g, vals, iso, attr, w*slabs/workers, (w+1)*slabs/workers)
 	})
-	out := parts[0]
 	for _, p := range parts[1:] {
-		out.Append(p)
+		m.Append(p)
 		PutMesh(p)
 	}
-	return out
 }
 
 // bit is 1 for true; the compiler turns it into a flag move, not a branch.
@@ -284,6 +290,10 @@ func contourSlabs(m *Mesh, g *data.StructuredGrid, vals []float32, iso float32, 
 		planes := [2][]int32{cache[(k&1)*plane:][:plane], cache[((k+1)&1)*plane:][:plane]}
 		z := [2]float64{g.Origin.Z + float64(k)*g.Spacing.Z, g.Origin.Z + float64(k+1)*g.Spacing.Z}
 		for j := 0; j < ny-1; j++ {
+			// A cell's six tets add at most four vertices and two
+			// triangles each: with the room made here, the appends
+			// below grow nothing but a mesh's first normals.
+			m.reserve(6*4*(nx-1), 6*2*(nx-1))
 			y := [2]float64{g.Origin.Y + float64(j)*g.Spacing.Y, g.Origin.Y + float64(j+1)*g.Spacing.Y}
 			// The cell row's four vertex rows, by (dy, dz).
 			r00 := vals[g.Index(0, j, k):][:nx]

@@ -1,7 +1,9 @@
 package geom
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/ascr-ecx/eth/internal/camera"
@@ -100,9 +102,55 @@ func TestIsosurfaceDeterministic(t *testing.T) {
 	}
 }
 
+// TestScratchMatchesPooled holds a Scratch, reused over surfaces that
+// grow, shrink and grow again, to the pooled Isosurface and DrawMesh and,
+// for slices, to a fresh Scratch: the same meshes and the same pixels,
+// for the smooth-shaded isosurface and the flat-shaded slice.
+func TestScratchMatchesPooled(t *testing.T) {
+	g := sphereGrid(24)
+	cam := camera.ForBounds(g.Bounds())
+	var s Scratch
+	sameMesh := func(what string, got, want *Mesh) {
+		t.Helper()
+		if !slices.Equal(got.Verts, want.Verts) || !slices.Equal(got.Tris, want.Tris) ||
+			!slices.Equal(got.Scalars, want.Scalars) || !slices.Equal(got.Normals, want.Normals) {
+			t.Fatalf("%s: Scratch mesh differs from the pooled one", what)
+		}
+	}
+	draw := func(what string, want *Mesh, opt ShadeOptions) {
+		t.Helper()
+		a, b := fb.New(96, 80), fb.New(96, 80)
+		s.DrawMesh(a, want, &cam, opt)
+		DrawMesh(b, want, &cam, opt)
+		if !slices.Equal(a.Color, b.Color) || !slices.Equal(a.Depth, b.Depth) {
+			t.Fatalf("%s: Scratch.DrawMesh frame differs from DrawMesh's", what)
+		}
+	}
+	for _, iso := range []float32{6, 2, 9, 4} {
+		got, err := s.Isosurface(g, "r", iso)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := Isosurface(g, "r", iso)
+		sameMesh(fmt.Sprintf("isovalue %g", iso), got, want)
+		draw(fmt.Sprintf("isovalue %g", iso), got, ShadeOptions{})
+		PutMesh(want)
+	}
+	for _, z := range []float64{12, 2, 20} {
+		point, normal := vec.New(12, 12, z), vec.New(0.2, 0.1, 1)
+		got, err := s.SlicePlane(g, "r", point, normal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := new(Scratch).SlicePlane(g, "r", point, normal)
+		sameMesh(fmt.Sprintf("slice at z %g", z), got, want)
+		draw(fmt.Sprintf("slice at z %g", z), got, ShadeOptions{Ambient: 0.95})
+	}
+}
+
 func TestSlicePlaneGeometry(t *testing.T) {
 	g := sphereGrid(16) // box [0,15]^3
-	m, err := SlicePlane(g, "r", vec.New(7.5, 7.5, 7.5), vec.New(0, 0, 1))
+	m, err := new(Scratch).SlicePlane(g, "r", vec.New(7.5, 7.5, 7.5), vec.New(0, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +181,7 @@ func TestSlicePlaneObliqueNormal(t *testing.T) {
 	g := sphereGrid(12)
 	n := vec.New(1, 1, 1)
 	pt := vec.New(5.5, 5.5, 5.5)
-	m, err := SlicePlane(g, "r", pt, n)
+	m, err := new(Scratch).SlicePlane(g, "r", pt, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +195,7 @@ func TestSlicePlaneObliqueNormal(t *testing.T) {
 
 func TestSlicePlaneRejectsZeroNormal(t *testing.T) {
 	g := sphereGrid(8)
-	if _, err := SlicePlane(g, "r", vec.V3{}, vec.V3{}); err == nil {
+	if _, err := new(Scratch).SlicePlane(g, "r", vec.V3{}, vec.V3{}); err == nil {
 		t.Error("zero normal accepted")
 	}
 }

@@ -8,8 +8,13 @@
 package geom
 
 import (
+	"math/bits"
 	"sync"
 
+	"github.com/ascr-ecx/eth/internal/camera"
+	"github.com/ascr-ecx/eth/internal/data"
+	"github.com/ascr-ecx/eth/internal/fb"
+	"github.com/ascr-ecx/eth/internal/raster"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
 
@@ -42,9 +47,85 @@ func getMesh() *Mesh {
 // returned is ordinary garbage. m and its slices must not be used
 // afterwards.
 func PutMesh(m *Mesh) {
-	m.Verts, m.Scalars, m.Tris, m.Normals = m.Verts[:0], m.Scalars[:0], m.Tris[:0], m.Normals[:0]
+	m.reset()
 	meshPool.Put(m)
 }
+
+// reset empties m, keeping its slices' capacity.
+func (m *Mesh) reset() {
+	m.Verts, m.Scalars, m.Tris, m.Normals = m.Verts[:0], m.Scalars[:0], m.Tris[:0], m.Normals[:0]
+}
+
+// Scratch is the memory one extract-and-draw renderer keeps from call to
+// call: the mesh its extraction fills and the screen vertices, keep flags
+// and triangle list DrawMesh hands the rasterizer. Its slices only grow,
+// so a renderer that owns one allocates only for a surface larger than
+// every one it drew before. The package-level functions draw on pooled
+// memory instead, which the collector may empty and which every renderer
+// in the process shares, so what they allocate depends on when the
+// collector ran and how renderers on other goroutines interleaved.
+// The zero value is ready to use; a Scratch is not safe for concurrent use.
+type Scratch struct {
+	mesh  Mesh
+	verts []raster.Vertex
+	keep  []bool
+	tris  [][3]int32
+}
+
+// Isosurface is the package's Isosurface into s's mesh, which stays valid
+// until s extracts again.
+func (s *Scratch) Isosurface(g *data.StructuredGrid, fieldName string, isoValue float32) (*Mesh, error) {
+	return isosurface(&s.mesh, g, fieldName, isoValue)
+}
+
+// SlicePlane extracts the cross-section of g with the plane through point
+// with unit normal, colored by the named field (VTK's slice filter, see
+// slicePlane), into s's mesh, which stays valid until s extracts again.
+func (s *Scratch) SlicePlane(g *data.StructuredGrid, fieldName string, point, normal vec.V3) (*Mesh, error) {
+	return slicePlane(&s.mesh, g, fieldName, point, normal)
+}
+
+// DrawMesh is the package's DrawMesh on s's buffers.
+func (s *Scratch) DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
+	s.verts, s.keep, s.tris = drawMesh(frame, m, cam, opt, s.verts, s.keep, s.tris)
+}
+
+// resize returns s with length n and unspecified contents. It
+// reallocates only when n exceeds s's capacity, and then to the next
+// power of two (mempool's capacity classes), so a buffer that follows a
+// growing surface reallocates once per doubling, not at every new largest
+// surface.
+func resize[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = make([]T, n, pow2(n))
+	}
+	return s[:n]
+}
+
+// reserve makes room in m for nv more vertices, with their scalars (and
+// normals, once m has had them), and nt more triangles, growing each
+// slice that lacks it as resize does; append grows a large slice by a
+// quarter.
+func (m *Mesh) reserve(nv, nt int) {
+	m.Verts = reserve(m.Verts, nv)
+	m.Scalars = reserve(m.Scalars, nv)
+	if cap(m.Normals) > 0 {
+		m.Normals = reserve(m.Normals, nv)
+	}
+	m.Tris = reserve(m.Tris, nt)
+}
+
+// reserve returns s with room for n more elements: s itself when it has
+// it, else a copy whose capacity is the next power of two.
+func reserve[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return append(make([]T, 0, pow2(len(s)+n)), s...)
+}
+
+// pow2 is the smallest power of two not below n.
+func pow2(n int) int { return 1 << bits.Len(uint(n-1)) }
 
 // TriangleCount returns the number of triangles.
 func (m *Mesh) TriangleCount() int { return len(m.Tris) }

@@ -380,7 +380,7 @@ func TestIndexedMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				slice, err := SlicePlane(c.g, c.field, point, normal)
+				slice, err := new(Scratch).SlicePlane(c.g, c.field, point, normal)
 				if err != nil {
 					t.Fatal(err)
 				}

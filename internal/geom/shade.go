@@ -2,10 +2,10 @@ package geom
 
 import (
 	"math"
+	"sync"
 
 	"github.com/ascr-ecx/eth/internal/camera"
 	"github.com/ascr-ecx/eth/internal/fb"
-	"github.com/ascr-ecx/eth/internal/mempool"
 	"github.com/ascr-ecx/eth/internal/par"
 	"github.com/ascr-ecx/eth/internal/raster"
 	"github.com/ascr-ecx/eth/internal/telemetry"
@@ -30,13 +30,8 @@ type ShadeOptions struct {
 	Ambient float64
 }
 
-// Per-draw scratch: the screen-space vertices (with a keep flag from
-// keepPool) and the kept triangles' index triples handed to the
-// rasterizer.
-var (
-	vertexPool   mempool.SlicePool[raster.Vertex]
-	trianglePool mempool.SlicePool[[3]int32]
-)
+// drawPool holds DrawMesh's buffers between calls (see Scratch).
+var drawPool sync.Pool
 
 // DrawMesh projects, shades, and rasterizes m into frame using cam:
 // Lambert + ambient, Gouraud-interpolated from the mesh's vertex normals
@@ -47,8 +42,20 @@ var (
 // the geometry pipeline; its cost is proportional to the geometry
 // generated, not the input data size.
 func DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
+	s, _ := drawPool.Get().(*Scratch)
+	if s == nil {
+		s = new(Scratch)
+	}
+	s.DrawMesh(frame, m, cam, opt)
+	drawPool.Put(s)
+}
+
+// drawMesh is DrawMesh on the screen vertices, keep flags and triangle
+// list it is given, resized as the mesh needs; it returns them for the
+// next draw.
+func drawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions, verts []raster.Vertex, keep []bool, tris [][3]int32) ([]raster.Vertex, []bool, [][3]int32) {
 	if m.TriangleCount() == 0 {
-		return
+		return verts, keep, tris
 	}
 	cmap := opt.Colormap
 	if cmap == nil {
@@ -82,8 +89,8 @@ func DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
 	if !smooth {
 		nv += 3 * m.TriangleCount()
 	}
-	verts := vertexPool.Get(nv)
-	keep := keepPool.Get(len(m.Verts))
+	verts = resize(verts, nv)
+	keep = resize(keep, len(m.Verts))
 	par.ForGrained(len(m.Verts), 0, 0, func(from, to int) {
 		for i := from; i < to; i++ {
 			x, y, depth, ok := proj.Project(m.Verts[i])
@@ -97,7 +104,7 @@ func DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
 			verts[i] = raster.Vertex{X: x, Y: y, Depth: depth, Color: color}
 		}
 	})
-	tris := trianglePool.Get(m.TriangleCount())
+	tris = resize(tris, m.TriangleCount())
 	n := 0
 	face := int32(len(m.Verts))
 	for ti, t := range m.Tris {
@@ -117,12 +124,9 @@ func DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
 		tris[n] = t
 		n++
 	}
-	tris = tris[:n]
-	keepPool.Put(keep)
-	ctrTriangles.Add(int64(len(tris)))
-	raster.DrawTriangles(frame, verts, tris, 0)
-	vertexPool.Put(verts)
-	trianglePool.Put(tris)
+	ctrTriangles.Add(int64(n))
+	raster.DrawTriangles(frame, verts, tris[:n], 0)
+	return verts, keep, tris
 }
 
 func scalarRange(vals []float32) (lo, hi float32) {

@@ -264,34 +264,33 @@ func (r *raycastSpheres) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Ca
 // ---- volume algorithms ----
 
 // vtkIso is the geometry-pipeline isosurface: contour extraction then
-// rasterization, VTK-style.
-type vtkIso struct{}
+// rasterization, VTK-style. Its mesh and draw buffers are its own (see
+// geom.Scratch).
+type vtkIso struct{ scratch geom.Scratch }
 
 func (*vtkIso) Name() string    { return "vtk-iso" }
 func (*vtkIso) Kind() data.Kind { return data.KindStructuredGrid }
 
-func (*vtkIso) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt Options) (Stats, error) {
+func (r *vtkIso) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt Options) (Stats, error) {
 	g, err := wantGrid(ds, "vtk-iso")
 	if err != nil {
 		return Stats{}, err
 	}
 	t0 := time.Now()
-	mesh, err := geom.Isosurface(g, gridField(opt), opt.IsoValue)
+	mesh, err := r.scratch.Isosurface(g, gridField(opt), opt.IsoValue)
 	if err != nil {
 		return Stats{}, err
 	}
 	t1 := time.Now()
 	lo, hi := isoScalarRange(opt, g.Field)
-	geom.DrawMesh(frame, mesh, cam, geom.ShadeOptions{
+	r.scratch.DrawMesh(frame, mesh, cam, geom.ShadeOptions{
 		Colormap: fb.Hot,
 		ScalarLo: lo, ScalarHi: hi,
 	})
-	tris := mesh.TriangleCount()
-	geom.PutMesh(mesh)
 	return Stats{
 		Algorithm:  "vtk-iso",
 		Elements:   g.Cells(),
-		Primitives: tris,
+		Primitives: mesh.TriangleCount(),
 		Setup:      t1.Sub(t0),
 		Render:     time.Since(t1),
 	}, nil
@@ -340,35 +339,34 @@ func (*rayIso) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt 
 	}, nil
 }
 
-// vtkSlice is the geometry-pipeline slicing plane.
-type vtkSlice struct{}
+// vtkSlice is the geometry-pipeline slicing plane. Like vtkIso, it owns
+// its mesh and draw buffers.
+type vtkSlice struct{ scratch geom.Scratch }
 
 func (*vtkSlice) Name() string    { return "vtk-slice" }
 func (*vtkSlice) Kind() data.Kind { return data.KindStructuredGrid }
 
-func (*vtkSlice) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt Options) (Stats, error) {
+func (r *vtkSlice) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt Options) (Stats, error) {
 	g, err := wantGrid(ds, "vtk-slice")
 	if err != nil {
 		return Stats{}, err
 	}
 	point, normal := slicePlane(g, opt)
 	t0 := time.Now()
-	mesh, err := geom.SlicePlane(g, gridField(opt), point, normal)
+	mesh, err := r.scratch.SlicePlane(g, gridField(opt), point, normal)
 	if err != nil {
 		return Stats{}, err
 	}
 	t1 := time.Now()
-	geom.DrawMesh(frame, mesh, cam, geom.ShadeOptions{
+	r.scratch.DrawMesh(frame, mesh, cam, geom.ShadeOptions{
 		Colormap: fb.Hot,
 		ScalarLo: opt.ScalarLo, ScalarHi: opt.ScalarHi,
 		Ambient: 0.95, // slices are unshaded color maps
 	})
-	tris := mesh.TriangleCount()
-	geom.PutMesh(mesh)
 	return Stats{
 		Algorithm:  "vtk-slice",
 		Elements:   g.Cells(),
-		Primitives: tris,
+		Primitives: mesh.TriangleCount(),
 		Setup:      t1.Sub(t0),
 		Render:     time.Since(t1),
 	}, nil
