@@ -45,7 +45,10 @@ sarif:
 # orbit angle render a frame == to the per-ray reference's, and sampled
 # rays hit what brute force hits), and the triangle rasterizer (any
 # triangles, slivers a few ulps thick and non-finite corners among them,
-# draw == to the loose-box reference's frame at one and two workers).
+# draw == to the loose-box reference's frame at one and two workers), and
+# the word-at-a-time contourer (any grid up to three 64-vertex words wide
+# and any float32 values, NaN among them, contour to the reference's
+# triangles, bit for bit).
 fuzz:
 	go test -run='^$$' -fuzz=FuzzReadVTK -fuzztime=10s ./internal/vtkio/
 	go test -run='^$$' -fuzz=FuzzDecodeMatchesReference -fuzztime=10s ./internal/vtkio/
@@ -64,6 +67,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzStream -fuzztime=10s ./internal/cosmo/
 	go test -run='^$$' -fuzz=FuzzPacketsMatchReference -fuzztime=10s ./internal/rt/
 	go test -run='^$$' -fuzz=FuzzTrianglesMatchReference -fuzztime=10s ./internal/raster/
+	go test -run='^$$' -fuzz=FuzzContourMatchesReference -fuzztime=10s ./internal/geom/
 
 # The mutation ledger (outside tier-1 and outside check): each
 # scripts/mutants/*.patch is a deliberate bug applied to a temporary git

@@ -49,7 +49,7 @@ func TestTelemetryCountersAdvanceDuringRuns(t *testing.T) {
 	delta := telemetry.Default.Snapshot().Delta(before)
 	for _, name := range []string{
 		"rt.rays", "rt.hits", "rt.march_steps",
-		"geom.sprites", "geom.impostors", "geom.triangles",
+		"geom.sprites", "geom.impostors", "geom.triangles", "geom.shaded",
 		"proxy.steps", "proxy.images",
 	} {
 		if delta[name] <= 0 {

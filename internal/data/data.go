@@ -70,14 +70,21 @@ type Field struct {
 	Values []float32
 }
 
-// MinMax returns the range of the field values. It returns (0, 0) for an
-// empty field.
-func (f *Field) MinMax() (lo, hi float32) {
-	if len(f.Values) == 0 {
+// MinMax returns the range of the field values (see Range).
+func (f *Field) MinMax() (lo, hi float32) { return Range(f.Values) }
+
+// Range returns the least and greatest of vals, skipping NaNs. It returns
+// (0, 0) when vals holds nothing else.
+func Range(vals []float32) (lo, hi float32) {
+	first := 0
+	for first < len(vals) && vals[first] != vals[first] {
+		first++
+	}
+	if first == len(vals) {
 		return 0, 0
 	}
-	lo, hi = f.Values[0], f.Values[0]
-	for _, v := range f.Values[1:] {
+	lo, hi = vals[first], vals[first]
+	for _, v := range vals[first+1:] {
 		if v < lo {
 			lo = v
 		}

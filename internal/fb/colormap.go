@@ -3,7 +3,7 @@ package fb
 import "github.com/ascr-ecx/eth/internal/vec"
 
 // Colormap maps a scalar in [0, 1] to a linear RGB color. Values outside
-// [0, 1] are clamped. ETH uses colormaps to color particles by speed and
+// [0, 1] are clamped, and NaN maps as 0. ETH uses colormaps to color particles by speed and
 // volumes by temperature, matching the paper's rendering tasks.
 type Colormap struct {
 	stops []vec.V3 // equally spaced control colors
@@ -11,7 +11,8 @@ type Colormap struct {
 
 // Lookup returns the interpolated color for t in [0, 1].
 func (c *Colormap) Lookup(t float64) vec.V3 {
-	if t < 0 {
+	// Negated, so that a NaN, which would index no stop, is clamped too.
+	if !(t >= 0) {
 		t = 0
 	}
 	if t > 1 {

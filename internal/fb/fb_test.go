@@ -158,7 +158,7 @@ func TestColormapLookup(t *testing.T) {
 			t.Errorf("%s: endpoints equal", name)
 		}
 		// Clamping.
-		if cm.Lookup(-5) != lo || cm.Lookup(7) != hi {
+		if cm.Lookup(-5) != lo || cm.Lookup(7) != hi || cm.Lookup(math.NaN()) != lo {
 			t.Errorf("%s: clamp failed", name)
 		}
 		// Monotone sampling stays within [0,1] per channel.

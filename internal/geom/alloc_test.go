@@ -31,15 +31,16 @@ func quietAllocs(t *testing.T) {
 
 // TestIsoDrawWarmAllocs gates the geometry path's garbage: extracting an
 // isosurface, drawing it and handing the mesh back — what vtk-iso does
-// per image — allocates the same five small objects whether the surface
-// has 28 thousand triangles or 126 thousand. Mesh, edge cache, screen
-// vertices and triangle list all come from pools; what is left is
-// Isosurface's per-vertex closure, DrawMesh's shading closure, and the
-// price of DrawMesh calling par: the body closure, the grain, and the
-// projector the body captures by reference.
+// per image — allocates the same four small objects whether the surface
+// has 28 thousand triangles or 126 thousand. Mesh, edge cache, vertex
+// classes, screen vertices, flags and triangle list all come from pools;
+// what is left is Isosurface's per-vertex closure and the price of
+// DrawMesh calling par: the body closure, the grain, and the projector
+// the body captures by reference. The lighting the body reads is a value
+// it captures by copy.
 func TestIsoDrawWarmAllocs(t *testing.T) {
 	quietAllocs(t)
-	const want = 5
+	const want = 4
 	frame := fb.New(256, 256)
 	for _, c := range []struct{ epoch, minTris, maxTris int }{{0, 20_000, 40_000}, {11, 100_000, 150_000}} {
 		whole, err := blast.Generate(blast.Params{NX: 130, NY: 79, NZ: 68, BoxSize: 10, Seed: 1, TimeStep: c.epoch})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/mempool"
@@ -20,7 +21,8 @@ import (
 // implementation verifiable by inspection. The mesh is indexed: a surface
 // point is stored once however many triangles meet there (about six), so
 // normals, projection and shading downstream are paid per point, not per
-// triangle corner.
+// triangle corner. An isosurface's normals are not stored at all: DrawMesh
+// computes one only for a vertex a drawn pixel uses (see drawMesh).
 
 // tets enumerates the six tetrahedra of a cube by corner index. Corner
 // numbering: bit 0 = +x, bit 1 = +y, bit 2 = +z. All six share corner 0
@@ -98,24 +100,26 @@ func edgeT(va, vb, iso float32) float64 {
 // Isosurface extracts the isoValue contour of the named field as a
 // triangle mesh whose per-vertex scalar is isoValue (constant), so the
 // surface renders with a single colormap entry — matching the paper's
-// single-isovalue renders. Per-vertex normals come from the field
-// gradient (VTK's normals filter), enabling smooth shading. It returns
-// an error if the field is missing. The mesh may be handed back with
-// PutMesh once drawn.
+// single-isovalue renders. The mesh is shaded smooth, with per-vertex
+// normals from the field gradient (VTK's normals filter), which DrawMesh
+// reads from g: g must not change until the mesh is drawn (see Mesh). It
+// returns an error if the field is missing. The mesh may be handed back
+// with PutMesh once drawn.
 func Isosurface(g *data.StructuredGrid, fieldName string, isoValue float32) (*Mesh, error) {
-	return isosurface(getMesh(), g, fieldName, isoValue)
+	return isosurface(getMesh(), nil, g, fieldName, isoValue)
 }
 
-// isosurface is Isosurface into m, whose contents it replaces.
-func isosurface(m *Mesh, g *data.StructuredGrid, fieldName string, isoValue float32) (*Mesh, error) {
+// isosurface is Isosurface into m, whose contents it replaces, through
+// own's buffers (pooled ones when own is nil; see contour).
+func isosurface(m *Mesh, own *contourBuffers, g *data.StructuredGrid, fieldName string, isoValue float32) (*Mesh, error) {
 	f, err := g.Field(fieldName)
 	if err != nil {
 		return nil, err
 	}
-	contour(m, g, f.Values, isoValue, func(m *Mesh, p vec.V3) {
+	contour(m, own, g, f.Values, isoValue, func(m *Mesh, p vec.V3) {
 		m.Scalars = append(m.Scalars, isoValue)
-		m.Normals = append(m.Normals, g.Gradient(f, p).Norm())
 	})
+	m.grid, m.field = g, f
 	return m, nil
 }
 
@@ -123,11 +127,12 @@ func isosurface(m *Mesh, g *data.StructuredGrid, fieldName string, isoValue floa
 var distPool mempool.SlicePool[float32]
 
 // slicePlane replaces m with the cross-section of the grid with the
-// plane through point with unit normal, colored by the named field: the
+// plane through point with unit normal, colored by the named field,
+// contouring through own's buffers (see contour): the
 // signed distance to the plane is contoured at zero and each output
 // vertex samples the field for colormapping. This is VTK's slice filter
 // reproduced with the same cell-scan cost profile.
-func slicePlane(m *Mesh, g *data.StructuredGrid, fieldName string, point, normal vec.V3) (*Mesh, error) {
+func slicePlane(m *Mesh, own *contourBuffers, g *data.StructuredGrid, fieldName string, point, normal vec.V3) (*Mesh, error) {
 	f, err := g.Field(fieldName)
 	if err != nil {
 		return nil, err
@@ -146,7 +151,7 @@ func slicePlane(m *Mesh, g *data.StructuredGrid, fieldName string, point, normal
 			}
 		}
 	})
-	contour(m, g, dist, 0, func(m *Mesh, p vec.V3) {
+	contour(m, own, g, dist, 0, func(m *Mesh, p vec.V3) {
 		m.Scalars = append(m.Scalars, g.Sample(f, p))
 	})
 	distPool.Put(dist)
@@ -171,8 +176,23 @@ func slicePlane(m *Mesh, g *data.StructuredGrid, fieldName string, point, normal
 // previous slab, whose top plane it was; anything older is smaller.
 const edgeSlots = 16
 
-// edgePool holds the workers' edge caches.
-var edgePool mempool.SlicePool[int32]
+// contourBuffers is one contour worker's memory: its edge cache and its
+// vertex class bitsets (see contourSlabs). Both only grow.
+type contourBuffers struct {
+	cache   []int32
+	classes []uint64
+}
+
+// contourPool holds the buffers of workers that bring none of their own.
+var contourPool sync.Pool
+
+// getBuffers returns pooled contour buffers, or new ones.
+func getBuffers() *contourBuffers {
+	if b, _ := contourPool.Get().(*contourBuffers); b != nil {
+		return b
+	}
+	return new(contourBuffers)
+}
 
 // cellEdge is one directed edge of a cell, ready to interpolate and to
 // look up: its end corners and the cache slot of its anchor vertex.
@@ -223,16 +243,21 @@ var cellCases = func() (table [6][16]cellCase) {
 // contour replaces m with the marching-tetrahedra contour of every cell
 // of g for the implicit function vals (one value per vertex, grid order),
 // calling attr once for each vertex it adds to the mesh to append that
-// vertex's scalar (and normal). Workers take contiguous runs of z-slabs,
-// each filling a mesh of its own (the first one m) through a private edge
-// cache, and the meshes are concatenated onto m in slab order — so the
-// triangle order is the same for any worker count, and only vertices on a
-// plane between two workers are stored twice.
-func contour(m *Mesh, g *data.StructuredGrid, vals []float32, iso float32, attr func(m *Mesh, p vec.V3)) {
+// vertex's scalar. Workers take contiguous runs of z-slabs,
+// each filling a mesh of its own (the first one m) through private
+// buffers (the first one own, pooled when own is nil), and the meshes
+// are concatenated onto m in slab order — so the triangle order is the
+// same for any worker count, and only vertices on a plane between two
+// workers are stored twice.
+func contour(m *Mesh, own *contourBuffers, g *data.StructuredGrid, vals []float32, iso float32, attr func(m *Mesh, p vec.V3)) {
 	m.reset()
 	slabs := g.NZ - 1
 	if g.NX < 2 || g.NY < 2 || slabs < 1 {
 		return
+	}
+	if own == nil {
+		own = getBuffers()
+		defer contourPool.Put(own)
 	}
 	workers := par.DefaultWorkers()
 	if workers > slabs {
@@ -240,16 +265,18 @@ func contour(m *Mesh, g *data.StructuredGrid, vals []float32, iso float32, attr 
 	}
 	if workers == 1 {
 		// Calling par.For would heap-allocate its closure for nothing.
-		contourSlabs(m, g, vals, iso, attr, 0, slabs)
+		contourSlabs(m, own, g, vals, iso, attr, 0, slabs)
 		return
 	}
 	parts := make([]*Mesh, workers)
 	parts[0] = m
 	par.For(workers, workers, func(w int) {
+		b := own
 		if w > 0 {
-			parts[w] = getMesh()
+			parts[w], b = getMesh(), getBuffers()
+			defer contourPool.Put(b)
 		}
-		contourSlabs(parts[w], g, vals, iso, attr, w*slabs/workers, (w+1)*slabs/workers)
+		contourSlabs(parts[w], b, g, vals, iso, attr, w*slabs/workers, (w+1)*slabs/workers)
 	})
 	for _, p := range parts[1:] {
 		m.Append(p)
@@ -265,34 +292,73 @@ func bit(b bool) uint8 {
 	return 0
 }
 
-// contourSlabs contours the cells of z-slabs [k0, k1) into m.
-func contourSlabs(m *Mesh, g *data.StructuredGrid, vals []float32, iso float32, attr func(m *Mesh, p vec.V3), k0, k1 int) {
+// classify fills ge and lt, one bit per vertex of row and 64 to a word,
+// with the vertex's class: bit i of ge is set when row[i] is at or above
+// iso, of lt when it is below. A NaN is neither.
+func classify(ge, lt []uint64, row []float32, iso float32) {
+	for w := range ge {
+		var above, below uint64
+		for b, v := range row[w*64 : min(w*64+64, len(row))] {
+			above |= uint64(bit(v >= iso)) << b
+			below |= uint64(bit(v < iso)) << b
+		}
+		ge[w], lt[w] = above, below
+	}
+}
+
+// contourSlabs contours the cells of z-slabs [k0, k1) into m, through
+// b's edge cache and vertex classes.
+//
+// Only cells with a corner on each side of iso are contoured, and they
+// are found a word at a time. Each vertex row is classified once into
+// bitsets (classify), kept for the two vertex planes bounding the slab,
+// which roll as the edge cache's do. A cell row's corners are its four
+// vertex rows, each at columns i and i+1: or'ing the rows, and the result
+// with itself shifted down one column (bit 0 of the next word carried
+// into bit 63), sets bit i when cell i has a corner at or above iso, or
+// below it; a cell with both is visited. Set bits are visited in
+// increasing order, so cells are contoured in the order a plain scan
+// would visit them.
+func contourSlabs(m *Mesh, b *contourBuffers, g *data.StructuredGrid, vals []float32, iso float32, attr func(m *Mesh, p vec.V3), k0, k1 int) {
 	nx, ny := g.NX, g.NY
 	plane := nx * ny * edgeSlots
-	cache := edgePool.Get(2 * plane)
+	b.cache = resize(b.cache, 2*plane)
+	cache := b.cache
 	for i := range cache {
 		cache[i] = -1
 	}
-	// sideMasks classifies the four vertices of a cell's -x or +x side:
-	// bit 2*dy + 4*dz of ge is set when the vertex is at or above iso, of
-	// lt when it is below, so a cell's corner masks are its -x side's
-	// masks or'ed with its +x side's shifted by one. A NaN is neither.
-	sideMasks := func(v00, v10, v01, v11 float32) (ge, lt uint8) {
-		ge = bit(v00 >= iso) | bit(v10 >= iso)<<2 | bit(v01 >= iso)<<4 | bit(v11 >= iso)<<6
-		lt = bit(v00 < iso) | bit(v10 < iso)<<2 | bit(v01 < iso)<<4 | bit(v11 < iso)<<6
-		return ge, lt
+	// A vertex row's classes are its words of ge bits, then of lt bits.
+	// A cell row's nx-1 cells take cellWords words, and lastCells masks
+	// the last of them to the cells that exist.
+	words := (nx + 63) / 64
+	classPlane := 2 * words * ny
+	b.classes = resize(b.classes, 2*classPlane)
+	classes := b.classes
+	rowClass := func(j, k int) (ge, lt []uint64) {
+		r := classes[(k&1)*classPlane+2*words*j:][:2*words]
+		return r[:words], r[words:]
 	}
+	classifyPlane := func(k int) {
+		for j := 0; j < ny; j++ {
+			ge, lt := rowClass(j, k)
+			classify(ge, lt, vals[g.Index(0, j, k):][:nx], iso)
+		}
+	}
+	cellWords := (nx - 1 + 63) / 64
+	lastCells := ^uint64(0) >> (64*cellWords - (nx - 1))
+	classifyPlane(k0)
 	// Slots of the slab's bottom plane are live from the previous slab's
 	// first vertex id on, slots of its top plane from this slab's.
 	var live [2]int32
 	for k := k0; k < k1; k++ {
+		classifyPlane(k + 1)
 		live[0], live[1] = live[1], int32(len(m.Verts))
 		planes := [2][]int32{cache[(k&1)*plane:][:plane], cache[((k+1)&1)*plane:][:plane]}
 		z := [2]float64{g.Origin.Z + float64(k)*g.Spacing.Z, g.Origin.Z + float64(k+1)*g.Spacing.Z}
 		for j := 0; j < ny-1; j++ {
 			// A cell's six tets add at most four vertices and two
 			// triangles each: with the room made here, the appends
-			// below grow nothing but a mesh's first normals.
+			// below grow nothing.
 			m.reserve(6*4*(nx-1), 6*2*(nx-1))
 			y := [2]float64{g.Origin.Y + float64(j)*g.Spacing.Y, g.Origin.Y + float64(j+1)*g.Spacing.Y}
 			// The cell row's four vertex rows, by (dy, dz).
@@ -300,43 +366,56 @@ func contourSlabs(m *Mesh, g *data.StructuredGrid, vals []float32, iso float32, 
 			r10 := vals[g.Index(0, j+1, k):][:nx]
 			r01 := vals[g.Index(0, j, k+1):][:nx]
 			r11 := vals[g.Index(0, j+1, k+1):][:nx]
-			ge, lt := sideMasks(r00[0], r10[0], r01[0], r11[0])
-			for i := 0; i < nx-1; i++ {
-				nextGE, nextLT := sideMasks(r00[i+1], r10[i+1], r01[i+1], r11[i+1])
-				inside, below := ge|nextGE<<1, lt|nextLT<<1
-				ge, lt = nextGE, nextLT
-				// Cheap reject: cell entirely on one side.
-				if inside == 0 || below == 0 {
-					continue
+			ge00, lt00 := rowClass(j, k)
+			ge10, lt10 := rowClass(j+1, k)
+			ge01, lt01 := rowClass(j, k+1)
+			ge11, lt11 := rowClass(j+1, k+1)
+			nextGE, nextLT := ge00[0]|ge10[0]|ge01[0]|ge11[0], lt00[0]|lt10[0]|lt01[0]|lt11[0]
+			for w := 0; w < cellWords; w++ {
+				ge, lt := nextGE, nextLT
+				nextGE, nextLT = 0, 0
+				if w+1 < words {
+					nextGE = ge00[w+1] | ge10[w+1] | ge01[w+1] | ge11[w+1]
+					nextLT = lt00[w+1] | lt10[w+1] | lt01[w+1] | lt11[w+1]
 				}
-				x := [2]float64{g.Origin.X + float64(i)*g.Spacing.X, g.Origin.X + float64(i+1)*g.Spacing.X}
-				cv := [8]float32{r00[i], r00[i+1], r10[i], r10[i+1], r01[i], r01[i+1], r11[i], r11[i+1]}
-				corner := func(c uint8) vec.V3 { return vec.V3{X: x[c&1], Y: y[c>>1&1], Z: z[c>>2&1]} }
-				for t := range tets {
-					tet := &tets[t]
-					mask := inside>>tet[0]&1 | inside>>tet[1]&1<<1 | inside>>tet[2]&1<<2 | inside>>tet[3]&1<<3
-					cc := &cellCases[t][mask]
-					var ids [4]int32
-					for e := 0; e < cc.n; e++ {
-						edge := &cc.edges[e]
-						slot := &planes[edge.plane][(i+edge.ax+(j+edge.ay)*nx)*edgeSlots+edge.slot]
-						if *slot < live[edge.plane] {
-							*slot = int32(len(m.Verts))
-							p := corner(edge.from).Lerp(corner(edge.to), edgeT(cv[edge.from], cv[edge.to], iso))
-							m.Verts = append(m.Verts, p)
-							attr(m, p)
-						}
-						ids[e] = *slot
+				crossed := (ge | ge>>1 | nextGE<<63) & (lt | lt>>1 | nextLT<<63)
+				if w == cellWords-1 {
+					crossed &= lastCells
+				}
+				for ; crossed != 0; crossed &= crossed - 1 {
+					i := 64*w + bits.TrailingZeros64(crossed)
+					x := [2]float64{g.Origin.X + float64(i)*g.Spacing.X, g.Origin.X + float64(i+1)*g.Spacing.X}
+					cv := [8]float32{r00[i], r00[i+1], r10[i], r10[i+1], r01[i], r01[i+1], r11[i], r11[i+1]}
+					var inside uint8
+					for c, v := range cv {
+						inside |= bit(v >= iso) << c
 					}
-					switch cc.n {
-					case 3:
-						m.Tris = append(m.Tris, [3]int32{ids[0], ids[1], ids[2]})
-					case 4:
-						m.Tris = append(m.Tris, [3]int32{ids[0], ids[1], ids[3]}, [3]int32{ids[0], ids[3], ids[2]})
+					corner := func(c uint8) vec.V3 { return vec.V3{X: x[c&1], Y: y[c>>1&1], Z: z[c>>2&1]} }
+					for t := range tets {
+						tet := &tets[t]
+						mask := inside>>tet[0]&1 | inside>>tet[1]&1<<1 | inside>>tet[2]&1<<2 | inside>>tet[3]&1<<3
+						cc := &cellCases[t][mask]
+						var ids [4]int32
+						for e := 0; e < cc.n; e++ {
+							edge := &cc.edges[e]
+							slot := &planes[edge.plane][(i+edge.ax+(j+edge.ay)*nx)*edgeSlots+edge.slot]
+							if *slot < live[edge.plane] {
+								*slot = int32(len(m.Verts))
+								p := corner(edge.from).Lerp(corner(edge.to), edgeT(cv[edge.from], cv[edge.to], iso))
+								m.Verts = append(m.Verts, p)
+								attr(m, p)
+							}
+							ids[e] = *slot
+						}
+						switch cc.n {
+						case 3:
+							m.Tris = append(m.Tris, [3]int32{ids[0], ids[1], ids[2]})
+						case 4:
+							m.Tris = append(m.Tris, [3]int32{ids[0], ids[1], ids[3]}, [3]int32{ids[0], ids[3], ids[2]})
+						}
 					}
 				}
 			}
 		}
 	}
-	edgePool.Put(cache)
 }

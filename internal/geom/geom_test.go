@@ -113,7 +113,7 @@ func TestScratchMatchesPooled(t *testing.T) {
 	sameMesh := func(what string, got, want *Mesh) {
 		t.Helper()
 		if !slices.Equal(got.Verts, want.Verts) || !slices.Equal(got.Tris, want.Tris) ||
-			!slices.Equal(got.Scalars, want.Scalars) || !slices.Equal(got.Normals, want.Normals) {
+			!slices.Equal(got.Scalars, want.Scalars) || got.grid != want.grid || got.field != want.field {
 			t.Fatalf("%s: Scratch mesh differs from the pooled one", what)
 		}
 	}
@@ -171,7 +171,7 @@ func TestSlicePlaneGeometry(t *testing.T) {
 	}
 	// Scalars sample the field: center of slice ~ 0 distance... the "r"
 	// field at plane center is 0, at corners ~ sqrt(2)*7.5.
-	lo, hi := scalarRange(m.Scalars)
+	lo, hi := data.Range(m.Scalars)
 	if lo > 1.5 || hi < 9 {
 		t.Errorf("slice scalar range [%v, %v] implausible", lo, hi)
 	}
@@ -403,11 +403,12 @@ func TestIsosurfaceNormalsMatchSphere(t *testing.T) {
 	g := sphereGrid(24)
 	const r = 8
 	m, _ := Isosurface(g, "r", r)
-	if len(m.Normals) != len(m.Verts) {
-		t.Fatalf("normals = %d for %d verts", len(m.Normals), len(m.Verts))
+	if m.grid == nil {
+		t.Fatal("isosurface mesh is flat")
 	}
 	c := vec.Splat(float64(24-1) / 2)
-	for i, n := range m.Normals {
+	for i := range m.Verts {
+		n := m.VertexNormal(i)
 		if math.Abs(n.Len()-1) > 1e-6 {
 			t.Fatalf("normal %d not unit: %v", i, n)
 		}
@@ -426,8 +427,7 @@ func TestSmoothShadingReducesFaceting(t *testing.T) {
 	g := sphereGrid(16) // coarse grid = strong faceting when flat
 	m, _ := Isosurface(g, "r", 5)
 	cam := camera.ForBounds(g.Bounds())
-	jumps := func(normals []vec.V3) int {
-		mesh := &Mesh{Verts: m.Verts, Scalars: m.Scalars, Tris: m.Tris, Normals: normals}
+	jumps := func(mesh *Mesh) int {
 		frame := fb.New(160, 160)
 		DrawMesh(frame, mesh, &cam, ShadeOptions{Colormap: fb.Gray, ScalarLo: 0, ScalarHi: 10, Light: vec.New(1, 1, 0.5)})
 		count := 0
@@ -445,8 +445,8 @@ func TestSmoothShadingReducesFaceting(t *testing.T) {
 		}
 		return count
 	}
-	flat := jumps(nil)
-	smooth := jumps(m.Normals)
+	flat := jumps(&Mesh{Verts: m.Verts, Scalars: m.Scalars, Tris: m.Tris})
+	smooth := jumps(m)
 	if smooth >= flat {
 		t.Errorf("smooth shading jumps (%d) not below flat (%d)", smooth, flat)
 	}

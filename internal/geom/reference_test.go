@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
@@ -21,7 +22,15 @@ import (
 // path to it exactly — same triangles in the same order, same bits in
 // every position, scalar, normal, colour and depth.
 
-func refIsosurface(g *data.StructuredGrid, fieldName string, isoValue float32) *Mesh {
+// refMesh is a reference soup mesh. Normals, when not nil, holds the
+// unit normal of every vertex, computed at extraction; nil means flat
+// shading.
+type refMesh struct {
+	Mesh
+	Normals []vec.V3
+}
+
+func refIsosurface(g *data.StructuredGrid, fieldName string, isoValue float32) *refMesh {
 	f, err := g.Field(fieldName)
 	if err != nil {
 		panic(err)
@@ -36,7 +45,7 @@ func refIsosurface(g *data.StructuredGrid, fieldName string, isoValue float32) *
 	return m
 }
 
-func refSlicePlane(g *data.StructuredGrid, fieldName string, point, normal vec.V3) *Mesh {
+func refSlicePlane(g *data.StructuredGrid, fieldName string, point, normal vec.V3) *refMesh {
 	f, err := g.Field(fieldName)
 	if err != nil {
 		panic(err)
@@ -49,8 +58,8 @@ func refSlicePlane(g *data.StructuredGrid, fieldName string, point, normal vec.V
 	return refContour(g, value, 0, scalar)
 }
 
-func refContour(g *data.StructuredGrid, value func(i, j, k int) float32, iso float32, scalar func(p vec.V3) float32) *Mesh {
-	m := &Mesh{}
+func refContour(g *data.StructuredGrid, value func(i, j, k int) float32, iso float32, scalar func(p vec.V3) float32) *refMesh {
+	m := &refMesh{}
 	var corners [8]vec.V3
 	var vals [8]float32
 	for k := 0; k < g.NZ-1; k++ {
@@ -78,7 +87,7 @@ func refContour(g *data.StructuredGrid, value func(i, j, k int) float32, iso flo
 					continue
 				}
 				for _, tet := range tets {
-					refMarchTet(m, &corners, &vals, tet, iso, scalar)
+					refMarchTet(&m.Mesh, &corners, &vals, tet, iso, scalar)
 				}
 			}
 		}
@@ -166,7 +175,7 @@ func refProject(c *camera.Camera, p vec.V3, w, h int) (x, y, depth float64, ok b
 	return x, y, -cam.Z, true
 }
 
-func refDrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
+func refDrawMesh(frame *fb.Frame, m *refMesh, cam *camera.Camera, opt ShadeOptions) {
 	if m.TriangleCount() == 0 {
 		return
 	}
@@ -176,7 +185,7 @@ func refDrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions)
 	}
 	lo, hi := opt.ScalarLo, opt.ScalarHi
 	if lo >= hi {
-		lo, hi = scalarRange(m.Scalars)
+		lo, hi = data.Range(m.Scalars)
 	}
 	scale := 0.0
 	if hi > lo {
@@ -236,8 +245,9 @@ type diffCase struct {
 }
 
 // diffCases is three blast epochs, each as the two pieces a two-rank run
-// renders, and one small grid with three different side lengths, one of
-// them the minimum.
+// renders, one small grid with three different side lengths, one of them
+// the minimum, one blast piece seen from inside, and wordEdgeGrid at six
+// widths around one and two 64-vertex words.
 func diffCases(t *testing.T) []diffCase {
 	t.Helper()
 	var cases []diffCase
@@ -267,7 +277,47 @@ func diffCases(t *testing.T) []diffCase {
 	b := inside.g.Bounds()
 	eye := b.Min.Add(b.Size().Mul(vec.New(0.4, 0.3, 0.2)))
 	inside.eye = &eye
-	return append(cases, inside)
+	cases = append(cases, inside)
+	for _, nx := range []int{64, 65, 66, 129, 130, 131} {
+		cases = append(cases, diffCase{name: fmt.Sprintf("word-edge-%dx4x3", nx), g: wordEdgeGrid(nx), field: "d", iso: wordEdgeIso})
+	}
+	return cases
+}
+
+// wordEdgeIso is the isovalue wordEdgeGrid is contoured at.
+const wordEdgeIso = 1.3
+
+// wordEdgeGrid is an nx×4×3 grid whose field "d" at wordEdgeIso is two
+// pairs of wavy sheets, one about each 64-vertex word edge (x = 64 and
+// x = 128), crossing cells 62–65 and 126–129: the cells whose corners a
+// word-at-a-time scan finds in two words. On the vertex columns either
+// side of each edge, two vertices are NaN and two exactly wordEdgeIso.
+func wordEdgeGrid(nx int) *data.StructuredGrid {
+	g := data.NewStructuredGrid(nx, 4, 3)
+	// Narrow cells in x keep the whole box in the default camera's view.
+	g.Spacing = vec.New(0.1, 1, 1)
+	vals := make([]float32, g.Count())
+	for k := 0; k < g.NZ; k++ {
+		for j := 0; j < g.NY; j++ {
+			w := 0.5 * math.Sin(1.3*float64(j)+0.7*float64(k))
+			for i := 0; i < nx; i++ {
+				x := float64(i)
+				vals[g.Index(i, j, k)] = float32(min(math.Abs(x-64+w), math.Abs(x-128+w)))
+			}
+		}
+	}
+	for _, i := range []int{63, 64, 127, 128} {
+		if i < nx {
+			vals[g.Index(i, 1, 1)] = float32(math.NaN())
+			vals[g.Index(i, 2, 2)] = float32(math.NaN())
+			vals[g.Index(i, 2, 1)] = wordEdgeIso
+			vals[g.Index(i, 1, 0)] = wordEdgeIso
+		}
+	}
+	if err := g.AddField("d", vals); err != nil {
+		panic(err)
+	}
+	return g
 }
 
 func (c diffCase) camera() camera.Camera {
@@ -284,30 +334,40 @@ func (c diffCase) slice() (point, normal vec.V3) {
 	return c.g.Bounds().Center(), vec.New(0.3, -0.2, 1)
 }
 
+// sameBits reports whether a and b hold the same bits in each component,
+// or are both NaN there: which NaN an operation on two of them returns
+// depends on its operand order, which the compiler may swap.
+func sameBits(a, b vec.V3) bool {
+	same := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
+	}
+	return same(a.X, b.X) && same(a.Y, b.Y) && same(a.Z, b.Z)
+}
+
 // requireSameSurface asserts got, an indexed mesh, is ref, a soup mesh,
-// triangle for triangle and bit for bit.
-func requireSameSurface(t *testing.T, got, ref *Mesh) {
+// triangle for triangle and bit for bit, got's normal accessor included.
+func requireSameSurface(t testing.TB, got *Mesh, ref *refMesh) {
 	t.Helper()
 	if got.TriangleCount() != ref.TriangleCount() {
 		t.Fatalf("%d triangles, reference has %d", got.TriangleCount(), ref.TriangleCount())
 	}
-	if len(got.Scalars) != len(got.Verts) || len(got.Normals) != 0 && len(got.Normals) != len(got.Verts) {
-		t.Fatalf("%d vertices, %d scalars, %d normals", len(got.Verts), len(got.Scalars), len(got.Normals))
+	if len(got.Scalars) != len(got.Verts) {
+		t.Fatalf("%d vertices, %d scalars", len(got.Verts), len(got.Scalars))
 	}
-	if (len(got.Normals) == 0) != (len(ref.Normals) == 0) {
-		t.Fatalf("%d normals, reference has %d", len(got.Normals), len(ref.Normals))
+	if smooth := got.grid != nil; smooth != (ref.Normals != nil) {
+		t.Fatalf("smooth mesh %v, reference smooth %v", smooth, ref.Normals != nil)
 	}
 	for ti := range ref.Tris {
 		for c := 0; c < 3; c++ {
 			gi, ri := got.Tris[ti][c], ref.Tris[ti][c]
-			if got.Verts[gi] != ref.Verts[ri] {
+			if !sameBits(got.Verts[gi], ref.Verts[ri]) {
 				t.Fatalf("triangle %d corner %d at %v, reference at %v", ti, c, got.Verts[gi], ref.Verts[ri])
 			}
 			if math.Float32bits(got.Scalars[gi]) != math.Float32bits(ref.Scalars[ri]) {
 				t.Fatalf("triangle %d corner %d scalar %v, reference %v", ti, c, got.Scalars[gi], ref.Scalars[ri])
 			}
-			if len(ref.Normals) > 0 && got.Normals[gi] != ref.Normals[ri] {
-				t.Fatalf("triangle %d corner %d normal %v, reference %v", ti, c, got.Normals[gi], ref.Normals[ri])
+			if ref.Normals != nil && !sameBits(got.VertexNormal(int(gi)), ref.Normals[ri]) {
+				t.Fatalf("triangle %d corner %d normal %v, reference %v", ti, c, got.VertexNormal(int(gi)), ref.Normals[ri])
 			}
 		}
 	}
@@ -317,7 +377,7 @@ func requireSameSurface(t *testing.T, got, ref *Mesh) {
 func requireSameFrame(t *testing.T, what string, got, want *fb.Frame) {
 	t.Helper()
 	for i := range want.Color {
-		if got.Color[i] != want.Color[i] || math.Float64bits(got.Depth[i]) != math.Float64bits(want.Depth[i]) {
+		if !sameBits(got.Color[i], want.Color[i]) || math.Float64bits(got.Depth[i]) != math.Float64bits(want.Depth[i]) {
 			t.Fatalf("%s: pixel %d is %v at depth %v, want %v at %v", what, i, got.Color[i], got.Depth[i], want.Color[i], want.Depth[i])
 		}
 	}
@@ -356,7 +416,7 @@ func TestIndexedMatchesReference(t *testing.T) {
 			refDrawMesh(wantIso, refIso, &cam, c.isoShade())
 			refDrawMesh(wantSlice, refSlice, &cam, c.sliceShade())
 			if wantIso.CoveredPixels() == 0 || wantSlice.CoveredPixels() == 0 {
-				t.Fatal("reference frame is empty")
+				t.Fatalf("reference frame is empty: %d iso, %d slice pixels", wantIso.CoveredPixels(), wantSlice.CoveredPixels())
 			}
 			if c.eye != nil {
 				behind := 0
@@ -370,7 +430,7 @@ func TestIndexedMatchesReference(t *testing.T) {
 				}
 			}
 			// Flat shading: the reference soup without its normals.
-			refFlat := &Mesh{Verts: refIso.Verts, Scalars: refIso.Scalars, Tris: refIso.Tris}
+			refFlat := &refMesh{Mesh: refIso.Mesh}
 			wantFlat := fb.New(diffImage, diffImage)
 			refDrawMesh(wantFlat, refFlat, &cam, c.isoShade())
 
@@ -397,8 +457,7 @@ func TestIndexedMatchesReference(t *testing.T) {
 				DrawMesh(frame, slice, &cam, c.sliceShade())
 				requireSameFrame(t, fmt.Sprintf("vtk-slice, %d workers", workers), frame, wantSlice)
 				frame.Clear(vec.V3{})
-				iso.Normals = iso.Normals[:0]
-				DrawMesh(frame, iso, &cam, c.isoShade())
+				DrawMesh(frame, &Mesh{Verts: iso.Verts, Scalars: iso.Scalars, Tris: iso.Tris}, &cam, c.isoShade())
 				requireSameFrame(t, fmt.Sprintf("flat, %d workers", workers), frame, wantFlat)
 				PutMesh(iso)
 				PutMesh(slice)
@@ -420,7 +479,7 @@ func TestPutMeshNeverAliasesHeldMesh(t *testing.T) {
 		PutMesh(m)
 		again, _ := Isosurface(g, "r", 5)
 		if again == held || &again.Verts[0] == &held.Verts[0] || &again.Tris[0] == &held.Tris[0] ||
-			&again.Scalars[0] == &held.Scalars[0] || &again.Normals[0] == &held.Normals[0] {
+			&again.Scalars[0] == &held.Scalars[0] {
 			t.Fatal("a mesh still held was handed out again")
 		}
 		PutMesh(again)
@@ -435,4 +494,43 @@ func TestPutMeshNeverAliasesHeldMesh(t *testing.T) {
 			t.Fatalf("held mesh triangle %d overwritten", i)
 		}
 	}
+}
+
+// FuzzContourMatchesReference holds the word-at-a-time contourer to the
+// reference on grids up to three 64-vertex words wide holding arbitrary
+// float32 values, NaN and infinities among them: the same triangles in
+// the same order, and the same bits in every position, scalar and
+// normal. Values are read from data four bytes at a time and repeat
+// when it runs out.
+func FuzzContourMatchesReference(f *testing.F) {
+	word := func(vals ...float32) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
+		return b
+	}
+	nan := float32(math.NaN())
+	f.Add(uint8(63), uint8(0), uint8(0), float32(0.5), word(0, 1, 0.25, 0.75, 1, 0))
+	f.Add(uint8(64), uint8(1), uint8(1), float32(33), word(1))
+	f.Add(uint8(64), uint8(1), uint8(1), float32(1), word(0, 0, 0, 1, 2, nan, 1))
+	f.Add(uint8(127), uint8(2), uint8(0), float32(0), word(-1, 0, 1, float32(math.Inf(1)), nan, 0, 0.5))
+	f.Add(uint8(190), uint8(0), uint8(2), float32(3), word(3, 2, 4, 3, nan, 5))
+	f.Fuzz(func(t *testing.T, nx, ny, nz uint8, iso float32, raw []byte) {
+		g := data.NewStructuredGrid(2+int(nx)%191, 2+int(ny)%3, 2+int(nz)%3)
+		vals := make([]float32, g.Count())
+		if n := len(raw) / 4; n > 0 {
+			for i := range vals {
+				vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*(i%n):]))
+			}
+		}
+		if err := g.AddField("v", vals); err != nil {
+			t.Fatal(err)
+		}
+		got, err := new(Scratch).Isosurface(g, "v", iso)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameSurface(t, got, refIsosurface(g, "v", iso))
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/ascr-ecx/eth/internal/camera"
+	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/fb"
 	"github.com/ascr-ecx/eth/internal/par"
 	"github.com/ascr-ecx/eth/internal/raster"
@@ -13,8 +14,12 @@ import (
 )
 
 // ctrTriangles counts triangles handed to the rasterizer (TACC-Stats
-// analog).
-var ctrTriangles = telemetry.Default.Counter("geom.triangles")
+// analog), and ctrShaded the smooth-mesh vertices DrawMesh computed a
+// normal and colour for.
+var (
+	ctrTriangles = telemetry.Default.Counter("geom.triangles")
+	ctrShaded    = telemetry.Default.Counter("geom.shaded")
+)
 
 // ShadeOptions configures mesh rendering.
 type ShadeOptions struct {
@@ -34,13 +39,15 @@ type ShadeOptions struct {
 var drawPool sync.Pool
 
 // DrawMesh projects, shades, and rasterizes m into frame using cam:
-// Lambert + ambient, Gouraud-interpolated from the mesh's vertex normals
-// when it has them, else flat with the geometric normal per triangle —
-// what a fixed-function OpenGL pipeline would do with per-face normals.
-// Projection, colormap lookup and vertex shading are done once per mesh
-// vertex, however many triangles share it. This is the rendering half of
-// the geometry pipeline; its cost is proportional to the geometry
-// generated, not the input data size.
+// Lambert + ambient, Gouraud-interpolated from the vertex normals of a
+// smooth (isosurface) mesh, else flat with the geometric normal per
+// triangle — what a fixed-function OpenGL pipeline would do with
+// per-face normals. Projection, colormap lookup and vertex shading are
+// done once per mesh vertex, however many triangles share it. A smooth
+// mesh's normals are read from its grid now, which must not have changed
+// since the mesh was extracted. This is the rendering half of the
+// geometry pipeline; its cost is proportional to the geometry generated,
+// not the input data size.
 func DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
 	s, _ := drawPool.Get().(*Scratch)
 	if s == nil {
@@ -50,38 +57,27 @@ func DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
 	drawPool.Put(s)
 }
 
-// drawMesh is DrawMesh on the screen vertices, keep flags and triangle
-// list it is given, resized as the mesh needs; it returns them for the
-// next draw.
-func drawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions, verts []raster.Vertex, keep []bool, tris [][3]int32) ([]raster.Vertex, []bool, [][3]int32) {
+// drawMesh is DrawMesh on the screen vertices, keep flags, shaded flags
+// and triangle list it is given, resized as the mesh needs; it returns
+// them for the next draw.
+//
+// A smooth mesh's vertex is shaded — its normal computed from the grid
+// (VertexNormal) and its colour lit — by one function, on one of two
+// schedules. With one worker, the rasterizer asks for a triangle's
+// colours just before it blends the triangle's first pixel
+// (raster.DrawTrianglesLazy), so a vertex only hidden or off-screen
+// triangles use is never shaded. With more, the bands draw concurrently
+// and would race to shade a shared vertex, so every vertex is shaded up
+// front, in parallel, with its projection. A pixel reads only colours of
+// shaded vertices, and shading is the same arithmetic on either schedule,
+// so the frame is the same bits.
+func drawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions, verts []raster.Vertex, keep, shaded []bool, tris [][3]int32) ([]raster.Vertex, []bool, []bool, [][3]int32) {
 	if m.TriangleCount() == 0 {
-		return verts, keep, tris
+		return verts, keep, shaded, tris
 	}
-	cmap := opt.Colormap
-	if cmap == nil {
-		cmap = fb.Viridis
-	}
-	lo, hi := opt.ScalarLo, opt.ScalarHi
-	if lo >= hi {
-		lo, hi = scalarRange(m.Scalars)
-	}
-	scale := 0.0
-	if hi > lo {
-		scale = 1 / float64(hi-lo)
-	}
-	light := opt.Light
-	if light == (vec.V3{}) {
-		light = cam.Eye.Sub(cam.Center)
-	}
-	light = light.Norm()
-	ambient := opt.Ambient
-	if ambient <= 0 {
-		ambient = 0.25
-	}
-	// Two-sided lighting: extraction makes no winding guarantee.
-	lit := func(n vec.V3) float64 { return ambient + (1-ambient)*math.Abs(n.Dot(light)) }
-
-	smooth := len(m.Normals) == len(m.Verts)
+	sh := newShading(m, cam, opt)
+	smooth := m.grid != nil
+	lazy := smooth && par.DefaultWorkers() == 1
 	proj := cam.NewProjector(frame.W, frame.H)
 	// One screen vertex per mesh vertex, then — shaded flat — three of its
 	// own for each kept triangle, after them.
@@ -91,17 +87,20 @@ func drawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions, ve
 	}
 	verts = resize(verts, nv)
 	keep = resize(keep, len(m.Verts))
+	shaded = resize(shaded, len(m.Verts))
 	par.ForGrained(len(m.Verts), 0, 0, func(from, to int) {
 		for i := from; i < to; i++ {
 			x, y, depth, ok := proj.Project(m.Verts[i])
 			keep[i] = ok
-			color := cmap.Lookup(float64(m.Scalars[i]-lo) * scale)
-			if smooth {
-				// Gouraud: per-vertex normals interpolate via vertex
-				// colors, removing the faceting of flat shading.
-				color = color.Scale(lit(m.Normals[i]))
+			verts[i] = raster.Vertex{X: x, Y: y, Depth: depth}
+			switch {
+			case !smooth:
+				verts[i].Color = sh.color(m.Scalars[i])
+			case lazy:
+				shaded[i] = false
+			default:
+				verts[i].Color = sh.vertex(m, i)
 			}
-			verts[i] = raster.Vertex{X: x, Y: y, Depth: depth, Color: color}
 		}
 	})
 	tris = resize(tris, m.TriangleCount())
@@ -112,7 +111,7 @@ func drawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions, ve
 			continue // clip whole triangle at near plane
 		}
 		if !smooth {
-			shade := lit(m.Normal(ti))
+			shade := sh.lit(m.Normal(ti))
 			for c := range t {
 				v := &verts[face+int32(c)]
 				*v = verts[t[c]]
@@ -125,22 +124,76 @@ func drawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions, ve
 		n++
 	}
 	ctrTriangles.Add(int64(n))
-	raster.DrawTriangles(frame, verts, tris[:n], 0)
-	return verts, keep, tris
+	if !lazy {
+		if smooth {
+			ctrShaded.Add(int64(len(m.Verts)))
+		}
+		raster.DrawTriangles(frame, verts, tris[:n], 0)
+		return verts, keep, shaded, tris
+	}
+	count := 0
+	raster.DrawTrianglesLazy(frame, verts, tris[:n], func(t [3]int32) {
+		for _, v := range t {
+			if !shaded[v] {
+				shaded[v] = true
+				verts[v].Color = sh.vertex(m, int(v))
+				count++
+			}
+		}
+	})
+	ctrShaded.Add(int64(count))
+	return verts, keep, shaded, tris
 }
 
-func scalarRange(vals []float32) (lo, hi float32) {
-	if len(vals) == 0 {
-		return 0, 0
+// shading is DrawMesh's lighting and colour mapping for one draw.
+type shading struct {
+	cmap    *fb.Colormap
+	lo      float32 // scalar mapped to the colormap's first entry
+	scale   float64 // per scalar unit, to the colormap's [0, 1]
+	light   vec.V3  // unit direction toward the light
+	ambient float64
+}
+
+// newShading resolves opt's defaults for drawing m with cam: Viridis, the
+// mesh's own scalar range when opt's is empty, a headlight, and an
+// ambient fraction of 0.25.
+func newShading(m *Mesh, cam *camera.Camera, opt ShadeOptions) shading {
+	sh := shading{cmap: opt.Colormap, lo: opt.ScalarLo, light: opt.Light, ambient: opt.Ambient}
+	if sh.cmap == nil {
+		sh.cmap = fb.Viridis
 	}
-	lo, hi = vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
+	hi := opt.ScalarHi
+	if sh.lo >= hi {
+		sh.lo, hi = data.Range(m.Scalars)
 	}
-	return lo, hi
+	if hi > sh.lo {
+		sh.scale = 1 / float64(hi-sh.lo)
+	}
+	if sh.light == (vec.V3{}) {
+		sh.light = cam.Eye.Sub(cam.Center)
+	}
+	sh.light = sh.light.Norm()
+	if sh.ambient <= 0 {
+		sh.ambient = 0.25
+	}
+	return sh
+}
+
+// lit is Lambert + ambient for unit normal n, two-sided: extraction
+// makes no winding guarantee.
+func (s shading) lit(n vec.V3) float64 {
+	return s.ambient + (1-s.ambient)*math.Abs(n.Dot(s.light))
+}
+
+// color maps scalar v to its colormap colour.
+func (s shading) color(v float32) vec.V3 {
+	return s.cmap.Lookup(float64(v-s.lo) * s.scale)
+}
+
+// vertex is smooth mesh m's Gouraud colour at vertex i: per-vertex
+// normals interpolate via vertex colours, removing the faceting of flat
+// shading. It is the one shading function both of drawMesh's schedules
+// call.
+func (s shading) vertex(m *Mesh, i int) vec.V3 {
+	return s.color(m.Scalars[i]).Scale(s.lit(m.VertexNormal(i)))
 }

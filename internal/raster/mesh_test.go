@@ -54,7 +54,7 @@ func blastMesh(tb testing.TB, piece *data.StructuredGrid, iso float32, img, tota
 	keep := make([]bool, len(m.Verts))
 	for i, p := range m.Verts {
 		x, y, depth, ok := proj.Project(p)
-		shade := 0.25 + 0.75*math.Abs(m.Normals[i].Dot(light))
+		shade := 0.25 + 0.75*math.Abs(m.VertexNormal(i).Dot(light))
 		color := fb.Hot.Lookup(float64(m.Scalars[i]-lo) / float64(hi-lo)).Scale(shade)
 		verts[i], keep[i] = raster.Vertex{X: x, Y: y, Depth: depth, Color: color}, ok
 	}

@@ -70,13 +70,7 @@ func DrawTriangles(f *fb.Frame, verts []Vertex, tris [][3]int32, workers int) {
 	}
 	wk := drawWorkers(workers, f.H)
 	if wk == 1 {
-		for i := range tris {
-			t := &tris[i]
-			a, b, c := &verts[t[0]], &verts[t[1]], &verts[t[2]]
-			if y0, y1, ok := triRows(f.H, a, b, c); ok {
-				rasterizeTriangle(f, a, b, c, y0, y1)
-			}
-		}
+		drawSerial(f, verts, tris, nil)
 		return
 	}
 	drawBinned(f.H, len(tris), wk,
@@ -86,8 +80,35 @@ func DrawTriangles(f *fb.Frame, verts []Vertex, tris [][3]int32, workers int) {
 		},
 		func(i, y0, y1 int) {
 			t := &tris[i]
-			rasterizeTriangle(f, &verts[t[0]], &verts[t[1]], &verts[t[2]], y0, y1)
+			rasterizeTriangle(f, &verts[t[0]], &verts[t[1]], &verts[t[2]], y0, y1, nil, t)
 		})
+}
+
+// DrawTrianglesLazy is DrawTriangles on one worker for vertices whose
+// colours are set on demand: just before triangle t blends its first
+// pixel, it calls shade(t), which must set the colours of t's three
+// vertices. A triangle none of whose pixels passes the depth test never
+// asks for them. Pixels read a vertex's colour only after that call, so
+// the frame is the one DrawTriangles draws with every colour set first.
+// shade may be called for a vertex again, from another triangle.
+func DrawTrianglesLazy(f *fb.Frame, verts []Vertex, tris [][3]int32, shade func(t [3]int32)) {
+	if len(tris) == 0 || f.W == 0 {
+		return
+	}
+	drawSerial(f, verts, tris, shade)
+}
+
+// drawSerial draws each triangle once, in input order, over the rows of
+// its bands, calling shade, when it is not nil, as DrawTrianglesLazy
+// says.
+func drawSerial(f *fb.Frame, verts []Vertex, tris [][3]int32, shade func(t [3]int32)) {
+	for i := range tris {
+		t := &tris[i]
+		a, b, c := &verts[t[0]], &verts[t[1]], &verts[t[2]]
+		if y0, y1, ok := triRows(f.H, a, b, c); ok {
+			rasterizeTriangle(f, a, b, c, y0, y1, shade, t)
+		}
+	}
 }
 
 // triRows is bandRows for a triangle.
@@ -107,8 +128,9 @@ const centreSlack = 0x1p-16
 // and non-finite coordinates keep the loose box.
 const provenMax = 1 << 24
 
-// rasterizeTriangle scan-converts triangle (a, b, c) restricted to
-// scanlines [y0, y1).
+// rasterizeTriangle scan-converts triangle (a, b, c), the vertices t
+// indexes, restricted to scanlines [y0, y1). When shade is not nil it is
+// called with t before the first pixel blends the vertices' colours.
 //
 // The weights are exact: each is edge's (bx-ax)*(cy-ay) - (by-ay)*(cx-ax)
 // for its edge and the pixel centre, the same IEEE operations in the same
@@ -122,7 +144,7 @@ const provenMax = 1 << 24
 // test as computed; otherwise, as before, every pixel the range touches.
 // Either way the same pixels pass, so a triangle that covers no centre
 // returns without a division and without a pixel loop.
-func rasterizeTriangle(f *fb.Frame, a, b, c *Vertex, y0, y1 int) {
+func rasterizeTriangle(f *fb.Frame, a, b, c *Vertex, y0, y1 int, shade func(t [3]int32), t *[3]int32) {
 	// Signed doubled area; degenerate triangles are skipped. A negative
 	// area means opposite winding — rasterize both windings (no culling),
 	// since extraction algorithms do not guarantee orientation.
@@ -179,6 +201,10 @@ func rasterizeTriangle(f *fb.Frame, a, b, c *Vertex, y0, y1 int) {
 			// is built: a hidden pixel costs no blend.
 			i := row + px
 			if depth < f.Depth[i] {
+				if shade != nil {
+					shade(*t)
+					shade = nil
+				}
 				f.Depth[i] = depth
 				f.Color[i] = a.Color.Scale(w0).
 					Add(b.Color.Scale(w1)).

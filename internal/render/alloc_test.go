@@ -28,7 +28,7 @@ func TestVtkRenderWarmAllocs(t *testing.T) {
 	g := testGrid(40)
 	cam := camera.ForBounds(g.Bounds())
 	frame := fb.New(128, 128)
-	for name, want := range map[string]float64{"vtk-iso": 5, "vtk-slice": 8} {
+	for name, want := range map[string]float64{"vtk-iso": 4, "vtk-slice": 7} {
 		r, _ := New(name)
 		render := func() {
 			frame.Clear(vec.V3{})
@@ -47,9 +47,8 @@ func TestVtkRenderWarmAllocs(t *testing.T) {
 // TestVtkRenderWarmAllocsAfterCollections holds a warm geometry
 // renderer to its own memory: two collections, which empty every
 // sync.Pool, leave it to reallocate only what it still borrows from
-// geom's pools (the edge cache; the slice's distance buffer), well under
-// a quarter of what a renderer starting cold allocates for the same
-// surface. On pooled meshes and draw buffers what a step allocated
+// geom's pools (the slice's distance buffer), well under a quarter of
+// what a renderer starting cold allocates for the same surface. On pooled meshes and draw buffers what a step allocated
 // depended on when the collector last ran, and on the order in which
 // renderers on other goroutines took the pooled buffers.
 func TestVtkRenderWarmAllocsAfterCollections(t *testing.T) {

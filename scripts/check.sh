@@ -35,6 +35,8 @@ go test -run 'Alloc|Releases' ./...
 # once over the whole frame, more workers bin by band. geom and render
 # draw with GOMAXPROCS workers, so at one GOMAXPROCS only their tests
 # reach the first path and at two only the second: run them at both.
+# An isosurface's vertices are shaded on the same split: on one worker
+# at a triangle's first pixel write, on more all up front.
 echo "== go test -cpu 1,2 ./internal/raster ./internal/geom ./internal/render"
 go test -cpu 1,2 ./internal/raster/ ./internal/geom/ ./internal/render/
 
@@ -134,6 +136,9 @@ go test -run='^$' -fuzz=FuzzPacketsMatchReference -fuzztime=10s ./internal/rt/
 
 echo "== go test -fuzz=FuzzTrianglesMatchReference -fuzztime=10s ./internal/raster"
 go test -run='^$' -fuzz=FuzzTrianglesMatchReference -fuzztime=10s ./internal/raster/
+
+echo "== go test -fuzz=FuzzContourMatchesReference -fuzztime=10s ./internal/geom"
+go test -run='^$' -fuzz=FuzzContourMatchesReference -fuzztime=10s ./internal/geom/
 
 # Multi-viewer broadcast smoke: real sim+viz+hub processes, three
 # ethwatch viewers over real sockets, one steered, one SIGKILLed and
