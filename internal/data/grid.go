@@ -291,34 +291,49 @@ func (g *StructuredGrid) shaped(dims [3]int, nf int) bool {
 // Piecer extracts one rank's piece of each step's dataset, recycling the
 // arrays of the piece it extracted last. The zero value is ready to use.
 type Piecer struct {
-	// grid is the last slab this Piecer allocated: the only grid it ever
-	// writes into, so a source's own dataset is never overwritten.
-	grid *StructuredGrid
+	// grid and cloud are the last pieces this Piecer filled: the only
+	// datasets it ever writes into, so a source's own dataset is never
+	// overwritten. idx is a cloud split's index scratch.
+	grid  *StructuredGrid
+	cloud *PointCloud
+	idx   []int
 }
 
 // Piece returns piece k of ds split n ways — the dataset ds.Partition(n)[k]
-// describes — or nil when the split yields no piece k. For a structured
-// grid only that slab is copied out, into the grid the previous call
-// returned when the shape still matches: a returned piece is valid until
-// the next call. Other kinds answer with Partition(n)[k].
+// describes — or nil when the split yields no piece k. Only that piece is
+// copied out, into the dataset of its kind the previous call returned
+// (for a grid, when the shape still matches): a returned piece is valid
+// until the next call. Other kinds answer with Partition(n)[k].
 func (pc *Piecer) Piece(ds Dataset, n, k int) Dataset {
-	g, ok := ds.(*StructuredGrid)
-	if !ok {
-		pieces := ds.Partition(n)
-		if k < 0 || k >= len(pieces) {
+	switch d := ds.(type) {
+	case *StructuredGrid:
+		axis, cells, count := d.slabs(n)
+		if count == 0 && k == 0 {
+			return d
+		}
+		if k < 0 || k >= count {
 			return nil
 		}
-		return pieces[k]
+		pc.grid = d.subgrid(axis, k*cells/count, (k+1)*cells/count, pc.grid)
+		return pc.grid
+	case *PointCloud:
+		if n <= 1 && k == 0 {
+			return d
+		}
+		if k < 0 || k >= n {
+			return nil
+		}
+		if pc.cloud == nil {
+			pc.cloud = new(PointCloud)
+		}
+		pc.idx = d.splitOrder(pc.idx)
+		return d.SelectInto(pc.cloud, pc.idx[k*len(pc.idx)/n:(k+1)*len(pc.idx)/n])
 	}
-	axis, cells, count := g.slabs(n)
-	if count == 0 && k == 0 {
-		return g
-	}
-	if k < 0 || k >= count {
+	pieces := ds.Partition(n)
+	if k < 0 || k >= len(pieces) {
 		return nil
 	}
-	pc.grid = g.subgrid(axis, k*cells/count, (k+1)*cells/count, pc.grid)
-	return pc.grid
+	return pieces[k]
 }
 
 // Downsample returns a grid with every stride-th vertex along each axis,

@@ -1,6 +1,9 @@
 package data
 
 import (
+	"fmt"
+	"runtime"
+	"sort"
 	"testing"
 
 	"github.com/ascr-ecx/eth/internal/raceflag"
@@ -193,5 +196,108 @@ func TestPieceWarmAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, extract); allocs != 0 {
 			t.Errorf("axis %d: a warm piece extraction allocates %.1f times, want 0", axis, allocs)
 		}
+	}
+}
+
+// tiedCloud is an n-particle cloud whose longest axis is x and whose x
+// takes only seven values, so every split cuts through runs of equal
+// split coordinates; step varies the values.
+func tiedCloud(n, step int) *PointCloud {
+	p := NewPointCloud(n)
+	for i := 0; i < n; i++ {
+		p.IDs[i] = int64(1000*step + i)
+		p.X[i] = float32((i*5+step)%7) * 10
+		p.Y[i] = float32((i*3+step)%11) / 4
+		p.Z[i] = float32((i*13+step)%17) / 8
+		p.VX[i], p.VY[i], p.VZ[i] = float32(i), float32(-i), float32(step)
+	}
+	p.SpeedField()
+	return p
+}
+
+// sameCloud holds got to want exactly: IDs, positions, velocities, field
+// names and values.
+func sameCloud(t *testing.T, what string, got Dataset, want Dataset) {
+	t.Helper()
+	a, ok := got.(*PointCloud)
+	b := want.(*PointCloud)
+	if !ok {
+		t.Fatalf("%s: got %T, want a point cloud", what, got)
+	}
+	if a.Count() != b.Count() || len(a.IDs) != len(b.IDs) || len(a.Fields) != len(b.Fields) {
+		t.Fatalf("%s: %d particles and %d fields, want %d and %d", what, a.Count(), len(a.Fields), b.Count(), len(b.Fields))
+	}
+	for i := range b.IDs {
+		if a.IDs[i] != b.IDs[i] || a.X[i] != b.X[i] || a.Y[i] != b.Y[i] || a.Z[i] != b.Z[i] ||
+			a.VX[i] != b.VX[i] || a.VY[i] != b.VY[i] || a.VZ[i] != b.VZ[i] {
+			t.Fatalf("%s: particle %d is ID %d at (%v, %v, %v), want ID %d at (%v, %v, %v)", what, i,
+				a.IDs[i], a.X[i], a.Y[i], a.Z[i], b.IDs[i], b.X[i], b.Y[i], b.Z[i])
+		}
+	}
+	for f := range b.Fields {
+		if a.Fields[f].Name != b.Fields[f].Name {
+			t.Fatalf("%s: field %d is %q, want %q", what, f, a.Fields[f].Name, b.Fields[f].Name)
+		}
+		for i, v := range b.Fields[f].Values {
+			if a.Fields[f].Values[i] != v {
+				t.Fatalf("%s: field %q value %d = %v, want %v", what, b.Fields[f].Name, i, a.Fields[f].Values[i], v)
+			}
+		}
+	}
+}
+
+// TestPieceCloudMatchesPartition holds a Piecer's point-cloud piece to
+// Partition's: for 1 to 5 ranks and every piece, across steps whose
+// sizes shrink and grow, through one Piecer, the piece is
+// Partition(n)[k], ties on the split coordinate broken the same way.
+func TestPieceCloudMatchesPartition(t *testing.T) {
+	var pc Piecer
+	for step, size := range []int{997, 400, 1200} {
+		p := tiedCloud(size, step)
+		for n := 1; n <= 5; n++ {
+			want := p.Partition(n)
+			for k := 0; k < n; k++ {
+				sameCloud(t, fmt.Sprintf("step %d, piece %d of %d", step, k, n), pc.Piece(p, n, k), want[k])
+			}
+			if pc.Piece(p, n, n) != nil {
+				t.Errorf("step %d: piece %d of %d exists", step, n, n)
+			}
+		}
+	}
+}
+
+// TestPieceCloudWarmAllocs is the gate behind "a cloud rank keeps only
+// its own piece": once warm, a Piecer sorts into its own index scratch
+// and selects into its own cloud, so a piece allocates no more than the
+// sort.Slice it makes — not the other ranks' pieces, not the indices.
+func TestPieceCloudWarmAllocs(t *testing.T) {
+	p := tiedCloud(5_000, 0)
+	var pc Piecer
+	piece := func() {
+		if pc.Piece(p, 3, 1) == nil {
+			t.Fatal("no piece 1 of 3")
+		}
+	}
+	piece()
+	coord := p.X
+	idx := make([]int, p.Count())
+	sortOnly := func() {
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.Slice(idx, func(a, b int) bool { return coord[idx[a]] < coord[idx[b]] })
+	}
+	bytes := func(f func()) uint64 {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	if got, sorting := bytes(piece), bytes(sortOnly); got > sorting {
+		t.Errorf("a warm piece allocates %d bytes, the sort.Slice it makes %d: want nothing beyond the sort", got, sorting)
 	}
 }

@@ -130,20 +130,53 @@ func (p *PointCloud) Generation() uint64 {
 // Select returns a new cloud containing the particles at the given
 // indices, with all fields carried over. Indices may repeat.
 func (p *PointCloud) Select(indices []int) *PointCloud {
-	out := NewPointCloud(len(indices))
+	return p.SelectInto(new(PointCloud), indices)
+}
+
+// SelectInto is Select into dst, which it returns: dst's arrays are
+// overwritten in place, and one is reallocated, at its exact new length,
+// only when it is too short. dst's bounds are invalidated, so its
+// Generation advances with every refill. dst must not be p.
+func (p *PointCloud) SelectInto(dst *PointCloud, indices []int) *PointCloud {
+	n := len(indices)
+	dst.IDs = Fit(dst.IDs, n)
+	dst.X = selectInto(Fit(dst.X, n), p.X, indices)
+	dst.Y = selectInto(Fit(dst.Y, n), p.Y, indices)
+	dst.Z = selectInto(Fit(dst.Z, n), p.Z, indices)
+	dst.VX = selectInto(Fit(dst.VX, n), p.VX, indices)
+	dst.VY = selectInto(Fit(dst.VY, n), p.VY, indices)
+	dst.VZ = selectInto(Fit(dst.VZ, n), p.VZ, indices)
 	for j, i := range indices {
-		out.IDs[j] = p.IDs[i]
-		out.X[j], out.Y[j], out.Z[j] = p.X[i], p.Y[i], p.Z[i]
-		out.VX[j], out.VY[j], out.VZ[j] = p.VX[i], p.VY[i], p.VZ[i]
+		dst.IDs[j] = p.IDs[i]
 	}
-	for _, f := range p.Fields {
-		vals := make([]float32, len(indices))
-		for j, i := range indices {
-			vals[j] = f.Values[i]
-		}
-		out.Fields = append(out.Fields, Field{Name: f.Name, Values: vals})
+	dst.Fields = Fit(dst.Fields, len(p.Fields))
+	for k, f := range p.Fields {
+		dst.Fields[k].Name = f.Name
+		dst.Fields[k].Values = selectInto(Fit(dst.Fields[k].Values, n), f.Values, indices)
 	}
-	return out
+	dst.InvalidateBounds()
+	return dst
+}
+
+// selectInto writes src[indices[j]] to dst[j] and returns dst.
+func selectInto(dst, src []float32, indices []int) []float32 {
+	for j, i := range indices {
+		dst[j] = src[i]
+	}
+	return dst
+}
+
+// Fit returns s with length n, reallocated at exactly n only when its
+// capacity is short: the growth rule of an array sized by a dataset's
+// element count that its owner refills in place every step (a sample, a
+// piece, a renderer's per-particle colours). Its contents are
+// unspecified. Geometry extracted from a grid grows by powers of two
+// instead (geom's resize): a surface's size changes from step to step.
+func Fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Partition implements Dataset. Particles are split into n spatial slabs
@@ -154,25 +187,27 @@ func (p *PointCloud) Partition(n int) []Dataset {
 	if n <= 1 {
 		return []Dataset{p}
 	}
-	axis := p.Bounds().LongestAxis()
-	coord := [3][]float32{p.X, p.Y, p.Z}[axis]
+	idx := p.splitOrder(nil)
+	pieces := make([]Dataset, n)
+	for k := 0; k < n; k++ {
+		pieces[k] = p.Select(idx[k*len(idx)/n : (k+1)*len(idx)/n])
+	}
+	return pieces
+}
 
-	// Sort particle indices by the split coordinate and cut into equal
-	// count slabs. Equal-count (not equal-width) matches the load balance
-	// a production particle code maintains.
-	idx := make([]int, p.Count())
+// splitOrder returns the particle indices sorted by the coordinate along
+// the longest axis of the bounding box, in idx's array when it is long
+// enough. Cutting it into n equal-count runs gives the n slabs: equal
+// count, not equal width, matches the load balance a production particle
+// code maintains.
+func (p *PointCloud) splitOrder(idx []int) []int {
+	coord := [3][]float32{p.X, p.Y, p.Z}[p.Bounds().LongestAxis()]
+	idx = Fit(idx, p.Count())
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return coord[idx[a]] < coord[idx[b]] })
-
-	pieces := make([]Dataset, n)
-	for k := 0; k < n; k++ {
-		lo := k * len(idx) / n
-		hi := (k + 1) * len(idx) / n
-		pieces[k] = p.Select(idx[lo:hi])
-	}
-	return pieces
+	return idx
 }
 
 // SpeedField computes |velocity| per particle and attaches it as field

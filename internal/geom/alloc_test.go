@@ -70,8 +70,9 @@ func TestIsoDrawWarmAllocs(t *testing.T) {
 	}
 }
 
-// TestMapPointsWarmAllocs holds the points mapper at the six allocations
-// it made before it projected through a camera.Projector: two par loops,
+// TestMapPointsWarmAllocs holds the points mapper, on a ParticleScratch whose
+// sprites, flags and colour table are its own, at the six allocations it
+// made before it projected through a camera.Projector: two par loops,
 // each a body closure and a grain, par.For's index adapter for the colour
 // loop, and the projector the projection loop captures by reference.
 func TestMapPointsWarmAllocs(t *testing.T) {
@@ -84,15 +85,14 @@ func TestMapPointsWarmAllocs(t *testing.T) {
 	}
 	p.SpeedField()
 	cam := camera.ForBounds(p.Bounds())
+	var s ParticleScratch
 	mapPoints := func() {
-		sprites, err := MapPoints(p, &cam, 256, 256, PointsOptions{ColorField: "speed"})
-		if err != nil {
+		if _, err := s.MapPoints(p, &cam, 256, 256, PointsOptions{ColorField: "speed"}); err != nil {
 			t.Fatal(err)
 		}
-		PutSprites(sprites)
 	}
 	mapPoints()
 	if allocs := testing.AllocsPerRun(10, mapPoints); allocs != want {
-		t.Errorf("warm MapPoints + PutSprites allocates %.1f times, want exactly %d", allocs, want)
+		t.Errorf("a warm ParticleScratch's MapPoints allocates %.1f times, want exactly %d", allocs, want)
 	}
 }

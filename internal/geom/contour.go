@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"github.com/ascr-ecx/eth/internal/data"
-	"github.com/ascr-ecx/eth/internal/mempool"
 	"github.com/ascr-ecx/eth/internal/par"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
@@ -111,7 +110,7 @@ func Isosurface(g *data.StructuredGrid, fieldName string, isoValue float32) (*Me
 
 // isosurface is Isosurface into m, whose contents it replaces, through
 // own's buffers (pooled ones when own is nil; see contour).
-func isosurface(m *Mesh, own *contourBuffers, g *data.StructuredGrid, fieldName string, isoValue float32) (*Mesh, error) {
+func isosurface(m *Mesh, own *Scratch, g *data.StructuredGrid, fieldName string, isoValue float32) (*Mesh, error) {
 	f, err := g.Field(fieldName)
 	if err != nil {
 		return nil, err
@@ -123,16 +122,13 @@ func isosurface(m *Mesh, own *contourBuffers, g *data.StructuredGrid, fieldName 
 	return m, nil
 }
 
-// distPool holds slicePlane's per-vertex signed distances.
-var distPool mempool.SlicePool[float32]
-
-// slicePlane replaces m with the cross-section of the grid with the
-// plane through point with unit normal, colored by the named field,
-// contouring through own's buffers (see contour): the
-// signed distance to the plane is contoured at zero and each output
+// slicePlane replaces own's mesh with the cross-section of the grid with
+// the plane through point with unit normal, colored by the named field,
+// working in own's buffers (see contour): the signed distance to the
+// plane, one value per vertex, is contoured at zero and each output
 // vertex samples the field for colormapping. This is VTK's slice filter
 // reproduced with the same cell-scan cost profile.
-func slicePlane(m *Mesh, own *contourBuffers, g *data.StructuredGrid, fieldName string, point, normal vec.V3) (*Mesh, error) {
+func slicePlane(own *Scratch, g *data.StructuredGrid, fieldName string, point, normal vec.V3) (*Mesh, error) {
 	f, err := g.Field(fieldName)
 	if err != nil {
 		return nil, err
@@ -141,7 +137,8 @@ func slicePlane(m *Mesh, own *contourBuffers, g *data.StructuredGrid, fieldName 
 	if n == (vec.V3{}) {
 		return nil, fmt.Errorf("geom: slice plane normal is zero")
 	}
-	dist := distPool.Get(g.Count())
+	own.dist = resize(own.dist, g.Count())
+	dist := own.dist
 	par.For(g.NZ, 0, func(k int) {
 		idx := g.Index(0, 0, k)
 		for j := 0; j < g.NY; j++ {
@@ -151,10 +148,10 @@ func slicePlane(m *Mesh, own *contourBuffers, g *data.StructuredGrid, fieldName 
 			}
 		}
 	})
+	m := &own.mesh
 	contour(m, own, g, dist, 0, func(m *Mesh, p vec.V3) {
 		m.Scalars = append(m.Scalars, g.Sample(f, p))
 	})
-	distPool.Put(dist)
 	return m, nil
 }
 
@@ -183,7 +180,15 @@ type contourBuffers struct {
 	classes []uint64
 }
 
-// contourPool holds the buffers of workers that bring none of their own.
+// helper is the memory of a contour worker after the first: the mesh it
+// fills and the buffers it fills it through.
+type helper struct {
+	mesh Mesh
+	buf  contourBuffers
+}
+
+// contourPool holds the buffers of workers that bring none of their own:
+// those of the package-level Isosurface.
 var contourPool sync.Pool
 
 // getBuffers returns pooled contour buffers, or new ones.
@@ -245,19 +250,23 @@ var cellCases = func() (table [6][16]cellCase) {
 // calling attr once for each vertex it adds to the mesh to append that
 // vertex's scalar. Workers take contiguous runs of z-slabs,
 // each filling a mesh of its own (the first one m) through private
-// buffers (the first one own, pooled when own is nil), and the meshes
-// are concatenated onto m in slab order — so the triangle order is the
-// same for any worker count, and only vertices on a plane between two
-// workers are stored twice.
-func contour(m *Mesh, own *contourBuffers, g *data.StructuredGrid, vals []float32, iso float32, attr func(m *Mesh, p vec.V3)) {
+// buffers, and the meshes are concatenated onto m in slab order — so the
+// triangle order is the same for any worker count, and only vertices on a
+// plane between two workers are stored twice. The first worker's buffers
+// and the later workers' meshes and buffers are own's, or pooled when own
+// is nil.
+func contour(m *Mesh, own *Scratch, g *data.StructuredGrid, vals []float32, iso float32, attr func(m *Mesh, p vec.V3)) {
 	m.reset()
 	slabs := g.NZ - 1
 	if g.NX < 2 || g.NY < 2 || slabs < 1 {
 		return
 	}
-	if own == nil {
-		own = getBuffers()
-		defer contourPool.Put(own)
+	var first *contourBuffers
+	if own != nil {
+		first = &own.contour
+	} else {
+		first = getBuffers()
+		defer contourPool.Put(first)
 	}
 	workers := par.DefaultWorkers()
 	if workers > slabs {
@@ -265,14 +274,21 @@ func contour(m *Mesh, own *contourBuffers, g *data.StructuredGrid, vals []float3
 	}
 	if workers == 1 {
 		// Calling par.For would heap-allocate its closure for nothing.
-		contourSlabs(m, own, g, vals, iso, attr, 0, slabs)
+		contourSlabs(m, first, g, vals, iso, attr, 0, slabs)
 		return
+	}
+	if own != nil && len(own.helpers) < workers-1 {
+		own.helpers = append(own.helpers, make([]helper, workers-1-len(own.helpers))...)
 	}
 	parts := make([]*Mesh, workers)
 	parts[0] = m
 	par.For(workers, workers, func(w int) {
-		b := own
-		if w > 0 {
+		b := first
+		switch {
+		case w > 0 && own != nil:
+			parts[w], b = &own.helpers[w-1].mesh, &own.helpers[w-1].buf
+			parts[w].reset()
+		case w > 0:
 			parts[w], b = getMesh(), getBuffers()
 			defer contourPool.Put(b)
 		}
@@ -280,7 +296,9 @@ func contour(m *Mesh, own *contourBuffers, g *data.StructuredGrid, vals []float3
 	})
 	for _, p := range parts[1:] {
 		m.Append(p)
-		PutMesh(p)
+		if own == nil {
+			PutMesh(p)
+		}
 	}
 }
 

@@ -66,48 +66,54 @@ func (m *Mesh) reset() {
 	m.grid, m.field = nil, nil
 }
 
-// Scratch is the memory one extract-and-draw renderer keeps from call to
-// call: the mesh its extraction fills, the edge cache and vertex classes
-// its contourer works in, and the screen vertices, keep and shaded flags
-// and triangle list DrawMesh hands the rasterizer. Its
-// slices only grow, so a renderer that owns one allocates only for a
-// surface larger than every one it drew before. The package-level
-// functions draw on pooled memory instead, which the collector may empty
-// and which every renderer in the process shares, so what they allocate
-// depends on when the collector ran and how renderers on other
-// goroutines interleaved. The zero value is ready to use; a Scratch is
-// not safe for concurrent use.
+// Scratch is the memory one renderer keeps from call to call: the mesh
+// its extraction fills, the edge cache and vertex classes its contourer
+// works in (with a mesh and buffers of their own for the contour workers
+// after the first), a slice's plane distances, the screen vertices, keep
+// and shaded flags and triangle list DrawMesh hands the rasterizer and
+// the bins it draws them through on more than one worker. Its slices only
+// grow, so a renderer that owns one allocates only for a surface larger
+// than every one it drew before. The
+// package-level Isosurface and DrawMesh draw on pooled memory instead,
+// which the collector may empty and which every renderer in the process
+// shares, so what they allocate depends on when the collector ran and how
+// renderers on other goroutines interleaved. The zero value is ready to
+// use; a Scratch is not safe for concurrent use.
 type Scratch struct {
 	mesh         Mesh
 	contour      contourBuffers
+	helpers      []helper
+	dist         []float32
 	verts        []raster.Vertex
 	keep, shaded []bool
 	tris         [][3]int32
+	bins         raster.Bins
 }
 
 // Isosurface is the package's Isosurface into s's mesh, which stays valid
 // until s extracts again. Like any isosurface mesh, it reads g when drawn.
 func (s *Scratch) Isosurface(g *data.StructuredGrid, fieldName string, isoValue float32) (*Mesh, error) {
-	return isosurface(&s.mesh, &s.contour, g, fieldName, isoValue)
+	return isosurface(&s.mesh, s, g, fieldName, isoValue)
 }
 
 // SlicePlane extracts the cross-section of g with the plane through point
 // with unit normal, colored by the named field (VTK's slice filter, see
 // slicePlane), into s's mesh, which stays valid until s extracts again.
 func (s *Scratch) SlicePlane(g *data.StructuredGrid, fieldName string, point, normal vec.V3) (*Mesh, error) {
-	return slicePlane(&s.mesh, &s.contour, g, fieldName, point, normal)
+	return slicePlane(s, g, fieldName, point, normal)
 }
 
 // DrawMesh is the package's DrawMesh on s's buffers.
 func (s *Scratch) DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
-	s.verts, s.keep, s.shaded, s.tris = drawMesh(frame, m, cam, opt, s.verts, s.keep, s.shaded, s.tris)
+	s.verts, s.keep, s.shaded, s.tris = drawMesh(frame, m, cam, opt, &s.bins, s.verts, s.keep, s.shaded, s.tris)
 }
 
 // resize returns s with length n and unspecified contents. It
 // reallocates only when n exceeds s's capacity, and then to the next
-// power of two (mempool's capacity classes), so a buffer that follows a
-// growing surface reallocates once per doubling, not at every new largest
-// surface.
+// power of two, so a buffer that follows a growing surface reallocates
+// once per doubling, not at every new largest surface as data.Fit's
+// exact length would (on blast-iso-ranks that doubled the bytes a step
+// allocates).
 func resize[T any](s []T, n int) []T {
 	if n > cap(s) {
 		s = make([]T, n, pow2(n))

@@ -7,31 +7,17 @@ import (
 	"github.com/ascr-ecx/eth/internal/camera"
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/fb"
-	"github.com/ascr-ecx/eth/internal/mempool"
 	"github.com/ascr-ecx/eth/internal/par"
 	"github.com/ascr-ecx/eth/internal/raster"
 	"github.com/ascr-ecx/eth/internal/telemetry"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
 
-// Per-render scratch pools. The sprite/impostor lists are handed to the
-// caller, who may return them with PutSprites/PutImpostors after drawing
-// (optional, per the mempool ownership convention); colors and keep masks
-// stay internal and recycle every call.
-var (
-	spritePool   mempool.SlicePool[raster.Sprite]
-	impostorPool mempool.SlicePool[raster.Impostor]
-	colorPool    mempool.SlicePool[vec.V3]
-	keepPool     mempool.SlicePool[bool]
-)
-
-// PutSprites returns a slice obtained from MapPoints to the pool. The
-// slice must not be used afterwards.
-func PutSprites(s []raster.Sprite) { spritePool.Put(s) }
-
-// PutImpostors returns a slice obtained from MapSplats to the pool. The
-// slice must not be used afterwards.
-func PutImpostors(s []raster.Impostor) { impostorPool.Put(s) }
+// PutSprites hands back a slice obtained from MapPoints, which must not
+// be used afterwards. MapPoints allocates afresh, so there is nothing to
+// recycle: the slice is ordinary garbage, and PutSprites only marks where
+// its use ends.
+func PutSprites([]raster.Sprite) {}
 
 // Mapper telemetry counters (TACC-Stats analog).
 var (
@@ -58,14 +44,35 @@ type PointsOptions struct {
 // screen-space sprites for the VTK-points technique: each particle
 // becomes a fixed-size, fixed-color block (§IV-C). Particles behind the
 // camera are dropped. The mapper is O(N) in the particle count —
-// extraction cost the experiments measure.
+// extraction cost the experiments measure. Every call allocates its
+// sprites and scratch; a renderer owns a ParticleScratch instead.
 func MapPoints(p *data.PointCloud, cam *camera.Camera, w, h int, opt PointsOptions) ([]raster.Sprite, error) {
-	colors, err := particleColors(p, opt.ColorField, opt.ScalarLo, opt.ScalarHi)
+	return new(ParticleScratch).MapPoints(p, cam, w, h, opt)
+}
+
+// ParticleScratch is the memory a particle renderer keeps from call to
+// call: the sprites or impostors a mapper fills, their colour table and
+// keep mask. Each is sized by the cloud's count and refilled in place (see
+// data.Fit), so a renderer that owns one allocates only for a cloud larger
+// than every one it mapped before. The zero value is ready to use; a
+// ParticleScratch is not safe for concurrent use.
+type ParticleScratch struct {
+	sprites   []raster.Sprite
+	impostors []raster.Impostor
+	colors    []vec.V3
+	keep      []bool
+}
+
+// MapPoints is the package's MapPoints into s's sprites, which stay valid
+// until s maps again.
+func (s *ParticleScratch) MapPoints(p *data.PointCloud, cam *camera.Camera, w, h int, opt PointsOptions) ([]raster.Sprite, error) {
+	colors, err := s.particleColors(p, opt.ColorField, opt.ScalarLo, opt.ScalarHi)
 	if err != nil {
 		return nil, err
 	}
-	sprites := spritePool.Get(p.Count())
-	keep := keepPool.Get(p.Count())
+	s.sprites = data.Fit(s.sprites, p.Count())
+	s.keep = data.Fit(s.keep, p.Count())
+	sprites, keep := s.sprites, s.keep
 	proj := cam.NewProjector(w, h)
 	par.ForGrained(p.Count(), 0, 0, func(from, to int) {
 		for i := from; i < to; i++ {
@@ -78,16 +85,13 @@ func MapPoints(p *data.PointCloud, cam *camera.Camera, w, h int, opt PointsOptio
 			}
 		}
 	})
-	// Compact in place: out aliases sprites' backing array, so ownership of
-	// the pooled slice transfers to the caller through the return.
+	// Compact in place: out aliases sprites' backing array.
 	out := sprites[:0]
 	for i, k := range keep {
 		if k {
 			out = append(out, sprites[i])
 		}
 	}
-	keepPool.Put(keep)
-	colorPool.Put(colors)
 	ctrSprites.Add(int64(len(out)))
 	return out, nil
 }
@@ -106,9 +110,16 @@ type SplatOptions struct {
 // MapSplats converts particles to shaded sphere impostors — the Gaussian
 // splatter: one screen-facing primitive per particle whose per-pixel
 // shading models a sphere (§IV-C). Projected radius honors perspective,
-// so nearer particles draw larger.
+// so nearer particles draw larger. Every call allocates its impostors and
+// scratch; a renderer owns a ParticleScratch instead.
 func MapSplats(p *data.PointCloud, cam *camera.Camera, w, h int, opt SplatOptions) ([]raster.Impostor, error) {
-	colors, err := particleColors(p, opt.ColorField, opt.ScalarLo, opt.ScalarHi)
+	return new(ParticleScratch).MapSplats(p, cam, w, h, opt)
+}
+
+// MapSplats is the package's MapSplats into s's impostors, which stay
+// valid until s maps again.
+func (s *ParticleScratch) MapSplats(p *data.PointCloud, cam *camera.Camera, w, h int, opt SplatOptions) ([]raster.Impostor, error) {
+	colors, err := s.particleColors(p, opt.ColorField, opt.ScalarLo, opt.ScalarHi)
 	if err != nil {
 		return nil, err
 	}
@@ -120,8 +131,9 @@ func MapSplats(p *data.PointCloud, cam *camera.Camera, w, h int, opt SplatOption
 	// r/d * (h/2) / tan(fovy/2) pixels vertically.
 	pixPerUnit := float64(h) / 2 / math.Tan(cam.FovY/2)
 
-	imps := impostorPool.Get(p.Count())
-	keep := keepPool.Get(p.Count())
+	s.impostors = data.Fit(s.impostors, p.Count())
+	s.keep = data.Fit(s.keep, p.Count())
+	imps, keep := s.impostors, s.keep
 	proj := cam.NewProjector(w, h)
 	par.ForGrained(p.Count(), 0, 0, func(from, to int) {
 		for i := from; i < to; i++ {
@@ -144,8 +156,6 @@ func MapSplats(p *data.PointCloud, cam *camera.Camera, w, h int, opt SplatOption
 			out = append(out, imps[i])
 		}
 	}
-	keepPool.Put(keep)
-	colorPool.Put(colors)
 	ctrImpostors.Add(int64(len(out)))
 	return out, nil
 }
@@ -164,23 +174,24 @@ func DefaultSplatRadius(p *data.PointCloud) float64 {
 	return 0.5 * math.Cbrt(vol/float64(p.Count()))
 }
 
-// particleColors maps the named field through Viridis, normalizing
-// by [lo, hi] (or the field's min/max when lo == hi). A missing name
-// yields constant white.
-func particleColors(p *data.PointCloud, fieldName string, lo, hi float32) ([]vec.V3, error) {
-	colors := colorPool.Get(p.Count())
+// particleColors maps the named field through Viridis into s's colour
+// table, normalizing by [lo, hi] (or the field's min/max when lo == hi).
+// An empty name yields constant white.
+func (s *ParticleScratch) particleColors(p *data.PointCloud, fieldName string, lo, hi float32) ([]vec.V3, error) {
 	if fieldName == "" {
+		s.colors = data.Fit(s.colors, p.Count())
 		white := vec.New(1, 1, 1)
-		for i := range colors {
-			colors[i] = white
+		for i := range s.colors {
+			s.colors[i] = white
 		}
-		return colors, nil
+		return s.colors, nil
 	}
 	f, err := p.Field(fieldName)
 	if err != nil {
-		colorPool.Put(colors)
 		return nil, fmt.Errorf("geom: color field: %w", err)
 	}
+	s.colors = data.Fit(s.colors, p.Count())
+	colors := s.colors
 	if lo >= hi {
 		lo, hi = f.MinMax()
 	}

@@ -229,7 +229,7 @@ triangles:
 		verts = append(verts, out[:]...)
 		tris = append(tris, [3]int32{base, base + 1, base + 2})
 	}
-	raster.DrawTriangles(frame, verts, tris, 0)
+	new(raster.Bins).DrawTriangles(frame, verts, tris, 0)
 }
 
 // diffCase is one grid of the differential tests with the isovalue and

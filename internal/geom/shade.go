@@ -71,7 +71,7 @@ func DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
 // front, in parallel, with its projection. A pixel reads only colours of
 // shaded vertices, and shading is the same arithmetic on either schedule,
 // so the frame is the same bits.
-func drawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions, verts []raster.Vertex, keep, shaded []bool, tris [][3]int32) ([]raster.Vertex, []bool, []bool, [][3]int32) {
+func drawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions, bins *raster.Bins, verts []raster.Vertex, keep, shaded []bool, tris [][3]int32) ([]raster.Vertex, []bool, []bool, [][3]int32) {
 	if m.TriangleCount() == 0 {
 		return verts, keep, shaded, tris
 	}
@@ -128,7 +128,7 @@ func drawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions, ve
 		if smooth {
 			ctrShaded.Add(int64(len(m.Verts)))
 		}
-		raster.DrawTriangles(frame, verts, tris[:n], 0)
+		bins.DrawTriangles(frame, verts, tris[:n], 0)
 		return verts, keep, shaded, tris
 	}
 	count := 0

@@ -8,16 +8,14 @@ package hub
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/ascr-ecx/eth/internal/fb"
-	"github.com/ascr-ecx/eth/internal/mempool"
-	"github.com/ascr-ecx/eth/internal/raceflag"
 	"github.com/ascr-ecx/eth/internal/transport"
 )
 
@@ -402,84 +400,140 @@ func TestHubKeyframesOnExceptionPaths(t *testing.T) {
 	})
 }
 
-// TestHubHoldsOnlyHistoryReleases is the lifetime gate: with nobody
-// subscribed, and again after every subscriber has left, the hub holds
-// History plain buffers and nothing else — each with the ring's single
-// reference, so no fanout, encoding or chain of predecessors hangs off
-// it — and publishing recycles the buffer it evicts. Close hands every
-// buffer back: the pool returns the very same arrays.
+// TestHubHoldsOnlyHistoryReleases is the ownership gate on the hub's
+// slots. With nobody subscribed the hub holds its History frames plus the
+// one in hand, each retained frame with the ring's single reference (no
+// fanout, encoding or chain of predecessors hangs off it), and a warm
+// publish allocates nothing. With a slow subscriber and a live one the
+// hub never holds more than History + Queue·subscribers + 2 slots, and the
+// slow one still receives every frame it is sent byte for byte, though
+// the ring evicted it while it waited: a slot is reused only once nothing
+// holds it. After both leave, every slot is back, the hub keeps no more
+// than History + 2 of them and no fanout or encoder, and publishing reuses
+// its slots without allocating.
 func TestHubHoldsOnlyHistoryReleases(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("race-instrumented sync.Pool drops Put items at random; identity asserted in the non-race pass")
-	}
-	// One P and no collection, so sync.Pool is an exact LIFO; a frame
-	// size whose 128 KiB payload class no other hub test touches.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const history, w, hh = 4, 100, 80
-	h, _ := startHub(t, Config{Queue: 8, History: history, Codec: transport.CodecDeltaFlate})
+	const history, queue, w, hh = 2, 8, 256, 128
+	h, _ := startHub(t, Config{Queue: queue, History: history, Codec: transport.CodecRaw})
+	defer h.Close()
 
-	seen := map[*byte]bool{} // every payload array the ring ever held
+	var frames [5]*fb.Frame
+	want := make([]uint32, len(frames))
+	for i := range frames {
+		frames[i] = testFrame(i, w, hh)
+		want[i] = FrameSig(frames[i])
+	}
 	step := 0
-	publishIdle := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			h.PublishFrame(step, testFrame(step, w, hh))
-			step++
-			h.mu.Lock()
-			for j := 0; j < h.hcount; j++ {
-				f := h.history[(h.hhead+j)%len(h.history)]
-				seen[&f.payload[0]] = true
-				if refs := f.refs.Load(); refs != 1 {
-					t.Errorf("step %d: retained frame %d has %d references, want the ring's 1", step-1, f.step, refs)
-				}
-			}
-			if h.hcount > history {
-				t.Errorf("history holds %d frames, want at most %d", h.hcount, history)
-			}
-			h.mu.Unlock()
-		}
-	}
-	publishIdle(3 * history)
-	if len(seen) > history+1 {
-		t.Errorf("%d publishes with no subscriber drew %d payload buffers, want the %d retained plus the one in hand",
-			3*history, len(seen), history)
-	}
-
-	// Two subscribers come, read live frames and leave.
-	var conns []*transport.Conn
-	for i := 0; i < 2; i++ {
-		conns = append(conns, dialSub(t, h.Addr(), "s", -1))
-	}
-	waitFor(t, "subscribers", func() bool { return h.Subscribers() == 2 })
-	for i := 0; i < 3; i++ {
-		h.PublishFrame(step, testFrame(step, w, hh))
-		for _, c := range conns {
-			if typ, _, got, err := c.Recv(); err != nil || typ != transport.MsgDataset || got != int64(step) {
-				t.Fatalf("live step %d: typ %v step %d err %v", step, typ, got, err)
-			}
-		}
+	publish := func() {
+		h.PublishFrame(step, frames[step%len(frames)])
 		step++
 	}
-	for _, c := range conns {
-		c.Close()
+	slots := func() int {
+		h.frames.mu.Lock()
+		defer h.frames.mu.Unlock()
+		return h.frames.held
 	}
-	waitFor(t, "subscribers to leave", func() bool { return h.Subscribers() == 0 && h.Backlog() == 0 })
-	before := len(seen)
-	publishIdle(3 * history)
-	// The subscribers' fanouts may have kept a few evicted frames alive a
-	// little longer; once they are gone the same bound holds again.
-	if grew := len(seen) - before; grew > 3 {
-		t.Errorf("publishing after the subscribers left drew %d new payload buffers", grew)
+	idle := func(what string) {
+		t.Helper()
+		// Every slot is in the ring or on the free list: none is held by
+		// a fanout a departed subscriber left behind.
+		waitFor(t, what+": slots back", func() bool {
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			h.frames.mu.Lock()
+			defer h.frames.mu.Unlock()
+			return h.frames.held == h.hcount+len(h.frames.items)
+		})
+		before := slots()
+		for i := 0; i < 3*history; i++ {
+			publish()
+		}
+		if allocs := testing.AllocsPerRun(20, publish); allocs != 0 {
+			t.Errorf("%s: a warm publish allocates %.1f times, want 0", what, allocs)
+		}
+		h.mu.Lock()
+		for j := 0; j < h.hcount; j++ {
+			f := h.history[(h.hhead+j)%len(h.history)]
+			if refs := f.refs.Load(); refs != 1 {
+				t.Errorf("%s: retained frame %d has %d references, want the ring's 1", what, f.step, refs)
+			}
+		}
+		h.mu.Unlock()
+		if got := slots(); got > max(before, history+1) {
+			t.Errorf("%s: publishing drew %d slots, had %d, want at most the %d retained plus the one in hand",
+				what, got, before, history)
+		}
 	}
+	idle("before any subscriber")
 
-	h.Close()
-	size := len(testFrame(0, w, hh).Color)*16 + 64
-	for draws := 4 * len(seen); draws > 0 && len(seen) > 0; draws-- {
-		b := mempool.Bytes(size)
-		delete(seen, &b[0])
+	// A slow subscriber lets the ring evict what its queue still holds:
+	// it reads nothing until the last publish, and a frame is larger than
+	// an idle socket's buffers, so its sender soon blocks with frames
+	// queued. A live one reads as frames come.
+	slow := dialSub(t, h.Addr(), "slow", -1)
+	defer slow.Close()
+	live := dialSub(t, h.Addr(), "live", -1)
+	defer live.Close()
+	for _, c := range []*transport.Conn{slow, live} {
+		c.SetTimeouts(10*time.Second, 0) // a lost step fails, never hangs
 	}
-	if len(seen) != 0 {
-		t.Errorf("%d payload buffers never came back to the pool after Close", len(seen))
+	waitFor(t, "subscribers", func() bool { return h.Subscribers() == 2 })
+	first, last := step, step+5*queue-1
+	// read receives until the last step: steps in publish order, each
+	// once, every frame byte-identical to what was published at its step.
+	// A slot reused under a queued frame would deliver a later step's
+	// bytes in its place, and that step again.
+	read := func(c *transport.Conn) error {
+		prev := int64(first - 1)
+		for {
+			typ, ds, got, err := c.Recv()
+			if err != nil || typ != transport.MsgDataset {
+				return fmt.Errorf("typ %v err %v before step %d", typ, err, last)
+			}
+			fr, err := GridFrame(ds, nil)
+			if err != nil {
+				return err
+			}
+			if got <= prev || got > int64(last) {
+				return fmt.Errorf("step %d arrived after step %d", got, prev)
+			}
+			if FrameSig(fr) != want[got%int64(len(frames))] {
+				return fmt.Errorf("step %d arrived with the wrong bytes", got)
+			}
+			prev = got
+			if got == int64(last) {
+				return nil
+			}
+		}
 	}
+	liveErr := make(chan error, 1)
+	go func() { liveErr <- read(live) }()
+	bound := history + queue*2 + 2
+	for step <= last {
+		publish()
+		if got := slots(); got > bound {
+			t.Fatalf("step %d: the hub holds %d slots, want at most History + Queue·2 + 2 = %d", step-1, got, bound)
+		}
+	}
+	if err := read(slow); err != nil {
+		t.Errorf("slow subscriber: %v", err)
+	}
+	if err := <-liveErr; err != nil {
+		t.Errorf("live subscriber: %v", err)
+	}
+	slow.Close()
+	live.Close()
+	waitFor(t, "subscribers to leave", func() bool { return h.Subscribers() == 0 && h.Backlog() == 0 })
+	idle("after the subscribers left")
+	if got := slots(); got > history+2 {
+		t.Errorf("after the subscribers left the hub keeps %d slots, want at most History + 2 = %d", got, history+2)
+	}
+	// A departed sender may still be putting back its last fanout or
+	// encoder; each goes to the collector.
+	waitFor(t, "fanouts and encoders let go", func() bool {
+		h.fanouts.mu.Lock()
+		defer h.fanouts.mu.Unlock()
+		h.encoders.mu.Lock()
+		defer h.encoders.mu.Unlock()
+		return h.fanouts.held == 0 && h.encoders.held == 0
+	})
 }

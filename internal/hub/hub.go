@@ -39,7 +39,6 @@ import (
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/fb"
 	"github.com/ascr-ecx/eth/internal/journal"
-	"github.com/ascr-ecx/eth/internal/mempool"
 	"github.com/ascr-ecx/eth/internal/telemetry"
 	"github.com/ascr-ecx/eth/internal/transport"
 	"github.com/ascr-ecx/eth/internal/vtkio"
@@ -91,11 +90,15 @@ type Config struct {
 	Journal *journal.Writer
 }
 
-// frame is one published frame: a pooled plain vtkio payload shared by
-// the history ring and the fanouts that carry it, via refcount. The final
-// release returns the buffer to the mempool — dropping a reference on
-// the floor is a leak, never a double free.
+// frame is one published frame, a slot of its hub: a plain vtkio payload
+// shared by the history ring and the fanouts that carry it, via refcount.
+// The final release puts the slot, payload included, on its hub's free
+// list, and a later publish refills it — dropping a reference on the floor
+// keeps a slot out of use, never frees one twice. A payload is allocated
+// at the encoded grid's exact length and reallocated, at exact length,
+// only when a larger grid arrives.
 type frame struct {
+	hub  *Hub
 	step int64
 	// seq numbers frames in publish order. Steps may repeat (a restarted
 	// proxy republishes from its checkpoint), so seq, not step, says
@@ -105,15 +108,11 @@ type frame struct {
 	refs    atomic.Int32
 }
 
-var framePool = sync.Pool{New: func() any { return new(frame) }}
-
 func (f *frame) retain() { f.refs.Add(1) }
 
 func (f *frame) release() {
 	if f.refs.Add(-1) == 0 {
-		mempool.PutBytes(f.payload)
-		f.payload = nil
-		framePool.Put(f)
+		f.hub.frames.put(f)
 	}
 }
 
@@ -124,30 +123,49 @@ func (f *frame) release() {
 // encoding is freed with the last queue's reference, so it never outlives
 // the senders that still have the frame queued, and since prev is a
 // frame, not a fanout, no chain of predecessors is ever pinned. The
-// history ring holds frames only; a late joiner gets fresh fanouts.
+// history ring holds frames only; a late joiner gets fresh fanouts. Like
+// frames, fanouts are the hub's: the last release puts one, with its
+// encoding buffers, on the hub's free list.
 type fanout struct {
+	hub       *Hub
 	cur, prev *frame
 	refs      atomic.Int32
 
 	// mu guards the lazily built encodings; a sender holds it across the
 	// encode so a second sender waits for the bytes instead of redoing
-	// them. PublishFrame never takes it. An encoding is a right-sized
-	// mempool buffer; nil means not built (or not needed: raw is the
-	// plain payload itself). choice, once chosen, is the codec for a
-	// subscriber that holds prev: the hub codec, or its keyframe when
-	// transport.Choose found that smaller.
+	// them. PublishFrame never takes it. choice, once chosen, is the codec
+	// for a subscriber that holds prev: the hub codec, or its keyframe
+	// when transport.Choose found that smaller.
 	mu         sync.Mutex
-	delta, key []byte
+	delta, key encoding
 	choice     transport.CodecID
 	chosen     bool
 }
 
-var fanoutPool = sync.Pool{New: func() any { return new(fanout) }}
+// fit returns b with length n, reallocated at exactly n only when its
+// capacity is short, so a payload or encoding never sits in a larger
+// size class. Its contents are unspecified.
+func fit(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
+}
+
+// encoding is one wire encoding of a fanout's frame: buf holds exactly
+// its bytes once built is set (raw needs none: it is the plain payload
+// itself). buf outlives the fanout's use and is reallocated, at exact
+// length, only for a longer encoding.
+type encoding struct {
+	buf   []byte
+	built bool
+}
 
 // newFanout wraps cur for the queues; the caller owns the one reference
 // it starts with.
-func newFanout(cur, prev *frame) *fanout {
-	fo := fanoutPool.Get().(*fanout)
+func (h *Hub) newFanout(cur, prev *frame) *fanout {
+	fo := h.fanouts.get()
+	fo.hub = h
 	cur.retain()
 	if prev != nil {
 		prev.retain()
@@ -164,24 +182,70 @@ func (fo *fanout) release() {
 		return
 	}
 	// Last reference: no sender can be inside encoded any more.
-	for _, enc := range [2]*[]byte{&fo.delta, &fo.key} {
-		if *enc != nil {
-			mempool.PutBytes(*enc)
-			*enc = nil
-		}
-	}
 	fo.cur.release()
 	if fo.prev != nil {
 		fo.prev.release()
 	}
 	fo.cur, fo.prev, fo.chosen = nil, nil, false
-	fanoutPool.Put(fo)
+	fo.delta.built, fo.key.built = false, false
+	fo.hub.fanouts.put(fo)
+}
+
+// freeList is a stack of idle values a hub owns, guarded by its own leaf
+// lock: a release puts a value back under the hub's mu or a subscriber's
+// mu, so nothing else is locked while mu is held. held counts the values
+// it allocated and has not let go; past limit, put lets a value go to the
+// collector instead of keeping it, so the memory a burst of slow viewers
+// needed is not pinned after they leave.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+	held  int
+	limit int
+}
+
+// get pops an idle value, or allocates a zero one.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.items)
+	if n == 0 {
+		l.held++
+		return new(T)
+	}
+	v := l.items[n-1]
+	l.items[n-1] = nil
+	l.items = l.items[:n-1]
+	return v
+}
+
+func (l *freeList[T]) put(v *T) {
+	l.mu.Lock()
+	if l.held > l.limit {
+		l.held--
+	} else {
+		l.items = append(l.items, v)
+	}
+	l.mu.Unlock()
+}
+
+// setLimit sets how many values l may hold, letting idle ones beyond it go.
+func (l *freeList[T]) setLimit(n int) {
+	l.mu.Lock()
+	l.limit = n
+	for l.held > n && len(l.items) > 0 {
+		l.items[len(l.items)-1] = nil
+		l.items = l.items[:len(l.items)-1]
+		l.held--
+	}
+	l.mu.Unlock()
 }
 
 // encoder is the codec state one encode needs: the codec instances and
 // the scratch they encode into before the result is copied to a buffer of
-// its own size. Senders borrow one per encode, so a hub holds as many as
-// it has encodes in flight, not one per subscriber.
+// its own size. Senders borrow one per encode from the hub's free list,
+// so a hub holds as many as it ever had encodes in flight at once, not
+// one per subscriber.
 type encoder struct {
 	transport.Encoder
 	scratch []byte
@@ -315,8 +379,11 @@ type Hub struct {
 	hcount  int
 	closed  bool
 
-	// encoders holds idle *encoder values between encodes.
-	encoders sync.Pool
+	// The hub's own memory: frames (its slots) and fanouts whose last
+	// reference is gone, and encoders between encodes.
+	frames   freeList[frame]
+	fanouts  freeList[fanout]
+	encoders freeList[encoder]
 
 	// latest is the newest published step, read lock-free by sender
 	// goroutines for the lag gauge.
@@ -363,8 +430,8 @@ func New(cfg Config) (*Hub, error) {
 		subs:    make([]*subscriber, cfg.MaxSubs),
 		history: make([]*frame, cfg.History),
 	}
-	h.encoders.New = func() any { return new(encoder) }
 	h.latest.Store(-1)
+	h.subscribersChanged()
 	// The slot domain is closed and bounded by MaxSubs, so the dynamic
 	// series names below are auditable: hub.sub<slot>.{queue_depth,
 	// dropped_frames, lag_steps}.
@@ -377,6 +444,19 @@ func New(cfg Config) (*Hub, error) {
 		h.slotLag = append(h.slotLag, gauge(i, "lag_steps"))
 	}
 	return h, nil
+}
+
+// subscribersChanged sizes the free lists to what nsubs subscribers can
+// hold at once: slots for the ring, for the Queue fanouts per subscriber
+// and for the frame being published and its predecessor; those fanouts
+// and the one each sender has in hand; an encoder per sender. With nobody
+// subscribed the hub keeps History + 2 slots and no fanout or encoder.
+// The caller holds mu, or has not shared h yet.
+func (h *Hub) subscribersChanged() {
+	queued := h.cfg.Queue * h.nsubs
+	h.frames.setLimit(h.cfg.History + queued + 2)
+	h.fanouts.setLimit(queued + h.nsubs)
+	h.encoders.setLimit(h.nsubs)
 }
 
 // Addr reports the bound listen address (useful with port 0).
@@ -610,7 +690,7 @@ func (h *Hub) register(m Msg, conn *transport.Conn) (*subscriber, error) {
 		for i := 0; i < h.hcount; i++ {
 			f := h.history[(h.hhead+i)%len(h.history)]
 			if f.step >= m.From {
-				if ev := s.enqueue(newFanout(f, prev)); ev != nil {
+				if ev := s.enqueue(h.newFanout(f, prev)); ev != nil {
 					// Catch-up exceeded the queue bound; the overflow is
 					// journaled below like any live drop.
 					ctrDropped.Inc()
@@ -628,6 +708,7 @@ func (h *Hub) register(m Msg, conn *transport.Conn) (*subscriber, error) {
 	h.subs[slot] = s
 	h.nsubs++
 	gSubscribers.Set(int64(h.nsubs))
+	h.subscribersChanged()
 	h.mu.Unlock()
 	h.cfg.Journal.Emit(journal.Event{
 		Type: journal.TypeSubscribe, Rank: h.cfg.Rank, Step: int(m.From),
@@ -655,6 +736,7 @@ func (h *Hub) unsubscribe(s *subscriber, reason string) {
 			h.subs[s.slot] = nil
 			h.nsubs--
 			gSubscribers.Set(int64(h.nsubs))
+			h.subscribersChanged()
 		}
 		h.mu.Unlock()
 		h.cfg.Journal.Emit(journal.Event{
@@ -706,9 +788,9 @@ func (h *Hub) sender(s *subscriber) {
 // the same answer, and a keyframe answer is the very f.key that
 // subscribers without a reference share — and the keyframe fallback
 // otherwise. The first sender to ask builds the encoding —
-// into a borrowed encoder's scratch, then copied to a pooled buffer of
-// its own size, so what a queued frame holds is the encoding's length
-// and not the scratch's capacity — and every later sender shares it.
+// into a borrowed encoder's scratch, then copied to the fanout's own
+// buffer, so what a queued frame holds is an encoding's length and not
+// the scratch's capacity — and every later sender shares it.
 // Raw is the plain payload itself. The bytes stay valid while the
 // caller holds its reference on f.
 func (h *Hub) encoded(f *fanout, delta bool) (transport.CodecID, []byte, error) {
@@ -726,23 +808,24 @@ func (h *Hub) encoded(f *fanout, delta bool) (transport.CodecID, []byte, error) 
 			id, enc, ref = f.choice, &f.delta, f.prev.payload
 		}
 	}
-	if *enc == nil {
-		e := h.encoders.Get().(*encoder)
-		defer h.encoders.Put(e)
+	if !enc.built {
+		e := h.encoders.get()
+		defer h.encoders.put(e)
 		out, err := e.Encode(id, e.scratch[:0], f.cur.payload, ref)
 		if err != nil {
 			return id, nil, fmt.Errorf("hub: encoding step %d as %s: %w", f.cur.step, id, err)
 		}
 		e.scratch = out
-		*enc = mempool.Bytes(len(out))
-		copy(*enc, out)
+		enc.buf = fit(enc.buf, len(out))
+		copy(enc.buf, out)
+		enc.built = true
 		ctrEncoded.Inc()
 	}
-	return id, *enc, nil
+	return id, enc.buf, nil
 }
 
 // PublishFrame serializes one rendered frame and fans it out: one vtkio
-// encode into a pooled buffer, one reference for the history ring, and —
+// encode into a slot of the hub's, one reference for the history ring, and —
 // when anyone is subscribed — one fanout shared by every subscriber
 // queue. Wire encoding is left to the senders (see encoded), so the cost
 // here does not depend on the codec. It never blocks on subscriber progress —
@@ -761,13 +844,13 @@ func (h *Hub) PublishFrame(step int, fr *fb.Frame) {
 		h.cfg.Journal.Error(h.cfg.Rank, step, fmt.Errorf("hub: encoding frame: %w", err))
 		return
 	}
-	f := framePool.Get().(*frame)
+	f := h.frames.get()
+	f.hub = h
+	f.payload = fit(f.payload, len(h.enc))
 	f.step = int64(step)
 	f.seq = h.seq
 	h.seq++
-	buf := mempool.Bytes(len(h.enc))
-	copy(buf, h.enc)
-	f.payload = buf
+	copy(f.payload, h.enc)
 	f.refs.Store(1) // the history ring's reference
 
 	h.mu.Lock()
@@ -786,7 +869,7 @@ func (h *Hub) PublishFrame(step int, fr *fb.Frame) {
 		if h.hcount > 0 {
 			prev = h.history[(h.hhead+h.hcount-1)%len(h.history)]
 		}
-		fo = newFanout(f, prev)
+		fo = h.newFanout(f, prev)
 	}
 	if h.hcount == len(h.history) {
 		old := h.history[h.hhead]

@@ -1,25 +1,27 @@
-// Package mempool is ETH's buffer-reuse substrate. The paper's thesis is
-// that in-situ cost is dominated by per-step data movement and per-frame
-// rendering; for the harness itself to stay out of its own measurements
-// (SIM-SITU's faithfulness requirement) the per-step/per-frame path must
-// not churn the garbage collector. mempool provides the three reuse
-// primitives the hot layers share:
+// Package mempool is a process-wide buffer pool, kept only where no
+// owner exists yet. The paper's thesis is that in-situ cost is dominated
+// by per-step data movement and per-frame rendering; for the harness
+// itself to stay out of its own measurements (SIM-SITU's faithfulness
+// requirement) the per-step path must not churn the garbage collector.
+// The hot layers now meet that by owning their memory — the hub its
+// slots, each simulation proxy its sample, each renderer its scratch —
+// because what a pool hands back depends on when the collector last ran.
+// What is left here serves compositing's frames (the product composites
+// once per run; per-step compositing happens in bench/), hub.FrameSig's
+// chunk buffer (a signature viewers and the benchmark compute, not the
+// product path), and bench/ itself:
 //
 //   - Bytes / PutBytes: a byte-buffer pool with power-of-two capacity
-//     classes, for wire payloads and codec scratch.
-//   - SlicePool[T]: the same capacity-class scheme for typed slices
-//     (per-particle colors, primitive lists).
+//     classes.
 //   - AcquireFrameUncleared / ReleaseFrame: pooled fb.Frame instances
-//     keyed by dimensions, for compositing intermediates and per-image
-//     scratch.
+//     keyed by dimensions, for compositing intermediates.
 //
-// Ownership convention (documented once here, relied on everywhere): a
-// value obtained from a pool is owned exclusively by the caller until it
-// is Put/Released back, at which point the caller must not touch it
-// again. Returning a buffer to the pool is always optional — dropping it
-// on the floor is merely a missed reuse, never a leak or a correctness
-// bug — so APIs that hand pooled memory to their callers remain safe for
-// callers that do not know about the pool.
+// Ownership convention: a value obtained from a pool is owned exclusively
+// by the caller until it is Put/Released back, at which point the caller
+// must not touch it again. Returning a buffer to the pool is always
+// optional — dropping it on the floor is merely a missed reuse, never a
+// leak or a correctness bug — so APIs that hand pooled memory to their
+// callers remain safe for callers that do not know about the pool.
 package mempool
 
 import (
@@ -104,47 +106,6 @@ func putClassFor(capacity int) int {
 		return -1
 	}
 	return c
-}
-
-// ---- typed slices ----
-
-// SlicePool pools []T by capacity class. The zero value is ready to use;
-// a SlicePool is safe for concurrent use.
-type SlicePool[T any] struct {
-	pools   [maxClass + 1]sync.Pool
-	headers sync.Pool // empty *[]T shells, recycled between Put and Get
-}
-
-// Get returns a slice with len n and unspecified contents.
-func (sp *SlicePool[T]) Get(n int) []T {
-	c := classFor(n)
-	if c > maxClass {
-		return make([]T, n)
-	}
-	if p, _ := sp.pools[c].Get().(*[]T); p != nil {
-		s := *p
-		*p = nil
-		sp.headers.Put(p)
-		return s[:n]
-	}
-	return make([]T, n, 1<<c)
-}
-
-// Put returns s's backing array to the pool. Put is optional; s must not
-// be used after. Slices holding pointers are not zeroed on Put — the pool
-// may briefly pin what they reference until reuse overwrites it, which is
-// the deliberate trade for a zero-cost Put on the hot path.
-func (sp *SlicePool[T]) Put(s []T) {
-	c := putClassFor(cap(s))
-	if c < 0 {
-		return
-	}
-	p, _ := sp.headers.Get().(*[]T)
-	if p == nil {
-		p = new([]T)
-	}
-	*p = s[:0:cap(s)]
-	sp.pools[c].Put(p)
 }
 
 // ---- framebuffers ----

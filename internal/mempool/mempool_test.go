@@ -1,11 +1,9 @@
 package mempool
 
 import (
-	"sync"
 	"testing"
 
 	"github.com/ascr-ecx/eth/internal/raceflag"
-	"github.com/ascr-ecx/eth/internal/vec"
 )
 
 func TestClassFor(t *testing.T) {
@@ -73,40 +71,6 @@ func TestBytesOversized(t *testing.T) {
 	PutBytes(b) // must not panic; simply unpooled
 }
 
-func TestSlicePool(t *testing.T) {
-	var sp SlicePool[vec.V3]
-	s := sp.Get(100)
-	if len(s) != 100 || cap(s) != 128 {
-		t.Fatalf("len=%d cap=%d, want 100/128", len(s), cap(s))
-	}
-	s[0] = vec.New(1, 2, 3)
-	sp.Put(s)
-	s2 := sp.Get(128)
-	if len(s2) != 128 {
-		t.Fatalf("len = %d, want 128", len(s2))
-	}
-	sp.Put(s2)
-}
-
-func TestSlicePoolConcurrent(t *testing.T) {
-	var sp SlicePool[float64]
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				s := sp.Get(256)
-				for j := range s {
-					s[j] = float64(j)
-				}
-				sp.Put(s)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 func TestAcquireFrameUncleared(t *testing.T) {
 	f := AcquireFrameUncleared(16, 8)
 	if f.W != 16 || f.H != 8 || len(f.Color) != 16*8 || len(f.Depth) != 16*8 {
@@ -128,8 +92,6 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 	// Warm the pools.
 	PutBytes(Bytes(4096))
-	var sp SlicePool[int32]
-	sp.Put(sp.Get(512))
 	ReleaseFrame(AcquireFrameUncleared(32, 32))
 
 	if n := testing.AllocsPerRun(100, func() {
@@ -137,12 +99,6 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		PutBytes(b)
 	}); n != 0 {
 		t.Errorf("Bytes/PutBytes steady state: %v allocs/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		s := sp.Get(512)
-		sp.Put(s)
-	}); n != 0 {
-		t.Errorf("SlicePool steady state: %v allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		f := AcquireFrameUncleared(32, 32)

@@ -73,11 +73,12 @@ func TestHotPathAllocsWithObs(t *testing.T) {
 			)
 			tris[i] = [3]int32{int32(3 * i), int32(3*i + 1), int32(3*i + 2)}
 		}
+		var bins raster.Bins
 		redraw := func() {
 			frame.Clear(vec.V3{})
-			raster.DrawTriangles(frame, verts, tris, 1)
+			bins.DrawTriangles(frame, verts, tris, 1)
 		}
-		redraw() // warm the bin scratch pool
+		redraw()
 		if allocs := testing.AllocsPerRun(20, redraw); allocs > 0 {
 			t.Errorf("serial draw allocates %.1f/op with obs attached, want 0", allocs)
 		}

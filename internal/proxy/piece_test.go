@@ -67,8 +67,9 @@ func TestStepDataServesTheRanksPiece(t *testing.T) {
 }
 
 // TestStepDataWarmAllocs is the rank-slab gate at the proxy: once warm, a
-// step allocates only its journal detail string — nothing that grows with
-// the grid, so not the piece and not the pieces of other ranks.
+// step allocates nothing that grows with the grid, so not the piece and
+// not the pieces of other ranks (with no journal attached, nothing at
+// all; with one, its sample event's detail string).
 func TestStepDataWarmAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")

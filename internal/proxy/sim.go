@@ -135,8 +135,10 @@ type SimProxy struct {
 	codec transport.CodecID
 	src   StepSource
 	// piecer cuts this rank's piece out of each step, into the arrays of
-	// the previous step's piece.
-	piecer data.Piecer
+	// the previous step's piece, and sampler thins a cloud piece into the
+	// cloud it sampled the previous step into.
+	piecer  data.Piecer
+	sampler sampling.Sampler
 	// stop, when set, drains the serve loop at the next step boundary
 	// (graceful shutdown: the in-flight step completes and is acked).
 	stop <-chan struct{}
@@ -186,8 +188,10 @@ func (s *SimProxy) Steps() int { return s.src.Steps() }
 // interface for step i: the rank's spatial piece, spatially sampled. The
 // fetch is journaled under the generate phase, partition + sampling under
 // the sample phase. The returned dataset is valid until the next StepData
-// on this proxy, which may recycle its arrays for the next step's piece;
-// a caller that keeps a step's data longer must copy it.
+// on this proxy: the proxy owns the piece and the sample and refills them
+// in place every step, and a refilled cloud's Generation advances, so a
+// cache keyed by the cloud sees a new step. A caller that keeps a step's
+// data longer must copy it.
 func (s *SimProxy) StepData(i int) (_ data.Dataset, err error) {
 	defer containPanic(s.cfg.Journal, s.cfg.Rank, i, "sim", &err)
 	// Tight-coupling drivers call StepData directly; ServeFrom already
@@ -216,20 +220,22 @@ func (s *SimProxy) StepData(i int) (_ data.Dataset, err error) {
 			return nil, err
 		}
 	}
-	sampled, err := applySampling(ds, s.cfg.SamplingRatio, s.cfg.SamplingMethod, s.cfg.Seed)
+	sampled, err := s.sample(ds)
 	if err != nil {
 		s.cfg.Journal.Error(s.cfg.Rank, i, err)
 		return nil, err
 	}
 	sampleDur := time.Since(t1)
 	spanSimSample.Observe(sampleDur)
-	s.cfg.Journal.Emit(journal.Event{
-		Type: journal.TypeSample, Phase: journal.PhaseSample,
-		Rank: s.cfg.Rank, Step: i, DurNS: int64(sampleDur),
-		Elements: sampled.Count(),
-		Detail: fmt.Sprintf("method=%v ratio=%g kept=%d/%d",
-			s.cfg.SamplingMethod, ratioOrOne(s.cfg.SamplingRatio), sampled.Count(), before),
-	})
+	if s.cfg.Journal != nil {
+		s.cfg.Journal.Emit(journal.Event{
+			Type: journal.TypeSample, Phase: journal.PhaseSample,
+			Rank: s.cfg.Rank, Step: i, DurNS: int64(sampleDur),
+			Elements: sampled.Count(),
+			Detail: fmt.Sprintf("method=%v ratio=%g kept=%d/%d",
+				s.cfg.SamplingMethod, ratioOrOne(s.cfg.SamplingRatio), sampled.Count(), before),
+		})
+	}
 	return sampled, nil
 }
 
@@ -272,14 +278,16 @@ func ratioOrOne(r float64) float64 {
 	return r
 }
 
-// applySampling thins a dataset of either kind.
-func applySampling(ds data.Dataset, ratio float64, method sampling.Method, seed int64) (data.Dataset, error) {
+// sample thins a dataset of either kind; a cloud is sampled into the
+// proxy's own sample.
+func (s *SimProxy) sample(ds data.Dataset) (data.Dataset, error) {
+	ratio := s.cfg.SamplingRatio
 	if ratio >= 1 {
 		return ds, nil
 	}
 	switch d := ds.(type) {
 	case *data.PointCloud:
-		return sampling.Points(d, ratio, method, seed)
+		return s.sampler.Points(d, ratio, s.cfg.SamplingMethod, s.cfg.Seed)
 	case *data.StructuredGrid:
 		return sampling.Grid(d, ratio)
 	default:

@@ -42,13 +42,14 @@ func TestDrawSteadyStateAllocs(t *testing.T) {
 		imps[i] = Impostor{X: float64(i % 120), Y: float64((i * 7) % 120), Depth: 1, Radius: 2, WorldRadius: 0.1, Color: vec.New(1, 1, 1)}
 	}
 
+	var bins Bins
 	cases := []struct {
 		name string
 		draw func()
 	}{
-		{"triangles", func() { DrawTriangles(frame, verts, tris, 1) }},
+		{"triangles", func() { bins.DrawTriangles(frame, verts, tris, 1) }},
 		{"sprites", func() { DrawSprites(frame, sprites, 1) }},
-		{"impostors", func() { DrawImpostors(frame, imps, vec.New(0, 0, 1), 1) }},
+		{"impostors", func() { bins.DrawImpostors(frame, imps, vec.New(0, 0, 1), 1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

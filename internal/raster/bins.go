@@ -1,10 +1,6 @@
 package raster
 
-import (
-	"sync"
-
-	"github.com/ascr-ecx/eth/internal/par"
-)
+import "github.com/ascr-ecx/eth/internal/par"
 
 // parallelBinMin is the primitive count below which binning stays serial:
 // under it the per-goroutine fan-out costs more than the scan it splits.
@@ -44,8 +40,9 @@ func bandRows(h int, lo, hi float64) (y0, y1 int, ok bool) {
 // need no locks. At parallelBinMin primitives or more each worker bins a
 // contiguous index chunk into private per-band lists, and each band
 // drains its workers in chunk order, so the per-band draw order is the
-// input order, as a one-worker draw's is.
-func drawBinned(h, n, wk int, rows func(i int) (y0, y1 int, ok bool), draw func(i, y0, y1 int)) {
+// input order, as a one-worker draw's is. The bin lists are b's, or
+// fresh ones when b is nil.
+func drawBinned(b *Bins, h, n, wk int, rows func(i int) (y0, y1 int, ok bool), draw func(i, y0, y1 int)) {
 	const bandHeight = DefaultBandHeight
 	bands := (h + bandHeight - 1) / bandHeight
 	if bands == 0 {
@@ -55,9 +52,12 @@ func drawBinned(h, n, wk int, rows func(i int) (y0, y1 int, ok bool), draw func(
 	if n < parallelBinMin {
 		binW = 1
 	}
-	s := getBins(binW * bands)
+	if b == nil {
+		b = new(Bins)
+	}
+	b.reset(binW * bands)
 	par.For(binW, binW, func(w int) {
-		row := s.bins[w*bands : (w+1)*bands]
+		row := b.bins[w*bands : (w+1)*bands]
 		for i := w * n / binW; i < (w+1)*n/binW; i++ {
 			y0, y1, ok := rows(i)
 			if !ok {
@@ -68,47 +68,38 @@ func drawBinned(h, n, wk int, rows func(i int) (y0, y1 int, ok bool), draw func(
 			}
 		}
 	})
-	par.For(bands, wk, func(b int) {
-		y0 := b * bandHeight
+	par.For(bands, wk, func(band int) {
+		y0 := band * bandHeight
 		y1 := min(y0+bandHeight, h)
 		for w := 0; w < binW; w++ {
-			for _, i := range s.bins[w*bands+b] {
+			for _, i := range b.bins[w*bands+band] {
 				draw(int(i), y0, y1)
 			}
 		}
 	})
-	putBins(s)
 }
 
-// binScratch is the reusable per-frame binning state. bins is a flattened
-// [worker][band] table (index w*bands+b); each inner slice keeps its
-// capacity across frames, so a steady sequence of similar frames bins
-// with zero allocation. Primitives are binned by contiguous index chunk
-// per worker, and each band drains its workers in order, so the rasterize
-// order per band is identical to a single serial binning pass regardless
-// of worker count.
-type binScratch struct {
+// Bins is a drawer's binning memory, kept from frame to frame: a
+// flattened [worker][band] table of primitive indices (index w*bands+b)
+// whose lists keep their capacity, so a steady sequence of similar frames
+// bins with zero allocation. Primitives are binned by contiguous index
+// chunk per worker, and each band drains its workers in order, so the
+// rasterize order per band is identical to a single serial binning pass
+// regardless of worker count. A renderer that draws every step owns one;
+// the package-level DrawSprites bins into fresh lists instead. The zero
+// value is ready to use; a Bins is not safe for concurrent use.
+type Bins struct {
 	bins [][]int32
 }
 
-var binPool sync.Pool
-
-// getBins returns a scratch with n empty bin lists, reusing both the
-// outer table and the inner lists' capacity from previous frames.
-func getBins(n int) *binScratch {
-	s, _ := binPool.Get().(*binScratch)
-	if s == nil {
-		s = &binScratch{}
+// reset empties b to n bin lists, reusing both the outer table and the
+// inner lists' capacity from previous frames.
+func (b *Bins) reset(n int) {
+	if cap(b.bins) < n {
+		b.bins = append(b.bins[:cap(b.bins)], make([][]int32, n-cap(b.bins))...)
 	}
-	if cap(s.bins) < n {
-		s.bins = append(s.bins[:cap(s.bins)], make([][]int32, n-cap(s.bins))...)
+	b.bins = b.bins[:n]
+	for i := range b.bins {
+		b.bins[i] = b.bins[i][:0]
 	}
-	s.bins = s.bins[:n]
-	for i := range s.bins {
-		s.bins[i] = s.bins[i][:0]
-	}
-	return s
 }
-
-// putBins returns the scratch for reuse by a later frame.
-func putBins(s *binScratch) { binPool.Put(s) }

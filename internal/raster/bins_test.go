@@ -98,9 +98,9 @@ func TestParallelBinsMatchSerial(t *testing.T) {
 		name string
 		draw func(f *fb.Frame, workers int)
 	}{
-		{"triangles", func(f *fb.Frame, workers int) { DrawTriangles(f, verts, tris, workers) }},
+		{"triangles", func(f *fb.Frame, workers int) { new(Bins).DrawTriangles(f, verts, tris, workers) }},
 		{"sprites", func(f *fb.Frame, workers int) { DrawSprites(f, sprites, workers) }},
-		{"impostors", func(f *fb.Frame, workers int) { DrawImpostors(f, imps, light, workers) }},
+		{"impostors", func(f *fb.Frame, workers int) { new(Bins).DrawImpostors(f, imps, light, workers) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -85,7 +85,7 @@ func TestBlastMeshMatchesBoxReference(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 4} {
 			got := fb.New(256, 256)
-			raster.DrawTriangles(got, verts, tris, workers)
+			new(raster.Bins).DrawTriangles(got, verts, tris, workers)
 			for i := range want.Color {
 				if got.Color[i] != want.Color[i] || math.Float64bits(got.Depth[i]) != math.Float64bits(want.Depth[i]) {
 					t.Fatalf("isovalue %g, %d workers: pixel %d is %v at depth %v, want %v at %v",
@@ -136,7 +136,7 @@ func BenchmarkTriangles(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f.Clear(vec.V3{})
-				raster.DrawTriangles(f, c.verts, c.tris, c.workers)
+				new(raster.Bins).DrawTriangles(f, c.verts, c.tris, c.workers)
 			}
 		})
 	}

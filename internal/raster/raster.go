@@ -59,10 +59,10 @@ const DefaultBandHeight = 16
 // the default pool size.
 //
 // One worker draws each triangle once, in input order, over the rows of
-// every band drawBinned would bin it to; more workers bin (see
+// every band drawBinned would bin it to; more workers bin into b (see
 // drawBinned). Either way each pixel gets the same writes in the same
 // order, so the frame does not depend on the worker count.
-func DrawTriangles(f *fb.Frame, verts []Vertex, tris [][3]int32, workers int) {
+func (b *Bins) DrawTriangles(f *fb.Frame, verts []Vertex, tris [][3]int32, workers int) {
 	// rasterizeTriangle indexes the frame directly; a frame with no
 	// columns has no pixel for its clamped bounds to land on.
 	if len(tris) == 0 || f.W == 0 {
@@ -73,7 +73,7 @@ func DrawTriangles(f *fb.Frame, verts []Vertex, tris [][3]int32, workers int) {
 		drawSerial(f, verts, tris, nil)
 		return
 	}
-	drawBinned(f.H, len(tris), wk,
+	drawBinned(b, f.H, len(tris), wk,
 		func(i int) (y0, y1 int, ok bool) {
 			t := &tris[i]
 			return triRows(f.H, &verts[t[0]], &verts[t[1]], &verts[t[2]])
@@ -251,6 +251,15 @@ func edge(ax, ay, bx, by, cx, cy float64) float64 {
 // (usually 1-3 pixels on a side, §IV-C). Like DrawTriangles, one worker
 // draws each sprite once in input order, and more workers bin.
 func DrawSprites(f *fb.Frame, sprites []Sprite, workers int) {
+	drawSprites(nil, f, sprites, workers)
+}
+
+// DrawSprites is the package's DrawSprites binning into b.
+func (b *Bins) DrawSprites(f *fb.Frame, sprites []Sprite, workers int) {
+	drawSprites(b, f, sprites, workers)
+}
+
+func drawSprites(b *Bins, f *fb.Frame, sprites []Sprite, workers int) {
 	if len(sprites) == 0 {
 		return
 	}
@@ -264,7 +273,7 @@ func DrawSprites(f *fb.Frame, sprites []Sprite, workers int) {
 		}
 		return
 	}
-	drawBinned(f.H, len(sprites), wk,
+	drawBinned(b, f.H, len(sprites), wk,
 		func(i int) (y0, y1 int, ok bool) { return spriteRows(f.H, &sprites[i]) },
 		func(i, y0, y1 int) { drawSprite(f, &sprites[i], y0, y1) })
 }
@@ -299,7 +308,7 @@ func drawSprite(f *fb.Frame, sp *Sprite, y0, y1 int) {
 // sphere" (§IV-C). light is the direction toward the light in camera
 // space (+Z toward the viewer). Like DrawTriangles, one worker draws each
 // impostor once in input order, and more workers bin.
-func DrawImpostors(f *fb.Frame, imps []Impostor, light vec.V3, workers int) {
+func (b *Bins) DrawImpostors(f *fb.Frame, imps []Impostor, light vec.V3, workers int) {
 	if len(imps) == 0 {
 		return
 	}
@@ -314,7 +323,7 @@ func DrawImpostors(f *fb.Frame, imps []Impostor, light vec.V3, workers int) {
 		}
 		return
 	}
-	drawBinned(f.H, len(imps), wk,
+	drawBinned(b, f.H, len(imps), wk,
 		func(i int) (y0, y1 int, ok bool) { return impostorRows(f.H, &imps[i]) },
 		func(i, y0, y1 int) { drawImpostor(f, &imps[i], l, y0, y1) })
 }

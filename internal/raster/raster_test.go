@@ -27,7 +27,7 @@ func soup(tris ...[3]Vertex) ([]Vertex, [][3]int32) {
 // drawSoup draws triangles given corner by corner.
 func drawSoup(f *fb.Frame, workers int, tris ...[3]Vertex) {
 	verts, idx := soup(tris...)
-	DrawTriangles(f, verts, idx, workers)
+	new(Bins).DrawTriangles(f, verts, idx, workers)
 }
 
 func fullscreenTriangle(depth float64, c vec.V3) [3]Vertex {
@@ -246,7 +246,7 @@ func TestSpriteFrameEdges(t *testing.T) {
 func TestImpostorShading(t *testing.T) {
 	f := fb.New(64, 64)
 	white := vec.New(1, 1, 1)
-	DrawImpostors(f, []Impostor{
+	new(Bins).DrawImpostors(f, []Impostor{
 		{X: 32, Y: 32, Depth: 10, Radius: 20, WorldRadius: 1, Color: white},
 	}, vec.New(0, 0, 1), 1)
 	// Center faces the light directly: brightest.
@@ -271,7 +271,7 @@ func TestImpostorOcclusion(t *testing.T) {
 	f := fb.New(64, 64)
 	red := vec.New(1, 0, 0)
 	blue := vec.New(0, 0, 1)
-	DrawImpostors(f, []Impostor{
+	new(Bins).DrawImpostors(f, []Impostor{
 		{X: 32, Y: 32, Depth: 10, Radius: 10, WorldRadius: 0.5, Color: red},
 		{X: 32, Y: 32, Depth: 5, Radius: 10, WorldRadius: 0.5, Color: blue},
 	}, vec.New(0, 0, 1), 1)
@@ -284,9 +284,9 @@ func TestImpostorOcclusion(t *testing.T) {
 
 func TestEmptyInputsNoop(t *testing.T) {
 	f := fb.New(8, 8)
-	DrawTriangles(f, nil, nil, 0)
+	new(Bins).DrawTriangles(f, nil, nil, 0)
 	DrawSprites(f, nil, 0)
-	DrawImpostors(f, nil, vec.New(0, 0, 1), 0)
+	new(Bins).DrawImpostors(f, nil, vec.New(0, 0, 1), 0)
 	if f.CoveredPixels() != 0 {
 		t.Error("empty draws covered pixels")
 	}

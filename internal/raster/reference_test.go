@@ -37,17 +37,17 @@ func refDrawTriangles(f *fb.Frame, tris []refTriangle, workers int) {
 	if len(tris) < parallelBinMin {
 		binW = 1
 	}
-	s := getBins(binW * bands)
+	s := new(Bins)
+	s.reset(binW * bands)
 	par.For(binW, binW, func(w int) {
 		refBinTriChunk(f, tris, s, binW, bands, w)
 	})
 	par.For(bands, wk, func(b int) {
 		refRasterizeBand(f, tris, s, binW, bands, b)
 	})
-	putBins(s)
 }
 
-func refBinTriChunk(f *fb.Frame, tris []refTriangle, s *binScratch, binW, bands, w int) {
+func refBinTriChunk(f *fb.Frame, tris []refTriangle, s *Bins, binW, bands, w int) {
 	const bandHeight = DefaultBandHeight
 	lo := w * len(tris) / binW
 	hi := (w + 1) * len(tris) / binW
@@ -67,7 +67,7 @@ func refBinTriChunk(f *fb.Frame, tris []refTriangle, s *binScratch, binW, bands,
 	}
 }
 
-func refRasterizeBand(f *fb.Frame, tris []refTriangle, s *binScratch, binW, bands, b int) {
+func refRasterizeBand(f *fb.Frame, tris []refTriangle, s *Bins, binW, bands, b int) {
 	const bandHeight = DefaultBandHeight
 	y0 := b * bandHeight
 	y1 := min(y0+bandHeight, f.H)
@@ -332,7 +332,7 @@ func TestTrianglesMatchReference(t *testing.T) {
 				want, got := fb.New(refW, refH), fb.New(refW, refH)
 				for pass := 0; pass < 2; pass++ {
 					refDrawTriangles(want, soup, workers)
-					DrawTriangles(got, verts, tris, workers)
+					new(Bins).DrawTriangles(got, verts, tris, workers)
 				}
 				if covered := want.CoveredPixels(); covered < refW*refH/2 {
 					t.Fatalf("the reference covered %d of %d pixels: the test draws too little to compare", covered, refW*refH)
@@ -343,7 +343,7 @@ func TestTrianglesMatchReference(t *testing.T) {
 	}
 	// A frame with no columns has no pixel to index: nothing is drawn.
 	verts, tris := refTriangles(5, 50)
-	DrawTriangles(&fb.Frame{H: 32}, verts, tris, 1)
+	new(Bins).DrawTriangles(&fb.Frame{H: 32}, verts, tris, 1)
 }
 
 // sliverTriangles returns n triangles built to sit where a pixel-centre
@@ -479,7 +479,7 @@ func TestTrianglesMatchBoxReference(t *testing.T) {
 				want, got := fb.New(refW, refH), fb.New(refW, refH)
 				for pass := 0; pass < 2; pass++ {
 					refBoxDrawTriangles(want, c.verts, c.tris)
-					DrawTriangles(got, c.verts, c.tris, workers)
+					new(Bins).DrawTriangles(got, c.verts, c.tris, workers)
 				}
 				requireFramesEqual(t, "pixel-centre box vs loose box", got, want)
 			})
@@ -580,7 +580,7 @@ func FuzzTrianglesMatchReference(f *testing.F) {
 		refBoxDrawTriangles(want, verts, tris)
 		for _, workers := range []int{1, 2} {
 			got := fb.New(fuzzW, fuzzH)
-			DrawTriangles(got, verts, tris, workers)
+			new(Bins).DrawTriangles(got, verts, tris, workers)
 			requireFramesEqual(t, fmt.Sprintf("%d workers", workers), got, want)
 		}
 	})

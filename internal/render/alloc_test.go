@@ -46,11 +46,12 @@ func TestVtkRenderWarmAllocs(t *testing.T) {
 
 // TestVtkRenderWarmAllocsAfterCollections holds a warm geometry
 // renderer to its own memory: two collections, which empty every
-// sync.Pool, leave it to reallocate only what it still borrows from
-// geom's pools (the slice's distance buffer), well under a quarter of
-// what a renderer starting cold allocates for the same surface. On pooled meshes and draw buffers what a step allocated
-// depended on when the collector last ran, and on the order in which
-// renderers on other goroutines took the pooled buffers.
+// sync.Pool, leave it nothing to reallocate — its mesh, contour and draw
+// buffers and the slice's plane distances are all its own — so it
+// allocates well under a quarter of what a renderer starting cold
+// allocates for the same surface. On pooled meshes and draw buffers what
+// a step allocated depended on when the collector last ran, and on the
+// order in which renderers on other goroutines took the pooled buffers.
 func TestVtkRenderWarmAllocsAfterCollections(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")

@@ -16,6 +16,7 @@ import (
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/fb"
 	"github.com/ascr-ecx/eth/internal/geom"
+	"github.com/ascr-ecx/eth/internal/raster"
 	"github.com/ascr-ecx/eth/internal/rt"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
@@ -141,19 +142,24 @@ func gridField(opt Options) string {
 
 // ---- particle algorithms ----
 
-// pointsRenderer implements the "VTK points" technique (§IV-C).
-type pointsRenderer struct{}
+// pointsRenderer implements the "VTK points" technique (§IV-C). Its
+// sprites, colour table and raster bins are its own (see
+// geom.ParticleScratch).
+type pointsRenderer struct {
+	scratch geom.ParticleScratch
+	bins    raster.Bins
+}
 
 func (*pointsRenderer) Name() string    { return "points" }
 func (*pointsRenderer) Kind() data.Kind { return data.KindPointCloud }
 
-func (*pointsRenderer) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt Options) (Stats, error) {
+func (r *pointsRenderer) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt Options) (Stats, error) {
 	p, err := wantCloud(ds, "points")
 	if err != nil {
 		return Stats{}, err
 	}
 	t0 := time.Now()
-	sprites, err := geom.MapPoints(p, cam, frame.W, frame.H, geom.PointsOptions{
+	sprites, err := r.scratch.MapPoints(p, cam, frame.W, frame.H, geom.PointsOptions{
 		ColorField: cloudColorField(opt),
 		ScalarLo:   opt.ScalarLo, ScalarHi: opt.ScalarHi,
 	})
@@ -161,31 +167,39 @@ func (*pointsRenderer) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Came
 		return Stats{}, err
 	}
 	t1 := time.Now()
-	drawSprites(frame, sprites)
-	n := len(sprites)
-	geom.PutSprites(sprites)
+	r.bins.DrawSprites(frame, sprites, 0)
 	return Stats{
 		Algorithm:  "points",
 		Elements:   p.Count(),
-		Primitives: n,
+		Primitives: len(sprites),
 		Setup:      t1.Sub(t0),
 		Render:     time.Since(t1),
 	}, nil
 }
 
-// splatRenderer implements the Gaussian splatter (§IV-C).
-type splatRenderer struct{}
+// screenHeadlight lights sphere impostors from slightly above-left of the
+// viewer in screen space (impostor normals live in screen space, +Z
+// toward the viewer), giving the roundness cue the paper's Gaussian
+// splatter shader produces.
+var screenHeadlight = vec.New(-0.3, 0.4, 1).Norm()
+
+// splatRenderer implements the Gaussian splatter (§IV-C). Like
+// pointsRenderer, it owns its impostors, colour table and bins.
+type splatRenderer struct {
+	scratch geom.ParticleScratch
+	bins    raster.Bins
+}
 
 func (*splatRenderer) Name() string    { return "gsplat" }
 func (*splatRenderer) Kind() data.Kind { return data.KindPointCloud }
 
-func (*splatRenderer) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt Options) (Stats, error) {
+func (r *splatRenderer) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt Options) (Stats, error) {
 	p, err := wantCloud(ds, "gsplat")
 	if err != nil {
 		return Stats{}, err
 	}
 	t0 := time.Now()
-	imps, err := geom.MapSplats(p, cam, frame.W, frame.H, geom.SplatOptions{
+	imps, err := r.scratch.MapSplats(p, cam, frame.W, frame.H, geom.SplatOptions{
 		WorldRadius: opt.Radius,
 		ColorField:  cloudColorField(opt),
 		ScalarLo:    opt.ScalarLo, ScalarHi: opt.ScalarHi,
@@ -194,13 +208,11 @@ func (*splatRenderer) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camer
 		return Stats{}, err
 	}
 	t1 := time.Now()
-	drawImpostors(frame, imps)
-	n := len(imps)
-	geom.PutImpostors(imps)
+	r.bins.DrawImpostors(frame, imps, screenHeadlight, 0)
 	return Stats{
 		Algorithm:  "gsplat",
 		Elements:   p.Count(),
-		Primitives: n,
+		Primitives: len(imps),
 		Setup:      t1.Sub(t0),
 		Render:     time.Since(t1),
 	}, nil
@@ -209,8 +221,9 @@ func (*splatRenderer) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camer
 // raycastSpheres implements "Raycast Spheres" (§IV-C) with a per-dataset
 // BVH cache: the paper notes raycasting's extra cost is the one-time
 // acceleration-structure build, so repeat renders of the same data reuse
-// the tree.
+// the tree. The colour table is the renderer's too (see rt.Scratch).
 type raycastSpheres struct {
+	scratch  rt.Scratch
 	cached   *rt.SphereBVH
 	cacheKey *data.PointCloud
 	cacheGen uint64
@@ -249,7 +262,7 @@ func (r *raycastSpheres) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Ca
 		r.cacheRad = radius
 	}
 	t1 := time.Now()
-	if err := rt.RaycastSpheresWithBVH(frame, p, r.cached, cam, sphereOpt); err != nil {
+	if err := r.scratch.RaycastSpheresWithBVH(frame, p, r.cached, cam, sphereOpt); err != nil {
 		return Stats{}, err
 	}
 	return Stats{

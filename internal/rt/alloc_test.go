@@ -60,7 +60,8 @@ func TestRebuildAllocs(t *testing.T) {
 
 // TestRaycastWarmAllocs gates the per-frame allocations of the sphere
 // path at GOMAXPROCS 1, where par runs its loops inline. Traversal itself
-// allocates nothing. A warm frame allocates exactly six small objects,
+// allocates nothing. A warm frame on a Scratch, whose colour table is
+// its own, allocates exactly six small objects,
 // none of which scales with pixels, particles or nodes — all are the price
 // of calling par: for each of the two loops (colour table, scanline
 // bands) the body closure and the grain par.ForGrained moves to the heap
@@ -97,13 +98,14 @@ func TestRaycastWarmAllocs(t *testing.T) {
 
 	const want = 6
 	frame := fb.New(96, 96)
+	var s Scratch
 	render := func() {
 		frame.Clear(vec.V3{})
-		if err := RaycastSpheresWithBVH(frame, p, bvh, &cam, SphereOptions{ColorField: "speed"}); err != nil {
+		if err := s.RaycastSpheresWithBVH(frame, p, bvh, &cam, SphereOptions{ColorField: "speed"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	render() // warm the colour-table pool
+	render() // grow the colour table
 	if allocs := testing.AllocsPerRun(10, render); allocs != want {
 		t.Errorf("warm RaycastSpheresWithBVH allocates %.1f times per frame, want exactly %d", allocs, want)
 	}

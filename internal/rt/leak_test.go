@@ -3,40 +3,42 @@ package rt
 import (
 	"testing"
 
+	"github.com/ascr-ecx/eth/internal/camera"
 	"github.com/ascr-ecx/eth/internal/data"
-	"github.com/ascr-ecx/eth/internal/raceflag"
+	"github.com/ascr-ecx/eth/internal/fb"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
 
-// TestScalarColorsErrorReleasesColors is a regression test for a color-
-// table pool leak found by the poolleak analyzer: a missing color field
-// used to error out of scalarColors without returning the freshly
-// acquired table to colorPool. The test seeds the pool, drives the error
-// path, and asserts the pool hands the same backing array back out —
-// possible only if the error path released it. Single goroutine, so
-// sync.Pool's per-P slots make the round trip deterministic — except
-// under -race, whose sync.Pool drops Put items at random, so it skips
-// there and scripts/check.sh asserts it in the non-race pass.
+// TestScalarColorsErrorReleasesColors holds the sphere renderer's colour
+// table to its owner across the error path: a missing colour field fails
+// the frame, and the next frame colours into the very table the frame
+// before the error used. It once leaked a pooled table on that path; an
+// owned table has nothing to leak, and its reuse is deterministic, so the
+// test runs under -race as well.
 func TestScalarColorsErrorReleasesColors(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("race-instrumented sync.Pool drops Put items at random; identity asserted in the non-race pass")
-	}
 	p := data.NewPointCloud(16)
 	for i := 0; i < 16; i++ {
 		p.SetPos(i, vec.New(float64(i), 0, 0))
 	}
-
-	seed := colorPool.Get(p.Count())
-	seedPtr := &seed[0]
-	colorPool.Put(seed)
-
-	if _, err := scalarColors(p, "no-such-field", 0, 0); err == nil {
-		t.Fatal("scalarColors with a missing field should fail")
+	p.SpeedField()
+	cam := camera.ForBounds(p.Bounds())
+	bvh := BuildSphereBVH(p, 0.3, MedianSplit)
+	frame := fb.New(8, 8)
+	var s Scratch
+	render := func(field string) error {
+		return s.RaycastSpheresWithBVH(frame, p, bvh, &cam, SphereOptions{ColorField: field})
 	}
-
-	got := colorPool.Get(p.Count())
-	defer colorPool.Put(got)
-	if &got[0] != seedPtr {
-		t.Errorf("color table not returned to the pool on the error path: got %p, want %p", &got[0], seedPtr)
+	if err := render("speed"); err != nil {
+		t.Fatal(err)
+	}
+	table := &s.colors[0]
+	if err := render("no-such-field"); err == nil {
+		t.Fatal("a missing colour field should fail the frame")
+	}
+	if err := render("speed"); err != nil {
+		t.Fatal(err)
+	}
+	if &s.colors[0] != table {
+		t.Errorf("the frame after the error coloured into a new table %p, want the renderer's own %p", &s.colors[0], table)
 	}
 }

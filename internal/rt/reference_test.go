@@ -134,11 +134,10 @@ func clip(near, far float32, o, inv, t0, t1 float64) (float64, float64) {
 }
 
 func refRaycastSpheresWithBVH(frame *fb.Frame, p *data.PointCloud, bvh *SphereBVH, cam *camera.Camera, opt SphereOptions) error {
-	colors, err := scalarColors(p, opt.ColorField, opt.ScalarLo, opt.ScalarHi)
+	colors, err := new(Scratch).scalarColors(p, opt.ColorField, opt.ScalarLo, opt.ScalarHi)
 	if err != nil {
 		return err
 	}
-	defer colorPool.Put(colors)
 	light := cam.Eye.Sub(cam.Center).Norm()
 
 	w, h := frame.W, frame.H

@@ -8,15 +8,10 @@ import (
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/fb"
 	"github.com/ascr-ecx/eth/internal/geom"
-	"github.com/ascr-ecx/eth/internal/mempool"
 	"github.com/ascr-ecx/eth/internal/par"
 	"github.com/ascr-ecx/eth/internal/telemetry"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
-
-// colorPool recycles the per-particle color table across frames, so
-// re-rendering the same (or same-sized) cloud does not reallocate it.
-var colorPool mempool.SlicePool[vec.V3]
 
 // Telemetry counters (TACC-Stats analog, §V-A): incremented in aggregate
 // per scanline band so the hot loops stay counter-free.
@@ -72,13 +67,27 @@ func RaycastSpheres(frame *fb.Frame, p *data.PointCloud, cam *camera.Camera, opt
 	return bvh, nil
 }
 
-// RaycastSpheresWithBVH renders using a prebuilt hierarchy.
+// RaycastSpheresWithBVH renders using a prebuilt hierarchy. Every call
+// allocates its colour table; a renderer owns a Scratch instead.
 func RaycastSpheresWithBVH(frame *fb.Frame, p *data.PointCloud, bvh *SphereBVH, cam *camera.Camera, opt SphereOptions) error {
-	colors, err := scalarColors(p, opt.ColorField, opt.ScalarLo, opt.ScalarHi)
+	return new(Scratch).RaycastSpheresWithBVH(frame, p, bvh, cam, opt)
+}
+
+// Scratch is the memory a sphere renderer keeps from frame to frame: its
+// per-particle colour table, reallocated, at exact length, only for a
+// larger cloud. The zero value is ready to use; a Scratch is not safe for
+// concurrent use.
+type Scratch struct {
+	colors []vec.V3
+}
+
+// RaycastSpheresWithBVH is the package's RaycastSpheresWithBVH on s's
+// colour table.
+func (s *Scratch) RaycastSpheresWithBVH(frame *fb.Frame, p *data.PointCloud, bvh *SphereBVH, cam *camera.Camera, opt SphereOptions) error {
+	colors, err := s.scalarColors(p, opt.ColorField, opt.ScalarLo, opt.ScalarHi)
 	if err != nil {
 		return err
 	}
-	defer colorPool.Put(colors)
 	light := cam.Eye.Sub(cam.Center).Norm() // headlight
 
 	w, h := frame.W, frame.H
@@ -120,19 +129,23 @@ func RaycastSpheresWithBVH(frame *fb.Frame, p *data.PointCloud, bvh *SphereBVH, 
 	return nil
 }
 
-func scalarColors(p *data.PointCloud, fieldName string, lo, hi float32) ([]vec.V3, error) {
-	colors := colorPool.Get(p.Count())
+// scalarColors maps the named field through Viridis into s's colour
+// table, normalizing by [lo, hi] (or the field's min/max when lo == hi).
+// An empty name yields constant white.
+func (s *Scratch) scalarColors(p *data.PointCloud, fieldName string, lo, hi float32) ([]vec.V3, error) {
 	if fieldName == "" {
-		for i := range colors {
-			colors[i] = vec.New(1, 1, 1)
+		s.colors = data.Fit(s.colors, p.Count())
+		for i := range s.colors {
+			s.colors[i] = vec.New(1, 1, 1)
 		}
-		return colors, nil
+		return s.colors, nil
 	}
 	f, err := p.Field(fieldName)
 	if err != nil {
-		colorPool.Put(colors)
 		return nil, fmt.Errorf("rt: color field: %w", err)
 	}
+	s.colors = data.Fit(s.colors, p.Count())
+	colors := s.colors
 	if lo >= hi {
 		lo, hi = f.MinMax()
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime/debug"
 	"testing"
 
 	"github.com/ascr-ecx/eth/internal/cosmo"
@@ -150,48 +149,48 @@ func TestStratifiedMatchesReference(t *testing.T) {
 }
 
 // TestStratifiedAllocsIndependentOfCells is the gate behind "sampling
-// without the map": the sampler allocates a fixed set of arrays (keys,
-// cell starts and cursors, members, permutation scratch, the RNG, the
-// index list and the selected cloud), however many cells the cloud
-// spreads over — 8 cells at 1 000 particles, 1 331 at 100 000.
+// without the map": a fresh Sampler allocates a fixed set of arrays (keys,
+// cell starts and cursors, members, permutation scratch, the generator,
+// the index list and its cloud), however many cells the cloud spreads
+// over — 8 cells at 1 000 particles, 1 331 at 100 000.
 func TestStratifiedAllocsIndependentOfCells(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
 	}
-	// The scratch is pooled, and a collection inside a run empties the
-	// pools; AllocsPerRun would count the refills.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var counts []float64
 	for _, n := range []int{1_000, 100_000} {
 		p := cosmoCloud(t, n)
 		p.Bounds() // the lazy bounds cache is the cloud's, not the sampler's
 		counts = append(counts, testing.AllocsPerRun(5, func() {
-			stratifiedSample(p, 0.5, 1)
+			var s Sampler
+			if _, err := s.Points(p, 0.5, Stratified, 1); err != nil {
+				t.Fatal(err)
+			}
 		}))
 	}
 	if counts[0] != counts[1] || counts[0] > 20 {
-		t.Errorf("stratifiedSample allocates %.0f times at 1 000 particles and %.0f at 100 000, want the same count, at most 20",
+		t.Errorf("a fresh Sampler allocates %.0f times at 1 000 particles and %.0f at 100 000, want the same count, at most 20",
 			counts[0], counts[1])
 	}
 }
 
-// TestStratifiedWarmAllocs holds a warm stratified sampler to the
-// allocations of its output alone: keys, cell starts and cursors,
-// members, the index list, the permutation scratch and the generator
-// all come from pools, so sampling allocates exactly what Select does
-// for a sample of the same size.
+// TestStratifiedWarmAllocs holds a warm Sampler to nothing: keys, cell
+// starts and cursors, members, the index list, the permutation scratch,
+// the generator and the sampled cloud are all its own, and a sample no
+// larger than the last one fits in them.
 func TestStratifiedWarmAllocs(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, n := range []int{1_000, 100_000} {
 		p := cosmoCloud(t, n)
 		p.Bounds()
-		idx := make([]int, stratifiedSample(p, 0.5, 1).Count())
-		output := testing.AllocsPerRun(5, func() { p.Select(idx) })
-		if got := testing.AllocsPerRun(5, func() { stratifiedSample(p, 0.5, 1) }); got != output {
-			t.Errorf("n=%d: stratifiedSample allocates %.0f times, its output alone %.0f", n, got, output)
+		var s Sampler
+		sample := func() {
+			if _, err := s.Points(p, 0.5, Stratified, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sample()
+		if got := testing.AllocsPerRun(5, sample); got != 0 {
+			t.Errorf("n=%d: a warm Sampler allocates %.0f times, want 0", n, got)
 		}
 	}
 }

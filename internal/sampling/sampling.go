@@ -10,10 +10,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"github.com/ascr-ecx/eth/internal/data"
-	"github.com/ascr-ecx/eth/internal/mempool"
 )
 
 // Method selects a point-sampling strategy.
@@ -61,8 +59,31 @@ func ParseMethod(s string) (Method, error) {
 // Points returns a new cloud containing approximately ratio*Count()
 // particles chosen by the given method. ratio is clamped to [0, 1];
 // ratio >= 1 returns the input unchanged. Sampling is deterministic in
-// seed.
+// seed. Every call allocates its scratch and its sample afresh; a caller
+// that samples every step owns a Sampler instead.
 func Points(p *data.PointCloud, ratio float64, m Method, seed int64) (*data.PointCloud, error) {
+	var s Sampler
+	return s.Points(p, ratio, m, seed)
+}
+
+// Sampler is Points with memory of its own: its index and cell scratch,
+// its generator and the cloud it samples into are kept from call to call,
+// and a buffer is reallocated only when a call needs more than it holds.
+// The sample a call returns is that cloud, refilled in place, with its
+// bounds invalidated so its Generation advances: it is valid until the
+// next call. The zero value is ready to use; a Sampler is not safe for
+// concurrent use.
+type Sampler struct {
+	out       data.PointCloud
+	idx, perm []int
+	// key, start, members and fill are the stratified counting sort's.
+	key, start, members, fill []int32
+	rng                       *rand.Rand
+}
+
+// Points is the package's Points into s's cloud: the same particles,
+// fields and values, bit for bit.
+func (s *Sampler) Points(p *data.PointCloud, ratio float64, m Method, seed int64) (*data.PointCloud, error) {
 	if math.IsNaN(ratio) {
 		return nil, fmt.Errorf("sampling: ratio is NaN")
 	}
@@ -74,52 +95,56 @@ func Points(p *data.PointCloud, ratio float64, m Method, seed int64) (*data.Poin
 	}
 	switch m {
 	case Random:
-		return randomSample(p, ratio, seed), nil
+		s.random(p, ratio, seed)
 	case Stride:
-		return strideSample(p, ratio), nil
+		s.stride(p, ratio)
 	case Stratified:
-		return stratifiedSample(p, ratio, seed), nil
+		s.stratified(p, ratio, seed)
 	default:
 		return nil, fmt.Errorf("sampling: unknown method %v", m)
 	}
+	return p.SelectInto(&s.out, s.idx), nil
 }
 
-func randomSample(p *data.PointCloud, ratio float64, seed int64) *data.PointCloud {
-	rng := rand.New(rand.NewSource(seed))
-	idx := make([]int, 0, int(float64(p.Count())*ratio)+1)
+// generator returns s's generator in the state rand.NewSource(seed)
+// starts in.
+func (s *Sampler) generator(seed int64) *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(seed))
+	} else {
+		s.rng.Seed(seed)
+	}
+	return s.rng
+}
+
+func (s *Sampler) random(p *data.PointCloud, ratio float64, seed int64) {
+	rng := s.generator(seed)
+	idx := data.Fit(s.idx, int(float64(p.Count())*ratio)+1)[:0]
 	for i := 0; i < p.Count(); i++ {
 		if rng.Float64() < ratio {
 			idx = append(idx, i)
 		}
 	}
-	return p.Select(idx)
+	s.idx = idx
 }
 
-func strideSample(p *data.PointCloud, ratio float64) *data.PointCloud {
+func (s *Sampler) stride(p *data.PointCloud, ratio float64) {
 	if ratio <= 0 {
-		return p.Select(nil)
+		s.idx = s.idx[:0]
+		return
 	}
 	step := 1 / ratio
-	idx := make([]int, 0, int(float64(p.Count())*ratio)+1)
+	idx := data.Fit(s.idx, int(float64(p.Count())*ratio)+1)[:0]
 	for f := 0.0; int(f) < p.Count(); f += step {
 		idx = append(idx, int(f))
 	}
-	return p.Select(idx)
+	s.idx = idx
 }
 
-// Stratified sampling's scratch: everything but the sampled cloud, which
-// goes to the caller, comes from these pools and goes back to them, so a
-// warm sampler allocates only its output. A pooled generator is reseeded
-// per call; Seed leaves it in the state rand.NewSource(seed) starts in.
-var (
-	int32Pool mempool.SlicePool[int32]
-	intPool   mempool.SlicePool[int]
-	rngPool   = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
-)
-
-func stratifiedSample(p *data.PointCloud, ratio float64, seed int64) *data.PointCloud {
+func (s *Sampler) stratified(p *data.PointCloud, ratio float64, seed int64) {
 	if p.Count() == 0 || ratio <= 0 {
-		return p.Select(nil)
+		s.idx = s.idx[:0]
+		return
 	}
 	// Aim for cells holding ~64 particles on average so per-cell counts
 	// are statistically stable.
@@ -137,8 +162,9 @@ func stratifiedSample(p *data.PointCloud, ratio float64, seed int64) *data.Point
 	// Bucket by counting sort: key every particle, prefix-sum the cell
 	// sizes, then fill members cell by cell in ascending particle order.
 	n := p.Count()
-	key := int32Pool.Get(n)
-	start := int32Pool.Get(cells*cells*cells + 1)
+	s.key = data.Fit(s.key, n)
+	s.start = data.Fit(s.start, cells*cells*cells+1)
+	key, start := s.key, s.start
 	clear(start)
 	for i := 0; i < n; i++ {
 		pos := p.Pos(i)
@@ -153,20 +179,21 @@ func stratifiedSample(p *data.PointCloud, ratio float64, seed int64) *data.Point
 		largest = max(largest, start[c])
 		start[c] += start[c-1]
 	}
-	members := int32Pool.Get(n)
-	fill := int32Pool.Get(len(start) - 1)
+	s.members = data.Fit(s.members, n)
+	s.fill = data.Fit(s.fill, len(start)-1)
+	members, fill := s.members, s.fill
 	copy(fill, start)
 	for i, c := range key {
 		members[fill[c]] = int32(i)
 		fill[c]++
 	}
 
-	rng := rngPool.Get().(*rand.Rand)
-	rng.Seed(seed)
+	rng := s.generator(seed)
 	// A cell keeps at most its share plus one (rounding up, or the one
 	// probabilistic member), so this capacity is never outgrown.
-	idx := intPool.Get(int(float64(n)*ratio) + len(start))[:0]
-	perm := intPool.Get(int(largest))
+	idx := data.Fit(s.idx, int(float64(n)*ratio)+len(start))[:0]
+	s.perm = data.Fit(s.perm, int(largest))
+	perm := s.perm
 	for c := 0; c+1 < len(start); c++ {
 		cell := members[start[c]:start[c+1]]
 		if len(cell) == 0 {
@@ -193,14 +220,7 @@ func stratifiedSample(p *data.PointCloud, ratio float64, seed int64) *data.Point
 			idx = append(idx, int(cell[j]))
 		}
 	}
-	out := p.Select(idx)
-	for _, s := range [][]int32{key, start, members, fill} {
-		int32Pool.Put(s)
-	}
-	intPool.Put(idx)
-	intPool.Put(perm)
-	rngPool.Put(rng)
-	return out
+	s.idx = idx
 }
 
 func cellIndex(frac float64, cells int) int {

@@ -22,12 +22,15 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-# The allocation gates and the pool-identity leak tests skip themselves
-# under -race (the race runtime allocates, and its sync.Pool randomly
-# drops Put items), so run them again without it, module-wide and by
-# name — a hot-path allocation regression or an error-path pool leak
-# must fail CI, not hide behind the race build, and a new gate needs no
-# list to join.
+# Most allocation gates skip themselves under -race (the race runtime
+# allocates), so run them again without it, module-wide and by name — a
+# hot-path allocation regression must fail CI, not hide behind the race
+# build, and a new gate needs no list to join as long as its name matches
+# Alloc. Memory the hub, the proxies and the renderers own is reused
+# deterministically, so their ownership tests run under -race too; only
+# compositing's two error-path leak tests (…ErrorReleases…) still assert
+# pointer identity through sync.Pool, which the race runtime drops at
+# random, and need this pass for that.
 echo "== go test -run 'Alloc|Releases' ./..."
 go test -run 'Alloc|Releases' ./...
 
