@@ -16,7 +16,7 @@ import (
 // quietAllocs sets up an exact allocation count: GOMAXPROCS 1, where par
 // runs its loops inline, and the collector off, because AllocsPerRun
 // counts mallocs process-wide and a collection that starts inside a run
-// both allocates its own bookkeeping and empties the sync.Pools.
+// allocates its own bookkeeping.
 func quietAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
@@ -30,11 +30,11 @@ func quietAllocs(t *testing.T) {
 }
 
 // TestIsoDrawWarmAllocs gates the geometry path's garbage: extracting an
-// isosurface, drawing it and handing the mesh back — what vtk-iso does
-// per image — allocates the same four small objects whether the surface
-// has 28 thousand triangles or 126 thousand. Mesh, edge cache, vertex
-// classes, screen vertices, flags and triangle list all come from pools;
-// what is left is Isosurface's per-vertex closure and the price of
+// isosurface and drawing it on a warm Scratch — what vtk-iso does per
+// image — allocates the same four small objects whether the surface has
+// 28 thousand triangles or 126 thousand. Mesh, edge cache, vertex
+// classes, screen vertices, flags and triangle list are the Scratch's
+// own; what is left is Isosurface's per-vertex closure and the price of
 // DrawMesh calling par: the body closure, the grain, and the projector
 // the body captures by reference. The lighting the body reads is a value
 // it captures by copy.
@@ -42,6 +42,7 @@ func TestIsoDrawWarmAllocs(t *testing.T) {
 	quietAllocs(t)
 	const want = 4
 	frame := fb.New(256, 256)
+	var s Scratch
 	for _, c := range []struct{ epoch, minTris, maxTris int }{{0, 20_000, 40_000}, {11, 100_000, 150_000}} {
 		whole, err := blast.Generate(blast.Params{NX: 130, NY: 79, NZ: 68, BoxSize: 10, Seed: 1, TimeStep: c.epoch})
 		if err != nil {
@@ -51,18 +52,17 @@ func TestIsoDrawWarmAllocs(t *testing.T) {
 		cam := camera.ForBounds(g.Bounds())
 		tris := 0
 		render := func() {
-			m, err := Isosurface(g, "temperature", 0.25)
+			m, err := s.Isosurface(g, "temperature", 0.25)
 			if err != nil {
 				t.Fatal(err)
 			}
 			frame.Clear(vec.V3{})
-			DrawMesh(frame, m, &cam, ShadeOptions{Colormap: fb.Hot, ScalarLo: 0, ScalarHi: 1})
+			s.DrawMesh(frame, m, &cam, ShadeOptions{Colormap: fb.Hot, ScalarLo: 0, ScalarHi: 1})
 			tris = m.TriangleCount()
-			PutMesh(m)
 		}
-		render() // grow the pooled mesh and scratch to this surface's size
+		render() // grow the scratch to this surface's size, if it must
 		if allocs := testing.AllocsPerRun(5, render); allocs != want {
-			t.Errorf("epoch %d, %d triangles: warm Isosurface + DrawMesh + PutMesh allocates %.1f times, want exactly %d", c.epoch, tris, allocs, want)
+			t.Errorf("epoch %d, %d triangles: a warm Scratch's Isosurface + DrawMesh allocates %.1f times, want exactly %d", c.epoch, tris, allocs, want)
 		}
 		if tris < c.minTris || tris > c.maxTris {
 			t.Errorf("epoch %d: %d triangles, want %d..%d: the gate is not measuring the sizes it names", c.epoch, tris, c.minTris, c.maxTris)

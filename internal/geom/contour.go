@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/par"
@@ -102,33 +101,32 @@ func edgeT(va, vb, iso float32) float64 {
 // single-isovalue renders. The mesh is shaded smooth, with per-vertex
 // normals from the field gradient (VTK's normals filter), which DrawMesh
 // reads from g: g must not change until the mesh is drawn (see Mesh). It
-// returns an error if the field is missing. The mesh may be handed back
-// with PutMesh once drawn.
+// returns an error if the field is missing.
 func Isosurface(g *data.StructuredGrid, fieldName string, isoValue float32) (*Mesh, error) {
-	return isosurface(getMesh(), nil, g, fieldName, isoValue)
+	return new(Scratch).Isosurface(g, fieldName, isoValue)
 }
 
-// isosurface is Isosurface into m, whose contents it replaces, through
-// own's buffers (pooled ones when own is nil; see contour).
-func isosurface(m *Mesh, own *Scratch, g *data.StructuredGrid, fieldName string, isoValue float32) (*Mesh, error) {
+// Isosurface is the package's Isosurface into s's mesh, which stays valid
+// until s extracts again.
+func (s *Scratch) Isosurface(g *data.StructuredGrid, fieldName string, isoValue float32) (*Mesh, error) {
 	f, err := g.Field(fieldName)
 	if err != nil {
 		return nil, err
 	}
-	contour(m, own, g, f.Values, isoValue, func(m *Mesh, p vec.V3) {
+	contour(s, g, f.Values, isoValue, func(m *Mesh, p vec.V3) {
 		m.Scalars = append(m.Scalars, isoValue)
 	})
-	m.grid, m.field = g, f
-	return m, nil
+	s.mesh.grid, s.mesh.field = g, f
+	return &s.mesh, nil
 }
 
-// slicePlane replaces own's mesh with the cross-section of the grid with
-// the plane through point with unit normal, colored by the named field,
-// working in own's buffers (see contour): the signed distance to the
-// plane, one value per vertex, is contoured at zero and each output
-// vertex samples the field for colormapping. This is VTK's slice filter
+// SlicePlane extracts the cross-section of g with the plane through point
+// with unit normal, colored by the named field, into s's mesh, which
+// stays valid until s extracts again: the signed distance to the plane,
+// one value per vertex, is contoured at zero and each output vertex
+// samples the field for colormapping. This is VTK's slice filter
 // reproduced with the same cell-scan cost profile.
-func slicePlane(own *Scratch, g *data.StructuredGrid, fieldName string, point, normal vec.V3) (*Mesh, error) {
+func (s *Scratch) SlicePlane(g *data.StructuredGrid, fieldName string, point, normal vec.V3) (*Mesh, error) {
 	f, err := g.Field(fieldName)
 	if err != nil {
 		return nil, err
@@ -137,8 +135,8 @@ func slicePlane(own *Scratch, g *data.StructuredGrid, fieldName string, point, n
 	if n == (vec.V3{}) {
 		return nil, fmt.Errorf("geom: slice plane normal is zero")
 	}
-	own.dist = resize(own.dist, g.Count())
-	dist := own.dist
+	s.dist = resize(s.dist, g.Count())
+	dist := s.dist
 	par.For(g.NZ, 0, func(k int) {
 		idx := g.Index(0, 0, k)
 		for j := 0; j < g.NY; j++ {
@@ -148,11 +146,10 @@ func slicePlane(own *Scratch, g *data.StructuredGrid, fieldName string, point, n
 			}
 		}
 	})
-	m := &own.mesh
-	contour(m, own, g, dist, 0, func(m *Mesh, p vec.V3) {
+	contour(s, g, dist, 0, func(m *Mesh, p vec.V3) {
 		m.Scalars = append(m.Scalars, g.Sample(f, p))
 	})
-	return m, nil
+	return &s.mesh, nil
 }
 
 // The edge cache is what makes the mesh indexed: it remembers the mesh
@@ -185,18 +182,6 @@ type contourBuffers struct {
 type helper struct {
 	mesh Mesh
 	buf  contourBuffers
-}
-
-// contourPool holds the buffers of workers that bring none of their own:
-// those of the package-level Isosurface.
-var contourPool sync.Pool
-
-// getBuffers returns pooled contour buffers, or new ones.
-func getBuffers() *contourBuffers {
-	if b, _ := contourPool.Get().(*contourBuffers); b != nil {
-		return b
-	}
-	return new(contourBuffers)
 }
 
 // cellEdge is one directed edge of a cell, ready to interpolate and to
@@ -245,60 +230,42 @@ var cellCases = func() (table [6][16]cellCase) {
 	return table
 }()
 
-// contour replaces m with the marching-tetrahedra contour of every cell
-// of g for the implicit function vals (one value per vertex, grid order),
-// calling attr once for each vertex it adds to the mesh to append that
-// vertex's scalar. Workers take contiguous runs of z-slabs,
-// each filling a mesh of its own (the first one m) through private
-// buffers, and the meshes are concatenated onto m in slab order — so the
-// triangle order is the same for any worker count, and only vertices on a
-// plane between two workers are stored twice. The first worker's buffers
-// and the later workers' meshes and buffers are own's, or pooled when own
-// is nil.
-func contour(m *Mesh, own *Scratch, g *data.StructuredGrid, vals []float32, iso float32, attr func(m *Mesh, p vec.V3)) {
+// contour replaces own's mesh with the marching-tetrahedra contour of every
+// cell of g for the implicit function vals (one value per vertex, grid
+// order), calling attr once for each vertex it adds to the mesh to append
+// that vertex's scalar. Workers take contiguous runs of z-slabs, each
+// filling a mesh of its own (the first one own's) through buffers of its
+// own (own's helpers after the first), and the meshes are concatenated
+// onto own's in slab order — so the triangle order is the same for any
+// worker count, and only vertices on a plane between two workers are
+// stored twice.
+func contour(own *Scratch, g *data.StructuredGrid, vals []float32, iso float32, attr func(m *Mesh, p vec.V3)) {
+	m := &own.mesh
 	m.reset()
 	slabs := g.NZ - 1
 	if g.NX < 2 || g.NY < 2 || slabs < 1 {
 		return
 	}
-	var first *contourBuffers
-	if own != nil {
-		first = &own.contour
-	} else {
-		first = getBuffers()
-		defer contourPool.Put(first)
-	}
-	workers := par.DefaultWorkers()
-	if workers > slabs {
-		workers = slabs
-	}
+	workers := min(par.DefaultWorkers(), slabs)
 	if workers == 1 {
 		// Calling par.For would heap-allocate its closure for nothing.
-		contourSlabs(m, first, g, vals, iso, attr, 0, slabs)
+		contourSlabs(m, &own.contour, g, vals, iso, attr, 0, slabs)
 		return
 	}
-	if own != nil && len(own.helpers) < workers-1 {
+	if len(own.helpers) < workers-1 {
 		own.helpers = append(own.helpers, make([]helper, workers-1-len(own.helpers))...)
 	}
-	parts := make([]*Mesh, workers)
-	parts[0] = m
+	helpers := own.helpers[:workers-1]
 	par.For(workers, workers, func(w int) {
-		b := first
-		switch {
-		case w > 0 && own != nil:
-			parts[w], b = &own.helpers[w-1].mesh, &own.helpers[w-1].buf
-			parts[w].reset()
-		case w > 0:
-			parts[w], b = getMesh(), getBuffers()
-			defer contourPool.Put(b)
+		part, b := m, &own.contour
+		if w > 0 {
+			part, b = &helpers[w-1].mesh, &helpers[w-1].buf
+			part.reset()
 		}
-		contourSlabs(parts[w], b, g, vals, iso, attr, w*slabs/workers, (w+1)*slabs/workers)
+		contourSlabs(part, b, g, vals, iso, attr, w*slabs/workers, (w+1)*slabs/workers)
 	})
-	for _, p := range parts[1:] {
-		m.Append(p)
-		if own == nil {
-			PutMesh(p)
-		}
+	for i := range helpers {
+		m.Append(&helpers[i].mesh)
 	}
 }
 

@@ -3,6 +3,7 @@ package geom
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -102,49 +103,52 @@ func TestIsosurfaceDeterministic(t *testing.T) {
 	}
 }
 
-// TestScratchMatchesPooled holds a Scratch, reused over surfaces that
-// grow, shrink and grow again, to the pooled Isosurface and DrawMesh and,
-// for slices, to a fresh Scratch: the same meshes and the same pixels,
-// for the smooth-shaded isosurface and the flat-shaded slice.
-func TestScratchMatchesPooled(t *testing.T) {
+// TestWarmScratchMatchesCold holds a Scratch, reused over a large
+// isosurface, a smaller one and then a slice, to a fresh Scratch for each
+// surface: the same meshes and the same pixels, for the smooth-shaded
+// isosurface and the flat-shaded slice, at one worker and at four (where
+// the contour's helper meshes, which the warm Scratch keeps, are filled
+// too).
+func TestWarmScratchMatchesCold(t *testing.T) {
 	g := sphereGrid(24)
 	cam := camera.ForBounds(g.Bounds())
-	var s Scratch
-	sameMesh := func(what string, got, want *Mesh) {
-		t.Helper()
-		if !slices.Equal(got.Verts, want.Verts) || !slices.Equal(got.Tris, want.Tris) ||
-			!slices.Equal(got.Scalars, want.Scalars) || got.grid != want.grid || got.field != want.field {
-			t.Fatalf("%s: Scratch mesh differs from the pooled one", what)
-		}
+	point, normal := vec.New(12, 12, 7), vec.New(0.2, 0.1, 1)
+	surfaces := []struct {
+		what    string
+		extract func(s *Scratch) (*Mesh, error)
+		opt     ShadeOptions
+	}{
+		{"isovalue 9", func(s *Scratch) (*Mesh, error) { return s.Isosurface(g, "r", 9) }, ShadeOptions{}},
+		{"isovalue 4", func(s *Scratch) (*Mesh, error) { return s.Isosurface(g, "r", 4) }, ShadeOptions{}},
+		{"slice", func(s *Scratch) (*Mesh, error) { return s.SlicePlane(g, "r", point, normal) }, ShadeOptions{Ambient: 0.95}},
 	}
-	draw := func(what string, want *Mesh, opt ShadeOptions) {
-		t.Helper()
-		a, b := fb.New(96, 80), fb.New(96, 80)
-		s.DrawMesh(a, want, &cam, opt)
-		DrawMesh(b, want, &cam, opt)
-		if !slices.Equal(a.Color, b.Color) || !slices.Equal(a.Depth, b.Depth) {
-			t.Fatalf("%s: Scratch.DrawMesh frame differs from DrawMesh's", what)
+	for _, workers := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(workers)
+		var warm Scratch
+		for _, c := range surfaces {
+			what := fmt.Sprintf("%s, %d workers", c.what, workers)
+			got, err := c.extract(&warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold := new(Scratch)
+			want, err := c.extract(cold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.TriangleCount() == 0 {
+				t.Fatalf("%s: empty surface", what)
+			}
+			if !slices.Equal(got.Verts, want.Verts) || !slices.Equal(got.Scalars, want.Scalars) ||
+				!slices.Equal(got.Tris, want.Tris) || got.grid != want.grid || got.field != want.field {
+				t.Fatalf("%s: warm Scratch's mesh differs from a cold one's", what)
+			}
+			a, b := fb.New(96, 80), fb.New(96, 80)
+			warm.DrawMesh(a, got, &cam, c.opt)
+			cold.DrawMesh(b, want, &cam, c.opt)
+			requireSameFrame(t, what, a, b)
 		}
-	}
-	for _, iso := range []float32{6, 2, 9, 4} {
-		got, err := s.Isosurface(g, "r", iso)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := Isosurface(g, "r", iso)
-		sameMesh(fmt.Sprintf("isovalue %g", iso), got, want)
-		draw(fmt.Sprintf("isovalue %g", iso), got, ShadeOptions{})
-		PutMesh(want)
-	}
-	for _, z := range []float64{12, 2, 20} {
-		point, normal := vec.New(12, 12, z), vec.New(0.2, 0.1, 1)
-		got, err := s.SlicePlane(g, "r", point, normal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := new(Scratch).SlicePlane(g, "r", point, normal)
-		sameMesh(fmt.Sprintf("slice at z %g", z), got, want)
-		draw(fmt.Sprintf("slice at z %g", z), got, ShadeOptions{Ambient: 0.95})
+		runtime.GOMAXPROCS(prev)
 	}
 }
 

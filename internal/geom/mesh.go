@@ -9,11 +9,8 @@ package geom
 
 import (
 	"math/bits"
-	"sync"
 
-	"github.com/ascr-ecx/eth/internal/camera"
 	"github.com/ascr-ecx/eth/internal/data"
-	"github.com/ascr-ecx/eth/internal/fb"
 	"github.com/ascr-ecx/eth/internal/raster"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
@@ -39,27 +36,6 @@ type Mesh struct {
 	field *data.Field
 }
 
-// meshPool recycles extraction results with their slices' capacity, so a
-// steady sequence of similar steps builds its meshes without allocating.
-var meshPool sync.Pool
-
-// getMesh returns an empty mesh, with spare capacity when one is pooled.
-func getMesh() *Mesh {
-	if m, _ := meshPool.Get().(*Mesh); m != nil {
-		return m
-	}
-	return &Mesh{}
-}
-
-// PutMesh returns a mesh obtained from Isosurface or SlicePlane for reuse
-// by a later extraction. It is optional, like PutSprites: a mesh never
-// returned is ordinary garbage. m and its slices must not be used
-// afterwards. The pooled mesh drops its grid reference.
-func PutMesh(m *Mesh) {
-	m.reset()
-	meshPool.Put(m)
-}
-
 // reset empties m, keeping its slices' capacity, and makes it flat.
 func (m *Mesh) reset() {
 	m.Verts, m.Scalars, m.Tris = m.Verts[:0], m.Scalars[:0], m.Tris[:0]
@@ -73,12 +49,9 @@ func (m *Mesh) reset() {
 // and shaded flags and triangle list DrawMesh hands the rasterizer and
 // the bins it draws them through on more than one worker. Its slices only
 // grow, so a renderer that owns one allocates only for a surface larger
-// than every one it drew before. The
-// package-level Isosurface and DrawMesh draw on pooled memory instead,
-// which the collector may empty and which every renderer in the process
-// shares, so what they allocate depends on when the collector ran and how
-// renderers on other goroutines interleaved. The zero value is ready to
-// use; a Scratch is not safe for concurrent use.
+// than every one it drew before. The package-level Isosurface and
+// DrawMesh each run on a fresh Scratch. The zero value is ready to use; a
+// Scratch is not safe for concurrent use.
 type Scratch struct {
 	mesh         Mesh
 	contour      contourBuffers
@@ -88,24 +61,6 @@ type Scratch struct {
 	keep, shaded []bool
 	tris         [][3]int32
 	bins         raster.Bins
-}
-
-// Isosurface is the package's Isosurface into s's mesh, which stays valid
-// until s extracts again. Like any isosurface mesh, it reads g when drawn.
-func (s *Scratch) Isosurface(g *data.StructuredGrid, fieldName string, isoValue float32) (*Mesh, error) {
-	return isosurface(&s.mesh, s, g, fieldName, isoValue)
-}
-
-// SlicePlane extracts the cross-section of g with the plane through point
-// with unit normal, colored by the named field (VTK's slice filter, see
-// slicePlane), into s's mesh, which stays valid until s extracts again.
-func (s *Scratch) SlicePlane(g *data.StructuredGrid, fieldName string, point, normal vec.V3) (*Mesh, error) {
-	return slicePlane(s, g, fieldName, point, normal)
-}
-
-// DrawMesh is the package's DrawMesh on s's buffers.
-func (s *Scratch) DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
-	s.verts, s.keep, s.shaded, s.tris = drawMesh(frame, m, cam, opt, &s.bins, s.verts, s.keep, s.shaded, s.tris)
 }
 
 // resize returns s with length n and unspecified contents. It

@@ -459,40 +459,9 @@ func TestIndexedMatchesReference(t *testing.T) {
 				frame.Clear(vec.V3{})
 				DrawMesh(frame, &Mesh{Verts: iso.Verts, Scalars: iso.Scalars, Tris: iso.Tris}, &cam, c.isoShade())
 				requireSameFrame(t, fmt.Sprintf("flat, %d workers", workers), frame, wantFlat)
-				PutMesh(iso)
-				PutMesh(slice)
 				runtime.GOMAXPROCS(prev)
 			}
 		})
-	}
-}
-
-// TestPutMeshNeverAliasesHeldMesh: a recycled mesh may be handed out
-// again, but never while someone still holds it.
-func TestPutMeshNeverAliasesHeldMesh(t *testing.T) {
-	g := sphereGrid(12)
-	held, _ := Isosurface(g, "r", 4)
-	want := append([]vec.V3(nil), held.Verts...)
-	wantTris := append([][3]int32(nil), held.Tris...)
-	for round := 0; round < 4; round++ {
-		m, _ := Isosurface(g, "r", 3)
-		PutMesh(m)
-		again, _ := Isosurface(g, "r", 5)
-		if again == held || &again.Verts[0] == &held.Verts[0] || &again.Tris[0] == &held.Tris[0] ||
-			&again.Scalars[0] == &held.Scalars[0] {
-			t.Fatal("a mesh still held was handed out again")
-		}
-		PutMesh(again)
-	}
-	for i := range want {
-		if held.Verts[i] != want[i] {
-			t.Fatalf("held mesh vertex %d overwritten", i)
-		}
-	}
-	for i := range wantTris {
-		if held.Tris[i] != wantTris[i] {
-			t.Fatalf("held mesh triangle %d overwritten", i)
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package geom
 
 import (
 	"math"
-	"sync"
 
 	"github.com/ascr-ecx/eth/internal/camera"
 	"github.com/ascr-ecx/eth/internal/data"
@@ -35,9 +34,6 @@ type ShadeOptions struct {
 	Ambient float64
 }
 
-// drawPool holds DrawMesh's buffers between calls (see Scratch).
-var drawPool sync.Pool
-
 // DrawMesh projects, shades, and rasterizes m into frame using cam:
 // Lambert + ambient, Gouraud-interpolated from the vertex normals of a
 // smooth (isosurface) mesh, else flat with the geometric normal per
@@ -49,17 +45,11 @@ var drawPool sync.Pool
 // geometry pipeline; its cost is proportional to the geometry generated,
 // not the input data size.
 func DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
-	s, _ := drawPool.Get().(*Scratch)
-	if s == nil {
-		s = new(Scratch)
-	}
-	s.DrawMesh(frame, m, cam, opt)
-	drawPool.Put(s)
+	new(Scratch).DrawMesh(frame, m, cam, opt)
 }
 
-// drawMesh is DrawMesh on the screen vertices, keep flags, shaded flags
-// and triangle list it is given, resized as the mesh needs; it returns
-// them for the next draw.
+// DrawMesh is the package's DrawMesh on s's screen vertices, keep flags,
+// shaded flags, triangle list and bins, resized as the mesh needs.
 //
 // A smooth mesh's vertex is shaded — its normal computed from the grid
 // (VertexNormal) and its colour lit — by one function, on one of two
@@ -71,9 +61,9 @@ func DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
 // front, in parallel, with its projection. A pixel reads only colours of
 // shaded vertices, and shading is the same arithmetic on either schedule,
 // so the frame is the same bits.
-func drawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions, bins *raster.Bins, verts []raster.Vertex, keep, shaded []bool, tris [][3]int32) ([]raster.Vertex, []bool, []bool, [][3]int32) {
+func (s *Scratch) DrawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions) {
 	if m.TriangleCount() == 0 {
-		return verts, keep, shaded, tris
+		return
 	}
 	sh := newShading(m, cam, opt)
 	smooth := m.grid != nil
@@ -85,9 +75,10 @@ func drawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions, bi
 	if !smooth {
 		nv += 3 * m.TriangleCount()
 	}
-	verts = resize(verts, nv)
-	keep = resize(keep, len(m.Verts))
-	shaded = resize(shaded, len(m.Verts))
+	s.verts = resize(s.verts, nv)
+	s.keep = resize(s.keep, len(m.Verts))
+	s.shaded = resize(s.shaded, len(m.Verts))
+	verts, keep, shaded := s.verts, s.keep, s.shaded
 	par.ForGrained(len(m.Verts), 0, 0, func(from, to int) {
 		for i := from; i < to; i++ {
 			x, y, depth, ok := proj.Project(m.Verts[i])
@@ -103,7 +94,8 @@ func drawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions, bi
 			}
 		}
 	})
-	tris = resize(tris, m.TriangleCount())
+	s.tris = resize(s.tris, m.TriangleCount())
+	tris := s.tris
 	n := 0
 	face := int32(len(m.Verts))
 	for ti, t := range m.Tris {
@@ -128,8 +120,8 @@ func drawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions, bi
 		if smooth {
 			ctrShaded.Add(int64(len(m.Verts)))
 		}
-		bins.DrawTriangles(frame, verts, tris[:n], 0)
-		return verts, keep, shaded, tris
+		s.bins.DrawTriangles(frame, verts, tris[:n], 0)
+		return
 	}
 	count := 0
 	raster.DrawTrianglesLazy(frame, verts, tris[:n], func(t [3]int32) {
@@ -142,7 +134,6 @@ func drawMesh(frame *fb.Frame, m *Mesh, cam *camera.Camera, opt ShadeOptions, bi
 		}
 	})
 	ctrShaded.Add(int64(count))
-	return verts, keep, shaded, tris
 }
 
 // shading is DrawMesh's lighting and colour mapping for one draw.

@@ -9,10 +9,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"sync"
 
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/fb"
-	"github.com/ascr-ecx/eth/internal/mempool"
 	"github.com/ascr-ecx/eth/internal/vec"
 )
 
@@ -85,30 +85,38 @@ func GridFrame(ds data.Dataset, reuse *fb.Frame) (*fb.Frame, error) {
 // sigChunk is how many pixels FrameSig encodes per CRC update.
 const sigChunk = 256
 
+// sigBuf is FrameSig's chunk buffer, one for the process: crc32 hands
+// the buffer to a function value, so a stack array would escape and
+// allocate on every call. sigMu guards it for one chunk at a time, so a
+// caller waits at most one chunk's encoding and hash for another, not a
+// whole frame's.
+var (
+	sigMu  sync.Mutex
+	sigBuf [sigChunk * 16]byte
+)
+
 // FrameSig is a quantization-stable signature of a frame's pixels: both
 // a frame that crossed the wire (float32 fields) and its float64 source
 // hash identically, because the source is quantized the same way the
 // wire conversion quantizes. Used by tests and clients to prove
 // byte-identical delivery. It is the CRC-32C of every pixel's r, g, b
 // and depth as big-endian float32, in pixel order; since a CRC streams,
-// updating it once per chunk of pixels gives the per-pixel value. The
-// chunk buffer comes from mempool: crc32 hands it to a function value,
-// so a stack array would escape.
+// updating it once per chunk of pixels gives the per-pixel value.
 func FrameSig(f *fb.Frame) uint32 {
-	buf := mempool.Bytes(sigChunk * 16)
 	crc := uint32(0)
 	for lo := 0; lo < len(f.Color); lo += sigChunk {
 		px := f.Color[lo:min(lo+sigChunk, len(f.Color))]
 		depth := f.Depth[lo : lo+len(px)]
+		sigMu.Lock()
 		for i, c := range px {
-			b := buf[16*i : 16*i+16]
+			b := sigBuf[16*i : 16*i+16]
 			binary.BigEndian.PutUint32(b[0:], math.Float32bits(float32(c.X)))
 			binary.BigEndian.PutUint32(b[4:], math.Float32bits(float32(c.Y)))
 			binary.BigEndian.PutUint32(b[8:], math.Float32bits(float32(c.Z)))
 			binary.BigEndian.PutUint32(b[12:], math.Float32bits(float32(depth[i])))
 		}
-		crc = crc32.Update(crc, castagnoli, buf[:16*len(px)])
+		crc = crc32.Update(crc, castagnoli, sigBuf[:16*len(px)])
+		sigMu.Unlock()
 	}
-	mempool.PutBytes(buf)
 	return crc
 }

@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/ascr-ecx/eth/internal/fb"
@@ -72,7 +73,7 @@ func TestFrameSigMatchesPerPixel(t *testing.T) {
 }
 
 // TestFrameSigAllocs holds FrameSig at exactly zero allocations: its
-// chunk buffer comes from mempool and goes back to it.
+// chunk buffer is the package's own.
 func TestFrameSigAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
@@ -88,6 +89,38 @@ func TestFrameSigAllocs(t *testing.T) {
 				t.Error("signature differs from the per-pixel reference")
 			}
 		})
+	}
+}
+
+// TestFrameSigConcurrent signs frames from eight goroutines at once, each
+// its own frame twenty times: the one chunk buffer they share must not
+// mix one caller's pixels into another's signature.
+func TestFrameSigConcurrent(t *testing.T) {
+	const callers, rounds = 8, 20
+	frames := make([]*fb.Frame, callers)
+	want := make([]uint32, callers)
+	for i := range frames {
+		frames[i] = sigFrame(int64(100+i), 37+i, 29)
+		want[i] = frameSigPerPixel(frames[i])
+	}
+	var wg sync.WaitGroup
+	got := make([][rounds]uint32, callers)
+	for i := range frames {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range got[i] {
+				got[i][r] = FrameSig(frames[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		for r, sig := range got[i] {
+			if sig != want[i] {
+				t.Errorf("caller %d, round %d: FrameSig = %08x, per-pixel reference %08x", i, r, sig, want[i])
+			}
+		}
 	}
 }
 

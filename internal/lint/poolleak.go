@@ -6,30 +6,28 @@ import (
 )
 
 // PoolLeak machine-checks the mempool ownership convention README states
-// in prose: every pooled acquisition — mempool.Bytes, SlicePool.Get,
-// AcquireFrame / AcquireFrameUncleared — bound to a local variable must
-// reach its matching release (PutBytes, Put, ReleaseFrame) on every
-// normal path out of the function. The analysis is flow-sensitive: the
-// function's CFG is solved with a forward "live acquisition" dataflow, so
-// an early error return that skips the release is reported while a
-// release on every branch (or a `defer` release, which also covers panic
-// unwinding) is accepted.
+// in prose: every pooled frame — AcquireFrameUncleared — bound to a local
+// variable must reach ReleaseFrame on every normal path out of the
+// function. The analysis is flow-sensitive: the function's CFG is solved
+// with a forward "live acquisition" dataflow, so an early error return
+// that skips the release is reported while a release on every branch (or
+// a `defer` release, which also covers panic unwinding) is accepted.
 //
 // Ownership transfers the analyzer recognizes and exempts:
 //
-//   - returning the buffer (the caller now owns it) — per path, so
+//   - returning the frame (the caller now owns it) — per path, so
 //     `return nil, err` without a release still reports;
 //   - storing it into a struct, slice, map, channel, or another variable;
-//   - capturing it in a closure that does more than read/index it;
+//   - capturing it in a closure that does more than use its fields;
 //   - passing it to an ordinary call is a borrow, not a transfer —
-//     helper functions that fill a buffer do not launder ownership.
+//     helper functions that fill a frame do not launder ownership.
 //
-// Explicit panic(...) exits are exempt: a panicking function's buffers
+// Explicit panic(...) exits are exempt: a panicking function's frames
 // are garbage, not pool debt, and requiring releases there would force
 // defer on every hot path the zero-alloc gate protects.
 var PoolLeak = &Analyzer{
 	Name: "poolleak",
-	Doc:  "pooled buffers must be released on every normal path out of the function",
+	Doc:  "pooled frames must be released on every normal path out of the function",
 	Run:  runPoolLeak,
 }
 
@@ -37,7 +35,6 @@ var PoolLeak = &Analyzer{
 type poolAcq struct {
 	obj  types.Object // the variable the acquisition is bound to
 	node ast.Node     // the assignment, for reporting
-	kind string       // "Bytes", "SlicePool.Get", "AcquireFrame", ...
 }
 
 func runPoolLeak(pass *Pass) {
@@ -60,8 +57,7 @@ func checkPoolLeak(pass *Pass, fn ast.Node, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		kind, ok := poolAcquireKind(pass, call)
-		if !ok {
+		if !isFrameAcquire(pass, call) {
 			return true
 		}
 		id, ok := as.Lhs[0].(*ast.Ident)
@@ -69,7 +65,7 @@ func checkPoolLeak(pass *Pass, fn ast.Node, body *ast.BlockStmt) {
 			return true
 		}
 		if id.Name == "_" {
-			pass.Reportf(as.Pos(), "pooled buffer from %s is discarded; bind it and release it", kind)
+			pass.Reportf(as.Pos(), "pooled frame from AcquireFrameUncleared is discarded; bind it and release it")
 			return true
 		}
 		obj := pass.Info.Defs[id]
@@ -80,14 +76,14 @@ func checkPoolLeak(pass *Pass, fn ast.Node, body *ast.BlockStmt) {
 			return true
 		}
 		siteOf[obj] = append(siteOf[obj], len(sites))
-		sites = append(sites, &poolAcq{obj: obj, node: as, kind: kind})
+		sites = append(sites, &poolAcq{obj: obj, node: as})
 		return true
 	})
 	if len(sites) == 0 {
 		return
 	}
 
-	// Pass 2: classify uses. A site whose buffer escapes (stored,
+	// Pass 2: classify uses. A site whose frame escapes (stored,
 	// captured by a mutating closure, aliased) is the new owner's
 	// business; a site released by a defer is safe on every exit,
 	// including panics.
@@ -134,8 +130,8 @@ func checkPoolLeak(pass *Pass, fn ast.Node, body *ast.BlockStmt) {
 	for i, s := range sites {
 		if leaked.Has(i) {
 			pass.Reportf(s.node.Pos(),
-				"pooled buffer from %s is not released on every path out of %s; release it before each return or use defer",
-				s.kind, cfg.Name)
+				"pooled frame from AcquireFrameUncleared is not released on every path out of %s; release it before each return or use defer",
+				cfg.Name)
 		}
 	}
 }
@@ -148,7 +144,7 @@ func poolTransferNode(pass *Pass, n ast.Node, sites []*poolAcq, siteOf map[types
 			// An acquisition assignment sets its site's bit.
 			if len(m.Lhs) == 1 && len(m.Rhs) == 1 {
 				if call, ok := m.Rhs[0].(*ast.CallExpr); ok {
-					if _, isAcq := poolAcquireKind(pass, call); isAcq {
+					if isFrameAcquire(pass, call) {
 						if id, ok := m.Lhs[0].(*ast.Ident); ok {
 							if obj := defOrUse(pass, id); obj != nil {
 								for _, i := range siteOf[obj] {
@@ -169,7 +165,7 @@ func poolTransferNode(pass *Pass, n ast.Node, sites []*poolAcq, siteOf map[types
 				}
 			}
 		case *ast.ReturnStmt:
-			// Returning the buffer hands ownership to the caller on this
+			// Returning the frame hands ownership to the caller on this
 			// path only.
 			for _, res := range m.Results {
 				inspectShallow(res, func(r ast.Node) bool {
@@ -191,12 +187,10 @@ func poolTransferNode(pass *Pass, n ast.Node, sites []*poolAcq, siteOf map[types
 
 // classifyPoolUses walks the function body marking sites whose variable
 // escapes. Neutral uses (borrows): call arguments and method receivers
-// (callees fill buffers, they do not take ownership), indexing and
-// in-place slicing, range operands, comparisons, and reassignment of the
-// variable itself. Escapes: stores into another variable or element,
-// slice-aliasing assignments (out := buf[:0]), composite literals,
-// channel sends, and capture by a closure that does more than read or
-// index the buffer.
+// (callees fill frames, they do not take ownership), field reads,
+// comparisons, and reassignment of the variable itself. Escapes: stores
+// into another variable or element, composite literals, channel sends,
+// and capture by a closure that does more than read the frame's fields.
 func classifyPoolUses(pass *Pass, body *ast.BlockStmt, siteOf map[types.Object][]int, escaped, deferred map[types.Object]bool) {
 	walkStack(body, func(n ast.Node, stack []ast.Node) bool {
 		id, ok := n.(*ast.Ident)
@@ -208,7 +202,7 @@ func classifyPoolUses(pass *Pass, body *ast.BlockStmt, siteOf map[types.Object][
 			return true
 		}
 		// Inside a nested closure? Classify the closure use itself: pure
-		// read/index uses (par.For bodies filling the buffer) are fine;
+		// field uses (par.For bodies filling the frame) are fine;
 		// anything else escapes.
 		for i := len(stack) - 1; i >= 0; i-- {
 			if _, isLit := stack[i].(*ast.FuncLit); isLit {
@@ -234,30 +228,13 @@ func neutralPoolUse(pass *Pass, id *ast.Ident, stack []ast.Node) bool {
 	}
 	parent := stack[len(stack)-1]
 	switch p := parent.(type) {
-	case *ast.IndexExpr:
-		return true // buf[i]
-	case *ast.SliceExpr:
-		// buf[:n] read in place is neutral; aliasing it into another
-		// variable is handled by the surrounding assignment below.
-		if len(stack) >= 2 {
-			if as, ok := stack[len(stack)-2].(*ast.AssignStmt); ok {
-				for _, rhs := range as.Rhs {
-					if rhs == p {
-						return false // out := buf[:0] aliases the backing array
-					}
-				}
-			}
-		}
-		return true
 	case *ast.SelectorExpr:
-		// buf.Field read or method borrow: v.CopyFrom(x), f.Color[i], ...
+		// f.Field read or method borrow: f.Clear(c), f.Color[i], ...
 		return p.X == id
 	case *ast.CallExpr:
 		// Argument (or callee) position. Release calls are handled by the
-		// flow transfer; any other call borrows the buffer.
+		// flow transfer; any other call borrows the frame.
 		return true
-	case *ast.RangeStmt:
-		return p.X == id
 	case *ast.AssignStmt:
 		for _, lhs := range p.Lhs {
 			if lhs == id {
@@ -269,20 +246,17 @@ func neutralPoolUse(pass *Pass, id *ast.Ident, stack []ast.Node) bool {
 	case *ast.ReturnStmt:
 		return true // per-path ownership transfer, handled in the flow
 	case *ast.IfStmt, *ast.BinaryExpr, *ast.UnaryExpr, *ast.ParenExpr:
-		return true // nil checks, comparisons, &buf[i]...
-	case *ast.ExprStmt, *ast.IncDecStmt, *ast.SwitchStmt, *ast.CaseClause, *ast.ForStmt:
+		return true // nil checks, comparisons, ...
+	case *ast.ExprStmt, *ast.SwitchStmt, *ast.CaseClause, *ast.ForStmt:
 		return true
 	}
 	// Composite literal, send, index on the LHS of a map store, defer
 	// argument (defers are scanned separately), go statement, ...
-	if _, ok := parent.(*ast.KeyValueExpr); ok {
-		return false
-	}
 	return false
 }
 
 // markDeferredReleases records variables released by a defer statement:
-// either `defer PutBytes(buf)` directly or a deferred closure whose body
+// either `defer ReleaseFrame(f)` directly or a deferred closure whose body
 // releases the variable.
 func markDeferredReleases(pass *Pass, d *ast.DeferStmt, siteOf map[types.Object][]int, deferred map[types.Object]bool) {
 	if obj := poolReleaseArg(pass, d.Call); obj != nil && siteOf[obj] != nil {
@@ -301,81 +275,40 @@ func markDeferredReleases(pass *Pass, d *ast.DeferStmt, siteOf map[types.Object]
 	}
 }
 
-// poolAcquireKind reports whether call is a pooled acquisition and names
-// its shape. Matched by name plus type shape so fixtures and any package
-// following the mempool conventions are covered:
-//
-//   - package-level func Bytes(n) returning []byte
-//   - method Get on a named type SlicePool
-//   - package-level funcs AcquireFrame / AcquireFrameUncleared
-func poolAcquireKind(pass *Pass, call *ast.CallExpr) (string, bool) {
+// isFrameAcquire reports whether call is a pooled frame acquisition: a
+// package-level func AcquireFrameUncleared, matched by name so fixtures
+// following the mempool convention are covered.
+func isFrameAcquire(pass *Pass, call *ast.CallExpr) bool {
 	fnObj := calleeFunc(pass, call)
-	if fnObj == nil {
-		return "", false
-	}
-	sig, ok := fnObj.Type().(*types.Signature)
-	if !ok {
-		return "", false
-	}
-	switch fnObj.Name() {
-	case "Bytes":
-		if sig.Recv() == nil && sig.Params().Len() == 1 && sig.Results().Len() == 1 &&
-			isByteSlice(sig.Results().At(0).Type()) {
-			return "Bytes", true
-		}
-	case "Get":
-		if recvNamed(sig) == "SlicePool" {
-			return "SlicePool.Get", true
-		}
-	case "AcquireFrame", "AcquireFrameUncleared":
-		if sig.Recv() == nil {
-			return fnObj.Name(), true
-		}
-	}
-	return "", false
+	return fnObj != nil && fnObj.Name() == "AcquireFrameUncleared" && !isMethod(fnObj)
 }
 
 // poolReleaseArg returns the released variable's object when call is a
-// pool release (PutBytes, ReleaseFrame, SlicePool.Put) with a plain
+// pool release (a package-level func ReleaseFrame) with a plain
 // identifier argument, else nil.
 func poolReleaseArg(pass *Pass, call *ast.CallExpr) types.Object {
 	fnObj := calleeFunc(pass, call)
-	if fnObj == nil || len(call.Args) != 1 {
-		return nil
-	}
-	sig, ok := fnObj.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	switch fnObj.Name() {
-	case "PutBytes", "ReleaseFrame":
-		if sig.Recv() != nil {
-			return nil
-		}
-	case "Put":
-		if recvNamed(sig) != "SlicePool" {
-			return nil
-		}
-	default:
+	if fnObj == nil || fnObj.Name() != "ReleaseFrame" || isMethod(fnObj) || len(call.Args) != 1 {
 		return nil
 	}
 	arg := call.Args[0]
 	for {
-		switch a := arg.(type) {
-		case *ast.ParenExpr:
-			arg = a.X
-			continue
-		case *ast.SliceExpr:
-			arg = a.X // PutBytes(buf[:0]) still releases buf's backing array
-			continue
+		p, ok := arg.(*ast.ParenExpr)
+		if !ok {
+			break
 		}
-		break
+		arg = p.X
 	}
 	id, ok := arg.(*ast.Ident)
 	if !ok {
 		return nil
 	}
 	return pass.Info.Uses[id]
+}
+
+// isMethod reports whether fn has a receiver.
+func isMethod(fn *types.Func) bool {
+	return fn.Type().(*types.Signature).Recv() != nil
 }
 
 // calleeFunc resolves the called function or method object.
@@ -386,12 +319,6 @@ func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
 		id = fun
 	case *ast.SelectorExpr:
 		id = fun.Sel
-	case *ast.IndexExpr: // generic instantiation Get[T]
-		if sel, ok := fun.X.(*ast.SelectorExpr); ok {
-			id = sel.Sel
-		} else if base, ok := fun.X.(*ast.Ident); ok {
-			id = base
-		}
 	}
 	if id == nil {
 		return nil
@@ -409,31 +336,4 @@ func defOrUse(pass *Pass, id *ast.Ident) types.Object {
 		return obj
 	}
 	return pass.Info.Uses[id]
-}
-
-func isByteSlice(t types.Type) bool {
-	sl, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := sl.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Byte
-}
-
-// recvNamed returns the name of the method receiver's named type (through
-// pointers and generic instantiation), or "".
-func recvNamed(sig *types.Signature) string {
-	recv := sig.Recv()
-	if recv == nil {
-		return ""
-	}
-	t := recv.Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	return named.Obj().Name()
 }

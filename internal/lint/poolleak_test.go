@@ -2,113 +2,106 @@ package lint
 
 import "testing"
 
-// The fixture declares pool shapes matching internal/mempool's conventions
-// (package-level Bytes/PutBytes and AcquireFrame*/ReleaseFrame, a generic
-// SlicePool with Get/Put) so the analyzer is exercised without importing
-// the real package.
+// The fixture declares the frame pool's shape as internal/mempool has it
+// (package-level AcquireFrameUncleared/ReleaseFrame) so the analyzer is
+// exercised without importing the real package.
 const poolLeakFixture = `package fixture
 
 import "errors"
 
-func Bytes(n int) []byte { return make([]byte, n) }
-func PutBytes(b []byte)  {}
+type Frame struct {
+	W, H  int
+	Color []float64
+}
 
-type Frame struct{ W, H int }
-
-func AcquireFrame(w, h int) *Frame          { return &Frame{w, h} }
-func AcquireFrameUncleared(w, h int) *Frame { return &Frame{w, h} }
+func AcquireFrameUncleared(w, h int) *Frame { return &Frame{W: w, H: h, Color: make([]float64, w*h)} }
 func ReleaseFrame(f *Frame)                 {}
 
-type SlicePool[T any] struct{}
-
-func (p *SlicePool[T]) Get(n int) []T { return make([]T, n) }
-func (p *SlicePool[T]) Put(s []T)     {}
-
-var pool SlicePool[int]
-
-// Early error return skips the release: the PR 3 pool-ownership bug class.
+// Early error return skips the release: the bug class the analyzer exists for.
 func leakOnError(fail bool) error {
-	buf := Bytes(64) // want "pooled buffer from Bytes is not released on every path"
+	f := AcquireFrameUncleared(8, 8) // want "pooled frame from AcquireFrameUncleared is not released on every path"
 	if fail {
 		return errors.New("boom")
 	}
-	PutBytes(buf)
+	ReleaseFrame(f)
 	return nil
 }
 
 // Released on both branches: correct on all paths.
 func releasedOnAllPaths(fail bool) error {
-	buf := Bytes(64)
+	f := AcquireFrameUncleared(8, 8)
 	if fail {
-		PutBytes(buf)
+		ReleaseFrame(f)
 		return errors.New("boom")
 	}
-	PutBytes(buf)
+	ReleaseFrame(f)
 	return nil
 }
 
 // A deferred release covers every exit, including panic unwinding.
 func releasedByDefer(fail bool) error {
-	buf := Bytes(64)
-	defer PutBytes(buf)
+	f := AcquireFrameUncleared(8, 8)
+	defer ReleaseFrame(f)
 	if fail {
 		return errors.New("boom")
 	}
-	buf[0] = 1
+	f.Color[0] = 1
 	return nil
 }
 
-// A deferred closure releasing the buffer counts too.
+// A deferred closure releasing the frame counts too.
 func releasedByDeferClosure() {
-	buf := Bytes(8)
-	defer func() { PutBytes(buf) }()
-	buf[0] = 1
+	f := AcquireFrameUncleared(2, 4)
+	defer func() { ReleaseFrame(f) }()
+	f.Color[0] = 1
 }
 
-// Returning the buffer transfers ownership on that path; the error path
+// Returning the frame transfers ownership on that path; the error path
 // releases explicitly. No finding.
-func returnedOwnership(fail bool) ([]byte, error) {
-	buf := Bytes(64)
+func returnedOwnership(fail bool) (*Frame, error) {
+	f := AcquireFrameUncleared(8, 8)
 	if fail {
-		PutBytes(buf)
+		ReleaseFrame(f)
 		return nil, errors.New("boom")
 	}
-	return buf, nil
+	return f, nil
 }
 
-// The rt.scalarColors shape: success path returns the buffer, error path
+// The rt.scalarColors shape: success path returns the frame, error path
 // returns nil and leaks it.
-func leakReturningNil(bad bool) ([]byte, error) {
-	buf := Bytes(64) // want "not released on every path"
+func leakReturningNil(bad bool) (*Frame, error) {
+	f := AcquireFrameUncleared(8, 8) // want "not released on every path"
 	if bad {
 		return nil, errors.New("no field")
 	}
-	return buf, nil
+	return f, nil
 }
 
 // Explicit panic exits are exempt: panicking functions owe the pool
 // nothing.
 func panicPathExempt(bad bool) {
-	buf := Bytes(8)
+	f := AcquireFrameUncleared(2, 4)
 	if bad {
 		panic("bad")
 	}
-	PutBytes(buf)
+	ReleaseFrame(f)
 }
 
-// SlicePool.Get / Put pairing, leaked on the early return.
-func leakSlice(fail bool) error {
-	s := pool.Get(10) // want "pooled buffer from SlicePool.Get"
+// A frame assigned to a variable declared earlier, leaked on the early
+// return.
+func leakAssigned(fail bool) error {
+	var f *Frame
+	f = AcquireFrameUncleared(2, 5) // want "pooled frame from AcquireFrameUncleared"
 	if fail {
 		return errors.New("x")
 	}
-	pool.Put(s)
+	ReleaseFrame(f)
 	return nil
 }
 
 // Frame acquisition leaked when the error path returns nil.
 func leakFrame(fail bool) (*Frame, error) {
-	f := AcquireFrameUncleared(4, 4) // want "pooled buffer from AcquireFrameUncleared"
+	f := AcquireFrameUncleared(4, 4) // want "pooled frame from AcquireFrameUncleared"
 	if fail {
 		return nil, errors.New("copy failed")
 	}
@@ -118,71 +111,71 @@ func leakFrame(fail bool) (*Frame, error) {
 // Released in a helper borrow? No: passing to a call is a borrow; the
 // release before both exits keeps this clean.
 func borrowedByCallee(fail bool) error {
-	buf := Bytes(32)
-	fill(buf)
+	f := AcquireFrameUncleared(4, 8)
+	fill(f)
 	if fail {
-		PutBytes(buf)
+		ReleaseFrame(f)
 		return errors.New("late")
 	}
-	PutBytes(buf)
+	ReleaseFrame(f)
 	return nil
 }
 
-func fill(b []byte) {}
+func fill(f *Frame) {}
 
 // Storing into a struct transfers ownership; the new owner releases.
-type holder struct{ b []byte }
+type holder struct{ f *Frame }
 
 func escapesToStruct(h *holder) {
-	buf := Bytes(8)
-	h.b = buf
+	f := AcquireFrameUncleared(2, 4)
+	h.f = f
 }
 
 // Discarding the acquisition outright.
 func discarded() {
-	_ = Bytes(8) // want "discarded"
+	_ = AcquireFrameUncleared(2, 4) // want "discarded"
 }
 
 // Acquire/release balanced inside a loop body.
 func loopReleased(n int) {
 	for i := 0; i < n; i++ {
-		buf := Bytes(16)
-		buf[0] = byte(i)
-		PutBytes(buf)
+		f := AcquireFrameUncleared(4, 4)
+		f.Color[0] = float64(i)
+		ReleaseFrame(f)
 	}
 }
 
-// A continue that skips the release leaks one iteration's buffer.
+// A continue that skips the release leaks one iteration's frame.
 func loopLeakViaContinue(n int) {
 	for i := 0; i < n; i++ {
-		buf := Bytes(16) // want "not released on every path"
+		f := AcquireFrameUncleared(4, 4) // want "not released on every path"
 		if i%2 == 0 {
 			continue
 		}
-		PutBytes(buf)
+		ReleaseFrame(f)
 	}
 }
 
-// Capture by a read/index-only closure (the par.For shape) is a borrow,
-// so the leak on the error return is still visible through it.
-func leakWithWorkerClosure(bad bool) ([]byte, error) {
-	buf := Bytes(64) // want "not released on every path"
-	work(func(i int) { buf[i] = 0 })
+// Capture by a field-only closure (the par.For shape) is a borrow, so
+// the leak on the error return is still visible through it.
+func leakWithWorkerClosure(bad bool) (*Frame, error) {
+	f := AcquireFrameUncleared(8, 8) // want "not released on every path"
+	work(func(i int) { f.Color[i] = 0 })
 	if bad {
 		return nil, errors.New("no field")
 	}
-	return buf, nil
+	return f, nil
 }
 
-func work(f func(int)) { f(0) }
+func work(fn func(int)) { fn(0) }
 
-// Capture by a closure that stores the buffer elsewhere escapes: the
+// Capture by a closure that stores the frame elsewhere escapes: the
 // closure owns its fate now.
-var sink []byte
+var sink *Frame
 
 func escapesViaClosure() {
-	buf := Bytes(8)
-	work(func(i int) { sink = buf })
+	f := AcquireFrameUncleared(2, 4)
+	work(func(i int) { sink = f })
 }
 `
 
@@ -193,13 +186,15 @@ func TestPoolLeak(t *testing.T) {
 func TestPoolLeakSuppression(t *testing.T) {
 	src := `package fixture
 
-func Bytes(n int) []byte { return make([]byte, n) }
-func PutBytes(b []byte)  {}
+type Frame struct{ W, H int }
+
+func AcquireFrameUncleared(w, h int) *Frame { return &Frame{w, h} }
+func ReleaseFrame(f *Frame)                 {}
 
 func intentional(fail bool) error {
 	//lint:ignore poolleak the arena frees everything at step end
-	buf := Bytes(64)
-	buf[0] = 1
+	f := AcquireFrameUncleared(8, 8)
+	f.W = 1
 	return nil
 }
 `

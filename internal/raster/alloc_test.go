@@ -25,8 +25,8 @@ func allocTriangles(n int) ([]Vertex, [][3]int32) {
 // TestDrawSteadyStateAllocs locks in the zero-allocation steady state of
 // the one-worker rasterizers: they draw each primitive straight into the
 // frame, with no bins and no scratch, so a re-render into an existing
-// frame must not allocate. (More workers bin on pooled scratch and
-// allocate the par.For closures and goroutine bookkeeping by design.)
+// frame must not allocate. (More workers bin through a Bins and allocate
+// the par.For closures and goroutine bookkeeping by design.)
 func TestDrawSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")

@@ -35,7 +35,6 @@ func blastMesh(tb testing.TB, piece *data.StructuredGrid, iso float32, img, tota
 	if err != nil {
 		tb.Fatal(err)
 	}
-	defer geom.PutMesh(m)
 	field, err := piece.Field("temperature")
 	if err != nil {
 		tb.Fatal(err)

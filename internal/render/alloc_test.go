@@ -23,7 +23,7 @@ func TestVtkRenderWarmAllocs(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// AllocsPerRun counts mallocs process-wide, and a collection inside a
-	// run would also empty the pools.
+	// run allocates its own bookkeeping.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	g := testGrid(40)
 	cam := camera.ForBounds(g.Bounds())
@@ -37,7 +37,7 @@ func TestVtkRenderWarmAllocs(t *testing.T) {
 				t.Fatalf("%s: %d primitives, error %v", name, st.Primitives, err)
 			}
 		}
-		render() // grow the pooled mesh and scratch to this surface's size
+		render() // grow the renderer's scratch to this surface's size
 		if allocs := testing.AllocsPerRun(5, render); allocs != want {
 			t.Errorf("warm %s Render allocates %.1f times, want exactly %.0f", name, allocs, want)
 		}
@@ -45,13 +45,10 @@ func TestVtkRenderWarmAllocs(t *testing.T) {
 }
 
 // TestVtkRenderWarmAllocsAfterCollections holds a warm geometry
-// renderer to its own memory: two collections, which empty every
-// sync.Pool, leave it nothing to reallocate — its mesh, contour and draw
-// buffers and the slice's plane distances are all its own — so it
-// allocates well under a quarter of what a renderer starting cold
-// allocates for the same surface. On pooled meshes and draw buffers what
-// a step allocated depended on when the collector last ran, and on the
-// order in which renderers on other goroutines took the pooled buffers.
+// renderer to its own memory: two collections leave it nothing to
+// reallocate — its mesh, contour and draw buffers and the slice's plane
+// distances are all its own — so it allocates well under a quarter of
+// what a renderer starting cold allocates for the same surface.
 func TestVtkRenderWarmAllocsAfterCollections(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")

@@ -29,12 +29,13 @@ func wantUnstructured(ds data.Dataset, name string) (*data.UnstructuredGrid, err
 }
 
 // unsIso is the geometry-pipeline isosurface over tetrahedral meshes.
-type unsIso struct{}
+// Its draw buffers are its own (see geom.Scratch).
+type unsIso struct{ scratch geom.Scratch }
 
 func (*unsIso) Name() string    { return "uns-iso" }
 func (*unsIso) Kind() data.Kind { return data.KindUnstructuredGrid }
 
-func (*unsIso) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt Options) (Stats, error) {
+func (r *unsIso) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt Options) (Stats, error) {
 	u, err := wantUnstructured(ds, "uns-iso")
 	if err != nil {
 		return Stats{}, err
@@ -46,7 +47,7 @@ func (*unsIso) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt 
 	}
 	t1 := time.Now()
 	lo, hi := isoScalarRange(opt, u.Field)
-	geom.DrawMesh(frame, mesh, cam, geom.ShadeOptions{
+	r.scratch.DrawMesh(frame, mesh, cam, geom.ShadeOptions{
 		Colormap: fb.Hot,
 		ScalarLo: lo, ScalarHi: hi,
 	})
@@ -60,13 +61,13 @@ func (*unsIso) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt 
 }
 
 // unsSlice is the geometry-pipeline slicing plane over tetrahedral
-// meshes.
-type unsSlice struct{}
+// meshes. Its draw buffers are its own (see geom.Scratch).
+type unsSlice struct{ scratch geom.Scratch }
 
 func (*unsSlice) Name() string    { return "uns-slice" }
 func (*unsSlice) Kind() data.Kind { return data.KindUnstructuredGrid }
 
-func (*unsSlice) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt Options) (Stats, error) {
+func (r *unsSlice) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt Options) (Stats, error) {
 	u, err := wantUnstructured(ds, "uns-slice")
 	if err != nil {
 		return Stats{}, err
@@ -82,7 +83,7 @@ func (*unsSlice) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, op
 		return Stats{}, err
 	}
 	t1 := time.Now()
-	geom.DrawMesh(frame, mesh, cam, geom.ShadeOptions{
+	r.scratch.DrawMesh(frame, mesh, cam, geom.ShadeOptions{
 		Colormap: fb.Hot,
 		ScalarLo: opt.ScalarLo, ScalarHi: opt.ScalarHi,
 		Ambient: 0.95,

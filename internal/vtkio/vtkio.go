@@ -28,7 +28,6 @@
 package vtkio
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -36,7 +35,6 @@ import (
 	"math"
 	"os"
 	"slices"
-	"sync"
 
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/vec"
@@ -476,19 +474,9 @@ func (d *decoder) fields(prev []data.Field, expect uint64) []data.Field {
 
 // ---- streams and files ----
 
-// streamBufs holds the container buffers Write and Read stage through,
-// so a caller streaming datasets of a steady size — ethperf's
-// vtkio.write_ms and vtkio.read_ms probes time these two as the
-// pipeline's serialize and deserialize legs — allocates nothing but the
-// decoded dataset.
-var streamBufs = sync.Pool{New: func() any { return new([]byte) }}
-
 // Write writes ds's container encoding to w.
 func Write(w io.Writer, ds data.Dataset) error {
-	bp := streamBufs.Get().(*[]byte)
-	defer streamBufs.Put(bp)
-	b, err := Append((*bp)[:0], ds)
-	*bp = b
+	b, err := Append(nil, ds)
 	if err != nil {
 		return err
 	}
@@ -498,15 +486,11 @@ func Write(w io.Writer, ds data.Dataset) error {
 
 // Read reads r to EOF and decodes the container at its start.
 func Read(r io.Reader) (data.Dataset, error) {
-	bp := streamBufs.Get().(*[]byte)
-	defer streamBufs.Put(bp)
-	buf := bytes.NewBuffer((*bp)[:0])
-	_, err := io.Copy(buf, r)
-	*bp = buf.Bytes()
+	b, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return Decode(buf.Bytes(), nil)
+	return Decode(b, nil)
 }
 
 // WriteFile writes ds to the named file, creating or truncating it.

@@ -58,9 +58,10 @@ go test -race -run 'TestChaosCodec|TestChaos.*Delta|TestProcSIGKILLDeltaResync' 
 # Hub chaos: the multi-viewer broadcast scenarios (slow subscriber
 # never perturbs the publish cadence, kill+cursor-resume is
 # byte-identical with a keyframe downgrade, steering replays
-# deterministically) by name, race-enabled, for the same reason.
-echo "== go test -race -run 'TestHubChaos' ./internal/hub"
-go test -race -run 'TestHubChaos' ./internal/hub/
+# deterministically) by name, race-enabled, for the same reason, with
+# FrameSig's concurrent callers, who share its one chunk buffer.
+echo "== go test -race -run 'TestHubChaos|TestFrameSigConcurrent' ./internal/hub"
+go test -race -run 'TestHubChaos|TestFrameSigConcurrent' ./internal/hub/
 
 # Live telemetry plane: boot a real run with -obs and validate the
 # exposition end to end with ethtop -once (which fails unless /metrics
