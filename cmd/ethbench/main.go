@@ -5,8 +5,8 @@
 // prints in the paper's row layout, its title saying whether its numbers
 // are modeled or measured; -csv dumps machine-readable copies. Every
 // experiment also reports its harness wall time, and the run ends with a
-// telemetry table showing where the measured-kernel time went (span
-// counts, totals, p50/p95/p99).
+// telemetry table showing where the measured-kernel time went (each
+// duration histogram's count, total, p50/p95/p99).
 //
 // Usage:
 //
@@ -217,8 +217,8 @@ func main() {
 }
 
 // spanTable tabulates where the measured-kernel time went across the
-// whole run: every telemetry span with count, total, and latency
-// quantiles.
+// whole run: every telemetry duration histogram with count, total, and
+// latency quantiles.
 func spanTable() *metrics.Table {
 	t := metrics.NewTable("Where the time went (telemetry spans) [measured]",
 		"span", "count", "total s", "p50 ms", "p95 ms", "p99 ms")

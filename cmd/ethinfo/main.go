@@ -486,7 +486,7 @@ func hubTallies(events []journal.Event) *hubAudit {
 
 // durationQuantiles reconstructs per-event-type latency quantiles from
 // the durations the journal recorded — the post-hoc equivalent of the
-// live /metrics span summaries.
+// live /metrics duration summaries.
 func durationQuantiles(events []journal.Event) []durationAudit {
 	byType := map[string][]int64{}
 	for _, ev := range events {

@@ -1,9 +1,9 @@
 // Command ethlint runs ETH's project-specific static-analysis suite over
 // the module and exits non-zero on findings: vet catches generic Go
-// mistakes, ethlint catches the harness-specific ones (span leaks,
-// severed error chains, fire-and-forget goroutines, float equality in
-// the numeric hot paths, bare sentinels, pooled-buffer leaks, loops
-// deaf to cancellation).
+// mistakes, ethlint catches the harness-specific ones (severed error
+// chains, fire-and-forget goroutines, float equality in the numeric hot
+// paths, bare sentinels, pooled-buffer leaks, loops deaf to
+// cancellation).
 //
 // Usage:
 //

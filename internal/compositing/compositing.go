@@ -19,11 +19,13 @@ import (
 	"github.com/ascr-ecx/eth/internal/telemetry"
 )
 
-// Compositing telemetry: per-composite latency spans plus modeled
+// Compositing telemetry: per-composite latency histograms plus modeled
 // communication counters, so every multi-rank run reports merge cost.
 var (
-	ctrCompBytes = telemetry.Default.Counter("compositing.bytes")
-	ctrCompMsgs  = telemetry.Default.Counter("compositing.messages")
+	ctrCompBytes   = telemetry.Default.Counter("compositing.bytes")
+	ctrCompMsgs    = telemetry.Default.Counter("compositing.messages")
+	histBinarySwap = telemetry.Default.Histogram("compositing.binary_swap")
+	histDirectSend = telemetry.Default.Histogram("compositing.direct_send")
 )
 
 // Algorithm selects the compositing schedule.
@@ -109,9 +111,9 @@ func Composite(frames []*fb.Frame, alg Algorithm) (*fb.Frame, Stats, error) {
 		return nil, Stats{}, err
 	}
 	if alg == BinarySwap {
-		telemetry.Default.ObserveSpan("compositing.binary_swap", time.Since(t0))
+		histBinarySwap.Since(t0)
 	} else {
-		telemetry.Default.ObserveSpan("compositing.direct_send", time.Since(t0))
+		histDirectSend.Since(t0)
 	}
 	ctrCompBytes.Add(stats.BytesMoved)
 	ctrCompMsgs.Add(int64(stats.MessagesMoved))

@@ -28,6 +28,9 @@ import (
 	"github.com/ascr-ecx/eth/internal/transport"
 )
 
+// histGenerate times each step's up-front generation.
+var histGenerate = telemetry.Default.Histogram("core.generate")
+
 // Workload produces the datasets an experiment replays.
 type Workload struct {
 	// Name labels the workload ("hacc", "xrage", or user-defined).
@@ -127,10 +130,9 @@ type MeasuredSpec struct {
 	// Policy is the socket-mode degradation policy (retry/skip budgets,
 	// deadlines, optional fault injection). Zero = fail on first error.
 	Policy coupling.Policy
-	// Ctx, when set, bounds a supervised run: cancellation drains the
-	// in-flight step and the run returns a shutdown-classified error.
-	// Nil means context.Background(). Unsupervised runs (Supervise nil)
-	// ignore it.
+	// Ctx, when set, bounds the run, supervised or not: cancellation
+	// drains the in-flight step and the run returns an error wrapping
+	// supervise.ErrShutdown. Nil means context.Background().
 	Ctx context.Context
 	// Supervise, when set, runs every proxy pair under a watchdog with
 	// this restart policy: a stalled, panicked, or crashed pair is torn
@@ -256,7 +258,7 @@ func RunMeasured(spec MeasuredSpec) (MeasuredResult, error) {
 			return MeasuredResult{}, err
 		}
 		genDur := time.Since(g0)
-		telemetry.Default.ObserveSpan("core.generate", genDur)
+		histGenerate.ObserveDuration(genDur)
 		jw.Emit(journal.Event{
 			Type: journal.TypeDataset, Phase: journal.PhaseGenerate,
 			Rank: -1, Step: s, DurNS: int64(genDur),

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"path/filepath"
 	"testing"
 
 	"github.com/ascr-ecx/eth/internal/coupling"
 	"github.com/ascr-ecx/eth/internal/fb"
+	"github.com/ascr-ecx/eth/internal/supervise"
 	"github.com/ascr-ecx/eth/internal/vtkio"
 )
 
@@ -49,6 +52,22 @@ func TestRunMeasuredSocketMode(t *testing.T) {
 	}
 	if res.BytesMoved == 0 {
 		t.Error("socket mode moved no bytes")
+	}
+}
+
+// TestRunMeasuredUnsupervisedHonoursCtx: without a supervisor, a
+// cancelled Ctx still drains both couplings with a shutdown error.
+func TestRunMeasuredUnsupervisedHonoursCtx(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, mode := range []coupling.Mode{coupling.Unified, coupling.Socket} {
+		spec := haccSpec()
+		spec.Mode = mode
+		spec.LayoutPath = filepath.Join(t.TempDir(), "layout")
+		spec.Ctx = ctx
+		if _, err := RunMeasured(spec); !errors.Is(err, supervise.ErrShutdown) {
+			t.Errorf("%s: err = %v, want one wrapping supervise.ErrShutdown", mode, err)
+		}
 	}
 }
 

@@ -23,12 +23,15 @@ import (
 	"github.com/ascr-ecx/eth/internal/transport"
 )
 
-// Coupling resilience telemetry: reconnect/retry/skip counts across all
-// socket-mode pairs.
+// Coupling telemetry: reconnect/retry/skip counts across all socket-mode
+// pairs, and the wall time of each pair run and unified step.
 var (
-	ctrRetries    = telemetry.Default.Counter("coupling.retries")
-	ctrSkips      = telemetry.Default.Counter("coupling.steps_skipped")
-	ctrReconnects = telemetry.Default.Counter("coupling.reconnects")
+	ctrRetries      = telemetry.Default.Counter("coupling.retries")
+	ctrSkips        = telemetry.Default.Counter("coupling.steps_skipped")
+	ctrReconnects   = telemetry.Default.Counter("coupling.reconnects")
+	histUnified     = telemetry.Default.Histogram("coupling.unified")
+	histUnifiedStep = telemetry.Default.Histogram("coupling.unified.step")
+	histSocket      = telemetry.Default.Histogram("coupling.socket")
 )
 
 // Mode selects how a proxy pair executes.
@@ -79,21 +82,17 @@ func RunUnified(ctx context.Context, sim *proxy.SimProxy, viz *proxy.VizProxy) (
 	if err := viz.EnsureOutDir(); err != nil {
 		return Report{}, err
 	}
-	sp := telemetry.Default.StartSpan("coupling.unified")
-	defer sp.End()
+	defer histUnified.Since(time.Now())
 	t0 := time.Now()
 	for step := viz.NextStep(); step < sim.Steps(); step++ {
 		if ctx.Err() != nil {
 			return Report{Wall: time.Since(t0), Steps: step, Viz: viz},
 				fmt.Errorf("coupling: unified pair drained before step %d: %w", step, supervise.ErrShutdown)
 		}
-		// The iteration body is a closure so the per-step child span is
-		// deferred-ended even when a step fails; an early return used to
-		// leak both spans and drop the step from the telemetry the
-		// harness's comparisons are built on.
+		// The iteration body is a closure so its deferred Since records
+		// the step on every path out, a failing step included.
 		if err := func() error {
-			stepSpan := sp.Child("step")
-			defer stepSpan.End()
+			defer histUnifiedStep.Since(time.Now())
 			ds, err := sim.StepData(step)
 			if err != nil {
 				return fmt.Errorf("coupling: step %d: %w", step, err)
@@ -196,8 +195,7 @@ func runSocketPair(ctx context.Context, sim *proxy.SimProxy, viz *proxy.VizProxy
 	if err := viz.EnsureOutDir(); err != nil {
 		return Report{}, err
 	}
-	sp := telemetry.Default.StartSpan("coupling.socket")
-	defer sp.End()
+	defer histSocket.Since(time.Now())
 	t0 := time.Now()
 
 	ln, err := transport.Listen(layoutPath, rank, "")

@@ -2,6 +2,7 @@ package coupling
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -67,6 +68,43 @@ func TestRunUnified(t *testing.T) {
 	}
 	if rep.Wall <= 0 {
 		t.Error("no wall time")
+	}
+}
+
+// TestUnifiedStepObservedOnEveryPath: coupling.unified.step counts every
+// step attempted, including one that returns early with an error, and
+// coupling.unified counts the run either way.
+func TestUnifiedStepObservedOnEveryPath(t *testing.T) {
+	errStep := errors.New("step unavailable")
+	for _, c := range []struct {
+		name              string
+		failAt, attempted int
+	}{{"clean", -1, 4}, {"fails at step 2", 2, 3}} {
+		src := &proxy.FuncSource{N: 4, Fn: func(step int) (data.Dataset, error) {
+			if step == c.failAt {
+				return nil, errStep
+			}
+			return testCloud(200, int64(step)+1), nil
+		}}
+		sim, err := proxy.NewSimProxy(proxy.SimConfig{Ranks: 1}, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viz, err := proxy.NewVizProxy(proxy.VizConfig{Width: 16, Height: 16, Algorithm: "points"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps0, runs0 := histUnifiedStep.Count(), histUnified.Count()
+		_, err = RunUnified(context.Background(), sim, viz)
+		if wantErr := c.failAt >= 0; (err != nil) != wantErr || (wantErr && !errors.Is(err, errStep)) {
+			t.Fatalf("%s: err = %v", c.name, err)
+		}
+		if got := histUnifiedStep.Count() - steps0; got != int64(c.attempted) {
+			t.Errorf("%s: coupling.unified.step counted %d steps, want %d", c.name, got, c.attempted)
+		}
+		if got := histUnified.Count() - runs0; got != 1 {
+			t.Errorf("%s: coupling.unified counted %d runs, want 1", c.name, got)
+		}
 	}
 }
 

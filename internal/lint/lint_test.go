@@ -87,7 +87,7 @@ func eq2(a, b float64) bool {
 }
 
 func eq3(a, b float64) bool {
-	//lint:ignore spanend wrong analyzer named
+	//lint:ignore errwrap wrong analyzer named
 	return a == b
 }
 `

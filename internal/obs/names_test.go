@@ -103,7 +103,6 @@ func TestMetricNamesByValue(t *testing.T) {
 	telemetry.Default.EachCounter(func(m *telemetry.Counter) { names = append(names, m.Name()) })
 	telemetry.Default.EachGauge(func(m *telemetry.Gauge) { names = append(names, m.Name()) })
 	telemetry.Default.EachHistogram(func(m *telemetry.Histogram) { names = append(names, m.Name()) })
-	telemetry.Default.EachSpan(func(m *telemetry.SpanMetric) { names = append(names, m.Name()) })
 	for _, want := range []string{"viz.render.vtk_iso", "viz.op.halos", "viz.op.stats", "hub.sub0.queue_depth", "coupling.unified.step"} {
 		if !slices.Contains(names, want) {
 			t.Errorf("registry lacks %q after the runs", want)

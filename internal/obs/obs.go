@@ -9,9 +9,9 @@
 // Endpoints:
 //
 //   - /metrics  — Prometheus text exposition rendered live from a
-//     telemetry.Registry: counters, gauges, log2 histograms with
-//     cumulative buckets and _sum/_count, span metrics as summaries with
-//     p50/p95/p99 quantiles. Every sample carries role/run labels.
+//     telemetry.Registry: counters, gauges, and every duration
+//     histogram as a summary in seconds with p50/p95/p99 quantiles and
+//     _sum/_count. Every sample carries role/run labels.
 //   - /healthz — liveness JSON derived from the supervise watchdog:
 //     a restart-budget-exhausted or failed role makes the process
 //     unhealthy (HTTP 503).
@@ -45,9 +45,11 @@ import (
 
 // Obs-plane telemetry: the observers observe themselves.
 var (
-	ctrScrapes = telemetry.Default.Counter("obs.scrapes")
-	ctrDropped = telemetry.Default.Counter("obs.events_dropped")
-	gaugeSubs  = telemetry.Default.Gauge("obs.subscribers")
+	ctrScrapes     = telemetry.Default.Counter("obs.scrapes")
+	ctrDropped     = telemetry.Default.Counter("obs.events_dropped")
+	gaugeSubs      = telemetry.Default.Gauge("obs.subscribers")
+	histScrape     = telemetry.Default.Histogram("obs.scrape")
+	histExposition = telemetry.Default.Histogram("obs.exposition")
 )
 
 // Config shapes one observability server.

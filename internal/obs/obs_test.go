@@ -25,21 +25,20 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // testRegistry builds a private registry with fully deterministic
-// contents: fixed counter/gauge values, histogram observations whose
-// log2 buckets are known, and span durations whose bucket-bound
-// quantiles are exact.
+// contents: fixed counter/gauge values and histogram durations whose
+// bucket-bound quantiles are exact.
 func testRegistry() *telemetry.Registry {
 	reg := &telemetry.Registry{}
 	reg.Counter("steps.total").Add(42)
 	reg.Counter("transport.bytes").Add(1 << 20)
 	reg.Gauge("queue.depth").Set(7)
-	h := reg.Histogram("render.latency_ns")
-	for _, v := range []int64{0, 1, 1, 3, 100} {
-		h.Observe(v)
+	h := reg.Histogram("transport.send")
+	for _, us := range []time.Duration{0, 1, 1, 3, 100} {
+		h.ObserveDuration(us * time.Microsecond)
 	}
-	sm := reg.Span("viz.render")
-	sm.Observe(2 * time.Millisecond)
-	sm.Observe(8 * time.Millisecond)
+	sm := reg.Histogram("viz.render")
+	sm.ObserveDuration(2 * time.Millisecond)
+	sm.ObserveDuration(8 * time.Millisecond)
 	return reg
 }
 
@@ -129,26 +128,20 @@ func TestExpositionRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Histogram invariants: buckets cumulative, +Inf equals _count.
-	buckets := exp.Find("eth_render_latency_ns_bucket")
-	if len(buckets) == 0 {
-		t.Fatal("no histogram buckets rendered")
+	// Every histogram is a summary in seconds: _sum is the nanosecond
+	// total scaled, and the top quantile is clamped to the largest
+	// observation.
+	if typ := exp.Types["eth_transport_send_seconds"]; typ != "summary" {
+		t.Errorf("eth_transport_send_seconds type = %q, want summary", typ)
 	}
-	last := math.Inf(-1)
-	for _, b := range buckets {
-		if b.Value < last {
-			t.Errorf("bucket le=%s count %v < previous %v (not cumulative)", b.Label("le"), b.Value, last)
-		}
-		last = b.Value
+	if v, ok := exp.Value("eth_transport_send_seconds_count"); !ok || v != 5 {
+		t.Errorf("summary _count = %v, want 5", v)
 	}
-	if inf := buckets[len(buckets)-1]; inf.Label("le") != "+Inf" || inf.Value != 5 {
-		t.Errorf("+Inf bucket = le=%q %v, want le=+Inf 5", inf.Label("le"), inf.Value)
+	if v, ok := exp.Value("eth_transport_send_seconds_sum"); !ok || math.Abs(v-105e-6) > 1e-12 {
+		t.Errorf("summary _sum = %v, want 105e-6", v)
 	}
-	if v, ok := exp.Value("eth_render_latency_ns_count"); !ok || v != 5 {
-		t.Errorf("histogram _count = %v, want 5", v)
-	}
-	if v, ok := exp.Value("eth_render_latency_ns_sum"); !ok || v != 105 {
-		t.Errorf("histogram _sum = %v, want 105", v)
+	if q := exp.Find("eth_transport_send_seconds"); len(q) != 3 || q[2].Value != 100e-6 {
+		t.Errorf("summary quantiles = %+v, want p99 = 100e-6", q)
 	}
 
 	// Summary invariants: quantiles present and ordered, count exact.
@@ -467,7 +460,6 @@ func TestConcurrentScrape(t *testing.T) {
 			}
 			ctr.Inc()
 			hist.Observe(int64(i))
-			reg.Span("race.span").Observe(time.Duration(i))
 			if i%256 == 0 {
 				time.Sleep(time.Microsecond) // yield so the journal stays bounded
 			}

@@ -18,12 +18,12 @@ import (
 // Sample is one parsed exposition line.
 type Sample struct {
 	// Name is the full sample name as rendered (eth_..., including any
-	// _total/_bucket/_sum/_count suffix).
+	// _total/_sum/_count suffix).
 	Name string
 	// Labels holds the sample's label set.
 	Labels map[string]string
-	// Value is the sample value. Histogram +Inf bucket bounds live in
-	// Labels["le"], not here.
+	// Value is the sample value. A summary's quantile lives in
+	// Labels["quantile"], not here.
 	Value float64
 }
 
@@ -33,7 +33,7 @@ func (s Sample) Label(key string) string { return s.Labels[key] }
 // Exposition is a parsed scrape.
 type Exposition struct {
 	// Types maps metric family name (without sample suffixes) to its
-	// declared type (counter, gauge, histogram, summary).
+	// declared type (counter, gauge, summary).
 	Types map[string]string
 	// Samples holds every sample line in document order.
 	Samples []Sample

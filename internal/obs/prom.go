@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/ascr-ecx/eth/internal/telemetry"
 )
@@ -14,14 +15,13 @@ import (
 //
 //   - Counter  c            -> eth_<name>_total            counter
 //   - Gauge    g            -> eth_<name>                  gauge
-//   - Histogram h           -> eth_<name>_bucket{le=...}   histogram
-//     (log2 buckets, cumulative, occupied prefix + +Inf), _sum, _count
-//   - SpanMetric s          -> eth_<name>_seconds{quantile} summary
+//   - Histogram h           -> eth_<name>_seconds{quantile} summary
 //     (p50/p95/p99 in seconds), _seconds_sum, _seconds_count
 //
-// Metric names are sanitized ('.', '/', '-' and anything else outside
-// [a-zA-Z0-9_] become '_'); every sample carries the server's role and
-// run labels.
+// Every histogram holds durations in nanoseconds, so each is one summary
+// in seconds. Metric names are sanitized ('.', '/', '-' and anything
+// else outside [a-zA-Z0-9_] become '_'); every sample carries the
+// server's role and run labels.
 
 // expoScratch is the per-server reused exposition state: one scrape at
 // a time renders into buf from atomic metric reads, so scraping holds
@@ -32,15 +32,12 @@ type expoScratch struct {
 	counters []*telemetry.Counter
 	gauges   []*telemetry.Gauge
 	hists    []*telemetry.Histogram
-	spans    []*telemetry.SpanMetric
-	buckets  [telemetry.NumBuckets]int64
 }
 
 // handleMetrics serves /metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ctrScrapes.Inc()
-	sp := telemetry.Default.StartSpan("obs.scrape")
-	defer sp.End()
+	defer histScrape.Since(time.Now())
 
 	s.mu.Lock()
 	out := s.renderExpositionLocked(s.run)
@@ -53,8 +50,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // scratch buffer and returns it. Caller holds s.mu (the scratch lock);
 // the returned slice is valid until the next render.
 func (s *Server) renderExpositionLocked(run string) []byte {
-	t0 := telemetry.Default.StartSpan("obs.exposition")
-	defer t0.End()
+	defer histExposition.Since(time.Now())
 	e := &s.expo
 	reg := s.cfg.registry()
 
@@ -67,9 +63,6 @@ func (s *Server) renderExpositionLocked(run string) []byte {
 	e.hists = e.hists[:0]
 	reg.EachHistogram(func(h *telemetry.Histogram) { e.hists = append(e.hists, h) })
 	sort.Slice(e.hists, func(i, j int) bool { return e.hists[i].Name() < e.hists[j].Name() })
-	e.spans = e.spans[:0]
-	reg.EachSpan(func(sm *telemetry.SpanMetric) { e.spans = append(e.spans, sm) })
-	sort.Slice(e.spans, func(i, j int) bool { return e.spans[i].Name() < e.spans[j].Name() })
 
 	role := s.cfg.role()
 	b := e.buf[:0]
@@ -81,7 +74,7 @@ func (s *Server) renderExpositionLocked(run string) []byte {
 		}
 		b = appendHeader(b, name, "counter")
 		b = append(b, name...)
-		b = appendLabels(b, role, run, "", "")
+		b = appendLabels(b, role, run, "")
 		b = append(b, ' ')
 		b = strconv.AppendInt(b, c.Value(), 10)
 		b = append(b, '\n')
@@ -90,84 +83,44 @@ func (s *Server) renderExpositionLocked(run string) []byte {
 		name := promName(g.Name())
 		b = appendHeader(b, name, "gauge")
 		b = append(b, name...)
-		b = appendLabels(b, role, run, "", "")
+		b = appendLabels(b, role, run, "")
 		b = append(b, ' ')
 		b = strconv.AppendInt(b, g.Value(), 10)
 		b = append(b, '\n')
 	}
 	for _, h := range e.hists {
-		b = e.appendHistogram(b, h, role, run)
-	}
-	for _, sm := range e.spans {
-		b = appendSummary(b, sm, role, run)
+		b = appendSummary(b, h, role, run)
 	}
 	e.buf = b
 	return b
 }
 
-// appendHistogram renders one log2 histogram: cumulative buckets over
-// the occupied prefix, the +Inf bucket, _sum and _count.
-func (e *expoScratch) appendHistogram(b []byte, h *telemetry.Histogram, role, run string) []byte {
-	name := promName(h.Name())
-	used := h.CumulativeBuckets(e.buckets[:])
-	count := h.Count()
-	b = appendHeader(b, name, "histogram")
-	for i := 0; i < used; i++ {
-		b = append(b, name...)
-		b = append(b, "_bucket"...)
-		b = appendLabels(b, role, run, "le", strconv.FormatInt(telemetry.BucketBound(i), 10))
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, e.buckets[i], 10)
-		b = append(b, '\n')
-	}
-	b = append(b, name...)
-	b = append(b, "_bucket"...)
-	b = appendLabels(b, role, run, "le", "+Inf")
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, count, 10)
-	b = append(b, '\n')
-
-	b = append(b, name...)
-	b = append(b, "_sum"...)
-	b = appendLabels(b, role, run, "", "")
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, h.Sum(), 10)
-	b = append(b, '\n')
-	b = append(b, name...)
-	b = append(b, "_count"...)
-	b = appendLabels(b, role, run, "", "")
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, count, 10)
-	b = append(b, '\n')
-	return b
-}
-
-// appendSummary renders one span metric as a Prometheus summary in
-// seconds: the p50/p95/p99 quantile series plus _sum and _count.
-func appendSummary(b []byte, sm *telemetry.SpanMetric, role, run string) []byte {
-	name := promName(sm.Name()) + "_seconds"
+// appendSummary renders one duration histogram as a Prometheus summary
+// in seconds: the p50/p95/p99 quantile series plus _sum and _count.
+func appendSummary(b []byte, h *telemetry.Histogram, role, run string) []byte {
+	name := promName(h.Name()) + "_seconds"
 	b = appendHeader(b, name, "summary")
 	for _, q := range [...]struct {
 		label string
 		q     float64
 	}{{"0.5", 0.50}, {"0.95", 0.95}, {"0.99", 0.99}} {
 		b = append(b, name...)
-		b = appendLabels(b, role, run, "quantile", q.label)
+		b = appendLabels(b, role, run, q.label)
 		b = append(b, ' ')
-		b = strconv.AppendFloat(b, sm.Quantile(q.q).Seconds(), 'g', -1, 64)
+		b = strconv.AppendFloat(b, time.Duration(h.Quantile(q.q)).Seconds(), 'g', -1, 64)
 		b = append(b, '\n')
 	}
 	b = append(b, name...)
 	b = append(b, "_sum"...)
-	b = appendLabels(b, role, run, "", "")
+	b = appendLabels(b, role, run, "")
 	b = append(b, ' ')
-	b = strconv.AppendFloat(b, sm.Total().Seconds(), 'g', -1, 64)
+	b = strconv.AppendFloat(b, time.Duration(h.Sum()).Seconds(), 'g', -1, 64)
 	b = append(b, '\n')
 	b = append(b, name...)
 	b = append(b, "_count"...)
-	b = appendLabels(b, role, run, "", "")
+	b = appendLabels(b, role, run, "")
 	b = append(b, ' ')
-	b = strconv.AppendInt(b, sm.Count(), 10)
+	b = strconv.AppendInt(b, h.Count(), 10)
 	b = append(b, '\n')
 	return b
 }
@@ -201,9 +154,9 @@ func promName(name string) string {
 }
 
 // appendLabels is the one label writer: the constant role/run set,
-// e.g. `{role="viz",run="trace.jsonl"}`, plus one extra label (le or
-// quantile) when extraKey is set.
-func appendLabels(b []byte, role, run, extraKey, extraVal string) []byte {
+// e.g. `{role="viz",run="trace.jsonl"}`, plus a quantile label when
+// quantile is set.
+func appendLabels(b []byte, role, run, quantile string) []byte {
 	b = append(b, `{role="`...)
 	b = append(b, escapeLabel(role)...)
 	b = append(b, '"')
@@ -212,11 +165,9 @@ func appendLabels(b []byte, role, run, extraKey, extraVal string) []byte {
 		b = append(b, escapeLabel(run)...)
 		b = append(b, '"')
 	}
-	if extraKey != "" {
-		b = append(b, ',')
-		b = append(b, extraKey...)
-		b = append(b, `="`...)
-		b = append(b, extraVal...)
+	if quantile != "" {
+		b = append(b, `,quantile="`...)
+		b = append(b, quantile...)
 		b = append(b, '"')
 	}
 	return append(b, '}')

@@ -21,10 +21,10 @@ import (
 	"github.com/ascr-ecx/eth/internal/vtkio"
 )
 
-// Simulation-proxy telemetry: per-step generate/sample span aggregation.
+// Simulation-proxy telemetry: per-step generate/sample durations.
 var (
-	spanSimGenerate = telemetry.Default.Span("sim.generate")
-	spanSimSample   = telemetry.Default.Span("sim.sample")
+	histSimGenerate = telemetry.Default.Histogram("sim.generate")
+	histSimSample   = telemetry.Default.Histogram("sim.sample")
 )
 
 // StepSource supplies the simulation data stream, one dataset per time
@@ -204,7 +204,7 @@ func (s *SimProxy) StepData(i int) (_ data.Dataset, err error) {
 		return nil, err
 	}
 	genDur := time.Since(t0)
-	spanSimGenerate.Observe(genDur)
+	histSimGenerate.ObserveDuration(genDur)
 	s.cfg.Journal.Emit(journal.Event{
 		Type: journal.TypeDataset, Phase: journal.PhaseGenerate,
 		Rank: s.cfg.Rank, Step: i, DurNS: int64(genDur),
@@ -226,7 +226,7 @@ func (s *SimProxy) StepData(i int) (_ data.Dataset, err error) {
 		return nil, err
 	}
 	sampleDur := time.Since(t1)
-	spanSimSample.Observe(sampleDur)
+	histSimSample.ObserveDuration(sampleDur)
 	if s.cfg.Journal != nil {
 		s.cfg.Journal.Emit(journal.Event{
 			Type: journal.TypeSample, Phase: journal.PhaseSample,

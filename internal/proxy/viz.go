@@ -20,10 +20,11 @@ import (
 	"github.com/ascr-ecx/eth/internal/vec"
 )
 
-// Proxy telemetry counters.
+// Proxy telemetry: step and image counts, and each step's render time.
 var (
-	ctrSteps  = telemetry.Default.Counter("proxy.steps")
-	ctrImages = telemetry.Default.Counter("proxy.images")
+	ctrSteps   = telemetry.Default.Counter("proxy.steps")
+	ctrImages  = telemetry.Default.Counter("proxy.images")
+	histRender = telemetry.Default.Histogram("viz.render")
 )
 
 // FramePublisher receives each completed step's final rendered frame
@@ -113,12 +114,12 @@ type VizProxy struct {
 	// allowGaps permits the wire step to jump past next (a step the
 	// degradation policy skipped on the sender side).
 	allowGaps bool
-	// imgHist and opSpans are the per-algorithm/per-operation metric
-	// series, resolved once at construction: both domains are closed
+	// imgHist and opHists are the per-algorithm/per-operation duration
+	// histograms, resolved once at construction: both domains are closed
 	// (render registry, compiled-in operations), and resolving here keeps
 	// the per-step path off the registry's name-lookup lock.
 	imgHist *telemetry.Histogram
-	opSpans []*telemetry.SpanMetric
+	opHists []*telemetry.Histogram
 	// Steering cursors: steerSeq gates local (camera/isovalue)
 	// application, fwdSeq gates upstream forwarding, so each steering
 	// update is applied and forwarded exactly once.
@@ -154,7 +155,7 @@ func NewVizProxy(cfg VizConfig) (*VizProxy, error) {
 	// hyphens ("vtk-iso"), so they map to underscores here.
 	v.imgHist = telemetry.Default.Histogram("viz.render." + strings.ReplaceAll(cfg.Algorithm, "-", "_"))
 	for _, op := range cfg.Operations {
-		v.opSpans = append(v.opSpans, telemetry.Default.Span("viz.op."+op.Name()))
+		v.opHists = append(v.opHists, telemetry.Default.Histogram("viz.op."+op.Name()))
 	}
 	v.next.Store(int64(max(cfg.Start, 0)))
 	return v, nil
@@ -208,7 +209,7 @@ func (v *VizProxy) RenderStep(step int, ds data.Dataset) (res StepResult, err er
 		v.imgHist.ObserveDuration(time.Since(it0))
 	}
 	res.Render = time.Since(t0)
-	telemetry.Default.ObserveSpan("viz.render", res.Render)
+	histRender.ObserveDuration(res.Render)
 	v.cfg.Journal.Emit(journal.Event{
 		Type: journal.TypeRender, Phase: journal.PhaseRender,
 		Rank: v.cfg.Rank, Step: step, DurNS: int64(res.Render),
@@ -217,7 +218,7 @@ func (v *VizProxy) RenderStep(step int, ds data.Dataset) (res StepResult, err er
 	})
 
 	// Run the configured analysis operations on the step's data, each
-	// under its own analysis span.
+	// under its own duration histogram.
 	for i, op := range v.cfg.Operations {
 		ot0 := time.Now()
 		opRes, err := op.Apply(OpContext{Step: step, Rank: v.cfg.Rank, OutDir: v.cfg.OutDir}, ds)
@@ -228,7 +229,7 @@ func (v *VizProxy) RenderStep(step int, ds data.Dataset) (res StepResult, err er
 		}
 		opDur := time.Since(ot0)
 		res.Analysis += opDur
-		v.opSpans[i].Observe(opDur)
+		v.opHists[i].ObserveDuration(opDur)
 		v.cfg.Journal.Emit(journal.Event{
 			Type: journal.TypeAnalysis, Phase: journal.PhaseAnalysis,
 			Rank: v.cfg.Rank, Step: step, DurNS: int64(opDur),

@@ -19,7 +19,11 @@ func drawWorkers(workers, h int) int {
 // bandRows returns the rows [y0, y1) of the bands a primitive spanning
 // [lo, hi] vertically is binned to — from the band holding row int(lo)
 // through the one holding int(hi), clamped to the frame's h rows — and
-// false when it lies wholly above or below the frame.
+// false when it lies wholly above or below the frame, or when its first
+// band comes after its last. That happens when int(hi) is out of
+// int's range (a huge or NaN hi converts to the most negative int): the
+// binned draw bins such a primitive nowhere, so the one-worker draw must
+// not clamp its empty row range onto the frame.
 func bandRows(h int, lo, hi float64) (y0, y1 int, ok bool) {
 	if hi < 0 || lo >= float64(h) {
 		return 0, 0, false
@@ -28,6 +32,9 @@ func bandRows(h int, lo, hi float64) (y0, y1 int, ok bool) {
 	last := (h+bandHeight-1)/bandHeight - 1
 	b0 := clampInt(int(lo)/bandHeight, 0, last)
 	b1 := clampInt(int(hi)/bandHeight, 0, last)
+	if b0 > b1 {
+		return 0, 0, false
+	}
 	return b0 * bandHeight, min((b1+1)*bandHeight, h), true
 }
 

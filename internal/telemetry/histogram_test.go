@@ -21,9 +21,6 @@ func TestGaugeBasics(t *testing.T) {
 	if r.Gauge("depth") != g {
 		t.Error("gauge identity not stable")
 	}
-	if got := r.Gauges()["depth"]; got != 5 {
-		t.Errorf("Gauges() = %d", got)
-	}
 	r.Reset()
 	if g.Value() != 0 {
 		t.Error("reset did not zero gauge")
@@ -89,49 +86,57 @@ func TestHistogramExtremes(t *testing.T) {
 
 func TestSpanRecordsDuration(t *testing.T) {
 	var r Registry
-	sp := r.StartSpan("render")
-	time.Sleep(2 * time.Millisecond)
-	d := sp.End()
-	if d < 2*time.Millisecond {
-		t.Errorf("span duration %v too short", d)
+	h := r.Histogram("render")
+	start := time.Now()
+	func() {
+		defer h.Since(time.Now())
+		time.Sleep(2 * time.Millisecond)
+	}()
+	outer := time.Since(start)
+	if h.Count() != 1 {
+		t.Errorf("count = %d", h.Count())
 	}
-	m := r.Span("render")
-	if m.Count() != 1 {
-		t.Errorf("count = %d", m.Count())
+	if d := time.Duration(h.Sum()); d < 2*time.Millisecond || d > outer {
+		t.Errorf("recorded %v, want within [2ms, %v]", d, outer)
 	}
-	if m.Total() != d {
-		t.Errorf("total %v != recorded %v", m.Total(), d)
-	}
-	if m.Quantile(0.5) <= 0 {
-		t.Error("median span duration missing")
+	if h.Quantile(0.5) <= 0 {
+		t.Error("median duration missing")
 	}
 }
 
+// TestSpanNesting checks the nesting the dotted names describe: a
+// deferred Since inside another's region records both, the inner one on
+// every path out, early return included, and the outer total encloses
+// the inner.
 func TestSpanNesting(t *testing.T) {
 	var r Registry
-	parent := r.StartSpan("step")
-	child := parent.Child("render")
-	grand := child.Child("bvh")
-	grand.End()
-	child.End()
-	parent.End()
-	for _, name := range []string{"step", "step.render", "step.render.bvh"} {
-		if r.Span(name).Count() != 1 {
-			t.Errorf("span %s not recorded", name)
+	outer, inner := r.Histogram("step"), r.Histogram("step.render")
+	func() {
+		defer outer.Since(time.Now())
+		for i := 0; i < 3; i++ {
+			func() {
+				defer inner.Since(time.Now())
+				if i == 1 {
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}()
 		}
+	}()
+	if outer.Count() != 1 || inner.Count() != 3 {
+		t.Errorf("counts = %d, %d; want 1, 3", outer.Count(), inner.Count())
 	}
-	// Parent wall-clock encloses the child's.
-	if r.Span("step").Total() < r.Span("step.render").Total() {
-		t.Error("parent total < child total")
+	if outer.Sum() < inner.Sum() {
+		t.Error("outer total < inner total")
 	}
 }
 
 func TestObserveSpanAndStats(t *testing.T) {
 	var r Registry
-	r.ObserveSpan("a", 10*time.Millisecond)
-	r.ObserveSpan("a", 20*time.Millisecond)
-	r.ObserveSpan("b", time.Millisecond)
-	r.Span("never") // registered but unobserved: must not appear
+	r.Histogram("a").ObserveDuration(10 * time.Millisecond)
+	r.Histogram("a").ObserveDuration(20 * time.Millisecond)
+	r.Histogram("b").ObserveDuration(time.Millisecond)
+	r.Histogram("never") // registered but unobserved: must not appear
 	stats := r.SpanStats()
 	if len(stats) != 2 {
 		t.Fatalf("stats rows = %d, want 2", len(stats))
@@ -173,7 +178,6 @@ func TestConcurrentMixedMetrics(t *testing.T) {
 				r.Counter("c").Inc()
 				r.Gauge("g").Set(int64(i))
 				r.Histogram("h").Observe(int64(i))
-				r.ObserveSpan("s", time.Duration(i))
 			}
 		}(w)
 	}
@@ -183,9 +187,6 @@ func TestConcurrentMixedMetrics(t *testing.T) {
 	}
 	if r.Histogram("h").Count() != workers*200 {
 		t.Errorf("histogram count = %d", r.Histogram("h").Count())
-	}
-	if r.Span("s").Count() != workers*200 {
-		t.Errorf("span count = %d", r.Span("s").Count())
 	}
 }
 
@@ -215,36 +216,6 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	})
 }
 
-// TestCumulativeBuckets checks the exposition walk: cumulative counts
-// pair with BucketBound, and the returned length covers exactly the
-// occupied prefix.
-func TestCumulativeBuckets(t *testing.T) {
-	var r Registry
-	h := r.Histogram("cb")
-	for _, v := range []int64{0, 1, 1, 3, 100} {
-		h.Observe(v)
-	}
-	var buckets [NumBuckets]int64
-	used := h.CumulativeBuckets(buckets[:])
-	// 100 has bits.Len64 = 7, so the last occupied bucket is 7.
-	if used != 8 {
-		t.Fatalf("used = %d, want 8", used)
-	}
-	// Bucket 0 (v <= 0) holds one observation; bucket 1 (v <= 1) adds two.
-	if buckets[0] != 1 || buckets[1] != 3 {
-		t.Errorf("buckets[0,1] = %d,%d, want 1,3", buckets[0], buckets[1])
-	}
-	if buckets[used-1] != h.Count() {
-		t.Errorf("last occupied bucket = %d, want count %d", buckets[used-1], h.Count())
-	}
-	if BucketBound(0) != 0 || BucketBound(1) != 1 || BucketBound(2) != 3 {
-		t.Errorf("bounds = %d,%d,%d, want 0,1,3", BucketBound(0), BucketBound(1), BucketBound(2))
-	}
-	if BucketBound(NumBuckets-1) != math.MaxInt64 || BucketBound(NumBuckets+5) != math.MaxInt64 {
-		t.Error("final bucket bound should be MaxInt64")
-	}
-}
-
 // TestEachMetric checks the registry walks visit every registered metric.
 func TestEachMetric(t *testing.T) {
 	var r Registry
@@ -252,13 +223,11 @@ func TestEachMetric(t *testing.T) {
 	r.Counter("b").Inc()
 	r.Gauge("g").Set(7)
 	r.Histogram("h").Observe(1)
-	r.Span("s").Observe(time.Millisecond)
 	names := map[string]bool{}
 	r.EachCounter(func(c *Counter) { names["c:"+c.Name()] = true })
 	r.EachGauge(func(g *Gauge) { names["g:"+g.Name()] = true })
 	r.EachHistogram(func(h *Histogram) { names["h:"+h.Name()] = true })
-	r.EachSpan(func(s *SpanMetric) { names["s:"+s.Name()] = true })
-	for _, want := range []string{"c:a", "c:b", "g:g", "h:h", "s:s"} {
+	for _, want := range []string{"c:a", "c:b", "g:g", "h:h"} {
 		if !names[want] {
 			t.Errorf("walk missed %s (got %v)", want, names)
 		}

@@ -4,14 +4,15 @@
 // them from hot loops with atomic operations; the harness snapshots the
 // registry per experiment phase and reports deltas.
 //
-// Four metric kinds are provided:
+// Three metric kinds are provided:
 //
 //   - Counter: monotonically increasing value (rays cast, bytes sent).
 //   - Gauge: last-value metric (current queue depth, active pairs).
-//   - Histogram: log2-bucketed distribution with approximate quantiles
-//     (per-message latency, per-image render time).
-//   - SpanMetric: aggregated wall-clock time for a named code region,
-//     fed by Span start/end pairs or pre-measured durations.
+//   - Histogram: log2-bucketed distribution of durations in nanoseconds
+//     with approximate quantiles (per-message latency, per-stage time).
+//     A stage resolves its *Histogram once and records with
+//     ObserveDuration, or with `defer h.Since(time.Now())` when the
+//     region has early returns.
 //
 // All metric updates are lock-free atomic operations; registry lookups
 // take a read lock only (writes happen once per name), so hot loops that
@@ -65,97 +66,51 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // Registry holds a set of named metrics. The zero value is ready to use.
 type Registry struct {
 	mu       sync.RWMutex
-	counters map[string]*Counter    // guarded by mu
-	gauges   map[string]*Gauge      // guarded by mu
-	hists    map[string]*Histogram  // guarded by mu
-	spans    map[string]*SpanMetric // guarded by mu
+	counters map[string]*Counter   // guarded by mu
+	gauges   map[string]*Gauge     // guarded by mu
+	hists    map[string]*Histogram // guarded by mu
 }
 
 // Default is the process-wide registry.
 var Default = &Registry{}
 
-// Counter returns the counter with the given name, creating it if needed.
-// Safe for concurrent use; the returned pointer is stable. Lookups of an
-// existing counter take only a read lock, so hot loops do not serialize.
-func (r *Registry) Counter(name string) *Counter {
+// getOrCreate returns the metric named name in *m, creating it with mk
+// if needed. Safe for concurrent use; the returned pointer is stable.
+// Lookups of an existing metric take only a read lock, so hot loops do
+// not serialize.
+func getOrCreate[M any](r *Registry, m *map[string]*M, name string, mk func(string) *M) *M {
 	r.mu.RLock()
-	c := r.counters[name]
+	v := (*m)[name]
 	r.mu.RUnlock()
-	if c != nil {
-		return c
+	if v != nil {
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.counters == nil {
-		r.counters = map[string]*Counter{}
+	if *m == nil {
+		*m = map[string]*M{}
 	}
-	if c = r.counters[name]; c == nil {
-		c = &Counter{name: name}
-		r.counters[name] = c
+	if v = (*m)[name]; v == nil {
+		v = mk(name)
+		(*m)[name] = v
 	}
-	return c
+	return v
+}
+
+// Counter returns the counter with the given name, creating it if needed.
+func (r *Registry) Counter(name string) *Counter {
+	return getOrCreate(r, &r.counters, name, func(n string) *Counter { return &Counter{name: n} })
 }
 
 // Gauge returns the gauge with the given name, creating it if needed.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gauges == nil {
-		r.gauges = map[string]*Gauge{}
-	}
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{name: name}
-		r.gauges[name] = g
-	}
-	return g
+	return getOrCreate(r, &r.gauges, name, func(n string) *Gauge { return &Gauge{name: n} })
 }
 
 // Histogram returns the histogram with the given name, creating it if
 // needed.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.hists == nil {
-		r.hists = map[string]*Histogram{}
-	}
-	if h = r.hists[name]; h == nil {
-		h = newHistogram(name)
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Span returns the span metric with the given name, creating it if
-// needed.
-func (r *Registry) Span(name string) *SpanMetric {
-	r.mu.RLock()
-	s := r.spans[name]
-	r.mu.RUnlock()
-	if s != nil {
-		return s
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.spans == nil {
-		r.spans = map[string]*SpanMetric{}
-	}
-	if s = r.spans[name]; s == nil {
-		s = &SpanMetric{hist: newHistogram(name)}
-		r.spans[name] = s
-	}
-	return s
+	return getOrCreate(r, &r.hists, name, newHistogram)
 }
 
 // Snapshot returns a copy of all counter values at this instant.
@@ -169,72 +124,31 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Gauges returns a copy of all gauge values at this instant.
-func (r *Registry) Gauges() map[string]int64 {
+// each calls fn once per metric in *m, in no particular order. The
+// registry's read lock is released before fn runs, so fn may itself use
+// the registry; new registrations during the walk may or may not be
+// visited.
+func each[M any](r *Registry, m *map[string]*M, fn func(*M)) {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := map[string]int64{}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
+	ms := make([]*M, 0, len(*m))
+	for _, v := range *m {
+		ms = append(ms, v)
 	}
-	return out
+	r.mu.RUnlock()
+	for _, v := range ms {
+		fn(v)
+	}
 }
 
-// EachCounter calls fn once per registered counter, in no particular
-// order. The registry's read lock is released before fn runs, so fn may
-// itself use the registry; new registrations during the walk may or may
-// not be visited. EachGauge/EachHistogram/EachSpan behave identically.
+// EachCounter calls fn once per registered counter (see each).
 // Exposition code (internal/obs) builds /metrics from these walks.
-func (r *Registry) EachCounter(fn func(*Counter)) {
-	r.mu.RLock()
-	cs := make([]*Counter, 0, len(r.counters))
-	for _, c := range r.counters {
-		cs = append(cs, c)
-	}
-	r.mu.RUnlock()
-	for _, c := range cs {
-		fn(c)
-	}
-}
+func (r *Registry) EachCounter(fn func(*Counter)) { each(r, &r.counters, fn) }
 
-// EachGauge calls fn once per registered gauge (see EachCounter).
-func (r *Registry) EachGauge(fn func(*Gauge)) {
-	r.mu.RLock()
-	gs := make([]*Gauge, 0, len(r.gauges))
-	for _, g := range r.gauges {
-		gs = append(gs, g)
-	}
-	r.mu.RUnlock()
-	for _, g := range gs {
-		fn(g)
-	}
-}
+// EachGauge calls fn once per registered gauge (see each).
+func (r *Registry) EachGauge(fn func(*Gauge)) { each(r, &r.gauges, fn) }
 
-// EachHistogram calls fn once per registered histogram (see EachCounter).
-func (r *Registry) EachHistogram(fn func(*Histogram)) {
-	r.mu.RLock()
-	hs := make([]*Histogram, 0, len(r.hists))
-	for _, h := range r.hists {
-		hs = append(hs, h)
-	}
-	r.mu.RUnlock()
-	for _, h := range hs {
-		fn(h)
-	}
-}
-
-// EachSpan calls fn once per registered span metric (see EachCounter).
-func (r *Registry) EachSpan(fn func(*SpanMetric)) {
-	r.mu.RLock()
-	ss := make([]*SpanMetric, 0, len(r.spans))
-	for _, s := range r.spans {
-		ss = append(ss, s)
-	}
-	r.mu.RUnlock()
-	for _, s := range ss {
-		fn(s)
-	}
-}
+// EachHistogram calls fn once per registered histogram (see each).
+func (r *Registry) EachHistogram(fn func(*Histogram)) { each(r, &r.hists, fn) }
 
 // Reset zeroes every metric (for test isolation and per-run phases).
 func (r *Registry) Reset() {
@@ -248,9 +162,6 @@ func (r *Registry) Reset() {
 	}
 	for _, h := range r.hists {
 		h.reset()
-	}
-	for _, s := range r.spans {
-		s.hist.reset()
 	}
 }
 

@@ -62,9 +62,9 @@ var (
 	ctrCRCErrors  = telemetry.Default.Counter("transport.crc_errors")
 	ctrTimeouts   = telemetry.Default.Counter("transport.timeouts")
 	ctrRedials    = telemetry.Default.Counter("transport.redials")
-	spanSerial    = telemetry.Default.Span("transport.serialize")
-	spanSend      = telemetry.Default.Span("transport.send")
-	spanRecv      = telemetry.Default.Span("transport.recv")
+	histSerial    = telemetry.Default.Histogram("transport.serialize")
+	histSend      = telemetry.Default.Histogram("transport.send")
+	histRecv      = telemetry.Default.Histogram("transport.recv")
 )
 
 // MsgType tags a protocol frame.
@@ -360,7 +360,7 @@ func (c *Conn) SendDataset(ds data.Dataset) error {
 		out = enc
 	}
 	serDur := time.Since(t0)
-	spanSerial.Observe(serDur)
+	histSerial.ObserveDuration(serDur)
 	c.Journal.Emit(journal.Event{
 		Type: journal.TypeSerialize, Phase: journal.PhaseSerialize,
 		Rank: c.Rank, Step: c.Step, DurNS: int64(serDur),
@@ -437,7 +437,7 @@ func (c *Conn) sendFrame(id CodecID, out []byte, plainLen int) error {
 	}
 	sendDur := time.Since(t1)
 	c.BytesSent += int64(len(out))
-	spanSend.Observe(sendDur)
+	histSend.ObserveDuration(sendDur)
 	ctrBytesSent.Add(int64(len(out)))
 	ctrBytesPlain.Add(int64(plainLen))
 	ctrMessages.Inc()
@@ -689,7 +689,7 @@ func (c *Conn) recvDataset(n int64) (ds data.Dataset, step int64, err error) {
 	}
 	c.BytesReceived += n
 	recvDur := time.Since(t0)
-	spanRecv.Observe(recvDur)
+	histRecv.ObserveDuration(recvDur)
 	ctrBytesRecv.Add(n)
 	c.Journal.Emit(journal.Event{
 		Type: journal.TypeTransfer, Phase: journal.PhaseTransport,

@@ -375,15 +375,24 @@ func TestHugeCountRejectedCheaply(t *testing.T) {
 		if len(in) > 64 && name != "grid field" {
 			t.Fatalf("%s: container is %d bytes, want <= 64", name, len(in))
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := Decode(in, nil)
-		runtime.ReadMemStats(&after)
+		// TotalAlloc is process-wide, so anything else allocating in the
+		// test binary during a try counts against it: take the least of
+		// five. A decoder that allocates the announced values pays them
+		// on every try.
+		least := ^uint64(0)
+		var err error
+		for try := 0; try < 5; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = Decode(in, nil)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
 		if err == nil {
 			t.Errorf("%s: 2^32 values announced in %d bytes accepted", name, len(in))
 		}
-		if n := after.TotalAlloc - before.TotalAlloc; n >= 1024 {
-			t.Errorf("%s: rejecting it allocated %d bytes, want < 1024", name, n)
+		if least >= 1024 {
+			t.Errorf("%s: rejecting it allocated %d bytes, want < 1024", name, least)
 		}
 	}
 }

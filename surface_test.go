@@ -35,11 +35,10 @@ var surfaceAllowed = map[string]string{
 	"fb.Frame.Set":    "writes one pixel of the compositing and image-metric fixtures",
 	"fb.Frame.At":     "reads one pixel in the renderer and compositor assertions",
 	// Observation hooks.
-	"hub.Hub.Backlog":           "a subscriber's queued frames, read by the hub tests",
-	"faults.Schedule.Fired":     "which scheduled faults fired, read by the chaos tests",
-	"metrics.Table.Rows":        "table rows, read by the paper-table shape tests",
-	"telemetry.Registry.Gauges": "registered gauges, read by the registry tests",
-	"power.Meter.Samples":       "the paper's 5-second power samples, read by the cluster tests",
+	"hub.Hub.Backlog":       "a subscriber's queued frames, read by the hub tests",
+	"faults.Schedule.Fired": "which scheduled faults fired, read by the chaos tests",
+	"metrics.Table.Rows":    "table rows, read by the paper-table shape tests",
+	"power.Meter.Samples":   "the paper's 5-second power samples, read by the cluster tests",
 	// Seams the tests drive the product through.
 	"obs.Config.Registry":          "an obs server over a private registry, so tests do not share telemetry.Default",
 	"obs.Config.Health":            "a shared Health, so the readiness tests flip the roles the server reports",
