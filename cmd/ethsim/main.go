@@ -2,7 +2,10 @@
 // datasets through the in-situ interface, serving one visualization-proxy
 // peer per rank over the socket layer (§III-C). Start ethsim first; each
 // rank registers its address in the layout file, opens its port, and
-// waits. Then start ethviz with the same layout file.
+// waits. Then start ethviz with the same layout file. A volume step goes
+// out with every field until the visualization proxy's field request
+// arrives, then with only the field it names; the request lasts for its
+// connection, so a re-accepted peer gets its first step whole.
 //
 // Usage:
 //

@@ -1,7 +1,11 @@
 // Command ethviz is the visualization-proxy executable: it locates its
 // paired simulation proxy through the layout file, connects, receives
 // each time step, renders it with the configured back-end, and writes
-// image artifacts (§III-C). Start it after ethsim.
+// image artifacts (§III-C). Start it after ethsim. Each connection
+// opens with a request naming the one field the renderer reads (-field,
+// else the renderer's default: temperature for volumes, speed for
+// particles), so ethsim sends volumes with that field alone from the
+// next step on; with -ops no request is sent and every field crosses.
 //
 // Usage:
 //

@@ -227,12 +227,13 @@ var chaosScenarios = []chaosScenario{
 		wantRendered: []int{0, 1, 2}, wantRetries: 1, wantCause: "injected", wantFired: 1,
 	},
 	{
-		// The viz rank's ack for step 1 vanishes. The sim side times out,
+		// The viz rank's ack for step 1 (its third write, after the field
+		// request and ack 0) vanishes. The sim side times out,
 		// reconnects, and re-sends step 1 — which viz already rendered, so
 		// it must re-ack without rendering (idempotent resume, not a
 		// duplicate frame).
 		name: "drop-ack", steps: 3, retries: 2, ioTO: 250 * time.Millisecond,
-		rules:        []faults.Rule{{Side: faults.SideViz, Conn: 0, Op: faults.OpWrite, Nth: 1, Action: faults.Drop}},
+		rules:        []faults.Rule{{Side: faults.SideViz, Conn: 0, Op: faults.OpWrite, Nth: 2, Action: faults.Drop}},
 		wantRendered: []int{0, 1, 2}, wantRetries: 1, wantCause: "timeout", wantFired: 1,
 	},
 	{
@@ -305,8 +306,9 @@ func TestChaosDuplicateNotRerendered(t *testing.T) {
 	pol := Policy{
 		MaxRetries: 2, IOTimeout: 250 * time.Millisecond,
 		Backoff: fastBackoff(), Seed: 7,
+		// Write 0 is the field request, write 1 ack 0, write 2 ack 1.
 		Faults: faults.New(7, faults.Rule{
-			Side: faults.SideViz, Conn: 0, Op: faults.OpWrite, Nth: 1, Action: faults.Drop,
+			Side: faults.SideViz, Conn: 0, Op: faults.OpWrite, Nth: 2, Action: faults.Drop,
 		}),
 	}
 	layout := filepath.Join(t.TempDir(), "layout")

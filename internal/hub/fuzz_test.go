@@ -23,6 +23,7 @@ func FuzzSteeringMessage(f *testing.F) {
 		{Kind: KindSteer, Axes: AxisRatio | AxisCodec, Ratio: 0.125, Codec: transport.CodecDelta},
 		{Kind: KindSteer, Axes: axisAll, Cam: View{Az: -3, El: 1.2, Dist: 0.5},
 			Iso: -1, Ratio: 1, Codec: transport.CodecFlate},
+		{Kind: KindField, Field: "temperature"},
 	} {
 		p, err := EncodeMsg(nil, m)
 		if err != nil {

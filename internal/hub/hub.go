@@ -604,30 +604,8 @@ func (h *Hub) serveSubscriber(nc net.Conn) {
 			h.cfg.Journal.Error(h.cfg.Rank, int(h.latest.Load()), err)
 			return err
 		}
-		switch m.Kind {
-		case KindHello:
-			if sub != nil {
-				return fmt.Errorf("hub: duplicate hello from %s", sub.name)
-			}
-			// A registered subscriber may idle indefinitely between steering
-			// messages, so drop the read deadline now — before register
-			// starts the sender goroutine, which shares the timeout fields.
-			conn.SetTimeouts(0, h.cfg.WriteTimeout)
-			s, err := h.register(m, conn)
-			if err != nil {
-				return err
-			}
-			sub = s
-			return nil
-		case KindSteer:
-			if sub == nil {
-				return fmt.Errorf("hub: steer before hello")
-			}
-			h.Steer(sub.name, m)
-			return nil
-		default:
-			return fmt.Errorf("hub: unexpected control kind %d", m.Kind)
-		}
+		sub, err = h.control(m, conn, sub)
+		return err
 	})
 	for {
 		typ, _, _, err := conn.Recv()
@@ -641,6 +619,33 @@ func (h *Hub) serveSubscriber(nc net.Conn) {
 		}
 		reason = fmt.Sprintf("protocol error: unexpected message type %d", typ)
 		return
+	}
+}
+
+// control acts on one decoded control message from the viewer on conn,
+// which sub is once its hello registered it, and returns the viewer
+// registered after it. A message of a kind viewers do not send (a field
+// request belongs to the in-situ interface) is refused with an error
+// wrapping ErrSteering.
+func (h *Hub) control(m Msg, conn *transport.Conn, sub *subscriber) (*subscriber, error) {
+	switch m.Kind {
+	case KindHello:
+		if sub != nil {
+			return sub, fmt.Errorf("hub: duplicate hello from %s", sub.name)
+		}
+		// A registered subscriber may idle indefinitely between steering
+		// messages, so drop the read deadline now — before register
+		// starts the sender goroutine, which shares the timeout fields.
+		conn.SetTimeouts(0, h.cfg.WriteTimeout)
+		return h.register(m, conn)
+	case KindSteer:
+		if sub == nil {
+			return nil, fmt.Errorf("hub: steer before hello")
+		}
+		h.Steer(sub.name, m)
+		return sub, nil
+	default:
+		return sub, fmt.Errorf("%w: kind %d is not a hub message", ErrSteering, m.Kind)
 	}
 }
 

@@ -30,6 +30,8 @@ func steerMsgs() []Msg {
 		{Kind: KindSteer, Axes: AxisCodec, Codec: transport.CodecDeltaFlate},
 		{Kind: KindSteer, Axes: axisAll,
 			Cam: View{Az: math.Pi, El: 0.1, Dist: 1.5}, Iso: -2, Ratio: 1, Codec: transport.CodecRaw},
+		{Kind: KindField, Field: "temperature"},
+		{Kind: KindField, Field: strings.Repeat("f", 255)},
 	}
 }
 
@@ -96,6 +98,8 @@ func TestSteerRejectsInvalid(t *testing.T) {
 		{Kind: KindSteer, Axes: AxisIso, Iso: float32(math.Inf(1))},
 		{Kind: KindSteer, Axes: AxisCodec, Codec: 99},
 		{Kind: KindHello, From: -2},
+		{Kind: KindField},                                  // no field named
+		{Kind: KindField, Field: strings.Repeat("f", 256)}, // longer than its length byte
 	}
 	for _, m := range bad {
 		if _, err := EncodeMsg(nil, m); !errors.Is(err, ErrSteering) {
@@ -403,6 +407,47 @@ func TestHubLiveSteeringOverWire(t *testing.T) {
 	}
 	if got := h.Current(0).Seq; got != seq {
 		t.Errorf("corrupt frame advanced steering seq %d -> %d", seq, got)
+	}
+}
+
+// TestHubRefusesFieldRequest: a field request is the in-situ
+// interface's message, not a viewer's. The hub refuses it with an error
+// wrapping ErrSteering, before and after a hello, and over the wire it
+// drops the viewer that sent it without touching the steering state.
+func TestHubRefusesFieldRequest(t *testing.T) {
+	h, jw := startHub(t, Config{})
+	m := Msg{Kind: KindField, Field: "temperature"}
+	if _, err := h.control(m, nil, nil); !errors.Is(err, ErrSteering) {
+		t.Fatalf("field request before a hello: err = %v, want ErrSteering", err)
+	}
+	if _, err := h.control(m, nil, &subscriber{name: "v"}); !errors.Is(err, ErrSteering) {
+		t.Fatalf("field request after a hello: err = %v, want ErrSteering", err)
+	}
+
+	c := dialSub(t, h.Addr(), "asker", -1)
+	defer c.Close()
+	waitFor(t, "subscriber", func() bool { return h.Subscribers() == 1 })
+	p, err := EncodeMsg(nil, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SendControl(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := c.Recv(); err == nil {
+		t.Fatal("viewer survived sending a field request")
+	}
+	waitFor(t, "leave journal event", func() bool {
+		for _, ev := range jw.Events() {
+			if ev.Type == journal.TypeSubscribe && strings.HasPrefix(ev.Detail, "leave name=asker") &&
+				strings.Contains(ev.Detail, ErrSteering.Error()) {
+				return true
+			}
+		}
+		return false
+	})
+	if seq := h.Current(0).Seq; seq != 0 {
+		t.Errorf("a field request advanced the steering seq to %d", seq)
 	}
 }
 

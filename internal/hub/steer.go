@@ -1,7 +1,9 @@
 // Steering messages: the CRC-checked control vocabulary subscribers
-// speak back through the hub to the proxies. A message is either a hello
-// (subscribe with a step cursor) or a steer (a set of design-space axes
-// to change: camera, isovalue, sampling ratio, wire codec). The encoding
+// speak back through the hub to the proxies. A message is a hello
+// (subscribe with a step cursor), a steer (a set of design-space axes
+// to change: camera, isovalue, sampling ratio, wire codec) or a field
+// request (the one field the visualization proxy's renderer reads, sent
+// over the in-situ interface, never to the hub). The encoding
 // is a fixed magic/version preamble, a kind byte, the kind's
 // variable-length body, and a CRC32C trailer over everything before it —
 // any byte flip or truncation decodes to an error wrapping ErrSteering,
@@ -32,6 +34,11 @@ const (
 	KindHello uint8 = 1
 	// KindSteer changes the axes named in Axes, last-writer-wins.
 	KindSteer uint8 = 2
+	// KindField names, in Field, the one field the visualization proxy's
+	// renderer reads. It is advisory: the simulation proxy may then send
+	// only that field, and one that ignores it sends more bytes for the
+	// same pixels.
+	KindField uint8 = 3
 )
 
 // Axis bits name the steerable design-space axes of a steer message.
@@ -58,6 +65,9 @@ type Msg struct {
 	From int64
 	Name string
 
+	// Field request: the one field named.
+	Field string
+
 	// Steer fields; only the axes named in Axes are meaningful.
 	Axes  uint8
 	Cam   View
@@ -73,8 +83,10 @@ const (
 	steerVersion = 1
 	steerPreLen  = 4 // magic(2) + version(1) + kind(1)
 	steerCRCLen  = 4
-	// maxHelloName bounds the subscriber label (one length byte).
+	// maxHelloName bounds the subscriber label and maxField the field
+	// name (one length byte each).
 	maxHelloName = 255
+	maxField     = 255
 )
 
 // castagnoli matches the transport framing's CRC32C polynomial.
@@ -96,6 +108,9 @@ func EncodeMsg(dst []byte, m Msg) ([]byte, error) {
 		dst = binary.BigEndian.AppendUint64(dst, uint64(m.From))
 		dst = append(dst, byte(len(m.Name)))
 		dst = append(dst, m.Name...)
+	case KindField:
+		dst = append(dst, byte(len(m.Field)))
+		dst = append(dst, m.Field...)
 	case KindSteer:
 		dst = append(dst, m.Axes)
 		if m.Axes&AxisCamera != 0 {
@@ -150,6 +165,15 @@ func DecodeMsg(p []byte) (Msg, error) {
 			return Msg{}, fmt.Errorf("%w: hello body length %d, want %d", ErrSteering, len(rest), 9+n)
 		}
 		m.Name = string(rest[9:])
+	case KindField:
+		if len(rest) < 1 {
+			return Msg{}, fmt.Errorf("%w: truncated field request", ErrSteering)
+		}
+		n := int(rest[0])
+		if len(rest) != 1+n {
+			return Msg{}, fmt.Errorf("%w: field request body length %d, want %d", ErrSteering, len(rest), 1+n)
+		}
+		m.Field = string(rest[1:])
 	case KindSteer:
 		if len(rest) < 1 {
 			return Msg{}, fmt.Errorf("%w: truncated steer", ErrSteering)
@@ -208,6 +232,10 @@ func (m Msg) validate() error {
 		}
 		if len(m.Name) > maxHelloName {
 			return fmt.Errorf("%w: hello name %d bytes exceeds %d", ErrSteering, len(m.Name), maxHelloName)
+		}
+	case KindField:
+		if m.Field == "" || len(m.Field) > maxField {
+			return fmt.Errorf("%w: field name of %d bytes outside [1, %d]", ErrSteering, len(m.Field), maxField)
 		}
 	case KindSteer:
 		if m.Axes == 0 {

@@ -35,7 +35,10 @@ const (
 	TypePhase = "phase"
 	// TypeDataset records a dataset generation or fetch.
 	TypeDataset = "dataset"
-	// TypeSample records a sampling decision (method, ratio, kept count).
+	// TypeSample records a sampling decision (method, ratio, kept count),
+	// or a sim proxy applying its connection's field request ("sim
+	// applied step=<s> fields=<name> kept=<kept>/<fields>", once per
+	// connection).
 	TypeSample = "sample"
 	// TypeSerialize records dataset encoding for the wire.
 	TypeSerialize = "serialize"

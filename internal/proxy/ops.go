@@ -8,6 +8,7 @@ import (
 
 	"github.com/ascr-ecx/eth/internal/analysis"
 	"github.com/ascr-ecx/eth/internal/data"
+	"github.com/ascr-ecx/eth/internal/render"
 	"github.com/ascr-ecx/eth/internal/vtkio"
 )
 
@@ -111,8 +112,8 @@ func (*HaloOperation) Apply(ctx OpContext, ds data.Dataset) (OpResult, error) {
 }
 
 // StatsOperation computes statistics and a histogram of one field of any
-// dataset kind — "speed" for clouds, "temperature" for grids — the
-// monitoring extract.
+// dataset kind — the field a renderer reads by default (render.Field:
+// "speed" for clouds, "temperature" for grids) — the monitoring extract.
 type StatsOperation struct{}
 
 // statsBins is StatsOperation's histogram resolution.
@@ -131,12 +132,11 @@ type statsExtract struct {
 
 // Apply implements Operation.
 func (*StatsOperation) Apply(ctx OpContext, ds data.Dataset) (OpResult, error) {
-	name := "temperature"
+	name := render.Field(ds.Kind(), render.Options{})
 	var f *data.Field
 	var err error
 	switch d := ds.(type) {
 	case *data.PointCloud:
-		name = "speed"
 		f, err = d.Field(name)
 	case *data.StructuredGrid:
 		f, err = d.Field(name)

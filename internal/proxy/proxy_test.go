@@ -337,6 +337,8 @@ func TestVizDetectsPeerDeathMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Take the viz's field request in stride, as a sim does.
+	a.OnControl(func([]byte) error { return nil })
 	go func() {
 		a.SendDataset(testCloud(20, 1))
 		// Read the ack, then vanish without Done.

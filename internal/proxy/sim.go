@@ -145,10 +145,21 @@ type SimProxy struct {
 	// Steering state. wire (under wmu, written by the connection's
 	// control-frame handler) buffers steering forwarded by the
 	// visualization proxy until the next step boundary; wireSeq gates its
-	// application.
-	wmu     sync.Mutex
-	wire    hub.State
-	wireSeq uint64
+	// application. wireField likewise buffers the connection's field
+	// request.
+	wmu       sync.Mutex
+	wire      hub.State
+	wireSeq   uint64
+	wireField string
+	// field is the one field this connection's visualization proxy reads
+	// ("" sends every field), applied at a step boundary and cleared by
+	// every new connection. A grid that has it is sent as view, which
+	// shares that field's values and carries no other; fieldLogged says
+	// the connection's journal event is written.
+	field       string
+	view        data.StructuredGrid
+	viewField   [1]data.Field
+	fieldLogged bool
 }
 
 // SetStop installs a drain channel: when it fires, ServeFrom finishes
@@ -213,6 +224,7 @@ func (s *SimProxy) StepData(i int) (_ data.Dataset, err error) {
 
 	t1 := time.Now()
 	before := ds.Count()
+	ds = s.narrow(ds, i)
 	if s.cfg.Ranks > 1 {
 		if ds = s.piecer.Piece(ds, s.cfg.Ranks, s.cfg.Rank); ds == nil {
 			err := fmt.Errorf("proxy: a %d-way partition has no piece for rank %d", s.cfg.Ranks, s.cfg.Rank)
@@ -240,15 +252,19 @@ func (s *SimProxy) StepData(i int) (_ data.Dataset, err error) {
 }
 
 // applySteering folds steering forwarded by the visualization proxy
-// (sampling ratio, wire codec) into the proxy at a step boundary. It is
-// seq-gated so each update applies exactly once; every effective change
-// is journaled, making a steered run replayable from its journal.
+// (sampling ratio, wire codec) and its field request into the proxy at a
+// step boundary. Steering is seq-gated so each update applies exactly
+// once; every effective change is journaled, making a steered run
+// replayable from its journal.
 func (s *SimProxy) applySteering(step int, conn *transport.Conn) {
 	var pend hub.State
 	s.wmu.Lock()
 	if s.wire.Seq > s.wireSeq {
 		s.wireSeq = s.wire.Seq
 		pend = s.wire
+	}
+	if s.wireField != "" {
+		s.field, s.wireField = s.wireField, ""
 	}
 	s.wmu.Unlock()
 	if pend.HasRatio && pend.Ratio != s.cfg.SamplingRatio {
@@ -268,6 +284,49 @@ func (s *SimProxy) applySteering(step int, conn *transport.Conn) {
 			Detail: fmt.Sprintf("sim applied step=%d codec=%s", step, pend.Codec),
 		})
 	}
+}
+
+// narrow returns ds carrying only the field the connection's
+// visualization proxy asked for: a structured grid that has it becomes
+// the proxy's view of that field, without a copy; anything else — a
+// cloud, whose geometry arrays are not named fields, or a grid lacking
+// the field, which then fails as it would whole — passes whole. The
+// first dataset it meets on a connection journals what was kept.
+func (s *SimProxy) narrow(ds data.Dataset, step int) data.Dataset {
+	if s.field == "" {
+		return ds
+	}
+	out := ds
+	if g, ok := ds.(*data.StructuredGrid); ok {
+		if f, err := g.Field(s.field); err == nil {
+			s.view = *g
+			s.viewField[0] = *f
+			s.view.Fields = s.viewField[:]
+			out = &s.view
+		}
+	}
+	if !s.fieldLogged {
+		s.fieldLogged = true
+		s.cfg.Journal.Emit(journal.Event{
+			Type: journal.TypeSample, Rank: s.cfg.Rank, Step: step,
+			Detail: fmt.Sprintf("sim applied step=%d fields=%s kept=%d/%d",
+				step, s.field, fieldCount(out), fieldCount(ds)),
+		})
+	}
+	return out
+}
+
+// fieldCount reports how many named fields ds carries.
+func fieldCount(ds data.Dataset) int {
+	switch d := ds.(type) {
+	case *data.StructuredGrid:
+		return len(d.Fields)
+	case *data.PointCloud:
+		return len(d.Fields)
+	case *data.UnstructuredGrid:
+		return len(d.Fields)
+	}
+	return 0
 }
 
 // ratioOrOne reports the effective sampling ratio (0 means disabled = 1).
@@ -309,21 +368,31 @@ func (s *SimProxy) ServeFrom(conn *transport.Conn, from int) (next int, bytes in
 	conn.SetCodec(s.codec)
 	conn.Journal = s.cfg.Journal
 	conn.Rank = s.cfg.Rank
-	// Steering forwarded by the visualization proxy arrives as control
-	// frames on this connection (processed inside Recv while waiting for
-	// acks); buffer it for the next step boundary.
+	// A field request belongs to the connection it came on: a new one
+	// sends every field until its own request applies.
+	s.wmu.Lock()
+	s.wireField = ""
+	s.wmu.Unlock()
+	s.field, s.fieldLogged = "", false
+	// Steering and the field request forwarded by the visualization proxy
+	// arrive as control frames on this connection (processed inside Recv
+	// while waiting for acks); buffer them for the next step boundary.
 	conn.OnControl(func(p []byte) error {
 		m, err := hub.DecodeMsg(p)
 		if err != nil {
 			s.cfg.Journal.Error(s.cfg.Rank, -1, err)
 			return err
 		}
-		if m.Kind != hub.KindSteer {
+		s.wmu.Lock()
+		defer s.wmu.Unlock()
+		switch m.Kind {
+		case hub.KindSteer:
+			s.wire.Merge(m)
+		case hub.KindField:
+			s.wireField = m.Field
+		default:
 			return fmt.Errorf("proxy: unexpected control kind %d on sim connection", m.Kind)
 		}
-		s.wmu.Lock()
-		s.wire.Merge(m)
-		s.wmu.Unlock()
 		return nil
 	})
 	next = from

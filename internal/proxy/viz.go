@@ -357,6 +357,26 @@ func (v *VizProxy) forwardSteering(conn *transport.Conn, step int) error {
 	return conn.SendControl(p)
 }
 
+// requestField names, in one control frame, the field this proxy's
+// renderer reads, so the simulation proxy may send that field alone. A
+// proxy with analysis operations sends none: they read other fields
+// (save writes every one). The request is advisory: a lost one costs
+// bytes, never pixels.
+func (v *VizProxy) requestField(conn *transport.Conn) error {
+	if len(v.cfg.Operations) > 0 {
+		return nil
+	}
+	m := hub.Msg{Kind: hub.KindField, Field: render.Field(v.renderer.Kind(), v.cfg.Options)}
+	p, err := hub.EncodeMsg(v.ctrl[:0], m)
+	if err != nil {
+		// A name no request can carry (over 255 bytes): ask for nothing,
+		// so the renderer meets the whole dataset and fails as it would.
+		return nil
+	}
+	v.ctrl = p
+	return conn.SendControl(p)
+}
+
 // steerCamera frames bounds from a steered view: the subscriber's
 // azimuth/elevation anchor the orbit (the per-image sweep still
 // advances from that anchor) and Dist scales the bounds-diagonal
@@ -390,7 +410,8 @@ func (v *VizProxy) SetAllowGaps(on bool) { v.allowGaps = on }
 func (v *VizProxy) NextStep() int { return int(v.next.Load()) }
 
 // Receive runs the §III-C visualization-proxy protocol over an
-// established connection: receive datasets, render, ack, until done. The
+// established connection: name the field the renderer reads (see
+// requestField), then receive datasets, render, ack, until done. The
 // step counter persists across calls, so after a reconnect the same
 // proxy resumes where it stopped: a re-sent step it already rendered
 // (wire step behind the counter) is re-acked without rendering — the ack
@@ -403,6 +424,10 @@ func (v *VizProxy) Receive(conn *transport.Conn) error {
 	// the renderers nor the analysis operations retain the dataset, so the
 	// connection can decode every step into the previous step's arrays.
 	conn.SetDatasetReuse(true)
+	if err := v.requestField(conn); err != nil {
+		v.cfg.Journal.Error(v.cfg.Rank, v.NextStep(), err)
+		return err
+	}
 	for {
 		next := v.NextStep()
 		if err := v.forwardSteering(conn, next); err != nil {

@@ -25,8 +25,7 @@ import (
 // each algorithm reads the fields it understands.
 type Options struct {
 	// ColorField names the scalar for colormapping (particles) or the
-	// volume field (grids). Defaults: "speed" for clouds,
-	// "temperature" for grids.
+	// volume field (grids). Defaults: see Field.
 	ColorField string
 	// IsoValue is the contour value for isosurface algorithms.
 	IsoValue float32
@@ -126,18 +125,19 @@ func wantGrid(ds data.Dataset, name string) (*data.StructuredGrid, error) {
 	return g, nil
 }
 
-func cloudColorField(opt Options) string {
-	if opt.ColorField == "" {
+// Field names the one field a renderer of dataset kind k reads under
+// opt: opt.ColorField, or else the kind's default — "speed" for clouds,
+// "temperature" for grids. The visualization proxy asks the simulation
+// proxy for this field alone, so the two must not disagree.
+func Field(k data.Kind, opt Options) string {
+	switch {
+	case opt.ColorField != "":
+		return opt.ColorField
+	case k == data.KindPointCloud:
 		return "speed"
-	}
-	return opt.ColorField
-}
-
-func gridField(opt Options) string {
-	if opt.ColorField == "" {
+	default:
 		return "temperature"
 	}
-	return opt.ColorField
 }
 
 // ---- particle algorithms ----
@@ -160,7 +160,7 @@ func (r *pointsRenderer) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Ca
 	}
 	t0 := time.Now()
 	sprites, err := r.scratch.MapPoints(p, cam, frame.W, frame.H, geom.PointsOptions{
-		ColorField: cloudColorField(opt),
+		ColorField: Field(data.KindPointCloud, opt),
 		ScalarLo:   opt.ScalarLo, ScalarHi: opt.ScalarHi,
 	})
 	if err != nil {
@@ -201,7 +201,7 @@ func (r *splatRenderer) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Cam
 	t0 := time.Now()
 	imps, err := r.scratch.MapSplats(p, cam, frame.W, frame.H, geom.SplatOptions{
 		WorldRadius: opt.Radius,
-		ColorField:  cloudColorField(opt),
+		ColorField:  Field(data.KindPointCloud, opt),
 		ScalarLo:    opt.ScalarLo, ScalarHi: opt.ScalarHi,
 	})
 	if err != nil {
@@ -240,7 +240,7 @@ func (r *raycastSpheres) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Ca
 	}
 	sphereOpt := rt.SphereOptions{
 		Radius:     opt.Radius,
-		ColorField: cloudColorField(opt),
+		ColorField: Field(data.KindPointCloud, opt),
 		ScalarLo:   opt.ScalarLo, ScalarHi: opt.ScalarHi,
 	}
 	t0 := time.Now()
@@ -290,7 +290,7 @@ func (r *vtkIso) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, op
 		return Stats{}, err
 	}
 	t0 := time.Now()
-	mesh, err := r.scratch.Isosurface(g, gridField(opt), opt.IsoValue)
+	mesh, err := r.scratch.Isosurface(g, Field(data.KindStructuredGrid, opt), opt.IsoValue)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -318,7 +318,7 @@ func isoScalarRange(opt Options, field func(name string) (*data.Field, error)) (
 	if opt.ScalarLo < opt.ScalarHi {
 		return opt.ScalarLo, opt.ScalarHi
 	}
-	f, err := field(gridField(opt))
+	f, err := field(Field(data.KindStructuredGrid, opt))
 	if err != nil {
 		return 0, 0
 	}
@@ -338,7 +338,7 @@ func (*rayIso) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt 
 	}
 	t0 := time.Now()
 	err = rt.RaycastIsosurface(frame, g, cam, opt.IsoValue, rt.VolumeOptions{
-		Field:    gridField(opt),
+		Field:    Field(data.KindStructuredGrid, opt),
 		ScalarLo: opt.ScalarLo, ScalarHi: opt.ScalarHi,
 	})
 	if err != nil {
@@ -366,7 +366,7 @@ func (r *vtkSlice) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, 
 	}
 	point, normal := slicePlane(g, opt)
 	t0 := time.Now()
-	mesh, err := r.scratch.SlicePlane(g, gridField(opt), point, normal)
+	mesh, err := r.scratch.SlicePlane(g, Field(data.KindStructuredGrid, opt), point, normal)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -399,7 +399,7 @@ func (*raySlice) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, op
 	point, normal := slicePlane(g, opt)
 	t0 := time.Now()
 	err = rt.RaycastSlice(frame, g, cam, point, normal, rt.VolumeOptions{
-		Field:    gridField(opt),
+		Field:    Field(data.KindStructuredGrid, opt),
 		ScalarLo: opt.ScalarLo, ScalarHi: opt.ScalarHi,
 	})
 	if err != nil {

@@ -41,7 +41,7 @@ func (r *unsIso) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, op
 		return Stats{}, err
 	}
 	t0 := time.Now()
-	mesh, err := geom.IsosurfaceUnstructured(u, gridField(opt), opt.IsoValue)
+	mesh, err := geom.IsosurfaceUnstructured(u, Field(data.KindUnstructuredGrid, opt), opt.IsoValue)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -78,7 +78,7 @@ func (r *unsSlice) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, 
 		point = u.Bounds().Center()
 	}
 	t0 := time.Now()
-	mesh, err := geom.SlicePlaneUnstructured(u, gridField(opt), point, normal)
+	mesh, err := geom.SlicePlaneUnstructured(u, Field(data.KindUnstructuredGrid, opt), point, normal)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -116,7 +116,7 @@ func (*rayDVR) Render(frame *fb.Frame, ds data.Dataset, cam *camera.Camera, opt 
 	}
 	t0 := time.Now()
 	err = rt.RaycastVolume(frame, g, cam, rt.DVROptions{
-		Field:    gridField(opt),
+		Field:    Field(data.KindStructuredGrid, opt),
 		ScalarLo: opt.ScalarLo, ScalarHi: opt.ScalarHi,
 	})
 	if err != nil {

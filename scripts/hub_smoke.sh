@@ -1,6 +1,7 @@
 #!/bin/sh
 # End-to-end smoke for the multi-viewer broadcast hub: boot a real
-# sim+viz pair with -serve, attach three ethwatch viewers over real
+# sim+viz pair with -serve (its in-situ connection opening with the viz
+# proxy's field request), attach three ethwatch viewers over real
 # sockets, steer the run from one of them, kill -9 another mid-stream
 # and resume it from its cursor checkpoint, then audit the journal with
 # ethinfo. No curl, no jq — every probe is one of our own binaries.
@@ -52,6 +53,9 @@ echo "== attach 3 viewers (one steering), then boot ethsim"
 "$tmp/ethwatch" -addr "$addr" -name watcher-a -from 0 -idle 10s \
     >"$tmp/a.log" 2>&1 &
 apid=$!; pids="$pids $apid"
+# The wait loop below greps b1.log, so it must exist before the
+# background redirect gets round to creating it.
+: >"$tmp/b1.log"
 "$tmp/ethwatch" -addr "$addr" -name watcher-b -from 0 -idle 10s \
     -cursor "$tmp/b.ckpt" >"$tmp/b1.log" 2>&1 &
 bpid=$!; pids="$pids $bpid"
