@@ -1,7 +1,9 @@
 // Command ethgen synthesizes ETH test datasets and writes them to disk in
 // the ETHD container format — the "preliminary run of the simulation"
 // step of the paper's workflow (§I): data is exported once, then replayed
-// by the simulation proxy in any coupling configuration.
+// by the simulation proxy in any coupling configuration. It writes
+// version 2 containers, every particle step with its IDs and velocities;
+// ethsim refuses a dump from a build before version 2, so regenerate it.
 //
 // Usage:
 //

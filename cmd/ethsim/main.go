@@ -2,10 +2,13 @@
 // datasets through the in-situ interface, serving one visualization-proxy
 // peer per rank over the socket layer (§III-C). Start ethsim first; each
 // rank registers its address in the layout file, opens its port, and
-// waits. Then start ethviz with the same layout file. A volume step goes
-// out with every field until the visualization proxy's field request
-// arrives, then with only the field it names; the request lasts for its
-// connection, so a re-accepted peer gets its first step whole.
+// waits. Then start ethviz with the same layout file. A step goes out
+// whole until the visualization proxy's field request arrives, then with
+// only what its renderer draws: a volume with the one field it names, a
+// particle step with positions and that field, without IDs or
+// velocities. The request lasts for its connection, so a re-accepted
+// peer gets its first step whole. The -data files must be version 2
+// ETHD containers: regenerate older dumps with ethgen.
 //
 // Usage:
 //

@@ -4,8 +4,9 @@
 // image artifacts (§III-C). Start it after ethsim. Each connection
 // opens with a request naming the one field the renderer reads (-field,
 // else the renderer's default: temperature for volumes, speed for
-// particles), so ethsim sends volumes with that field alone from the
-// next step on; with -ops no request is sent and every field crosses.
+// particles), so ethsim sends volumes with that field alone, and
+// particles with their positions and that field, from the next step on;
+// with -ops no request is sent and every array crosses.
 //
 // Usage:
 //

@@ -25,12 +25,13 @@ type Halo struct {
 	Count int
 	// Center is the mean member position.
 	Center vec.V3
-	// Velocity is the mean member velocity.
+	// Velocity is the mean member velocity, zero when the cloud carries
+	// no velocities.
 	Velocity vec.V3
 	// Radius is the RMS member distance from Center.
 	Radius float64
 	// VelDisp is the 3-D velocity dispersion (RMS deviation from the
-	// mean velocity).
+	// mean velocity), zero when the cloud carries no velocities.
 	VelDisp float64
 }
 

@@ -70,6 +70,32 @@ func TestFOFFindsPlantedClusters(t *testing.T) {
 	}
 }
 
+// TestFOFWithoutVelocities: on a cloud without IDs or velocities FOF
+// finds the same halos and leaves their velocity statistics zero.
+func TestFOFWithoutVelocities(t *testing.T) {
+	p, _ := plantedCloud(5, 100, 200, 1)
+	want, err := FOF(p, FOFOptions{LinkLength: 1.5, MinMembers: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := &data.PointCloud{X: p.X, Y: p.Y, Z: p.Z}
+	got, err := FOF(bare, FOFOptions{LinkLength: 1.5, MinMembers: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d halos without velocities, %d with", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Count != want[i].Count || got[i].Center != want[i].Center || got[i].Radius != want[i].Radius {
+			t.Errorf("halo %d: %+v without velocities, %+v with", i, got[i], want[i])
+		}
+		if got[i].Velocity != (vec.V3{}) || got[i].VelDisp != 0 {
+			t.Errorf("halo %d: velocity %v, dispersion %v on a cloud without velocities", i, got[i].Velocity, got[i].VelDisp)
+		}
+	}
+}
+
 func TestFOFOrderingAndIDs(t *testing.T) {
 	p, _ := plantedCloud(3, 50, 0, 2)
 	// Make cluster sizes distinct by dropping particles from the tail.

@@ -8,12 +8,14 @@ import (
 	"testing"
 
 	"github.com/ascr-ecx/eth/internal/blast"
+	"github.com/ascr-ecx/eth/internal/cosmo"
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/faults"
 	"github.com/ascr-ecx/eth/internal/fb"
 	"github.com/ascr-ecx/eth/internal/hub"
 	"github.com/ascr-ecx/eth/internal/journal"
 	"github.com/ascr-ecx/eth/internal/proxy"
+	"github.com/ascr-ecx/eth/internal/sampling"
 	"github.com/ascr-ecx/eth/internal/vtkio"
 )
 
@@ -32,6 +34,21 @@ func blastSteps(t *testing.T, steps int) []data.Dataset {
 	return out
 }
 
+// cosmoSteps generates a small cosmology run: positions, IDs, velocities
+// and speed per particle, the halos drifting from step to step.
+func cosmoSteps(t *testing.T, steps int) []data.Dataset {
+	t.Helper()
+	var out []data.Dataset
+	for s := 0; s < steps; s++ {
+		p, err := cosmo.Generate(cosmo.Params{Particles: 3000, BoxSize: 10, Halos: 6, HaloFraction: 0.7, Seed: 1, TimeStep: 3 * s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
 // sigLog records each published frame's signature in publish order, and
 // how many of them were blank.
 type sigLog struct {
@@ -46,24 +63,36 @@ func (l *sigLog) PublishFrame(_ int, f *fb.Frame) {
 	}
 }
 
-// fieldRun is one blast run: per rank, the frame signature of each step
-// and the wire bytes of each step's dataset; and the blank frames.
+// fieldRun is one run: per rank, the frame signature of each step and
+// the wire bytes of each step's dataset; and the blank frames.
 type fieldRun struct {
 	sigs  [][]uint32
 	bytes []map[int]int64
 	blank int
 }
 
-// runBlast renders steps with alg at ranks pairs in mode, with ops on
-// every viz and pol's faults on a socket run.
-func runBlast(t *testing.T, steps []data.Dataset, alg string, ranks int, mode Mode, ops []proxy.Operation, outDir string, pol Policy) fieldRun {
+// runOpts are a run's settings beyond its renderer, ranks and mode:
+// analysis operations on every viz (saving under outDir), a socket run's
+// faults, and the sim's stratified sampling ratio (0 samples nothing).
+type runOpts struct {
+	ops    []proxy.Operation
+	outDir string
+	pol    Policy
+	ratio  float64
+}
+
+// runSteps renders steps with alg at ranks pairs in mode.
+func runSteps(t *testing.T, steps []data.Dataset, alg string, ranks int, mode Mode, o runOpts) fieldRun {
 	t.Helper()
 	jw := journal.New()
 	run := fieldRun{sigs: make([][]uint32, ranks), bytes: make([]map[int]int64, ranks)}
 	logs := make([]*sigLog, ranks)
 	pairs := make([]PairSpec, ranks)
 	for r := range pairs {
-		sim, err := proxy.NewSimProxy(proxy.SimConfig{Rank: r, Ranks: ranks, Journal: jw}, &proxy.MemSource{Data: steps})
+		sim, err := proxy.NewSimProxy(proxy.SimConfig{
+			Rank: r, Ranks: ranks, Journal: jw,
+			SamplingRatio: o.ratio, SamplingMethod: sampling.Stratified,
+		}, &proxy.MemSource{Data: steps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +101,7 @@ func runBlast(t *testing.T, steps []data.Dataset, alg string, ranks int, mode Mo
 			// Three images: the last, published one does not see the
 			// default slice plane edge-on.
 			Rank: r, Width: 40, Height: 32, Algorithm: alg, ImagesPerStep: 3,
-			Operations: ops, OutDir: outDir, Publisher: logs[r],
+			Operations: o.ops, OutDir: o.outDir, Publisher: logs[r],
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -85,7 +114,7 @@ func runBlast(t *testing.T, steps []data.Dataset, alg string, ranks int, mode Mo
 		_, err = RunPairs(pairs, Unified, "", jw)
 	case ranks == 1:
 		_, err = RunSocketPair(context.Background(), pairs[0].Sim, pairs[0].Viz,
-			filepath.Join(t.TempDir(), "layout"), 0, pol, jw)
+			filepath.Join(t.TempDir(), "layout"), 0, o.pol, jw)
 	default:
 		_, err = RunPairs(pairs, Socket, filepath.Join(t.TempDir(), "layout"), jw)
 	}
@@ -105,9 +134,19 @@ func runBlast(t *testing.T, steps []data.Dataset, alg string, ranks int, mode Mo
 	return run
 }
 
-// encodedBytes is the raw wire size of rank r's piece of g split ranks
+// encodedLen is the raw wire size of ds.
+func encodedLen(t *testing.T, ds data.Dataset) int64 {
+	t.Helper()
+	b, err := vtkio.Append(nil, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(b))
+}
+
+// gridBytes is the raw wire size of rank r's piece of g split ranks
 // ways, carrying g's first nf fields.
-func encodedBytes(t *testing.T, g *data.StructuredGrid, ranks, r, nf int) int64 {
+func gridBytes(t *testing.T, g *data.StructuredGrid, ranks, r, nf int) int64 {
 	t.Helper()
 	narrowed := *g
 	narrowed.Fields = g.Fields[:nf]
@@ -115,58 +154,106 @@ func encodedBytes(t *testing.T, g *data.StructuredGrid, ranks, r, nf int) int64 
 	if ranks > 1 {
 		piece = narrowed.Partition(ranks)[r]
 	}
-	b, err := vtkio.Append(nil, piece)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return int64(len(b))
+	return encodedLen(t, piece)
 }
 
-// checkBytes holds each step's wire bytes to the piece with wantFields(step)
-// of the blast fields, temperature first.
-func checkBytes(t *testing.T, name string, run fieldRun, steps []data.Dataset, wantFields func(step int) int) {
+// cloudBytes is the raw wire size of rank r's piece of p split ranks
+// ways and sampled at ratio, as the sim proxy sends it: whole, or
+// narrowed to its positions and speed.
+func cloudBytes(t *testing.T, p *data.PointCloud, ranks, r int, ratio float64, narrowed bool) int64 {
 	t.Helper()
-	ranks := len(run.bytes)
+	if narrowed {
+		speed, err := p.Field("speed")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p = &data.PointCloud{X: p.X, Y: p.Y, Z: p.Z, Fields: []data.Field{*speed}}
+	}
+	if ranks > 1 {
+		p = p.Partition(ranks)[r].(*data.PointCloud)
+	}
+	if ratio > 0 {
+		var err error
+		if p, err = sampling.Points(p, ratio, sampling.Stratified, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return encodedLen(t, p)
+}
+
+// checkBytes holds each rank's wire bytes at each of steps steps to
+// want(rank, step).
+func checkBytes(t *testing.T, name string, run fieldRun, steps int, want func(r, step int) int64) {
+	t.Helper()
 	for r := range run.bytes {
-		for s, ds := range steps {
-			g := ds.(*data.StructuredGrid)
-			if g.Fields[0].Name != "temperature" {
-				t.Fatalf("blast's first field is %q", g.Fields[0].Name)
-			}
-			nf := wantFields(s)
-			if got, want := run.bytes[r][s], encodedBytes(t, g, ranks, r, nf); got != want {
-				t.Errorf("%s rank %d step %d: %d bytes on the wire, want %d (%d of %d fields)",
-					name, r, s, got, want, nf, len(g.Fields))
+		for s := 0; s < steps; s++ {
+			if got, want := run.bytes[r][s], want(r, s); got != want {
+				t.Errorf("%s rank %d step %d: %d bytes on the wire, want %d", name, r, s, got, want)
 			}
 		}
 	}
 }
 
-// TestSocketSendsOnlyTheRenderedField: a blast socket pair renders
-// frames identical to a unified run of the same spec while every
-// dataset after the first on the connection carries only the field the
-// renderer reads.
-func TestSocketSendsOnlyTheRenderedField(t *testing.T) {
-	steps := blastSteps(t, 4)
-	for _, alg := range []string{"vtk-iso", "vtk-slice", "ray-iso", "ray-slice"} {
-		for _, ranks := range []int{1, 2} {
-			name := fmt.Sprintf("%s/%d ranks", alg, ranks)
-			unified := runBlast(t, steps, alg, ranks, Unified, nil, "", Policy{})
-			socket := runBlast(t, steps, alg, ranks, Socket, nil, "", Policy{})
-			if !reflect.DeepEqual(socket.sigs, unified.sigs) {
-				t.Errorf("%s: socket frame signatures %x, unified %x", name, socket.sigs, unified.sigs)
-			}
-			// Blank frames would agree whatever crossed the wire.
-			if len(socket.sigs[0]) != len(steps) || socket.blank != 0 {
-				t.Errorf("%s: %d frames for %d steps, %d blank", name, len(socket.sigs[0]), len(steps), socket.blank)
-			}
-			checkBytes(t, name, socket, steps, func(step int) int {
-				if step == 0 {
-					return 3
-				}
-				return 1
-			})
+// blastBytes is checkBytes's want for blast steps split ranks ways
+// carrying fields(step) of their fields, temperature first.
+func blastBytes(t *testing.T, steps []data.Dataset, ranks int, fields func(step int) int) func(r, step int) int64 {
+	return func(r, s int) int64 {
+		g := steps[s].(*data.StructuredGrid)
+		if g.Fields[0].Name != "temperature" {
+			t.Fatalf("blast's first field is %q", g.Fields[0].Name)
 		}
+		return gridBytes(t, g, ranks, r, fields(s))
+	}
+}
+
+// TestSocketSendsOnlyTheRenderedField: a socket pair renders frames
+// identical to a unified run of the same spec while every dataset after
+// the first on the connection carries only what the renderer reads: a
+// blast grid its one field, a cosmology cloud its positions and speed,
+// without IDs or velocities, whole or pieced or sampled.
+func TestSocketSendsOnlyTheRenderedField(t *testing.T) {
+	type row struct {
+		alg   string
+		ranks int
+		ratio float64
+	}
+	var rows []row
+	for _, alg := range []string{"vtk-iso", "vtk-slice", "ray-iso", "ray-slice", "points", "gsplat", "raycast"} {
+		for _, ranks := range []int{1, 2} {
+			rows = append(rows, row{alg, ranks, 0})
+		}
+	}
+	rows = append(rows, row{"points", 1, 0.5}, row{"points", 2, 0.5})
+	blasts, clouds := blastSteps(t, 4), cosmoSteps(t, 4)
+	for _, c := range rows {
+		name := fmt.Sprintf("%s/%d ranks", c.alg, c.ranks)
+		if c.ratio > 0 {
+			name += fmt.Sprintf("/stratified %g", c.ratio)
+		}
+		steps := blasts
+		want := blastBytes(t, steps, c.ranks, func(step int) int {
+			if step == 0 {
+				return 3
+			}
+			return 1
+		})
+		if c.alg == "points" || c.alg == "gsplat" || c.alg == "raycast" {
+			steps = clouds
+			want = func(r, step int) int64 {
+				return cloudBytes(t, steps[step].(*data.PointCloud), c.ranks, r, c.ratio, step > 0)
+			}
+		}
+		o := runOpts{ratio: c.ratio}
+		unified := runSteps(t, steps, c.alg, c.ranks, Unified, o)
+		socket := runSteps(t, steps, c.alg, c.ranks, Socket, o)
+		if !reflect.DeepEqual(socket.sigs, unified.sigs) {
+			t.Errorf("%s: socket frame signatures %x, unified %x", name, socket.sigs, unified.sigs)
+		}
+		// Blank frames would agree whatever crossed the wire.
+		if len(socket.sigs[0]) != len(steps) || socket.blank != 0 {
+			t.Errorf("%s: %d frames for %d steps, %d blank", name, len(socket.sigs[0]), len(steps), socket.blank)
+		}
+		checkBytes(t, name, socket, len(steps), want)
 	}
 }
 
@@ -176,11 +263,11 @@ func TestSocketSendsOnlyTheRenderedField(t *testing.T) {
 // the same frames.
 func TestFieldRequestFallbacksSendWhole(t *testing.T) {
 	steps := blastSteps(t, 3)
-	whole := func(int) int { return 3 }
+	whole := blastBytes(t, steps, 1, func(int) int { return 3 })
 
 	dir := t.TempDir()
-	saved := runBlast(t, steps, "vtk-iso", 1, Socket, []proxy.Operation{&proxy.SaveOperation{}}, dir, Policy{})
-	checkBytes(t, "save", saved, steps, whole)
+	saved := runSteps(t, steps, "vtk-iso", 1, Socket, runOpts{ops: []proxy.Operation{&proxy.SaveOperation{}}, outDir: dir})
+	checkBytes(t, "save", saved, len(steps), whole)
 	for s := range steps {
 		ds, err := vtkio.ReadFile(filepath.Join(dir, fmt.Sprintf("data_step%03d_rank0.ethd", s)))
 		if err != nil {
@@ -191,14 +278,14 @@ func TestFieldRequestFallbacksSendWhole(t *testing.T) {
 		}
 	}
 
-	unified := runBlast(t, steps, "vtk-iso", 1, Unified, nil, "", Policy{})
+	unified := runSteps(t, steps, "vtk-iso", 1, Unified, runOpts{})
 	sched := faults.New(1, faults.Rule{Side: faults.SideViz, Conn: 0, Op: faults.OpWrite, Nth: 0, Action: faults.Drop})
-	dropped := runBlast(t, steps, "vtk-iso", 1, Socket, nil, "", Policy{Faults: sched})
+	dropped := runSteps(t, steps, "vtk-iso", 1, Socket, runOpts{pol: Policy{Faults: sched}})
 	if fired := sched.Fired(); len(fired) != 1 {
 		t.Fatalf("fault schedule fired %v, want the request's drop once", fired)
 	}
 	if !reflect.DeepEqual(dropped.sigs, unified.sigs) {
 		t.Errorf("request dropped: frame signatures %x, unified %x", dropped.sigs, unified.sigs)
 	}
-	checkBytes(t, "dropped request", dropped, steps, whole)
+	checkBytes(t, "dropped request", dropped, len(steps), whole)
 }

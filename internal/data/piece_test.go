@@ -2,7 +2,8 @@ package data
 
 import (
 	"fmt"
-	"runtime"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -268,9 +269,12 @@ func TestPieceCloudMatchesPartition(t *testing.T) {
 
 // TestPieceCloudWarmAllocs is the gate behind "a cloud rank keeps only
 // its own piece": once warm, a Piecer sorts into its own index scratch
-// and selects into its own cloud, so a piece allocates no more than the
-// sort.Slice it makes — not the other ranks' pieces, not the indices.
+// and selects into its own cloud, so a piece allocates nothing — not the
+// other ranks' pieces, not the indices, not the sort.
 func TestPieceCloudWarmAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
+	}
 	p := tiedCloud(5_000, 0)
 	var pc Piecer
 	piece := func() {
@@ -279,25 +283,30 @@ func TestPieceCloudWarmAllocs(t *testing.T) {
 		}
 	}
 	piece()
-	coord := p.X
-	idx := make([]int, p.Count())
-	sortOnly := func() {
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool { return coord[idx[a]] < coord[idx[b]] })
+	if n := testing.AllocsPerRun(20, piece); n != 0 {
+		t.Errorf("a warm piece allocates %.0f times, want 0", n)
 	}
-	bytes := func(f func()) uint64 {
-		const runs = 20
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			f()
+}
+
+// TestSplitOrderMatchesSortSlice: the split order is the one sort.Slice
+// gives with "<" on the split coordinate, ties and NaNs included, so a
+// cloud's pieces did not move when the sort stopped allocating.
+func TestSplitOrderMatchesSortSlice(t *testing.T) {
+	for step, size := range []int{0, 1, 13, 997, 5_000} {
+		p := tiedCloud(size, step)
+		if size > 13 {
+			// A NaN z makes z the split axis (its extent compares false).
+			p.Z[7] = float32(math.NaN())
+			p.InvalidateBounds()
 		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / runs
-	}
-	if got, sorting := bytes(piece), bytes(sortOnly); got > sorting {
-		t.Errorf("a warm piece allocates %d bytes, the sort.Slice it makes %d: want nothing beyond the sort", got, sorting)
+		want := make([]int, size)
+		for i := range want {
+			want[i] = i
+		}
+		coord := [3][]float32{p.X, p.Y, p.Z}[p.Bounds().LongestAxis()]
+		sort.Slice(want, func(a, b int) bool { return coord[want[a]] < coord[want[b]] })
+		if got := p.splitOrder(nil); !slices.Equal(got, want) {
+			t.Errorf("%d particles: split order differs from sort.Slice's", size)
+		}
 	}
 }

@@ -2,7 +2,7 @@ package data
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/ascr-ecx/eth/internal/vec"
@@ -12,12 +12,16 @@ import (
 // the HACC payload the paper describes: per-particle ID, position vector,
 // and velocity vector, plus any number of derived scalar fields. SoA keeps
 // the hot loops (transform-all-points, BVH build) cache friendly.
+//
+// Positions are always present; IDs and velocities may be absent (empty),
+// as on a cloud narrowed to the field a renderer reads. An array that is
+// present holds one value per particle.
 type PointCloud struct {
-	// IDs are the simulation-assigned particle identifiers.
+	// IDs are the simulation-assigned particle identifiers, or empty.
 	IDs []int64
 	// X, Y, Z are the particle positions.
 	X, Y, Z []float32
-	// VX, VY, VZ are the particle velocities.
+	// VX, VY, VZ are the particle velocities, or all three empty.
 	VX, VY, VZ []float32
 	// Fields holds named per-particle scalars (e.g. speed, mass).
 	Fields []Field
@@ -48,23 +52,32 @@ func (p *PointCloud) Kind() Kind { return KindPointCloud }
 // Count implements Dataset.
 func (p *PointCloud) Count() int { return len(p.X) }
 
-// Bytes implements Dataset.
+// Bytes implements Dataset. It counts only the arrays the cloud carries.
 func (p *PointCloud) Bytes() int64 {
-	n := int64(p.Count())
-	b := n * (8 + 6*4) // id + 6 float32
+	b := 8 * int64(len(p.IDs))
+	for _, arr := range [...][]float32{p.X, p.Y, p.Z, p.VX, p.VY, p.VZ} {
+		b += 4 * int64(len(arr))
+	}
 	for _, f := range p.Fields {
-		b += int64(len(f.Values)) * 4
+		b += 4 * int64(len(f.Values))
 	}
 	return b
 }
+
+// HasVelocities reports whether the cloud carries velocities.
+func (p *PointCloud) HasVelocities() bool { return len(p.VX) != 0 }
 
 // Pos returns the position of particle i.
 func (p *PointCloud) Pos(i int) vec.V3 {
 	return vec.V3{X: float64(p.X[i]), Y: float64(p.Y[i]), Z: float64(p.Z[i])}
 }
 
-// Vel returns the velocity of particle i.
+// Vel returns the velocity of particle i, zero when the cloud carries no
+// velocities.
 func (p *PointCloud) Vel(i int) vec.V3 {
+	if !p.HasVelocities() {
+		return vec.V3{}
+	}
 	return vec.V3{X: float64(p.VX[i]), Y: float64(p.VY[i]), Z: float64(p.VZ[i])}
 }
 
@@ -128,38 +141,41 @@ func (p *PointCloud) Generation() uint64 {
 }
 
 // Select returns a new cloud containing the particles at the given
-// indices, with all fields carried over. Indices may repeat.
+// indices, with all fields carried over and absent arrays left absent.
+// Indices may repeat.
 func (p *PointCloud) Select(indices []int) *PointCloud {
 	return p.SelectInto(new(PointCloud), indices)
 }
 
 // SelectInto is Select into dst, which it returns: dst's arrays are
 // overwritten in place, and one is reallocated, at its exact new length,
-// only when it is too short. dst's bounds are invalidated, so its
-// Generation advances with every refill. dst must not be p.
+// only when it is too short. An array p lacks is left empty in dst, its
+// capacity kept. dst's bounds are invalidated, so its Generation advances
+// with every refill. dst must not be p.
 func (p *PointCloud) SelectInto(dst *PointCloud, indices []int) *PointCloud {
-	n := len(indices)
-	dst.IDs = Fit(dst.IDs, n)
-	dst.X = selectInto(Fit(dst.X, n), p.X, indices)
-	dst.Y = selectInto(Fit(dst.Y, n), p.Y, indices)
-	dst.Z = selectInto(Fit(dst.Z, n), p.Z, indices)
-	dst.VX = selectInto(Fit(dst.VX, n), p.VX, indices)
-	dst.VY = selectInto(Fit(dst.VY, n), p.VY, indices)
-	dst.VZ = selectInto(Fit(dst.VZ, n), p.VZ, indices)
-	for j, i := range indices {
-		dst.IDs[j] = p.IDs[i]
-	}
+	dst.IDs = selectInto(dst.IDs, p.IDs, indices)
+	dst.X = selectInto(dst.X, p.X, indices)
+	dst.Y = selectInto(dst.Y, p.Y, indices)
+	dst.Z = selectInto(dst.Z, p.Z, indices)
+	dst.VX = selectInto(dst.VX, p.VX, indices)
+	dst.VY = selectInto(dst.VY, p.VY, indices)
+	dst.VZ = selectInto(dst.VZ, p.VZ, indices)
 	dst.Fields = Fit(dst.Fields, len(p.Fields))
 	for k, f := range p.Fields {
 		dst.Fields[k].Name = f.Name
-		dst.Fields[k].Values = selectInto(Fit(dst.Fields[k].Values, n), f.Values, indices)
+		dst.Fields[k].Values = selectInto(dst.Fields[k].Values, f.Values, indices)
 	}
 	dst.InvalidateBounds()
 	return dst
 }
 
-// selectInto writes src[indices[j]] to dst[j] and returns dst.
-func selectInto(dst, src []float32, indices []int) []float32 {
+// selectInto writes src[indices[j]] to dst[j], dst fitted to the indices,
+// and returns dst; an empty src is absent and yields dst emptied.
+func selectInto[T any](dst, src []T, indices []int) []T {
+	if len(src) == 0 {
+		return dst[:0]
+	}
+	dst = Fit(dst, len(indices))
 	for j, i := range indices {
 		dst[j] = src[i]
 	}
@@ -206,14 +222,32 @@ func (p *PointCloud) splitOrder(idx []int) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return coord[idx[a]] < coord[idx[b]] })
+	// "<" as sort.Slice compares, so the order, ties and NaNs included,
+	// is sort.Slice's (TestSplitOrderMatchesSortSlice); unlike it,
+	// SortFunc allocates nothing.
+	slices.SortFunc(idx, func(a, b int) int {
+		switch {
+		case coord[a] < coord[b]:
+			return -1
+		case coord[b] < coord[a]:
+			return 1
+		}
+		return 0
+	})
 	return idx
 }
 
 // SpeedField computes |velocity| per particle and attaches it as field
 // "speed", returning the values. This is the scalar the paper's HACC
-// renderings color by.
+// renderings color by. A cloud without velocities keeps the speed field
+// it carries, whose values it returns (nil when it has none).
 func (p *PointCloud) SpeedField() []float32 {
+	if !p.HasVelocities() {
+		if f, err := p.Field("speed"); err == nil {
+			return f.Values
+		}
+		return nil
+	}
 	vals := make([]float32, p.Count())
 	for i := range vals {
 		v := p.Vel(i)

@@ -174,6 +174,54 @@ func TestSpeedField(t *testing.T) {
 }
 
 // Property: partition of any cloud into any k preserves the multiset of IDs.
+// TestCloudWithoutIDsOrVelocities: a cloud carrying positions and one
+// field — what the simulation proxy sends a renderer — reads safely, and
+// selecting or piecing it carries the absent arrays as absent, also into
+// a cloud that held them before.
+func TestCloudWithoutIDsOrVelocities(t *testing.T) {
+	full := randomCloud(40, 5)
+	speed := full.SpeedField()
+	p := &PointCloud{X: full.X, Y: full.Y, Z: full.Z, Fields: []Field{{Name: "speed", Values: speed}}}
+	if p.HasVelocities() {
+		t.Fatal("HasVelocities on a cloud without velocities")
+	}
+	if got := p.Vel(3); got != (vec.V3{}) {
+		t.Errorf("Vel = %v, want zero", got)
+	}
+	if got := p.SpeedField(); len(got) != 40 || &got[0] != &speed[0] || len(p.Fields) != 1 {
+		t.Errorf("SpeedField replaced or added a field: %d values, %d fields", len(got), len(p.Fields))
+	}
+	if got, want := p.Bytes(), int64(40*(3*4+4)); got != want {
+		t.Errorf("Bytes = %d, want %d (positions and speed only)", got, want)
+	}
+	if (&PointCloud{X: p.X, Y: p.Y, Z: p.Z}).SpeedField() != nil {
+		t.Error("SpeedField of a cloud with neither velocities nor speed returned values")
+	}
+
+	dst := full.Select([]int{1, 2, 3})
+	p.SelectInto(dst, []int{9, 0, 5, 5})
+	if dst.Count() != 4 || len(dst.IDs) != 0 || len(dst.VX)+len(dst.VY)+len(dst.VZ) != 0 {
+		t.Errorf("selected %d particles with %d IDs and %d velocities, want 4, 0 and 0",
+			dst.Count(), len(dst.IDs), len(dst.VX))
+	}
+	if dst.Pos(3) != full.Pos(5) || dst.Fields[0].Values[1] != speed[0] {
+		t.Error("selection moved positions or field values")
+	}
+	var pc Piecer
+	for k, want := range full.Partition(3) {
+		piece := pc.Piece(p, 3, k).(*PointCloud)
+		w := want.(*PointCloud)
+		if piece.Count() != w.Count() || len(piece.IDs) != 0 || piece.HasVelocities() {
+			t.Fatalf("piece %d: %d particles, %d IDs, velocities %v", k, piece.Count(), len(piece.IDs), piece.HasVelocities())
+		}
+		for i := range w.X {
+			if piece.Pos(i) != w.Pos(i) || piece.Fields[0].Values[i] != w.Fields[0].Values[i] {
+				t.Fatalf("piece %d particle %d differs from the full cloud's piece", k, i)
+			}
+		}
+	}
+}
+
 func TestPartitionPreservesIDsProperty(t *testing.T) {
 	f := func(seed int64, nRaw, kRaw uint8) bool {
 		n := int(nRaw)%200 + 1

@@ -140,3 +140,23 @@ func broadcastAllocs(t *testing.T, codec transport.CodecID, subs int, incoherent
 		t.Errorf("%d keyframes sent for %d frames to %d subscribers, want %d", keys, got, subs, wantKeys)
 	}
 }
+
+// TestFitKeepsRoomForALongerEncoding: an encoding buffer reallocated
+// for n bytes takes a later encoding up to an eighth longer in place, and
+// only a longer one reallocates it; a payload buffer stays exact.
+func TestFitKeepsRoomForALongerEncoding(t *testing.T) {
+	enc := func(b []byte, n int) []byte { return fit(b, n, n/8) }
+	b := enc(nil, 800)
+	if len(b) != 800 || cap(b) != 900 {
+		t.Fatalf("encoding of 800: len %d cap %d, want 800 and 900", len(b), cap(b))
+	}
+	if c := enc(b, 900); &c[0] != &b[0] || len(c) != 900 {
+		t.Error("an encoding an eighth longer reallocated the buffer")
+	}
+	if c := enc(b, 901); &c[0] == &b[0] || len(c) != 901 || cap(c) != 901+901/8 {
+		t.Errorf("901 bytes into room for 900: len %d cap %d, want a new buffer of 901 and %d", len(c), cap(c), 901+901/8)
+	}
+	if p := fit(nil, 800, 0); cap(p) != 800 {
+		t.Errorf("a payload of 800 has cap %d, want exactly 800", cap(p))
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -536,4 +537,66 @@ func TestHubHoldsOnlyHistoryReleases(t *testing.T) {
 		defer h.encoders.mu.Unlock()
 		return h.fanouts.held == 0 && h.encoders.held == 0
 	})
+}
+
+// TestHubPublisherEncodesOnOneP: on one P, PublishFrame returns with the
+// frame's encodings already built — the delta for the subscriber that
+// holds its predecessor, the keyframe for the first frame and for a
+// subscriber that just joined — so no sender encode is left to land
+// between one step and the next, and the senders build nothing more.
+func TestHubPublisherEncodesOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const w, hh, live = 100, 80, 4
+	h, _ := startHub(t, Config{Queue: 32, History: 32, Codec: transport.CodecDeltaFlate})
+	first, firstTap := dialTapped(t, h.Addr(), "first", -1)
+	defer first.Close()
+	waitFor(t, "first subscriber", func() bool { return h.Subscribers() == 1 })
+	encoded0 := ctrEncoded.Value()
+	publish := func(step int, want int64) {
+		t.Helper()
+		before := ctrEncoded.Value()
+		h.PublishFrame(step, testFrame(step, w, hh))
+		if got := ctrEncoded.Value() - before; got != want {
+			t.Errorf("step %d: PublishFrame returned with %d encodings built, want %d", step, got, want)
+		}
+	}
+	step := 0
+	for ; step < live; step++ {
+		publish(step, 1) // the keyframe at step 0, then the delta
+	}
+	for i := 0; i < live; i++ {
+		if _, _, _, err := first.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	joiner := dialBare(t, h.Addr())
+	defer joiner.Close()
+	joined := make(chan []byte, 1)
+	go func() {
+		raw, _ := io.ReadAll(joiner)
+		joined <- raw
+	}()
+	waitFor(t, "late joiner", func() bool { return h.Subscribers() == 2 })
+	publish(step, 2) // the first subscriber's delta and the joiner's keyframe
+	for step++; step < 2*live; step++ {
+		publish(step, 1)
+	}
+	h.Close()
+	for i := 0; i < live; i++ {
+		if _, _, _, err := first.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wire := parseStream(t, <-joined)
+	if got := ctrEncoded.Value() - encoded0; got != 2*live+1 {
+		t.Errorf("hub.frames_encoded rose by %d over %d frames, want %d: a sender encoded again", got, 2*live, 2*live+1)
+	}
+	for _, f := range parseStream(t, firstTap.bytes())[1:] {
+		if f.codec != transport.CodecDeltaFlate {
+			t.Errorf("first subscriber's step %d went out as %s, want %s", f.step, f.codec, transport.CodecDeltaFlate)
+		}
+	}
+	if len(wire) != live || wire[0].codec != transport.CodecFlate {
+		t.Errorf("late joiner read %v, want %d frames opening on the flate keyframe", wire, live)
+	}
 }

@@ -11,12 +11,12 @@
 // A frame is encoded once, not once per subscriber. Each published frame
 // has at most two wire encodings — its delta against the frame published
 // just before it, and its keyframe (Config.Codec.Keyframe(), no
-// reference) — each built by the first sender goroutine that needs it
-// and shared by the rest. All a subscriber keeps of the temporal state is
-// which frame it was sent last: when that is the predecessor of the frame
-// it is about to send, it takes the shared delta; otherwise (it just
-// joined, resumed from the history, or lost frames to drop-oldest) it
-// takes the shared keyframe. Under delta+flate the delta is built only
+// reference) — each built once and shared by the rest: by the first
+// sender goroutine that needs it, or, on one P, by the publisher. All a
+// subscriber keeps of the temporal state is which frame it was sent
+// last: when that is the predecessor of the frame it is about to send,
+// it takes the shared delta; otherwise (it just joined, resumed from the
+// history, or lost frames to drop-oldest) it takes the shared keyframe. Under delta+flate the delta is built only
 // when transport.Choose, asked once per frame, finds it smaller than the
 // keyframe; otherwise every subscriber takes the keyframe and the frame
 // has one encoding. An encoding lives only while some queue still holds
@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -131,9 +132,9 @@ type fanout struct {
 	cur, prev *frame
 	refs      atomic.Int32
 
-	// mu guards the lazily built encodings; a sender holds it across the
-	// encode so a second sender waits for the bytes instead of redoing
-	// them. PublishFrame never takes it. choice, once chosen, is the codec
+	// mu guards the encodings, built on demand; whoever builds one holds
+	// it across the encode so a sender that also needs it waits for the
+	// bytes instead of redoing them. choice, once chosen, is the codec
 	// for a subscriber that holds prev: the hub codec, or its keyframe
 	// when transport.Choose found that smaller.
 	mu         sync.Mutex
@@ -142,20 +143,23 @@ type fanout struct {
 	chosen     bool
 }
 
-// fit returns b with length n, reallocated at exactly n only when its
-// capacity is short, so a payload or encoding never sits in a larger
-// size class. Its contents are unspecified.
-func fit(b []byte, n int) []byte {
+// fit returns b with length n, reallocated only when its capacity is
+// short, with room for extra more bytes. Its contents are unspecified. A
+// payload gets no room, so it never sits in a larger size class; an
+// encoding, whose length varies from frame to frame, gets an eighth, so a
+// fanout does not reallocate for every frame a little longer than the
+// longest it has held.
+func fit(b []byte, n, extra int) []byte {
 	if cap(b) < n {
-		return make([]byte, n)
+		return make([]byte, n, n+extra)
 	}
 	return b[:n]
 }
 
 // encoding is one wire encoding of a fanout's frame: buf holds exactly
 // its bytes once built is set (raw needs none: it is the plain payload
-// itself). buf outlives the fanout's use and is reallocated, at exact
-// length, only for a longer encoding.
+// itself). buf outlives the fanout's use and is reallocated only for a
+// longer encoding than it has room for (see fit).
 type encoding struct {
 	buf   []byte
 	built bool
@@ -264,6 +268,10 @@ type subscriber struct {
 	// by the sender goroutine.
 	lastSent int64
 	haveRef  bool
+	// lastQueued is the seq of the frame last put on the queue, -1 before
+	// the first: the frame the sender will have sent just before the next
+	// one, unless drop-oldest evicts it. Guarded by the hub's mu.
+	lastQueued int64
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -679,7 +687,7 @@ func (h *Hub) register(m Msg, conn *transport.Conn) (*subscriber, error) {
 	}
 	s := &subscriber{
 		slot: slot, name: name, from: m.From, conn: conn,
-		ring:   make([]*fanout, h.cfg.Queue),
+		ring: make([]*fanout, h.cfg.Queue), lastQueued: -1,
 		gDepth: h.slotDepth[slot], gDrops: h.slotDrops[slot], gLag: h.slotLag[slot],
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -695,6 +703,7 @@ func (h *Hub) register(m Msg, conn *transport.Conn) (*subscriber, error) {
 		for i := 0; i < h.hcount; i++ {
 			f := h.history[(h.hhead+i)%len(h.history)]
 			if f.step >= m.From {
+				s.lastQueued = f.seq
 				if ev := s.enqueue(h.newFanout(f, prev)); ev != nil {
 					// Catch-up exceeded the queue bound; the overflow is
 					// journaled below like any live drop.
@@ -792,10 +801,11 @@ func (h *Hub) sender(s *subscriber) {
 // set — asked once per fanout, so every subscriber holding f.prev gets
 // the same answer, and a keyframe answer is the very f.key that
 // subscribers without a reference share — and the keyframe fallback
-// otherwise. The first sender to ask builds the encoding —
+// otherwise. The first caller to ask — a sender, or on one P the
+// publisher (see prebuild) — builds the encoding —
 // into a borrowed encoder's scratch, then copied to the fanout's own
-// buffer, so what a queued frame holds is an encoding's length and not
-// the scratch's capacity — and every later sender shares it.
+// buffer, so what a queued frame holds is about an encoding's length and
+// not the scratch's capacity — and every later sender shares it.
 // Raw is the plain payload itself. The bytes stay valid while the
 // caller holds its reference on f.
 func (h *Hub) encoded(f *fanout, delta bool) (transport.CodecID, []byte, error) {
@@ -821,7 +831,7 @@ func (h *Hub) encoded(f *fanout, delta bool) (transport.CodecID, []byte, error) 
 			return id, nil, fmt.Errorf("hub: encoding step %d as %s: %w", f.cur.step, id, err)
 		}
 		e.scratch = out
-		enc.buf = fit(enc.buf, len(out))
+		enc.buf = fit(enc.buf, len(out), len(out)/8)
 		copy(enc.buf, out)
 		enc.built = true
 		ctrEncoded.Inc()
@@ -832,8 +842,13 @@ func (h *Hub) encoded(f *fanout, delta bool) (transport.CodecID, []byte, error) 
 // PublishFrame serializes one rendered frame and fans it out: one vtkio
 // encode into a slot of the hub's, one reference for the history ring, and —
 // when anyone is subscribed — one fanout shared by every subscriber
-// queue. Wire encoding is left to the senders (see encoded), so the cost
-// here does not depend on the codec. It never blocks on subscriber progress —
+// queue. With more than one P, wire encoding is left to the senders (see
+// encoded), so it runs beside the sim/render loop and the cost here does
+// not depend on the codec. On one P nothing runs beside the loop: a
+// sender's encode would take the CPU between this step and the next at
+// whatever point the scheduler picks, so PublishFrame builds the
+// encodings its subscribers will take (see prebuild) and the step pays
+// for its own frame. It never blocks on subscriber progress —
 // a full queue drops its oldest frame (journaled as an in-band overflow
 // event) and the sim/render loop proceeds untouched. Safe on a nil hub
 // (publishing is a no-op), so callers can wire it unconditionally.
@@ -851,7 +866,7 @@ func (h *Hub) PublishFrame(step int, fr *fb.Frame) {
 	}
 	f := h.frames.get()
 	f.hub = h
-	f.payload = fit(f.payload, len(h.enc))
+	f.payload = fit(f.payload, len(h.enc), 0)
 	f.step = int64(step)
 	f.seq = h.seq
 	h.seq++
@@ -865,10 +880,12 @@ func (h *Hub) PublishFrame(step int, fr *fb.Frame) {
 		f.release()
 		return
 	}
-	// Nothing is encoded here: with subscribers attached the frame and
-	// its predecessor ride one fanout and the first sender to need an
-	// encoding builds it; with none, no fanout exists at all.
+	// With subscribers attached the frame and its predecessor ride one
+	// fanout; with none, no fanout exists at all. Each subscriber will
+	// take the delta if the frame queued for it last is the predecessor
+	// (follow), the keyframe otherwise (key).
 	var fo *fanout
+	var follow, key bool
 	if h.nsubs > 0 {
 		var prev *frame
 		if h.hcount > 0 {
@@ -890,8 +907,16 @@ func (h *Hub) PublishFrame(step int, fr *fb.Frame) {
 		if s == nil {
 			continue
 		}
+		follows := fo.prev != nil && s.lastQueued == fo.prev.seq
+		s.lastQueued = f.seq
 		fo.retain()
-		if ev := s.enqueue(fo); ev != nil {
+		ev := s.enqueue(fo)
+		if ev != nil && ev.cur == fo.prev {
+			follows = false // the predecessor itself was dropped
+		}
+		follow = follow || follows
+		key = key || !follows
+		if ev != nil {
 			ctrDropped.Inc()
 			h.cfg.Journal.Emit(journal.Event{
 				Type: journal.TypeOverflow, Rank: h.cfg.Rank, Step: int(ev.cur.step), Elements: 1,
@@ -902,13 +927,31 @@ func (h *Hub) PublishFrame(step int, fr *fb.Frame) {
 			ctrFanout.Inc()
 		}
 	}
-	if fo != nil {
-		fo.release() // the publisher's own reference
-	}
 	h.mu.Unlock()
 	h.pmu.Unlock()
+	if fo != nil {
+		if runtime.GOMAXPROCS(0) == 1 {
+			h.prebuild(fo, follow, key)
+		}
+		fo.release() // the publisher's own reference
+	}
 	h.published.Add(1)
 	ctrPublished.Inc()
+}
+
+// prebuild builds fo's encodings ahead of its senders: the one a
+// subscriber holding fo's predecessor takes when follow is set, the
+// keyframe when key is. A sender then finds its bytes built; one whose
+// predecessor a later drop-oldest evicts builds the keyframe itself.
+// An encoding error is left for the sender, which meets it again and
+// reports it.
+func (h *Hub) prebuild(fo *fanout, follow, key bool) {
+	if follow {
+		h.encoded(fo, h.cfg.Codec.Temporal())
+	}
+	if key {
+		h.encoded(fo, false)
+	}
 }
 
 // Close stops accepting, lets every subscriber drain its backlog (ends

@@ -11,6 +11,7 @@ import (
 	"github.com/ascr-ecx/eth/internal/journal"
 	"github.com/ascr-ecx/eth/internal/raceflag"
 	"github.com/ascr-ecx/eth/internal/render"
+	"github.com/ascr-ecx/eth/internal/sampling"
 	"github.com/ascr-ecx/eth/internal/transport"
 )
 
@@ -32,20 +33,28 @@ func blastLikeSteps(n, steps int) *MemSource {
 	return src
 }
 
-// fieldsOf lists the field names a received dataset carries.
+// fieldsOf lists the field names a received dataset carries, and for a
+// cloud then "[ids]" and "[velocities]" when it carries those arrays.
 func fieldsOf(ds data.Dataset) []string {
 	var fs []data.Field
+	var arrays []string
 	switch d := ds.(type) {
 	case *data.StructuredGrid:
 		fs = d.Fields
 	case *data.PointCloud:
 		fs = d.Fields
+		if len(d.IDs) != 0 {
+			arrays = append(arrays, "[ids]")
+		}
+		if d.HasVelocities() {
+			arrays = append(arrays, "[velocities]")
+		}
 	}
 	names := make([]string, len(fs))
 	for i, f := range fs {
 		names[i] = f.Name
 	}
-	return names
+	return append(names, arrays...)
 }
 
 // fakeViz plays the visualization side of one connection: it sends a
@@ -117,16 +126,20 @@ func fieldsApplied(jw *journal.Writer) []string {
 }
 
 var (
-	all3 = []string{"temperature", "density", "pressure"}
-	temp = []string{"temperature"}
+	all3      = []string{"temperature", "density", "pressure"}
+	temp      = []string{"temperature"}
+	wholePC   = []string{"speed", "[ids]", "[velocities]"}
+	narrowPC  = []string{"speed"}
+	cloudStep = testCloud(50, 1)
 )
 
 // TestSimSendsRequestedField: the step in flight when a request arrives
-// goes out whole, every later one carries only the requested field; a
-// request the dataset cannot honour, or no request, sends every field;
-// a cloud passes whole. Each connection journals the applied set once.
+// goes out whole, every later one carries only the requested field — a
+// cloud its positions and that field, without IDs or velocities; a
+// request the dataset cannot honour, or no request, sends everything.
+// Each connection journals the applied set once.
 func TestSimSendsRequestedField(t *testing.T) {
-	cloud := testCloud(50, 1)
+	clouds := &MemSource{Data: []data.Dataset{cloudStep, cloudStep, cloudStep}}
 	for _, c := range []struct {
 		name, field string
 		src         StepSource
@@ -142,8 +155,12 @@ func TestSimSendsRequestedField(t *testing.T) {
 			[][]string{all3, all3, all3}, "sim applied step=1 fields=entropy kept=3/3"},
 		{"no request", "", blastLikeSteps(9, 3), 1,
 			[][]string{all3, all3, all3}, ""},
-		{"cloud", "speed", &MemSource{Data: []data.Dataset{cloud, cloud, cloud}}, 1,
-			[][]string{fieldsOf(cloud), fieldsOf(cloud), fieldsOf(cloud)}, "sim applied step=1 fields=speed kept=1/1"},
+		{"cloud", "speed", clouds, 1,
+			[][]string{wholePC, narrowPC, narrowPC}, "sim applied step=1 fields=speed kept=1/1 dropped=ids,velocities"},
+		{"cloud at 2 ranks", "speed", clouds, 2,
+			[][]string{wholePC, narrowPC, narrowPC}, "sim applied step=1 fields=speed kept=1/1 dropped=ids,velocities"},
+		{"cloud missing field", "mass", clouds, 1,
+			[][]string{wholePC, wholePC, wholePC}, "sim applied step=1 fields=mass kept=1/1"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			jw := journal.New()
@@ -201,32 +218,42 @@ func TestSimFieldRequestEndsWithItsConnection(t *testing.T) {
 }
 
 // TestSimFieldFilterAllocs: narrowing to the requested field copies and
-// allocates nothing, whole or pieced: a warm StepData with no journal
-// allocates nothing at all.
+// allocates nothing, whole, pieced or sampled: a warm StepData with no
+// journal allocates nothing at all.
 func TestSimFieldFilterAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
 	}
-	for _, ranks := range []int{1, 2} {
-		sp, err := NewSimProxy(SimConfig{Ranks: ranks}, blastLikeSteps(21, 2))
+	clouds := &MemSource{Data: []data.Dataset{testCloud(3000, 1), testCloud(3000, 2)}}
+	for _, c := range []struct {
+		name, field string
+		cfg         SimConfig
+		src         StepSource
+	}{
+		{"grid", "temperature", SimConfig{}, blastLikeSteps(21, 2)},
+		{"grid at 2 ranks", "temperature", SimConfig{Ranks: 2}, blastLikeSteps(21, 2)},
+		{"cloud sampled", "speed", SimConfig{SamplingRatio: 0.5, SamplingMethod: sampling.Stratified}, clouds},
+		{"cloud at 2 ranks", "speed", SimConfig{Ranks: 2}, clouds},
+	} {
+		sp, err := NewSimProxy(c.cfg, c.src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp.field = "temperature"
+		sp.field = c.field
 		step := 0
 		next := func() {
 			ds, err := sp.StepData(step % 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := len(ds.(*data.StructuredGrid).Fields); n != 1 {
-				panic(fmt.Sprintf("narrowed step carries %d fields", n))
+			if pc, ok := ds.(*data.PointCloud); fieldCount(ds) != 1 || ok && (len(pc.IDs) != 0 || pc.HasVelocities()) {
+				panic(fmt.Sprintf("narrowed step carries %d fields", fieldCount(ds)))
 			}
 			step++
 		}
 		next()
 		if n := testing.AllocsPerRun(20, next); n != 0 {
-			t.Errorf("%d ranks: a warm narrowed StepData allocates %.0f times, want 0", ranks, n)
+			t.Errorf("%s: a warm narrowed StepData allocates %.0f times, want 0", c.name, n)
 		}
 	}
 }

@@ -154,10 +154,13 @@ type SimProxy struct {
 	// field is the one field this connection's visualization proxy reads
 	// ("" sends every field), applied at a step boundary and cleared by
 	// every new connection. A grid that has it is sent as view, which
-	// shares that field's values and carries no other; fieldLogged says
-	// the connection's journal event is written.
+	// shares that field's values and carries no other; a cloud as
+	// cloudView, which shares its positions and that field's values and
+	// carries no IDs or velocities. fieldLogged says the connection's
+	// journal event is written.
 	field       string
 	view        data.StructuredGrid
+	cloudView   data.PointCloud
 	viewField   [1]data.Field
 	fieldLogged bool
 }
@@ -286,34 +289,63 @@ func (s *SimProxy) applySteering(step int, conn *transport.Conn) {
 	}
 }
 
-// narrow returns ds carrying only the field the connection's
-// visualization proxy asked for: a structured grid that has it becomes
-// the proxy's view of that field, without a copy; anything else — a
-// cloud, whose geometry arrays are not named fields, or a grid lacking
-// the field, which then fails as it would whole — passes whole. The
-// first dataset it meets on a connection journals what was kept.
+// narrow returns ds carrying only what the connection's visualization
+// proxy renders, without a copy: a structured grid that has the requested
+// field becomes the proxy's view of that field, and a cloud that has it
+// the proxy's view of its positions and that field. Anything else — a
+// dataset lacking the field, which then fails as it would whole, or an
+// unstructured grid — passes whole. The first dataset it meets on a
+// connection journals what was kept and which cloud arrays were dropped.
 func (s *SimProxy) narrow(ds data.Dataset, step int) data.Dataset {
 	if s.field == "" {
 		return ds
 	}
 	out := ds
-	if g, ok := ds.(*data.StructuredGrid); ok {
-		if f, err := g.Field(s.field); err == nil {
-			s.view = *g
+	dropped := ""
+	switch d := ds.(type) {
+	case *data.StructuredGrid:
+		if f, err := d.Field(s.field); err == nil {
+			s.view = *d
 			s.viewField[0] = *f
 			s.view.Fields = s.viewField[:]
 			out = &s.view
+		}
+	case *data.PointCloud:
+		if f, err := d.Field(s.field); err == nil {
+			v := &s.cloudView
+			v.X, v.Y, v.Z = d.X, d.Y, d.Z
+			s.viewField[0] = *f
+			v.Fields = s.viewField[:]
+			// Positions change from step to step under the one view, and
+			// the piecer and the stratified sampler read its bounds.
+			v.InvalidateBounds()
+			out = v
+			dropped = droppedArrays(d)
 		}
 	}
 	if !s.fieldLogged {
 		s.fieldLogged = true
 		s.cfg.Journal.Emit(journal.Event{
 			Type: journal.TypeSample, Rank: s.cfg.Rank, Step: step,
-			Detail: fmt.Sprintf("sim applied step=%d fields=%s kept=%d/%d",
-				step, s.field, fieldCount(out), fieldCount(ds)),
+			Detail: fmt.Sprintf("sim applied step=%d fields=%s kept=%d/%d%s",
+				step, s.field, fieldCount(out), fieldCount(ds), dropped),
 		})
 	}
 	return out
+}
+
+// droppedArrays names the optional arrays of p a narrowed cloud leaves
+// out, as a journal detail suffix.
+func droppedArrays(p *data.PointCloud) string {
+	switch {
+	case len(p.IDs) != 0 && p.HasVelocities():
+		return " dropped=ids,velocities"
+	case len(p.IDs) != 0:
+		return " dropped=ids"
+	case p.HasVelocities():
+		return " dropped=velocities"
+	}
+	return ""
 }
 
 // fieldCount reports how many named fields ds carries.

@@ -29,6 +29,9 @@ func FuzzReadVTK(f *testing.F) {
 		f.Add(b[:len(b)/2])
 		f.Add(b[:7]) // magic + version + kind, nothing else
 	}
+	for flags := uint8(0); flags < 4; flags++ { // every subset of a cloud's optional arrays
+		f.Add(seed(cloudWith(17, 1, flags)))
+	}
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -86,6 +89,9 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 		f.Add(b[:7])
 	}
 	f.Add(encode(sampleCloud(40, 2))) // grows a reused 17-particle cloud
+	for flags := uint8(0); flags < 4; flags++ {
+		f.Add(encode(cloudWith(17, 3, flags)))
+	}
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, in []byte) {

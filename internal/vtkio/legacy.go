@@ -64,10 +64,12 @@ func legacyPointCloud(w *bufio.Writer, p *data.PointCloud) error {
 		fmt.Fprintf(w, "1 %d\n", i)
 	}
 	fmt.Fprintf(w, "POINT_DATA %d\n", n)
-	// Velocity as a vector attribute.
-	fmt.Fprintf(w, "VECTORS velocity float\n")
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(w, "%g %g %g\n", p.VX[i], p.VY[i], p.VZ[i])
+	// Velocity as a vector attribute, when the cloud carries it.
+	if p.HasVelocities() {
+		fmt.Fprintf(w, "VECTORS velocity float\n")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(w, "%g %g %g\n", p.VX[i], p.VY[i], p.VZ[i])
+		}
 	}
 	return legacyFields(w, p.Fields)
 }

@@ -37,6 +37,24 @@ func TestLegacyExportPointCloud(t *testing.T) {
 	}
 }
 
+// TestLegacyExportCloudWithoutVelocities: a cloud without IDs or
+// velocities exports its positions and fields and no velocity vectors.
+func TestLegacyExportCloudWithoutVelocities(t *testing.T) {
+	var buf bytes.Buffer
+	if err := ExportLegacyVTK(&buf, cloudWith(5, 1, 0), ""); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if strings.Contains(out, "VECTORS") {
+		t.Error("export of a cloud without velocities has a VECTORS section")
+	}
+	for _, want := range []string{"POINTS 5 float", "SCALARS speed float 1"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in export", want)
+		}
+	}
+}
+
 func TestLegacyExportStructured(t *testing.T) {
 	g := sampleGrid()
 	var buf bytes.Buffer

@@ -123,15 +123,34 @@ func (d *refDecoder) readPointCloud(prev *data.PointCloud) (*data.PointCloud, er
 	if n > maxReasonable {
 		return nil, fmt.Errorf("vtkio: implausible particle count %d", n)
 	}
+	flags, err := d.u8()
+	if err != nil {
+		return nil, err
+	}
+	if flags&^(cloudIDs|cloudVelocities) != 0 {
+		return nil, fmt.Errorf("vtkio: unknown cloud flags %#02x", flags)
+	}
+	ids, vels := 0, 0
+	if flags&cloudIDs != 0 {
+		ids = int(n)
+	}
+	if flags&cloudVelocities != 0 {
+		vels = int(n)
+	}
 	p := prev
 	if p == nil {
 		p = &data.PointCloud{}
 	}
-	if p.IDs, err = d.int64s(p.IDs[:0], int(n)); err != nil {
+	if p.IDs, err = d.int64s(p.IDs[:0], ids); err != nil {
 		return nil, err
 	}
-	for _, dst := range [...]*[]float32{&p.X, &p.Y, &p.Z, &p.VX, &p.VY, &p.VZ} {
+	for _, dst := range [...]*[]float32{&p.X, &p.Y, &p.Z} {
 		if *dst, err = d.float32s((*dst)[:0], int(n)); err != nil {
+			return nil, err
+		}
+	}
+	for _, dst := range [...]*[]float32{&p.VX, &p.VY, &p.VZ} {
+		if *dst, err = d.float32s((*dst)[:0], vels); err != nil {
 			return nil, err
 		}
 	}

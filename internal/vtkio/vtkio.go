@@ -10,11 +10,21 @@
 // Layout (all integers little-endian):
 //
 //	magic   [4]byte  "ETHD"
-//	version uint16   (currently 1)
+//	version uint16   (currently 2; any other version is refused)
 //	kind    uint8    data.Kind
-//	  -- kind-specific header and payload --
+//	  -- kind-specific header and payload; a point cloud's is:
+//	  count   uint64
+//	  flags   uint8    bit 0: IDs present, bit 1: velocities present;
+//	                   any other bit is refused
+//	  IDs     count int64 values, when present
+//	  X, Y, Z count float32 values each
+//	  VX, VY, VZ count float32 values each, when present
 //	fields  uint32 count, then per field:
 //	  nameLen uint16, name bytes, valueCount uint64, float32 values
+//
+// Version 1 had no flags byte and always carried IDs and velocities; a
+// version 1 container gets ErrBadVersion, so dumps written by a build
+// before version 2 must be regenerated.
 //
 // The codec works on byte slices. Append converts each array straight
 // into the destination slice and Decode converts straight out of the
@@ -50,7 +60,13 @@ var (
 	ErrBadVersion = errors.New("vtkio: unsupported container version")
 )
 
-const version = 1
+const version = 2
+
+// Cloud flags: the optional arrays a point cloud's encoding carries.
+const (
+	cloudIDs        = 1 << 0
+	cloudVelocities = 1 << 1
+)
 
 // maxReasonable bounds a structured grid's vertex count. Its fields are
 // checked against the bytes left like every other array, but a grid with
@@ -62,7 +78,9 @@ const maxReasonable = 1 << 33 // 8 Gi elements
 // Append appends the container encoding of ds to dst and returns the
 // extended slice. It grows dst once, with append's headroom, so a buffer
 // reused across steps of slowly varying size settles without
-// reallocating; on error dst is returned unchanged.
+// reallocating; on error dst is returned unchanged. A cloud's IDs and
+// velocities are encoded when they are not empty; every array that is
+// encoded, fields included, must hold one value per element.
 func Append(dst []byte, ds data.Dataset) ([]byte, error) {
 	n, err := encodedLen(ds)
 	if err != nil {
@@ -76,6 +94,8 @@ func Append(dst []byte, ds data.Dataset) ([]byte, error) {
 	switch d := ds.(type) {
 	case *data.PointCloud:
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(d.Count()))
+		dst = append(dst, cloudFlags(d))
+		// An absent array is empty and appends nothing.
 		dst = appendI64s(dst, d.IDs)
 		for _, arr := range [...][]float32{d.X, d.Y, d.Z, d.VX, d.VY, d.VZ} {
 			dst = appendF32s(dst, arr)
@@ -126,9 +146,13 @@ func Append(dst []byte, ds data.Dataset) ([]byte, error) {
 func encodedLen(ds data.Dataset) (int, error) {
 	n := len(magic) + 2 + 1 + 4 // magic, version, kind, field count
 	var fields []data.Field
+	count := ds.Count()
 	switch d := ds.(type) {
 	case *data.PointCloud:
-		n += 8 + 8*len(d.IDs)
+		if err := checkCloud(d); err != nil {
+			return 0, err
+		}
+		n += 8 + 1 + 8*len(d.IDs)
 		for _, arr := range [...][]float32{d.X, d.Y, d.Z, d.VX, d.VY, d.VZ} {
 			n += 4 * len(arr)
 		}
@@ -146,9 +170,45 @@ func encodedLen(ds data.Dataset) (int, error) {
 		if len(f.Name) > math.MaxUint16 {
 			return 0, fmt.Errorf("vtkio: field name too long (%d bytes)", len(f.Name))
 		}
+		if len(f.Values) != count {
+			return 0, fmt.Errorf("vtkio: field %q has %d values, dataset has %d elements", f.Name, len(f.Values), count)
+		}
 		n += 2 + len(f.Name) + 8 + 4*len(f.Values)
 	}
 	return n, nil
+}
+
+// cloudFlags reports which optional arrays p carries: those not empty.
+func cloudFlags(p *data.PointCloud) uint8 {
+	var flags uint8
+	if len(p.IDs) != 0 {
+		flags |= cloudIDs
+	}
+	if len(p.VX)+len(p.VY)+len(p.VZ) != 0 {
+		flags |= cloudVelocities
+	}
+	return flags
+}
+
+// checkCloud refuses a cloud with an array the header cannot describe: a
+// position array, or a present optional one, whose length is not the
+// particle count.
+func checkCloud(p *data.PointCloud) error {
+	n, vel := len(p.X), cloudFlags(p)&cloudVelocities != 0
+	for _, a := range [...]struct {
+		name     string
+		len      int
+		required bool
+	}{
+		{"IDs", len(p.IDs), false},
+		{"Y", len(p.Y), true}, {"Z", len(p.Z), true},
+		{"VX", len(p.VX), vel}, {"VY", len(p.VY), vel}, {"VZ", len(p.VZ), vel},
+	} {
+		if a.len != n && (a.required || a.len != 0) {
+			return fmt.Errorf("vtkio: cloud array %s has %d values for %d particles", a.name, a.len, n)
+		}
+	}
+	return nil
 }
 
 // extend lengthens b by n bytes and returns it with the new tail.
@@ -269,6 +329,13 @@ func (d *decoder) take(n, size uint64) []byte {
 	return p
 }
 
+func (d *decoder) u8() uint8 {
+	if p := d.take(1, 1); p != nil {
+		return p[0]
+	}
+	return 0
+}
+
 func (d *decoder) u16() uint16 {
 	if p := d.take(1, 2); p != nil {
 		return binary.LittleEndian.Uint16(p)
@@ -352,10 +419,24 @@ func (d *decoder) pointCloud(p *data.PointCloud) *data.PointCloud {
 	if p == nil {
 		p = &data.PointCloud{}
 	}
-	n := d.u64()
-	p.IDs = d.i64s(p.IDs, n)
-	for _, arr := range [...]*[]float32{&p.X, &p.Y, &p.Z, &p.VX, &p.VY, &p.VZ} {
+	n, flags := d.u64(), d.u8()
+	if flags&^(cloudIDs|cloudVelocities) != 0 {
+		d.fail("vtkio: unknown cloud flags %#02x", flags)
+	}
+	// An absent array decodes as empty, keeping its capacity.
+	ids, vels := uint64(0), uint64(0)
+	if flags&cloudIDs != 0 {
+		ids = n
+	}
+	if flags&cloudVelocities != 0 {
+		vels = n
+	}
+	p.IDs = d.i64s(p.IDs, ids)
+	for _, arr := range [...]*[]float32{&p.X, &p.Y, &p.Z} {
 		*arr = d.f32s(*arr, n)
+	}
+	for _, arr := range [...]*[]float32{&p.VX, &p.VY, &p.VZ} {
+		*arr = d.f32s(*arr, vels)
 	}
 	p.Fields = d.fields(p.Fields, n)
 	// The reuse path overwrites positions in place, so the lazy bounds

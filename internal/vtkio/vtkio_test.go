@@ -28,6 +28,18 @@ func sampleCloud(n int, seed int64) *data.PointCloud {
 	return p
 }
 
+// cloudWith is sampleCloud without the optional arrays flags leaves out.
+func cloudWith(n int, seed int64, flags uint8) *data.PointCloud {
+	p := sampleCloud(n, seed)
+	if flags&cloudIDs == 0 {
+		p.IDs = nil
+	}
+	if flags&cloudVelocities == 0 {
+		p.VX, p.VY, p.VZ = nil, nil, nil
+	}
+	return p
+}
+
 func sampleGrid() *data.StructuredGrid {
 	g := data.NewStructuredGrid(4, 5, 6)
 	g.Origin = vec.New(-1, 2, 3)
@@ -128,16 +140,122 @@ func TestBadMagic(t *testing.T) {
 	}
 }
 
+// TestBadVersion: any version but 2 is refused, version 1 included.
 func TestBadVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, data.NewPointCloud(1)); err != nil {
+	for _, ver := range []byte{1, 3, 99} {
+		var buf bytes.Buffer
+		if err := Write(&buf, data.NewPointCloud(1)); err != nil {
+			t.Fatal(err)
+		}
+		b := buf.Bytes()
+		b[4] = ver // clobber version
+		_, err := Read(bytes.NewReader(b))
+		if !errors.Is(err, ErrBadVersion) {
+			t.Errorf("version %d: err = %v, want ErrBadVersion", ver, err)
+		}
+	}
+}
+
+// TestCloudFlagsRoundTrip: a cloud round-trips with any subset of its
+// optional arrays, its flags byte naming that subset, and decodes so
+// into a previous cloud that carried them all: an absent array comes
+// back empty.
+func TestCloudFlagsRoundTrip(t *testing.T) {
+	full, err := Append(nil, sampleCloud(23, 4))
+	if err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	b[4] = 99 // clobber version
-	_, err := Read(bytes.NewReader(b))
-	if !errors.Is(err, ErrBadVersion) {
-		t.Errorf("err = %v, want ErrBadVersion", err)
+	for flags := uint8(0); flags < 4; flags++ {
+		p := cloudWith(23, 4, flags)
+		b, err := Append(nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b[7+8]; got != flags {
+			t.Errorf("flags %d: encoded flags byte %d", flags, got)
+		}
+		if want := int(p.Bytes()) + 7 + 8 + 1 + 4 + 2 + len("speed") + 8; len(b) != want {
+			t.Errorf("flags %d: %d bytes encoded, want %d", flags, len(b), want)
+		}
+		for _, prev := range []data.Dataset{nil, mustDecode(t, full)} {
+			ds, err := Decode(b, prev)
+			if err != nil {
+				t.Fatalf("flags %d: %v", flags, err)
+			}
+			q := ds.(*data.PointCloud)
+			if len(q.IDs) != len(p.IDs) || len(q.VX) != len(p.VX) || len(q.VY) != len(p.VY) || len(q.VZ) != len(p.VZ) {
+				t.Errorf("flags %d: decoded %d IDs and %d/%d/%d velocities, want %d and %d",
+					flags, len(q.IDs), len(q.VX), len(q.VY), len(q.VZ), len(p.IDs), len(p.VX))
+			}
+			if again, err := Append(nil, q); err != nil || !bytes.Equal(again, b) {
+				t.Errorf("flags %d: round trip changed the encoding (err %v)", flags, err)
+			}
+		}
+	}
+}
+
+func mustDecode(t *testing.T, b []byte) data.Dataset {
+	t.Helper()
+	ds, err := Decode(b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// TestDecodeRefusesUnknownCloudFlags: a flags byte with any bit beyond
+// IDs and velocities is refused.
+func TestDecodeRefusesUnknownCloudFlags(t *testing.T) {
+	b, err := Append(nil, cloudWith(5, 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, flags := range []byte{4, 8, 0x80, 0xff} {
+		in := bytes.Clone(b)
+		in[7+8] = flags
+		if _, err := Decode(in, nil); err == nil {
+			t.Errorf("flags %#02x accepted", flags)
+		}
+		if _, err := referenceReadInto(bytes.NewReader(in), nil); err == nil {
+			t.Errorf("flags %#02x accepted by the reference decoder", flags)
+		}
+	}
+}
+
+// TestAppendRefusesMismatchedArrays: Append refuses a dataset with an
+// encoded array whose length is not the element count, which its header
+// could not describe and Decode would refuse, and leaves dst as it was.
+func TestAppendRefusesMismatchedArrays(t *testing.T) {
+	for name, mutate := range map[string]func(p *data.PointCloud){
+		"short IDs":   func(p *data.PointCloud) { p.IDs = p.IDs[:3] },
+		"long IDs":    func(p *data.PointCloud) { p.IDs = append(p.IDs, 1) },
+		"short Y":     func(p *data.PointCloud) { p.Y = p.Y[:3] },
+		"short Z":     func(p *data.PointCloud) { p.Z = p.Z[:3] },
+		"short VX":    func(p *data.PointCloud) { p.VX = p.VX[:3] },
+		"VY absent":   func(p *data.PointCloud) { p.VY = nil },
+		"VZ only":     func(p *data.PointCloud) { p.VX, p.VY = nil, nil },
+		"short field": func(p *data.PointCloud) { p.Fields[0].Values = p.Fields[0].Values[:3] },
+		"IDs, no X": func(p *data.PointCloud) {
+			p.X, p.Y, p.Z, p.VX, p.VY, p.VZ, p.Fields = nil, nil, nil, nil, nil, nil, nil
+		},
+		"speed, no XY": func(p *data.PointCloud) { p.X, p.Y, p.Z, p.IDs, p.VX, p.VY, p.VZ = nil, nil, nil, nil, nil, nil, nil },
+	} {
+		p := sampleCloud(4, 1)
+		mutate(p)
+		dst := []byte("prefix")
+		out, err := Append(dst, p)
+		if err == nil {
+			t.Errorf("%s: Append accepted the cloud", name)
+			continue
+		}
+		if string(out) != "prefix" {
+			t.Errorf("%s: Append changed dst on error", name)
+		}
+	}
+	g := sampleGrid()
+	g.Fields[1].Values = g.Fields[1].Values[1:]
+	if _, err := Append(nil, g); err == nil {
+		t.Error("Append accepted a grid field one value short")
 	}
 }
 
@@ -358,8 +476,8 @@ func TestHugeCountRejectedCheaply(t *testing.T) {
 	}
 	const huge = 1 << 32
 	le := binary.LittleEndian
-	head := func(k data.Kind) []byte { return append(append(magic[:0:0], magic[:]...), 1, 0, byte(k)) }
-	cloud := le.AppendUint64(head(data.KindPointCloud), huge)
+	head := func(k data.Kind) []byte { return append(append(magic[:0:0], magic[:]...), version, 0, byte(k)) }
+	cloud := append(le.AppendUint64(head(data.KindPointCloud), huge), cloudIDs|cloudVelocities)
 	grid := head(data.KindStructuredGrid)
 	for _, v := range []uint64{1 << 16, 1 << 16, 1} {
 		grid = le.AppendUint64(grid, v)
@@ -404,7 +522,7 @@ func TestAppendDecodeAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
 	}
-	for _, ds := range []data.Dataset{sampleCloud(10_000, 5), sampleGrid(), data.Tetrahedralize(sampleGrid())} {
+	for _, ds := range []data.Dataset{sampleCloud(10_000, 5), cloudWith(10_000, 5, 0), sampleGrid(), data.Tetrahedralize(sampleGrid())} {
 		buf, err := Append(nil, ds)
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,9 @@
 #!/bin/sh
 # End-to-end smoke for the multi-viewer broadcast hub: boot a real
 # sim+viz pair with -serve (its in-situ connection opening with the viz
-# proxy's field request), attach three ethwatch viewers over real
+# proxy's field request, so every hacc step after the first crosses as
+# positions and speed, without IDs or velocities), attach three ethwatch
+# viewers over real
 # sockets, steer the run from one of them, kill -9 another mid-stream
 # and resume it from its cursor checkpoint, then audit the journal with
 # ethinfo. No curl, no jq — every probe is one of our own binaries.
