@@ -6,6 +6,12 @@
 // differ (O(P) messages of full frames vs log2(P) rounds of half frames)
 // and the cluster model charges them differently; DESIGN.md lists the
 // choice as an ablation.
+//
+// As on a cluster, where each rank merges into its own image buffer, the
+// schedules run in the ranks' frames: no frame is allocated, and the only
+// copy is binary swap's final gather of each rank's region into the
+// root's frame. Direct send writes only frames[0]; binary swap writes
+// every input.
 package compositing
 
 import (
@@ -14,7 +20,6 @@ import (
 	"time"
 
 	"github.com/ascr-ecx/eth/internal/fb"
-	"github.com/ascr-ecx/eth/internal/mempool"
 	"github.com/ascr-ecx/eth/internal/par"
 	"github.com/ascr-ecx/eth/internal/telemetry"
 )
@@ -61,30 +66,30 @@ type Stats struct {
 // depth (8).
 const bytesPerPixel = 32
 
-// MergeInto merges src into dst pixel-by-pixel, keeping the nearer
+// mergeInto merges src into dst pixel-by-pixel, keeping the nearer
 // fragment. Frames must be the same size.
-func MergeInto(dst, src *fb.Frame) error {
-	if dst.W != src.W || dst.H != src.H {
-		return fmt.Errorf("compositing: frame sizes differ (%dx%d vs %dx%d)", dst.W, dst.H, src.W, src.H)
-	}
+func mergeInto(dst, src *fb.Frame) {
 	n := len(dst.Depth)
 	if n <= 4096 {
 		// Single-grain frames merge inline: constructing the par closure
 		// would heap-allocate it, and this path must stay allocation-free
 		// at steady state.
 		mergeRange(dst, src, 0, n)
-		return nil
+		return
 	}
 	par.ForGrained(n, 0, 4096, func(lo, hi int) {
 		mergeRange(dst, src, lo, hi)
 	})
-	return nil
 }
 
-// Composite merges the per-rank frames into a single frame using the
-// given algorithm and returns it with the communication stats the
-// schedule would have incurred on a real interconnect. The input frames
-// are not modified. An empty input returns an error.
+// Composite merges the per-rank frames into frames[0] using the given
+// algorithm and returns frames[0] with the communication stats the
+// schedule would have incurred on a real interconnect. The merge runs in
+// the ranks' own buffers: direct send writes only frames[0], binary swap
+// writes every input. A caller that must keep the per-rank images passes
+// a copy of the root's frame as frames[0]. Compositing already merged
+// frames again gives the same pixels. An empty input or frames of
+// different sizes return an error and leave every frame untouched.
 func Composite(frames []*fb.Frame, alg Algorithm) (*fb.Frame, Stats, error) {
 	if len(frames) == 0 {
 		return nil, Stats{}, fmt.Errorf("compositing: no frames")
@@ -96,90 +101,49 @@ func Composite(frames []*fb.Frame, alg Algorithm) (*fb.Frame, Stats, error) {
 		}
 	}
 	t0 := time.Now()
-	var (
-		out   *fb.Frame
-		stats Stats
-		err   error
-	)
-	switch alg {
-	case BinarySwap:
-		out, stats, err = binarySwap(frames)
-	default:
-		out, stats, err = directSend(frames)
-	}
-	if err != nil {
-		return nil, Stats{}, err
-	}
+	var stats Stats
 	if alg == BinarySwap {
+		stats = binarySwap(frames)
 		histBinarySwap.Since(t0)
 	} else {
+		stats = directSend(frames)
 		histDirectSend.Since(t0)
 	}
 	ctrCompBytes.Add(stats.BytesMoved)
 	ctrCompMsgs.Add(int64(stats.MessagesMoved))
-	return out, stats, err
+	return frames[0], stats, nil
 }
 
-func directSend(frames []*fb.Frame) (*fb.Frame, Stats, error) {
-	w, h := frames[0].W, frames[0].H
-	// Seed by straight copy from the first input: a MergeInto onto a
-	// freshly cleared frame walks every pixel through a depth compare only
-	// to arrive at the same bytes. The frame comes from the pool (callers
-	// may ReleaseFrame the composite when done; dropping it is fine too).
-	out := mempool.AcquireFrameUncleared(w, h)
-	if err := out.CopyFrom(frames[0]); err != nil {
-		mempool.ReleaseFrame(out)
-		return nil, Stats{}, err
-	}
+// directSend merges frames[1:] into frames[0] in order.
+func directSend(frames []*fb.Frame) Stats {
 	for _, f := range frames[1:] {
-		if err := MergeInto(out, f); err != nil {
-			mempool.ReleaseFrame(out)
-			return nil, Stats{}, err
-		}
+		mergeInto(frames[0], f)
 	}
-	stats := Stats{
+	return Stats{
 		Rounds:        1,
-		BytesMoved:    int64(len(frames)-1) * int64(w*h) * bytesPerPixel,
+		BytesMoved:    int64(len(frames)-1) * int64(len(frames[0].Depth)) * bytesPerPixel,
 		MessagesMoved: len(frames) - 1,
 	}
-	return out, stats, nil
 }
 
-// binarySwap simulates the binary-swap schedule: over log2(P) rounds each
-// rank keeps half its active region and sends the other half to its
-// partner; afterwards each rank owns the fully composited 1/P of the
-// image, gathered at the end. We execute the merges locally but account
-// messages/bytes exactly as the schedule would.
-func binarySwap(frames []*fb.Frame) (*fb.Frame, Stats, error) {
+// binarySwap runs the binary-swap schedule in the input frames: over
+// log2(P) rounds each rank keeps half its active region, merging in its
+// partner's copy of that half, so afterwards each rank owns the fully
+// composited 1/P of the image; the owned regions are then gathered into
+// frames[0]. Messages and bytes are accounted exactly as the schedule
+// would send them.
+func binarySwap(frames []*fb.Frame) Stats {
 	p := len(frames)
-	w, h := frames[0].W, frames[0].H
-	pixels := w * h
+	pixels := len(frames[0].Depth)
 
 	// Fold non-power-of-two remainder into the main group first.
 	pow := 1
 	for pow*2 <= p {
 		pow *= 2
 	}
-	stats := Stats{}
-	work := make([]*fb.Frame, pow)
-	for i := 0; i < pow; i++ {
-		// Working copies (inputs are preserved) come from the frame pool
-		// and are seeded by straight copy — the previous MergeInto onto a
-		// cleared frame depth-compared every pixel to produce an identical
-		// result. Released back to the pool before returning.
-		cp := mempool.AcquireFrameUncleared(w, h)
-		if err := cp.CopyFrom(frames[i]); err != nil {
-			mempool.ReleaseFrame(cp)
-			releaseFrames(work[:i])
-			return nil, Stats{}, err
-		}
-		work[i] = cp
-	}
+	var stats Stats
 	for i := pow; i < p; i++ {
-		if err := MergeInto(work[i-pow], frames[i]); err != nil {
-			releaseFrames(work)
-			return nil, Stats{}, err
-		}
+		mergeInto(frames[i-pow], frames[i])
 		stats.BytesMoved += int64(pixels) * bytesPerPixel
 		stats.MessagesMoved++
 		stats.Rounds = 1
@@ -202,8 +166,8 @@ func binarySwap(frames []*fb.Frame) (*fb.Frame, Stats, error) {
 				// each sends the other half to its partner.
 				ra := regions[a]
 				mid := (ra.lo + ra.hi) / 2
-				mergeRange(work[a], work[b], ra.lo, mid)
-				mergeRange(work[b], work[a], mid, ra.hi)
+				mergeRange(frames[a], frames[b], ra.lo, mid)
+				mergeRange(frames[b], frames[a], mid, ra.hi)
 				sent := int64(ra.hi-ra.lo) * bytesPerPixel
 				stats.BytesMoved += sent // each pair exchanges region halves (half each way)
 				stats.MessagesMoved += 2
@@ -213,29 +177,18 @@ func binarySwap(frames []*fb.Frame) (*fb.Frame, Stats, error) {
 		}
 	}
 
-	// Final gather: every rank sends its owned region to the root. The
-	// regions tile [0, pixels) exactly, so an uncleared pooled frame is
-	// fully overwritten.
-	out := mempool.AcquireFrameUncleared(w, h)
-	for i := 0; i < pow; i++ {
+	// Final gather: every other rank sends its owned region to the root,
+	// which already owns region 0. The regions tile [0, pixels).
+	out := frames[0]
+	for i := 1; i < pow; i++ {
 		r := regions[i]
-		copy(out.Color[r.lo:r.hi], work[i].Color[r.lo:r.hi])
-		copy(out.Depth[r.lo:r.hi], work[i].Depth[r.lo:r.hi])
-		if i != 0 {
-			stats.BytesMoved += int64(r.hi-r.lo) * bytesPerPixel
-			stats.MessagesMoved++
-		}
+		copy(out.Color[r.lo:r.hi], frames[i].Color[r.lo:r.hi])
+		copy(out.Depth[r.lo:r.hi], frames[i].Depth[r.lo:r.hi])
+		stats.BytesMoved += int64(r.hi-r.lo) * bytesPerPixel
+		stats.MessagesMoved++
 	}
-	releaseFrames(work)
 	stats.Rounds++
-	return out, stats, nil
-}
-
-// releaseFrames returns every frame in fs to the pool.
-func releaseFrames(fs []*fb.Frame) {
-	for _, f := range fs {
-		mempool.ReleaseFrame(f)
-	}
+	return stats
 }
 
 // mergeRange merges src pixels [lo, hi) into dst.

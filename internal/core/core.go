@@ -181,8 +181,8 @@ type MeasuredResult struct {
 	Elements int
 	// Frames holds each rank's final frame (rank order).
 	Frames []*fb.Frame
-	// Composited is the final cross-rank composited frame (== Frames[0]
-	// for single-rank runs).
+	// Composited is the final cross-rank composited frame: a frame of its
+	// own for multi-rank runs, Frames[0] for single-rank runs.
 	Composited *fb.Frame
 	// CompositeStats reports the composite's modeled communication.
 	CompositeStats compositing.Stats
@@ -315,10 +315,15 @@ func RunMeasured(spec MeasuredSpec) (MeasuredResult, error) {
 	}
 
 	// Merge the per-rank frames of the last step into the final image —
-	// the sort-last composite every distributed in-situ run ends with.
+	// the sort-last composite every distributed in-situ run ends with. The
+	// merge runs into a copy of rank 0's frame, so Frames keeps each
+	// rank's own image.
 	if len(res.Frames) > 1 {
 		c0 := time.Now()
-		comp, cstats, err := compositing.Composite(res.Frames, compositing.DirectSend)
+		root := fb.New(res.Frames[0].W, res.Frames[0].H)
+		_ = root.CopyFrom(res.Frames[0]) // same size by construction
+		frames := append([]*fb.Frame{root}, res.Frames[1:]...)
+		comp, cstats, err := compositing.Composite(frames, compositing.DirectSend)
 		if err != nil {
 			jw.Error(-1, -1, err)
 			return MeasuredResult{}, err

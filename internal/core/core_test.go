@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -52,6 +53,41 @@ func TestRunMeasuredSocketMode(t *testing.T) {
 	}
 	if res.BytesMoved == 0 {
 		t.Error("socket mode moved no bytes")
+	}
+}
+
+// TestRunMeasuredKeepsRankFrames: the end-of-run composite merges into a
+// frame of its own, so Frames still holds each rank's image and a
+// brute-force nearest-fragment merge of them reproduces the composite.
+func TestRunMeasuredKeepsRankFrames(t *testing.T) {
+	for _, ranks := range []int{2, 3} {
+		spec := haccSpec()
+		spec.Ranks = ranks
+		res, err := RunMeasured(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Frames) != ranks {
+			t.Fatalf("%d ranks: frames = %d", ranks, len(res.Frames))
+		}
+		if res.Composited == res.Frames[0] {
+			t.Fatalf("%d ranks: the composite is rank 0's frame", ranks)
+		}
+		if res.Composited.CoveredPixels() <= res.Frames[0].CoveredPixels() {
+			t.Errorf("%d ranks: the composite covers no more than rank 0's frame", ranks)
+		}
+		for i := range res.Composited.Depth {
+			near := res.Frames[0]
+			for _, f := range res.Frames[1:] {
+				if f.Depth[i] < near.Depth[i] {
+					near = f
+				}
+			}
+			if res.Composited.Color[i] != near.Color[i] || math.Float64bits(res.Composited.Depth[i]) != math.Float64bits(near.Depth[i]) {
+				t.Fatalf("%d ranks: pixel %d is %v at depth %v, want %v at %v", ranks, i,
+					res.Composited.Color[i], res.Composited.Depth[i], near.Color[i], near.Depth[i])
+			}
+		}
 	}
 }
 

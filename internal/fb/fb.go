@@ -46,9 +46,9 @@ func (f *Frame) Clear(bg vec.V3) {
 }
 
 // CopyFrom overwrites f's pixels with src's — a straight memmove of both
-// planes, the cheap way to seed a working frame from an input (a full
-// MergeInto onto a cleared frame walks every pixel through a depth
-// compare for the same result). Frames must be the same size.
+// planes, the cheap way to seed a working frame from an input (a depth
+// merge onto a cleared frame walks every pixel through a compare for the
+// same result). Frames must be the same size.
 func (f *Frame) CopyFrom(src *Frame) error {
 	if f.W != src.W || f.H != src.H {
 		return fmt.Errorf("fb: frame sizes differ (%dx%d vs %dx%d)", f.W, f.H, src.W, src.H)

@@ -1,13 +1,12 @@
 package lint
 
-// Control-flow graphs for flow-sensitive analyzers. The builder turns one
-// function body into basic blocks connected by edges that model Go's
-// structured control flow — if/for/range/switch/select, labeled break and
-// continue, goto, fallthrough — plus two distinguished exits: Exit for
-// normal returns (and falling off the end of the body) and Panic for
-// explicit panic statements. Deferred calls are collected separately:
-// they run on *every* exit path, so analyzers treat a release or unlock
-// inside a defer as covering returns and panics alike.
+// Control-flow graphs for the flow-sensitive analyzer (ctxguard). The
+// builder turns one function body into basic blocks connected by edges
+// that model Go's structured control flow — if/for/range/switch/select,
+// labeled break and continue, goto, fallthrough — plus two distinguished
+// exits: Exit for normal returns (and falling off the end of the body)
+// and Panic for explicit panic statements, so a loop whose body always
+// panics or returns has no back edge.
 //
 // The graph is intraprocedural and syntactic: statements are stored whole
 // (a block's Nodes are the statements and control expressions it
@@ -39,7 +38,7 @@ type Block struct {
 
 // CFG is the control-flow graph of one function body.
 type CFG struct {
-	// Name is a display name for diagnostics ("directSend", "func literal").
+	// Name is a display name for diagnostics ("Run", "func literal").
 	Name string
 	// Entry is the unique entry block (empty; its successor is the first
 	// body block).
@@ -47,16 +46,10 @@ type CFG struct {
 	// Exit collects every normal exit: return statements and falling off
 	// the end of the body.
 	Exit *Block
-	// Panic collects explicit panic(...) exits. Deferred calls still run
-	// on these paths; analyzers that only care about normal completion
-	// check liveness at Exit and leave Panic alone.
+	// Panic collects explicit panic(...) exits.
 	Panic *Block
 	// Blocks lists every block in creation order (Entry first).
 	Blocks []*Block
-	// Defers lists the defer statements encountered anywhere in the body,
-	// in source order. They execute on every path that leaves the
-	// function, in reverse order.
-	Defers []*ast.DeferStmt
 
 	loopHead map[ast.Stmt]*Block // ForStmt/RangeStmt -> head block
 }
@@ -123,30 +116,6 @@ func (c *CFG) HasBackEdge(loop ast.Stmt) bool {
 		}
 	}
 	return false
-}
-
-// ReversePostorder returns the blocks reachable from Entry in reverse
-// postorder — the iteration order under which a forward dataflow fixpoint
-// converges fastest.
-func (c *CFG) ReversePostorder() []*Block {
-	seen := make(map[*Block]bool)
-	var post []*Block
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			dfs(s)
-		}
-		post = append(post, b)
-	}
-	dfs(c.Entry)
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
 }
 
 type cfgBuilder struct {
@@ -269,10 +238,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 	case *ast.SelectStmt:
 		b.selectStmt(s)
-
-	case *ast.DeferStmt:
-		b.cfg.Defers = append(b.cfg.Defers, s)
-		b.add(s)
 
 	case *ast.ExprStmt:
 		if isPanicCall(s.X) {

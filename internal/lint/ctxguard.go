@@ -148,3 +148,11 @@ func isContextType(t types.Type) bool {
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
+
+// defOrUse returns the object id defines or, failing that, refers to.
+func defOrUse(pass *Pass, id *ast.Ident) types.Object {
+	if obj := pass.Info.Defs[id]; obj != nil {
+		return obj
+	}
+	return pass.Info.Uses[id]
+}

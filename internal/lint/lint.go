@@ -5,13 +5,11 @@
 // the invariants the harness's measurements depend on: errors wrap with
 // %w across proxy/transport boundaries, goroutines either recover or
 // forward their errors, hot numeric packages never compare floats with
-// ==, internal packages return wrapped sentinels, pooled buffers are
-// released on every path, and unbounded loops observe cancellation.
-// poolleak and ctxguard are flow-sensitive: they share one
-// control-flow-graph layer (cfg.go), and poolleak runs its fixpoint on
-// ForwardFlow (dataflow.go). Stage durations need no analyzer: a region
-// with early returns records from a deferred telemetry.Histogram.Since,
-// which every return runs.
+// ==, internal packages return wrapped sentinels, and unbounded loops
+// observe cancellation. ctxguard is flow-sensitive: the function's
+// control-flow graph (cfg.go) decides whether a loop can iterate. Stage
+// durations need no analyzer: a region with early returns records from a
+// deferred telemetry.Histogram.Since, which every return runs.
 //
 // A finding can be suppressed with a directive on the offending line or
 // the line directly above it:
@@ -136,7 +134,7 @@ type IgnoreDirective struct {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{ErrWrap, NakedGo, FloatEq, SentinelErr, PoolLeak, CtxGuard}
+	return []*Analyzer{ErrWrap, NakedGo, FloatEq, SentinelErr, CtxGuard}
 }
 
 // ByName returns the analyzer with the given name, or nil.

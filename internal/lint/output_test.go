@@ -12,9 +12,9 @@ func sampleResult() Result {
 	return Result{
 		Diagnostics: []Diagnostic{
 			{
-				Analyzer: "poolleak",
+				Analyzer: "errwrap",
 				Pos:      token.Position{Filename: "/mod/internal/x/x.go", Line: 12, Column: 3},
-				Message:  "pooled buffer acquired here is not released on every path",
+				Message:  "error argument formatted with %v; use %w so errors.Is/As see the cause",
 			},
 			{
 				Analyzer: "ctxguard",

@@ -92,8 +92,9 @@ func TestHotPathAllocsWithObs(t *testing.T) {
 			src.Depth[i] = float64(i%7) + 0.5
 			src.Color[i] = vec.New(0.1, 0.2, 0.3)
 		}
+		frames := []*fb.Frame{dst, src}
 		merge := func() {
-			if err := compositing.MergeInto(dst, src); err != nil {
+			if _, _, err := compositing.Composite(frames, compositing.DirectSend); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -35,7 +35,10 @@ var (
 // renders the step after next into, so it is valid only until
 // PublishFrame returns. A publisher that keeps the frame (or hands it
 // to another goroutine) copies it first; hub.Hub converts it to its
-// wire grid before returning.
+// wire grid before returning. A publisher may overwrite the lent frame:
+// a sort-last publisher composites the ranks' frames into rank 0's
+// (compositing.Composite), and rank 0 renders into its other buffer
+// next, clearing it first.
 type FramePublisher interface {
 	PublishFrame(step int, f *fb.Frame)
 }
@@ -491,7 +494,9 @@ func (v *VizProxy) EnsureOutDir() error {
 
 // LastFrame returns the final image of the last completed step, or nil
 // before the first. It is the proxy's own buffer: the next RenderStep
-// but one overwrites it.
+// but one overwrites it, and a publisher that composites into it (see
+// FramePublisher) leaves the composite there rather than this rank's
+// image.
 func (v *VizProxy) LastFrame() *fb.Frame { return v.last }
 
 // TotalRenderTime sums render time across completed steps.

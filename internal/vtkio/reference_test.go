@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/vec"
@@ -60,26 +59,12 @@ func (d *refDecoder) f64() (float64, error) {
 	return math.Float64frombits(v), err
 }
 
-// eofReader parks pooled decoders between uses so they never pin a
-// caller's stream.
-type eofReader struct{}
-
-func (eofReader) Read([]byte) (int, error) { return 0, io.EOF }
-
-var refDecoders = sync.Pool{New: func() any {
-	return &refDecoder{br: bufio.NewReaderSize(eofReader{}, 1<<20), chunk: make([]byte, refChunkBytes)}
-}}
-
 // referenceReadInto is the streaming ReadInto that Decode replaced: it
-// decodes from r through a pooled 1 MiB buffered reader and a 256 KiB
-// conversion chunk, reusing prev's arrays under the same rules as Decode.
+// decodes from r through a buffered reader and a 256 KiB conversion
+// chunk, reusing prev's arrays under the same rules as Decode.
 func referenceReadInto(r io.Reader, prev data.Dataset) (data.Dataset, error) {
-	d := refDecoders.Get().(*refDecoder)
-	d.br.Reset(r)
-	ds, err := d.read(prev)
-	d.br.Reset(eofReader{})
-	refDecoders.Put(d)
-	return ds, err
+	d := &refDecoder{br: bufio.NewReader(r), chunk: make([]byte, refChunkBytes)}
+	return d.read(prev)
 }
 
 func (d *refDecoder) read(prev data.Dataset) (data.Dataset, error) {

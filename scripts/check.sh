@@ -26,13 +26,12 @@ go test -race ./...
 # allocates), so run them again without it, module-wide and by name — a
 # hot-path allocation regression must fail CI, not hide behind the race
 # build, and a new gate needs no list to join as long as its name matches
-# Alloc. Memory the hub, the proxies and the renderers own is reused
-# deterministically, so their ownership tests run under -race too; only
-# compositing's two error-path leak tests (…ErrorReleases…) still assert
-# pointer identity through sync.Pool, which the race runtime drops at
-# random, and need this pass for that.
-echo "== go test -run 'Alloc|Releases' ./..."
-go test -run 'Alloc|Releases' ./...
+# Alloc. No test asserts pointer identity through a pool any more: memory
+# the hub, the proxies, the renderers and the compositors own is reused
+# deterministically, so their ownership tests (…Releases…) run in the
+# -race pass above and need no second run here.
+echo "== go test -run Alloc ./..."
+go test -run Alloc ./...
 
 # The rasterizer draws on two paths: one worker draws each primitive
 # once over the whole frame, more workers bin by band. geom and render
