@@ -62,11 +62,19 @@ func TestSortLastMatchesWholeRender(t *testing.T) {
 			whole := renderOne(t, tc.alg, tc.ds, &cam, opt, w, h)
 			for _, n := range []int{2, 4, 7} {
 				pieces := tc.ds.Partition(n)
-				frames := make([]*fb.Frame, len(pieces))
+				rendered := make([]*fb.Frame, len(pieces))
 				for i, piece := range pieces {
-					frames[i] = renderOne(t, tc.alg, piece, &cam, opt, w, h)
+					rendered[i] = renderOne(t, tc.alg, piece, &cam, opt, w, h)
 				}
 				for _, calg := range []compositing.Algorithm{compositing.DirectSend, compositing.BinarySwap} {
+					// Fresh copies per algorithm: Composite merges into them.
+					frames := make([]*fb.Frame, len(rendered))
+					for i, r := range rendered {
+						frames[i] = fb.New(w, h)
+						if err := frames[i].CopyFrom(r); err != nil {
+							t.Fatal(err)
+						}
+					}
 					out, stats, err := compositing.Composite(frames, calg)
 					if err != nil {
 						t.Fatal(err)

@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -102,18 +103,35 @@ func (p *PointCloud) Field(name string) (*Field, error) {
 	return nil, fmt.Errorf("%w: %q", ErrFieldMissing, name)
 }
 
-// Bounds implements Dataset. The box is cached until positions change via
-// SetPos; callers that mutate X/Y/Z slices directly should call
-// InvalidateBounds.
+// Bounds implements Dataset. The box is one float32 pass over X, Y and Z
+// with the six extrema in registers, widened to float64 once at the end
+// (exact and monotone), so an empty cloud's box is vec.EmptyAABB(). The
+// builtin min and max keep math.Min's and math.Max's IEEE rules (a NaN
+// wins, min(-0, +0) is -0), so the box is the one math.Min and math.Max
+// grow point by point, with two exceptions: a NaN may come back with
+// another payload, and an axis that holds a NaN is NaN even where it
+// also holds the infinity math.Min or math.Max would let win.
+// The box is cached until positions change via SetPos; callers that
+// mutate X/Y/Z slices directly should call InvalidateBounds.
 func (p *PointCloud) Bounds() vec.AABB {
 	p.boundsMu.Lock()
 	defer p.boundsMu.Unlock()
 	if p.boundsSet {
 		return p.bounds
 	}
-	b := vec.EmptyAABB()
-	for i := range p.X {
-		b = b.Extend(p.Pos(i))
+	inf := float32(math.Inf(1))
+	x0, y0, z0 := inf, inf, inf
+	x1, y1, z1 := -inf, -inf, -inf
+	xs, ys, zs := p.X, p.Y[:len(p.X)], p.Z[:len(p.X)]
+	for i, x := range xs {
+		y, z := ys[i], zs[i]
+		x0, x1 = min(x0, x), max(x1, x)
+		y0, y1 = min(y0, y), max(y1, y)
+		z0, z1 = min(z0, z), max(z1, z)
+	}
+	b := vec.AABB{
+		Min: vec.V3{X: float64(x0), Y: float64(y0), Z: float64(z0)},
+		Max: vec.V3{X: float64(x1), Y: float64(y1), Z: float64(z1)},
 	}
 	p.bounds = b
 	p.boundsSet = true

@@ -330,13 +330,13 @@ func (b *Bins) DrawImpostors(f *fb.Frame, imps []Impostor, light vec.V3, workers
 
 // impostorRows is bandRows for an impostor.
 func impostorRows(h int, im *Impostor) (y0, y1 int, ok bool) {
-	r := math.Max(im.Radius, 0.5)
+	r := max(im.Radius, 0.5)
 	return bandRows(h, im.Y-r, im.Y+r)
 }
 
 // drawImpostor draws im's rows within [y0, y1).
 func drawImpostor(f *fb.Frame, im *Impostor, l vec.V3, y0, y1 int) {
-	r := math.Max(im.Radius, 0.5)
+	r := max(im.Radius, 0.5)
 	px0 := clampInt(int(im.X-r), 0, f.W-1)
 	px1 := clampInt(int(im.X+r)+1, 0, f.W-1)
 	py0 := clampInt(int(im.Y-r), y0, y1-1)

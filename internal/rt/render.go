@@ -263,7 +263,7 @@ func RaycastIsosurface(frame *fb.Frame, g *data.StructuredGrid, cam *camera.Came
 				var hitT float64
 				for t := t0 + step; t <= t1+step; t += step {
 					marchSteps++
-					tc := math.Min(t, t1)
+					tc := min(t, t1)
 					v := g.Sample(f, ray.Origin.Add(ray.Dir.Scale(tc)))
 					if (prevV < isoValue) != (v < isoValue) {
 						// Bisect [prevT, tc] to refine.

@@ -75,21 +75,25 @@ func (v V3) Lerp(u V3, t float64) V3 {
 	}
 }
 
-// Min returns the component-wise minimum of v and u.
+// Min returns the component-wise minimum of v and u. The builtin min
+// inlines, where math.Min is an out-of-line call on amd64, and keeps its
+// rules (a NaN wins, -0 is less than +0), except that a NaN wins over
+// -Inf too, where math.Min returns -Inf.
 func (v V3) Min(u V3) V3 {
-	return V3{math.Min(v.X, u.X), math.Min(v.Y, u.Y), math.Min(v.Z, u.Z)}
+	return V3{min(v.X, u.X), min(v.Y, u.Y), min(v.Z, u.Z)}
 }
 
-// Max returns the component-wise maximum of v and u.
+// Max returns the component-wise maximum of v and u, as math.Max would,
+// except that a NaN wins over +Inf too.
 func (v V3) Max(u V3) V3 {
-	return V3{math.Max(v.X, u.X), math.Max(v.Y, u.Y), math.Max(v.Z, u.Z)}
+	return V3{max(v.X, u.X), max(v.Y, u.Y), max(v.Z, u.Z)}
 }
 
 // MaxComp returns the largest component of v.
-func (v V3) MaxComp() float64 { return math.Max(v.X, math.Max(v.Y, v.Z)) }
+func (v V3) MaxComp() float64 { return max(v.X, v.Y, v.Z) }
 
 // MinComp returns the smallest component of v.
-func (v V3) MinComp() float64 { return math.Min(v.X, math.Min(v.Y, v.Z)) }
+func (v V3) MinComp() float64 { return min(v.X, v.Y, v.Z) }
 
 // Axis returns component i of v (0=X, 1=Y, 2=Z).
 func (v V3) Axis(i int) float64 {

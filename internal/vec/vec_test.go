@@ -257,3 +257,46 @@ func TestAABBRayHitProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMinMaxMatchMath holds Min, Max, MinComp and MaxComp to math.Min and
+// math.Max on the IEEE special values (-0 is below +0, a NaN wins), except
+// that a NaN wins over the infinity math.Min and math.Max let win.
+func TestMinMaxMatchMath(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 2.5, math.SmallestNonzeroFloat64,
+		math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	nanWins := func(f func(a, b float64) float64) func(a, b float64) float64 {
+		return func(a, b float64) float64 {
+			if math.IsNaN(a) || math.IsNaN(b) {
+				return math.NaN()
+			}
+			return f(a, b)
+		}
+	}
+	refMin, refMax := nanWins(math.Min), nanWins(math.Max)
+	same := func(a, b float64) bool {
+		if math.IsNaN(a) || math.IsNaN(b) {
+			return math.IsNaN(a) && math.IsNaN(b)
+		}
+		return a == b && math.Signbit(a) == math.Signbit(b)
+	}
+	for _, x := range vals {
+		for _, y := range vals {
+			for _, z := range vals {
+				v, u := New(x, y, z), New(z, x, y)
+				mn, mx := v.Min(u), v.Max(u)
+				for i := 0; i < 3; i++ {
+					if a, b := v.Axis(i), u.Axis(i); !same(mn.Axis(i), refMin(a, b)) || !same(mx.Axis(i), refMax(a, b)) {
+						t.Errorf("%v.Min/Max(%v) axis %d = %v/%v, want %v/%v",
+							v, u, i, mn.Axis(i), mx.Axis(i), refMin(a, b), refMax(a, b))
+					}
+				}
+				if got, want := v.MinComp(), refMin(x, refMin(y, z)); !same(got, want) {
+					t.Errorf("%v.MinComp() = %v, want %v", v, got, want)
+				}
+				if got, want := v.MaxComp(), refMax(x, refMax(y, z)); !same(got, want) {
+					t.Errorf("%v.MaxComp() = %v, want %v", v, got, want)
+				}
+			}
+		}
+	}
+}
