@@ -73,7 +73,9 @@ type Report struct {
 }
 
 // RunUnified executes sim and viz in-process: each step's dataset is
-// handed to the renderer directly, no serialization. Cancelling ctx
+// handed to the renderer directly, no serialization. The sim is asked
+// for the field the renderer reads (VizProxy.Field), as a socket pair's
+// viz asks over the connection, so it narrows every step. Cancelling ctx
 // drains at the next step boundary with an ErrShutdown-wrapped error.
 // The loop starts at the visualization proxy's step cursor, so a proxy
 // restarted after a contained panic (or re-created at its journal's
@@ -84,6 +86,7 @@ func RunUnified(ctx context.Context, sim *proxy.SimProxy, viz *proxy.VizProxy) (
 	}
 	defer histUnified.Since(time.Now())
 	t0 := time.Now()
+	sim.RequestField(viz.Field())
 	for step := viz.NextStep(); step < sim.Steps(); step++ {
 		if ctx.Err() != nil {
 			return Report{Wall: time.Since(t0), Steps: step, Viz: viz},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/ascr-ecx/eth/internal/blast"
@@ -63,12 +64,15 @@ func (l *sigLog) PublishFrame(_ int, f *fb.Frame) {
 	}
 }
 
-// fieldRun is one run: per rank, the frame signature of each step and
-// the wire bytes of each step's dataset; and the blank frames.
+// fieldRun is one run: per rank, the frame signature of each step, the
+// wire bytes of each step's dataset and the sim proxy; the blank frames;
+// and the details of the sims' field events.
 type fieldRun struct {
-	sigs  [][]uint32
-	bytes []map[int]int64
-	blank int
+	sigs    [][]uint32
+	bytes   []map[int]int64
+	sims    []*proxy.SimProxy
+	blank   int
+	applied []string
 }
 
 // runOpts are a run's settings beyond its renderer, ranks and mode:
@@ -85,7 +89,7 @@ type runOpts struct {
 func runSteps(t *testing.T, steps []data.Dataset, alg string, ranks int, mode Mode, o runOpts) fieldRun {
 	t.Helper()
 	jw := journal.New()
-	run := fieldRun{sigs: make([][]uint32, ranks), bytes: make([]map[int]int64, ranks)}
+	run := fieldRun{sigs: make([][]uint32, ranks), bytes: make([]map[int]int64, ranks), sims: make([]*proxy.SimProxy, ranks)}
 	logs := make([]*sigLog, ranks)
 	pairs := make([]PairSpec, ranks)
 	for r := range pairs {
@@ -107,6 +111,7 @@ func runSteps(t *testing.T, steps []data.Dataset, alg string, ranks int, mode Mo
 			t.Fatal(err)
 		}
 		pairs[r] = PairSpec{Sim: sim, Viz: viz}
+		run.sims[r] = sim
 	}
 	var err error
 	switch {
@@ -127,8 +132,11 @@ func runSteps(t *testing.T, steps []data.Dataset, alg string, ranks int, mode Mo
 		run.blank += logs[r].blank
 	}
 	for _, ev := range jw.Events() {
-		if ev.Type == journal.TypeSerialize {
+		switch {
+		case ev.Type == journal.TypeSerialize:
 			run.bytes[ev.Rank][ev.Step] = ev.Bytes
+		case ev.Type == journal.TypeSample && strings.Contains(ev.Detail, "fields="):
+			run.applied = append(run.applied, ev.Detail)
 		}
 	}
 	return run
@@ -206,30 +214,47 @@ func blastBytes(t *testing.T, steps []data.Dataset, ranks int, fields func(step 
 	}
 }
 
+// fieldRow is one renderer, rank count and stratified sampling ratio
+// (0 samples nothing) of the rendered-field tests.
+type fieldRow struct {
+	alg   string
+	ranks int
+	ratio float64
+}
+
+// fieldRows are every renderer at 1 and 2 ranks, and points sampled.
+func fieldRows() []fieldRow {
+	var rows []fieldRow
+	for _, alg := range []string{"vtk-iso", "vtk-slice", "ray-iso", "ray-slice", "points", "gsplat", "raycast"} {
+		for _, ranks := range []int{1, 2} {
+			rows = append(rows, fieldRow{alg, ranks, 0})
+		}
+	}
+	return append(rows, fieldRow{"points", 1, 0.5}, fieldRow{"points", 2, 0.5})
+}
+
+func (c fieldRow) String() string {
+	name := fmt.Sprintf("%s/%d ranks", c.alg, c.ranks)
+	if c.ratio > 0 {
+		name += fmt.Sprintf("/stratified %g", c.ratio)
+	}
+	return name
+}
+
+// cloudAlg reports whether the row renders a cosmology cloud.
+func (c fieldRow) cloudAlg() bool {
+	return c.alg == "points" || c.alg == "gsplat" || c.alg == "raycast"
+}
+
 // TestSocketSendsOnlyTheRenderedField: a socket pair renders frames
 // identical to a unified run of the same spec while every dataset after
 // the first on the connection carries only what the renderer reads: a
 // blast grid its one field, a cosmology cloud its positions and speed,
 // without IDs or velocities, whole or pieced or sampled.
 func TestSocketSendsOnlyTheRenderedField(t *testing.T) {
-	type row struct {
-		alg   string
-		ranks int
-		ratio float64
-	}
-	var rows []row
-	for _, alg := range []string{"vtk-iso", "vtk-slice", "ray-iso", "ray-slice", "points", "gsplat", "raycast"} {
-		for _, ranks := range []int{1, 2} {
-			rows = append(rows, row{alg, ranks, 0})
-		}
-	}
-	rows = append(rows, row{"points", 1, 0.5}, row{"points", 2, 0.5})
 	blasts, clouds := blastSteps(t, 4), cosmoSteps(t, 4)
-	for _, c := range rows {
-		name := fmt.Sprintf("%s/%d ranks", c.alg, c.ranks)
-		if c.ratio > 0 {
-			name += fmt.Sprintf("/stratified %g", c.ratio)
-		}
+	for _, c := range fieldRows() {
+		name := c.String()
 		steps := blasts
 		want := blastBytes(t, steps, c.ranks, func(step int) int {
 			if step == 0 {
@@ -237,7 +262,7 @@ func TestSocketSendsOnlyTheRenderedField(t *testing.T) {
 			}
 			return 1
 		})
-		if c.alg == "points" || c.alg == "gsplat" || c.alg == "raycast" {
+		if c.cloudAlg() {
 			steps = clouds
 			want = func(r, step int) int64 {
 				return cloudBytes(t, steps[step].(*data.PointCloud), c.ranks, r, c.ratio, step > 0)
@@ -257,24 +282,80 @@ func TestSocketSendsOnlyTheRenderedField(t *testing.T) {
 	}
 }
 
+// TestUnifiedSendsOnlyTheRenderedField is the unified twin of
+// TestSocketSendsOnlyTheRenderedField: the unified coupling asks the sim
+// for the renderer's field in process, so from the first step on each
+// rank's sample holds exactly the arrays a socket pair sends after its
+// first step. Each sim journals the applied field once, at step 0.
+func TestUnifiedSendsOnlyTheRenderedField(t *testing.T) {
+	blasts, clouds := blastSteps(t, 4), cosmoSteps(t, 4)
+	for _, c := range fieldRows() {
+		name := c.String()
+		steps, field := blasts, "temperature"
+		want := blastBytes(t, steps, c.ranks, func(int) int { return 1 })
+		if c.cloudAlg() {
+			steps, field = clouds, "speed"
+			want = func(r, step int) int64 {
+				return cloudBytes(t, steps[step].(*data.PointCloud), c.ranks, r, c.ratio, true)
+			}
+		}
+		run := runSteps(t, steps, c.alg, c.ranks, Unified, runOpts{ratio: c.ratio})
+		if len(run.applied) != c.ranks {
+			t.Errorf("%s: field events %q, want one per rank", name, run.applied)
+		}
+		for _, d := range run.applied {
+			if !strings.HasPrefix(d, "sim applied step=0 fields="+field+" ") {
+				t.Errorf("%s: field event %q, want %s applied at step 0", name, d, field)
+			}
+		}
+		// The sims hand out the same sample again: the request outlives
+		// the run, and each step's data is a function of the step.
+		for r, sim := range run.sims {
+			for s := range steps {
+				ds, err := sim.StepData(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var fs []data.Field
+				switch d := ds.(type) {
+				case *data.StructuredGrid:
+					fs = d.Fields
+				case *data.PointCloud:
+					fs = d.Fields
+				}
+				if len(fs) != 1 || fs[0].Name != field {
+					t.Errorf("%s rank %d step %d: sample carries %d fields, want %s alone", name, r, s, len(fs), field)
+				}
+				if got, want := encodedLen(t, ds), want(r, s); got != want {
+					t.Errorf("%s rank %d step %d: sample encodes to %d bytes, want %d", name, r, s, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestFieldRequestFallbacksSendWhole: a viz that saves what it receives
-// asks for nothing and saves all three fields of every step; a run whose
-// request is dropped on the wire sends every field and still renders
-// the same frames.
+// asks for nothing, in either mode, and saves all three fields of every
+// step; a run whose request is dropped on the wire sends every field and
+// still renders the same frames.
 func TestFieldRequestFallbacksSendWhole(t *testing.T) {
 	steps := blastSteps(t, 3)
 	whole := blastBytes(t, steps, 1, func(int) int { return 3 })
 
-	dir := t.TempDir()
-	saved := runSteps(t, steps, "vtk-iso", 1, Socket, runOpts{ops: []proxy.Operation{&proxy.SaveOperation{}}, outDir: dir})
-	checkBytes(t, "save", saved, len(steps), whole)
-	for s := range steps {
-		ds, err := vtkio.ReadFile(filepath.Join(dir, fmt.Sprintf("data_step%03d_rank0.ethd", s)))
-		if err != nil {
-			t.Fatal(err)
+	for _, mode := range []Mode{Socket, Unified} {
+		dir := t.TempDir()
+		saved := runSteps(t, steps, "vtk-iso", 1, mode, runOpts{ops: []proxy.Operation{&proxy.SaveOperation{}}, outDir: dir})
+		if mode == Socket {
+			checkBytes(t, "save", saved, len(steps), whole)
 		}
-		if got := ds.(*data.StructuredGrid).Fields; len(got) != 3 {
-			t.Errorf("saved step %d carries %d fields, want 3", s, len(got))
+		for s := range steps {
+			ds, err := vtkio.ReadFile(filepath.Join(dir, fmt.Sprintf("data_step%03d_rank0.ethd", s)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ds.(*data.StructuredGrid).Fields; len(got) != 3 {
+				t.Errorf("%v: saved step %d carries %d fields, want 3", mode, s, len(got))
+			}
 		}
 	}
 

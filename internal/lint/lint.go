@@ -6,10 +6,10 @@
 // %w across proxy/transport boundaries, goroutines either recover or
 // forward their errors, hot numeric packages never compare floats with
 // ==, internal packages return wrapped sentinels, and unbounded loops
-// observe cancellation. ctxguard is flow-sensitive: the function's
-// control-flow graph (cfg.go) decides whether a loop can iterate. Stage
-// durations need no analyzer: a region with early returns records from a
-// deferred telemetry.Histogram.Since, which every return runs.
+// observe cancellation. ctxguard follows a loop's own body to decide
+// whether the loop can iterate at all (loopIterates). Stage durations
+// need no analyzer: a region with early returns records from a deferred
+// telemetry.Histogram.Since, which every return runs.
 //
 // A finding can be suppressed with a directive on the offending line or
 // the line directly above it:
@@ -53,27 +53,12 @@ type Pass struct {
 	Info     *types.Info
 
 	diags *[]Diagnostic
-	cfgs  map[ast.Node]*CFG
-}
-
-// CFGOf returns the control-flow graph for fn (an *ast.FuncDecl or
-// *ast.FuncLit), building and caching it on first use.
-func (p *Pass) CFGOf(fn ast.Node) *CFG {
-	if c, ok := p.cfgs[fn]; ok {
-		return c
-	}
-	c := NewCFG(fn)
-	if p.cfgs == nil {
-		p.cfgs = make(map[ast.Node]*CFG)
-	}
-	p.cfgs[fn] = c
-	return c
 }
 
 // funcNodes calls fn for every function with a body in the pass's files:
 // declarations and function literals alike. Each literal is its own
-// analysis scope (its own CFG); analyzers that use inspectShallow over
-// block nodes never see a nested literal's body twice.
+// analysis scope: an analyzer that walks a body with inspectShallow never
+// sees a nested literal's body twice.
 func (p *Pass) funcNodes(fn func(node ast.Node, body *ast.BlockStmt)) {
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {

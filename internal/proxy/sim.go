@@ -145,15 +145,15 @@ type SimProxy struct {
 	// Steering state. wire (under wmu, written by the connection's
 	// control-frame handler) buffers steering forwarded by the
 	// visualization proxy until the next step boundary; wireSeq gates its
-	// application. wireField likewise buffers the connection's field
-	// request.
+	// application. wireField likewise buffers the field request
+	// (RequestField).
 	wmu       sync.Mutex
 	wire      hub.State
 	wireSeq   uint64
 	wireField string
-	// field is the one field this connection's visualization proxy reads
-	// ("" sends every field), applied at a step boundary and cleared by
-	// every new connection. A grid that has it is sent as view, which
+	// field is the one field the visualization proxy reads ("" sends
+	// every field), applied at a step boundary and cleared by every new
+	// connection. A grid that has it is sent as view, which
 	// shares that field's values and carries no other; a cloud as
 	// cloudView, which shares its positions and that field's values and
 	// carries no IDs or velocities. fieldLogged says the connection's
@@ -248,10 +248,23 @@ func (s *SimProxy) StepData(i int) (_ data.Dataset, err error) {
 			Rank: s.cfg.Rank, Step: i, DurNS: int64(sampleDur),
 			Elements: sampled.Count(),
 			Detail: fmt.Sprintf("method=%v ratio=%g kept=%d/%d",
-				s.cfg.SamplingMethod, ratioOrOne(s.cfg.SamplingRatio), sampled.Count(), before),
+				s.cfg.SamplingMethod, s.cfg.SamplingRatio, sampled.Count(), before),
 		})
 	}
 	return sampled, nil
+}
+
+// RequestField asks for only the named field, the one the visualization
+// proxy's renderer reads, from the next step boundary on: StepData then
+// narrows every dataset that has it to that field (see narrow). An empty
+// name asks for nothing. The socket connection's control handler calls
+// it with the request the visualization proxy sends, and the unified
+// coupling calls it with the same request in process. A new connection
+// drops the request until its own arrives.
+func (s *SimProxy) RequestField(name string) {
+	s.wmu.Lock()
+	s.wireField = name
+	s.wmu.Unlock()
 }
 
 // applySteering folds steering forwarded by the visualization proxy
@@ -361,14 +374,6 @@ func fieldCount(ds data.Dataset) int {
 	return 0
 }
 
-// ratioOrOne reports the effective sampling ratio (0 means disabled = 1).
-func ratioOrOne(r float64) float64 {
-	if r == 0 {
-		return 1
-	}
-	return r
-}
-
 // sample thins a dataset of either kind; a cloud is sampled into the
 // proxy's own sample.
 func (s *SimProxy) sample(ds data.Dataset) (data.Dataset, error) {
@@ -402,9 +407,7 @@ func (s *SimProxy) ServeFrom(conn *transport.Conn, from int) (next int, bytes in
 	conn.Rank = s.cfg.Rank
 	// A field request belongs to the connection it came on: a new one
 	// sends every field until its own request applies.
-	s.wmu.Lock()
-	s.wireField = ""
-	s.wmu.Unlock()
+	s.RequestField("")
 	s.field, s.fieldLogged = "", false
 	// Steering and the field request forwarded by the visualization proxy
 	// arrive as control frames on this connection (processed inside Recv
@@ -415,13 +418,13 @@ func (s *SimProxy) ServeFrom(conn *transport.Conn, from int) (next int, bytes in
 			s.cfg.Journal.Error(s.cfg.Rank, -1, err)
 			return err
 		}
-		s.wmu.Lock()
-		defer s.wmu.Unlock()
 		switch m.Kind {
 		case hub.KindSteer:
+			s.wmu.Lock()
 			s.wire.Merge(m)
+			s.wmu.Unlock()
 		case hub.KindField:
-			s.wireField = m.Field
+			s.RequestField(m.Field)
 		default:
 			return fmt.Errorf("proxy: unexpected control kind %d on sim connection", m.Kind)
 		}

@@ -360,17 +360,24 @@ func (v *VizProxy) forwardSteering(conn *transport.Conn, step int) error {
 	return conn.SendControl(p)
 }
 
-// requestField names, in one control frame, the field this proxy's
-// renderer reads, so the simulation proxy may send that field alone. A
-// proxy with analysis operations sends none: they read other fields
-// (save writes every one). The request is advisory: a lost one costs
-// bytes, never pixels.
-func (v *VizProxy) requestField(conn *transport.Conn) error {
+// Field names the field this proxy's renderer reads, which it asks the
+// simulation proxy to send alone (SimProxy.RequestField), or "" to ask
+// for nothing: analysis operations read other fields (save writes every
+// one). The request is advisory: a lost one costs bytes, never pixels.
+func (v *VizProxy) Field() string {
 	if len(v.cfg.Operations) > 0 {
+		return ""
+	}
+	return render.Field(v.renderer.Kind(), v.cfg.Options)
+}
+
+// requestField sends Field's request, if any, in one control frame.
+func (v *VizProxy) requestField(conn *transport.Conn) error {
+	field := v.Field()
+	if field == "" {
 		return nil
 	}
-	m := hub.Msg{Kind: hub.KindField, Field: render.Field(v.renderer.Kind(), v.cfg.Options)}
-	p, err := hub.EncodeMsg(v.ctrl[:0], m)
+	p, err := hub.EncodeMsg(v.ctrl[:0], hub.Msg{Kind: hub.KindField, Field: field})
 	if err != nil {
 		// A name no request can carry (over 255 bytes): ask for nothing,
 		// so the renderer meets the whole dataset and fails as it would.
@@ -414,7 +421,7 @@ func (v *VizProxy) NextStep() int { return int(v.next.Load()) }
 
 // Receive runs the §III-C visualization-proxy protocol over an
 // established connection: name the field the renderer reads (see
-// requestField), then receive datasets, render, ack, until done. The
+// Field), then receive datasets, render, ack, until done. The
 // step counter persists across calls, so after a reconnect the same
 // proxy resumes where it stopped: a re-sent step it already rendered
 // (wire step behind the counter) is re-acked without rendering — the ack
