@@ -43,7 +43,10 @@ sarif:
 # math/rand's exact sequence, past its hand-over to a real source), and
 # the packet tracer (any small clustered or lattice cloud, radius and
 # orbit angle render a frame == to the per-ray reference's, and sampled
-# rays hit what brute force hits), and the triangle rasterizer (any
+# rays hit what brute force hits), the sphere BVH build (any small cloud
+# on a coarse grid, where centres tie, NaN centres among them, builds the
+# tree the quickselect reference builds under the index tie rule, and
+# traces to brute force's nearest hits), and the triangle rasterizer (any
 # triangles, slivers a few ulps thick and non-finite corners among them,
 # draw == to the loose-box reference's frame at one and two workers), and
 # the word-at-a-time contourer (any grid up to three 64-vertex words wide
@@ -66,6 +69,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/fleet/
 	go test -run='^$$' -fuzz=FuzzStream -fuzztime=10s ./internal/cosmo/
 	go test -run='^$$' -fuzz=FuzzPacketsMatchReference -fuzztime=10s ./internal/rt/
+	go test -run='^$$' -fuzz=FuzzBuildMatchesReference -fuzztime=10s ./internal/rt/
 	go test -run='^$$' -fuzz=FuzzTrianglesMatchReference -fuzztime=10s ./internal/raster/
 	go test -run='^$$' -fuzz=FuzzContourMatchesReference -fuzztime=10s ./internal/geom/
 

@@ -60,17 +60,25 @@ type SphereBVH struct {
 	nodes  []node
 	prims  []sphere
 	radius float64
+	// scratch is the build's working memory, kept so a rebuild allocates
+	// nothing: buildScratch int32s per particle (see builder).
+	scratch []int32
 	// NodesBuilt is a build statistic exposed for the instrumentation
 	// experiments.
 	NodesBuilt int
 }
 
+// buildScratch is the scratch the build needs per particle: the three
+// axis orders, the partition buffer and the marks, which hold the radix
+// keys before the recursion needs them.
+const buildScratch = 5
+
 // BuildSphereBVH constructs the hierarchy over all particles of p, each a
 // sphere of the given radius. Build cost is O(N log N) — the "additional
 // setup phase" the paper attributes raycasting's extra computation to.
-// It allocates the two slices and the header, whatever N is. The strategy
-// parameter takes MedianSplit only; it is kept so the signature
-// bench/ethperf calls does not change.
+// It allocates the header, the two slices and the build's scratch,
+// whatever N is. The strategy parameter takes MedianSplit only; it is
+// kept so the signature bench/ethperf calls does not change.
 func BuildSphereBVH(p *data.PointCloud, radius float64, _ BuildStrategy) *SphereBVH {
 	n := p.Count()
 	b := &SphereBVH{prims: make([]sphere, n), nodes: make([]node, 0, n/4+2)}
@@ -79,8 +87,8 @@ func BuildSphereBVH(p *data.PointCloud, radius float64, _ BuildStrategy) *Sphere
 }
 
 // Rebuild replaces b with the hierarchy BuildSphereBVH would build over
-// p, in b's own primitive and node arrays: once they are large enough
-// for p, a rebuild allocates nothing.
+// p, in b's own primitive, node and scratch arrays: once they are large
+// enough for p, a rebuild allocates nothing.
 func (b *SphereBVH) Rebuild(p *data.PointCloud, radius float64) {
 	n := p.Count()
 	if cap(b.prims) < n {
@@ -91,42 +99,161 @@ func (b *SphereBVH) Rebuild(p *data.PointCloud, radius float64) {
 	if cap(b.nodes) < n/4+2 {
 		b.nodes = make([]node, 0, n/4+2)
 	}
+	if cap(b.scratch) < buildScratch*n {
+		b.scratch = make([]int32, buildScratch*n)
+	}
 	b.prims, b.nodes = b.prims[:n], b.nodes[:0]
 	b.radius, b.NodesBuilt = radius, 0
 	if n == 0 {
 		return
 	}
-	for i := range b.prims {
-		b.prims[i] = sphere{c: [3]float32{p.X[i], p.Y[i], p.Z[i]}, id: int32(i)}
+	s := b.scratch[:buildScratch*n]
+	bd := builder{b: b, v: [3][]float32{p.X[:n], p.Y[:n], p.Z[:n]}, buf: s[3*n : 4*n], mark: s[4*n:]}
+	for a := range bd.ord {
+		// The marks are not needed until the recursion: until then they
+		// hold the radix keys.
+		bd.ord[a] = s[a*n : (a+1)*n]
+		radixSort(bd.v[a], bd.ord[a], bd.mark, bd.buf)
 	}
 	b.nodes = append(b.nodes, node{})
-	b.build(0, 0, n, 0)
+	bd.build(0, 0, n, 0)
 	b.NodesBuilt = len(b.nodes)
+	// Each leaf's range holds its particles in every order; write them
+	// out once, in the x order.
+	for i, id := range bd.ord[0] {
+		b.prims[i] = sphere{c: [3]float32{p.X[id], p.Y[id], p.Z[id]}, id: id}
+	}
 }
 
-// build recursively constructs the subtree for primitives [lo, hi) at
-// node index ni. One pass over the range yields the centroid range, from
-// which both the node's bounds and the split axis follow.
-func (b *SphereBVH) build(ni, lo, hi, depth int) {
-	s := b.prims[lo:hi]
-	e := centroidRange(s)
+// builder is one build's state. ord holds the particle indices sorted by
+// centre once per axis; the recursion keeps every node's particles in
+// the same range [lo, hi) of all three orders, each still sorted by its
+// axis, so a node's extent is read from the two ends of each order and
+// the median split along an axis is that axis's order cut in two. buf
+// and mark serve the partition that carries the split to the other two
+// orders.
+type builder struct {
+	b         *SphereBVH
+	v         [3][]float32 // the centres' coordinates per axis
+	ord       [3][]int32
+	buf, mark []int32
+}
+
+// build recursively constructs the subtree for the particles in [lo, hi)
+// of the orders at node index ni. It splits where a quickselect at the
+// median of the longest axis would: the first mid particles of that
+// axis's order go left. Where centres tie at the median the order breaks
+// the tie by particle index.
+func (bd *builder) build(ni, lo, hi, depth int) {
+	b := bd.b
+	var e extent
+	for a := range bd.ord {
+		v, o := bd.v[a], bd.ord[a]
+		mn, mx := v[o[lo]], v[o[hi-1]]
+		// The order puts negative NaNs first and positive ones last; a
+		// NaN anywhere makes the axis NaN at both planes, as the builtin
+		// min and max do.
+		if mn != mn || mx != mx {
+			mn, mx = float32(math.NaN()), float32(math.NaN())
+		}
+		e.mn[a], e.mx[a] = mn, mx
+	}
 	nd := &b.nodes[ni]
 	for a := 0; a < 3; a++ {
 		nd.bounds[a] = roundDown(float64(e.mn[a]) - b.radius)
 		nd.bounds[3+a] = roundUp(float64(e.mx[a]) + b.radius)
 	}
-	if len(s) <= leafSize || depth > maxDepth {
+	if hi-lo <= leafSize || depth > maxDepth {
 		nd.left = int32(lo)
-		nd.count = int32(len(s))
+		nd.count = int32(hi - lo)
 		return
 	}
-	mid := len(s) / 2
-	nthElement(s, mid, e.aabb().LongestAxis())
+	mid := lo + (hi-lo)/2
+	axis := e.aabb().LongestAxis()
+	split := bd.ord[axis]
+	for _, id := range split[lo:mid] {
+		bd.mark[id] = 1
+	}
+	for _, id := range split[mid:hi] {
+		bd.mark[id] = 0
+	}
+	for a := range bd.ord {
+		if a != axis {
+			partition(bd.ord[a][lo:hi], bd.mark, bd.buf)
+		}
+	}
 	left := len(b.nodes)
 	b.nodes = append(b.nodes, node{}, node{}) // may move the slice: nd is dead from here
 	b.nodes[ni].left = int32(left)
-	b.build(left, lo, lo+mid, depth+1)
-	b.build(left+1, lo+mid, hi, depth+1)
+	bd.build(left, lo, mid, depth+1)
+	bd.build(left+1, mid, hi, depth+1)
+}
+
+// partition reorders o stably so that the indices marked 1 come first.
+// Each index is written to both sides and only the side it belongs to
+// advances, so no branch depends on the data; the right side waits in
+// buf.
+func partition(o, mark, buf []int32) {
+	l, r := 0, 0
+	buf = buf[:len(o)]
+	for _, id := range o {
+		m := int(mark[id])
+		o[l] = id
+		buf[r] = id
+		l += m
+		r += 1 - m
+	}
+	copy(o[l:], buf[:r])
+}
+
+// radixSort fills ord with 0..len(v)-1 stably sorted by v, in the order
+// of sortKey: an LSD radix sort, one counting pass and then one scatter
+// pass per key byte, each reading the keys by particle index. keys and
+// buf are scratch of len(v).
+func radixSort(v []float32, ord, keys, buf []int32) {
+	var count [4][256]int32
+	for i, x := range v {
+		k := sortKey(x)
+		keys[i] = int32(k)
+		count[0][k&0xff]++
+		count[1][k>>8&0xff]++
+		count[2][k>>16&0xff]++
+		count[3][k>>24]++
+	}
+	for d := range count {
+		sum := int32(0)
+		for j, c := range count[d] {
+			count[d][j] = sum
+			sum += c
+		}
+	}
+	// The first pass scatters the indices themselves; the four passes end
+	// in ord: buf, ord, buf, ord.
+	c := &count[0]
+	for i, k := range keys {
+		j := c[k&0xff]
+		c[k&0xff] = j + 1
+		buf[j] = int32(i)
+	}
+	src, dst := buf, ord
+	for d := 1; d < 4; d++ {
+		c, shift := &count[d], 8*d
+		for _, id := range src {
+			b := keys[id] >> shift & 0xff
+			j := c[b]
+			c[b] = j + 1
+			dst[j] = id
+		}
+		src, dst = dst, src
+	}
+}
+
+// sortKey maps a float32 to a uint32 whose unsigned order is the float's
+// order, with -0 below +0, negative NaNs below -Inf and positive NaNs
+// above +Inf.
+func sortKey(x float32) uint32 {
+	u := math.Float32bits(x)
+	return u ^ (uint32(int32(u)>>31) | 1<<31)
 }
 
 // extent is the float32 range of a set of centres. Minimum and maximum
@@ -134,21 +261,6 @@ func (b *SphereBVH) build(ni, lo, hi, depth int) {
 // would find.
 type extent struct {
 	mn, mx [3]float32
-}
-
-// centroidRange returns the extent of the centres in s, with the six
-// bounds held in registers, which the per-node pass of the build is worth.
-func centroidRange(s []sphere) extent {
-	inf := float32(math.Inf(1))
-	x0, y0, z0 := inf, inf, inf
-	x1, y1, z1 := -inf, -inf, -inf
-	for i := range s {
-		c := &s[i].c
-		x0, x1 = min(x0, c[0]), max(x1, c[0])
-		y0, y1 = min(y0, c[1]), max(y1, c[1])
-		z0, z1 = min(z0, c[2]), max(z1, c[2])
-	}
-	return extent{mn: [3]float32{x0, y0, z0}, mx: [3]float32{x1, y1, z1}}
 }
 
 // aabb widens the extent to float64, for the vec.AABB arithmetic the
@@ -177,53 +289,6 @@ func roundUp(x float64) float32 {
 		f = math.Nextafter32(f, float32(math.Inf(1)))
 	}
 	return f
-}
-
-// nthElement partially sorts s so that index n holds the value it would
-// after a full sort by the given centre axis (quickselect, finishing
-// ranges of at most eight with a stable insertion sort).
-func nthElement(s []sphere, n, axis int) {
-	lo, hi := 0, len(s)
-	for hi-lo > 8 {
-		// Median-of-three pivot.
-		mid := (lo + hi) / 2
-		if s[mid].c[axis] < s[lo].c[axis] {
-			s[mid], s[lo] = s[lo], s[mid]
-		}
-		if s[hi-1].c[axis] < s[lo].c[axis] {
-			s[hi-1], s[lo] = s[lo], s[hi-1]
-		}
-		if s[hi-1].c[axis] < s[mid].c[axis] {
-			s[hi-1], s[mid] = s[mid], s[hi-1]
-		}
-		pivot := s[mid].c[axis]
-		i, j := lo, hi-1
-		for i <= j {
-			for s[i].c[axis] < pivot {
-				i++
-			}
-			for s[j].c[axis] > pivot {
-				j--
-			}
-			if i <= j {
-				s[i], s[j] = s[j], s[i]
-				i++
-				j--
-			}
-		}
-		if n <= j {
-			hi = j + 1
-		} else if n >= i {
-			lo = i
-		} else {
-			return
-		}
-	}
-	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && s[j].c[axis] < s[j-1].c[axis]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Hit describes a ray-sphere intersection.

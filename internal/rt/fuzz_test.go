@@ -2,6 +2,7 @@ package rt
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/ascr-ecx/eth/internal/data"
@@ -61,6 +62,50 @@ func FuzzPacketsMatchReference(f *testing.F) {
 			if ok != wantOK || ok && got.T != want.T || ok && !lattice && got != want {
 				t.Fatalf("pixel (%d,%d): got %+v %v, brute force %+v %v", i%w, i/w, got, ok, want, wantOK)
 			}
+		}
+	})
+}
+
+// FuzzBuildMatchesReference holds the presorted build to the quickselect
+// reference on clouds of at most 2 000 particles whose coordinates sit on
+// a grid of one to 32 cells a side, half of them negative, so centres
+// tie on every axis; up to three of them may be NaN of either sign on one
+// axis. The tree must pass Validate, have the quickselect build's node
+// count, equal the reference run with the index tie rule (NaN bounds
+// equal to NaN), and trace every sampled ray that meets no NaN sphere to
+// brute force's nearest hit T.
+func FuzzBuildMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint16(2000), uint8(31), uint8(0))
+	f.Add(int64(2), uint16(1500), uint8(3), uint8(0))
+	f.Add(int64(3), uint16(700), uint8(0), uint8(3))
+	f.Add(int64(4), uint16(17), uint8(7), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, count uint16, grid, nans uint8) {
+		n, cells := int(count%2001), int(grid%32)+1
+		rng := rand.New(rand.NewSource(seed))
+		p := data.NewPointCloud(n)
+		for i := 0; i < n; i++ {
+			p.X[i] = float32(rng.Intn(cells)-cells/2) * 0.75
+			p.Y[i] = float32(rng.Intn(cells)-cells/2) * 0.75
+			p.Z[i] = float32(rng.Intn(cells)-cells/2) * 0.75
+		}
+		nan := math.Float32bits(float32(math.NaN()))
+		for k := 0; k < int(nans%4) && n > 0; k++ {
+			axis := [3][]float32{p.X, p.Y, p.Z}[rng.Intn(3)]
+			axis[rng.Intn(n)] = math.Float32frombits(nan | uint32(rng.Intn(2))<<31)
+		}
+		const radius = 0.5
+		got := BuildSphereBVH(p, radius, MedianSplit)
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if q := refBuild(p, radius, nthElement); len(got.nodes) != len(q.nodes) {
+			t.Fatalf("%d nodes, quickselect build %d", len(got.nodes), len(q.nodes))
+		}
+		var ties int
+		requireSameTree(t, "tie rule", got, refBuild(p, radius, tieRule(&ties)))
+		if finite := finiteCloud(p); finite.Count() > 0 {
+			cam := orbitAt(finite.Bounds(), float64(seed%7))
+			requireFiniteHits(t, got, p, &cam, 24, 24)
 		}
 	})
 }

@@ -137,6 +137,9 @@ go test -run='^$' -fuzz=FuzzStream -fuzztime=10s ./internal/cosmo/
 echo "== go test -fuzz=FuzzPacketsMatchReference -fuzztime=10s ./internal/rt"
 go test -run='^$' -fuzz=FuzzPacketsMatchReference -fuzztime=10s ./internal/rt/
 
+echo "== go test -fuzz=FuzzBuildMatchesReference -fuzztime=10s ./internal/rt"
+go test -run='^$' -fuzz=FuzzBuildMatchesReference -fuzztime=10s ./internal/rt/
+
 echo "== go test -fuzz=FuzzTrianglesMatchReference -fuzztime=10s ./internal/raster"
 go test -run='^$' -fuzz=FuzzTrianglesMatchReference -fuzztime=10s ./internal/raster/
 
