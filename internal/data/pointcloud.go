@@ -257,10 +257,11 @@ func (p *PointCloud) splitOrder(idx []int) []int {
 
 // SpeedField computes |velocity| per particle and attaches it as field
 // "speed", returning the values. This is the scalar the paper's HACC
-// renderings color by. A cloud without velocities keeps the speed field
-// it carries, whose values it returns (nil when it has none).
+// renderings color by. A non-empty cloud without velocities keeps the
+// speed field it carries, whose values it returns (nil when it has
+// none); an empty cloud, which never has velocities, gets an empty one.
 func (p *PointCloud) SpeedField() []float32 {
-	if !p.HasVelocities() {
+	if !p.HasVelocities() && p.Count() != 0 {
 		if f, err := p.Field("speed"); err == nil {
 			return f.Values
 		}

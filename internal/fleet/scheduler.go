@@ -15,12 +15,12 @@
 //
 // The merged fleet journal is the fleet's only durable state. Every
 // state transition — submit, lease, requeue, quarantine, complete — is
-// a journal event in it, written through the internal/ingest batcher
-// alongside the workers' own event streams; a submit event carries its
-// spec, and Submit, completion and quarantine return only once their
-// event is fsynced. Replay folds the journal back into fleet state, so
-// SIGKILL the scheduler at any instant and a -resume brings back
-// exactly the outstanding specs; the conservation law
+// a journal event written straight into it, alongside the workers' own
+// event streams, which a journal.Collector tails and merges; a submit
+// event carries its spec, and Submit, completion and quarantine return
+// only once their event is fsynced. Replay folds the journal back into
+// fleet state, so SIGKILL the scheduler at any instant and a -resume
+// brings back exactly the outstanding specs; the conservation law
 //
 //	completed + quarantined == submitted
 //
@@ -44,7 +44,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/ascr-ecx/eth/internal/ingest"
 	"github.com/ascr-ecx/eth/internal/journal"
 	"github.com/ascr-ecx/eth/internal/supervise"
 	"github.com/ascr-ecx/eth/internal/telemetry"
@@ -181,8 +180,7 @@ type SpecStatus struct {
 type Scheduler struct {
 	cfg       Config
 	jw        *journal.Writer
-	batcher   *ingest.Batcher
-	collector *ingest.Collector
+	collector *journal.Collector
 
 	submitMu    sync.Mutex // serializes Submit; taken before mu
 	mu          sync.Mutex
@@ -243,12 +241,10 @@ func New(cfg Config) (*Scheduler, error) {
 			return nil, fmt.Errorf("fleet: resuming: %w", err)
 		}
 	}
-	b := ingest.NewBatcher(ingest.Config{Sink: jw})
 	s := &Scheduler{
 		cfg:       cfg,
 		jw:        jw,
-		batcher:   b,
-		collector: ingest.NewCollector(b, cfg.Poll),
+		collector: journal.NewCollector(jw, cfg.Poll),
 		specs:     map[string]*specState{},
 		wake:      make(chan struct{}, 1),
 	}
@@ -286,8 +282,8 @@ func (s *Scheduler) resume(led Ledger) {
 		}
 	}
 	c := led.Counts
-	s.emit(journal.Event{
-		Type: journal.TypeResume, Step: -1,
+	s.jw.Emit(journal.Event{
+		Type: journal.TypeResume, Rank: -1, Step: -1,
 		Detail: fmt.Sprintf("fleet resumed from journal: submitted=%d completed=%d quarantined=%d queued=%d",
 			c.Submitted, c.Completed, c.Quarantined, c.Queued),
 	})
@@ -302,10 +298,10 @@ func (s *Scheduler) Submit(sp Spec) error {
 		return err
 	}
 	raw, _ := json.Marshal(sp) // strings and an int: Marshal cannot fail
-	// submitMu, not mu, spans the Put: the submit event precedes any
+	// submitMu, not mu, spans the Emit: the submit event precedes any
 	// lease of the spec and the journal's submit order is s.order, while
-	// ingest backpressure holds up only other Submits, never Drain,
-	// Counts or a finishing worker.
+	// a slow disk holds up only other Submits, never Drain, Counts or a
+	// finishing worker.
 	s.submitMu.Lock()
 	s.mu.Lock()
 	_, dup := s.specs[sp.ID]
@@ -314,12 +310,9 @@ func (s *Scheduler) Submit(sp Spec) error {
 		s.submitMu.Unlock()
 		return fmt.Errorf("fleet: spec %s: %w", sp.ID, ErrDuplicate)
 	}
-	if err := s.batcher.Put(journal.Event{
+	s.jw.Emit(journal.Event{
 		Type: journal.TypeSubmit, Rank: -1, Src: sp.ID, Step: -1, Detail: string(raw),
-	}); err != nil {
-		s.submitMu.Unlock()
-		return fmt.Errorf("fleet: spec %s: %w", sp.ID, err)
-	}
+	})
 	s.mu.Lock()
 	s.specs[sp.ID] = &specState{spec: sp, status: StatusQueued}
 	s.order = append(s.order, sp.ID)
@@ -329,7 +322,7 @@ func (s *Scheduler) Submit(sp Spec) error {
 
 	ctrSubmitted.Inc()
 	s.setGauges()
-	if err := s.batcher.Flush(); err != nil {
+	if err := s.jw.Sync(); err != nil {
 		return fmt.Errorf("fleet: journaling spec %s: %w", sp.ID, err)
 	}
 	s.wakeWorkers()
@@ -339,9 +332,9 @@ func (s *Scheduler) Submit(sp Spec) error {
 // Run starts ingestion and the worker pool and blocks until the fleet
 // drains: the parent context is canceled (signal) or Drain is called
 // (API, or batch mode going idle). On the way out it requeues whatever
-// was in flight, then flushes and closes the merged journal. Returns an
-// ErrShutdown-wrapped error when the parent context forced the drain,
-// nil otherwise.
+// was in flight, runs ingestion's final drain, journals the shutdown,
+// and syncs and closes the merged journal. Returns an ErrShutdown-wrapped
+// error when the parent context forced the drain, nil otherwise.
 func (s *Scheduler) Run(ctx context.Context) error {
 	rctx, cancel := context.WithCancel(ctx)
 	s.mu.Lock()
@@ -359,8 +352,8 @@ func (s *Scheduler) Run(ctx context.Context) error {
 			defer wg.Done()
 			defer func() {
 				if v := recover(); v != nil {
-					s.emit(journal.Event{
-						Type: journal.TypeError, Step: -1,
+					s.jw.Emit(journal.Event{
+						Type: journal.TypeError, Rank: -1, Step: -1,
 						Err: fmt.Sprintf("fleet worker %d panicked: %v", n, v),
 					})
 				}
@@ -373,16 +366,13 @@ func (s *Scheduler) Run(ctx context.Context) error {
 	<-colDone // ingestion's final drain has run
 
 	counts := s.Counts()
-	s.emit(journal.Event{
-		Type: journal.TypeShutdown, Step: -1,
+	s.jw.Emit(journal.Event{
+		Type: journal.TypeShutdown, Rank: -1, Step: -1,
 		Detail: fmt.Sprintf("fleet drained: submitted=%d completed=%d quarantined=%d queued=%d",
 			counts.Submitted, counts.Completed, counts.Quarantined, counts.Queued),
 	})
-	err := s.batcher.Close()
-	if jerr := s.jw.Close(); err == nil {
-		err = jerr
-	}
-	if err != nil {
+	_ = s.jw.Sync() // a failed sync is sticky: Close returns it
+	if err := s.jw.Close(); err != nil {
 		return fmt.Errorf("fleet: closing: %w", err)
 	}
 	if ctx.Err() != nil {
@@ -525,8 +515,8 @@ func (s *Scheduler) runAttempt(ctx context.Context, st *specState) {
 	jpath := filepath.Join(sdir, "worker.jsonl")
 	if err == nil {
 		s.collector.Watch(sp.ID, jpath)
-		s.emit(journal.Event{
-			Type: journal.TypeLease, Src: sp.ID, Step: st.attempts + 1,
+		s.jw.Emit(journal.Event{
+			Type: journal.TypeLease, Rank: -1, Src: sp.ID, Step: st.attempts + 1,
 			Detail: fmt.Sprintf("attempt %d leased to worker pool", st.attempts+1),
 		})
 		// The supervision IS the lease: zero restart budget, liveness
@@ -594,7 +584,7 @@ func (s *Scheduler) finish(ctx context.Context, st *specState, jpath string, err
 		s.mu.Unlock()
 		ctrCompleted.Inc()
 		s.record(journal.Event{
-			Type: journal.TypeComplete, Src: id, Step: attempt,
+			Type: journal.TypeComplete, Rank: -1, Src: id, Step: attempt,
 			Detail: fmt.Sprintf("completed on attempt %d", attempt),
 		})
 
@@ -610,8 +600,8 @@ func (s *Scheduler) finish(ctx context.Context, st *specState, jpath string, err
 		s.requeues++
 		s.mu.Unlock()
 		ctrRequeues.Inc()
-		s.emit(journal.Event{
-			Type: journal.TypeRequeue, Src: id, Step: st.attempts + 1,
+		s.jw.Emit(journal.Event{
+			Type: journal.TypeRequeue, Rank: -1, Src: id, Step: st.attempts + 1,
 			Detail: "drain: attempt interrupted by shutdown; budget not spent",
 		})
 
@@ -633,7 +623,7 @@ func (s *Scheduler) finish(ctx context.Context, st *specState, jpath string, err
 			s.running--
 			s.mu.Unlock()
 			s.record(journal.Event{
-				Type: journal.TypeQuarantine, Src: id, Step: attempts,
+				Type: journal.TypeQuarantine, Rank: -1, Src: id, Step: attempts,
 				Err:    err.Error(),
 				Detail: fmt.Sprintf("retry budget %d exhausted after %d attempts; journal tail preserved", budget, attempts),
 			})
@@ -649,8 +639,8 @@ func (s *Scheduler) finish(ctx context.Context, st *specState, jpath string, err
 			s.mu.Unlock()
 			ctrRetries.Inc()
 			ctrRequeues.Inc()
-			s.emit(journal.Event{
-				Type: journal.TypeRequeue, Src: id, Step: attempts,
+			s.jw.Emit(journal.Event{
+				Type: journal.TypeRequeue, Rank: -1, Src: id, Step: attempts,
 				Err:    err.Error(),
 				Detail: fmt.Sprintf("attempt %d/%d failed; requeued with %v backoff", attempts, budget+1, backoff),
 			})
@@ -660,19 +650,12 @@ func (s *Scheduler) finish(ctx context.Context, st *specState, jpath string, err
 	s.wakeWorkers()
 }
 
-// emit sends one fleet control event through the ingest batcher so it
-// interleaves with worker traffic in the merged journal.
-func (s *Scheduler) emit(ev journal.Event) {
-	ev.Rank = -1
-	_ = s.batcher.Put(ev)
-}
-
 // record emits a terminal event and returns once it is fsynced, so a
 // spec the fleet reports complete or quarantined stays so across a
 // crash. A sink failure is sticky: Run's close reports it.
 func (s *Scheduler) record(ev journal.Event) {
-	s.emit(ev)
-	_ = s.batcher.Flush()
+	s.jw.Emit(ev)
+	_ = s.jw.Sync()
 }
 
 // tailPath is where a quarantined spec's journal tail is preserved.

@@ -346,6 +346,69 @@ func TestFleetRetryLadder(t *testing.T) {
 	}
 }
 
+// TestFleetWorkerTailPrecedesVerdict pins the order the merged journal
+// promises: a spec's worker events all come before its complete or
+// quarantine event, and its submit before its first lease. With the
+// poll interval at an hour, only the final drain in Unwatch ingests
+// worker events, so a verdict written before that drain shows up here.
+func TestFleetWorkerTailPrecedesVerdict(t *testing.T) {
+	dir := chaosDir(t)
+	s, err := fleet.New(fleet.Config{Dir: dir, Workers: 2, Poll: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []fleet.Spec{
+		helperSpec("good", "", 3, 0, dir),
+		helperSpec("bad", "poison", 3, -1, dir), // retry budget 0
+	}
+	if err := runFleet(t, s, specs); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if c := s.Counts(); c.Completed != 1 || c.Quarantined != 1 {
+		t.Fatalf("counts %+v, want 1 completed + 1 quarantined", c)
+	}
+
+	events, err := journal.ReadFile(filepath.Join(dir, fleet.JournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lifecycle := map[string]bool{
+		journal.TypeSubmit: true, journal.TypeLease: true, journal.TypeRequeue: true,
+		journal.TypeComplete: true, journal.TypeQuarantine: true,
+	}
+	for _, sp := range specs {
+		submit, lease, verdict := -1, -1, -1
+		var worker []int
+		for i, ev := range events {
+			if ev.Src != sp.ID {
+				continue
+			}
+			switch {
+			case ev.Type == journal.TypeSubmit:
+				submit = i
+			case ev.Type == journal.TypeLease && lease < 0:
+				lease = i
+			case ev.Type == journal.TypeComplete || ev.Type == journal.TypeQuarantine:
+				verdict = i
+			case !lifecycle[ev.Type]:
+				worker = append(worker, i)
+			}
+		}
+		if submit < 0 || lease < 0 || verdict < 0 || len(worker) == 0 {
+			t.Fatalf("spec %s: submit at %d, first lease at %d, verdict at %d, %d worker events; want all present",
+				sp.ID, submit, lease, verdict, len(worker))
+		}
+		if submit > lease {
+			t.Errorf("spec %s: submit at %d after its first lease at %d", sp.ID, submit, lease)
+		}
+		for _, i := range worker {
+			if i > verdict {
+				t.Errorf("spec %s: worker event at %d after verdict at %d", sp.ID, i, verdict)
+			}
+		}
+	}
+}
+
 // TestFleetLeaseKillsStalledWorker: a worker that stops journaling is
 // killed by the lease heartbeat and its spec quarantines (no retries)
 // with a stall-classified error.

@@ -375,6 +375,10 @@ func TestHubKeyframesOnExceptionPaths(t *testing.T) {
 		// the ring's predecessors), then live frames.
 		late, lateTap := dialTapped(t, h.Addr(), "late", 3)
 		defer late.Close()
+		// Registration is asynchronous: without this wait the count below
+		// can reach 1 on the victim alone, and late can register after
+		// Close, be refused, and read nothing.
+		waitFor(t, "late joiner", func() bool { return h.Subscribers() == 1 })
 		// Victim: reads three frames from step 0, dies, resumes at its cursor.
 		victim, victimTap := dialTapped(t, h.Addr(), "victim", 0)
 		vSteps, vSigs := recv(t, victim, 3)

@@ -39,7 +39,7 @@ func FuzzJournalRead(f *testing.F) {
 		j.Emit(Event{T: at, Type: TypeCheckpoint, Rank: 1, Step: 1, Detail: detail})
 		j.Emit(Event{T: at, Type: TypeCheckpoint, Rank: 0, Step: 1})
 		j.Emit(Event{T: at, Type: TypeRunEnd, Rank: -1, Step: -1, DurNS: 9})
-		if err := j.Err(); err != nil {
+		if err := j.Sync(); err != nil {
 			t.Fatal(err)
 		}
 		raw := buf.Bytes()
@@ -115,7 +115,7 @@ func FuzzFollowerDrain(f *testing.F) {
 		j.Emit(Event{T: at, Type: TypeRender, Phase: PhaseRender, Step: 0, DurNS: 7, Elements: 3, Detail: detail})
 		j.Emit(Event{T: at, Type: TypeError, Rank: 1, Step: 1, Err: detail, Src: detail})
 		j.Emit(Event{T: at, Type: TypeRunEnd, Rank: -1, Step: -1, DurNS: 9})
-		if err := j.Err(); err != nil {
+		if err := j.Sync(); err != nil {
 			t.Fatal(err)
 		}
 		raw := buf.Bytes()

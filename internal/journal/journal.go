@@ -9,6 +9,11 @@
 // reports — the instrumentation analog of the paper's TACC Stats + power
 // meter collection (§V-A), and the visibility SIM-SITU and ISAAC argue
 // in-situ exploration needs.
+//
+// Follower tails a journal file while another process writes it, and
+// Collector builds on it to merge many such files into one Writer, each
+// event tagged with its source: the fleet scheduler merges its workers'
+// journals into fleet.jsonl that way.
 package journal
 
 import (
@@ -182,10 +187,10 @@ func NewWriter(w io.Writer) *Writer { return &Writer{out: w} }
 // exactly one writer at a time — the one-writer-per-journal-file
 // contract: interleaved appends from two processes would shred the
 // JSONL framing in ways torn-tail repair cannot undo. Fan-in from many
-// producers goes through an ingestion batcher (internal/ingest) that
-// owns the merged journal's single writer. The lock is advisory,
-// attached to the open file, and released by the kernel when the
-// holder exits — so a kill -9'd incarnation never leaves a stale lock
+// producers goes through a Collector, which tails each producer's own
+// file and writes into the merged journal's single Writer. The lock is
+// advisory, attached to the open file, and released by the kernel when
+// the holder exits — so a kill -9'd incarnation never leaves a stale lock
 // behind for its replacement to trip over.
 var ErrLocked = errors.New("journal: file already open by another writer")
 
@@ -347,21 +352,14 @@ func (j *Writer) Len() int {
 	return len(j.events)
 }
 
-// Err returns the first write error, if any.
-func (j *Writer) Err() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
 // Sync fsyncs the backing file, making every event emitted so far
-// durable (Emit writes each event through unbuffered). Callers invoke it
-// at step boundaries — after an acked render, a checkpoint write, a
-// restart decision — so the on-disk journal is never more than one
-// in-flight step behind. No-op for memory journals and nil writers.
+// durable (Emit writes each event through unbuffered), and returns the
+// first write or sync error, which is sticky: once a write fails, later
+// events are kept in memory only and every Sync and Close reports that
+// first error. Callers invoke it at step boundaries — after an acked
+// render, a checkpoint write, a restart decision — so the on-disk
+// journal is never more than one in-flight step behind. No-op for
+// memory journals and nil writers.
 func (j *Writer) Sync() error {
 	if j == nil {
 		return nil

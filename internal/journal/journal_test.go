@@ -16,7 +16,7 @@ func TestNilWriterIsSafe(t *testing.T) {
 	var j *Writer
 	j.Emit(Event{Type: TypeRender})
 	j.Error(0, 0, errors.New("boom"))
-	if j.Events() != nil || j.Len() != 0 || j.Err() != nil || j.Close() != nil {
+	if j.Events() != nil || j.Len() != 0 || j.Sync() != nil || j.Close() != nil {
 		t.Error("nil writer misbehaved")
 	}
 }
@@ -367,5 +367,46 @@ func TestConcurrentEmit(t *testing.T) {
 	}
 	if Breakdown(events)[PhaseRender] != time.Duration(workers*per) {
 		t.Error("concurrent events lost duration")
+	}
+}
+
+// failAfter is a sink backend whose writes succeed until ok runs out
+// and then fail, each failure numbered: the disk that breaks mid-run.
+type failAfter struct {
+	ok, fails int
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.ok > 0 {
+		w.ok--
+		return len(p), nil
+	}
+	w.fails++
+	return 0, errors.New("disk on fire #" + strconv.Itoa(w.fails))
+}
+
+// TestSyncReportsFirstWriteError pins the sticky error a Sync barrier
+// returns: over a failing io.Writer, Sync returns the first write
+// error, and events emitted after it neither replace it nor reach the
+// backend.
+func TestSyncReportsFirstWriteError(t *testing.T) {
+	bw := &failAfter{ok: 1}
+	j := NewWriter(bw)
+	j.Emit(Event{Type: TypeRender, Step: 0})
+	if err := j.Sync(); err != nil {
+		t.Fatalf("Sync after a good write = %v", err)
+	}
+	j.Emit(Event{Type: TypeRender, Step: 1})
+	first := j.Sync()
+	if first == nil || !strings.Contains(first.Error(), "disk on fire #1") {
+		t.Fatalf("Sync over a failing backend = %v, want the first write error", first)
+	}
+	j.Emit(Event{Type: TypeRender, Step: 2})
+	j.Emit(Event{Type: TypeRender, Step: 3})
+	if err := j.Sync(); err == nil || err.Error() != first.Error() {
+		t.Fatalf("Sync after later events = %v, want the first error %v", err, first)
+	}
+	if bw.fails != 1 {
+		t.Errorf("backend saw %d failing writes, want 1", bw.fails)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // Append enforce with an exclusive flock: one live writer per journal
 // file. A second open — from this process or another — fails with
 // ErrLocked instead of interleaving two event streams in one file.
-// Many-writer fan-in goes through internal/ingest's batcher, where each
-// producer owns its own file and the batcher serializes the merge.
+// Many-writer fan-in goes through a Collector, where each producer owns
+// its own file and the merged journal has the one Writer.
 func TestOneWriterPerJournalFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/ascr-ecx/eth/internal/blast"
 	"github.com/ascr-ecx/eth/internal/camera"
+	"github.com/ascr-ecx/eth/internal/cosmo"
 	"github.com/ascr-ecx/eth/internal/data"
 	"github.com/ascr-ecx/eth/internal/fb"
 	"github.com/ascr-ecx/eth/internal/vec"
@@ -102,6 +103,30 @@ func TestAllCloudAlgorithmsRender(t *testing.T) {
 		// Wrong kind rejected.
 		if _, err := r.Render(frame, testGrid(4), &cam, Options{}); err == nil {
 			t.Errorf("%s accepted a grid", name)
+		}
+	}
+}
+
+// TestEmptyCosmoCloudRenders: a cosmo cloud of no particles carries an
+// empty speed field, so every cloud renderer draws it as an empty frame
+// instead of failing to find the field it colors by.
+func TestEmptyCosmoCloudRenders(t *testing.T) {
+	params := cosmo.DefaultParams()
+	params.Particles = 0
+	p, err := cosmo.Generate(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cam := camera.ForBounds(p.Bounds())
+	for _, name := range algorithmsByKind[data.KindPointCloud] {
+		r, _ := New(name)
+		frame := fb.New(32, 32)
+		stats, err := r.Render(frame, p, &cam, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if frame.CoveredPixels() != 0 || stats.Elements != 0 {
+			t.Errorf("%s: %d pixels covered, %d elements from an empty cloud", name, frame.CoveredPixels(), stats.Elements)
 		}
 	}
 }

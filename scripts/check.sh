@@ -155,8 +155,8 @@ echo "== scripts/hub_smoke.sh"
 # Fleet chaos: run the scheduler suites (worker SIGKILL mid-write,
 # scheduler SIGKILL + resume, torn-tail ingestion) by name, race-enabled,
 # so a rename that drops one from the default run fails loudly here.
-echo "== go test -race -run 'TestFleet|TestCollector|TestBatcher' ./internal/fleet ./internal/ingest"
-go test -race -run 'TestFleet|TestCollector|TestBatcher' ./internal/fleet/ ./internal/ingest/
+echo "== go test -race -run 'TestFleet|TestCollector' ./internal/fleet ./internal/journal"
+go test -race -run 'TestFleet|TestCollector' ./internal/fleet/ ./internal/journal/
 
 # Fleet smoke: real ethserve + ethbench worker subprocesses, one worker
 # SIGKILLed mid-attempt, the scheduler SIGKILLed mid-sweep and resumed,

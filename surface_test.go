@@ -55,10 +55,7 @@ var surfaceAllowed = map[string]string{
 	"proxy.FuncSource":             "a generated step source the proxy and coupling tests run",
 	"proxy.FuncSource.N":           "the generated step source's step count",
 	"proxy.FuncSource.Fn":          "the generated step source's generator",
-	"ingest.Config.FlushCount":     "the backpressure tests wedge a small batcher",
-	"ingest.Config.FlushEvery":     "the backpressure tests wedge a small batcher",
-	"ingest.Config.Queue":          "the backpressure tests wedge a small batcher",
-	"journal.NewWriter":            "the one journal over an io.Writer: the backpressure test blocks the batcher's sink on it",
+	"journal.NewWriter":            "the one journal over an io.Writer: the sticky-error test fails its writes, the live-tail test counts them",
 	// Tuning values the product leaves at their defaults.
 	"rt.DVROptions.OpacityScale":     "the volume renderer's opacity scale",
 	"analysis.FOFOptions.LinkLength": "the halo finder's linking length",
