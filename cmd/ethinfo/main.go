@@ -407,7 +407,7 @@ func buildAudit(path string, events []journal.Event, torn bool, fl *fleetAudit, 
 		a.Restarts = append(a.Restarts, restartAudit{Role: role, Restarts: roles[role], Causes: causes[role]})
 	}
 	breakdown := journal.Breakdown(events)
-	a.phases = journal.PhaseNames(events)
+	a.phases = journal.PhaseNames(breakdown)
 	for _, name := range a.phases {
 		a.Breakdown[name] = breakdown[name].Seconds()
 	}

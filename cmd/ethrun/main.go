@@ -249,7 +249,8 @@ func runMeasured(spec *layout.Spec, a runArgs) {
 		log.Fatal("-resume needs -trace: the journal it continues records each rank's progress")
 	}
 	pol := buildPolicy(a, spec.Coupling == "socket")
-	// A nil journal keeps the run's events in memory only. On -resume,
+	// Without -trace, RunMeasured journals into a memory-only Writer,
+	// which keeps the newest events and the phase totals. On -resume,
 	// reopen the crashed run's journal (a torn final line from kill -9 is
 	// repaired on open) so the resumed events extend the same file, and
 	// replay it for each rank's last checkpointed step.
@@ -329,7 +330,7 @@ func runMeasured(spec *layout.Spec, a runArgs) {
 		if err := jw.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\n  journal      %s (%d events)\n", a.trace, len(res.Events))
+		fmt.Printf("\n  journal      %s (%d events)\n", a.trace, jw.Len())
 	}
 }
 

@@ -67,8 +67,9 @@ func main() {
 	}
 	var jw *journal.Writer
 	if *obsAddr != "" {
-		// The in-memory journal exists to feed /events and /trace; a nil
-		// journal is a no-op sink, so unobserved runs pay nothing.
+		// The memory-only journal exists to feed /events and /trace from
+		// its kept tail; a nil journal is a no-op sink, so unobserved runs
+		// pay nothing.
 		jw = journal.New()
 		srv, err := obs.Start(obs.Config{
 			Addr: *obsAddr, Role: "sim", Run: *dataGlob, Journal: jw,

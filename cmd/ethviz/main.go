@@ -96,13 +96,13 @@ func main() {
 			log.Fatal(err)
 		}
 		defer jw.Close()
+	} else if *obsAddr != "" || *serve != "" {
+		// No trace file: /events and /trace stream the run, and the hub's
+		// subscriber and steering events need a journal, so keep one in
+		// memory.
+		jw = journal.New()
 	}
 	if *obsAddr != "" {
-		if jw == nil {
-			// No trace file: keep the journal in memory so /events and
-			// /trace still stream the run.
-			jw = journal.New()
-		}
 		srv, err := obs.Start(obs.Config{
 			Addr: *obsAddr, Role: "viz", Run: *trace, Journal: jw,
 		})
@@ -125,10 +125,6 @@ func main() {
 		codec, err := transport.ParseCodec(*serveCodec)
 		if err != nil {
 			log.Fatal(err)
-		}
-		if jw == nil {
-			// Subscriber/steering events need a journal even without -trace.
-			jw = journal.New()
 		}
 		h, err = hub.New(hub.Config{
 			Addr: *serve, MaxSubs: *maxSubs, Queue: *subQueue, History: *history,

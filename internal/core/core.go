@@ -124,7 +124,7 @@ type MeasuredSpec struct {
 	OutDir string
 	// Journal, when set, receives the run's structured event stream (a
 	// trace file via journal.Create, or any journal.Writer). When nil the
-	// run still records into a private in-memory journal so the result
+	// run still records into a private memory-only journal so the result
 	// carries a per-phase breakdown either way.
 	Journal *journal.Writer
 	// Policy is the socket-mode degradation policy (retry/skip budgets,
@@ -186,15 +186,12 @@ type MeasuredResult struct {
 	Composited *fb.Frame
 	// CompositeStats reports the composite's modeled communication.
 	CompositeStats compositing.Stats
-	// Phases is the per-phase wall-clock breakdown reconstructed from the
-	// run journal (generate/sample/serialize/transport/render/analysis/
-	// composite). With concurrent ranks the phase totals sum CPU time
-	// across ranks, so they may exceed Wall; for a single pair they
+	// Phases is the per-phase wall-clock breakdown the run journal summed
+	// as events arrived (generate/sample/serialize/transport/render/
+	// analysis/composite). With concurrent ranks the phase totals sum CPU
+	// time across ranks, so they may exceed Wall; for a single pair they
 	// account for nearly all of it.
 	Phases map[string]time.Duration
-	// Events is the run's full journal (also streamed to Spec.Journal's
-	// backing file, when one was configured).
-	Events []journal.Event
 	// Reports are the raw per-pair reports.
 	Reports []coupling.Report
 }
@@ -204,7 +201,7 @@ type MeasuredResult struct {
 func (r MeasuredResult) PhaseTable() *metrics.Table {
 	t := metrics.NewTable("Per-phase breakdown", "phase", "seconds", "% of wall")
 	var total time.Duration
-	for _, name := range journal.PhaseNames(r.Events) {
+	for _, name := range journal.PhaseNames(r.Phases) {
 		d := r.Phases[name]
 		total += d
 		t.AddRow(name, d.Seconds(), pctOf(d, r.Wall))
@@ -346,8 +343,7 @@ func RunMeasured(spec MeasuredSpec) (MeasuredResult, error) {
 	jw.Emit(journal.Event{
 		Type: journal.TypeRunEnd, Rank: -1, Step: -1, DurNS: int64(res.Wall),
 	})
-	res.Events = jw.Events()
-	res.Phases = journal.Breakdown(res.Events)
+	res.Phases = jw.Phases()
 	return res, nil
 }
 

@@ -62,8 +62,8 @@ func TestJournalPhaseBreakdownCoversWall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != len(res.Events) {
-		t.Fatalf("replayed %d events, run recorded %d", len(events), len(res.Events))
+	if len(events) != jw.Len() {
+		t.Fatalf("replayed %d events, run recorded %d", len(events), jw.Len())
 	}
 	replayed := journal.Breakdown(events)
 	if len(replayed) != len(res.Phases) {
@@ -85,6 +85,7 @@ func TestJournalSocketModePhases(t *testing.T) {
 	spec := haccSpec()
 	spec.Mode = coupling.Socket
 	spec.LayoutPath = filepath.Join(t.TempDir(), "layout")
+	spec.Journal = journal.New()
 	res, err := RunMeasured(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func TestJournalSocketModePhases(t *testing.T) {
 			t.Errorf("socket run recorded no %s time", phase)
 		}
 	}
-	counts := journal.CountByType(res.Events)
+	counts := journal.CountByType(spec.Journal.Events())
 	// Each of 2 ranks x 2 steps serializes once and transfers twice (a
 	// send event on the sim side, a recv event on the viz side).
 	if counts[journal.TypeSerialize] != 4 {

@@ -191,24 +191,3 @@ func TestFollowerTornTailMidFollow(t *testing.T) {
 	}
 	jw2.Close()
 }
-
-// TestEventsSince checks the in-process tail primitive.
-func TestEventsSince(t *testing.T) {
-	jw := New()
-	for s := 0; s < 4; s++ {
-		jw.Emit(Event{Type: TypeRender, Rank: 0, Step: s})
-	}
-	if got := jw.EventsSince(2); len(got) != 2 || got[0].Step != 2 {
-		t.Fatalf("EventsSince(2) = %v, want steps 2..3", got)
-	}
-	if got := jw.EventsSince(4); got != nil {
-		t.Fatalf("EventsSince(len) = %v, want nil", got)
-	}
-	if got := jw.EventsSince(-1); len(got) != 4 {
-		t.Fatalf("EventsSince(-1) = %d events, want all 4", len(got))
-	}
-	var nilW *Writer
-	if got := nilW.EventsSince(0); got != nil {
-		t.Fatalf("nil writer EventsSince = %v, want nil", got)
-	}
-}

@@ -1,12 +1,13 @@
 // Package journal is ETH's structured run journal: an append-only JSONL
 // record of what a run actually did — one event per phase transition,
 // dataset generation, sampling decision, wire transfer, render, composite,
-// and error. The harness always records into an in-memory journal; with a
-// trace file configured the same events stream to disk as they happen, one
-// JSON object per line, so a crashed run still leaves an audit trail up to
-// the failure. The Reader half replays a journal after the fact, and
-// Breakdown reconstructs the per-phase wall-clock split the harness
-// reports — the instrumentation analog of the paper's TACC Stats + power
+// and error. A Writer keeps only the newest events in memory, for live
+// readers, and sums every phase-attributed event's duration as it
+// arrives; with a trace file configured every event also streams to disk
+// as it happens, one JSON object per line, so a crashed run still leaves
+// an audit trail up to the failure. The Reader half replays a journal
+// after the fact, and Breakdown reconstructs from it the per-phase
+// wall-clock split the harness reports — the instrumentation analog of the paper's TACC Stats + power
 // meter collection (§V-A), and the visibility SIM-SITU and ISAAC argue
 // in-situ exploration needs.
 //
@@ -23,8 +24,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -76,9 +78,10 @@ const (
 	// has completed Step, and the journal is fsynced behind it. Cursor
 	// folds these into the step a restarted process resumes at.
 	TypeCheckpoint = "checkpoint"
-	// TypeOverflow records a bounded live-tail subscriber dropping its
-	// oldest queued events (drop-oldest backpressure); Elements carries
-	// the dropped count and Detail identifies the subscriber.
+	// TypeOverflow records a bounded queue dropping its oldest events
+	// (drop-oldest backpressure): a live-tail subscriber falling behind,
+	// or a Writer's kept tail when Events heads the list with one.
+	// Elements carries the dropped count and Detail identifies the queue.
 	TypeOverflow = "overflow"
 	// TypeSteer records steering state moving through the system: a hub
 	// receiving a control message from a subscriber ("recv ..."), a viz
@@ -164,23 +167,33 @@ type Event struct {
 // Dur returns the event duration.
 func (e Event) Dur() time.Duration { return time.Duration(e.DurNS) }
 
-// Writer is a concurrent-safe journal recorder. Every event is kept in
-// memory (for same-process replay); when backed by an io.Writer the event
-// also streams out as one JSON line. A nil *Writer is a valid no-op sink,
-// so instrumented code journals unconditionally.
+// Writer is a concurrent-safe journal recorder. It keeps the newest
+// tailLen events in memory for live readers, counts every event, and
+// sums each phase-attributed event's duration as it arrives; when backed
+// by an io.Writer every event also streams out as one JSON line. Make one
+// with New, NewWriter, Create or Append. A nil *Writer is a valid no-op
+// sink, so instrumented code journals unconditionally.
 type Writer struct {
 	mu     sync.Mutex
-	out    io.Writer // guarded by mu
-	file   *os.File  // guarded by mu
-	events []Event   // guarded by mu
-	err    error     // guarded by mu
+	out    io.Writer                // guarded by mu
+	file   *os.File                 // guarded by mu
+	tail   []Event                  // guarded by mu; event k at tail[k%tailLen]
+	n      int                      // guarded by mu; events emitted
+	phases map[string]time.Duration // guarded by mu
+	err    error                    // guarded by mu
 }
 
+// tailLen is how many of its newest events a Writer keeps: twice the
+// events of the largest benchmark pass, and more than any test journal
+// holds, so only a long run loses the oldest ones from memory (never from
+// its file).
+const tailLen = 4096
+
 // New returns a memory-only journal.
-func New() *Writer { return &Writer{} }
+func New() *Writer { return &Writer{phases: map[string]time.Duration{}} }
 
 // NewWriter returns a journal that mirrors events to w as JSONL.
-func NewWriter(w io.Writer) *Writer { return &Writer{out: w} }
+func NewWriter(w io.Writer) *Writer { return &Writer{out: w, phases: map[string]time.Duration{}} }
 
 // ErrLocked is wrapped by Create/Append when the journal file is
 // already open for writing by another process. A journal file has
@@ -215,7 +228,7 @@ func Create(path string) (*Writer, error) {
 		f.Close()
 		return nil, fmt.Errorf("journal: truncating %s: %w", path, err)
 	}
-	return &Writer{out: f, file: f}, nil
+	return &Writer{out: f, file: f, phases: map[string]time.Duration{}}, nil
 }
 
 // Append returns a journal that appends events to the file at path,
@@ -240,7 +253,7 @@ func Append(path string) (*Writer, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Writer{out: f, file: f}, nil
+	return &Writer{out: f, file: f, phases: map[string]time.Duration{}}, nil
 }
 
 // Reopen is Append for a restarted process: it opens the journal at
@@ -277,7 +290,7 @@ func repairTornTail(path string, f *os.File) error {
 	return nil
 }
 
-// Emit appends one event, stamping T if unset. Safe for concurrent use
+// Emit records one event, stamping T if unset. Safe for concurrent use
 // and on a nil receiver.
 func (j *Writer) Emit(ev Event) {
 	if j == nil {
@@ -288,7 +301,17 @@ func (j *Writer) Emit(ev Event) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.events = append(j.events, ev)
+	// The ring grows by append, so a short run pays only for the events
+	// it emits, and wraps once it is full.
+	if len(j.tail) < tailLen {
+		j.tail = append(j.tail, ev)
+	} else {
+		j.tail[j.n%tailLen] = ev
+	}
+	j.n++
+	if ev.Phase != "" {
+		j.phases[ev.Phase] += ev.Dur()
+	}
 	if j.out != nil && j.err == nil {
 		raw, err := json.Marshal(ev)
 		if err == nil {
@@ -309,54 +332,72 @@ func (j *Writer) Error(rank, step int, err error) {
 	j.Emit(Event{Type: TypeError, Rank: rank, Step: step, Err: err.Error()})
 }
 
-// Events returns a copy of everything emitted so far.
+// Events returns a copy of the kept events, oldest first. When older
+// events were dropped from memory, the list starts with one TypeOverflow
+// event whose Elements is the dropped count, so the gap shows in-band.
 func (j *Writer) Events() []Event {
+	evs, missed := j.EventsSince(0)
+	if missed == 0 {
+		return evs
+	}
+	over := Event{
+		T: evs[0].T, Type: TypeOverflow, Rank: -1, Step: -1, Elements: missed,
+		Detail: fmt.Sprintf("journal kept the newest %d events", tailLen),
+	}
+	return append([]Event{over}, evs...)
+}
+
+// EventsSince returns a copy of the kept events emitted at index n and
+// later, and how many events at or after n are no longer kept — the
+// in-process live-tail primitive: a subscriber remembers how many events
+// it has consumed (missed ones included) and drains the rest on each
+// poll. An n at or past the end returns no events.
+func (j *Writer) EventsSince(n int) (evs []Event, missed int) {
 	if j == nil {
-		return nil
+		return nil, 0
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]Event, len(j.events))
-	copy(out, j.events)
-	return out
+	n = max(n, 0)
+	if first := j.n - len(j.tail); n < first {
+		missed, n = first-n, first
+	}
+	if n >= j.n {
+		return nil, missed
+	}
+	evs = make([]Event, 0, j.n-n)
+	for k := n; k < j.n; k++ {
+		evs = append(evs, j.tail[k%tailLen])
+	}
+	return evs, missed
 }
 
-// EventsSince returns a copy of the events emitted at index n and later
-// — the in-process live-tail primitive: a subscriber remembers how many
-// events it has consumed and drains the rest on each poll. An n at or
-// past the end returns nil.
-func (j *Writer) EventsSince(n int) []Event {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	if n >= len(j.events) {
-		return nil
-	}
-	out := make([]Event, len(j.events)-n)
-	copy(out, j.events[n:])
-	return out
-}
-
-// Len returns the number of events emitted so far.
+// Len returns the number of events emitted so far, kept or not.
 func (j *Writer) Len() int {
 	if j == nil {
 		return 0
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.events)
+	return j.n
+}
+
+// Phases returns a copy of the per-phase wall-clock split of every event
+// emitted so far, kept or not: Breakdown over the whole journal.
+func (j *Writer) Phases() map[string]time.Duration {
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return maps.Clone(j.phases)
 }
 
 // Sync fsyncs the backing file, making every event emitted so far
 // durable (Emit writes each event through unbuffered), and returns the
 // first write or sync error, which is sticky: once a write fails, later
-// events are kept in memory only and every Sync and Close reports that
-// first error. Callers invoke it at step boundaries — after an acked
+// events reach only the Writer's memory, and every Sync and Close reports
+// that first error. Callers invoke it at step boundaries — after an acked
 // render, a checkpoint write, a restart decision — so the on-disk
 // journal is never more than one in-flight step behind. No-op for
 // memory journals and nil writers.
@@ -510,26 +551,20 @@ func Cursor(events []Event, rank int) int {
 	return 0
 }
 
-// PhaseNames returns every phase present in events: known phases first in
-// pipeline order, then any others sorted by name.
-func PhaseNames(events []Event) []string {
-	present := map[string]bool{}
-	for _, ev := range events {
-		if ev.Phase != "" {
-			present[ev.Phase] = true
-		}
-	}
-	var out []string
+// PhaseNames returns the keys of a breakdown (Breakdown, Writer.Phases):
+// known phases first in pipeline order, then any others sorted by name.
+func PhaseNames(breakdown map[string]time.Duration) []string {
+	var out, rest []string
 	for _, p := range Phases {
-		if present[p] {
+		if _, ok := breakdown[p]; ok {
 			out = append(out, p)
-			delete(present, p)
 		}
 	}
-	var rest []string
-	for p := range present {
-		rest = append(rest, p)
+	for p := range breakdown {
+		if !slices.Contains(Phases, p) {
+			rest = append(rest, p)
+		}
 	}
-	sort.Strings(rest)
+	slices.Sort(rest)
 	return append(out, rest...)
 }

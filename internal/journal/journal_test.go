@@ -16,7 +16,7 @@ func TestNilWriterIsSafe(t *testing.T) {
 	var j *Writer
 	j.Emit(Event{Type: TypeRender})
 	j.Error(0, 0, errors.New("boom"))
-	if j.Events() != nil || j.Len() != 0 || j.Sync() != nil || j.Close() != nil {
+	if j.Events() != nil || j.Len() != 0 || len(j.Phases()) != 0 || j.Sync() != nil || j.Close() != nil {
 		t.Error("nil writer misbehaved")
 	}
 }
@@ -117,7 +117,7 @@ func TestBreakdownAndHelpers(t *testing.T) {
 	if errs := Errors(events); len(errs) != 1 || errs[0].Err != "x" {
 		t.Errorf("errors = %v", errs)
 	}
-	if names := PhaseNames(events); len(names) != 3 || names[0] != PhaseGenerate || names[2] != PhaseComposite {
+	if names := PhaseNames(b); len(names) != 3 || names[0] != PhaseGenerate || names[2] != PhaseComposite {
 		t.Errorf("phase names = %v", names)
 	}
 }

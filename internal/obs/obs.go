@@ -17,12 +17,12 @@
 //     unhealthy (HTTP 503).
 //   - /readyz  — readiness: a currently-stalled role makes the process
 //     not ready (HTTP 503) until its restart makes progress again.
-//   - /events  — NDJSON live tail of the run journal with a bounded
-//     per-subscriber queue; a slow subscriber drops oldest events and
-//     the drop itself is journaled and streamed (the backpressure
-//     contract the frame fan-out hub will inherit).
+//   - /events  — NDJSON live tail of the run journal, bounded by the
+//     journal's kept tail; a subscriber that falls behind it drops the
+//     oldest events and the drop itself is journaled and streamed (the
+//     backpressure contract the frame fan-out hub inherits).
 //   - /trace   — Chrome trace-event (catapult) export of the journal's
-//     span tree, loadable in chrome://tracing or Perfetto.
+//     kept events, loadable in chrome://tracing or Perfetto.
 //   - /debug/pprof/* — the standard profiling handlers on the same mux.
 //
 // The server is deliberately read-only and allocation-respectful: a
@@ -65,8 +65,8 @@ type Config struct {
 	Run string
 	// Registry is the metric source; nil means telemetry.Default.
 	Registry *telemetry.Registry
-	// Journal, when set, feeds /events and /trace from the in-process
-	// run journal.
+	// Journal, when set, feeds /events and /trace from the events the
+	// in-process run journal keeps.
 	Journal *journal.Writer
 	// Health feeds /healthz and /readyz; nil creates a private Health
 	// that reports healthy/ready (no supervised roles).

@@ -329,52 +329,59 @@ func TestEventsStream(t *testing.T) {
 	}
 }
 
-// TestEventsOverflow forces a subscriber over its backlog bound: the
-// oldest events must be dropped, the newest delivered, and the hole
-// recorded as an overflow event in both the stream and the journal.
+// TestEventsOverflow starts a subscriber after the run has emitted more
+// events than its journal keeps: the stream must deliver the newest kept
+// events in order, then one overflow event counting the events it never
+// got, and that hole must be in the run journal too.
 func TestEventsOverflow(t *testing.T) {
 	jw := journal.New()
 	s := startServer(t, Config{Journal: jw, Registry: &telemetry.Registry{}})
-	const total, queue = 10, 4
+	const total = 10_000
 	for step := 0; step < total; step++ {
 		jw.Emit(journal.Event{Type: journal.TypeRender, Rank: 0, Step: step})
 	}
 
-	resp, err := http.Get(s.URL() + "/events?queue=" + fmt.Sprint(queue))
+	resp, err := http.Get(s.URL() + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
 
-	// The surviving newest events first...
-	for i := 0; i < queue; i++ {
+	// The kept newest events first, in order, ending at the last step...
+	var steps []int
+	var over journal.Event
+	for over.Type == "" {
 		if !sc.Scan() {
-			t.Fatalf("stream ended after %d events: %v", i, sc.Err())
+			t.Fatalf("stream ended after %d events: %v", len(steps), sc.Err())
 		}
 		var ev journal.Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatal(err)
 		}
-		if want := total - queue + i; ev.Step != want {
-			t.Fatalf("survivor %d = step %d, want %d (oldest not dropped)", i, ev.Step, want)
+		if ev.Type == journal.TypeRender {
+			steps = append(steps, ev.Step)
+		} else {
+			over = ev
 		}
 	}
-	// ...then the journaled overflow event arrives through the tail.
-	if !sc.Scan() {
-		t.Fatalf("stream ended before overflow event: %v", sc.Err())
+	kept := len(steps)
+	if kept == 0 || kept >= total {
+		t.Fatalf("stream delivered %d of %d events before the overflow event, want the journal's kept tail", kept, total)
 	}
-	var over journal.Event
-	if err := json.Unmarshal(sc.Bytes(), &over); err != nil {
-		t.Fatal(err)
+	for i, step := range steps {
+		if want := total - kept + i; step != want {
+			t.Fatalf("kept event %d = step %d, want %d (not the newest, in order)", i, step, want)
+		}
 	}
-	if over.Type != journal.TypeOverflow || over.Elements != total-queue {
-		t.Fatalf("overflow event = %+v, want type=overflow elements=%d", over, total-queue)
+	// ...then one overflow event counting the events not delivered.
+	if over.Type != journal.TypeOverflow || over.Elements != total-kept {
+		t.Fatalf("event after the kept tail = %+v, want type=overflow elements=%d", over, total-kept)
 	}
 	// The hole is part of the permanent record.
 	found := false
 	for _, ev := range jw.Events() {
-		if ev.Type == journal.TypeOverflow {
+		if ev.Type == journal.TypeOverflow && ev.Detail == over.Detail && ev.Elements == over.Elements {
 			found = true
 		}
 	}
@@ -461,7 +468,7 @@ func TestConcurrentScrape(t *testing.T) {
 			ctr.Inc()
 			hist.Observe(int64(i))
 			if i%256 == 0 {
-				time.Sleep(time.Microsecond) // yield so the journal stays bounded
+				time.Sleep(time.Microsecond) // yield, or two spinning writers starve the scrapers
 			}
 		}
 	}()
@@ -475,7 +482,6 @@ func TestConcurrentScrape(t *testing.T) {
 			}
 			jw.Emit(journal.Event{Type: journal.TypeRender, Rank: 0, Step: i})
 			h.RoleProgress("pair0", int64(i))
-			time.Sleep(50 * time.Microsecond) // keep /trace's full-journal copies bounded
 		}
 	}()
 

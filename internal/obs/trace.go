@@ -8,8 +8,10 @@ import (
 	"github.com/ascr-ecx/eth/internal/journal"
 )
 
-// /trace exports the run journal in the Chrome trace-event (catapult)
-// JSON format, loadable in chrome://tracing, Perfetto, or speedscope.
+// /trace exports the run journal's kept events in the Chrome trace-event
+// (catapult) JSON format, loadable in chrome://tracing, Perfetto, or
+// speedscope; a gap where older events were dropped shows as an instant
+// "overflow" mark.
 // Timed journal events become "X" (complete) slices — the journal
 // stamps events at completion, so each slice starts at T - Dur — and
 // untimed bookkeeping events become "i" (instant) marks. Ranks map to

@@ -489,7 +489,8 @@ func (b *SphereBVH) walk(p *packet, lo, hi int, origin vec.V3, tMin float64) {
 						if t <= tMin {
 							t = (-half + sq) / a
 						}
-						if t <= tMin || t >= p.t[i] {
+						// Written so a NaN t (a non-finite centre) fails.
+						if !(t > tMin && t < p.t[i]) {
 							continue
 						}
 						p.t[i], p.prim[i] = t, nd.left+int32(j)

@@ -185,7 +185,7 @@ func bruteForce(p *data.PointCloud, radius float64, origin, dir vec.V3, tMin, tM
 		if t <= tMin {
 			t = (-half + sq) / a
 		}
-		if t <= tMin || t >= best.T {
+		if !(t > tMin && t < best.T) {
 			continue
 		}
 		hp := origin.Add(dir.Scale(t))

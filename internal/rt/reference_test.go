@@ -97,7 +97,7 @@ walk:
 				if t <= tMin {
 					t = (-half + sq) / a
 				}
-				if t <= tMin || t >= bestT {
+				if !(t > tMin && t < bestT) {
 					continue
 				}
 				bestT, bestI = t, int(nd.left)+i
@@ -535,10 +535,9 @@ func TestBuildMatchesQuickselect(t *testing.T) {
 // max make it. No NaN sits on an axis a split can choose, and the zeros
 // are twins, so the reference's boxes are determined. The tree must
 // pass Validate. A NaN or infinite sphere gives every ray that tests it
-// a NaN hit, which passes every comparison of the nearest-hit search
-// (brute force's too), so T is checked on the rays that enter no leaf
-// holding one: there Intersect must find brute force's nearest hit among
-// the finite spheres.
+// a NaN hit, which the nearest-hit search must reject, so on every ray
+// Intersect must find brute force's nearest hit among the finite
+// spheres.
 func TestBuildNonFiniteCentres(t *testing.T) {
 	const radius = 0.4
 	p := randomCloud(2_000, 3)
@@ -588,8 +587,8 @@ func TestBuildNonFiniteCentres(t *testing.T) {
 		c, h := requireFiniteHits(t, got, p, &cam, 40, 40)
 		checked, hits = checked+c, hits+h
 	}
-	t.Logf("%d rays enter no leaf holding a non-finite centre, %d of them hits", checked, hits)
-	if checked < 40*40 || hits < 100 {
+	t.Logf("%d rays, %d of them hits", checked, hits)
+	if hits < 100 {
 		t.Errorf("%d rays checked, %d of them hits: too few to test the boxes", checked, hits)
 	}
 }
@@ -606,34 +605,16 @@ func finiteCloud(p *data.PointCloud) *data.PointCloud {
 }
 
 // requireFiniteHits traces the w x h primary rays of cam through b, the
-// tree over p, and requires each ray that enters no leaf holding a NaN
-// or infinite centre to find brute force's nearest hit T among p's finite
-// spheres. A non-finite sphere gives every ray that tests it a NaN hit,
-// which passes every comparison of the nearest-hit search, brute force's
-// included, so the other rays have no oracle. It returns how many rays it
-// checked and how many of them hit.
+// tree over p, and requires each to find brute force's nearest hit T
+// among p's finite spheres: a NaN or infinite sphere gives a ray that
+// tests it a NaN hit, which neither search may take. It returns how many
+// rays it checked and how many of them hit.
 func requireFiniteHits(t testing.TB, b *SphereBVH, p *data.PointCloud, cam *camera.Camera, w, h int) (checked, hits int) {
 	t.Helper()
-	var poisoned []*[6]float32
-	for i := range b.nodes {
-		nd := &b.nodes[i]
-		for j := nd.left; nd.count > 0 && j < nd.left+nd.count; j++ {
-			if !isFinite(v3(b.prims[j].c)) {
-				poisoned = append(poisoned, &nd.bounds)
-				break
-			}
-		}
-	}
 	finite := finiteCloud(p)
 	gen := cam.NewRayGen(w, h)
-rays:
 	for i := 0; i < w*h; i++ {
 		ray := gen.Ray(i%w, i/w)
-		for _, pb := range poisoned {
-			if enters(pb, ray.Origin, ray.Dir, cam.Near, cam.Far) {
-				continue rays
-			}
-		}
 		want, wantOK := bruteForce(finite, b.radius, ray.Origin, ray.Dir, cam.Near, cam.Far)
 		got, ok := b.Intersect(ray.Origin, ray.Dir, cam.Near, cam.Far)
 		if ok != wantOK || ok && got.T != want.T {
@@ -645,25 +626,6 @@ rays:
 		}
 	}
 	return checked, hits
-}
-
-// enters reports whether the ray origin + t*dir, t in (t0, t1), passes
-// through box b, ignoring NaN planes as the traversal does.
-func enters(b *[6]float32, origin, dir vec.V3, t0, t1 float64) bool {
-	ix, iy, iz := safeInv(dir.X), safeInv(dir.Y), safeInv(dir.Z)
-	near := func(d float64, a int) (int, int) {
-		if d < 0 {
-			return 3 + a, a
-		}
-		return a, 3 + a
-	}
-	nx, fx := near(dir.X, 0)
-	ny, fy := near(dir.Y, 1)
-	nz, fz := near(dir.Z, 2)
-	t0, t1 = clip(b[nx], b[fx], origin.X, ix, t0, t1)
-	t0, t1 = clip(b[ny], b[fy], origin.Y, iy, t0, t1)
-	t0, t1 = clip(b[nz], b[fz], origin.Z, iz, t0, t1)
-	return t0 <= t1
 }
 
 // isFinite reports whether every coordinate of c is a finite number.
