@@ -484,9 +484,10 @@ func hubTallies(events []journal.Event) *hubAudit {
 	return &h
 }
 
-// durationQuantiles reconstructs per-event-type latency quantiles from
-// the durations the journal recorded — the post-hoc equivalent of the
-// live /metrics duration summaries.
+// durationQuantiles gives exact latency quantiles per event type from
+// every duration the journal recorded. The live /metrics summaries
+// (phase.*) come from the same events, but key by phase and read their
+// quantiles from log2 buckets.
 func durationQuantiles(events []journal.Event) []durationAudit {
 	byType := map[string][]int64{}
 	for _, ev := range events {

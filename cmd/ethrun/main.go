@@ -249,8 +249,9 @@ func runMeasured(spec *layout.Spec, a runArgs) {
 		log.Fatal("-resume needs -trace: the journal it continues records each rank's progress")
 	}
 	pol := buildPolicy(a, spec.Coupling == "socket")
-	// Without -trace, RunMeasured journals into a memory-only Writer,
-	// which keeps the newest events and the phase totals. On -resume,
+	// Without -trace the run journals into a memory-only Writer, which
+	// keeps the newest events and the phase totals, made here so the obs
+	// server's /events and /trace read the run's journal. On -resume,
 	// reopen the crashed run's journal (a torn final line from kill -9 is
 	// repaired on open) so the resumed events extend the same file, and
 	// replay it for each rank's last checkpointed step.
@@ -264,6 +265,8 @@ func runMeasured(spec *layout.Spec, a runArgs) {
 		jw, resumed, err = journal.Reopen(a.trace)
 	case a.trace != "":
 		jw, err = journal.Create(a.trace)
+	default:
+		jw = journal.New()
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -303,9 +306,7 @@ func runMeasured(spec *layout.Spec, a runArgs) {
 	res, err := core.RunMeasured(mspec)
 	if err != nil {
 		log.Print(err)
-		if jw != nil {
-			jw.Close()
-		}
+		jw.Close()
 		os.RemoveAll(dir)
 		os.Exit(supervise.ExitCode(err))
 	}
@@ -326,10 +327,10 @@ func runMeasured(spec *layout.Spec, a runArgs) {
 	if err := res.PhaseTable().Fprint(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	if jw != nil {
-		if err := jw.Close(); err != nil {
-			log.Fatal(err)
-		}
+	if err := jw.Close(); err != nil {
+		log.Fatal(err)
+	}
+	if a.trace != "" {
 		fmt.Printf("\n  journal      %s (%d events)\n", a.trace, jw.Len())
 	}
 }

@@ -185,8 +185,8 @@ func writeRow(b *strings.Builder, ep string, cur, prev sample) {
 		cur.value("eth_obs_subscribers"))
 }
 
-// writeDetail prints render/transport latency quantiles and any role
-// that is stalled or failed.
+// writeDetail prints render, transport and hub-send latency quantiles and
+// any role that is stalled or failed.
 func writeDetail(b *strings.Builder, client *http.Client, endpoints []string, samples map[string]sample) {
 	b.WriteString("\n")
 	for _, ep := range endpoints {
@@ -197,9 +197,9 @@ func writeDetail(b *strings.Builder, client *http.Client, endpoints []string, sa
 		short := strings.TrimPrefix(ep, "http://")
 		var parts []string
 		for _, fam := range []struct{ label, name string }{
-			{"render", "eth_viz_render_seconds"},
-			{"send", "eth_transport_send_seconds"},
-			{"recv", "eth_transport_recv_seconds"},
+			{"render", "eth_phase_render_seconds"},
+			{"transport", "eth_phase_transport_seconds"},
+			{"hub", "eth_hub_send_seconds"},
 		} {
 			p50, ok := s.quantile(fam.name, "0.5")
 			if !ok {

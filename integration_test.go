@@ -1,12 +1,17 @@
 package eth_test
 
 import (
+	"bufio"
+	"encoding/json"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/ascr-ecx/eth/internal/journal"
 )
 
 // TestTwoProcessWorkflow drives the paper's §III-C workflow end to end
@@ -127,6 +132,69 @@ func TestEthrunSpecFile(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "MB moved") {
 		t.Errorf("output missing interface traffic: %s", out)
+	}
+}
+
+// TestEthrunObsWithoutTrace checks that ethrun -obs serves the run's
+// journal when no -trace file is given: /trace answers, and /events
+// opens with the run's run_start event. The run is long enough to still
+// be going when it is queried, and is killed after.
+func TestEthrunObsWithoutTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	dir := t.TempDir()
+	bin := buildTools(t, dir, "ethrun")
+	cmd := exec.Command(bin["ethrun"], "-workload", "hacc", "-particles", "5000",
+		"-steps", "400", "-images", "8", "-width", "128", "-height", "128",
+		"-obs", "127.0.0.1:0")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+	var base string
+	for sc := bufio.NewScanner(stdout); base == "" && sc.Scan(); {
+		if u, ok := strings.CutPrefix(sc.Text(), "obs: serving "); ok {
+			base = strings.TrimSuffix(u, "/metrics")
+		}
+	}
+	if base == "" {
+		t.Fatal("ethrun never printed its obs address")
+	}
+	client := &http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Get(base + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /trace: %s", resp.Status)
+	}
+	resp, err = client.Get(base + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /events: %s", resp.Status)
+	}
+	line, err := bufio.NewReader(resp.Body).ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("reading /events: %v", err)
+	}
+	var ev journal.Event
+	if err := json.Unmarshal(line, &ev); err != nil {
+		t.Fatalf("first /events line %q: %v", line, err)
+	}
+	if ev.Type != journal.TypeRunStart {
+		t.Errorf("first /events event is %q, want %q", ev.Type, journal.TypeRunStart)
 	}
 }
 

@@ -24,12 +24,8 @@ import (
 	"github.com/ascr-ecx/eth/internal/proxy"
 	"github.com/ascr-ecx/eth/internal/sampling"
 	"github.com/ascr-ecx/eth/internal/supervise"
-	"github.com/ascr-ecx/eth/internal/telemetry"
 	"github.com/ascr-ecx/eth/internal/transport"
 )
-
-// histGenerate times each step's up-front generation.
-var histGenerate = telemetry.Default.Histogram("core.generate")
 
 // Workload produces the datasets an experiment replays.
 type Workload struct {
@@ -255,7 +251,6 @@ func RunMeasured(spec MeasuredSpec) (MeasuredResult, error) {
 			return MeasuredResult{}, err
 		}
 		genDur := time.Since(g0)
-		histGenerate.ObserveDuration(genDur)
 		jw.Emit(journal.Event{
 			Type: journal.TypeDataset, Phase: journal.PhaseGenerate,
 			Rank: -1, Step: s, DurNS: int64(genDur),

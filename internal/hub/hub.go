@@ -45,8 +45,11 @@ import (
 	"github.com/ascr-ecx/eth/internal/vtkio"
 )
 
-// Hub telemetry: aggregate counters plus the subscriber-count gauge.
-// Per-slot gauges (queue depth, drops, lag) are resolved in New.
+// Hub telemetry: aggregate counters, the subscriber-count gauge, and the
+// time each frame write to a viewer takes. Frame writes are not
+// journaled: a lagging viewer's drops would make the hub's journal
+// depend on timing. Per-slot gauges (queue depth, drops, lag) are
+// resolved in New.
 var (
 	ctrPublished = telemetry.Default.Counter("hub.frames_published")
 	ctrEncoded   = telemetry.Default.Counter("hub.frames_encoded")
@@ -54,6 +57,7 @@ var (
 	ctrDropped   = telemetry.Default.Counter("hub.frames_dropped")
 	ctrSteer     = telemetry.Default.Counter("hub.steer_received")
 	gSubscribers = telemetry.Default.Gauge("hub.subscribers")
+	histSend     = telemetry.Default.Histogram("hub.send")
 )
 
 // ErrHubClosed is returned by operations on a hub after Close.
@@ -780,11 +784,13 @@ func (h *Hub) sender(s *subscriber) {
 		}
 		delta := h.cfg.Codec.Temporal() && s.haveRef && f.prev != nil && s.lastSent == f.prev.seq
 		id, wire, err := h.encoded(f, delta)
+		t0 := time.Now()
 		if err == nil {
 			s.conn.Step = int(f.cur.step)
 			err = s.conn.SendEncoded(id, wire, len(f.cur.payload))
 		}
 		if err == nil {
+			histSend.Since(t0)
 			s.lastSent, s.haveRef = f.cur.seq, true
 			s.gLag.Set(h.latest.Load() - f.cur.step)
 		}

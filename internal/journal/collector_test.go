@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"github.com/ascr-ecx/eth/internal/telemetry"
 )
 
 // emitSteps appends n render events starting at step from to a live
@@ -234,5 +236,46 @@ func TestCollectorUnwatchFinalDrain(t *testing.T) {
 	}
 	if got := c.DrainOnce(); got != 0 {
 		t.Fatalf("unwatched source still drains (%d events)", got)
+	}
+}
+
+// A Writer observes a phase event into its phase.<p> histogram only when
+// it timed the event itself: a local timed event moves the histograms,
+// while an instant that carries a phase (a resume) and an event a
+// Collector merged from another journal, whose own Writer observed it,
+// do not.
+func TestPhaseHistogramsSkipMergedAndInstants(t *testing.T) {
+	observed := func() (count, sum int64) {
+		for _, p := range Phases {
+			h := telemetry.Default.Histogram("phase." + p)
+			count, sum = count+h.Count(), sum+h.Sum()
+		}
+		return count, sum
+	}
+	path := filepath.Join(t.TempDir(), "w.jsonl")
+	src, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count, sum := observed()
+	src.Emit(Event{Type: TypeRender, Phase: PhaseRender, Step: 0, DurNS: 1500})
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c, s := observed(); c != count+1 || s != sum+1500 {
+		t.Fatalf("a local timed event moved the phase histograms by %d events, %d ns; want 1, 1500", c-count, s-sum)
+	}
+	sink := New()
+	c := NewCollector(sink, time.Millisecond)
+	c.Watch("w", path)
+	if got := c.DrainOnce(); got != 1 {
+		t.Fatalf("DrainOnce merged %d events, want 1", got)
+	}
+	sink.Emit(Event{Type: TypeResume, Phase: PhaseTransport, Step: 1})
+	if got := sink.Phases()[PhaseRender]; got != 1500 {
+		t.Fatalf("merged render time = %v, want 1.5µs", got)
+	}
+	if c, s := observed(); c != count+1 || s != sum+1500 {
+		t.Errorf("a merged event and an instant moved the phase histograms by %d events, %d ns", c-count-1, s-sum-1500)
 	}
 }

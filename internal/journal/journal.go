@@ -2,13 +2,16 @@
 // record of what a run actually did — one event per phase transition,
 // dataset generation, sampling decision, wire transfer, render, composite,
 // and error. A Writer keeps only the newest events in memory, for live
-// readers, and sums every phase-attributed event's duration as it
-// arrives; with a trace file configured every event also streams to disk
-// as it happens, one JSON object per line, so a crashed run still leaves
-// an audit trail up to the failure. The Reader half replays a journal
-// after the fact, and Breakdown reconstructs from it the per-phase
-// wall-clock split the harness reports — the instrumentation analog of the paper's TACC Stats + power
-// meter collection (§V-A), and the visibility SIM-SITU and ISAAC argue
+// readers, sums every phase-attributed event's duration as it arrives,
+// and observes each locally timed phase event into that phase's
+// telemetry histogram (phase.<name>), so /metrics and the journal report
+// one duration per stage; with a trace file configured every event also
+// streams to disk as it happens, one JSON object per line, so a crashed
+// run still leaves an audit trail up to the failure. The Reader half
+// replays a journal after the fact, and Breakdown reconstructs from it
+// the per-phase wall-clock split the harness reports — the
+// instrumentation analog of the paper's TACC Stats + power meter
+// collection (§V-A), and the visibility SIM-SITU and ISAAC argue
 // in-situ exploration needs.
 //
 // Follower tails a journal file while another process writes it, and
@@ -29,6 +32,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"github.com/ascr-ecx/eth/internal/telemetry"
 )
 
 // Event types. A journal line's "type" field says what happened; timed
@@ -129,10 +134,24 @@ const (
 )
 
 // Phases lists the phase names in pipeline order (for stable reporting).
+// Each has a telemetry histogram, phase.<name>, fed only by Writer.Emit.
+// PhaseGenerate holds two kinds of work: core.RunMeasured's up-front
+// generation (rank -1) and each simulation proxy's per-step source
+// lookup. Breakdown sums them together, and so do the histogram's
+// quantiles.
 var Phases = []string{
 	PhaseGenerate, PhaseSample, PhaseSerialize,
 	PhaseTransport, PhaseRender, PhaseAnalysis, PhaseComposite,
 }
+
+// phaseHists holds each phase's histogram, the one live timer of a stage.
+var phaseHists = func() map[string]*telemetry.Histogram {
+	m := make(map[string]*telemetry.Histogram, len(Phases))
+	for _, p := range Phases {
+		m[p] = telemetry.Default.Histogram("phase." + p)
+	}
+	return m
+}()
 
 // Event is one journal line. Rank -1 identifies the harness itself (as
 // opposed to a proxy-pair rank); Step -1 means "not step-scoped".
@@ -168,11 +187,13 @@ type Event struct {
 func (e Event) Dur() time.Duration { return time.Duration(e.DurNS) }
 
 // Writer is a concurrent-safe journal recorder. It keeps the newest
-// tailLen events in memory for live readers, counts every event, and
-// sums each phase-attributed event's duration as it arrives; when backed
-// by an io.Writer every event also streams out as one JSON line. Make one
-// with New, NewWriter, Create or Append. A nil *Writer is a valid no-op
-// sink, so instrumented code journals unconditionally.
+// tailLen events in memory for live readers, counts every event, sums
+// each phase-attributed event's duration as it arrives, and observes
+// each timed one it did not merge from another journal into the phase's
+// histogram; when backed by an io.Writer every event also streams out as
+// one JSON line. Make one with New, NewWriter, Create or Append. A nil
+// *Writer is a valid no-op sink, so instrumented code journals
+// unconditionally.
 type Writer struct {
 	mu     sync.Mutex
 	out    io.Writer                // guarded by mu
@@ -311,6 +332,11 @@ func (j *Writer) Emit(ev Event) {
 	j.n++
 	if ev.Phase != "" {
 		j.phases[ev.Phase] += ev.Dur()
+		// A merged event (Src set) was observed by the process that timed
+		// it, and an instant (a steering forward, a resume) times nothing.
+		if h := phaseHists[ev.Phase]; h != nil && ev.DurNS > 0 && ev.Src == "" {
+			h.ObserveDuration(ev.Dur())
+		}
 	}
 	if j.out != nil && j.err == nil {
 		raw, err := json.Marshal(ev)

@@ -30,7 +30,8 @@ var metricNameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$`)
 // subscriber and a unified pair (whose step span nests) run first, then
 // every counter, gauge, histogram and span in the default registry must
 // match the contract and map to its Prometheus family without
-// sanitizing.
+// sanitizing, and every histogram must be a journal phase's or on the
+// keep-list of durations no phase event times.
 func TestMetricNamesByValue(t *testing.T) {
 	cp := cosmo.DefaultParams()
 	cp.Particles = 2000
@@ -103,11 +104,32 @@ func TestMetricNamesByValue(t *testing.T) {
 	telemetry.Default.EachCounter(func(m *telemetry.Counter) { names = append(names, m.Name()) })
 	telemetry.Default.EachGauge(func(m *telemetry.Gauge) { names = append(names, m.Name()) })
 	telemetry.Default.EachHistogram(func(m *telemetry.Histogram) { names = append(names, m.Name()) })
-	for _, want := range []string{"viz.render.vtk_iso", "viz.op.halos", "viz.op.stats", "hub.sub0.queue_depth", "coupling.unified.step"} {
+	for _, want := range []string{"phase.render", "phase.analysis", "hub.sub0.queue_depth", "coupling.unified.step"} {
 		if !slices.Contains(names, want) {
 			t.Errorf("registry lacks %q after the runs", want)
 		}
 	}
+	// Each stage is timed once, by its journal event (phase.<p>). Every
+	// other histogram times something no phase event covers.
+	timedElsewhere := map[string]string{
+		"obs.scrape":              "no phase covers a scrape",
+		"obs.exposition":          "no phase covers the exposition",
+		"coupling.unified":        "no phase event times a pair",
+		"coupling.unified.step":   "no phase event times a unified step",
+		"coupling.socket":         "no phase event times a pair",
+		"compositing.binary_swap": "the per-step composite emits no event",
+		"compositing.direct_send": "the per-step composite emits no event",
+		"hub.send":                "viewer frame writes are not journaled",
+	}
+	telemetry.Default.EachHistogram(func(h *telemetry.Histogram) {
+		p, isPhase := strings.CutPrefix(h.Name(), "phase.")
+		if isPhase && slices.Contains(journal.Phases, p) {
+			return
+		}
+		if _, ok := timedElsewhere[h.Name()]; !ok {
+			t.Errorf("histogram %q times neither a journal phase nor anything on the keep-list", h.Name())
+		}
+	})
 	for _, n := range names {
 		if !metricNameRe.MatchString(n) {
 			t.Errorf("metric %q is not dotted snake_case", n)

@@ -32,11 +32,11 @@ func testRegistry() *telemetry.Registry {
 	reg.Counter("steps.total").Add(42)
 	reg.Counter("transport.bytes").Add(1 << 20)
 	reg.Gauge("queue.depth").Set(7)
-	h := reg.Histogram("transport.send")
+	h := reg.Histogram("phase.transport")
 	for _, us := range []time.Duration{0, 1, 1, 3, 100} {
 		h.ObserveDuration(us * time.Microsecond)
 	}
-	sm := reg.Histogram("viz.render")
+	sm := reg.Histogram("phase.render")
 	sm.ObserveDuration(2 * time.Millisecond)
 	sm.ObserveDuration(8 * time.Millisecond)
 	return reg
@@ -131,28 +131,28 @@ func TestExpositionRoundTrip(t *testing.T) {
 	// Every histogram is a summary in seconds: _sum is the nanosecond
 	// total scaled, and the top quantile is clamped to the largest
 	// observation.
-	if typ := exp.Types["eth_transport_send_seconds"]; typ != "summary" {
-		t.Errorf("eth_transport_send_seconds type = %q, want summary", typ)
+	if typ := exp.Types["eth_phase_transport_seconds"]; typ != "summary" {
+		t.Errorf("eth_phase_transport_seconds type = %q, want summary", typ)
 	}
-	if v, ok := exp.Value("eth_transport_send_seconds_count"); !ok || v != 5 {
+	if v, ok := exp.Value("eth_phase_transport_seconds_count"); !ok || v != 5 {
 		t.Errorf("summary _count = %v, want 5", v)
 	}
-	if v, ok := exp.Value("eth_transport_send_seconds_sum"); !ok || math.Abs(v-105e-6) > 1e-12 {
+	if v, ok := exp.Value("eth_phase_transport_seconds_sum"); !ok || math.Abs(v-105e-6) > 1e-12 {
 		t.Errorf("summary _sum = %v, want 105e-6", v)
 	}
-	if q := exp.Find("eth_transport_send_seconds"); len(q) != 3 || q[2].Value != 100e-6 {
+	if q := exp.Find("eth_phase_transport_seconds"); len(q) != 3 || q[2].Value != 100e-6 {
 		t.Errorf("summary quantiles = %+v, want p99 = 100e-6", q)
 	}
 
 	// Summary invariants: quantiles present and ordered, count exact.
-	quants := exp.Find("eth_viz_render_seconds")
+	quants := exp.Find("eth_phase_render_seconds")
 	if len(quants) != 3 {
 		t.Fatalf("summary quantiles = %d, want 3", len(quants))
 	}
 	if quants[0].Label("quantile") != "0.5" || quants[0].Value > quants[2].Value {
 		t.Errorf("summary quantiles malformed: %+v", quants)
 	}
-	if v, ok := exp.Value("eth_viz_render_seconds_count"); !ok || v != 2 {
+	if v, ok := exp.Value("eth_phase_render_seconds_count"); !ok || v != 2 {
 		t.Errorf("summary _count = %v, want 2", v)
 	}
 }

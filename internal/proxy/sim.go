@@ -16,15 +16,8 @@ import (
 	"github.com/ascr-ecx/eth/internal/hub"
 	"github.com/ascr-ecx/eth/internal/journal"
 	"github.com/ascr-ecx/eth/internal/sampling"
-	"github.com/ascr-ecx/eth/internal/telemetry"
 	"github.com/ascr-ecx/eth/internal/transport"
 	"github.com/ascr-ecx/eth/internal/vtkio"
-)
-
-// Simulation-proxy telemetry: per-step generate/sample durations.
-var (
-	histSimGenerate = telemetry.Default.Histogram("sim.generate")
-	histSimSample   = telemetry.Default.Histogram("sim.sample")
 )
 
 // StepSource supplies the simulation data stream, one dataset per time
@@ -218,7 +211,6 @@ func (s *SimProxy) StepData(i int) (_ data.Dataset, err error) {
 		return nil, err
 	}
 	genDur := time.Since(t0)
-	histSimGenerate.ObserveDuration(genDur)
 	s.cfg.Journal.Emit(journal.Event{
 		Type: journal.TypeDataset, Phase: journal.PhaseGenerate,
 		Rank: s.cfg.Rank, Step: i, DurNS: int64(genDur),
@@ -241,7 +233,6 @@ func (s *SimProxy) StepData(i int) (_ data.Dataset, err error) {
 		return nil, err
 	}
 	sampleDur := time.Since(t1)
-	histSimSample.ObserveDuration(sampleDur)
 	if s.cfg.Journal != nil {
 		s.cfg.Journal.Emit(journal.Event{
 			Type: journal.TypeSample, Phase: journal.PhaseSample,

@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -20,11 +19,11 @@ import (
 	"github.com/ascr-ecx/eth/internal/vec"
 )
 
-// Proxy telemetry: step and image counts, and each step's render time.
+// Proxy telemetry: step and image counts. A step's render and analysis
+// times are its journal events' (phase.render and phase.analysis).
 var (
-	ctrSteps   = telemetry.Default.Counter("proxy.steps")
-	ctrImages  = telemetry.Default.Counter("proxy.images")
-	histRender = telemetry.Default.Histogram("viz.render")
+	ctrSteps  = telemetry.Default.Counter("proxy.steps")
+	ctrImages = telemetry.Default.Counter("proxy.images")
 )
 
 // FramePublisher receives each completed step's final rendered frame
@@ -117,12 +116,6 @@ type VizProxy struct {
 	// allowGaps permits the wire step to jump past next (a step the
 	// degradation policy skipped on the sender side).
 	allowGaps bool
-	// imgHist and opHists are the per-algorithm/per-operation duration
-	// histograms, resolved once at construction: both domains are closed
-	// (render registry, compiled-in operations), and resolving here keeps
-	// the per-step path off the registry's name-lookup lock.
-	imgHist *telemetry.Histogram
-	opHists []*telemetry.Histogram
 	// Steering cursors: steerSeq gates local (camera/isovalue)
 	// application, fwdSeq gates upstream forwarding, so each steering
 	// update is applied and forwarded exactly once.
@@ -154,12 +147,6 @@ func NewVizProxy(cfg VizConfig) (*VizProxy, error) {
 		return nil, err
 	}
 	v := &VizProxy{cfg: cfg, renderer: r}
-	// Metric names are dotted snake_case: registry algorithm names carry
-	// hyphens ("vtk-iso"), so they map to underscores here.
-	v.imgHist = telemetry.Default.Histogram("viz.render." + strings.ReplaceAll(cfg.Algorithm, "-", "_"))
-	for _, op := range cfg.Operations {
-		v.opHists = append(v.opHists, telemetry.Default.Histogram("viz.op."+op.Name()))
-	}
 	v.next.Store(int64(max(cfg.Start, 0)))
 	return v, nil
 }
@@ -178,7 +165,6 @@ func (v *VizProxy) RenderStep(step int, ds data.Dataset) (res StepResult, err er
 	}
 	frame := v.cur
 	for img := 0; img < v.cfg.ImagesPerStep; img++ {
-		it0 := time.Now()
 		cam := orbitCamera(bounds, img, v.cfg.ImagesPerStep)
 		if v.hasCam {
 			cam = steerCamera(bounds, v.camOv, img, v.cfg.ImagesPerStep)
@@ -209,10 +195,8 @@ func (v *VizProxy) RenderStep(step int, ds data.Dataset) (res StepResult, err er
 				return res, err
 			}
 		}
-		v.imgHist.ObserveDuration(time.Since(it0))
 	}
 	res.Render = time.Since(t0)
-	histRender.ObserveDuration(res.Render)
 	v.cfg.Journal.Emit(journal.Event{
 		Type: journal.TypeRender, Phase: journal.PhaseRender,
 		Rank: v.cfg.Rank, Step: step, DurNS: int64(res.Render),
@@ -221,8 +205,8 @@ func (v *VizProxy) RenderStep(step int, ds data.Dataset) (res StepResult, err er
 	})
 
 	// Run the configured analysis operations on the step's data, each
-	// under its own duration histogram.
-	for i, op := range v.cfg.Operations {
+	// journaled under its own name.
+	for _, op := range v.cfg.Operations {
 		ot0 := time.Now()
 		opRes, err := op.Apply(OpContext{Step: step, Rank: v.cfg.Rank, OutDir: v.cfg.OutDir}, ds)
 		if err != nil {
@@ -232,7 +216,6 @@ func (v *VizProxy) RenderStep(step int, ds data.Dataset) (res StepResult, err er
 		}
 		opDur := time.Since(ot0)
 		res.Analysis += opDur
-		v.opHists[i].ObserveDuration(opDur)
 		v.cfg.Journal.Emit(journal.Event{
 			Type: journal.TypeAnalysis, Phase: journal.PhaseAnalysis,
 			Rank: v.cfg.Rank, Step: step, DurNS: int64(opDur),

@@ -9,10 +9,12 @@
 //   - Counter: monotonically increasing value (rays cast, bytes sent).
 //   - Gauge: last-value metric (current queue depth, active pairs).
 //   - Histogram: log2-bucketed distribution of durations in nanoseconds
-//     with approximate quantiles (per-message latency, per-stage time).
-//     A stage resolves its *Histogram once and records with
-//     ObserveDuration, or with `defer h.Since(time.Now())` when the
-//     region has early returns.
+//     with approximate quantiles. A pipeline stage's histogram is fed
+//     by the journal (journal.Writer.Emit observes each timed phase
+//     event into phase.<name>), so each stage is timed once; the few
+//     durations no phase event covers resolve their *Histogram once and
+//     record with ObserveDuration, or with `defer h.Since(time.Now())`
+//     when the region has early returns.
 //
 // All metric updates are lock-free atomic operations; registry lookups
 // take a read lock only (writes happen once per name), so hot loops that

@@ -50,8 +50,9 @@ import (
 	"github.com/ascr-ecx/eth/internal/vtkio"
 )
 
-// Transport telemetry: byte counters plus per-message latency
-// distributions for the serialize/send/recv legs of every transfer.
+// Transport telemetry: byte and message counters. The serialize, send
+// and recv legs are timed by their journal events (phase.serialize and
+// phase.transport).
 var (
 	ctrBytesSent  = telemetry.Default.Counter("transport.bytes_sent")
 	ctrBytesRecv  = telemetry.Default.Counter("transport.bytes_recv")
@@ -62,9 +63,6 @@ var (
 	ctrCRCErrors  = telemetry.Default.Counter("transport.crc_errors")
 	ctrTimeouts   = telemetry.Default.Counter("transport.timeouts")
 	ctrRedials    = telemetry.Default.Counter("transport.redials")
-	histSerial    = telemetry.Default.Histogram("transport.serialize")
-	histSend      = telemetry.Default.Histogram("transport.send")
-	histRecv      = telemetry.Default.Histogram("transport.recv")
 )
 
 // MsgType tags a protocol frame.
@@ -360,7 +358,6 @@ func (c *Conn) SendDataset(ds data.Dataset) error {
 		out = enc
 	}
 	serDur := time.Since(t0)
-	histSerial.ObserveDuration(serDur)
 	c.Journal.Emit(journal.Event{
 		Type: journal.TypeSerialize, Phase: journal.PhaseSerialize,
 		Rank: c.Rank, Step: c.Step, DurNS: int64(serDur),
@@ -437,7 +434,6 @@ func (c *Conn) sendFrame(id CodecID, out []byte, plainLen int) error {
 	}
 	sendDur := time.Since(t1)
 	c.BytesSent += int64(len(out))
-	histSend.ObserveDuration(sendDur)
 	ctrBytesSent.Add(int64(len(out)))
 	ctrBytesPlain.Add(int64(plainLen))
 	ctrMessages.Inc()
@@ -689,7 +685,6 @@ func (c *Conn) recvDataset(n int64) (ds data.Dataset, step int64, err error) {
 	}
 	c.BytesReceived += n
 	recvDur := time.Since(t0)
-	histRecv.ObserveDuration(recvDur)
 	ctrBytesRecv.Add(n)
 	c.Journal.Emit(journal.Event{
 		Type: journal.TypeTransfer, Phase: journal.PhaseTransport,
